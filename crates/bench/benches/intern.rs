@@ -1,10 +1,10 @@
 //! String-interner hot paths.
 //!
-//! The analysis pipeline interns every syscall name and partition label
-//! it sees, so the dominant operation by far is `intern` of an
+//! The `.iotb` reader and writer intern every event name and path they
+//! see, so the dominant operation by far is `intern` of an
 //! *already-present* string (the read-lock fast path); misses and
 //! `resolve` are measured for completeness. A realistic key set is
-//! small — a few dozen syscall names and flag labels — so the hit bench
+//! small — a few dozen syscall names and hot paths — so the hit bench
 //! cycles through 64 keys.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

@@ -15,9 +15,9 @@
 //!                [--distribute N [--inject-worker-kill W:T[:SIG]]
 //!                 [--inject-worker-stall W:T[:MS]]
 //!                 [--inject-corrupt-frame W:F[:X]]]
-//! iocov untested <trace.jsonl> [--mount PATH]            gap summary
-//! iocov combos   <trace.jsonl> [--mount PATH]            flag-combination coverage
-//! iocov tcd      <trace.jsonl> [--mount PATH] --target N TCD of open flags
+//! iocov untested <trace>       [--mount PATH]            gap summary
+//! iocov combos   <trace>       [--mount PATH]            flag-combination coverage
+//! iocov tcd      <trace>       [--mount PATH] --target N TCD of open flags
 //! iocov convert  <in> <out> [--to jsonl|iotb]            JSONL ↔ binary trace
 //! iocov convert-syz <log.txt>                            syz log → JSONL trace
 //! ```
@@ -1034,14 +1034,14 @@ USAGE:
                  [--inject-worker-kill WORKER:TICK[:SIGNAL]]
                  [--inject-worker-stall WORKER:TICK[:MILLIS]]
                  [--inject-corrupt-frame WORKER:FRAME[:TIMES]]
-  iocov untested <trace.jsonl> [--mount PATH]
-  iocov combos   <trace.jsonl> [--mount PATH]
-  iocov tcd      <trace.jsonl> [--mount PATH] --target N
+  iocov untested <trace> [--mount PATH]
+  iocov combos   <trace> [--mount PATH]
+  iocov tcd      <trace> [--mount PATH] --target N
   iocov convert  <in> <out> [--to jsonl|iotb] [--index]
                  [--format auto|jsonl|iotb]
                  [--lossy [--max-errors N]]
   iocov convert-syz <syz-log.txt>
-  iocov diff     <a.jsonl> <b.jsonl> [--mount PATH]
+  iocov diff     <a> <b> [--mount PATH]
   iocov serve    --state-dir DIR [--socket PATH] [--spool DIR]
                  [--mount PATH] [--lossy [--max-errors N]]
                  [--checkpoint-every N] [--max-shard-restarts N]
@@ -1191,8 +1191,9 @@ fn load_trace_format(
     .map_err(|e| CliError(format!("cannot parse {path}: {e}")))
 }
 
+/// Loads a trace in strict mode, sniffing the container format.
 fn load_trace(path: &str) -> Result<Trace, CliError> {
-    load_trace_format(path, TraceFormat::Jsonl, None)
+    load_trace_format(path, TraceFormat::Auto, None)
 }
 
 /// Loads a trace in lossy mode, recovering from malformed lines or

@@ -8,6 +8,7 @@
 //! degrades to a partial report with exit 0, never an abort or a hang.
 
 use std::process::Command;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn bin() -> &'static str {
@@ -29,10 +30,14 @@ fn run_ok(all: &[&str]) -> Vec<u8> {
     output.stdout
 }
 
+/// A fresh temp path per call: tests run concurrently in one process,
+/// and two of them rewriting one shared file would race each other.
 fn temp_path(tag: &str, ext: &str) -> String {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
     std::env::temp_dir()
         .join(format!(
-            "iocov-distribute-{}-{tag}.{ext}",
+            "iocov-distribute-{}-{n}-{tag}.{ext}",
             std::process::id()
         ))
         .to_string_lossy()

@@ -1,0 +1,109 @@
+//! The whole-trace subcommands (`untested`, `combos`, `tcd`, `diff`)
+//! read every container format: one clean trace written as JSONL,
+//! `.iotb` v1 and block-indexed `.iotb` v2 must print identical stdout.
+
+use std::process::Command;
+
+fn bin() -> &'static str {
+    env!("CARGO_BIN_EXE_iocov")
+}
+
+/// Runs the real binary, asserting it exits 0, and returns stdout.
+fn run_ok(all: &[&str]) -> String {
+    let output = Command::new(bin())
+        .args(all)
+        .output()
+        .expect("spawn iocov binary");
+    assert!(
+        output.status.success(),
+        "iocov {all:?} failed: {}\nstderr: {}",
+        output.status,
+        String::from_utf8_lossy(&output.stderr)
+    );
+    String::from_utf8(output.stdout).expect("utf-8 stdout")
+}
+
+fn temp_path(tag: &str, ext: &str) -> String {
+    std::env::temp_dir()
+        .join(format!("iocov-formats-{}-{tag}.{ext}", std::process::id()))
+        .to_string_lossy()
+        .into_owned()
+}
+
+/// A kernel-recorded trace with mount noise, varied open flags, writes
+/// of several sizes and failing calls; `salt` varies it so `diff` has
+/// something to report.
+fn kernel_trace(tag: &str, salt: u32) -> String {
+    use iocov_syscalls::Kernel;
+    use iocov_trace::Recorder;
+    use std::sync::Arc;
+    let recorder = Arc::new(Recorder::new());
+    let mut kernel = Kernel::new();
+    kernel.attach_recorder(Arc::clone(&recorder));
+    kernel.mkdir("/mnt", 0o755);
+    kernel.mkdir("/mnt/test", 0o755 - salt);
+    for i in 0..6u32 {
+        let flags = [0o102, 0o1101, 0o2002, 0o100 | 0o200, 0o4010001, 0][(i + salt) as usize % 6];
+        let fd = kernel.open(&format!("/mnt/test/f{i}"), flags | 0o100, 0o644) as i32;
+        kernel.write(fd, &vec![0u8; 1 << (i + salt)]);
+        kernel.lseek(fd, 0, i % 3);
+        kernel.close(fd);
+    }
+    kernel.open("/mnt/test/missing", 0, 0);
+    kernel.open("/etc/noise", 0, 0);
+    let path = temp_path(tag, "jsonl");
+    let mut file = std::fs::File::create(&path).unwrap();
+    iocov_trace::write_jsonl(&mut file, &recorder.take()).unwrap();
+    path
+}
+
+/// The trace at `jsonl` as `.iotb` v1 and indexed v2.
+fn binary_copies(jsonl: &str, tag: &str) -> [String; 2] {
+    let v1 = temp_path(&format!("{tag}-v1"), "iotb");
+    let v2 = temp_path(&format!("{tag}-v2"), "iotb");
+    run_ok(&["convert", jsonl, &v1]);
+    run_ok(&["convert", jsonl, &v2, "--index"]);
+    [v1, v2]
+}
+
+#[test]
+fn whole_trace_subcommands_agree_across_container_formats() {
+    let a = kernel_trace("a", 0);
+    let b = kernel_trace("b", 1);
+    let [a1, a2] = binary_copies(&a, "a");
+    let [b1, b2] = binary_copies(&b, "b");
+    let mount = ["--mount", "/mnt/test"];
+    for cmd in ["untested", "combos", "tcd"] {
+        let outputs: Vec<String> = [&a, &a1, &a2]
+            .iter()
+            .map(|trace| {
+                let mut all = vec![cmd, trace.as_str()];
+                all.extend(mount);
+                if cmd == "tcd" {
+                    all.extend(["--target", "10"]);
+                }
+                run_ok(&all)
+            })
+            .collect();
+        assert!(!outputs[0].is_empty(), "{cmd} printed nothing");
+        assert_eq!(outputs[0], outputs[1], "{cmd}: jsonl vs iotb v1");
+        assert_eq!(outputs[0], outputs[2], "{cmd}: jsonl vs iotb v2");
+    }
+    // `diff` names its inputs, so compare with the paths masked.
+    let diffs: Vec<String> = [(&a, &b), (&a1, &b1), (&a2, &b2)]
+        .iter()
+        .map(|(x, y)| {
+            let mut all = vec!["diff", x.as_str(), y.as_str()];
+            all.extend(mount);
+            run_ok(&all)
+                .replace(x.as_str(), "A")
+                .replace(y.as_str(), "B")
+        })
+        .collect();
+    assert!(diffs[0].contains("only by A"), "{}", diffs[0]);
+    assert_eq!(diffs[0], diffs[1], "diff: jsonl vs iotb v1");
+    assert_eq!(diffs[0], diffs[2], "diff: jsonl vs iotb v2");
+    for path in [a, a1, a2, b, b1, b2] {
+        let _ = std::fs::remove_file(path);
+    }
+}

@@ -87,6 +87,13 @@ impl ArgName {
         ArgName::GetxattrSize,
     ];
 
+    /// This argument's position in [`ArgName::ALL`] — a dense array
+    /// index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// A stable display name, e.g. `"open.flags"`.
     #[must_use]
     pub fn name(self) -> &'static str {
@@ -167,6 +174,9 @@ mod tests {
     #[test]
     fn fourteen_tracked_arguments() {
         assert_eq!(ArgName::ALL.len(), 14, "the paper tracks 14 arguments");
+        for (i, arg) in ArgName::ALL.into_iter().enumerate() {
+            assert_eq!(arg.index(), i);
+        }
     }
 
     #[test]

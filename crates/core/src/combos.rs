@@ -70,11 +70,9 @@ impl ComboCoverage {
             let Some(call) = normalize(event) else {
                 continue;
             };
-            for (arg, value) in &call.args {
-                if *arg == ArgName::OpenFlags {
-                    if let TrackedValue::Bits(bits) = value {
-                        cov.record(*bits);
-                    }
+            for (arg, value) in call.tracked_args() {
+                if let (ArgName::OpenFlags, TrackedValue::Bits(bits)) = (arg, value) {
+                    cov.record(bits);
                 }
             }
         }

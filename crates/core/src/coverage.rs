@@ -1,17 +1,16 @@
 //! The coverage analyzer: from filtered traces to input/output coverage.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::collections::BTreeMap;
 
-use iocov_syscalls::BaseSyscall;
-use iocov_trace::{StrInterner, Sym, Trace};
+use iocov_syscalls::{BaseSyscall, Errno, Sysno};
+use iocov_trace::Trace;
 use serde::{Deserialize, Serialize};
 
-use crate::arg::ArgName;
-use crate::domain::{arg_domain, open_flags_present, output_buckets_bytes, output_errnos};
+use crate::arg::{ArgName, TrackedValue};
+use crate::domain::{arg_domain, for_each_open_flag, output_buckets_bytes, output_errnos};
 use crate::filter::{FilterStats, TraceFilter};
 use crate::metrics::{DropReason, PipelineMetrics};
-use crate::partition::{InputPartition, OutputPartition, SymInputPartition, SymOutputPartition};
+use crate::partition::{errno_number, InputPartition, NumericPartition, OutputPartition};
 use crate::variants::normalize;
 
 /// Serializes partition-keyed maps as pair lists (JSON object keys must
@@ -306,8 +305,10 @@ impl Analyzer {
     pub fn analyze(&self, trace: &Trace) -> AnalysisReport {
         let metrics = self.metrics.as_deref();
         let (kept, filter_stats) = self.filter.apply_with_metrics(trace, metrics);
-        let mut builder = ReportBuilder::new(Arc::new(StrInterner::new()));
-        builder.filter_stats = filter_stats;
+        let mut builder = ReportBuilder {
+            filter_stats,
+            ..ReportBuilder::default()
+        };
         let _timer = metrics.map(|m| m.time_stage("accumulate"));
         for event in &kept {
             builder.accumulate(event, metrics);
@@ -316,54 +317,67 @@ impl Analyzer {
     }
 }
 
-/// Symbol-keyed hit counts for one argument (accumulation-time form of
-/// [`InputCoverage`]).
+/// Dense hit counts for one argument: one slot per partition of its
+/// domain (see `ArgDomain::for_each_slot`), sized on first use.
 #[derive(Debug, Default)]
 struct InputAcc {
-    counts: HashMap<SymInputPartition, u64>,
+    counts: Vec<u64>,
     calls: u64,
 }
 
-/// Symbol-keyed hit counts for one base syscall.
-#[derive(Debug, Default)]
-struct OutputAcc {
-    counts: HashMap<SymOutputPartition, u64>,
-    calls: u64,
-}
-
-/// The accumulation-time form of [`AnalysisReport`]: every string key is
-/// an interned [`Sym`] and every map a `HashMap`, so the per-event hot
-/// path never clones a string or walks a `BTreeMap` with heap-key
-/// comparisons. Strings only come back when a report is
-/// [materialized](Self::materialize) — sorted into `BTreeMap`s there, so
-/// the serialized output is byte-identical to accumulating into
-/// [`AnalysisReport`] directly.
+/// Dense hit counts for one base syscall's outputs.
 #[derive(Debug)]
+struct OutputAcc {
+    calls: u64,
+    /// Successes of a base whose returns are not byte counts.
+    ok: u64,
+    /// Byte-count successes by numeric slot, sized on first use.
+    bytes: Vec<u64>,
+    /// Failures by [`Errno::index`].
+    errnos: [u64; Errno::ALL.len()],
+    /// Failures with an errno number outside [`Errno::ALL`].
+    unknown: BTreeMap<u32, u64>,
+}
+
+impl Default for OutputAcc {
+    fn default() -> Self {
+        OutputAcc {
+            calls: 0,
+            ok: 0,
+            bytes: Vec::new(),
+            errnos: [0; Errno::ALL.len()],
+            unknown: BTreeMap::new(),
+        }
+    }
+}
+
+/// Table 1 counts are indexed by combination size, which never exceeds
+/// the number of named open flags.
+const COMBO_SLOTS: usize = iocov_syscalls::OpenFlags::NAMED_FLAGS.len();
+
+/// The accumulation-time form of [`AnalysisReport`]. The analysis domain
+/// is closed — 27 calls, 11 bases, 14 arguments with fixed partitions,
+/// the known errnos — so every count lives in a flat slot indexed by
+/// [`Sysno::index`], [`BaseSyscall::index`], [`ArgName::index`], a
+/// domain slot or [`Errno::index`], and the per-event path touches no
+/// string and no map (errno numbers outside the known set aside).
+/// Strings only appear when a report is
+/// [materialized](Self::materialize): the non-zero slots are walked into
+/// the same `BTreeMap`s the report has always had, so the serialized
+/// output is byte-identical to accumulating into [`AnalysisReport`]
+/// directly.
+#[derive(Debug, Default)]
 pub(crate) struct ReportBuilder {
-    interner: Arc<StrInterner>,
     /// Filtering statistics, updated by the owner of the builder.
     pub(crate) filter_stats: FilterStats,
-    input: BTreeMap<ArgName, InputAcc>,
-    output: HashMap<Sym, OutputAcc>,
-    calls_per_variant: HashMap<Sym, u64>,
-    open_combos: ComboHistogram,
+    input: [InputAcc; ArgName::ALL.len()],
+    output: [OutputAcc; BaseSyscall::ALL.len()],
+    calls_per_variant: [u64; Sysno::ALL.len()],
+    combo_sizes: [u64; COMBO_SLOTS],
+    combo_sizes_with_rdonly: [u64; COMBO_SLOTS],
 }
 
 impl ReportBuilder {
-    /// A builder accumulating into (and resolving from) `interner` —
-    /// typically one interner `Arc`-shared across every shard of a
-    /// parallel run.
-    pub(crate) fn new(interner: Arc<StrInterner>) -> Self {
-        ReportBuilder {
-            interner,
-            filter_stats: FilterStats::default(),
-            input: BTreeMap::new(),
-            output: HashMap::new(),
-            calls_per_variant: HashMap::new(),
-            open_combos: ComboHistogram::default(),
-        }
-    }
-
     /// Accumulates one (already filter-accepted) event — the shared
     /// per-event step of batch and streaming analysis — additionally
     /// recording unknown-syscall drops, variant merges, and
@@ -385,74 +399,83 @@ impl ReportBuilder {
                 m.record_variant_merged();
             }
         }
-        let interner = &*self.interner;
-        *self
-            .calls_per_variant
-            .entry(interner.intern(call.sysno.name()))
-            .or_insert(0) += 1;
+        self.calls_per_variant[call.sysno.index()] += 1;
 
         // Input partitions.
-        for (arg, value) in &call.args {
-            let domain = arg_domain(*arg);
-            let cov = self.input.entry(*arg).or_default();
-            cov.calls += 1;
-            domain.partition_syms(*value, interner, |partition| {
-                if let Some(m) = metrics {
-                    m.record_input_sym(partition);
-                }
-                *cov.counts.entry(partition).or_insert(0) += 1;
+        for (arg, value) in call.tracked_args() {
+            let domain = arg_domain(arg);
+            let acc = &mut self.input[arg.index()];
+            acc.calls += 1;
+            if acc.counts.is_empty() {
+                acc.counts = vec![0; domain.slot_count()];
+            }
+            let mut hits = 0u64;
+            domain.for_each_slot(value, |slot| {
+                acc.counts[slot] += 1;
+                hits += 1;
             });
+            if let Some(m) = metrics {
+                m.record_input_records(&domain.kind, hits);
+            }
             // Table 1: flag-combination histogram for open.
-            if *arg == ArgName::OpenFlags {
-                if let crate::arg::TrackedValue::Bits(bits) = value {
-                    let present = open_flags_present(*bits);
-                    if !present.is_empty() {
-                        let n = present.len();
-                        *self.open_combos.sizes.entry(n).or_insert(0) += 1;
-                        if present.contains(&"O_RDONLY") {
-                            *self.open_combos.sizes_with_rdonly.entry(n).or_insert(0) += 1;
-                        }
+            if let (ArgName::OpenFlags, TrackedValue::Bits(bits)) = (arg, value) {
+                let mut n = 0;
+                let mut rdonly = false;
+                for_each_open_flag(bits, |i| {
+                    n += 1;
+                    rdonly |= i == 0;
+                });
+                if n > 0 {
+                    self.combo_sizes[n] += 1;
+                    if rdonly {
+                        self.combo_sizes_with_rdonly[n] += 1;
                     }
                 }
             }
         }
 
         // Output partition.
-        let bucket_bytes = output_buckets_bytes(call.base);
-        let partition = SymOutputPartition::of(call.retval, bucket_bytes, interner);
+        let acc = &mut self.output[call.base.index()];
+        acc.calls += 1;
         if let Some(m) = metrics {
-            m.record_output_sym(partition);
+            m.record_output_record(call.retval >= 0);
         }
-        let cov = self
-            .output
-            .entry(interner.intern(call.base.name()))
-            .or_default();
-        cov.calls += 1;
-        *cov.counts.entry(partition).or_insert(0) += 1;
+        if call.retval >= 0 {
+            if output_buckets_bytes(call.base) {
+                if acc.bytes.is_empty() {
+                    acc.bytes = vec![0; NumericPartition::SLOTS];
+                }
+                acc.bytes[NumericPartition::of(i128::from(call.retval)).slot()] += 1;
+            } else {
+                acc.ok += 1;
+            }
+        } else {
+            let number = errno_number(call.retval);
+            match Errno::from_number(number) {
+                Some(errno) => acc.errnos[errno.index()] += 1,
+                None => *acc.unknown.entry(number).or_insert(0) += 1,
+            }
+        }
     }
 
-    /// Materializes the string-keyed public report: symbols resolve back
-    /// to strings and every map sorts into its `BTreeMap` form.
+    /// Materializes the string-keyed public report: every non-zero slot
+    /// becomes its partition and every map sorts into its `BTreeMap`
+    /// form.
     pub(crate) fn materialize(&self) -> AnalysisReport {
-        let interner = &*self.interner;
-        let resolve = |sym: Sym| {
-            interner
-                .resolve(sym)
-                .expect("symbol interned by this builder")
-                .as_ref()
-                .to_owned()
-        };
-        let input = self
-            .input
-            .iter()
+        fn nonzero(counts: &[u64]) -> impl Iterator<Item = (usize, u64)> + '_ {
+            counts.iter().copied().enumerate().filter(|&(_, c)| c > 0)
+        }
+        let input = ArgName::ALL
+            .into_iter()
+            .zip(&self.input)
+            .filter(|(_, acc)| acc.calls > 0)
             .map(|(arg, acc)| {
-                let counts = acc
-                    .counts
-                    .iter()
-                    .map(|(p, &c)| (p.materialize(interner), c))
+                let domain = arg_domain(arg);
+                let counts = nonzero(&acc.counts)
+                    .map(|(slot, c)| (domain.slot_partition(slot), c))
                     .collect();
                 (
-                    *arg,
+                    arg,
                     InputCoverage {
                         counts,
                         calls: acc.calls,
@@ -460,35 +483,47 @@ impl ReportBuilder {
                 )
             })
             .collect();
-        let output = self
-            .output
-            .iter()
-            .map(|(&base, acc)| {
-                let counts = acc
-                    .counts
+        let output = BaseSyscall::ALL
+            .into_iter()
+            .zip(&self.output)
+            .filter(|(_, acc)| acc.calls > 0)
+            .map(|(base, acc)| {
+                let ok = (acc.ok > 0).then_some((OutputPartition::Ok, acc.ok));
+                let bytes = nonzero(&acc.bytes).map(|(slot, c)| {
+                    let bucket = NumericPartition::from_slot(slot);
+                    (OutputPartition::OkBytes(bucket), c)
+                });
+                let errnos = nonzero(&acc.errnos)
+                    .map(|(i, c)| (OutputPartition::Err(Errno::ALL[i].name().to_owned()), c));
+                let unknown = acc
+                    .unknown
                     .iter()
-                    .map(|(p, &c)| (p.materialize(interner), c))
-                    .collect();
+                    .map(|(n, &c)| (OutputPartition::Err(format!("E?{n}")), c));
+                let counts = ok.into_iter().chain(bytes).chain(errnos).chain(unknown);
                 (
-                    resolve(base),
+                    base.name().to_owned(),
                     OutputCoverage {
-                        counts,
+                        counts: counts.collect(),
                         calls: acc.calls,
                     },
                 )
             })
             .collect();
-        let calls_per_variant = self
-            .calls_per_variant
-            .iter()
-            .map(|(&name, &count)| (resolve(name), count))
+        let calls_per_variant = Sysno::ALL
+            .into_iter()
+            .zip(self.calls_per_variant)
+            .filter(|&(_, c)| c > 0)
+            .map(|(sysno, c)| (sysno.name().to_owned(), c))
             .collect();
         AnalysisReport {
             filter_stats: self.filter_stats,
             input,
             output,
             calls_per_variant,
-            open_combos: self.open_combos.clone(),
+            open_combos: ComboHistogram {
+                sizes: nonzero(&self.combo_sizes).collect(),
+                sizes_with_rdonly: nonzero(&self.combo_sizes_with_rdonly).collect(),
+            },
         }
     }
 

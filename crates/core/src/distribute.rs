@@ -106,6 +106,11 @@ pub const FRAME_DATA: u8 = b'T';
 /// fast instead of provoking a gigantic allocation.
 pub const MAX_FRAME_LEN: u64 = 1 << 30;
 
+/// The most payload buffer [`read_frame`] reserves before bytes arrive;
+/// larger payloads grow the buffer as they are actually read, so a
+/// forged length costs nothing it does not deliver.
+const FRAME_PREALLOC: usize = 64 * 1024;
+
 /// Why a frame could not be read.
 #[derive(Debug)]
 pub enum FrameError {
@@ -219,8 +224,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, FrameError> {
     if len > MAX_FRAME_LEN {
         return Err(FrameError::Oversized(len));
     }
-    let mut payload = vec![0u8; usize::try_from(len).map_err(|_| FrameError::Oversized(len))?];
-    r.read_exact(&mut payload).map_err(FrameError::Io)?;
+    let capacity = usize::try_from(len).map_err(|_| FrameError::Oversized(len))?;
+    let mut payload = Vec::with_capacity(capacity.min(FRAME_PREALLOC));
+    r.take(len)
+        .read_to_end(&mut payload)
+        .map_err(FrameError::Io)?;
+    if payload.len() != capacity {
+        return Err(FrameError::Io(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame payload ended after {} of {len} bytes", payload.len()),
+        )));
+    }
     let mut stored = [0u8; 8];
     r.read_exact(&mut stored).map_err(FrameError::Io)?;
     let stored = u64::from_le_bytes(stored);
@@ -975,6 +989,15 @@ mod tests {
             read_frame(&mut io::Cursor::new(torn_tail)),
             Err(FrameError::Io(_))
         ));
+
+        // A header declaring the largest legal payload, then EOF, is a
+        // structured I/O error (the payload is never preallocated).
+        let mut forged = vec![FRAME_DATA];
+        forged.extend_from_slice(&MAX_FRAME_LEN.to_le_bytes());
+        match read_frame(&mut io::Cursor::new(forged)) {
+            Err(FrameError::Io(e)) => assert_eq!(e.kind(), io::ErrorKind::UnexpectedEof),
+            other => panic!("expected a truncation error, got {other:?}"),
+        }
 
         // Oversized declared length fails before allocating.
         let mut oversized = buf.clone();

@@ -9,10 +9,9 @@
 //! which the paper also takes from the man pages).
 
 use iocov_syscalls::{BaseSyscall, OpenFlags};
-use iocov_trace::StrInterner;
 
-use crate::arg::ArgName;
-use crate::partition::{InputPartition, NumericPartition, SymInputPartition};
+use crate::arg::{ArgName, TrackedValue};
+use crate::partition::{InputPartition, NumericPartition};
 
 /// Named bits of a `mode_t` word.
 pub const MODE_BITS: [(&str, u32); 12] = [
@@ -92,35 +91,46 @@ pub fn open_flag_names() -> Vec<&'static str> {
         .collect()
 }
 
-/// Decomposes an `open` flags word into the individual named flags it
-/// exercises, handling the access-mode triple and composite flags:
-/// `O_SYNC` subsumes `O_DSYNC`, `O_TMPFILE` subsumes `O_DIRECTORY`.
-#[must_use]
-pub fn open_flags_present(bits: u32) -> Vec<&'static str> {
-    let flags = OpenFlags::from_bits(bits);
-    let mut present = Vec::new();
-    // The access mode is a 2-bit field, not independent bits: exactly one
-    // of the three modes applies, and the invalid value 3 reports none.
-    match bits & 0x3 {
-        0 => present.push("O_RDONLY"),
-        1 => present.push("O_WRONLY"),
-        2 => present.push("O_RDWR"),
-        _ => {}
+/// Visits every named flag an `open` flags word exercises, as its index
+/// into [`OpenFlags::NAMED_FLAGS`], in ascending order — the
+/// allocation-free form of [`open_flags_present`]. The access mode is a
+/// 2-bit field, not independent bits: exactly one of the three modes
+/// (indices 0–2) applies, and the invalid value 3 reports none.
+/// Composite flags subsume their parts: `O_SYNC` hides `O_DSYNC`,
+/// `O_TMPFILE` hides `O_DIRECTORY`. `O_ACCMODE` is a mask, never
+/// visited.
+pub fn for_each_open_flag(bits: u32, mut f: impl FnMut(usize)) {
+    let accmode = OpenFlags::O_ACCMODE.bits();
+    let mode = (bits & accmode) as usize;
+    if mode < 3 {
+        f(mode);
     }
-    let has_sync = flags.contains(OpenFlags::O_SYNC);
-    let has_tmpfile = flags.contains(OpenFlags::O_TMPFILE);
-    for (name, flag) in OpenFlags::NAMED_FLAGS {
-        match name {
-            "O_ACCMODE" | "O_RDONLY" | "O_WRONLY" | "O_RDWR" => continue,
-            "O_DSYNC" if has_sync => continue,
-            "O_DIRECTORY" if has_tmpfile => continue,
-            _ => {
-                if flag.bits() != 0 && bits & flag.bits() == flag.bits() {
-                    present.push(name);
-                }
-            }
+    let has = |flag: OpenFlags| bits & flag.bits() == flag.bits();
+    let hide_dsync = has(OpenFlags::O_SYNC);
+    let hide_directory = has(OpenFlags::O_TMPFILE);
+    for (i, (_, flag)) in OpenFlags::NAMED_FLAGS.iter().enumerate() {
+        // Skips the access modes and the O_ACCMODE mask itself.
+        if flag.bits() == 0 || flag.bits() & accmode != 0 {
+            continue;
+        }
+        if (hide_dsync && *flag == OpenFlags::O_DSYNC)
+            || (hide_directory && *flag == OpenFlags::O_DIRECTORY)
+        {
+            continue;
+        }
+        if has(*flag) {
+            f(i);
         }
     }
+}
+
+/// Decomposes an `open` flags word into the individual named flags it
+/// exercises, handling the access-mode triple and composite flags; see
+/// [`for_each_open_flag`].
+#[must_use]
+pub fn open_flags_present(bits: u32) -> Vec<&'static str> {
+    let mut present = Vec::new();
+    for_each_open_flag(bits, |i| present.push(OpenFlags::NAMED_FLAGS[i].0));
     present
 }
 
@@ -203,8 +213,7 @@ impl ArgDomain {
     /// Partitions a concrete value into the (possibly several, for
     /// bitmaps) partitions it exercises.
     #[must_use]
-    pub fn partitions_of(&self, value: crate::arg::TrackedValue) -> Vec<InputPartition> {
-        use crate::arg::TrackedValue;
+    pub fn partitions_of(&self, value: TrackedValue) -> Vec<InputPartition> {
         match &self.kind {
             DomainKind::OpenFlags => {
                 let bits = match value {
@@ -243,51 +252,65 @@ impl ArgDomain {
         }
     }
 
-    /// The allocation-free twin of [`partitions_of`](Self::partitions_of):
-    /// visits each exercised partition as an interned
-    /// [`SymInputPartition`] instead of building a `Vec` of owned
-    /// strings. The hot accumulation path goes through here.
-    pub(crate) fn partition_syms(
-        &self,
-        value: crate::arg::TrackedValue,
-        interner: &StrInterner,
-        mut f: impl FnMut(SymInputPartition),
-    ) {
-        use crate::arg::TrackedValue;
+    /// Number of dense counter slots the domain's partitions occupy: one
+    /// per flag, one per categorical value plus one for invalid values,
+    /// or the [`NumericPartition::SLOTS`] numeric buckets.
+    pub(crate) fn slot_count(&self) -> usize {
         match &self.kind {
-            DomainKind::OpenFlags => {
-                let bits = match value {
-                    TrackedValue::Bits(b) => b,
-                    other => other.as_i128() as u32,
-                };
-                for name in open_flags_present(bits) {
-                    f(SymInputPartition::Flag(interner.intern(name)));
-                }
-            }
+            // NAMED_FLAGS minus the trailing O_ACCMODE mask.
+            DomainKind::OpenFlags => OpenFlags::NAMED_FLAGS.len() - 1,
+            DomainKind::Bitmap { flags } => flags.len(),
+            DomainKind::Numeric { .. } => NumericPartition::SLOTS,
+            DomainKind::Categorical { values } => values.len() + 1,
+        }
+    }
+
+    /// Visits the slot of each partition `value` exercises — the
+    /// allocation-free twin of [`partitions_of`](Self::partitions_of),
+    /// which the accumulation hot path goes through.
+    pub(crate) fn for_each_slot(&self, value: TrackedValue, mut f: impl FnMut(usize)) {
+        let bits = || match value {
+            TrackedValue::Bits(b) => b,
+            other => other.as_i128() as u32,
+        };
+        match &self.kind {
+            DomainKind::OpenFlags => for_each_open_flag(bits(), f),
             DomainKind::Bitmap { flags } => {
-                let bits = match value {
-                    TrackedValue::Bits(b) => b,
-                    other => other.as_i128() as u32,
-                };
-                for (name, flag) in flags.iter() {
+                let bits = bits();
+                for (i, (_, flag)) in flags.iter().enumerate() {
                     if bits & flag == *flag && *flag != 0 {
-                        f(SymInputPartition::Flag(interner.intern(name)));
+                        f(i);
                     }
                 }
             }
-            DomainKind::Numeric { .. } => {
-                f(SymInputPartition::Numeric(NumericPartition::of(
-                    value.as_i128(),
-                )));
-            }
+            DomainKind::Numeric { .. } => f(NumericPartition::of(value.as_i128()).slot()),
             DomainKind::Categorical { values } => {
                 let v = value.as_i128();
-                let name = values
+                f(values
                     .iter()
-                    .find(|(_, n)| i128::from(*n) == v)
-                    .map_or(INVALID_CATEGORY, |(n, _)| *n);
-                f(SymInputPartition::Categorical(interner.intern(name)));
+                    .position(|(_, n)| i128::from(*n) == v)
+                    .unwrap_or(values.len()));
             }
+        }
+    }
+
+    /// The partition a slot of [`for_each_slot`](Self::for_each_slot)
+    /// stands for.
+    pub(crate) fn slot_partition(&self, slot: usize) -> InputPartition {
+        match &self.kind {
+            DomainKind::OpenFlags => {
+                InputPartition::Flag(OpenFlags::NAMED_FLAGS[slot].0.to_owned())
+            }
+            DomainKind::Bitmap { flags } => InputPartition::Flag(flags[slot].0.to_owned()),
+            DomainKind::Numeric { .. } => {
+                InputPartition::Numeric(NumericPartition::from_slot(slot))
+            }
+            DomainKind::Categorical { values } => InputPartition::Categorical(
+                values
+                    .get(slot)
+                    .map_or(INVALID_CATEGORY, |(name, _)| *name)
+                    .to_owned(),
+            ),
         }
     }
 }
@@ -441,7 +464,6 @@ pub fn output_buckets_bytes(base: BaseSyscall) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arg::TrackedValue;
 
     #[test]
     fn open_flag_domain_has_20_flags() {
@@ -545,11 +567,11 @@ mod tests {
     }
 
     #[test]
-    fn partition_syms_agrees_with_partitions_of() {
-        let interner = StrInterner::new();
+    fn slots_agree_with_partitions_of_and_all_partitions() {
         let cases = [
             (ArgName::OpenFlags, TrackedValue::Bits(0o101)),
             (ArgName::OpenFlags, TrackedValue::Bits(0)),
+            (ArgName::OpenFlags, TrackedValue::Bits(0o24210003)),
             (ArgName::ChmodMode, TrackedValue::Bits(0o644)),
             (ArgName::SetxattrFlags, TrackedValue::Bits(0)),
             (ArgName::WriteCount, TrackedValue::Unsigned(4096)),
@@ -559,12 +581,42 @@ mod tests {
         ];
         for (arg, value) in cases {
             let domain = arg_domain(arg);
-            let mut via_syms = Vec::new();
-            domain.partition_syms(value, &interner, |p| {
-                via_syms.push(p.materialize(&interner))
+            let mut via_slots = Vec::new();
+            domain.for_each_slot(value, |slot| {
+                assert!(slot < domain.slot_count(), "{arg}: slot {slot}");
+                via_slots.push(domain.slot_partition(slot));
             });
-            assert_eq!(via_syms, domain.partitions_of(value), "{arg}");
+            assert_eq!(via_slots, domain.partitions_of(value), "{arg}");
         }
+        // Every displayed partition has a slot, so counts never collide.
+        for arg in ArgName::ALL {
+            let domain = arg_domain(arg);
+            let slotted: Vec<InputPartition> = (0..domain.slot_count())
+                .map(|slot| domain.slot_partition(slot))
+                .collect();
+            for partition in domain.all_partitions() {
+                assert!(slotted.contains(&partition), "{arg}: {partition}");
+            }
+            let mut unique = slotted.clone();
+            unique.sort();
+            unique.dedup();
+            assert_eq!(unique.len(), slotted.len(), "{arg}: slots are distinct");
+        }
+    }
+
+    #[test]
+    fn open_flag_visitor_yields_ascending_named_indices() {
+        for bits in [0, 1, 2, 3, 0o101, 0o4010000, 0o20200002, u32::MAX] {
+            let mut seen = Vec::new();
+            for_each_open_flag(bits, |i| seen.push(i));
+            assert!(seen.windows(2).all(|w| w[0] < w[1]), "{bits:#o}");
+            assert!(seen.iter().all(|&i| i < open_flag_names().len()));
+        }
+        // The access-mode indices are the access-mode values.
+        for (mode, name) in ["O_RDONLY", "O_WRONLY", "O_RDWR"].into_iter().enumerate() {
+            assert_eq!(OpenFlags::NAMED_FLAGS[mode].0, name);
+        }
+        assert_eq!(OpenFlags::NAMED_FLAGS.last().unwrap().0, "O_ACCMODE");
     }
 
     #[test]

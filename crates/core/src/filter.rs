@@ -48,6 +48,9 @@ pub struct FilterStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TraceFilter {
+    /// The mount point, without trailing slashes: a path is under it
+    /// when it equals it or continues it with `/`.
+    mount: Option<String>,
     include: Vec<Pattern>,
     exclude: Vec<Pattern>,
 }
@@ -61,25 +64,18 @@ impl TraceFilter {
 
     /// A filter for one mount point: keeps paths equal to or below
     /// `mount` ("the only setting that needs to be adjusted when applying
-    /// IOCov to a new file system tester", §3).
+    /// IOCov to a new file system tester", §3). The mount is matched as a
+    /// literal prefix — the decision the regex `^mount(/|$)` makes,
+    /// without running a regex per path.
     ///
     /// # Errors
     ///
-    /// Returns a pattern error if `mount` contains regex
-    /// metacharacters that fail to compile after escaping (practically
-    /// impossible for normal paths).
+    /// Never fails today; the `Result` is kept so callers that also
+    /// compile user patterns handle one error type.
     pub fn mount_point(mount: &str) -> Result<Self, iocov_pattern::PatternError> {
-        let trimmed = mount.trim_end_matches('/');
-        let mut escaped = String::new();
-        for c in trimmed.chars() {
-            if "\\^$.|?*+()[]{}".contains(c) {
-                escaped.push('\\');
-            }
-            escaped.push(c);
-        }
-        let pattern = Pattern::regex(&format!("^{escaped}(/|$)"))?;
         Ok(TraceFilter {
-            include: vec![pattern],
+            mount: Some(mount.trim_end_matches('/').to_owned()),
+            include: Vec::new(),
             exclude: Vec::new(),
         })
     }
@@ -102,13 +98,21 @@ impl TraceFilter {
     /// Whether this filter keeps every event (no patterns configured).
     #[must_use]
     pub fn is_keep_all(&self) -> bool {
-        self.include.is_empty() && self.exclude.is_empty()
+        self.mount.is_none() && self.include.is_empty() && self.exclude.is_empty()
     }
 
-    /// Whether an absolute path is relevant.
+    /// Whether an absolute path is relevant: under the mount point or
+    /// matching an include pattern (everything, when neither is
+    /// configured), and matching no exclude pattern.
     #[must_use]
     pub fn path_relevant(&self, path: &str) -> bool {
-        let included = self.include.is_empty() || self.include.iter().any(|p| p.is_match(path));
+        let included = match &self.mount {
+            None if self.include.is_empty() => true,
+            mount => {
+                mount.as_deref().is_some_and(|m| under_mount(path, m))
+                    || self.include.iter().any(|p| p.is_match(path))
+            }
+        };
         included && !self.exclude.iter().any(|p| p.is_match(path))
     }
 
@@ -130,7 +134,7 @@ impl TraceFilter {
         if let Some(m) = metrics {
             m.add_events_read(trace.len() as u64);
         }
-        if self.include.is_empty() && self.exclude.is_empty() {
+        if self.is_keep_all() {
             // No patterns: everything is relevant, including descriptor
             // operations whose open was never observed.
             let stats = FilterStats {
@@ -162,6 +166,12 @@ impl TraceFilter {
         };
         (Trace::from_events(kept), stats)
     }
+}
+
+/// Whether `path` is `mount` or lies below it.
+fn under_mount(path: &str, mount: &str) -> bool {
+    path.strip_prefix(mount)
+        .is_some_and(|rest| rest.is_empty() || rest.starts_with('/'))
 }
 
 #[cfg(test)]
@@ -202,6 +212,59 @@ mod tests {
         assert!(filter.path_relevant("/mnt/test/a/b"));
         assert!(!filter.path_relevant("/mnt/testother"));
         assert!(!filter.path_relevant("/var/log/x"));
+    }
+
+    #[test]
+    fn literal_mount_match_agrees_with_the_anchored_regex() {
+        let mounts = ["/mnt/test", "/mnt/test/", "/", "", "/a.b", "/m(n)t+"];
+        let paths = [
+            "",
+            "/",
+            "/mnt",
+            "/mnt/test",
+            "/mnt/test/",
+            "/mnt/test/a/b",
+            "/mnt/testother",
+            "/mnt/tes",
+            "/a.b/c",
+            "/axb/c",
+            "/m(n)t+",
+            "/m(n)t+/f",
+            "relative",
+        ];
+        for mount in mounts {
+            let trimmed = mount.trim_end_matches('/');
+            let mut escaped = String::new();
+            for c in trimmed.chars() {
+                if "\\^$.|?*+()[]{}".contains(c) {
+                    escaped.push('\\');
+                }
+                escaped.push(c);
+            }
+            let regex = Pattern::regex(&format!("^{escaped}(/|$)")).unwrap();
+            let filter = TraceFilter::mount_point(mount).unwrap();
+            for path in paths {
+                assert_eq!(
+                    filter.path_relevant(path),
+                    regex.is_match(path),
+                    "mount {mount:?}, path {path:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn include_patterns_widen_the_mount_point() {
+        let filter = TraceFilter::mount_point("/mnt/test")
+            .unwrap()
+            .include(Pattern::glob("/mnt/scratch/*").unwrap());
+        assert!(filter.path_relevant("/mnt/test/f"));
+        assert!(filter.path_relevant("/mnt/scratch/f"));
+        assert!(!filter.path_relevant("/etc/f"));
+        assert!(!filter.is_keep_all());
+        let exclude_only = TraceFilter::keep_all().exclude(Pattern::glob("/tmp/*").unwrap());
+        assert!(exclude_only.path_relevant("/etc/f"));
+        assert!(!exclude_only.path_relevant("/tmp/f"));
     }
 
     #[test]

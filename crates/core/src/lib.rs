@@ -91,8 +91,9 @@ pub use distribute::{
     KillSpec, StallSpec, WorkerFaults, WorkerHooks, WorkerSpec,
 };
 pub use domain::{
-    arg_domain, open_flag_names, open_flags_present, output_buckets_bytes, output_errnos,
-    ArgDomain, DomainKind, INVALID_CATEGORY, MODE_BITS, WHENCE_VALUES, XATTR_FLAG_BITS,
+    arg_domain, for_each_open_flag, open_flag_names, open_flags_present, output_buckets_bytes,
+    output_errnos, ArgDomain, DomainKind, INVALID_CATEGORY, MODE_BITS, WHENCE_VALUES,
+    XATTR_FLAG_BITS,
 };
 pub use filter::{FilterStats, TraceFilter};
 pub use identifier::{FdPartition, IdentifierCoverage, PathPartition};

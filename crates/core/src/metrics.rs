@@ -34,7 +34,8 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use crate::partition::{InputPartition, OutputPartition, SymInputPartition, SymOutputPartition};
+use crate::domain::DomainKind;
+use crate::partition::{InputPartition, OutputPartition};
 
 /// Why the pipeline dropped an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -151,23 +152,27 @@ impl PipelineMetrics {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Family counter for an interned input partition — same buckets as
-    /// [`record_input_partition`](Self::record_input_partition) without
-    /// materializing a string key.
-    pub(crate) fn record_input_sym(&self, partition: SymInputPartition) {
-        let counter = match partition {
-            SymInputPartition::Flag(_) => &self.records_input_flag,
-            SymInputPartition::Numeric(_) => &self.records_input_numeric,
-            SymInputPartition::Categorical(_) => &self.records_input_categorical,
+    /// Counts `n` input-partition records of one argument domain — the
+    /// same family buckets as
+    /// [`record_input_partition`](Self::record_input_partition), without
+    /// materializing a partition.
+    pub(crate) fn record_input_records(&self, kind: &DomainKind, n: u64) {
+        let counter = match kind {
+            DomainKind::OpenFlags | DomainKind::Bitmap { .. } => &self.records_input_flag,
+            DomainKind::Numeric { .. } => &self.records_input_numeric,
+            DomainKind::Categorical { .. } => &self.records_input_categorical,
         };
-        counter.fetch_add(1, Ordering::Relaxed);
+        if n > 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
-    /// Family counter for an interned output partition.
-    pub(crate) fn record_output_sym(&self, partition: SymOutputPartition) {
-        let counter = match partition {
-            SymOutputPartition::Ok | SymOutputPartition::OkBytes(_) => &self.records_output_ok,
-            SymOutputPartition::Err(_) => &self.records_output_err,
+    /// Counts one output-partition record by success or failure.
+    pub(crate) fn record_output_record(&self, success: bool) {
+        let counter = if success {
+            &self.records_output_ok
+        } else {
+            &self.records_output_err
         };
         counter.fetch_add(1, Ordering::Relaxed);
     }

@@ -11,9 +11,7 @@
 //! [`AnalysisReport::merge`]. Because every aggregate in a report is an
 //! order-independent sum over `BTreeMap`s, the merged report is
 //! **identical** to a serial run — same keys, same counts, same
-//! serialized bytes — regardless of the worker count. All shards
-//! accumulate through one shared [`StrInterner`], so the pool builds a
-//! single symbol table instead of N.
+//! serialized bytes — regardless of the worker count.
 //!
 //! # Supervision
 //!
@@ -93,7 +91,7 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryS
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use iocov_trace::{EventBatch, EventView, StrInterner, Trace, TraceEvent};
+use iocov_trace::{EventBatch, EventView, Trace, TraceEvent};
 
 use crate::coverage::AnalysisReport;
 use crate::filter::TraceFilter;
@@ -376,20 +374,14 @@ impl ParallelAnalyzer {
         events: &[TraceEvent],
     ) -> (AnalysisReport, Vec<ShardFailureRecord>) {
         let n = self.workers;
-        let interner = Arc::new(StrInterner::new());
         let scans: Vec<ShardScan> = if n == 1 || events.len() < PARALLEL_THRESHOLD {
             // Below the threshold thread spawn dominates; a serial pass
             // over all shards costs the same modulo test per event.
-            (0..n)
-                .map(|w| self.supervised_scan(w, events, &interner))
-                .collect()
+            (0..n).map(|w| self.supervised_scan(w, events)).collect()
         } else {
             std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..n)
-                    .map(|w| {
-                        let interner = Arc::clone(&interner);
-                        scope.spawn(move || self.supervised_scan(w, events, &interner))
-                    })
+                    .map(|w| scope.spawn(move || self.supervised_scan(w, events)))
                     .collect();
                 handles
                     .into_iter()
@@ -431,12 +423,7 @@ impl ParallelAnalyzer {
     }
 
     /// Scans shard `w` of `events` with restart-on-panic supervision.
-    fn supervised_scan(
-        &self,
-        w: usize,
-        events: &[TraceEvent],
-        interner: &Arc<StrInterner>,
-    ) -> ShardScan {
+    fn supervised_scan(&self, w: usize, events: &[TraceEvent]) -> ShardScan {
         let n = self.workers;
         let mut restarts = 0u32;
         let mut last_error = None;
@@ -448,8 +435,7 @@ impl ParallelAnalyzer {
                 .metrics
                 .as_ref()
                 .map(|_| Arc::new(PipelineMetrics::default()));
-            let mut shard =
-                StreamingAnalyzer::with_interner(self.filter.clone(), Arc::clone(interner));
+            let mut shard = StreamingAnalyzer::new(self.filter.clone());
             if let Some(m) = &local {
                 shard = shard.with_metrics(Arc::clone(m));
             }
@@ -647,7 +633,6 @@ fn worker_loop(
 pub struct ParallelStreamingAnalyzer {
     filter: TraceFilter,
     nworkers: usize,
-    interner: Arc<StrInterner>,
     metrics: Option<Arc<PipelineMetrics>>,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
@@ -689,7 +674,6 @@ impl ParallelStreamingAnalyzer {
         ParallelStreamingAnalyzer {
             filter,
             nworkers,
-            interner: Arc::new(StrInterner::new()),
             metrics: None,
             policy: SupervisorPolicy::default(),
             hook: None,
@@ -760,8 +744,7 @@ impl ParallelStreamingAnalyzer {
         // Filter cloned per incarnation: the worker thread owns its
         // analyzer (and dies with it on panic), so it cannot borrow
         // the supervisor's copy.
-        let mut shard =
-            StreamingAnalyzer::with_interner(self.filter.clone(), Arc::clone(&self.interner));
+        let mut shard = StreamingAnalyzer::new(self.filter.clone());
         if !self.base_states.is_empty() {
             // Cloned, not moved: the base states must survive as the
             // seed for every *future* incarnation of this shard — a

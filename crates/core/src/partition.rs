@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-use iocov_trace::{StrInterner, Sym};
 use serde::{Deserialize, Serialize};
 
 /// A numeric partition: the paper's power-of-two bucketing with explicit
@@ -34,6 +33,30 @@ impl NumericPartition {
             NumericPartition::Zero
         } else {
             NumericPartition::Log2(value.ilog2())
+        }
+    }
+
+    /// Number of dense counter slots: `Negative`, `Zero`, then
+    /// `Log2(0..=127)` — enough for every `i128`.
+    pub(crate) const SLOTS: usize = 130;
+
+    /// This partition's counter slot, in `0..SLOTS`, ordered like the
+    /// partitions themselves.
+    pub(crate) fn slot(self) -> usize {
+        match self {
+            NumericPartition::Negative => 0,
+            NumericPartition::Zero => 1,
+            NumericPartition::Log2(k) => 2 + k as usize,
+        }
+    }
+
+    /// The partition counted in `slot`; the inverse of
+    /// [`slot`](Self::slot).
+    pub(crate) fn from_slot(slot: usize) -> NumericPartition {
+        match slot {
+            0 => NumericPartition::Negative,
+            1 => NumericPartition::Zero,
+            k => NumericPartition::Log2((k - 2) as u32),
         }
     }
 
@@ -103,7 +126,7 @@ impl OutputPartition {
                 OutputPartition::Ok
             }
         } else {
-            let number = u32::try_from(-retval).unwrap_or(u32::MAX);
+            let number = errno_number(retval);
             let name = iocov_syscalls::Errno::from_number(number)
                 .map_or_else(|| format!("E?{number}"), |e| e.name().to_owned());
             OutputPartition::Err(name)
@@ -117,93 +140,18 @@ impl OutputPartition {
     }
 }
 
+/// The errno number of a failed call's negative `retval`, saturating at
+/// `u32::MAX` for values no errno can have (including `i64::MIN`).
+pub(crate) fn errno_number(retval: i64) -> u32 {
+    u32::try_from(retval.unsigned_abs()).unwrap_or(u32::MAX)
+}
+
 impl fmt::Display for OutputPartition {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             OutputPartition::Ok => f.write_str("OK"),
             OutputPartition::OkBytes(p) => write!(f, "OK({p})"),
             OutputPartition::Err(name) => f.write_str(name),
-        }
-    }
-}
-
-/// [`InputPartition`] with interned names: the accumulation-time form,
-/// `Copy` and 8 bytes, so the hot path hashes a symbol instead of
-/// cloning and comparing heap strings. Materialized back to
-/// [`InputPartition`] only when a report is assembled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum SymInputPartition {
-    /// One bitmap flag, by interned canonical name.
-    Flag(Sym),
-    /// One power-of-two numeric bucket.
-    Numeric(NumericPartition),
-    /// One categorical value, by interned name.
-    Categorical(Sym),
-}
-
-impl SymInputPartition {
-    /// Converts back to the string-keyed public partition.
-    pub(crate) fn materialize(self, interner: &StrInterner) -> InputPartition {
-        let resolve = |sym| {
-            interner
-                .resolve(sym)
-                .expect("symbol interned by this builder")
-                .as_ref()
-                .to_owned()
-        };
-        match self {
-            SymInputPartition::Flag(sym) => InputPartition::Flag(resolve(sym)),
-            SymInputPartition::Numeric(p) => InputPartition::Numeric(p),
-            SymInputPartition::Categorical(sym) => InputPartition::Categorical(resolve(sym)),
-        }
-    }
-}
-
-/// [`OutputPartition`] with interned errno names; see
-/// [`SymInputPartition`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum SymOutputPartition {
-    /// Any non-negative return.
-    Ok,
-    /// A successful byte-count return, sub-bucketed.
-    OkBytes(NumericPartition),
-    /// A specific error code, by interned symbolic name.
-    Err(Sym),
-}
-
-impl SymOutputPartition {
-    /// Partitions a raw return value, interning the errno name on the
-    /// error path (almost always a table hit: errno names come from a
-    /// fixed set, and `E?{number}` fallbacks are rare).
-    pub(crate) fn of(retval: i64, bucket_bytes: bool, interner: &StrInterner) -> Self {
-        if retval >= 0 {
-            if bucket_bytes {
-                SymOutputPartition::OkBytes(NumericPartition::of(i128::from(retval)))
-            } else {
-                SymOutputPartition::Ok
-            }
-        } else {
-            let number = u32::try_from(-retval).unwrap_or(u32::MAX);
-            let sym = match iocov_syscalls::Errno::from_number(number) {
-                Some(e) => interner.intern(e.name()),
-                None => interner.intern(&format!("E?{number}")),
-            };
-            SymOutputPartition::Err(sym)
-        }
-    }
-
-    /// Converts back to the string-keyed public partition.
-    pub(crate) fn materialize(self, interner: &StrInterner) -> OutputPartition {
-        match self {
-            SymOutputPartition::Ok => OutputPartition::Ok,
-            SymOutputPartition::OkBytes(p) => OutputPartition::OkBytes(p),
-            SymOutputPartition::Err(sym) => OutputPartition::Err(
-                interner
-                    .resolve(sym)
-                    .expect("symbol interned by this builder")
-                    .as_ref()
-                    .to_owned(),
-            ),
         }
     }
 }
@@ -294,31 +242,25 @@ mod tests {
     }
 
     #[test]
-    fn sym_partitions_materialize_to_their_string_twins() {
-        let interner = StrInterner::new();
-        let flag = SymInputPartition::Flag(interner.intern("O_CREAT"));
-        assert_eq!(
-            flag.materialize(&interner),
-            InputPartition::Flag("O_CREAT".into())
-        );
-        let num = SymInputPartition::Numeric(NumericPartition::Log2(4));
-        assert_eq!(
-            num.materialize(&interner),
-            InputPartition::Numeric(NumericPartition::Log2(4))
-        );
-        let cat = SymInputPartition::Categorical(interner.intern("SEEK_SET"));
-        assert_eq!(
-            cat.materialize(&interner),
-            InputPartition::Categorical("SEEK_SET".into())
-        );
-        // Output partitions agree with OutputPartition::of across the
-        // success, byte-bucket, errno, and unknown-errno paths.
-        for (retval, bucket) in [(0, false), (4096, true), (-2, false), (-9999, true)] {
-            assert_eq!(
-                SymOutputPartition::of(retval, bucket, &interner).materialize(&interner),
-                OutputPartition::of(retval, bucket)
-            );
+    fn numeric_slots_roundtrip_in_partition_order() {
+        let mut previous = None;
+        for slot in 0..NumericPartition::SLOTS {
+            let partition = NumericPartition::from_slot(slot);
+            assert_eq!(partition.slot(), slot);
+            assert!(previous < Some(partition));
+            previous = Some(partition);
         }
+        for value in [i128::MIN, -1, 0, 1, i128::from(u64::MAX), i128::MAX] {
+            assert!(NumericPartition::of(value).slot() < NumericPartition::SLOTS);
+        }
+    }
+
+    #[test]
+    fn most_negative_retval_is_an_unknown_errno() {
+        assert_eq!(
+            OutputPartition::of(i64::MIN, false),
+            OutputPartition::Err(format!("E?{}", u32::MAX))
+        );
     }
 
     #[test]

@@ -61,7 +61,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use iocov_trace::{EventBatch, EventSource, SkippedLine, StrInterner, TraceEvent, TraceIoError};
+use iocov_trace::{EventBatch, EventSource, SkippedLine, TraceEvent, TraceIoError};
 
 use crate::checkpoint::{CheckpointDoc, PidStateSnapshot};
 use crate::coverage::AnalysisReport;
@@ -107,7 +107,6 @@ pub struct SerialExecutor {
     metrics: Option<Arc<PipelineMetrics>>,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
-    interner: Arc<StrInterner>,
     /// Current incarnation; `None` before the first push, after a
     /// panic (until the replay respawns it), and once `gave_up`.
     analyzer: Option<StreamingAnalyzer>,
@@ -147,7 +146,6 @@ impl SerialExecutor {
             metrics,
             policy,
             hook,
-            interner: Arc::new(StrInterner::new()),
             analyzer: None,
             local: None,
             log: Vec::new(),
@@ -166,8 +164,7 @@ impl SerialExecutor {
             .metrics
             .as_ref()
             .map(|_| Arc::new(PipelineMetrics::default()));
-        let mut analyzer =
-            StreamingAnalyzer::with_interner(self.filter.clone(), Arc::clone(&self.interner));
+        let mut analyzer = StreamingAnalyzer::new(self.filter.clone());
         if let Some(m) = &local {
             analyzer = analyzer.with_metrics(Arc::clone(m));
         }

@@ -8,9 +8,8 @@
 //! (a plain per-chunk [`Analyzer`](crate::Analyzer) run would lose it).
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use iocov_trace::{EventView, StrInterner, TraceEvent};
+use iocov_trace::{EventView, TraceEvent};
 
 use crate::coverage::{AnalysisReport, ReportBuilder};
 use crate::filter::TraceFilter;
@@ -46,18 +45,10 @@ impl StreamingAnalyzer {
     /// Creates a streaming analyzer with a filter.
     #[must_use]
     pub fn new(filter: TraceFilter) -> Self {
-        StreamingAnalyzer::with_interner(filter, Arc::new(StrInterner::new()))
-    }
-
-    /// A streaming analyzer accumulating through a shared string
-    /// interner — shards of a parallel run share one instance, so every
-    /// shard resolves the same symbol table.
-    #[must_use]
-    pub fn with_interner(filter: TraceFilter, interner: Arc<StrInterner>) -> Self {
         StreamingAnalyzer {
             filter,
             states: HashMap::new(),
-            builder: ReportBuilder::new(interner),
+            builder: ReportBuilder::default(),
             metrics: None,
         }
     }
@@ -151,8 +142,8 @@ impl StreamingAnalyzer {
 
     /// A snapshot of the report so far (the stream may continue).
     ///
-    /// Accumulation is symbol-keyed internally, so this materializes the
-    /// string-keyed report on each call — cheap next to any real stream,
+    /// Accumulation counts into dense slots internally, so this
+    /// materializes the string-keyed report on each call — cheap next to any real stream,
     /// but callers should hold the result rather than re-calling in a
     /// loop.
     #[must_use]

@@ -21,8 +21,16 @@ pub struct NormalizedCall {
     pub base: BaseSyscall,
     /// Raw return value.
     pub retval: i64,
-    /// Tracked arguments with decoded values.
-    pub args: Vec<(ArgName, TrackedValue)>,
+    /// Tracked arguments with decoded values, packed to the front: no
+    /// syscall tracks more than two, so the slots live inline.
+    pub args: [Option<(ArgName, TrackedValue)>; 2],
+}
+
+impl NormalizedCall {
+    /// The tracked arguments, in order.
+    pub fn tracked_args(&self) -> impl Iterator<Item = (ArgName, TrackedValue)> + '_ {
+        self.args.iter().flatten().copied()
+    }
 }
 
 /// The flags word `creat(2)` implies.
@@ -57,10 +65,12 @@ fn signed<E: EventView + ?Sized>(event: &E, idx: usize) -> Option<TrackedValue> 
 #[must_use]
 pub fn normalize<E: EventView + ?Sized>(event: &E) -> Option<NormalizedCall> {
     let sysno = Sysno::from_name(event.name())?;
-    let mut args: Vec<(ArgName, TrackedValue)> = Vec::with_capacity(2);
+    let mut args = [None; 2];
+    let mut len = 0;
     let mut push = |name: ArgName, value: Option<TrackedValue>| {
         if let Some(v) = value {
-            args.push((name, v));
+            args[len] = Some((name, v));
+            len += 1;
         }
     };
 
@@ -145,6 +155,10 @@ mod tests {
         TraceEvent::build(name, sysno, args, retval)
     }
 
+    fn tracked(call: &NormalizedCall) -> Vec<(ArgName, TrackedValue)> {
+        call.tracked_args().collect()
+    }
+
     #[test]
     fn open_variants_merge_to_open() {
         let open = normalize(&event(
@@ -159,7 +173,7 @@ mod tests {
         .unwrap();
         assert_eq!(open.base, BaseSyscall::Open);
         assert_eq!(
-            open.args,
+            tracked(&open),
             vec![
                 (ArgName::OpenFlags, TrackedValue::Bits(0o101)),
                 (ArgName::OpenMode, TrackedValue::Bits(0o644)),
@@ -179,7 +193,7 @@ mod tests {
         .unwrap();
         assert_eq!(openat.base, BaseSyscall::Open);
         assert_eq!(
-            openat.args[0],
+            openat.args[0].unwrap(),
             (ArgName::OpenFlags, TrackedValue::Bits(0o2))
         );
 
@@ -209,11 +223,11 @@ mod tests {
         .unwrap();
         assert_eq!(creat.base, BaseSyscall::Open);
         assert_eq!(
-            creat.args[0],
+            creat.args[0].unwrap(),
             (ArgName::OpenFlags, TrackedValue::Bits(CREAT_IMPLIED_FLAGS))
         );
         assert_eq!(
-            creat.args[1],
+            creat.args[1].unwrap(),
             (ArgName::OpenMode, TrackedValue::Bits(0o644))
         );
         // The implied word decomposes to the documented flags.
@@ -236,7 +250,7 @@ mod tests {
             ))
             .unwrap();
             assert_eq!(
-                call.args,
+                tracked(&call),
                 vec![(arg, TrackedValue::Unsigned(4096))],
                 "{name}"
             );
@@ -253,11 +267,11 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            pwrite.args[0],
+            pwrite.args[0].unwrap(),
             (ArgName::WriteCount, TrackedValue::Unsigned(10))
         );
         assert_eq!(
-            pwrite.args[1],
+            pwrite.args[1].unwrap(),
             (ArgName::WriteOffset, TrackedValue::Signed(-1))
         );
     }
@@ -271,10 +285,13 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            call.args[0],
+            call.args[0].unwrap(),
             (ArgName::LseekOffset, TrackedValue::Signed(-10))
         );
-        assert_eq!(call.args[1], (ArgName::LseekWhence, TrackedValue::Bits(2)));
+        assert_eq!(
+            call.args[1].unwrap(),
+            (ArgName::LseekWhence, TrackedValue::Bits(2))
+        );
     }
 
     #[test]
@@ -292,7 +309,7 @@ mod tests {
         .unwrap();
         assert_eq!(fchmodat.base, BaseSyscall::Chmod);
         assert_eq!(
-            fchmodat.args,
+            tracked(&fchmodat),
             vec![(ArgName::ChmodMode, TrackedValue::Bits(0o755))]
         );
         let fchmod = normalize(&event(
@@ -302,7 +319,7 @@ mod tests {
         ))
         .unwrap();
         assert_eq!(
-            fchmod.args,
+            tracked(&fchmod),
             vec![(ArgName::ChmodMode, TrackedValue::Bits(0o600))]
         );
     }
@@ -323,7 +340,7 @@ mod tests {
         .unwrap();
         assert_eq!(fset.base, BaseSyscall::Setxattr);
         assert_eq!(
-            fset.args,
+            tracked(&fset),
             vec![
                 (ArgName::SetxattrSize, TrackedValue::Unsigned(100)),
                 (ArgName::SetxattrFlags, TrackedValue::Bits(0x1)),
@@ -342,7 +359,7 @@ mod tests {
         .unwrap();
         assert_eq!(lget.base, BaseSyscall::Getxattr);
         assert_eq!(
-            lget.args,
+            tracked(&lget),
             vec![(ArgName::GetxattrSize, TrackedValue::Unsigned(0))]
         );
     }
@@ -351,7 +368,7 @@ mod tests {
     fn fd_only_syscalls_have_no_tracked_args() {
         for name in ["close", "chdir", "fchdir"] {
             let call = normalize(&event(name, vec![ArgValue::Fd(3)], 0)).unwrap();
-            assert!(call.args.is_empty(), "{name}");
+            assert!(tracked(&call).is_empty(), "{name}");
         }
     }
 
@@ -366,7 +383,7 @@ mod tests {
     fn malformed_events_degrade_gracefully() {
         // Missing argument positions simply yield fewer tracked args.
         let call = normalize(&event("open", vec![ArgValue::Path("/f".into())], -2)).unwrap();
-        assert!(call.args.is_empty());
+        assert!(tracked(&call).is_empty());
         assert_eq!(call.retval, -2);
     }
 }

@@ -2,12 +2,101 @@
 
 use iocov::tcd::tcd;
 use iocov::{
-    arg_domain, normalize, open_flags_present, Analyzer, ArgName, InputPartition, NumericPartition,
-    OutputPartition, ParallelAnalyzer, ParallelStreamingAnalyzer, StreamingAnalyzer, TraceFilter,
-    TrackedValue,
+    arg_domain, normalize, open_flags_present, output_buckets_bytes, AnalysisReport, Analyzer,
+    ArgName, FilterStats, InputPartition, NumericPartition, OutputPartition, ParallelAnalyzer,
+    ParallelStreamingAnalyzer, StreamingAnalyzer, TraceFilter, TrackedValue,
 };
+use iocov_syscalls::Sysno;
 use iocov_trace::{ArgValue, Trace, TraceEvent};
 use proptest::prelude::*;
+
+/// One argument of any shape, weighted toward the edges the dense
+/// accumulator must get right: flag words, bits given as `UInt` above
+/// `u32::MAX`, negative sizes and offsets, and out-of-range whence.
+fn arb_arg() -> impl Strategy<Value = ArgValue> {
+    prop_oneof![
+        any::<u32>().prop_map(ArgValue::Flags),
+        any::<u32>().prop_map(ArgValue::Mode),
+        prop_oneof![0u32..5, any::<u32>()].prop_map(ArgValue::Whence),
+        prop_oneof![
+            0u64..70_000,
+            (u64::from(u32::MAX) + 1)..=u64::MAX,
+            any::<u64>()
+        ]
+        .prop_map(ArgValue::UInt),
+        prop_oneof![-70_000i64..70_000, Just(i64::MIN), any::<i64>()].prop_map(ArgValue::Int),
+        (-100i32..20).prop_map(ArgValue::Fd),
+        Just(ArgValue::Path("/mnt/test/f".into())),
+        Just(ArgValue::Ptr(1)),
+    ]
+}
+
+/// Return values: successes of every size, known and unknown errnos,
+/// and the extremes.
+fn arb_retval() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        -140i64..70_000,
+        Just(i64::MIN),
+        Just(i64::MAX),
+        Just(-i64::from(u32::MAX) - 7),
+        any::<i64>(),
+    ]
+}
+
+/// `(args, retval)` for one event; up to six arguments, so trailing
+/// tracked positions are sometimes missing.
+fn arb_call() -> impl Strategy<Value = (Vec<ArgValue>, i64)> {
+    (proptest::collection::vec(arb_arg(), 0..6), arb_retval())
+}
+
+/// The report built from the public string-keyed API alone —
+/// `ArgDomain::partitions_of`, `OutputPartition::of` and
+/// `open_flags_present` into plain `BTreeMap`s — as a referee for the
+/// dense accumulator.
+fn oracle_report(events: &[TraceEvent]) -> AnalysisReport {
+    let mut report = AnalysisReport {
+        filter_stats: FilterStats {
+            total: events.len(),
+            kept: events.len(),
+            dropped: 0,
+        },
+        ..AnalysisReport::default()
+    };
+    for event in events {
+        let Some(call) = normalize(event) else {
+            continue;
+        };
+        *report
+            .calls_per_variant
+            .entry(call.sysno.name().to_owned())
+            .or_insert(0) += 1;
+        for (arg, value) in call.tracked_args() {
+            let cov = report.input.entry(arg).or_default();
+            cov.calls += 1;
+            for partition in arg_domain(arg).partitions_of(value) {
+                *cov.counts.entry(partition).or_insert(0) += 1;
+            }
+            if let (ArgName::OpenFlags, TrackedValue::Bits(bits)) = (arg, value) {
+                let present = open_flags_present(bits);
+                let combos = &mut report.open_combos;
+                if !present.is_empty() {
+                    *combos.sizes.entry(present.len()).or_insert(0) += 1;
+                    if present.contains(&"O_RDONLY") {
+                        *combos.sizes_with_rdonly.entry(present.len()).or_insert(0) += 1;
+                    }
+                }
+            }
+        }
+        let cov = report
+            .output
+            .entry(call.base.name().to_owned())
+            .or_default();
+        cov.calls += 1;
+        let partition = OutputPartition::of(call.retval, output_buckets_bytes(call.base));
+        *cov.counts.entry(partition).or_insert(0) += 1;
+    }
+    report
+}
 
 /// One synthetic syscall for the concurrency-equivalence property:
 /// opens (absolute inside/outside the mount, or relative), `dup`/`dup2`,
@@ -273,6 +362,31 @@ proptest! {
             sharded.push_all(part);
         }
         prop_assert_eq!(serial, sharded.finish());
+    }
+
+    /// The dense-slot accumulator agrees with the string-keyed oracle on
+    /// arbitrary events: every `Sysno` (each case calls all 27) plus
+    /// out-of-domain noise, with arbitrary, missing and out-of-range
+    /// arguments and return values — in value and in serialized bytes.
+    #[test]
+    fn dense_report_matches_string_keyed_oracle(
+        per_sysno in proptest::collection::vec(arb_call(), Sysno::ALL.len()),
+        extra in proptest::collection::vec((0usize..Sysno::ALL.len() + 2, arb_call()), 0..40),
+    ) {
+        let name_of = |i: usize| Sysno::ALL.get(i).map_or("fsync", |s| s.name());
+        let events: Vec<TraceEvent> = per_sysno
+            .into_iter()
+            .enumerate()
+            .chain(extra.into_iter())
+            .map(|(i, (args, retval))| TraceEvent::build(name_of(i), 7, args, retval))
+            .collect();
+        let expected = oracle_report(&events);
+        let actual = Analyzer::unfiltered().analyze(&Trace::from_events(events));
+        prop_assert_eq!(
+            serde_json::to_string(&actual).unwrap(),
+            serde_json::to_string(&expected).unwrap()
+        );
+        prop_assert_eq!(actual, expected);
     }
 
     /// Normalization preserves the return value and maps every event of a

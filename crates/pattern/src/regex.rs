@@ -155,41 +155,61 @@ impl Regex {
 
     /// Finds the leftmost match, preferring the longest match at that
     /// position, and returns its character offsets.
+    ///
+    /// A program that begins with `^` can only match at offset 0, so it
+    /// runs once; otherwise every start offset is tried in turn. The VM's
+    /// thread lists are allocated once per call and reused across starts.
     #[must_use]
     pub fn find(&self, text: &str) -> Option<Match> {
         let chars: Vec<char> = text.chars().collect();
-        for start in 0..=chars.len() {
-            if let Some(end) = self.run_from(&chars, start) {
-                return Some(Match { start, end });
-            }
+        let last_start = if matches!(self.prog.first(), Some(Inst::AnchorStart)) {
+            0
+        } else {
+            chars.len()
+        };
+        let mut vm = Vm::new(self.prog.len());
+        (0..=last_start).find_map(|start| {
+            vm.run_from(&self.prog, &chars, start)
+                .map(|end| Match { start, end })
+        })
+    }
+}
+
+/// The Pike VM's thread lists, reused across start positions.
+struct Vm {
+    current: Vec<usize>,
+    next: Vec<usize>,
+    on_current: Vec<bool>,
+    on_next: Vec<bool>,
+}
+
+impl Vm {
+    fn new(n: usize) -> Self {
+        Vm {
+            current: Vec::with_capacity(n),
+            next: Vec::with_capacity(n),
+            on_current: vec![false; n],
+            on_next: vec![false; n],
         }
-        None
     }
 
     /// Runs the NFA anchored at `start`; returns the longest match end.
-    fn run_from(&self, chars: &[char], start: usize) -> Option<usize> {
-        let n = self.prog.len();
-        let mut current: Vec<usize> = Vec::with_capacity(n);
-        let mut next: Vec<usize> = Vec::with_capacity(n);
-        let mut on_current = vec![false; n];
-        let mut on_next = vec![false; n];
+    fn run_from(&mut self, prog: &[Inst], chars: &[char], start: usize) -> Option<usize> {
+        let Vm {
+            current,
+            next,
+            on_current,
+            on_next,
+        } = self;
+        current.clear();
+        on_current.fill(false);
         let mut best: Option<usize> = None;
 
-        add_thread(
-            &self.prog,
-            0,
-            start,
-            chars.len(),
-            &mut current,
-            &mut on_current,
-        );
+        add_thread(prog, 0, start, chars.len(), current, on_current);
         let mut pos = start;
         loop {
             // Record any accepting thread at the current position.
-            if current
-                .iter()
-                .any(|&pc| matches!(self.prog[pc], Inst::Match))
-            {
+            if current.iter().any(|&pc| matches!(prog[pc], Inst::Match)) {
                 best = Some(pos);
             }
             if pos >= chars.len() || current.is_empty() {
@@ -197,23 +217,16 @@ impl Regex {
             }
             let c = chars[pos];
             next.clear();
-            on_next.iter_mut().for_each(|b| *b = false);
-            for &pc in &current {
-                if let Inst::Char(pred) = &self.prog[pc] {
+            on_next.fill(false);
+            for &pc in current.iter() {
+                if let Inst::Char(pred) = &prog[pc] {
                     if pred.matches(c) {
-                        add_thread(
-                            &self.prog,
-                            pc + 1,
-                            pos + 1,
-                            chars.len(),
-                            &mut next,
-                            &mut on_next,
-                        );
+                        add_thread(prog, pc + 1, pos + 1, chars.len(), next, on_next);
                     }
                 }
             }
-            std::mem::swap(&mut current, &mut next);
-            std::mem::swap(&mut on_current, &mut on_next);
+            std::mem::swap(current, next);
+            std::mem::swap(on_current, on_next);
             pos += 1;
         }
         best
@@ -708,6 +721,34 @@ mod tests {
         assert!(re.is_match(&text));
         let bad = "a".repeat(23);
         assert!(!re.is_match(&bad));
+    }
+
+    #[test]
+    fn anchored_pattern_on_long_non_matching_text() {
+        let re = Regex::new(r"^/mnt/test(/|$)").unwrap();
+        let noise = "/var/log/".repeat(2_000);
+        assert!(re.find(&noise).is_none());
+        // The anchored literal inside the text is not a match either.
+        assert!(re.find(&format!("{noise}/mnt/test/f")).is_none());
+        let hit = re.find(&format!("/mnt/test/{noise}")).unwrap();
+        assert_eq!((hit.start(), hit.end()), (0, 10));
+        // A `^` inside an alternative does not anchor the whole pattern.
+        let alt = Regex::new(r"^a|b").unwrap();
+        assert_eq!(alt.find(&format!("{noise}b")).unwrap().start(), noise.len());
+    }
+
+    #[test]
+    fn unanchored_pattern_on_long_non_matching_text() {
+        let re = Regex::new(r"needle[0-9]+").unwrap();
+        let hay = "needle-".repeat(2_000);
+        assert!(re.find(&hay).is_none());
+        let hit = re.find(&format!("{hay}needle42")).unwrap();
+        assert_eq!((hit.start(), hit.end()), (hay.len(), hay.len() + 8));
+        // Thread lists reused across starts leave no stale threads: a
+        // partial match at one start must not leak into the next.
+        let re = Regex::new(r"ab$").unwrap();
+        assert_eq!(re.find("aaab").map(|m| m.start()), Some(2));
+        assert!(re.find("abab-").is_none());
     }
 
     #[test]

@@ -194,7 +194,42 @@ impl Sysno {
     /// Looks a syscall up by name.
     #[must_use]
     pub fn from_name(name: &str) -> Option<Sysno> {
-        Sysno::ALL.iter().copied().find(|s| s.name() == name)
+        Some(match name {
+            "read" => Sysno::Read,
+            "write" => Sysno::Write,
+            "open" => Sysno::Open,
+            "close" => Sysno::Close,
+            "lseek" => Sysno::Lseek,
+            "pread64" => Sysno::Pread64,
+            "pwrite64" => Sysno::Pwrite64,
+            "readv" => Sysno::Readv,
+            "writev" => Sysno::Writev,
+            "truncate" => Sysno::Truncate,
+            "ftruncate" => Sysno::Ftruncate,
+            "chdir" => Sysno::Chdir,
+            "fchdir" => Sysno::Fchdir,
+            "mkdir" => Sysno::Mkdir,
+            "creat" => Sysno::Creat,
+            "chmod" => Sysno::Chmod,
+            "fchmod" => Sysno::Fchmod,
+            "setxattr" => Sysno::Setxattr,
+            "lsetxattr" => Sysno::Lsetxattr,
+            "fsetxattr" => Sysno::Fsetxattr,
+            "getxattr" => Sysno::Getxattr,
+            "lgetxattr" => Sysno::Lgetxattr,
+            "fgetxattr" => Sysno::Fgetxattr,
+            "openat" => Sysno::Openat,
+            "mkdirat" => Sysno::Mkdirat,
+            "fchmodat" => Sysno::Fchmodat,
+            "openat2" => Sysno::Openat2,
+            _ => return None,
+        })
+    }
+
+    /// This syscall's position in [`Sysno::ALL`] — a dense array index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
     }
 
     /// The logical syscall this one is a variant of.
@@ -256,6 +291,13 @@ impl BaseSyscall {
         }
     }
 
+    /// This base syscall's position in [`BaseSyscall::ALL`] — a dense
+    /// array index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// The variants belonging to this base syscall.
     #[must_use]
     pub fn variants(self) -> Vec<Sysno> {
@@ -311,6 +353,16 @@ mod tests {
             assert_eq!(Sysno::from_name(s.name()), Some(s));
         }
         assert_eq!(Sysno::from_name("fork"), None);
+    }
+
+    #[test]
+    fn index_is_the_position_in_all() {
+        for (i, s) in Sysno::ALL.into_iter().enumerate() {
+            assert_eq!(s.index(), i);
+        }
+        for (i, b) in BaseSyscall::ALL.into_iter().enumerate() {
+            assert_eq!(b.index(), i);
+        }
     }
 
     #[test]

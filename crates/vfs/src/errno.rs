@@ -170,6 +170,12 @@ impl Errno {
         }
     }
 
+    /// This errno's position in [`Errno::ALL`] — a dense array index.
+    #[must_use]
+    pub fn index(self) -> usize {
+        self as usize
+    }
+
     /// Looks up an errno by number.
     #[must_use]
     pub fn from_number(number: u32) -> Option<Errno> {
@@ -307,6 +313,9 @@ mod tests {
     fn from_number_roundtrips() {
         for e in Errno::ALL {
             assert_eq!(Errno::from_number(e.number()), Some(e));
+        }
+        for (i, e) in Errno::ALL.into_iter().enumerate() {
+            assert_eq!(e.index(), i);
         }
         assert_eq!(Errno::from_number(0), None);
         assert_eq!(Errno::from_number(9999), None);
