@@ -6,12 +6,13 @@
 //! recovery path on a deterministically damaged stream.
 //!
 //! Throughput assertion: `lossy_clean` must stay within ~10% of
-//! `strict_clean` bytes/sec (the line scan is cheap next to JSON
-//! parsing), and the binary container measured in the `ingest_binary`
-//! bench must decode at ≥ 2× `strict_clean`'s events/sec. Both ratios
-//! are checked against recorded numbers in EXPERIMENTS.md whenever the
-//! readers change; `repro --full` re-measures them into
-//! `BENCH_repro.json`.
+//! `strict_clean` bytes/sec (both drain the same cursor and differ only
+//! in error policy), and the binary container measured in the
+//! `ingest_binary` bench must decode faster than `strict_clean`'s
+//! events/sec (that bench's header says why the margin is no longer
+//! 2×). Both ratios are checked against recorded numbers in
+//! EXPERIMENTS.md whenever the readers change; `repro --full`
+//! re-measures them into `BENCH_repro.json`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iocov_bench::sample_trace;

@@ -2287,6 +2287,27 @@ mod tests {
         assert!(err.to_string().contains("cannot parse"), "{err}");
     }
 
+    /// The checked-in non-canonical trace (spaces, reordered keys, an
+    /// escaped path, leading zeros) decodes through the serde fallback
+    /// and must render, byte for byte, the report committed beside it.
+    #[test]
+    fn noncanonical_fixture_renders_committed_report() {
+        let dir = format!("{}/../../fixtures", env!("CARGO_MANIFEST_DIR"));
+        let trace = format!("{dir}/noncanonical_trace.jsonl");
+        let cmd = parse_args(&args(&[
+            "analyze",
+            &trace,
+            "--json",
+            "--mount",
+            "/mnt/test",
+        ]))
+        .unwrap();
+        let mut out = Vec::new();
+        run(&cmd, &mut out).unwrap();
+        let expected = std::fs::read(format!("{dir}/noncanonical_report.json")).unwrap();
+        assert!(out == expected, "{}", String::from_utf8_lossy(&out));
+    }
+
     #[test]
     fn lossy_analyze_recovers_corrupt_fixture() {
         let fixture = corrupt_fixture();

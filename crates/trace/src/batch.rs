@@ -463,6 +463,12 @@ impl RowBuilder<'_> {
         self.batch.args.push(packed);
     }
 
+    /// Interns the syscall name for the pending row, copying it only
+    /// the first time the batch sees it.
+    pub(crate) fn intern_name(&mut self, name: &str) -> u32 {
+        self.batch.intern_name(name)
+    }
+
     /// Interns the syscall name for the pending row without copying.
     pub(crate) fn intern_name_arc(&mut self, name: &Arc<str>) -> u32 {
         self.batch.intern_name_arc(name)

@@ -712,6 +712,8 @@ pub struct IotbCursor<R> {
     /// prefix, paired with the absolute end offset of each — yielded
     /// before any further reads so checkpoints stay exact.
     pending: VecDeque<(TraceEvent, u64)>,
+    /// Record payload buffer, reused across records.
+    payload: Vec<u8>,
     done: bool,
 }
 
@@ -736,6 +738,7 @@ impl<R: Read> IotbCursor<R> {
             },
             version,
             pending: VecDeque::new(),
+            payload: Vec::new(),
             done: false,
         })
     }
@@ -777,6 +780,7 @@ impl<R: Read> IotbCursor<R> {
             state,
             version,
             pending: VecDeque::new(),
+            payload: Vec::new(),
             done: false,
         })
     }
@@ -870,11 +874,13 @@ impl<R: Read> IotbCursor<R> {
                         true,
                     )
                 } else {
-                    let mut payload = vec![0u8; len];
-                    match read_exact_or_eof(&mut self.reader, &mut payload)? {
+                    let payload = &mut self.payload;
+                    payload.clear();
+                    payload.resize(len, 0);
+                    match read_exact_or_eof(&mut self.reader, payload)? {
                         Fill::Full => {
                             self.state.byte_offset += (4 + len) as u64;
-                            match decode_record_into(&payload, &self.table, batch) {
+                            match decode_record_into(payload, &self.table, batch) {
                                 Ok(()) => {
                                     self.state.events += 1;
                                     return Ok(true);

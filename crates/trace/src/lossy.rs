@@ -28,6 +28,7 @@ use std::io::Read;
 
 use serde::{Deserialize, Serialize};
 
+use crate::batch::EventBatch;
 use crate::cursor::{CursorState, JsonlCursor};
 use crate::serial::TraceIoError;
 use crate::Trace;
@@ -170,10 +171,11 @@ pub fn read_jsonl_lossy<R: Read>(
     options: &ReadOptions,
 ) -> Result<LossyRead, TraceIoError> {
     let mut cursor = JsonlCursor::new(reader, *options);
-    let mut trace = Trace::new();
-    while let Some(event) = cursor.next_event()? {
-        trace.push(event);
-    }
+    // Decode through the columnar batch path, materializing owned
+    // events only once at the end (as `read_iotb_lossy` does).
+    let mut batch = EventBatch::new();
+    while cursor.next_into(&mut batch)? {}
+    let trace = Trace::from_events(batch.to_events());
     Ok(LossyRead::from_cursor(trace, cursor.into_state()))
 }
 

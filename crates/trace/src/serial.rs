@@ -1,9 +1,11 @@
 //! Trace serialization: JSON Lines reading and writing.
 //!
-//! Two readers share one line scanner ([`LineReader`]): the strict
-//! [`read_jsonl`], which aborts on the first malformed line, and the
-//! fault-tolerant [`read_jsonl_lossy`](crate::read_jsonl_lossy) in the
-//! [`lossy`](crate::lossy) module, which records skips and keeps going.
+//! Both whole-trace readers are drains over one
+//! [`JsonlCursor`](crate::JsonlCursor) and its line scanner
+//! ([`LineReader`]): the strict [`read_jsonl`] runs it under
+//! [`ErrorPolicy::Abort`], so the first malformed line aborts the read,
+//! and the fault-tolerant [`read_jsonl_lossy`](crate::read_jsonl_lossy)
+//! in the [`lossy`](crate::lossy) module records skips and keeps going.
 //! Both normalize a UTF-8 BOM on the first line and CRLF line endings,
 //! and both report 1-based physical line numbers that count blank lines.
 
@@ -11,7 +13,7 @@ use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, Read, Write};
 
-use crate::event::TraceEvent;
+use crate::lossy::{read_jsonl_lossy, ErrorPolicy, ReadOptions};
 use crate::Trace;
 
 /// An error reading or writing a serialized trace.
@@ -100,13 +102,15 @@ impl From<std::io::Error> for TraceIoError {
     }
 }
 
-/// One physical line of a JSONL stream, already normalized.
+/// One physical line of a JSONL stream, already normalized. Borrows
+/// the [`LineReader`]'s reusable buffer, so it lives only until the
+/// next read.
 #[derive(Debug)]
-pub(crate) struct RawLine {
+pub(crate) struct RawLine<'a> {
     /// 1-based physical line number (blank lines count).
     pub number: usize,
     /// Line bytes with the terminator (and any `\r`) stripped.
-    pub bytes: Vec<u8>,
+    pub bytes: &'a [u8],
     /// Whether the line ended with a `\n` (false only for a truncated
     /// final line).
     pub terminated: bool,
@@ -116,7 +120,7 @@ pub(crate) struct RawLine {
     pub bom: bool,
 }
 
-impl RawLine {
+impl RawLine<'_> {
     /// The line's original on-disk length in bytes, counting everything
     /// normalization removed (BOM, `\r`, `\n`). Summing `raw_len` over
     /// consumed lines yields the exact stream byte offset — the anchor a
@@ -134,15 +138,17 @@ impl RawLine {
 /// `BufRead::lines` would abort on invalid UTF-8 with an opaque
 /// `io::Error`; this scanner stays at the byte level so the lossy reader
 /// can classify and skip such lines, and so both readers agree on line
-/// numbering and CRLF/BOM normalization.
+/// numbering and CRLF/BOM normalization. Every line is read into one
+/// reusable buffer, so scanning costs no allocation per line.
 pub(crate) struct LineReader<R> {
     inner: R,
     number: usize,
+    buf: Vec<u8>,
 }
 
 impl<R: BufRead> LineReader<R> {
     pub(crate) fn new(inner: R) -> Self {
-        LineReader { inner, number: 0 }
+        LineReader::with_start(inner, 0)
     }
 
     /// A scanner resuming mid-stream: `inner` is already positioned at
@@ -153,27 +159,29 @@ impl<R: BufRead> LineReader<R> {
         LineReader {
             inner,
             number: start_line,
+            buf: Vec::new(),
         }
     }
 
     /// Reads the next physical line, or `None` at end of stream.
-    pub(crate) fn next_line(&mut self) -> Result<Option<RawLine>, std::io::Error> {
-        let mut bytes = Vec::new();
-        if self.inner.read_until(b'\n', &mut bytes)? == 0 {
+    pub(crate) fn next_line(&mut self) -> Result<Option<RawLine<'_>>, std::io::Error> {
+        self.buf.clear();
+        if self.inner.read_until(b'\n', &mut self.buf)? == 0 {
             return Ok(None);
         }
         self.number += 1;
+        let mut bytes = &self.buf[..];
         let terminated = bytes.last() == Some(&b'\n');
         if terminated {
-            bytes.pop();
+            bytes = &bytes[..bytes.len() - 1];
         }
         let crlf = terminated && bytes.last() == Some(&b'\r');
         if crlf {
-            bytes.pop();
+            bytes = &bytes[..bytes.len() - 1];
         }
         let bom = self.number == 1 && bytes.starts_with(&[0xEF, 0xBB, 0xBF]);
         if bom {
-            bytes.drain(..3);
+            bytes = &bytes[3..];
         }
         Ok(Some(RawLine {
             number: self.number,
@@ -239,31 +247,17 @@ pub fn write_jsonl<W: Write>(writer: W, trace: &Trace) -> Result<(), TraceIoErro
 /// UTF-8) or [`TraceIoError::Parse`] (with the offending 1-based
 /// physical line number) on malformed JSON.
 pub fn read_jsonl<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
-    let mut lines = LineReader::new(std::io::BufReader::new(reader));
-    let mut events = Vec::new();
-    while let Some(line) = lines.next_line()? {
-        if is_blank(&line.bytes) {
-            continue;
-        }
-        let text = std::str::from_utf8(&line.bytes).map_err(|e| {
-            TraceIoError::Io(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                format!("line {}: {e}", line.number),
-            ))
-        })?;
-        let event: TraceEvent = serde_json::from_str(text).map_err(|e| TraceIoError::Parse {
-            line: line.number,
-            source: e,
-        })?;
-        events.push(event);
-    }
-    Ok(Trace::from_events(events))
+    let strict = ReadOptions {
+        on_error: ErrorPolicy::Abort,
+        ..ReadOptions::default()
+    };
+    Ok(read_jsonl_lossy(reader, &strict)?.trace)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::ArgValue;
+    use crate::event::{ArgValue, TraceEvent};
 
     fn sample_trace() -> Trace {
         Trace::from_events(vec![

@@ -127,14 +127,13 @@ impl<R: Read> JsonlSource<R> {
 
 impl<R: Read> EventSource for JsonlSource<R> {
     fn next_batch(&mut self, max: usize) -> Result<EventBatch, TraceIoError> {
-        // JSONL lines deserialize through serde into an owned event;
-        // it is packed into the batch immediately and dropped, so the
-        // per-event allocations never cross the source boundary.
+        // `next_into` decodes canonical lines straight into the batch
+        // columns; only lines it declines go through serde into an
+        // owned event, which is packed into the batch and dropped.
         let mut batch = EventBatch::with_capacity(max.min(1024));
         while batch.len() < max {
-            match self.cursor.next_event()? {
-                Some(event) => batch.push_event(&event),
-                None => break,
+            if !self.cursor.next_into(&mut batch)? {
+                break;
             }
         }
         Ok(batch)
