@@ -7,9 +7,9 @@
 //!   function of the checkpoint interval (`checkpointed_scan`),
 //! * what does one `.iockpt` write/read cost in isolation, for a
 //!   full-size end-of-trace document (`checkpoint_io`), and
-//! * what does supervised recovery cost: a clean 4-worker run vs the
-//!   same run with one injected panic on shard 0 — restart, backoff,
-//!   and a full replay of that shard (`supervised_recovery`).
+//! * what does supervised recovery cost: a clean 4-shard session vs the
+//!   same session with one injected panic on shard 0 — restart, backoff,
+//!   and a full replay of that shard's log (`supervised_recovery`).
 //!
 //! Measured numbers live in EXPERIMENTS.md §"Recovery overhead".
 
@@ -17,12 +17,12 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use iocov::{
-    read_checkpoint, write_checkpoint, CheckpointDoc, MetricsSnapshot, ParallelAnalyzer,
-    StreamingAnalyzer, SupervisorPolicy, TraceFilter,
+    read_checkpoint, write_checkpoint, AnalysisReport, CheckpointDoc, MetricsSnapshot,
+    PipelineBuilder, ShardHook, StreamingAnalyzer, SupervisorPolicy, TraceFilter,
 };
 use iocov_bench::multi_pid_trace;
 use iocov_faults::PanicSchedule;
-use iocov_trace::CursorState;
+use iocov_trace::{CursorState, EventBatch};
 use iocov_workloads::MOUNT;
 
 /// The default policy's backoff (10 ms base) would dominate a
@@ -113,18 +113,28 @@ fn bench_checkpoint(c: &mut Criterion) {
     let mut group = c.benchmark_group("supervised_recovery");
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.sample_size(10);
-    let base = ParallelAnalyzer::new(filter, 4).with_policy(fast_policy());
+    // Packed once: the columnar copy handed to each session is shared
+    // cost, not recovery cost.
+    let batch = EventBatch::from_events(trace.events());
+    let sharded = |hook: Option<ShardHook>| -> AnalysisReport {
+        let mut builder = PipelineBuilder::new(filter.clone())
+            .jobs(4)
+            .policy(fast_policy());
+        if let Some(hook) = hook {
+            builder = builder.hook(hook);
+        }
+        let mut session = builder.build_session();
+        session.feed(batch.clone());
+        session.finish().0
+    };
     group.bench_function("clean", |b| {
-        b.iter(|| base.analyze_events(trace.events()));
+        b.iter(|| sharded(None));
     });
     group.bench_function("one_panic_replay", |b| {
         // A schedule disarms after firing, so each iteration arms a
         // fresh one: shard 0 panics on its first attempt, the
-        // supervisor backs off, restarts, and replays the whole shard.
-        b.iter(|| {
-            let analyzer = base.clone().with_hook(PanicSchedule::once(0, 0).hook());
-            analyzer.analyze_events(trace.events())
-        });
+        // supervisor backs off, restarts, and replays the shard's log.
+        b.iter(|| sharded(Some(PanicSchedule::once(0, 0).hook())));
     });
     group.finish();
 }

@@ -1,29 +1,25 @@
-//! Serial vs pid-sharded parallel analysis on a multi-process trace.
+//! Serial vs pid-sharded analysis on a multi-process trace.
 //!
 //! The trace mimics a paper-scale suite driven by several concurrent
-//! tester processes ([`multi_pid_trace`]); the sharded analyzer should
-//! approach a `workers`-fold speedup because all filter state is per-pid
-//! and the shards never synchronize until the final merge.
+//! tester processes ([`multi_pid_trace`]); a session at `jobs` shards
+//! should approach a `jobs`-fold speedup because all filter state is
+//! per-pid and the shards never synchronize until the final merge.
 //!
 //! The `chunked_*` group compares the two ways of feeding a chunked
-//! stream to the sharded analyzer: the old spawn-per-chunk design
-//! (reconstructed here with scoped threads over [`StreamingAnalyzer`]
-//! shards — one thread spawn per shard *per chunk*) against the
-//! persistent worker pool ([`ParallelStreamingAnalyzer`] — one spawn
-//! per shard total, batches over bounded channels). The pool path
-//! includes the owned hand-off copy of each chunk, since a persistent
-//! worker cannot borrow the caller's slice; the spawn path scans the
-//! borrowed slice directly. Measured numbers for both live in
-//! EXPERIMENTS.md (a 1-CPU container serializes all threads, so the
-//! comparison is overhead-only there).
+//! stream to pid shards: the old spawn-per-chunk design (reconstructed
+//! here with scoped threads over [`StreamingAnalyzer`] shards — one
+//! thread spawn per shard *per chunk*) against the session's persistent
+//! shard threads (one spawn per shard total, batches over bounded
+//! channels). The session path includes the owned hand-off copy of each
+//! chunk, since a persistent thread cannot borrow the caller's slice;
+//! the spawn path scans the borrowed slice directly. Measured numbers
+//! for both live in EXPERIMENTS.md (on one CPU all threads serialize,
+//! so the comparison is overhead-only there).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use iocov::{
-    AnalysisReport, Analyzer, ParallelAnalyzer, ParallelStreamingAnalyzer, StreamingAnalyzer,
-    TraceFilter,
-};
+use iocov::{AnalysisReport, Analyzer, PipelineBuilder, StreamingAnalyzer, TraceFilter};
 use iocov_bench::multi_pid_trace;
-use iocov_trace::TraceEvent;
+use iocov_trace::{EventBatch, TraceEvent};
 use iocov_workloads::MOUNT;
 
 /// The pre-pool design: persistent shard *state*, but a fresh scoped
@@ -57,19 +53,21 @@ fn spawn_per_chunk(
     merged
 }
 
-/// The persistent pool fed owned chunks (the hand-off copy is part of
-/// the measurement).
+/// A session's persistent shard threads fed owned chunks (the hand-off
+/// copy is part of the measurement).
 fn persistent_pool(
     events: &[TraceEvent],
     filter: &TraceFilter,
     workers: usize,
     chunk: usize,
 ) -> AnalysisReport {
-    let mut pool = ParallelStreamingAnalyzer::new(filter.clone(), workers);
+    let mut session = PipelineBuilder::new(filter.clone())
+        .jobs(workers)
+        .build_session();
     for chunk_events in events.chunks(chunk) {
-        pool.push_owned(chunk_events.to_vec());
+        session.feed_owned(chunk_events.to_vec());
     }
-    pool.finish()
+    session.finish().0
 }
 
 fn bench_parallel(c: &mut Criterion) {
@@ -82,10 +80,17 @@ fn bench_parallel(c: &mut Criterion) {
         let analyzer = Analyzer::new(filter.clone());
         b.iter(|| analyzer.analyze(&trace));
     });
+    // Packed once: every session gets the same columnar copy.
+    let batch = EventBatch::from_events(trace.events());
     for workers in [1usize, 2, 4, 8] {
-        let analyzer = ParallelAnalyzer::new(filter.clone(), workers);
         group.bench_with_input(BenchmarkId::new("sharded", workers), &workers, |b, _| {
-            b.iter(|| analyzer.analyze(&trace));
+            b.iter(|| {
+                let mut session = PipelineBuilder::new(filter.clone())
+                    .jobs(workers)
+                    .build_session();
+                session.feed(batch.clone());
+                session.finish().0
+            });
         });
     }
     group.finish();

@@ -1,7 +1,8 @@
-//! Builder-path overhead guard: the unified [`PipelineBuilder`] serial
-//! path versus a bare [`StreamingAnalyzer`] loop over the same events.
+//! Builder-path overhead guard: a [`PipelineBuilder`] session at one
+//! job (the inline shard) versus a bare [`StreamingAnalyzer`] loop over
+//! the same events.
 //!
-//! The pipeline adds a replay log (`Arc` per batch), a `catch_unwind`
+//! The session adds a replay log (`Arc` per batch), a `catch_unwind`
 //! per batch, and one rotation at finish on top of the raw scan; the
 //! acceptance bar for the refactor is that this overhead stays under
 //! 2% at realistic batch sizes. Both paths are handed freshly owned
@@ -32,14 +33,14 @@ fn direct(events: &[TraceEvent], chunk: usize) -> AnalysisReport {
     analyzer.finish()
 }
 
-/// The unified path at one job: the same owned batches through the
-/// serial executor's supervised scan.
+/// The session at one job: the same owned batches through the inline
+/// shard's supervised scan.
 fn builder_serial(events: &[TraceEvent], chunk: usize) -> AnalysisReport {
-    let mut pipeline = PipelineBuilder::new(filter()).chunk(chunk).build();
+    let mut session = PipelineBuilder::new(filter()).build_session();
     for batch in events.chunks(chunk) {
-        pipeline.push_owned(batch.to_vec());
+        session.feed_owned(batch.to_vec());
     }
-    pipeline.finish().0
+    session.finish().0
 }
 
 fn bench_pipeline_builder(c: &mut Criterion) {

@@ -99,12 +99,12 @@ pub fn run_suites_parallel_with_metrics(
     metrics: Option<Arc<PipelineMetrics>>,
 ) -> SuiteReports {
     let filter = TraceFilter::mount_point(MOUNT).expect("static mount pattern compiles");
-    let pipeline = |filter: TraceFilter| {
+    let session = |filter: TraceFilter| {
         let mut builder = PipelineBuilder::new(filter).jobs(jobs);
         if let Some(m) = &metrics {
             builder = builder.metrics(Arc::clone(m));
         }
-        builder.build()
+        builder.build_session()
     };
 
     // CrashMonkey: small; single pass.
@@ -114,16 +114,16 @@ pub fn run_suites_parallel_with_metrics(
         let _timer = metrics.as_deref().map(|m| m.time_stage("simulate"));
         cm_sim.run(&cm_env)
     };
-    let mut cm_pipeline = pipeline(filter.clone());
-    cm_pipeline.push_owned(cm_env.take_trace().into_events());
-    let (crashmonkey, _) = cm_pipeline.finish();
+    let mut cm_session = session(filter.clone());
+    cm_session.feed_owned(cm_env.take_trace().into_events());
+    let (crashmonkey, _) = cm_session.finish();
 
     // xfstests: streamed so memory stays bounded at paper scale, with
     // each shard's descriptor-provenance state preserved across chunks.
     let xfs_env = TestEnv::new();
     let xfs_sim = XfstestsSim::new(seed, scale);
     let mut kernel = xfs_env.fresh_kernel();
-    let mut xfs_pipeline = pipeline(filter);
+    let mut xfs_session = session(filter);
     let mut xfstests_result = SuiteResult::new("xfstests");
     let total = xfs_sim.total_tests();
     let mut start = 0;
@@ -134,10 +134,10 @@ pub fn run_suites_parallel_with_metrics(
             xfs_sim.run_range(&mut kernel, start..end)
         };
         xfstests_result.merge(chunk_result);
-        xfs_pipeline.push_owned(xfs_env.take_trace().into_events());
+        xfs_session.feed_owned(xfs_env.take_trace().into_events());
         start = end;
     }
-    let (xfstests, _) = xfs_pipeline.finish();
+    let (xfstests, _) = xfs_session.finish();
 
     SuiteReports {
         crashmonkey,

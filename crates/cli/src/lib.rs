@@ -43,7 +43,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs::File;
-use std::io::{BufReader, Read, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -61,8 +61,8 @@ use iocov_faults::{
     PanicSchedule, WorkerKillSchedule, WorkerSignal, WorkerStallSchedule,
 };
 use iocov_trace::{
-    open_source, unseekable_kind, ErrorPolicy, LossyRead, ReadOptions, RetryRead, SkippedLine,
-    SourceError, SourceFormat, SourceOptions, SourcePos, Trace,
+    open_source, unseekable_kind, ErrorPolicy, ReadOptions, RetryRead, SkippedLine, SourceError,
+    SourceFormat, SourceOptions, SourcePos, Trace,
 };
 
 /// A CLI-level error with a user-facing message.
@@ -316,7 +316,7 @@ pub struct RobustnessOpts {
     pub stop_after: Option<u64>,
     /// Stall watchdog: replay a shard silent for this many seconds.
     pub shard_timeout: Option<u64>,
-    /// Override the per-shard restart budget.
+    /// Override the restart budget (per shard per run).
     pub max_shard_restarts: Option<u32>,
     /// Inject a deterministic worker panic.
     pub inject_panic: Option<PanicSpec>,
@@ -1074,9 +1074,10 @@ serial read; plain v1 containers stay readable everywhere.
 
 Analysis is supervised: a panicking or stalled worker shard is
 restarted with exponential backoff and its events replayed; a shard
-that exhausts its restart budget (--max-shard-restarts, default 3)
-degrades the run to a partial report plus a per-shard failure manifest
-instead of aborting. --shard-timeout SECS enables the stall watchdog.
+that exhausts its restart budget (--max-shard-restarts, default 3, per
+shard per run: checkpoints do not refill it) degrades the run to a
+partial report plus a per-shard failure manifest instead of aborting.
+--shard-timeout SECS enables the stall watchdog.
 --checkpoint-every N writes resumable state every N events to
 --checkpoint-file (default <trace>.iockpt; works with any --format and
 any --jobs count);
@@ -1129,26 +1130,33 @@ ships one local trace file as one named stream; --abort-after-bytes
 and --stall-before-frame deterministically crash or freeze the feeder
 to drill that recovery.";
 
-/// Resolves [`TraceFormat::Auto`] by sniffing the file's first four
-/// bytes for the `IOTB` magic.
-fn resolve_format(path: &str, format: TraceFormat) -> Result<TraceFormat, CliError> {
-    if format != TraceFormat::Auto {
-        return Ok(format);
+/// The container format `--format` forces, or `None` to sniff it.
+fn forced_format(format: TraceFormat) -> Option<SourceFormat> {
+    match format {
+        TraceFormat::Auto => None,
+        TraceFormat::Jsonl => Some(SourceFormat::Jsonl),
+        TraceFormat::Iotb => Some(SourceFormat::Iotb),
     }
-    let mut file = File::open(path).map_err(|e| CliError(format!("cannot open {path}: {e}")))?;
-    let mut magic = [0u8; 4];
-    let mut filled = 0;
-    while filled < magic.len() {
-        match file.read(&mut magic[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) => return Err(CliError(format!("cannot read {path}: {e}"))),
-        }
+}
+
+/// Resolves the container format, sniffing the file's magic bytes for
+/// `auto`.
+fn resolve_format(path: &str, format: TraceFormat) -> Result<SourceFormat, CliError> {
+    match forced_format(format) {
+        Some(format) => Ok(format),
+        None => iocov_trace::sniff_format(path).map_err(|e| source_error(path, e)),
     }
-    Ok(if iocov_trace::is_iotb(&magic[..filled]) {
-        TraceFormat::Iotb
-    } else {
-        TraceFormat::Jsonl
+}
+
+/// The one message convention for every way opening a trace can fail.
+fn source_error(path: &str, error: SourceError) -> CliError {
+    CliError(match error {
+        SourceError::Open(e) => format!("cannot open {path}: {e}"),
+        SourceError::Sniff(e) => format!("cannot read {path}: {e}"),
+        SourceError::Seek(e) => format!("cannot seek {path}: {e}"),
+        e @ SourceError::Unseekable { .. } => format!("cannot resume over {path}: {e}"),
+        e @ SourceError::FormatMismatch { .. } => format!("cannot resume: {e}"),
+        SourceError::Trace(e) => format!("cannot parse {path}: {e}"),
     })
 }
 
@@ -1169,52 +1177,44 @@ fn fault_reader(file: File, io: Option<IoFaultSpec>) -> Box<dyn Read> {
     }
 }
 
-fn open_buffered(
-    path: &str,
-    io: Option<IoFaultSpec>,
-) -> Result<BufReader<Box<dyn Read>>, CliError> {
-    let file = File::open(path).map_err(|e| CliError(format!("cannot open {path}: {e}")))?;
-    Ok(BufReader::new(fault_reader(file, io)))
-}
-
-/// Loads a trace in strict mode in either container format.
-fn load_trace_format(
+/// Reads a whole trace in either container format: a drain over
+/// [`open_source`], strict unless `read` skips errors. Returns the
+/// events and the lossy skip ledger.
+fn load_trace(
     path: &str,
     format: TraceFormat,
-    io: Option<IoFaultSpec>,
-) -> Result<Trace, CliError> {
-    match resolve_format(path, format)? {
-        TraceFormat::Jsonl => iocov_trace::read_jsonl(open_buffered(path, io)?),
-        TraceFormat::Iotb => iocov_trace::read_iotb(open_buffered(path, io)?),
-        TraceFormat::Auto => unreachable!("resolve_format never returns Auto"),
-    }
-    .map_err(|e| CliError(format!("cannot parse {path}: {e}")))
-}
-
-/// Loads a trace in strict mode, sniffing the container format.
-fn load_trace(path: &str) -> Result<Trace, CliError> {
-    load_trace_format(path, TraceFormat::Auto, None)
-}
-
-/// Loads a trace in lossy mode, recovering from malformed lines or
-/// records.
-fn load_trace_lossy(
-    path: &str,
-    format: TraceFormat,
-    max_errors: Option<usize>,
-    io: Option<IoFaultSpec>,
-) -> Result<LossyRead, CliError> {
-    let options = ReadOptions {
-        max_errors,
-        on_error: ErrorPolicy::Skip,
+    read: ReadOptions,
+) -> Result<(Trace, Vec<SkippedLine>), CliError> {
+    let options = SourceOptions {
+        read,
+        format: forced_format(format),
+        wrap: Some(Box::new(|file| fault_reader(file, None))),
+        ..SourceOptions::default()
     };
-    match resolve_format(path, format)? {
-        TraceFormat::Jsonl => iocov_trace::read_jsonl_lossy(open_buffered(path, io)?, &options),
-        TraceFormat::Iotb => iocov_trace::read_iotb_lossy(open_buffered(path, io)?, &options),
-        TraceFormat::Auto => unreachable!("resolve_format never returns Auto"),
+    let mut source = open_source(path, options).map_err(|e| source_error(path, e))?;
+    let mut events = Vec::new();
+    loop {
+        let batch = source
+            .next_batch(iocov::DEFAULT_CHUNK)
+            .map_err(|e| source_error(path, SourceError::Trace(e)))?;
+        if batch.is_empty() {
+            break;
+        }
+        events.extend(batch.to_events());
     }
-    .map_err(|e| CliError(format!("cannot parse {path}: {e}")))
+    Ok((Trace::from_events(events), source.skip_ledger().to_vec()))
 }
+
+/// Reads a whole trace in strict mode, sniffing the container format.
+fn load_strict(path: &str) -> Result<Trace, CliError> {
+    Ok(load_trace(path, TraceFormat::Auto, STRICT)?.0)
+}
+
+/// Strict reads: the first malformed line or record aborts.
+const STRICT: ReadOptions = ReadOptions {
+    max_errors: None,
+    on_error: ErrorPolicy::Abort,
+};
 
 fn make_filter(mount: Option<&str>) -> Result<iocov::TraceFilter, CliError> {
     match mount {
@@ -1395,8 +1395,9 @@ fn render_analyze<W: Write>(
 /// The unified analysis path: open the trace as an [`EventSource`]
 /// (strict or lossy, JSONL or `.iotb`, optional fault injection,
 /// optional resume position), pump it through a
-/// [`PipelineBuilder`]-configured executor — in-thread serial or the
-/// pid-sharded pool — cutting a checkpoint every N events, and render.
+/// [`PipelineBuilder`]-configured session — one inline shard or
+/// pid-sharded shard threads — cutting a checkpoint every N events, and
+/// render.
 /// Every flag combination takes this one path, and every combination
 /// produces reports byte-identical to a plain serial run over the same
 /// events. A panicking shard is restarted with backoff; one that
@@ -1454,11 +1455,7 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Resu
                 ErrorPolicy::Abort
             },
         },
-        format: match ctx.format {
-            TraceFormat::Auto => None,
-            TraceFormat::Jsonl => Some(SourceFormat::Jsonl),
-            TraceFormat::Iotb => Some(SourceFormat::Iotb),
-        },
+        format: forced_format(ctx.format),
         resume: resume_doc.as_ref().map(|doc| SourcePos {
             format: doc.format,
             state: doc.cursor.clone(),
@@ -1468,16 +1465,7 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Resu
         // analysis job; v1 (and JSONL) fall back to the serial reader.
         decode_jobs: jobs,
     };
-    let mut source = open_source(ctx.trace, options).map_err(|e| match e {
-        SourceError::Open(e) => CliError(format!("cannot open {}: {e}", ctx.trace)),
-        SourceError::Sniff(e) => CliError(format!("cannot read {}: {e}", ctx.trace)),
-        SourceError::Seek(e) => CliError(format!("cannot seek {}: {e}", ctx.trace)),
-        e @ SourceError::Unseekable { .. } => {
-            CliError(format!("cannot resume over {}: {e}", ctx.trace))
-        }
-        e @ SourceError::FormatMismatch { .. } => CliError(format!("cannot resume: {e}")),
-        SourceError::Trace(e) => CliError(format!("cannot parse {}: {e}", ctx.trace)),
-    })?;
+    let mut source = open_source(ctx.trace, options).map_err(|e| source_error(ctx.trace, e))?;
     let pipeline_metrics = ctx.metrics.then(|| Arc::new(PipelineMetrics::default()));
     let mut builder = PipelineBuilder::new(make_filter(ctx.mount)?)
         .mount(ctx.mount.map(str::to_owned))
@@ -1502,7 +1490,7 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Resu
         builder = builder.stop_after(stop);
     }
     let run = builder.build().run(source.as_mut()).map_err(|e| match e {
-        PipelineError::Source(e) => CliError(format!("cannot parse {}: {e}", ctx.trace)),
+        PipelineError::Source(e) => source_error(ctx.trace, SourceError::Trace(e)),
         e @ PipelineError::Checkpoint { .. } => CliError(e.to_string()),
     })?;
     if run.stopped {
@@ -1545,11 +1533,7 @@ fn run_distribute<W: Write>(
     let robust = ctx.robust;
     // Resolve the container format (and surface missing/unreadable
     // trace files) up front, before any worker is spawned.
-    let format = match resolve_format(ctx.trace, ctx.format)? {
-        TraceFormat::Jsonl => SourceFormat::Jsonl,
-        TraceFormat::Iotb => SourceFormat::Iotb,
-        TraceFormat::Auto => unreachable!("resolve_format never returns Auto"),
-    };
+    let format = resolve_format(ctx.trace, ctx.format)?;
     let program = std::env::current_exe()
         .map_err(|e| CliError(format!("cannot locate the iocov binary for workers: {e}")))?;
     let mut faults: BTreeMap<usize, WorkerFaults> = BTreeMap::new();
@@ -1699,7 +1683,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
         }
         Command::Worker => run_worker_main(out)?,
         Command::Untested { trace, mount } => {
-            let trace = load_trace(trace)?;
+            let trace = load_strict(trace)?;
             let report = make_iocov(mount.as_deref())?.analyze(&trace);
             write!(out, "{}", iocov::report::untested_summary(&report))?;
             // Identifier coverage (future-work metric) rides along.
@@ -1714,7 +1698,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             writeln!(out, "identifier gaps: path {{{}}}", path_gaps.join(", "))?;
         }
         Command::Combos { trace, mount } => {
-            let trace = load_trace(trace)?;
+            let trace = load_strict(trace)?;
             let filtered = filtered_trace(&trace, mount.as_deref())?;
             let combos = ComboCoverage::from_trace(&filtered);
             writeln!(
@@ -1738,7 +1722,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             mount,
             target,
         } => {
-            let trace = load_trace(trace)?;
+            let trace = load_strict(trace)?;
             let report = make_iocov(mount.as_deref())?.analyze(&trace);
             let freqs = report
                 .input_coverage(ArgName::OpenFlags)
@@ -1768,8 +1752,8 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             mount,
         } => {
             let iocov = make_iocov(mount.as_deref())?;
-            let a = iocov.analyze(&load_trace(trace_a)?);
-            let b = iocov.analyze(&load_trace(trace_b)?);
+            let a = iocov.analyze(&load_strict(trace_a)?);
+            let b = iocov.analyze(&load_strict(trace_b)?);
             let d = iocov::report::diff(&a, &b);
             if d.is_empty() {
                 writeln!(out, "identical partition coverage")?;
@@ -1801,12 +1785,15 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             if *index && target != TraceFormat::Iotb {
                 return Err(CliError("--index requires an iotb output".into()));
             }
-            let (trace, skipped): (Trace, Vec<SkippedLine>) = if *lossy {
-                let read = load_trace_lossy(input, *format, *max_errors, None)?;
-                (read.trace, read.skipped)
+            let read = if *lossy {
+                ReadOptions {
+                    max_errors: *max_errors,
+                    on_error: ErrorPolicy::Skip,
+                }
             } else {
-                (load_trace_format(input, *format, None)?, Vec::new())
+                STRICT
             };
+            let (trace, skipped) = load_trace(input, *format, read)?;
             let file = File::create(output)
                 .map_err(|e| CliError(format!("cannot create {output}: {e}")))?;
             match target {
@@ -2025,11 +2012,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             }
             #[cfg(unix)]
             {
-                let format = match resolve_format(trace, *format)? {
-                    TraceFormat::Jsonl => SourceFormat::Jsonl,
-                    TraceFormat::Iotb => SourceFormat::Iotb,
-                    TraceFormat::Auto => unreachable!("resolve_format never returns auto"),
-                };
+                let format = resolve_format(trace, *format)?;
                 let outcome = iocov::run_feed(&iocov::FeedConfig {
                     socket: PathBuf::from(socket),
                     stream: stream.clone(),

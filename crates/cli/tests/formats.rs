@@ -1,6 +1,8 @@
-//! The whole-trace subcommands (`untested`, `combos`, `tcd`, `diff`)
-//! read every container format: one clean trace written as JSONL,
-//! `.iotb` v1 and block-indexed `.iotb` v2 must print identical stdout.
+//! The whole-trace subcommands (`untested`, `combos`, `tcd`, `diff`,
+//! `convert`) read every container format: one clean trace written as
+//! JSONL, `.iotb` v1 and block-indexed `.iotb` v2 must print identical
+//! stdout, and converting either binary copy back yields the JSONL
+//! bytes.
 
 use std::process::Command;
 
@@ -106,4 +108,46 @@ fn whole_trace_subcommands_agree_across_container_formats() {
     for path in [a, a1, a2, b, b1, b2] {
         let _ = std::fs::remove_file(path);
     }
+}
+
+#[test]
+fn convert_back_to_jsonl_reproduces_the_source_bytes() {
+    let source = kernel_trace("round", 2);
+    let original = std::fs::read(&source).unwrap();
+    let copies = binary_copies(&source, "round");
+    for (copy, name) in copies.iter().zip(["v1", "v2"]) {
+        let back = temp_path(&format!("round-{name}-back"), "jsonl");
+        run_ok(&["convert", copy, &back]);
+        assert_eq!(
+            original,
+            std::fs::read(&back).unwrap(),
+            "iotb {name} → jsonl changed the bytes"
+        );
+        let _ = std::fs::remove_file(back);
+    }
+    for path in copies.into_iter().chain([source]) {
+        let _ = std::fs::remove_file(path);
+    }
+}
+
+#[test]
+fn strict_convert_of_a_corrupt_trace_names_the_first_bad_line() {
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../fixtures/corrupt_trace.jsonl"
+    );
+    let out = temp_path("strict", "jsonl");
+    let output = Command::new(bin())
+        .args(["convert", fixture, &out])
+        .output()
+        .expect("spawn iocov binary");
+    let _ = std::fs::remove_file(&out);
+    assert_eq!(output.status.code(), Some(1));
+    assert_eq!(
+        String::from_utf8_lossy(&output.stderr),
+        format!(
+            "iocov: cannot parse {fixture}: trace parse error on line 4: \
+             expected `,` or `}}` in object at byte 50\n"
+        )
+    );
 }

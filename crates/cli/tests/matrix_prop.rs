@@ -1,10 +1,10 @@
 //! Property: the serialized analysis report is byte-identical across
 //! every cell of the pipeline matrix —
-//! {jsonl, jsonl-lossy, iotb, iotb-indexed-v2} × {serial, pool@2, pool@4} ×
+//! {jsonl, jsonl-lossy, iotb, iotb-indexed-v2} × {jobs 1, jobs 2, jobs 4} ×
 //! {--metrics on/off} × {straight run, checkpoint kill/resume} —
 //! seeded from the checked-in corrupt fixture and a converted
 //! Syzkaller-style trace. This is the tentpole invariant of the
-//! EventSource/Executor unification: one `PipelineBuilder` path serves
+//! EventSource/ShardSupervisor unification: one `PipelineBuilder` path serves
 //! every flag combination, and none of them may perturb the output.
 
 use iocov_cli::{parse_args, run, CliError};

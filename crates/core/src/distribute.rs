@@ -81,7 +81,7 @@ use crate::coverage::AnalysisReport;
 use crate::filter::TraceFilter;
 use crate::metrics::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
 use crate::parallel::{splitmix64, ShardError, SupervisorPolicy};
-use crate::pipeline::DEFAULT_CHUNK;
+use crate::pipeline::{PipelineBuilder, DEFAULT_CHUNK};
 use crate::session::AnalysisSession;
 
 /// Frame type: the coordinator's one [`WorkerSpec`] frame.
@@ -439,17 +439,18 @@ pub fn run_worker(
     )
     .map_err(|e| WorkerError::Source(e.to_string()))?;
 
-    // The worker is a *direct* (unsupervised) session: the resume doc
-    // seeds its cumulative report, pid states, and metrics counters, and
-    // an internal panic propagates straight to process death.
+    // The worker is an unsupervised session: the resume doc seeds its
+    // cumulative report, pid states, and metrics counters, and an
+    // internal panic propagates straight to process death.
     let metrics = Arc::new(PipelineMetrics::default());
-    let mut session = AnalysisSession::direct(
-        filter,
-        Some(Arc::clone(&metrics)),
-        spec.mount.clone(),
-        None,
-        spec.resume.as_ref(),
-    );
+    let mut builder = PipelineBuilder::new(filter)
+        .mount(spec.mount.clone())
+        .metrics(Arc::clone(&metrics))
+        .unsupervised();
+    if let Some(doc) = &spec.resume {
+        builder = builder.resume(doc.clone());
+    }
+    let mut session = builder.build_session();
     // A resumed ledger is restored into the cursor; only *growth* is
     // counted, mirroring the single-process pipeline driver.
     let mut skips_seen = source.skip_ledger().len();

@@ -99,20 +99,17 @@ pub use filter::{FilterStats, TraceFilter};
 pub use identifier::{FdPartition, IdentifierCoverage, PathPartition};
 pub use metrics::{DropReason, MetricsSnapshot, PipelineMetrics, ShardFailureRecord, StageTimer};
 pub use parallel::{
-    in_supervised_scan, splitmix64, ParallelAnalyzer, ParallelStreamingAnalyzer, ShardError,
-    ShardHook, SupervisorPolicy, PARALLEL_THRESHOLD, PIPELINE_DEPTH,
+    in_supervised_scan, splitmix64, ShardError, ShardHook, SupervisorPolicy, PARALLEL_THRESHOLD,
+    PIPELINE_DEPTH,
 };
 pub use partition::{InputPartition, NumericPartition, OutputPartition};
-pub use pipeline::{
-    CheckpointPolicy, Executor, Pipeline, PipelineBuilder, PipelineError, PipelineRun,
-    PoolExecutor, SerialExecutor, DEFAULT_CHUNK,
-};
+pub use pipeline::{CheckpointPolicy, PipelineBuilder, PipelineError, PipelineRun, DEFAULT_CHUNK};
 #[cfg(unix)]
 pub use serve::{
     run_feed, run_serve, FeedAbortHook, FeedConfig, FeedOutcome, FeedStallHook, ServeConfig,
     ServeSummary, StreamHello, StreamStatus,
 };
-pub use session::{AnalysisSession, DirectExecutor, Driver};
+pub use session::{AnalysisSession, Driver};
 pub use streaming::StreamingAnalyzer;
 pub use variants::{normalize, NormalizedCall, CREAT_IMPLIED_FLAGS};
 

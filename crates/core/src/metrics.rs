@@ -16,14 +16,16 @@
 //! supposed to change.
 //!
 //! ```
-//! use iocov::{ParallelAnalyzer, PipelineMetrics, TraceFilter};
-//! use iocov_trace::Trace;
+//! use iocov::{PipelineBuilder, PipelineMetrics, TraceFilter};
 //! use std::sync::Arc;
 //!
 //! let metrics = Arc::new(PipelineMetrics::default());
-//! let analyzer = ParallelAnalyzer::new(TraceFilter::keep_all(), 4)
-//!     .with_metrics(Arc::clone(&metrics));
-//! analyzer.analyze(&Trace::new());
+//! let session = PipelineBuilder::new(TraceFilter::keep_all())
+//!     .jobs(4)
+//!     .metrics(Arc::clone(&metrics))
+//!     .build_session();
+//! let (_report, failures) = session.finish();
+//! assert!(failures.is_empty());
 //! assert_eq!(metrics.snapshot().events_read, 0);
 //! ```
 
@@ -181,8 +183,8 @@ impl PipelineMetrics {
     /// rows, whose owned `Vec<TraceEvent>` representation would have
     /// cost an estimated `allocs` heap allocations (the batch amortizes
     /// them into O(columns) buffers). Recorded once per source batch by
-    /// the pipeline driver — never inside an executor — so serial and
-    /// pooled snapshots stay byte-identical.
+    /// the session feed — never inside a shard — so inline and threaded
+    /// snapshots stay byte-identical.
     pub fn record_batch(&self, events: u64, allocs: u64) {
         self.batch_count.fetch_add(1, Ordering::Relaxed);
         self.batched_events.fetch_add(events, Ordering::Relaxed);
@@ -420,7 +422,7 @@ pub struct MetricsSnapshot {
     /// Partition records written, by partition family.
     pub partition_records: BTreeMap<String, u64>,
     /// Events that entered the analysis stage packed in columnar
-    /// batches. A per-event sum, so it is identical across executors,
+    /// batches. A per-event sum, so it is identical across job counts,
     /// decode paths, and checkpoint schedules (unlike the live
     /// [`PipelineMetrics::batch_count`], which follows the pull
     /// schedule and stays out of the snapshot).

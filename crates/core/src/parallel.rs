@@ -1,86 +1,64 @@
-//! Pid-sharded parallel analysis over a supervised persistent worker
-//! pool.
+//! The shard supervisor: the one execution engine behind every
+//! [`AnalysisSession`](crate::AnalysisSession).
 //!
-//! Every piece of state the analysis pipeline carries between events is
+//! Every piece of state the analysis carries between events is
 //! per-process: the trace filter's descriptor-provenance map and cwd
 //! relevance live in a per-pid entry, and coverage accumulation is a sum
 //! of per-event contributions. A trace can therefore be sharded *by pid*
-//! across worker threads with no cross-shard communication: each worker
-//! runs an ordinary [`StreamingAnalyzer`] over its pids' events in trace
-//! order, and the per-worker reports are combined with
+//! with no cross-shard communication: shard `w` of `n` runs an ordinary
+//! [`StreamingAnalyzer`] over the events with `pid % n == w`, in trace
+//! order, and the shard reports are combined with
 //! [`AnalysisReport::merge`]. Because every aggregate in a report is an
 //! order-independent sum over `BTreeMap`s, the merged report is
 //! **identical** to a serial run — same keys, same counts, same
-//! serialized bytes — regardless of the worker count.
+//! serialized bytes — at any shard count.
 //!
 //! # Supervision
 //!
-//! Both analyzers are *supervised*: worker panics are caught with
-//! `catch_unwind`, converted into structured [`ShardError`] values, and
-//! absorbed by restarting the failed shard with exponential backoff (see
-//! [`SupervisorPolicy`]). The restart replays the shard's batches into a
-//! fresh [`StreamingAnalyzer`], so a recovered run's report is
-//! byte-identical to a fault-free one. Restarts never double-count
-//! metrics: each worker *incarnation* accumulates into a private
-//! [`PipelineMetrics`] whose snapshot is absorbed into the shared
-//! instance only on clean completion. When a shard exhausts its restart
-//! budget the run *degrades* instead of aborting: the merged report
-//! omits that shard's pids and a [`ShardFailureRecord`] manifest
-//! (available via [`finish_with_failures`] / [`analyze_with_failures`]
-//! and in every metrics snapshot) says exactly what is missing. With
-//! [`SupervisorPolicy::shard_timeout`] set, a shard that stops
-//! heartbeating is declared stalled, abandoned, and replayed the same
-//! way.
+//! [`ShardSupervisor`] owns, once, everything supervision needs:
 //!
-//! [`finish_with_failures`]: ParallelStreamingAnalyzer::finish_with_failures
-//! [`analyze_with_failures`]: ParallelAnalyzer::analyze_with_failures
+//! * a per-shard ledger (restarts, `gave_up`, last error) that lasts the
+//!   whole run, so [`SupervisorPolicy::max_restarts`] is a budget per
+//!   shard per run and a shard that gave up stays given up;
+//! * the replay log: every batch since the last checkpoint cut, shared
+//!   as `Arc<EventBatch>` so retention costs pointers, not copies;
+//! * the base report and pid states merged out of earlier cuts (or a
+//!   resumed checkpoint), which seed every shard incarnation;
+//! * metrics absorption: each incarnation counts into a private
+//!   [`PipelineMetrics`] absorbed into the shared instance only on clean
+//!   completion, so restarts never double-count;
+//! * the [`ShardFailureRecord`] manifest.
 //!
-//! [`ParallelAnalyzer`] is the one-shot interface mirroring
-//! [`Analyzer`](crate::Analyzer): it spawns one scoped thread per shard
-//! over the whole borrowed slice — zero copies, one spawn per analysis
-//! attempt.
+//! A panicking scan is caught with `catch_unwind`, turned into a
+//! structured [`ShardError`], and the shard restarts after exponential
+//! backoff: a fresh incarnation replays the log on top of the base
+//! states, so a recovered run's report is byte-identical to a fault-free
+//! one. A shard that exhausts its budget *degrades* the run instead of
+//! aborting it: the report omits that shard's pids from then on, and the
+//! manifest says so.
 //!
-//! [`ParallelStreamingAnalyzer`] is the chunked interface mirroring
-//! [`StreamingAnalyzer`]. It keeps each shard's filter state alive
-//! *across* chunks so a descriptor opened (or duplicated) in one chunk
-//! is still attributed correctly in the next — and unlike a
-//! spawn-per-chunk design, its shard threads are **persistent**: they
-//! are spawned once on the first dispatched batch and fed over bounded
-//! channels, so a caller can parse the next chunk while the workers are
-//! still analyzing the previous one (pipelined parse/analyze overlap).
-//! Batches are shared as `Arc<EventBatch>` — one columnar block
-//! broadcast to every worker, each of which walks it by reference
-//! ([`EventRef`](iocov_trace::EventRef)) and keeps only its own pids, so
-//! fan-out costs one atomic refcount per shard instead of an event-vector
-//! clone. Hand the pool a shared batch via
-//! [`push_shared`](ParallelStreamingAnalyzer::push_shared) (the
-//! pipeline's hot path) or an owned chunk via
-//! [`push_owned`](ParallelStreamingAnalyzer::push_owned); both the
-//! borrowed [`push_all`](ParallelStreamingAnalyzer::push_all) and owned
-//! compatibility paths pack events into batch columns rather than
-//! cloning them. Chunks smaller than [`PARALLEL_THRESHOLD`]
-//! events are coalesced in a caller-side buffer so per-batch channel
-//! overhead never dominates tiny pushes. The supervisor retains every
-//! dispatched batch (they are `Arc`-shared, so retention costs pointers,
-//! not copies) as the replay log for restarts.
+//! # Transport
 //!
-//! ```
-//! use iocov::{Analyzer, ParallelAnalyzer, TraceFilter};
-//! use iocov_trace::{ArgValue, Trace, TraceEvent};
+//! The shards run one of two ways, picked from the configuration:
 //!
-//! let mut open = TraceEvent::build(
-//!     "open",
-//!     2,
-//!     vec![ArgValue::Path("/mnt/test/f".into()), ArgValue::Flags(0), ArgValue::Mode(0)],
-//!     3,
-//! );
-//! open.pid = 7;
-//! let trace = Trace::from_events(vec![open]);
-//! let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-//! let serial = Analyzer::new(filter.clone()).analyze(&trace);
-//! let parallel = ParallelAnalyzer::new(filter, 4).analyze(&trace);
-//! assert_eq!(serial, parallel);
-//! ```
+//! * **Inline** — one shard and no stall watchdog: the shard runs on the
+//!   caller's thread, one `catch_unwind` per batch, with no thread,
+//!   channel or coalescing. An *unsupervised* supervisor (the
+//!   distributed worker's) is inline too, minus `catch_unwind` and the
+//!   replay log: a panic propagates to the caller.
+//! * **Threaded** — `n` persistent `iocov-shard-N` threads fed over
+//!   bounded queues of depth [`PIPELINE_DEPTH`]: every thread receives
+//!   the same `Arc<EventBatch>` and keeps only its own pids, so the
+//!   caller can decode batch *k + 1* while the shards analyze batch *k*.
+//!   Batches smaller than [`PARALLEL_THRESHOLD`] are coalesced first.
+//!   With [`SupervisorPolicy::shard_timeout`] set, a shard that stops
+//!   heartbeating is declared stalled, abandoned and replayed like a
+//!   panicked one; the watchdog needs a thread to abandon, so a timeout
+//!   selects this transport even at one shard.
+//!
+//! A checkpoint cut completes every live incarnation, merges its report
+//! and pid states into the base, and clears the log; the next batch
+//! starts fresh incarnations from the new base.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -91,16 +69,17 @@ use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TryS
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use iocov_trace::{EventBatch, EventView, Trace, TraceEvent};
+use iocov_trace::{EventBatch, EventView};
 
+use crate::checkpoint::PidStateSnapshot;
 use crate::coverage::AnalysisReport;
 use crate::filter::TraceFilter;
 use crate::metrics::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
 use crate::streaming::StreamingAnalyzer;
 
-/// A progress hook observed by every shard worker: `(shard, tick)`,
-/// where `tick` is the batch ordinal within the current worker
-/// incarnation (pool) or always `0` at scan start (one-shot). Fault
+/// A progress hook observed by every shard before it scans a batch:
+/// `(shard, tick)`, where `tick` is the batch's ordinal in the replay
+/// log (counted from the last checkpoint cut). Fault
 /// injection (`iocov-faults`) plugs in here to panic or stall a specific
 /// shard at a specific point.
 pub type ShardHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
@@ -109,7 +88,8 @@ pub type ShardHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
 /// shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
-    /// Restarts allowed per shard before it is abandoned (`gave_up`).
+    /// Restarts allowed per shard per run before it is abandoned
+    /// (`gave_up`).
     pub max_restarts: u32,
     /// Backoff before the first restart; doubles per restart.
     pub base_backoff: Duration,
@@ -231,10 +211,10 @@ pub fn in_supervised_scan() -> bool {
 /// RAII: marks the current thread supervised for the guard's lifetime
 /// (cleared on unwind too, so a panic leaves the thread unmarked once
 /// the supervisor has taken over).
-pub(crate) struct SupervisedScanGuard;
+struct SupervisedScanGuard;
 
 impl SupervisedScanGuard {
-    pub(crate) fn enter() -> Self {
+    fn enter() -> Self {
         IN_SUPERVISED_SCAN.with(|flag| flag.set(true));
         SupervisedScanGuard
     }
@@ -257,295 +237,98 @@ pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A one-shot parallel analyzer: shards a trace by pid across `workers`
-/// threads and merges the per-worker reports, supervising each shard
-/// per [`SupervisorPolicy`].
-#[derive(Clone)]
-pub struct ParallelAnalyzer {
-    filter: TraceFilter,
-    workers: usize,
-    metrics: Option<Arc<PipelineMetrics>>,
-    policy: SupervisorPolicy,
-    hook: Option<ShardHook>,
-}
+/// Chunks smaller than this are coalesced in the caller's buffer before
+/// a threaded dispatch; per-batch channel overhead costs more than
+/// analyzing this few events.
+pub const PARALLEL_THRESHOLD: usize = 1024;
 
-impl fmt::Debug for ParallelAnalyzer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelAnalyzer")
-            .field("filter", &self.filter)
-            .field("workers", &self.workers)
-            .field("policy", &self.policy)
-            .field("hook", &self.hook.as_ref().map(|_| "…"))
-            .finish_non_exhaustive()
-    }
-}
+/// Bounded depth of each shard thread's job queue: the caller may run at
+/// most this many batches ahead of the slowest shard.
+pub const PIPELINE_DEPTH: usize = 2;
 
-impl ParallelAnalyzer {
-    /// A parallel analyzer with a filter; `workers` is clamped to at
-    /// least 1.
-    #[must_use]
-    pub fn new(filter: TraceFilter, workers: usize) -> Self {
-        ParallelAnalyzer {
-            filter,
-            workers: workers.max(1),
-            metrics: None,
-            policy: SupervisorPolicy::default(),
-            hook: None,
-        }
-    }
-
-    /// An unfiltered parallel analyzer.
-    #[must_use]
-    pub fn unfiltered(workers: usize) -> Self {
-        ParallelAnalyzer::new(TraceFilter::keep_all(), workers)
-    }
-
-    /// Attaches shared pipeline metrics. Workers accumulate privately
-    /// and the totals are absorbed on clean shard completion, so
-    /// snapshots match a serial run exactly even across restarts.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<PipelineMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// Overrides the supervision policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SupervisorPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Installs a worker progress hook (fault injection).
-    #[must_use]
-    pub fn with_hook(mut self, hook: ShardHook) -> Self {
-        self.hook = Some(hook);
-        self
-    }
-
-    /// The worker count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The configured filter.
-    #[must_use]
-    pub fn filter(&self) -> &TraceFilter {
-        &self.filter
-    }
-
-    /// Runs the full pipeline over one trace.
-    #[must_use]
-    pub fn analyze(&self, trace: &Trace) -> AnalysisReport {
-        self.analyze_events(trace.events())
-    }
-
-    /// Runs the full pipeline over a slice of events.
-    #[must_use]
-    pub fn analyze_events(&self, events: &[TraceEvent]) -> AnalysisReport {
-        self.analyze_events_with_failures(events).0
-    }
-
-    /// Like [`analyze`](Self::analyze), also returning the shard-failure
-    /// manifest (empty on a fault-free run).
-    #[must_use]
-    pub fn analyze_with_failures(
-        &self,
-        trace: &Trace,
-    ) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        self.analyze_events_with_failures(trace.events())
-    }
-
-    /// Runs the supervised pipeline over a slice of events.
-    ///
-    /// One-shot analysis needs no pipelining — the whole input is
-    /// already in memory — so this scans the borrowed slice directly
-    /// from scoped shard threads: zero event copies and one spawn per
-    /// shard attempt. A panicking shard is rescanned from scratch (its
-    /// analyzer state died with it) after backoff, up to
-    /// [`SupervisorPolicy::max_restarts`] times; a shard that gives up
-    /// is reported in the returned manifest and its pids are missing
-    /// from the (partial) report. The process is never aborted by a
-    /// worker panic.
-    #[must_use]
-    pub fn analyze_events_with_failures(
-        &self,
-        events: &[TraceEvent],
-    ) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        let n = self.workers;
-        let scans: Vec<ShardScan> = if n == 1 || events.len() < PARALLEL_THRESHOLD {
-            // Below the threshold thread spawn dominates; a serial pass
-            // over all shards costs the same modulo test per event.
-            (0..n).map(|w| self.supervised_scan(w, events)).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..n)
-                    .map(|w| scope.spawn(move || self.supervised_scan(w, events)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|handle| {
-                        handle.join().unwrap_or_else(|payload| ShardScan {
-                            // The supervisor wrapper itself panicked —
-                            // possible only via a pathological hook;
-                            // degrade rather than abort.
-                            report: None,
-                            restarts: 0,
-                            last_error: Some(panic_message(payload.as_ref())),
-                        })
-                    })
-                    .collect()
-            })
-        };
-        let mut merged = AnalysisReport::default();
-        let mut failures = Vec::new();
-        for (w, scan) in scans.into_iter().enumerate() {
-            let gave_up = scan.report.is_none();
-            if let Some(report) = &scan.report {
-                merged.merge(report);
-            }
-            if scan.restarts > 0 || gave_up {
-                failures.push(ShardFailureRecord {
-                    shard: w,
-                    restarts: scan.restarts,
-                    gave_up,
-                    last_error: scan.last_error.unwrap_or_default(),
-                });
-            }
-        }
-        if let Some(metrics) = &self.metrics {
-            for failure in &failures {
-                metrics.record_shard_failure(failure.clone());
-            }
-        }
-        (merged, failures)
-    }
-
-    /// Scans shard `w` of `events` with restart-on-panic supervision.
-    fn supervised_scan(&self, w: usize, events: &[TraceEvent]) -> ShardScan {
-        let n = self.workers;
-        let mut restarts = 0u32;
-        let mut last_error = None;
-        loop {
-            // Fresh analyzer and private metrics per attempt: a panic
-            // poisons the analyzer mid-scan, and half-counted metrics
-            // must never leak into the shared instance.
-            let local = self
-                .metrics
-                .as_ref()
-                .map(|_| Arc::new(PipelineMetrics::default()));
-            let mut shard = StreamingAnalyzer::new(self.filter.clone());
-            if let Some(m) = &local {
-                shard = shard.with_metrics(Arc::clone(m));
-            }
-            let scan_metrics = local.clone();
-            let hook = self.hook.clone();
-            let result = catch_unwind(AssertUnwindSafe(move || {
-                let _supervised = SupervisedScanGuard::enter();
-                let _timer = scan_metrics.as_deref().map(|m| m.time_stage("analyze"));
-                if let Some(hook) = &hook {
-                    hook(w, 0);
-                }
-                for event in events {
-                    if event.pid as usize % n == w {
-                        shard.push(event);
-                    }
-                }
-                shard.finish()
-            }));
-            match result {
-                Ok(report) => {
-                    if let (Some(shared), Some(local)) = (&self.metrics, &local) {
-                        shared.absorb(&local.snapshot());
-                        shared.absorb_stage_timings(&local.stage_timings());
-                    }
-                    return ShardScan {
-                        report: Some(report),
-                        restarts,
-                        last_error,
-                    };
-                }
-                Err(payload) => {
-                    last_error =
-                        Some(ShardError::Panicked(panic_message(payload.as_ref())).to_string());
-                    if restarts >= self.policy.max_restarts {
-                        return ShardScan {
-                            report: None,
-                            restarts,
-                            last_error,
-                        };
-                    }
-                    restarts += 1;
-                    if let Some(metrics) = &self.metrics {
-                        metrics.record_shard_restart();
-                    }
-                    std::thread::sleep(self.policy.backoff(restarts));
-                }
-            }
-        }
-    }
-}
-
-/// Outcome of one supervised one-shot shard scan.
-struct ShardScan {
-    /// The shard's report; `None` when the restart budget ran out.
-    report: Option<AnalysisReport>,
+/// One shard's supervision ledger, kept for the whole run.
+#[derive(Debug, Clone, Default)]
+struct ShardLedger {
     restarts: u32,
+    gave_up: bool,
     last_error: Option<String>,
 }
 
-/// A job sent to a persistent shard worker.
-enum Job {
-    /// A columnar batch of events to scan; every worker receives the
-    /// same `Arc` and keeps only its own pids.
-    Batch(Arc<EventBatch>),
-    /// A request for a materialized snapshot of the shard's report so
-    /// far, answered on the enclosed channel.
-    Snapshot(SyncSender<AnalysisReport>),
+/// One live shard incarnation: a fresh analyzer seeded with the base
+/// states, its private metrics, and how many log batches it has scanned.
+struct Incarnation {
+    analyzer: StreamingAnalyzer,
+    /// Absorbed into the shared metrics only on clean completion, so a
+    /// panicked incarnation's half-counted events die with it.
+    local: Option<Arc<PipelineMetrics>>,
+    /// Log batches scanned; also the tick the hook sees next.
+    seen: usize,
 }
 
-impl fmt::Debug for Job {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Job::Batch(batch) => f.debug_tuple("Batch").field(&batch.len()).finish(),
-            Job::Snapshot(_) => f.write_str("Snapshot"),
+/// What a cleanly completed incarnation hands back for the base.
+struct Completed {
+    report: AnalysisReport,
+    states: BTreeMap<u32, PidStateSnapshot>,
+    counters: Option<(MetricsSnapshot, BTreeMap<String, u64>)>,
+}
+
+impl Incarnation {
+    /// Scans shard `w` of `n`'s events out of one batch, walking the
+    /// shared columns by reference.
+    fn scan(&mut self, batch: &EventBatch, w: usize, n: usize, hook: Option<&ShardHook>) {
+        if let Some(hook) = hook {
+            hook(w, self.seen as u64);
+        }
+        self.seen += 1;
+        // Each shard times its own scan, so the "analyze" stage total is
+        // summed across shards (CPU time, not wall clock).
+        let _timer = self.local.as_deref().map(|m| m.time_stage("analyze"));
+        if n == 1 {
+            for event in batch.iter() {
+                self.analyzer.push(&event);
+            }
+        } else {
+            for event in batch.iter() {
+                if event.pid() as usize % n == w {
+                    self.analyzer.push(&event);
+                }
+            }
+        }
+    }
+
+    fn complete(self) -> Completed {
+        let states = self.analyzer.pid_states();
+        Completed {
+            report: self.analyzer.finish(),
+            states,
+            counters: self.local.map(|m| (m.snapshot(), m.stage_timings())),
         }
     }
 }
 
-/// A worker incarnation's exit message, sent on its done channel.
+/// A shard thread's exit message, sent on its done channel.
 enum WorkerExit {
-    /// Clean completion: the shard's final report, its per-pid relevance
-    /// states (for checkpointing), and the incarnation's private metrics
-    /// (snapshot + stage timings) for the supervisor to absorb.
-    Finished {
-        report: Box<AnalysisReport>,
-        states: BTreeMap<u32, crate::PidStateSnapshot>,
-        counters: Option<(MetricsSnapshot, BTreeMap<String, u64>)>,
-    },
-    /// The incarnation panicked.
+    Finished(Box<Completed>),
     Panicked(String),
 }
 
-/// One live worker incarnation as the supervisor sees it.
+/// One live shard thread as the supervisor sees it.
 struct Slot {
-    /// Job queue sender; `None` once the queue is closed (at drain time)
-    /// or the shard abandoned.
-    jobs: Option<SyncSender<Job>>,
-    /// Exit-message channel from the incarnation.
+    /// Job queue sender; `None` once the queue is closed (at a cut) or
+    /// the shard abandoned.
+    jobs: Option<SyncSender<Arc<EventBatch>>>,
+    /// Exit-message channel from the thread.
     done: Receiver<WorkerExit>,
-    /// Bumped by the worker after every processed job — the liveness
+    /// Bumped by the thread after every scanned batch — the liveness
     /// signal the stall watchdog reads.
     heartbeat: Arc<AtomicU64>,
-    /// Batches from the supervisor's log already delivered to this
-    /// incarnation.
+    /// Log batches already delivered to this incarnation.
     sent: usize,
 }
 
 impl Slot {
-    /// A slot whose worker could not be spawned: every interaction sees
-    /// a dead channel.
+    /// A slot with no thread behind it (the shard gave up): every
+    /// interaction sees a dead channel.
     fn dead() -> Self {
         let (_, done) = sync_channel(1);
         Slot {
@@ -557,231 +340,253 @@ impl Slot {
     }
 }
 
-/// Per-shard supervision ledger.
-#[derive(Debug, Clone, Default)]
-struct ShardSupervision {
-    restarts: u32,
-    gave_up: bool,
-    last_error: Option<String>,
-}
-
-/// Outcome of offering one job to a worker's queue.
-enum Offer {
-    Accepted,
-    Failed(ShardError),
-}
-
-/// The loop run by each persistent shard thread: drain batches (keeping
-/// only `pid % n == w`), answer snapshot requests, and return the
-/// shard's final report when the job channel closes.
-fn worker_loop(
-    w: usize,
-    n: usize,
-    mut shard: StreamingAnalyzer,
-    jobs: Receiver<Job>,
-    metrics: Option<Arc<PipelineMetrics>>,
-    heartbeat: Arc<AtomicU64>,
-    hook: Option<ShardHook>,
-) -> (AnalysisReport, BTreeMap<u32, crate::PidStateSnapshot>) {
-    let mut tick = 0u64;
-    while let Ok(job) = jobs.recv() {
-        match job {
-            Job::Batch(batch) => {
-                if let Some(hook) = &hook {
-                    hook(w, tick);
-                }
-                tick += 1;
-                // Each worker times its own scan, so the "analyze" stage
-                // total is summed across shards (CPU time, not wall
-                // clock).
-                let _timer = metrics.as_deref().map(|m| m.time_stage("analyze"));
-                // Walk the shared columns by reference: no owned event
-                // is materialized on the worker side either.
-                for event in batch.iter() {
-                    if event.pid() as usize % n == w {
-                        shard.push(&event);
-                    }
-                }
-                heartbeat.fetch_add(1, Ordering::Relaxed);
-            }
-            Job::Snapshot(reply) => {
-                let _ = reply.send(shard.report());
-                heartbeat.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-    }
-    heartbeat.fetch_add(1, Ordering::Relaxed);
-    let states = shard.pid_states();
-    (shard.finish(), states)
-}
-
-/// A chunked parallel analyzer: N **persistent** worker threads, each
-/// owning a [`StreamingAnalyzer`] shard for the pids with
-/// `pid % N == shard index`, supervised per [`SupervisorPolicy`].
-///
-/// Shard state survives across [`push_all`](Self::push_all) /
-/// [`push_owned`](Self::push_owned) calls, so feeding a long trace
-/// chunk-by-chunk preserves descriptor provenance exactly like a single
-/// serial [`StreamingAnalyzer`] would. Worker threads are spawned
-/// lazily on the first dispatched batch and live until
-/// [`finish`](Self::finish); batches travel over bounded channels of
-/// depth [`PIPELINE_DEPTH`], so the caller can parse chunk *k + 1*
-/// while the workers analyze chunk *k*. Every dispatched batch is
-/// retained (`Arc`-shared) as the replay log: a shard that panics or
-/// stalls is restarted with a fresh analyzer and replayed from batch 0,
-/// reproducing the exact per-shard event sequence.
-pub struct ParallelStreamingAnalyzer {
+/// Supervised pid-sharded analysis; see the [module docs](self).
+pub(crate) struct ShardSupervisor {
     filter: TraceFilter,
-    nworkers: usize,
     metrics: Option<Arc<PipelineMetrics>>,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
-    /// Live incarnations; empty until the first batch dispatch.
+    supervised: bool,
+    /// Shard threads instead of one inline shard.
+    threaded: bool,
+    /// One entry per shard, for the whole run.
+    ledger: Vec<ShardLedger>,
+    /// Batches since the last cut — the replay log.
+    log: Vec<Arc<EventBatch>>,
+    /// Reports merged out of earlier cuts (and a resumed checkpoint).
+    base_report: AnalysisReport,
+    /// Pid states at the last cut (or resume): every incarnation's seed.
+    base_states: BTreeMap<u32, PidStateSnapshot>,
+    /// The inline shard's incarnation; `None` before its first batch
+    /// after a cut, after a panic, and always when threaded.
+    inline: Option<Incarnation>,
+    /// Live shard threads when threaded; spawned on the first dispatch
+    /// after construction or a cut.
     slots: Vec<Slot>,
-    /// Every batch ever dispatched, in order — the replay log.
-    batch_log: Vec<Arc<EventBatch>>,
-    /// Per-shard restart ledger.
-    supervision: Vec<ShardSupervision>,
-    /// Caller-side coalescing buffer for chunks below
-    /// [`PARALLEL_THRESHOLD`], packed columnar like everything else.
+    /// Threaded coalescing buffer for batches below
+    /// [`PARALLEL_THRESHOLD`].
     pending: EventBatch,
-    /// Checkpoint-restored per-pid relevance states; each shard
-    /// incarnation restores its `pid % N == shard` subset before
-    /// scanning (including supervised respawns, which replay on top of
-    /// the same base).
-    base_states: BTreeMap<u32, crate::PidStateSnapshot>,
 }
 
-impl fmt::Debug for ParallelStreamingAnalyzer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelStreamingAnalyzer")
-            .field("workers", &self.nworkers)
-            .field("policy", &self.policy)
-            .field("batches", &self.batch_log.len())
-            .field("pending", &self.pending.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ParallelStreamingAnalyzer {
-    /// Creates a pool of `workers` persistent shards (clamped to at
-    /// least 1) over clones of `filter`. Threads are spawned on the
-    /// first dispatched batch, not here, so a pool that never sees a
-    /// large chunk costs one spawn per shard total.
-    #[must_use]
-    pub fn new(filter: TraceFilter, workers: usize) -> Self {
-        let nworkers = workers.max(1);
-        ParallelStreamingAnalyzer {
+impl ShardSupervisor {
+    /// A supervisor over `shards` pid shards whose base is `seed`'s
+    /// `(report, pid states)`, or empty. An unsupervised one (`supervised:
+    /// false`) runs one inline shard with no `catch_unwind` and no replay
+    /// log, so a panic propagates to the caller.
+    pub(crate) fn new(
+        filter: TraceFilter,
+        shards: usize,
+        policy: SupervisorPolicy,
+        hook: Option<ShardHook>,
+        metrics: Option<Arc<PipelineMetrics>>,
+        supervised: bool,
+        seed: Option<(AnalysisReport, BTreeMap<u32, PidStateSnapshot>)>,
+    ) -> Self {
+        let shards = if supervised { shards.max(1) } else { 1 };
+        let (base_report, base_states) = seed.unwrap_or_default();
+        ShardSupervisor {
             filter,
-            nworkers,
-            metrics: None,
-            policy: SupervisorPolicy::default(),
-            hook: None,
+            metrics,
+            policy,
+            hook,
+            supervised,
+            threaded: supervised && (shards > 1 || policy.shard_timeout.is_some()),
+            ledger: vec![ShardLedger::default(); shards],
+            log: Vec::new(),
+            base_report,
+            base_states,
+            inline: None,
             slots: Vec::new(),
-            batch_log: Vec::new(),
-            supervision: vec![ShardSupervision::default(); nworkers],
             pending: EventBatch::new(),
-            base_states: BTreeMap::new(),
         }
     }
 
-    /// Seeds every shard with checkpoint-restored per-pid relevance
-    /// states (each worker restores only its own pids). Must be called
-    /// before the first push.
-    #[must_use]
-    pub fn with_base_states(mut self, states: BTreeMap<u32, crate::PidStateSnapshot>) -> Self {
-        debug_assert!(
-            self.slots.is_empty(),
-            "set base states before pushing events"
-        );
-        self.base_states = states;
-        self
+    fn shards(&self) -> usize {
+        self.ledger.len()
     }
 
-    /// Attaches shared pipeline metrics to every shard. Must be called
-    /// before the first push — workers capture the metrics handle when
-    /// they spawn.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: Arc<PipelineMetrics>) -> Self {
-        debug_assert!(
-            self.slots.is_empty(),
-            "attach metrics before pushing events"
-        );
-        self.metrics = Some(metrics);
-        self
+    /// Feeds one batch.
+    pub(crate) fn push(&mut self, batch: EventBatch) {
+        if self.threaded {
+            if self.pending.is_empty() && batch.len() >= PARALLEL_THRESHOLD {
+                self.dispatch(Arc::new(batch));
+                return;
+            }
+            self.pending.append_batch(&batch);
+            if self.pending.len() >= PARALLEL_THRESHOLD {
+                self.flush_pending();
+            }
+        } else if self.supervised {
+            if !self.ledger[0].gave_up {
+                self.log.push(Arc::new(batch));
+                self.drive_inline();
+            }
+        } else {
+            let mut incarnation = self.inline.take().unwrap_or_else(|| self.incarnate(0));
+            incarnation.scan(&batch, 0, 1, self.hook.as_ref());
+            self.inline = Some(incarnation);
+        }
     }
 
-    /// Overrides the supervision policy. Must be called before the
-    /// first push.
-    #[must_use]
-    pub fn with_policy(mut self, policy: SupervisorPolicy) -> Self {
-        debug_assert!(self.slots.is_empty(), "set policy before pushing events");
-        self.policy = policy;
-        self
+    /// A checkpoint cut: completes every live incarnation into the base
+    /// and returns the cumulative report and pid states.
+    pub(crate) fn cut(&mut self) -> (AnalysisReport, BTreeMap<u32, PidStateSnapshot>) {
+        self.rotate();
+        (self.base_report.clone(), self.base_states.clone())
     }
 
-    /// Installs a worker progress hook (fault injection). Must be
-    /// called before the first push.
-    #[must_use]
-    pub fn with_hook(mut self, hook: ShardHook) -> Self {
-        debug_assert!(self.slots.is_empty(), "set hook before pushing events");
-        self.hook = Some(hook);
-        self
+    /// Drains the supervisor: the final report and the shard-failure
+    /// manifest (also recorded in the metrics), one record per shard
+    /// that restarted or gave up.
+    pub(crate) fn finish(mut self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
+        self.rotate();
+        let failures: Vec<ShardFailureRecord> = self
+            .ledger
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.restarts > 0 || s.gave_up)
+            .map(|(w, s)| ShardFailureRecord {
+                shard: w,
+                restarts: s.restarts,
+                gave_up: s.gave_up,
+                last_error: s.last_error.clone().unwrap_or_default(),
+            })
+            .collect();
+        if let Some(metrics) = &self.metrics {
+            for failure in &failures {
+                metrics.record_shard_failure(failure.clone());
+            }
+        }
+        (self.base_report, failures)
     }
 
-    /// The worker count.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.nworkers
-    }
-
-    /// Spawns one fresh worker incarnation for shard `w`.
-    fn spawn_slot(&self, w: usize) -> std::io::Result<Slot> {
-        let n = self.nworkers;
-        let (jobs, queue) = sync_channel::<Job>(PIPELINE_DEPTH);
-        let (done_tx, done) = sync_channel::<WorkerExit>(1);
-        let heartbeat = Arc::new(AtomicU64::new(0));
-        // Filter cloned per incarnation: the worker thread owns its
-        // analyzer (and dies with it on panic), so it cannot borrow
-        // the supervisor's copy.
-        let mut shard = StreamingAnalyzer::new(self.filter.clone());
-        if !self.base_states.is_empty() {
-            // Cloned, not moved: the base states must survive as the
-            // seed for every *future* incarnation of this shard — a
-            // supervised respawn replays the log on the same base.
-            let subset: BTreeMap<u32, crate::PidStateSnapshot> = self
+    /// A fresh incarnation of shard `w`, seeded with its pids' base
+    /// states. The base is cloned, not moved: it seeds every *future*
+    /// incarnation too, since a restart replays the log on the same
+    /// base.
+    fn incarnate(&self, w: usize) -> Incarnation {
+        let n = self.shards();
+        let local = self
+            .metrics
+            .as_ref()
+            .map(|_| Arc::new(PipelineMetrics::default()));
+        let mut analyzer = StreamingAnalyzer::new(self.filter.clone());
+        if let Some(m) = &local {
+            analyzer = analyzer.with_metrics(Arc::clone(m));
+        }
+        if n == 1 {
+            analyzer.restore_pid_states(&self.base_states);
+        } else {
+            let subset: BTreeMap<u32, PidStateSnapshot> = self
                 .base_states
                 .iter()
                 .filter(|(&pid, _)| pid as usize % n == w)
                 .map(|(&pid, state)| (pid, state.clone()))
                 .collect();
-            shard.restore_pid_states(&subset);
+            analyzer.restore_pid_states(&subset);
         }
-        // Private metrics per incarnation; absorbed by the supervisor
-        // only on clean completion (see WorkerExit::Finished).
-        let local = self
-            .metrics
-            .as_ref()
-            .map(|_| Arc::new(PipelineMetrics::default()));
-        if let Some(m) = &local {
-            shard = shard.with_metrics(Arc::clone(m));
+        Incarnation {
+            analyzer,
+            local,
+            seen: 0,
         }
+    }
+
+    /// Merges a completed incarnation into the base. Its states map
+    /// already contains its restored base subset, so `extend` replaces
+    /// exactly its own pids.
+    fn absorb(&mut self, done: Completed) {
+        self.base_report.merge(&done.report);
+        self.base_states.extend(done.states);
+        if let (Some(shared), Some((snapshot, timings))) = (&self.metrics, done.counters) {
+            shared.absorb(&snapshot);
+            shared.absorb_stage_timings(&timings);
+        }
+    }
+
+    /// Charges one failure of shard `w` to its run-long budget. Returns
+    /// `true` once the backoff has passed and the shard may restart,
+    /// `false` when it has given up.
+    fn charge(&mut self, w: usize, error: String) -> bool {
+        let ledger = &mut self.ledger[w];
+        ledger.last_error = Some(error);
+        if ledger.restarts >= self.policy.max_restarts {
+            ledger.gave_up = true;
+            return false;
+        }
+        ledger.restarts += 1;
+        let backoff = self.policy.backoff(ledger.restarts);
+        if let Some(metrics) = &self.metrics {
+            metrics.record_shard_restart();
+        }
+        std::thread::sleep(backoff);
+        true
+    }
+
+    /// Completes every live incarnation into the base and clears the
+    /// log.
+    fn rotate(&mut self) {
+        if self.threaded {
+            self.drain_threads();
+        } else {
+            self.drive_inline();
+            if let Some(incarnation) = self.inline.take() {
+                self.absorb(incarnation.complete());
+            }
+        }
+        self.log.clear();
+    }
+
+    /// Drives the inline shard through every unscanned log batch,
+    /// restarting (fresh incarnation, full replay) on panic within the
+    /// budget.
+    fn drive_inline(&mut self) {
+        loop {
+            let seen = self.inline.as_ref().map_or(0, |inc| inc.seen);
+            if self.ledger[0].gave_up || seen >= self.log.len() {
+                return;
+            }
+            let batch = Arc::clone(&self.log[seen]);
+            let mut incarnation = self.inline.take().unwrap_or_else(|| self.incarnate(0));
+            let hook = self.hook.clone();
+            let result = catch_unwind(AssertUnwindSafe(move || {
+                let _supervised = SupervisedScanGuard::enter();
+                incarnation.scan(&batch, 0, 1, hook.as_ref());
+                incarnation
+            }));
+            match result {
+                Ok(incarnation) => self.inline = Some(incarnation),
+                Err(payload) => {
+                    let error = ShardError::Panicked(panic_message(payload.as_ref()));
+                    self.charge(0, error.to_string());
+                }
+            }
+        }
+    }
+
+    /// Spawns one thread running a fresh incarnation of shard `w`.
+    fn spawn_slot(&self, w: usize) -> std::io::Result<Slot> {
+        let n = self.shards();
+        let (jobs, queue) = sync_channel::<Arc<EventBatch>>(PIPELINE_DEPTH);
+        let (done_tx, done) = sync_channel::<WorkerExit>(1);
+        let heartbeat = Arc::new(AtomicU64::new(0));
+        let mut incarnation = self.incarnate(w);
         let beat = Arc::clone(&heartbeat);
         let hook = self.hook.clone();
         std::thread::Builder::new()
             .name(format!("iocov-shard-{w}"))
             .spawn(move || {
-                let loop_metrics = local.clone();
                 let result = catch_unwind(AssertUnwindSafe(move || {
                     let _supervised = SupervisedScanGuard::enter();
-                    worker_loop(w, n, shard, queue, loop_metrics, beat, hook)
+                    while let Ok(batch) = queue.recv() {
+                        incarnation.scan(&batch, w, n, hook.as_ref());
+                        beat.fetch_add(1, Ordering::Relaxed);
+                    }
+                    beat.fetch_add(1, Ordering::Relaxed);
+                    incarnation.complete()
                 }));
                 let exit = match result {
-                    Ok((report, states)) => WorkerExit::Finished {
-                        report: Box::new(report),
-                        states,
-                        counters: local.map(|m| (m.snapshot(), m.stage_timings())),
-                    },
+                    Ok(done) => WorkerExit::Finished(Box::new(done)),
                     Err(payload) => WorkerExit::Panicked(panic_message(payload.as_ref())),
                 };
                 let _ = done_tx.send(exit);
@@ -794,421 +599,177 @@ impl ParallelStreamingAnalyzer {
         })
     }
 
-    /// Spawns shard `w`, burning restart budget on spawn failure; a
-    /// shard whose worker cannot be spawned at all gives up with a dead
-    /// slot instead of aborting the run.
+    /// A live slot for shard `w`, charging the budget on spawn failure;
+    /// a shard that has given up (now or at an earlier cut) gets a dead
+    /// slot.
     fn spawned_slot(&mut self, w: usize) -> Slot {
-        loop {
+        while !self.ledger[w].gave_up {
             match self.spawn_slot(w) {
                 Ok(slot) => return slot,
                 Err(e) => {
-                    self.supervision[w].last_error = Some(format!("spawn shard worker: {e}"));
-                    if self.supervision[w].restarts >= self.policy.max_restarts {
-                        self.supervision[w].gave_up = true;
-                        return Slot::dead();
-                    }
-                    self.supervision[w].restarts += 1;
-                    if let Some(metrics) = &self.metrics {
-                        metrics.record_shard_restart();
-                    }
-                    std::thread::sleep(self.policy.backoff(self.supervision[w].restarts));
+                    self.charge(w, format!("spawn shard worker: {e}"));
                 }
             }
         }
+        Slot::dead()
     }
 
-    /// Offers one job to shard `w`, spinning on a full queue (with the
-    /// stall watchdog active) and detecting a dead worker.
-    fn offer_job(&self, w: usize, mut job: Job) -> Offer {
-        let slot = &self.slots[w];
-        let Some(jobs) = &slot.jobs else {
-            return Offer::Failed(ShardError::Panicked("worker unavailable".into()));
-        };
-        let mut last_beat = slot.heartbeat.load(Ordering::Relaxed);
+    /// Charges a failure of shard `w`'s thread, then respawns it (the
+    /// caller replays the log into it) or abandons it. Dropping an
+    /// abandoned shard's sender lets a live-but-stalled thread drain and
+    /// exit on its own; its report is discarded.
+    fn recover(&mut self, w: usize, error: &ShardError) {
+        if self.charge(w, error.to_string()) {
+            self.slots[w] = self.spawned_slot(w);
+        } else {
+            self.slots[w].jobs = None;
+        }
+    }
+
+    /// Waits for `event` from shard `w`'s thread, declaring it stalled
+    /// once its heartbeat has not moved for the policy's shard timeout.
+    fn watch<T>(
+        &self,
+        w: usize,
+        mut event: impl FnMut() -> Result<T, Option<ShardError>>,
+    ) -> Result<T, ShardError> {
+        let heartbeat = &self.slots[w].heartbeat;
+        let mut last_beat = heartbeat.load(Ordering::Relaxed);
         let mut progress_at = Instant::now();
         loop {
-            match jobs.try_send(job) {
-                Ok(()) => return Offer::Accepted,
-                Err(TrySendError::Disconnected(_)) => {
-                    return Offer::Failed(self.reap_exit(w));
-                }
-                Err(TrySendError::Full(back)) => {
-                    job = back;
-                    if let Some(limit) = self.policy.shard_timeout {
-                        let beat = slot.heartbeat.load(Ordering::Relaxed);
-                        if beat != last_beat {
-                            last_beat = beat;
-                            progress_at = Instant::now();
-                        } else if progress_at.elapsed() >= limit {
-                            return Offer::Failed(ShardError::Stalled {
-                                waited: progress_at.elapsed(),
-                            });
-                        }
-                    }
-                    std::thread::sleep(Duration::from_micros(200));
+            match event() {
+                Ok(value) => return Ok(value),
+                Err(Some(error)) => return Err(error),
+                Err(None) => {}
+            }
+            if let Some(limit) = self.policy.shard_timeout {
+                let beat = heartbeat.load(Ordering::Relaxed);
+                if beat != last_beat {
+                    last_beat = beat;
+                    progress_at = Instant::now();
+                } else if progress_at.elapsed() >= limit {
+                    return Err(ShardError::Stalled {
+                        waited: progress_at.elapsed(),
+                    });
                 }
             }
         }
     }
 
-    /// Fetches the exit message of a worker whose queue disconnected.
+    /// Offers one batch to shard `w`'s queue, spinning while it is full
+    /// and detecting a dead thread.
+    fn offer(&self, w: usize, batch: Arc<EventBatch>) -> Result<(), ShardError> {
+        let Some(jobs) = &self.slots[w].jobs else {
+            return Err(ShardError::Panicked("worker unavailable".into()));
+        };
+        let mut job = Some(batch);
+        self.watch(w, || {
+            match jobs.try_send(job.take().expect("job present until sent")) {
+                Ok(()) => Ok(()),
+                Err(TrySendError::Disconnected(_)) => Err(Some(self.reap_exit(w))),
+                Err(TrySendError::Full(back)) => {
+                    job = Some(back);
+                    std::thread::sleep(Duration::from_micros(200));
+                    Err(None)
+                }
+            }
+        })
+    }
+
+    /// Fetches the exit message of a thread whose queue disconnected.
     fn reap_exit(&self, w: usize) -> ShardError {
-        // The worker drops its queue receiver (disconnecting us) during
+        // The thread drops its queue receiver (disconnecting us) during
         // unwind, then sends its exit message; give it a moment.
         match self.slots[w].done.recv_timeout(Duration::from_secs(5)) {
             Ok(WorkerExit::Panicked(msg)) => ShardError::Panicked(msg),
-            Ok(WorkerExit::Finished { .. }) => {
+            Ok(WorkerExit::Finished(_)) => {
                 ShardError::Panicked("worker exited before its queue closed".into())
             }
             Err(_) => ShardError::Panicked("worker terminated without reporting".into()),
         }
     }
 
-    /// Drains the pool like [`finish_with_failures`], additionally
-    /// returning the merged per-pid relevance states at the drain point
-    /// (the union of the disjoint per-shard maps) — everything a
-    /// checkpoint needs to seed a successor pool via
-    /// [`with_base_states`](Self::with_base_states). A pool that never
-    /// dispatched a batch passes its base states through unchanged.
-    ///
-    /// [`finish_with_failures`]: Self::finish_with_failures
-    #[must_use]
-    #[allow(clippy::type_complexity)]
-    pub fn finish_with_states(
-        mut self,
-    ) -> (
-        AnalysisReport,
-        Vec<ShardFailureRecord>,
-        BTreeMap<u32, crate::PidStateSnapshot>,
-    ) {
-        self.flush_pending();
-        let mut merged = AnalysisReport::default();
-        let mut states = std::mem::take(&mut self.base_states);
-        if !self.slots.is_empty() {
-            let target = self.batch_log.len();
-            for w in 0..self.nworkers {
-                loop {
-                    self.deliver_up_to(w, target);
-                    if self.supervision[w].gave_up {
-                        break;
-                    }
-                    // Close this incarnation's queue so it can finish.
-                    self.slots[w].jobs = None;
-                    match self.await_exit(w) {
-                        Ok((report, shard_states, counters)) => {
-                            merged.merge(&report);
-                            // The worker's map already contains its
-                            // restored base subset, so extend replaces
-                            // exactly this shard's pids.
-                            states.extend(shard_states);
-                            if let (Some(shared), Some((snapshot, timings))) =
-                                (&self.metrics, counters)
-                            {
-                                shared.absorb(&snapshot);
-                                shared.absorb_stage_timings(&timings);
-                            }
-                            break;
-                        }
-                        Err(error) => self.recover(w, &error),
-                    }
-                }
-            }
-        }
-        let failures = self.manifest();
-        if let Some(metrics) = &self.metrics {
-            for failure in &failures {
-                metrics.record_shard_failure(failure.clone());
-            }
-        }
-        (merged, failures, states)
-    }
-
-    /// Records a failure for shard `w` and either respawns a fresh
-    /// incarnation (the caller replays the log into it) or abandons the
-    /// shard once the restart budget is spent.
-    fn recover(&mut self, w: usize, error: &ShardError) {
-        self.supervision[w].last_error = Some(error.to_string());
-        if self.supervision[w].restarts >= self.policy.max_restarts {
-            self.supervision[w].gave_up = true;
-            // Abandon: dropping the sender lets a live-but-stalled
-            // incarnation drain and exit on its own; its report is
-            // discarded.
-            self.slots[w].jobs = None;
-            return;
-        }
-        self.supervision[w].restarts += 1;
-        if let Some(metrics) = &self.metrics {
-            metrics.record_shard_restart();
-        }
-        std::thread::sleep(self.policy.backoff(self.supervision[w].restarts));
-        self.slots[w] = self.spawned_slot(w);
+    /// Waits for shard `w`'s thread to exit after its queue was closed.
+    fn await_exit(&self, w: usize) -> Result<Box<Completed>, ShardError> {
+        let done = &self.slots[w].done;
+        self.watch(w, || match done.recv_timeout(Duration::from_millis(20)) {
+            Ok(WorkerExit::Finished(completed)) => Ok(completed),
+            Ok(WorkerExit::Panicked(msg)) => Err(Some(ShardError::Panicked(msg))),
+            Err(RecvTimeoutError::Disconnected) => Err(Some(ShardError::Panicked(
+                "worker terminated without reporting".into(),
+            ))),
+            Err(RecvTimeoutError::Timeout) => Err(None),
+        })
     }
 
     /// Delivers log batches to shard `w` until its incarnation has seen
-    /// the first `target` batches (restarting and replaying as needed).
+    /// the first `target` (restarting and replaying as needed).
     fn deliver_up_to(&mut self, w: usize, target: usize) {
-        while !self.supervision[w].gave_up && self.slots[w].sent < target {
+        while !self.ledger[w].gave_up && self.slots[w].sent < target {
             let idx = self.slots[w].sent;
-            match self.offer_job(w, Job::Batch(Arc::clone(&self.batch_log[idx]))) {
-                Offer::Accepted => self.slots[w].sent = idx + 1,
-                Offer::Failed(error) => self.recover(w, &error),
+            match self.offer(w, Arc::clone(&self.log[idx])) {
+                Ok(()) => self.slots[w].sent = idx + 1,
+                Err(error) => self.recover(w, &error),
             }
         }
     }
 
-    /// Waits for shard `w`'s incarnation to exit after its queue was
-    /// closed, watching for stalls.
-    #[allow(clippy::type_complexity)]
-    fn await_exit(
-        &self,
-        w: usize,
-    ) -> Result<
-        (
-            Box<AnalysisReport>,
-            BTreeMap<u32, crate::PidStateSnapshot>,
-            Option<(MetricsSnapshot, BTreeMap<String, u64>)>,
-        ),
-        ShardError,
-    > {
-        let slot = &self.slots[w];
-        let mut last_beat = slot.heartbeat.load(Ordering::Relaxed);
-        let mut progress_at = Instant::now();
-        loop {
-            match slot.done.recv_timeout(Duration::from_millis(20)) {
-                Ok(WorkerExit::Finished {
-                    report,
-                    states,
-                    counters,
-                }) => return Ok((report, states, counters)),
-                Ok(WorkerExit::Panicked(msg)) => return Err(ShardError::Panicked(msg)),
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(ShardError::Panicked(
-                        "worker terminated without reporting".into(),
-                    ))
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(limit) = self.policy.shard_timeout {
-                        let beat = slot.heartbeat.load(Ordering::Relaxed);
-                        if beat != last_beat {
-                            last_beat = beat;
-                            progress_at = Instant::now();
-                        } else if progress_at.elapsed() >= limit {
-                            return Err(ShardError::Stalled {
-                                waited: progress_at.elapsed(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Hands one batch to every worker. Blocks only when a worker's
-    /// queue is [`PIPELINE_DEPTH`] batches behind — the backpressure
-    /// that bounds memory to `depth × batch` per shard (plus the
-    /// `Arc`-shared replay log).
+    /// Logs one batch and hands it to every shard thread. Blocks only
+    /// when a queue is [`PIPELINE_DEPTH`] batches behind — the
+    /// backpressure that bounds memory to `depth × batch` per shard
+    /// (plus the `Arc`-shared log).
     fn dispatch(&mut self, batch: Arc<EventBatch>) {
         if self.slots.is_empty() {
-            self.slots = (0..self.nworkers).map(|w| self.spawned_slot(w)).collect();
+            self.slots = (0..self.shards()).map(|w| self.spawned_slot(w)).collect();
         }
-        self.batch_log.push(batch);
-        let target = self.batch_log.len();
-        for w in 0..self.nworkers {
+        self.log.push(batch);
+        let target = self.log.len();
+        for w in 0..self.shards() {
             self.deliver_up_to(w, target);
         }
     }
 
-    /// Dispatches the coalescing buffer, if non-empty.
     fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let batch = Arc::new(std::mem::take(&mut self.pending));
-        self.dispatch(batch);
-    }
-
-    /// Consumes one columnar batch — the zero-copy hot path from the
-    /// decode stage: a batch of at least [`PARALLEL_THRESHOLD`] events
-    /// is wrapped in an `Arc` and broadcast as-is (one refcount bump
-    /// per shard); smaller batches are coalesced column-to-column and
-    /// dispatched once the buffer reaches the threshold.
-    pub fn push_shared(&mut self, batch: EventBatch) {
-        if self.pending.is_empty() && batch.len() >= PARALLEL_THRESHOLD {
-            self.dispatch(Arc::new(batch));
-            return;
-        }
-        self.pending.append_batch(&batch);
-        if self.pending.len() >= PARALLEL_THRESHOLD {
-            self.flush_pending();
+        if !self.pending.is_empty() {
+            let batch = Arc::new(std::mem::take(&mut self.pending));
+            self.dispatch(batch);
         }
     }
 
-    /// Consumes one owned chunk of events, packing it into batch
-    /// columns before dispatch.
-    pub fn push_owned(&mut self, events: Vec<TraceEvent>) {
-        if self.pending.is_empty() && events.len() >= PARALLEL_THRESHOLD {
-            self.dispatch(Arc::new(EventBatch::from_events(&events)));
-            return;
-        }
-        for event in &events {
-            self.pending.push_event(event);
-        }
-        if self.pending.len() >= PARALLEL_THRESHOLD {
-            self.flush_pending();
-        }
-    }
-
-    /// Consumes a stream of owned events, coalescing into
-    /// [`PARALLEL_THRESHOLD`]-sized batches.
-    pub fn push_batch(&mut self, events: impl IntoIterator<Item = TraceEvent>) {
-        for event in events {
-            self.pending.push_event(&event);
-        }
-        if self.pending.len() >= PARALLEL_THRESHOLD {
-            self.flush_pending();
-        }
-    }
-
-    /// Consumes one chunk of borrowed events. Events are packed into
-    /// the coalescing batch's columns directly — unlike the former
-    /// `Arc<Vec<TraceEvent>>` design, no per-event `TraceEvent` clone
-    /// (name `String` + args `Vec` + path `String`s) is made to outlive
-    /// the borrow.
-    pub fn push_all(&mut self, events: &[TraceEvent]) {
-        for event in events {
-            self.pending.push_event(event);
-        }
-        if self.pending.len() >= PARALLEL_THRESHOLD {
-            self.flush_pending();
-        }
-    }
-
-    /// Drains the pool and returns the merged report. Equivalent to
-    /// [`finish_with_failures`](Self::finish_with_failures) with the
-    /// manifest discarded (it is still recorded in the attached metrics,
-    /// if any). A degraded run returns the partial report — never
-    /// panics.
-    #[must_use]
-    pub fn finish(self) -> AnalysisReport {
-        self.finish_with_failures().0
-    }
-
-    /// Drains the pool: flushes the coalescing buffer, closes every job
-    /// queue, collects the shard reports, and merges them in shard
-    /// order — supervising throughout. A shard that panics or stalls at
-    /// any point (including during the final drain) is restarted with
-    /// backoff and replayed from the batch log; a shard that exhausts
-    /// its restart budget is reported in the returned manifest (also
-    /// recorded in the attached metrics) and omitted from the merged
-    /// report.
-    #[must_use]
-    pub fn finish_with_failures(self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        let (merged, failures, _) = self.finish_with_states();
-        (merged, failures)
-    }
-
-    /// A merged snapshot of the report so far (the stream may
-    /// continue). Flushes the coalescing buffer and waits for every
-    /// worker to answer a snapshot request, so the result reflects all
-    /// events pushed before the call — restarting and replaying shards
-    /// that fail along the way.
-    #[must_use]
-    pub fn report(&mut self) -> AnalysisReport {
+    /// Closes every shard queue and absorbs each thread's completed
+    /// incarnation, supervising throughout: a shard that panics or
+    /// stalls, even during the drain, is restarted and replayed.
+    fn drain_threads(&mut self) {
         self.flush_pending();
-        let mut merged = AnalysisReport::default();
         if self.slots.is_empty() {
-            return merged;
+            return;
         }
-        let target = self.batch_log.len();
-        for w in 0..self.nworkers {
+        let target = self.log.len();
+        for w in 0..self.shards() {
             loop {
                 self.deliver_up_to(w, target);
-                if self.supervision[w].gave_up {
+                if self.ledger[w].gave_up {
                     break;
                 }
-                let (reply_tx, reply_rx) = sync_channel(1);
-                match self.offer_job(w, Job::Snapshot(reply_tx)) {
-                    Offer::Failed(error) => {
-                        self.recover(w, &error);
-                        continue;
-                    }
-                    Offer::Accepted => {}
-                }
-                match self.await_snapshot(w, &reply_rx) {
-                    Ok(report) => {
-                        merged.merge(&report);
+                self.slots[w].jobs = None;
+                match self.await_exit(w) {
+                    Ok(done) => {
+                        self.absorb(*done);
                         break;
                     }
                     Err(error) => self.recover(w, &error),
                 }
             }
         }
-        merged
-    }
-
-    /// Waits for a snapshot reply from shard `w`, watching for stalls
-    /// and for the worker dying mid-snapshot.
-    fn await_snapshot(
-        &self,
-        w: usize,
-        reply: &Receiver<AnalysisReport>,
-    ) -> Result<AnalysisReport, ShardError> {
-        let slot = &self.slots[w];
-        let mut last_beat = slot.heartbeat.load(Ordering::Relaxed);
-        let mut progress_at = Instant::now();
-        loop {
-            match reply.recv_timeout(Duration::from_millis(20)) {
-                Ok(report) => return Ok(report),
-                Err(RecvTimeoutError::Disconnected) => return Err(self.reap_exit(w)),
-                Err(RecvTimeoutError::Timeout) => {
-                    if let Some(limit) = self.policy.shard_timeout {
-                        let beat = slot.heartbeat.load(Ordering::Relaxed);
-                        if beat != last_beat {
-                            last_beat = beat;
-                            progress_at = Instant::now();
-                        } else if progress_at.elapsed() >= limit {
-                            return Err(ShardError::Stalled {
-                                waited: progress_at.elapsed(),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// The shard-failure manifest: one record per shard that needed
-    /// restarting, in shard order.
-    fn manifest(&self) -> Vec<ShardFailureRecord> {
-        self.supervision
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.restarts > 0 || s.gave_up)
-            .map(|(w, s)| ShardFailureRecord {
-                shard: w,
-                restarts: s.restarts,
-                gave_up: s.gave_up,
-                last_error: s.last_error.clone().unwrap_or_default(),
-            })
-            .collect()
+        self.slots.clear();
     }
 }
-
-/// Chunks smaller than this are coalesced in the caller's buffer before
-/// dispatch ([`ParallelStreamingAnalyzer`]) or analyzed on the calling
-/// thread ([`ParallelAnalyzer`]); per-batch dispatch (or thread spawn)
-/// costs more than analyzing this few events.
-pub const PARALLEL_THRESHOLD: usize = 1024;
-
-/// Bounded depth of each worker's job queue: the caller may run at most
-/// this many batches ahead of the slowest shard.
-pub const PIPELINE_DEPTH: usize = 2;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Analyzer, ArgName};
-    use iocov_trace::ArgValue;
+    use crate::{Analyzer, ArgName, PipelineBuilder};
+    use iocov_trace::{ArgValue, Trace, TraceEvent};
 
     /// A multi-pid trace exercising every provenance rule: opens, dups,
     /// renames, chdir, interleaved across `pids` processes.
@@ -1324,53 +885,109 @@ mod tests {
         assert!(spread.len() > 1, "jitter produced identical backoffs");
     }
 
+    fn filter() -> TraceFilter {
+        TraceFilter::mount_point("/mnt/test").unwrap()
+    }
+
+    fn serial(events: &[TraceEvent]) -> AnalysisReport {
+        Analyzer::new(filter()).analyze(&Trace::from_events(events.to_vec()))
+    }
+
+    fn json(report: &AnalysisReport) -> String {
+        serde_json::to_string(report).unwrap()
+    }
+
+    /// A session at `jobs` shards with the fast-retry policy.
+    fn builder(jobs: usize) -> PipelineBuilder {
+        PipelineBuilder::new(filter())
+            .jobs(jobs)
+            .policy(fast_policy())
+    }
+
+    /// Feeds `events` in `chunk`-sized owned batches and finishes.
+    fn run_chunked(
+        builder: PipelineBuilder,
+        events: &[TraceEvent],
+        chunk: usize,
+    ) -> (AnalysisReport, Vec<ShardFailureRecord>) {
+        let mut session = builder.build_session();
+        for part in events.chunks(chunk.max(1)) {
+            session.feed_owned(part.to_vec());
+        }
+        session.finish()
+    }
+
     #[test]
-    fn parallel_matches_serial_at_every_worker_count() {
+    fn zero_shards_clamp_to_one_inline_shard() {
+        let supervisor = ShardSupervisor::new(
+            TraceFilter::keep_all(),
+            0,
+            SupervisorPolicy::default(),
+            None,
+            None,
+            true,
+            None,
+        );
+        assert_eq!(supervisor.shards(), 1);
+        assert!(!supervisor.threaded);
+    }
+
+    #[test]
+    fn sharded_matches_serial_at_every_job_count() {
+        // Byte-identical at 1–8 shards, with more shards than pids at
+        // the top end, both as one whole-trace batch and chunked small
+        // enough that the threaded transport coalesces.
         let events = multi_pid_trace(5, 4);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        for workers in 1..=8 {
-            let parallel = ParallelAnalyzer::new(filter.clone(), workers).analyze(&trace);
-            assert_eq!(serial, parallel, "diverged at {workers} workers");
+        let expected = json(&serial(&events));
+        for jobs in 1..=8 {
+            for chunk in [events.len(), 7] {
+                let (report, failures) = run_chunked(builder(jobs), &events, chunk);
+                assert!(failures.is_empty());
+                assert_eq!(
+                    expected,
+                    json(&report),
+                    "diverged at {jobs} jobs, chunk {chunk}"
+                );
+            }
+        }
+        let few_pids = multi_pid_trace(2, 2);
+        let (report, _) = run_chunked(builder(8), &few_pids, few_pids.len());
+        assert_eq!(serial(&few_pids), report);
+    }
+
+    #[test]
+    fn owned_batches_above_the_threshold_match_serial() {
+        // Batches big enough to dispatch without coalescing.
+        let events = multi_pid_trace(7, 60);
+        assert!(events.len() >= 2 * PARALLEL_THRESHOLD);
+        let expected = json(&serial(&events));
+        for jobs in 1..=4 {
+            let (report, _) = run_chunked(builder(jobs), &events, PARALLEL_THRESHOLD);
+            assert_eq!(expected, json(&report), "diverged at {jobs} jobs");
         }
     }
 
     #[test]
-    fn parallel_serializes_identically_to_serial() {
-        let trace = Trace::from_events(multi_pid_trace(3, 3));
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        let parallel =
-            serde_json::to_string(&ParallelAnalyzer::new(filter, 4).analyze(&trace)).unwrap();
-        assert_eq!(serial, parallel, "reports must be byte-identical");
+    fn columnar_and_owned_feeds_mix() {
+        let events = multi_pid_trace(5, 8);
+        let (left, right) = events.split_at(events.len() / 2);
+        for jobs in [1, 3] {
+            let mut session = builder(jobs).build_session();
+            session.feed(EventBatch::from_events(left));
+            session.feed_owned(right.to_vec());
+            assert_eq!(
+                serial(&events),
+                session.finish().0,
+                "diverged at {jobs} jobs"
+            );
+        }
     }
 
     #[test]
-    fn more_workers_than_pids_is_fine() {
-        let trace = Trace::from_events(multi_pid_trace(2, 2));
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let parallel = ParallelAnalyzer::new(filter, 8).analyze(&trace);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn zero_workers_clamps_to_one() {
-        let analyzer = ParallelAnalyzer::unfiltered(0);
-        assert_eq!(analyzer.workers(), 1);
-        assert_eq!(
-            ParallelStreamingAnalyzer::new(TraceFilter::keep_all(), 0).workers(),
-            1
-        );
-    }
-
-    #[test]
-    fn chunked_parallel_keeps_provenance_across_chunks() {
-        // fd opened in chunk 1, duplicated in chunk 2, written via the
-        // duplicate in chunk 3: per-chunk batch analysis would lose the
-        // attribution, the sharded streaming analyzer must not.
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
+    fn chunked_feed_keeps_provenance_across_batches() {
+        // fd opened in batch 1, duplicated in batch 2, written via the
+        // duplicate in batch 3: per-batch analysis would lose the
+        // attribution, the shard's resident analyzer must not.
         let mut open = TraceEvent::build(
             "open",
             2,
@@ -1391,150 +1008,100 @@ mod tests {
             128,
         );
         write.pid = 6;
-
-        let mut sharded = ParallelStreamingAnalyzer::new(filter, 4);
-        sharded.push_all(&[open]);
-        sharded.push_all(&[dup]);
-        sharded.push_all(&[write]);
-        let report = sharded.finish();
-        assert_eq!(report.input_coverage(ArgName::WriteCount).calls, 1);
-        assert_eq!(report.filter_stats.kept, 3);
+        for jobs in [1, 4] {
+            let mut session = builder(jobs).build_session();
+            for event in [&open, &dup, &write] {
+                session.feed_owned(vec![event.clone()]);
+            }
+            let (report, _) = session.finish();
+            assert_eq!(report.input_coverage(ArgName::WriteCount).calls, 1);
+            assert_eq!(report.filter_stats.kept, 3);
+        }
     }
 
     #[test]
-    fn interim_report_merges_all_shards() {
-        let mut sharded = ParallelStreamingAnalyzer::new(TraceFilter::keep_all(), 3);
-        let events = multi_pid_trace(3, 1);
-        let total = events.len();
-        sharded.push_all(&events);
-        assert_eq!(sharded.report().filter_stats.total, total);
+    fn snapshot_mid_stream_then_more_batches_matches_serial() {
+        // A snapshot is a cut: it must merge every shard and leave the
+        // stream able to continue to the serial report.
+        let events = multi_pid_trace(7, 40);
+        let (left, right) = events.split_at(events.len() / 3);
+        for jobs in [1, 3, 4] {
+            let mut session = builder(jobs).build_session();
+            session.feed_owned(left.to_vec());
+            assert_eq!(session.snapshot().filter_stats.total, left.len());
+            session.feed_owned(right.to_vec());
+            assert_eq!(
+                serial(&events),
+                session.finish().0,
+                "diverged at {jobs} jobs"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_session_finishes_to_default_report() {
+        for jobs in [1, 4] {
+            let (report, failures) = builder(jobs).build_session().finish();
+            assert_eq!(report, AnalysisReport::default());
+            assert!(failures.is_empty());
+        }
     }
 
     #[test]
     fn parallel_metrics_snapshot_matches_serial_byte_for_byte() {
-        // The acceptance bar: counters from a 4-worker run must be
+        // The acceptance bar: counters from a 4-shard run must be
         // *byte-identical* to a serial run over the same trace — large
         // enough to clear PARALLEL_THRESHOLD so real threads race on the
         // shared atomics.
         let events = multi_pid_trace(7, 40);
         assert!(events.len() >= PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-
+        let trace = Trace::from_events(events.clone());
         let serial_metrics = Arc::new(PipelineMetrics::default());
-        let serial = Analyzer::new(filter.clone())
+        let expected = Analyzer::new(filter())
             .with_metrics(Arc::clone(&serial_metrics))
             .analyze(&trace);
-
-        let parallel_metrics = Arc::new(PipelineMetrics::default());
-        let parallel = ParallelAnalyzer::new(filter, 4)
-            .with_metrics(Arc::clone(&parallel_metrics))
-            .analyze(&trace);
-
-        assert_eq!(serial, parallel);
         let s = serial_metrics.snapshot();
-        let p = parallel_metrics.snapshot();
-        assert_eq!(s, p);
+        assert!(s.events_read > 0 && s.total_dropped() > 0);
+        let mut snapshots = Vec::new();
+        for jobs in [1, 4] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let mut session = builder(jobs).metrics(Arc::clone(&metrics)).build_session();
+            session.feed_owned(events.clone());
+            assert_eq!(expected, session.finish().0);
+            snapshots.push(metrics.snapshot());
+        }
         assert_eq!(
-            serde_json::to_string(&s).unwrap(),
-            serde_json::to_string(&p).unwrap(),
+            serde_json::to_string(&snapshots[0]).unwrap(),
+            serde_json::to_string(&snapshots[1]).unwrap(),
             "metrics snapshots must be byte-identical"
         );
-        assert!(s.events_read > 0 && s.total_dropped() > 0);
+        // The batch-shape sums are recorded by the session's feed, which
+        // the whole-trace analyzer does not have; every other counter
+        // matches it.
+        let mut p = snapshots.swap_remove(0);
+        assert_eq!(p.batched_events, events.len() as u64);
+        (p.batched_events, p.allocs_estimated) = (0, 0);
+        assert_eq!(s, p);
     }
 
     #[test]
-    fn shared_metrics_across_chunked_parallel_runs() {
-        // One metrics instance fed by a chunked sharded run still sums to
-        // the trace totals.
+    fn shared_metrics_across_chunked_feeds_sum_to_trace_totals() {
         let events = multi_pid_trace(4, 3);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let metrics = Arc::new(PipelineMetrics::default());
-        let mut sharded =
-            ParallelStreamingAnalyzer::new(filter, 3).with_metrics(Arc::clone(&metrics));
-        for chunk in events.chunks(5) {
-            sharded.push_all(chunk);
+        for jobs in [1, 3] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let (report, _) = run_chunked(builder(jobs).metrics(Arc::clone(&metrics)), &events, 5);
+            let snap = metrics.snapshot();
+            assert_eq!(snap.events_read, events.len() as u64);
+            // Filter-stage drops account for exactly the events not kept
+            // (unknown-syscall drops happen after the filter, inside kept).
+            assert_eq!(
+                snap.events_read
+                    - snap.filter_dropped["wrong-mount"]
+                    - snap.filter_dropped["irrelevant-fd"],
+                report.filter_stats.kept as u64
+            );
+            assert!(metrics.stage_timings().contains_key("analyze"));
         }
-        let report = sharded.finish();
-        let snap = metrics.snapshot();
-        assert_eq!(snap.events_read, events.len() as u64);
-        // Filter-stage drops account for exactly the events not kept
-        // (unknown-syscall drops happen after the filter, inside kept).
-        assert_eq!(
-            snap.events_read
-                - snap.filter_dropped["wrong-mount"]
-                - snap.filter_dropped["irrelevant-fd"],
-            report.filter_stats.kept as u64
-        );
-        assert!(metrics.stage_timings().contains_key("analyze"));
-    }
-
-    #[test]
-    fn owned_batches_match_serial_at_every_worker_count() {
-        // The zero-copy hot path: chunks big enough to dispatch without
-        // coalescing, pushed as owned vectors.
-        let events = multi_pid_trace(7, 60);
-        assert!(events.len() >= 2 * PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        for workers in 1..=4 {
-            let mut pool = ParallelStreamingAnalyzer::new(filter.clone(), workers);
-            for chunk in events.chunks(PARALLEL_THRESHOLD) {
-                pool.push_owned(chunk.to_vec());
-            }
-            let report = serde_json::to_string(&pool.finish()).unwrap();
-            assert_eq!(serial, report, "diverged at {workers} workers");
-        }
-    }
-
-    #[test]
-    fn mixed_owned_and_borrowed_pushes_match_serial() {
-        let events = multi_pid_trace(5, 8);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 3);
-        let (left, right) = events.split_at(events.len() / 2);
-        pool.push_all(left);
-        pool.push_owned(right.to_vec());
-        assert_eq!(serial, pool.finish());
-    }
-
-    #[test]
-    fn interim_report_then_more_batches_matches_serial() {
-        // A snapshot mid-stream must not disturb shard state: pushing
-        // more events afterwards still converges on the serial report.
-        let events = multi_pid_trace(7, 40);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 4);
-        let (left, right) = events.split_at(events.len() / 3);
-        pool.push_owned(left.to_vec());
-        let interim = pool.report();
-        assert_eq!(interim.filter_stats.total, left.len());
-        pool.push_owned(right.to_vec());
-        assert_eq!(serial, pool.finish());
-    }
-
-    #[test]
-    fn empty_pool_finishes_to_default_report() {
-        let pool = ParallelStreamingAnalyzer::new(TraceFilter::keep_all(), 4);
-        assert_eq!(pool.finish(), AnalysisReport::default());
-    }
-
-    #[test]
-    fn large_chunk_takes_threaded_path() {
-        // Enough events to clear PARALLEL_THRESHOLD, so the scoped-thread
-        // branch actually runs and must still match serial.
-        let events = multi_pid_trace(7, 40);
-        assert!(events.len() >= PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let parallel = ParallelAnalyzer::new(filter, 4).analyze(&trace);
-        assert_eq!(serial, parallel);
     }
 
     // ------------------------------------------------------------------
@@ -1542,188 +1109,198 @@ mod tests {
     // ------------------------------------------------------------------
 
     #[test]
-    fn one_shot_injected_panic_recovers_byte_identical_serial_branch() {
-        // Small trace → the supervised serial branch runs on the calling
-        // thread; the panic must be caught there too.
-        let events = multi_pid_trace(5, 4);
-        assert!(events.len() < PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        let analyzer = ParallelAnalyzer::new(filter, 3)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(1, 0, 1));
-        let (report, failures) = analyzer.analyze_with_failures(&trace);
-        assert_eq!(serial, serde_json::to_string(&report).unwrap());
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shard, 1);
-        assert_eq!(failures[0].restarts, 1);
-        assert!(!failures[0].gave_up);
-        assert!(failures[0].last_error.contains("injected test panic"));
-    }
-
-    #[test]
-    fn one_shot_injected_panic_recovers_byte_identical_threaded_branch() {
+    fn injected_panic_replays_byte_identical() {
+        // Panic on the second batch of the shard: state replay (not
+        // just the failing batch) must reconstruct batch 0's
+        // contribution. Small batches below the threshold exercise
+        // coalescing on the threaded transport; large ones do not.
         let events = multi_pid_trace(7, 40);
-        assert!(events.len() >= PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        let analyzer = ParallelAnalyzer::new(filter, 4)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(2, 0, 1));
-        let (report, failures) = analyzer.analyze_with_failures(&trace);
-        assert_eq!(serial, serde_json::to_string(&report).unwrap());
-        assert_eq!(failures.len(), 1);
-        assert!(!failures[0].gave_up);
-    }
-
-    #[test]
-    fn one_shot_exhausted_restarts_degrade_to_partial_report() {
-        let events = multi_pid_trace(4, 2);
-        let trace = Trace::from_events(events);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        // Shard 0 panics forever (far more charges than the budget).
-        let analyzer = ParallelAnalyzer::new(filter.clone(), 2)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(0, 0, u64::MAX));
-        let (report, failures) = analyzer.analyze_with_failures(&trace);
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shard, 0);
-        assert_eq!(failures[0].restarts, fast_policy().max_restarts);
-        assert!(failures[0].gave_up);
-        // The surviving shard's pids are still fully analyzed.
-        let odd_only: Vec<_> = trace
-            .events()
-            .iter()
-            .filter(|e| e.pid % 2 == 1)
-            .cloned()
-            .collect();
-        let expected = Analyzer::new(filter).analyze(&Trace::from_events(odd_only));
-        assert_eq!(report, expected);
-    }
-
-    #[test]
-    fn pool_injected_panic_recovers_byte_identical() {
-        let events = multi_pid_trace(7, 40);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        // Panic on the second batch of shard 1: state replay (not just
-        // the failing batch) must reconstruct batch 1's contribution.
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 3)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(1, 1, 1));
-        for chunk in events.chunks(PARALLEL_THRESHOLD) {
-            pool.push_owned(chunk.to_vec());
+        let expected = json(&serial(&events));
+        for (jobs, shard, chunk) in [
+            (1, 0, events.len() / 3),
+            (3, 1, PARALLEL_THRESHOLD),
+            (3, 1, events.len() / 3),
+        ] {
+            let (report, failures) =
+                run_chunked(builder(jobs).hook(panic_hook(shard, 1, 1)), &events, chunk);
+            assert_eq!(expected, json(&report), "diverged at {jobs} jobs");
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].shard, shard);
+            assert_eq!(failures[0].restarts, 1);
+            assert!(!failures[0].gave_up);
+            assert!(failures[0].last_error.contains("injected test panic"));
         }
-        let (report, failures) = pool.finish_with_failures();
-        assert_eq!(serial, serde_json::to_string(&report).unwrap());
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shard, 1);
-        assert!(!failures[0].gave_up);
     }
 
     #[test]
-    fn pool_metrics_not_double_counted_across_restart() {
+    fn metrics_not_double_counted_across_restart() {
         let events = multi_pid_trace(6, 40);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-
         let clean_metrics = Arc::new(PipelineMetrics::default());
-        let clean = Analyzer::new(filter.clone())
+        let clean = Analyzer::new(filter())
             .with_metrics(Arc::clone(&clean_metrics))
-            .analyze(&trace);
-
-        let metrics = Arc::new(PipelineMetrics::default());
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 2)
-            .with_metrics(Arc::clone(&metrics))
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(0, 1, 1));
-        for chunk in events.chunks(PARALLEL_THRESHOLD) {
-            pool.push_owned(chunk.to_vec());
-        }
-        let report = pool.finish();
-        assert_eq!(clean, report);
-        let snap = metrics.snapshot();
+            .analyze(&Trace::from_events(events.clone()));
         let clean_snap = clean_metrics.snapshot();
-        // Restarted shard replays its events, but only the successful
-        // incarnation's counters are absorbed: totals match a clean run.
-        assert_eq!(snap.events_read, clean_snap.events_read);
-        assert_eq!(snap.filter_dropped, clean_snap.filter_dropped);
-        assert_eq!(snap.partition_records, clean_snap.partition_records);
-        // And the recovery itself is accounted.
-        assert_eq!(snap.shard_restarts, 1);
-        assert_eq!(snap.shard_failures.len(), 1);
-        assert!(!snap.shard_failures[0].gave_up);
+        for jobs in [1, 2] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let (report, _) = run_chunked(
+                builder(jobs)
+                    .metrics(Arc::clone(&metrics))
+                    .hook(panic_hook(0, 1, 1)),
+                &events,
+                PARALLEL_THRESHOLD,
+            );
+            assert_eq!(clean, report);
+            let snap = metrics.snapshot();
+            // The restarted shard replays its events, but only the
+            // successful incarnation's counters are absorbed.
+            assert_eq!(snap.events_read, clean_snap.events_read);
+            assert_eq!(snap.filter_dropped, clean_snap.filter_dropped);
+            assert_eq!(snap.partition_records, clean_snap.partition_records);
+            // And the recovery itself is accounted.
+            assert_eq!(snap.shard_restarts, 1);
+            assert_eq!(snap.shard_failures.len(), 1);
+            assert!(!snap.shard_failures[0].gave_up);
+        }
     }
 
     #[test]
-    fn pool_exhausted_restarts_degrade_to_partial_report() {
+    fn exhausted_budget_degrades_to_partial_report() {
+        // The shard panics forever (far more charges than the budget):
+        // its pids go missing, every other shard's are fully analyzed,
+        // and no half-counted incarnation leaks into the counters.
         let events = multi_pid_trace(4, 8);
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let mut pool = ParallelStreamingAnalyzer::new(filter.clone(), 2)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(1, 0, u64::MAX));
-        pool.push_owned(events.clone());
-        let (report, failures) = pool.finish_with_failures();
-        assert_eq!(failures.len(), 1);
-        assert!(failures[0].gave_up);
-        assert_eq!(failures[0].restarts, fast_policy().max_restarts);
-        let even_only: Vec<_> = events.iter().filter(|e| e.pid % 2 == 0).cloned().collect();
-        let expected = Analyzer::new(filter).analyze(&Trace::from_events(even_only));
-        assert_eq!(report, expected);
+        for (jobs, shard) in [(1, 0), (2, 0), (2, 1)] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let (report, failures) = run_chunked(
+                builder(jobs)
+                    .metrics(Arc::clone(&metrics))
+                    .hook(panic_hook(shard, 0, u64::MAX)),
+                &events,
+                events.len(),
+            );
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].shard, shard);
+            assert!(failures[0].gave_up);
+            assert_eq!(failures[0].restarts, fast_policy().max_restarts);
+            let survivors: Vec<_> = events
+                .iter()
+                .filter(|e| e.pid as usize % jobs != shard)
+                .cloned()
+                .collect();
+            assert_eq!(report, serial(&survivors), "jobs {jobs}, shard {shard}");
+            let snap = metrics.snapshot();
+            assert_eq!(snap.shard_restarts, u64::from(fast_policy().max_restarts));
+            assert_eq!(snap.shard_failures.len(), 1);
+            assert_eq!(snap.events_read, survivors.len() as u64);
+        }
     }
 
     #[test]
-    fn pool_stall_watchdog_replays_stalled_shard() {
-        let events = multi_pid_trace(6, 20);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = serde_json::to_string(&Analyzer::new(filter.clone()).analyze(&trace)).unwrap();
-        // Shard 0 freezes for 5s on its first batch; the 50ms watchdog
-        // must abandon and replay it rather than wait.
-        let stalled = Arc::new(AtomicU64::new(0));
-        let flag = Arc::clone(&stalled);
-        let hook: ShardHook = Arc::new(move |w, t| {
-            if w == 0 && t == 0 && flag.fetch_add(1, Ordering::SeqCst) == 0 {
-                std::thread::sleep(Duration::from_secs(5));
+    fn restart_budget_is_per_shard_per_run_across_cuts() {
+        // Checkpoint cuts between batches and a panic on every batch's
+        // first tick: the shard must spend exactly its budget once, give
+        // up once, and count nothing afterwards, at every job count —
+        // later cuts must not hand it a fresh ledger.
+        let events = multi_pid_trace(2, 9);
+        let every = events.len() / 6;
+        for jobs in [1, 2] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let mut session = builder(jobs)
+                .metrics(Arc::clone(&metrics))
+                .hook(panic_hook(0, 0, 99))
+                .build_session();
+            for part in events.chunks(every) {
+                session.feed_owned(part.to_vec());
+                let _ = session.cut();
             }
-        });
-        let policy = fast_policy().with_shard_timeout(Duration::from_millis(50));
-        let started = Instant::now();
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 2)
-            .with_policy(policy)
-            .with_hook(hook);
-        pool.push_owned(events);
-        let (report, failures) = pool.finish_with_failures();
-        assert!(
-            started.elapsed() < Duration::from_secs(4),
-            "watchdog must not wait out the stall"
-        );
-        assert_eq!(serial, serde_json::to_string(&report).unwrap());
-        assert_eq!(failures.len(), 1);
-        assert_eq!(failures[0].shard, 0);
-        assert!(!failures[0].gave_up);
-        assert!(
-            failures[0].last_error.contains("stalled"),
-            "{}",
-            failures[0].last_error
-        );
+            let (report, failures) = session.finish();
+            let max = fast_policy().max_restarts;
+            assert_eq!(failures.len(), 1, "jobs {jobs}: {failures:?}");
+            assert_eq!(failures[0].shard, 0);
+            assert_eq!(failures[0].restarts, max, "jobs {jobs}");
+            assert!(failures[0].gave_up);
+            let snap = metrics.snapshot();
+            assert_eq!(snap.shard_restarts, u64::from(max), "jobs {jobs}");
+            assert_eq!(snap.shard_failures.len(), 1, "jobs {jobs}");
+            // Shard 0 gave up on its first batch, so none of its pids
+            // were ever counted; shard 1's (jobs 2) all were.
+            let survivors: Vec<_> = events
+                .iter()
+                .filter(|e| !(e.pid as usize).is_multiple_of(jobs))
+                .cloned()
+                .collect();
+            assert_eq!(report, serial(&survivors), "jobs {jobs}");
+            assert_eq!(report.filter_stats.total, survivors.len());
+        }
     }
 
     #[test]
-    fn interim_report_after_injected_panic_recovers() {
+    fn stall_watchdog_replays_stalled_shard() {
+        let events = multi_pid_trace(6, 20);
+        let expected = json(&serial(&events));
+        // Shard 0 freezes for 5s on its first batch; the 50ms watchdog
+        // must abandon and replay it rather than wait. A timeout runs
+        // the threaded transport even at one shard.
+        for jobs in [1, 2] {
+            let stalled = Arc::new(AtomicU64::new(0));
+            let flag = Arc::clone(&stalled);
+            let hook: ShardHook = Arc::new(move |w, t| {
+                if w == 0 && t == 0 && flag.fetch_add(1, Ordering::SeqCst) == 0 {
+                    std::thread::sleep(Duration::from_secs(5));
+                }
+            });
+            let policy = fast_policy().with_shard_timeout(Duration::from_millis(50));
+            let started = Instant::now();
+            let (report, failures) = run_chunked(
+                builder(jobs).policy(policy).hook(hook),
+                &events,
+                events.len(),
+            );
+            assert!(
+                started.elapsed() < Duration::from_secs(4),
+                "watchdog must not wait out the stall"
+            );
+            assert_eq!(expected, json(&report));
+            assert_eq!(failures.len(), 1);
+            assert_eq!(failures[0].shard, 0);
+            assert!(!failures[0].gave_up);
+            assert!(
+                failures[0].last_error.contains("stalled"),
+                "{}",
+                failures[0].last_error
+            );
+        }
+    }
+
+    #[test]
+    fn snapshot_after_injected_panic_recovers() {
         let events = multi_pid_trace(5, 30);
-        let trace = Trace::from_events(events.clone());
-        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
-        let mut pool = ParallelStreamingAnalyzer::new(filter, 2)
-            .with_policy(fast_policy())
-            .with_hook(panic_hook(0, 0, 1));
-        pool.push_owned(events);
-        let interim = pool.report();
-        assert_eq!(interim.filter_stats.total, serial.filter_stats.total);
-        assert_eq!(serial, pool.finish());
+        let expected = serial(&events);
+        for jobs in [1, 2] {
+            let mut session = builder(jobs).hook(panic_hook(0, 0, 1)).build_session();
+            session.feed_owned(events.clone());
+            assert_eq!(
+                session.snapshot().filter_stats.total,
+                expected.filter_stats.total
+            );
+            assert_eq!(expected, session.finish().0);
+        }
+    }
+
+    #[test]
+    fn unsupervised_panic_propagates_out_of_feed() {
+        // No catch_unwind and no replay: the hook's panic reaches the
+        // caller of `feed`, before any cut could record the batch.
+        let events = multi_pid_trace(2, 2);
+        let mut session = builder(4)
+            .hook(panic_hook(0, 1, 1))
+            .unsupervised()
+            .build_session();
+        session.feed_owned(events.clone());
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            session.feed_owned(events.clone());
+        }));
+        let payload = caught.expect_err("the panic must propagate");
+        assert!(panic_message(payload.as_ref()).contains("injected test panic (shard 0, tick 1)"));
     }
 }

@@ -50,7 +50,7 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -195,6 +195,9 @@ impl StreamEntry {
 /// Shared server state: config plus the stream table.
 struct ServeState {
     cfg: ServeConfig,
+    /// Locked poison-tolerantly: every update is a plain field store on
+    /// one entry, so a thread that panicked holding the lock left each
+    /// entry valid, and one failed stream must not take down the server.
     streams: Mutex<BTreeMap<String, StreamEntry>>,
     shutdown: AtomicBool,
 }
@@ -237,7 +240,7 @@ fn register_stream(state: &ServeState, name: &str, origin: &'static str) -> Admi
             "invalid stream name {name:?}: use [A-Za-z0-9._-], at most 128 chars"
         ));
     }
-    let mut streams = state.streams.lock().unwrap();
+    let mut streams = state.streams.lock().unwrap_or_else(PoisonError::into_inner);
     let first_sight = !streams.contains_key(name);
     let entry = streams.entry(name.to_owned()).or_default();
     if entry.running {
@@ -273,7 +276,7 @@ fn register_stream(state: &ServeState, name: &str, origin: &'static str) -> Admi
 
 /// Applies `f` to the stream's entry under the lock.
 fn with_entry(state: &ServeState, name: &str, f: impl FnOnce(&mut StreamEntry)) {
-    let mut streams = state.streams.lock().unwrap();
+    let mut streams = state.streams.lock().unwrap_or_else(PoisonError::into_inner);
     f(streams.entry(name.to_owned()).or_default());
 }
 
@@ -325,7 +328,7 @@ fn merged_report(streams: &BTreeMap<String, StreamEntry>) -> AnalysisReport {
 /// analyze --json` over the same events) and `status.json` (per-stream
 /// manifest), both atomically.
 fn write_outputs(state: &ServeState) -> io::Result<()> {
-    let streams = state.streams.lock().unwrap();
+    let streams = state.streams.lock().unwrap_or_else(PoisonError::into_inner);
     let report = merged_report(&streams);
     let mut snapshot = serde_json::to_string_pretty(&report)
         .map_err(|e| io::Error::other(format!("serialize snapshot: {e}")))?;
@@ -772,7 +775,7 @@ pub fn run_serve(cfg: ServeConfig) -> io::Result<ServeSummary> {
         // Drain monitor, on the scope's own thread.
         while !state.stopping() {
             if let Some(target) = state.cfg.drain {
-                let streams = state.streams.lock().unwrap();
+                let streams = state.streams.lock().unwrap_or_else(PoisonError::into_inner);
                 let completed = streams.values().filter(|e| e.done || e.gave_up).count();
                 let running = streams.values().any(|e| e.running);
                 if completed >= target && !running {
@@ -787,7 +790,7 @@ pub fn run_serve(cfg: ServeConfig) -> io::Result<ServeSummary> {
     if let Some(path) = &state.cfg.socket {
         let _ = fs::remove_file(path);
     }
-    let streams = state.streams.lock().unwrap();
+    let streams = state.streams.lock().unwrap_or_else(PoisonError::into_inner);
     Ok(ServeSummary {
         streams: status_rows(&streams),
         report: merged_report(&streams),
@@ -1196,5 +1199,44 @@ mod tests {
         for good in ["a", "fsx-run.7", "A_b-c.d"] {
             assert!(valid_stream_name(good), "{good:?} must be accepted");
         }
+    }
+
+    #[test]
+    fn poisoned_stream_table_still_publishes_status_and_snapshot() {
+        let dir = tmp_dir("poison");
+        let state = ServeState {
+            cfg: serve_config(&dir, 1),
+            streams: Mutex::new(BTreeMap::new()),
+            shutdown: AtomicBool::new(false),
+        };
+        fs::create_dir_all(&state.cfg.state_dir).unwrap();
+        with_entry(&state, "s0", |entry| entry.events = 7);
+        // A stream thread panics while holding the table lock.
+        let poisoner = thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = state.streams.lock().unwrap();
+                    panic!("stream thread dies holding the lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(state.streams.is_poisoned());
+        // Every lock site keeps working: admission, updates, outputs.
+        assert!(matches!(
+            register_stream(&state, "s1", "socket"),
+            Admit::Admitted(None)
+        ));
+        fail_stream(&state, "s1", "boom".into());
+        write_outputs(&state).unwrap();
+        let status = fs::read_to_string(state.cfg.state_dir.join("status.json")).unwrap();
+        assert!(
+            status.contains("\"s0\"") && status.contains("boom"),
+            "{status}"
+        );
+        let snapshot = fs::read_to_string(state.cfg.state_dir.join("snapshot.json")).unwrap();
+        let report: AnalysisReport = serde_json::from_str(&snapshot).unwrap();
+        assert_eq!(report, AnalysisReport::default());
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -1,30 +1,24 @@
 //! Resident analysis sessions and the batch driver that feeds them.
 //!
-//! [`Pipeline`](crate::pipeline::Pipeline) used to own its event loop:
-//! `run` pulled batches from an [`EventSource`] until end-of-input, so
-//! nothing could feed an analysis incrementally — a resident coverage
-//! oracle (many generators querying one long-lived analysis, `iocov
-//! serve`'s concurrent trace streams) had no seam to plug into. This
-//! module inverts that control:
-//!
-//! * [`AnalysisSession`] is the resident half — executor, filter state,
+//! * [`AnalysisSession`] is the resident half — the shard supervisor,
 //!   metrics, and checkpoint cursor, with no opinion about where events
 //!   come from. Callers [`feed`](AnalysisSession::feed) it batches at
 //!   their own pace, take merged [`snapshot`](AnalysisSession::snapshot)s
 //!   mid-stream, [`checkpoint`](AnalysisSession::checkpoint) it at a
 //!   source position, and [`finish`](AnalysisSession::finish) it for the
-//!   final report plus failure manifest.
-//! * [`Driver`] is the thin batch half — the exact pull loop `run` used
-//!   to own (chunking, checkpoint-boundary capping, stop-after, lossy
-//!   skip accounting), reproduced verbatim over any session. Every
-//!   pre-existing batch path routes through it and stays byte-identical.
+//!   final report plus failure manifest. A resident coverage oracle
+//!   (many generators querying one long-lived analysis, `iocov serve`'s
+//!   concurrent trace streams) plugs in here.
+//! * [`Driver`] is the thin batch half — the pull loop over any
+//!   [`EventSource`] (chunking, checkpoint-boundary capping, stop-after,
+//!   lossy skip accounting). Every batch path routes through it.
 //!
-//! The executor behind a session is whatever
-//! [`PipelineBuilder`](crate::pipeline::PipelineBuilder) routes to —
-//! supervised serial or the pid-sharded pool — or the deliberately
-//! *unsupervised* [`DirectExecutor`] used by distributed worker
-//! processes, where a panic must tear the process down so the
-//! coordinator's process-level supervision stays honest.
+//! Sessions come from [`PipelineBuilder`](crate::pipeline::PipelineBuilder):
+//! `build_session` for a session, `build` for a driver over one. The
+//! supervisor behind a session is always the same type; the builder
+//! picks its shard count and transport, or makes it *unsupervised* for
+//! distributed worker processes, where a panic must tear the process
+//! down so the coordinator's process-level supervision stays honest.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -33,82 +27,35 @@ use iocov_trace::{EventBatch, EventSource, SourcePos, TraceEvent};
 
 use crate::checkpoint::{write_checkpoint, CheckpointDoc, PidStateSnapshot};
 use crate::coverage::AnalysisReport;
-use crate::filter::TraceFilter;
 use crate::metrics::{PipelineMetrics, ShardFailureRecord};
-use crate::pipeline::{CheckpointPolicy, Executor, PipelineError, PipelineRun};
-use crate::streaming::StreamingAnalyzer;
+use crate::parallel::ShardSupervisor;
+use crate::pipeline::{CheckpointPolicy, PipelineError, PipelineRun};
 
 /// A resident analysis: accepts event batches incrementally and yields
-/// cumulative reports on demand. Holds the executor, the shared
+/// cumulative reports on demand. Holds the shard supervisor, the shared
 /// metrics, the checkpoint policy, and the session's event cursor; the
 /// caller owns pacing and event provenance.
 pub struct AnalysisSession {
-    executor: Box<dyn Executor>,
-    mount: Option<String>,
-    metrics: Option<Arc<PipelineMetrics>>,
-    checkpoint: Option<CheckpointPolicy>,
+    pub(crate) shards: ShardSupervisor,
+    pub(crate) mount: Option<String>,
+    pub(crate) metrics: Option<Arc<PipelineMetrics>>,
+    pub(crate) checkpoint: Option<CheckpointPolicy>,
     /// Events fed so far, counted from the start of the trace (a
     /// resumed session starts at the checkpoint's count).
-    events: u64,
+    pub(crate) events: u64,
 }
 
 impl AnalysisSession {
-    /// A session over an already-routed executor. Callers normally go
-    /// through [`PipelineBuilder::build_session`]
-    /// (crate::pipeline::PipelineBuilder::build_session) or
-    /// [`AnalysisSession::direct`] instead.
-    #[must_use]
-    pub fn new(
-        executor: Box<dyn Executor>,
-        mount: Option<String>,
-        metrics: Option<Arc<PipelineMetrics>>,
-        checkpoint: Option<CheckpointPolicy>,
-        events: u64,
-    ) -> Self {
-        AnalysisSession {
-            executor,
-            mount,
-            metrics,
-            checkpoint,
-            events,
-        }
-    }
-
-    /// An *unsupervised* session: one [`StreamingAnalyzer`], panics
-    /// propagate. This is the distributed-worker executor — the process
-    /// supervisor upstairs owns recovery, so the session must not
-    /// self-heal. `resume` seeds the cumulative report, pid states, and
-    /// (when `metrics` is given) the checkpointed counters.
-    #[must_use]
-    pub fn direct(
-        filter: TraceFilter,
-        metrics: Option<Arc<PipelineMetrics>>,
-        mount: Option<String>,
-        checkpoint: Option<CheckpointPolicy>,
-        resume: Option<&CheckpointDoc>,
-    ) -> Self {
-        if let (Some(m), Some(doc)) = (&metrics, resume) {
-            // The checkpointed snapshot carries the counters for
-            // everything before the cursor; live metrics continue from
-            // there (absorb-then-snapshot equals snapshot-merge: every
-            // counter is a commutative sum).
-            m.absorb(&doc.metrics);
-        }
-        let executor = DirectExecutor::new(filter, metrics.clone(), resume);
-        let events = resume.map_or(0, |doc| doc.cursor.events);
-        AnalysisSession::new(Box::new(executor), mount, metrics, checkpoint, events)
-    }
-
     /// Feeds one columnar batch. Batch-shape counters are recorded here
     /// — once, on the single entry point every feed path funnels
-    /// through, executor-independently — so serial and pooled snapshots
-    /// stay byte-identical.
+    /// through, whatever the shard count — so serial and threaded
+    /// snapshots stay byte-identical.
     pub fn feed(&mut self, batch: EventBatch) {
         if let Some(m) = &self.metrics {
             m.record_batch(batch.len() as u64, batch.estimated_owned_allocs());
         }
         self.events += batch.len() as u64;
-        self.executor.push(batch);
+        self.shards.push(batch);
     }
 
     /// Feeds one owned chunk of in-memory events, packing it into a
@@ -141,7 +88,7 @@ impl AnalysisSession {
     /// states over everything fed so far.
     #[must_use]
     pub fn cut(&mut self) -> (AnalysisReport, BTreeMap<u32, PidStateSnapshot>) {
-        self.executor.cut()
+        self.shards.cut()
     }
 
     /// Assembles a complete checkpoint document for the session's state
@@ -195,69 +142,12 @@ impl AnalysisSession {
     /// manifest (empty on a fault-free run).
     #[must_use]
     pub fn finish(self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        self.executor.finish()
-    }
-}
-
-/// The unsupervised executor behind [`AnalysisSession::direct`]: a bare
-/// [`StreamingAnalyzer`] scan with no `catch_unwind`, no replay log,
-/// and no restart budget — an internal panic propagates to the caller
-/// (and, in a worker process, tears the process down for the
-/// coordinator to observe).
-pub struct DirectExecutor {
-    analyzer: StreamingAnalyzer,
-    /// Report merged out of a resumed checkpoint.
-    base_report: AnalysisReport,
-}
-
-impl DirectExecutor {
-    /// A direct executor; `resume` seeds the cumulative report and pid
-    /// states from a checkpoint.
-    #[must_use]
-    pub fn new(
-        filter: TraceFilter,
-        metrics: Option<Arc<PipelineMetrics>>,
-        resume: Option<&CheckpointDoc>,
-    ) -> Self {
-        let mut analyzer = StreamingAnalyzer::new(filter);
-        if let Some(m) = metrics {
-            analyzer = analyzer.with_metrics(m);
-        }
-        let mut base_report = AnalysisReport::default();
-        if let Some(doc) = resume {
-            base_report = doc.report.clone();
-            analyzer.restore_pid_states(&doc.pid_states);
-        }
-        DirectExecutor {
-            analyzer,
-            base_report,
-        }
-    }
-}
-
-impl Executor for DirectExecutor {
-    fn push(&mut self, batch: EventBatch) {
-        for event in batch.iter() {
-            self.analyzer.push(&event);
-        }
-    }
-
-    fn cut(&mut self) -> (AnalysisReport, BTreeMap<u32, PidStateSnapshot>) {
-        let mut report = self.base_report.clone();
-        report.merge(&self.analyzer.report());
-        (report, self.analyzer.pid_states())
-    }
-
-    fn finish(self: Box<Self>) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        let mut report = self.base_report;
-        report.merge(&self.analyzer.finish());
-        (report, Vec::new())
+        self.shards.finish()
     }
 }
 
 /// The thin batch half: pulls a source to end-of-input (or a stop
-/// boundary), feeding the session — the event loop
-/// `Pipeline::run` used to own, verbatim.
+/// boundary), feeding the session.
 pub struct Driver {
     session: AnalysisSession,
     chunk: usize,

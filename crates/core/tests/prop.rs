@@ -3,8 +3,8 @@
 use iocov::tcd::tcd;
 use iocov::{
     arg_domain, normalize, open_flags_present, output_buckets_bytes, AnalysisReport, Analyzer,
-    ArgName, FilterStats, InputPartition, NumericPartition, OutputPartition, ParallelAnalyzer,
-    ParallelStreamingAnalyzer, StreamingAnalyzer, TraceFilter, TrackedValue,
+    ArgName, FilterStats, InputPartition, NumericPartition, OutputPartition, PipelineBuilder,
+    StreamingAnalyzer, TraceFilter, TrackedValue,
 };
 use iocov_syscalls::Sysno;
 use iocov_trace::{ArgValue, Trace, TraceEvent};
@@ -335,9 +335,10 @@ proptest! {
         prop_assert_eq!(stats2.dropped, 0);
     }
 
-    /// Serial batch, streaming under arbitrary chunking, and pid-sharded
-    /// parallel analysis at 1–8 workers produce the identical report on
-    /// multi-pid traces full of dup/rename/chdir interleavings.
+    /// Serial batch, streaming under arbitrary chunking, and sessions at
+    /// 1–8 pid shards under the same chunking (inline at 1, threaded
+    /// above) produce the identical report on multi-pid traces full of
+    /// dup/rename/chdir interleavings.
     #[test]
     fn serial_streaming_parallel_reports_agree(
         events in proptest::collection::vec(arb_provenance_event(), 0..120),
@@ -354,14 +355,15 @@ proptest! {
         }
         prop_assert_eq!(&serial, &streaming.finish());
 
-        let parallel = ParallelAnalyzer::new(filter.clone(), workers).analyze(&trace);
-        prop_assert_eq!(&serial, &parallel);
-
-        let mut sharded = ParallelStreamingAnalyzer::new(filter, workers);
-        for part in events.chunks(chunk) {
-            sharded.push_all(part);
+        for jobs in [1, workers] {
+            let mut session = PipelineBuilder::new(filter.clone()).jobs(jobs).build_session();
+            for part in events.chunks(chunk) {
+                session.feed_owned(part.to_vec());
+            }
+            let (report, failures) = session.finish();
+            prop_assert!(failures.is_empty());
+            prop_assert_eq!(&serial, &report);
         }
-        prop_assert_eq!(serial, sharded.finish());
     }
 
     /// The dense-slot accumulator agrees with the string-keyed oracle on

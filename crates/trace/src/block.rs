@@ -24,7 +24,7 @@
 //!
 //! Because events are re-sequenced into file order before they leave
 //! [`next_batch`](crate::EventSource::next_batch), every downstream
-//! consumer — serial executor, pid-sharded pool, checkpoint writer —
+//! consumer — inline shard, pid-sharded shard threads, checkpoint writer —
 //! sees exactly the stream the serial cursor would have produced, and
 //! serialized reports stay byte-identical by construction.
 //!

@@ -12,8 +12,8 @@
 //! ```text
 //!   open_source(path)                EventSource        consumer
 //!   ┌──────────────┐   sniff   ┌──────────────────┐   next_batch()
-//!   │ magic bytes? ├──────────▶│ JsonlSource      ├──▶ Pipeline /
-//!   │ --format?    │           │ IotbSource       │    Executor
+//!   │ magic bytes? ├──────────▶│ JsonlSource      ├──▶ Driver /
+//!   │ --format?    │           │ IotbSource       │    session
 //!   │ resume pos?  │           │ (strict | lossy) │
 //!   └──────────────┘           └──────────────────┘
 //! ```
