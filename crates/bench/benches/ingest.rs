@@ -16,7 +16,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iocov_bench::sample_trace;
-use iocov_trace::{read_jsonl, read_jsonl_lossy, ReadOptions};
+use iocov_trace::{read_jsonl, EventSource, JsonlCursor, ReadOptions};
 use iocov_workloads::corrupt_jsonl;
 
 fn bench_ingest(c: &mut Criterion) {
@@ -33,11 +33,19 @@ fn bench_ingest(c: &mut Criterion) {
         b.iter(|| read_jsonl(&clean[..]).expect("clean parses"));
     });
     group.bench_function("lossy_clean", |b| {
-        b.iter(|| read_jsonl_lossy(&clean[..], &options).expect("clean parses"));
+        b.iter(|| {
+            JsonlCursor::new(&clean[..], options)
+                .read_all()
+                .expect("clean parses")
+        });
     });
     group.throughput(Throughput::Bytes(corrupt.len() as u64));
     group.bench_function("lossy_corrupt", |b| {
-        b.iter(|| read_jsonl_lossy(&corrupt[..], &options).expect("lossy recovers"));
+        b.iter(|| {
+            JsonlCursor::new(&corrupt[..], options)
+                .read_all()
+                .expect("lossy recovers")
+        });
     });
     group.finish();
 }

@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iocov_bench::sample_trace;
-use iocov_trace::{read_iotb, read_iotb_lossy, read_jsonl, write_iotb, ReadOptions};
+use iocov_trace::{read_iotb, read_jsonl, write_iotb, EventSource, IotbCursor, ReadOptions};
 
 fn bench_ingest_binary(c: &mut Criterion) {
     let trace = sample_trace(20_000);
@@ -36,7 +36,11 @@ fn bench_ingest_binary(c: &mut Criterion) {
         b.iter(|| read_iotb(&iotb[..]).expect("clean parses"));
     });
     group.bench_function("iotb_lossy", |b| {
-        b.iter(|| read_iotb_lossy(&iotb[..], &options).expect("clean parses"));
+        b.iter(|| {
+            IotbCursor::new(&iotb[..], options)
+                .and_then(|mut source| source.read_all())
+                .expect("clean parses")
+        });
     });
     group.finish();
 }

@@ -238,6 +238,7 @@ pub struct IngestThroughput {
 /// each), for the `repro --full` benchmark document.
 #[must_use]
 pub fn measure_ingest_throughput(events: usize) -> Vec<IngestThroughput> {
+    use iocov_trace::EventSource;
     let trace = sample_trace(events);
     let mut jsonl = Vec::new();
     iocov_trace::write_jsonl(&mut jsonl, &trace).expect("serialize jsonl");
@@ -250,7 +251,6 @@ pub fn measure_ingest_throughput(events: usize) -> Vec<IngestThroughput> {
     let options = iocov_trace::ReadOptions::default();
 
     let drain_indexed = |jobs: usize| -> usize {
-        use iocov_trace::EventSource;
         let mut source =
             iocov_trace::IotbBlockSource::new(std::sync::Arc::clone(&indexed), options, jobs)
                 .expect("clean container");
@@ -290,9 +290,9 @@ pub fn measure_ingest_throughput(events: usize) -> Vec<IngestThroughput> {
             "jsonl-lossy",
             jsonl.len(),
             Box::new(|| {
-                iocov_trace::read_jsonl_lossy(&jsonl[..], &options)
+                iocov_trace::JsonlCursor::new(&jsonl[..], options)
+                    .read_all()
                     .expect("clean parses")
-                    .trace
                     .len()
             }),
         ),

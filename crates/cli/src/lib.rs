@@ -4,23 +4,10 @@
 //! arguments and an output writer — so every code path is testable
 //! without spawning processes.
 //!
-//! ```text
-//! iocov analyze  <trace> [--format auto|jsonl|iotb] [--mount PATH]
-//!                [--json] [--jobs N] [--lossy [--max-errors N]]
-//!                [--metrics]                            coverage report
-//!                [--checkpoint-every N [--checkpoint-file F]]
-//!                [--resume F] [--stop-after-events K]
-//!                [--shard-timeout SECS] [--max-shard-restarts N]
-//!                [--inject-panic S:T[:X]] [--inject-io SEED[:AFTER]]
-//!                [--distribute N [--inject-worker-kill W:T[:SIG]]
-//!                 [--inject-worker-stall W:T[:MS]]
-//!                 [--inject-corrupt-frame W:F[:X]]]
-//! iocov untested <trace>       [--mount PATH]            gap summary
-//! iocov combos   <trace>       [--mount PATH]            flag-combination coverage
-//! iocov tcd      <trace>       [--mount PATH] --target N TCD of open flags
-//! iocov convert  <in> <out> [--to jsonl|iotb]            JSONL ↔ binary trace
-//! iocov convert-syz <log.txt>                            syz log → JSONL trace
-//! ```
+//! [`USAGE`] is the synopsis of every subcommand and its flags. One flag
+//! table backs [`parse_args`]: each flag names the subcommands that take
+//! it, and giving it to any other subcommand is a usage error rather
+//! than a silently ignored knob.
 //!
 //! Robustness: analysis is *supervised* — worker panics restart the
 //! failed shard with backoff, stalled shards are detected with
@@ -45,10 +32,11 @@ use std::fmt;
 use std::fs::File;
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use iocov::distribute::{read_frame, FRAME_SPEC};
+use iocov::distribute::{read_frame, FRAME_SPEC, MAX_FRAME_LEN};
 use iocov::tcd::{deviation_ranking, tcd_uniform};
 use iocov::{
     read_checkpoint_with_fallback, run_coordinator, run_worker, worker_specs, AnalysisReport,
@@ -97,14 +85,12 @@ pub enum TraceFormat {
 }
 
 impl TraceFormat {
-    fn parse(value: &str) -> Result<Self, CliError> {
+    fn parse(value: &str) -> Option<Self> {
         match value {
-            "auto" => Ok(TraceFormat::Auto),
-            "jsonl" => Ok(TraceFormat::Jsonl),
-            "iotb" => Ok(TraceFormat::Iotb),
-            other => Err(CliError(format!(
-                "bad --format value `{other}` (expected auto, jsonl, or iotb)"
-            ))),
+            "auto" => Some(TraceFormat::Auto),
+            "jsonl" => Some(TraceFormat::Jsonl),
+            "iotb" => Some(TraceFormat::Iotb),
+            _ => None,
         }
     }
 }
@@ -122,27 +108,6 @@ pub struct PanicSpec {
     pub times: u32,
 }
 
-impl PanicSpec {
-    fn parse(value: &str) -> Result<Self, CliError> {
-        let bad = || {
-            CliError(format!(
-                "bad --inject-panic value `{value}` (want SHARD:TICK[:TIMES])"
-            ))
-        };
-        let mut parts = value.split(':');
-        let shard = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let tick = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let times = match parts.next() {
-            Some(s) => s.parse().map_err(|_| bad())?,
-            None => 1,
-        };
-        if parts.next().is_some() || times == 0 {
-            return Err(bad());
-        }
-        Ok(PanicSpec { shard, tick, times })
-    }
-}
-
 /// A deterministic transient-I/O fault schedule: `seed` drives the
 /// interleaving of `EINTR`/`EWOULDBLOCK`/short reads; `hard_after`
 /// additionally turns every read past that many calls into a hard error.
@@ -154,152 +119,9 @@ pub struct IoFaultSpec {
     pub hard_after: Option<u64>,
 }
 
-impl IoFaultSpec {
-    fn parse(value: &str) -> Result<Self, CliError> {
-        let bad = || {
-            CliError(format!(
-                "bad --inject-io value `{value}` (want SEED[:HARD_AFTER])"
-            ))
-        };
-        let mut parts = value.split(':');
-        let seed = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let hard_after = match parts.next() {
-            Some(s) => Some(s.parse().map_err(|_| bad())?),
-            None => None,
-        };
-        if parts.next().is_some() {
-            return Err(bad());
-        }
-        Ok(IoFaultSpec { seed, hard_after })
-    }
-}
-
-/// A deterministic worker-kill injection for `--distribute`: worker
-/// `worker` raises `signal` (default abort) at source-event ordinal
-/// `tick` of each armed incarnation.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerKillFlag {
-    /// Worker index to fault.
-    pub worker: usize,
-    /// Source-event ordinal at which to die.
-    pub tick: u64,
-    /// Canonical signal name, if one was given.
-    pub signal: Option<String>,
-}
-
-impl WorkerKillFlag {
-    fn parse(value: &str) -> Result<Self, CliError> {
-        let bad = || {
-            CliError(format!(
-                "bad --inject-worker-kill value `{value}` (want WORKER:TICK[:SIGNAL])"
-            ))
-        };
-        let mut parts = value.split(':');
-        let worker = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let tick = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let signal = match parts.next() {
-            Some(s) => Some(
-                WorkerSignal::parse(s)
-                    .ok_or_else(|| {
-                        CliError(format!(
-                            "bad --inject-worker-kill signal `{s}` (want KILL, TERM, or ABRT)"
-                        ))
-                    })?
-                    .name()
-                    .to_owned(),
-            ),
-            None => None,
-        };
-        if parts.next().is_some() {
-            return Err(bad());
-        }
-        Ok(WorkerKillFlag {
-            worker,
-            tick,
-            signal,
-        })
-    }
-}
-
-/// A deterministic worker-stall injection for `--distribute`: worker
-/// `worker` freezes for `millis` at source-event ordinal `tick`,
-/// starving heartbeats until the `--shard-timeout` watchdog fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerStallFlag {
-    /// Worker index to fault.
-    pub worker: usize,
-    /// Source-event ordinal at which to freeze.
-    pub tick: u64,
-    /// Sleep length in milliseconds.
-    pub millis: u64,
-}
-
 /// Default stall length: comfortably past any test watchdog, short
 /// enough that a run without `--shard-timeout` still finishes.
 const DEFAULT_STALL_MILLIS: u64 = 60_000;
-
-impl WorkerStallFlag {
-    fn parse(value: &str) -> Result<Self, CliError> {
-        let bad = || {
-            CliError(format!(
-                "bad --inject-worker-stall value `{value}` (want WORKER:TICK[:MILLIS])"
-            ))
-        };
-        let mut parts = value.split(':');
-        let worker = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let tick = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let millis = match parts.next() {
-            Some(s) => s.parse().ok().filter(|&n| n >= 1).ok_or_else(bad)?,
-            None => DEFAULT_STALL_MILLIS,
-        };
-        if parts.next().is_some() {
-            return Err(bad());
-        }
-        Ok(WorkerStallFlag {
-            worker,
-            tick,
-            millis,
-        })
-    }
-}
-
-/// A deterministic frame-corruption injection for `--distribute`:
-/// worker `worker`'s `frame`-th checkpoint/done frame is corrupted
-/// after checksumming, `times` times.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CorruptFrameFlag {
-    /// Worker index to fault.
-    pub worker: usize,
-    /// Checkpoint/done frame ordinal to corrupt.
-    pub frame: u64,
-    /// How many times the corruption fires before disarming.
-    pub times: u32,
-}
-
-impl CorruptFrameFlag {
-    fn parse(value: &str) -> Result<Self, CliError> {
-        let bad = || {
-            CliError(format!(
-                "bad --inject-corrupt-frame value `{value}` (want WORKER:FRAME[:TIMES])"
-            ))
-        };
-        let mut parts = value.split(':');
-        let worker = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let frame = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-        let times = match parts.next() {
-            Some(s) => s.parse().map_err(|_| bad())?,
-            None => 1,
-        };
-        if parts.next().is_some() || times == 0 {
-            return Err(bad());
-        }
-        Ok(CorruptFrameFlag {
-            worker,
-            frame,
-            times,
-        })
-    }
-}
 
 /// Supervision, checkpointing, and fault-injection options for
 /// `analyze`. Grouped so the common invocation stays readable and new
@@ -324,12 +146,13 @@ pub struct RobustnessOpts {
     pub inject_io: Option<IoFaultSpec>,
     /// Scale out across this many worker processes.
     pub distribute: Option<usize>,
-    /// Kill a worker process deterministically.
-    pub inject_worker_kill: Option<WorkerKillFlag>,
-    /// Stall a worker process deterministically.
-    pub inject_worker_stall: Option<WorkerStallFlag>,
-    /// Corrupt a worker's outgoing frame deterministically.
-    pub inject_corrupt_frame: Option<CorruptFrameFlag>,
+    /// Kill this worker process deterministically (`--distribute`).
+    pub inject_worker_kill: Option<(usize, KillSpec)>,
+    /// Stall this worker process deterministically (`--distribute`).
+    pub inject_worker_stall: Option<(usize, StallSpec)>,
+    /// Corrupt this worker's outgoing frame deterministically
+    /// (`--distribute`).
+    pub inject_corrupt_frame: Option<(usize, CorruptSpec)>,
 }
 
 impl RobustnessOpts {
@@ -504,517 +327,562 @@ pub enum Command {
     Help,
 }
 
+/// One row of the flag table: a flag, what its value is, and the
+/// subcommands that take it.
+struct Flag {
+    name: &'static str,
+    /// What the value is, for `--X needs …`; `None` for a switch.
+    value: Option<&'static str>,
+    commands: &'static [&'static str],
+}
+
+/// Every flag, in usage order. A flag given to a subcommand outside its
+/// row is a usage error.
+const FLAGS: &[Flag] = &[
+    flag("--format", Some("a value"), &["analyze", "convert", "feed"]),
+    flag(
+        "--mount",
+        Some("a path"),
+        &["analyze", "untested", "combos", "tcd", "diff", "serve"],
+    ),
+    flag("--json", None, &["analyze", "generate"]),
+    flag("--jobs", Some("a worker count"), &["analyze"]),
+    flag("--lossy", None, &["analyze", "convert", "serve"]),
+    flag(
+        "--max-errors",
+        Some("a count"),
+        &["analyze", "convert", "serve"],
+    ),
+    flag("--metrics", None, &["analyze"]),
+    flag(
+        "--checkpoint-every",
+        Some("an event count"),
+        &["analyze", "serve"],
+    ),
+    flag("--checkpoint-file", Some("a path"), &["analyze"]),
+    flag("--resume", Some("a checkpoint path"), &["analyze"]),
+    flag("--stop-after-events", Some("a count"), &["analyze"]),
+    flag("--shard-timeout", Some("seconds"), &["analyze"]),
+    flag(
+        "--max-shard-restarts",
+        Some("a count"),
+        &["analyze", "serve"],
+    ),
+    flag("--inject-panic", Some("SHARD:TICK[:TIMES]"), &["analyze"]),
+    flag("--inject-io", Some("SEED[:HARD_AFTER]"), &["analyze"]),
+    flag("--distribute", Some("a worker count"), &["analyze"]),
+    flag(
+        "--inject-worker-kill",
+        Some("WORKER:TICK[:SIGNAL]"),
+        &["analyze"],
+    ),
+    flag(
+        "--inject-worker-stall",
+        Some("WORKER:TICK[:MILLIS]"),
+        &["analyze"],
+    ),
+    flag(
+        "--inject-corrupt-frame",
+        Some("WORKER:FRAME[:TIMES]"),
+        &["analyze"],
+    ),
+    flag("--target", Some("a number"), &["tcd", "generate"]),
+    flag("--to", Some("a value"), &["convert"]),
+    flag("--index", None, &["convert"]),
+    flag("--state-dir", Some("a directory"), &["serve"]),
+    flag("--socket", Some("a path"), &["serve", "feed"]),
+    flag("--spool", Some("a directory"), &["serve"]),
+    flag("--drain", Some("a stream count"), &["serve"]),
+    flag("--stream", Some("a name"), &["feed"]),
+    flag("--chunk-bytes", Some("a byte count"), &["feed"]),
+    flag("--abort-after-bytes", Some("a byte count"), &["feed"]),
+    flag("--stall-before-frame", Some("FRAME:MILLIS"), &["feed"]),
+    flag("--feedback", Some("a report path"), &["generate"]),
+    flag("--profile", Some("a value"), &["generate"]),
+    flag("--target-tcd", Some("a number"), &["generate"]),
+    flag("--max-rounds", Some("a count"), &["generate"]),
+    flag("--events-per-round", Some("a count"), &["generate"]),
+    flag("--seed", Some("a number"), &["generate"]),
+    flag("--log-out", Some("a path"), &["generate"]),
+];
+
+const fn flag(
+    name: &'static str,
+    value: Option<&'static str>,
+    commands: &'static [&'static str],
+) -> Flag {
+    Flag {
+        name,
+        value,
+        commands,
+    }
+}
+
+/// Every subcommand, in usage order; `worker` is hidden.
+const COMMANDS: &[&str] = &[
+    "analyze",
+    "untested",
+    "combos",
+    "tcd",
+    "convert",
+    "convert-syz",
+    "diff",
+    "serve",
+    "feed",
+    "generate",
+    "worker",
+    "help",
+];
+
+/// One invocation's flag values and operands, read back by typed
+/// getters. Every flag in it is one its subcommand takes.
+struct Args {
+    values: BTreeMap<&'static str, String>,
+    operands: Vec<String>,
+}
+
+impl Args {
+    fn has(&self, flag: &str) -> bool {
+        self.values.contains_key(flag)
+    }
+
+    fn string(&self, flag: &str) -> Option<String> {
+        self.values.get(flag).cloned()
+    }
+
+    /// The flag's value through `parse`; `None` from it is
+    /// ``bad --X value `…` ``.
+    fn parse_with<T>(
+        &self,
+        flag: &str,
+        parse: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<Option<T>, CliError> {
+        self.values
+            .get(flag)
+            .map(|v| parse(v).ok_or_else(|| CliError(format!("bad {flag} value `{v}`"))))
+            .transpose()
+    }
+
+    fn parse<T: FromStr>(&self, flag: &str) -> Result<Option<T>, CliError> {
+        self.parse_with(flag, |v| v.parse().ok())
+    }
+
+    /// A count that must be at least 1.
+    fn positive<T: FromStr + PartialOrd + From<u8>>(
+        &self,
+        flag: &str,
+    ) -> Result<Option<T>, CliError> {
+        self.parse_with(flag, |v| v.parse().ok().filter(|n| *n >= T::from(1)))
+    }
+
+    /// An `A:B[:C]` spec value, read field by field by `parse`; any
+    /// malformation is ``bad --X value `…` (want A:B[:C])``.
+    fn spec<T>(
+        &self,
+        flag: &'static str,
+        parse: impl FnOnce(&mut Fields<'_>) -> Result<T, CliError>,
+    ) -> Result<Option<T>, CliError> {
+        let Some(value) = self.values.get(flag) else {
+            return Ok(None);
+        };
+        let want = FLAGS
+            .iter()
+            .find(|f| f.name == flag)
+            .and_then(|f| f.value)
+            .unwrap_or_default();
+        let mut fields = Fields {
+            parts: value.split(':'),
+            bad: format!("bad {flag} value `{value}` (want {want})"),
+        };
+        let spec = parse(&mut fields)?;
+        match fields.parts.next() {
+            Some(_) => Err(fields.bad()),
+            None => Ok(Some(spec)),
+        }
+    }
+
+    /// `--lossy` and its `--max-errors` cap.
+    fn lossy(&self) -> Result<(bool, Option<usize>), CliError> {
+        let max_errors = self.parse("--max-errors")?;
+        if max_errors.is_some() && !self.has("--lossy") {
+            return Err(CliError("--max-errors requires --lossy".into()));
+        }
+        Ok((self.has("--lossy"), max_errors))
+    }
+
+    fn format(&self) -> Result<TraceFormat, CliError> {
+        self.values
+            .get("--format")
+            .map_or(Ok(TraceFormat::Auto), |v| {
+                TraceFormat::parse(v).ok_or_else(|| {
+                    CliError(format!(
+                        "bad --format value `{v}` (expected auto, jsonl, or iotb)"
+                    ))
+                })
+            })
+    }
+
+    /// Operand `index`, or `missing` as the error.
+    fn operand(&self, index: usize, missing: &str) -> Result<String, CliError> {
+        self.operands
+            .get(index)
+            .cloned()
+            .ok_or_else(|| CliError(missing.into()))
+    }
+
+    fn trace(&self) -> Result<String, CliError> {
+        self.operand(0, "missing trace-file operand")
+    }
+}
+
+/// The `:`-separated fields of one spec value, shared by every
+/// `A:B[:C]` flag.
+struct Fields<'v> {
+    parts: std::str::Split<'v, char>,
+    bad: String,
+}
+
+impl Fields<'_> {
+    fn bad(&self) -> CliError {
+        CliError(self.bad.clone())
+    }
+
+    /// The next field, parsed, if there is one.
+    fn next<T: FromStr>(&mut self) -> Result<Option<T>, CliError> {
+        self.parts
+            .next()
+            .map(|s| s.parse().map_err(|_| self.bad()))
+            .transpose()
+    }
+
+    fn required<T: FromStr>(&mut self) -> Result<T, CliError> {
+        self.next()?.ok_or_else(|| self.bad())
+    }
+
+    /// `A:B[:TIMES]`, with `TIMES` defaulting to 1 and never 0.
+    fn with_times<A: FromStr, B: FromStr>(&mut self) -> Result<(A, B, u32), CliError> {
+        let (a, b) = (self.required()?, self.required()?);
+        match self.next()? {
+            Some(0) => Err(self.bad()),
+            times => Ok((a, b, times.unwrap_or(1))),
+        }
+    }
+}
+
 /// Parses raw arguments (without the program name).
 ///
 /// # Errors
 ///
-/// Returns [`CliError`] for unknown commands, missing operands, or
-/// malformed flag values.
+/// Returns [`CliError`] for unknown commands, flags the subcommand does
+/// not take, missing operands, or malformed flag values.
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
-    let mut iter = args.iter();
-    let Some(command) = iter.next() else {
+    let Some((command, rest)) = args.split_first() else {
         return Ok(Command::Help);
     };
-    let mut positional: Vec<String> = Vec::new();
-    let mut mount = None;
-    let mut json = false;
-    let mut target: Option<u64> = None;
-    let mut jobs: usize = 1;
-    let mut jobs_set = false;
-    let mut lossy = false;
-    let mut index = false;
-    let mut metrics = false;
-    let mut max_errors: Option<usize> = None;
-    let mut format = TraceFormat::Auto;
-    let mut to: Option<TraceFormat> = None;
-    let mut robust = RobustnessOpts::default();
-    let mut feedback: Option<String> = None;
-    let mut profile = "xfstests".to_owned();
-    let mut target_tcd: f64 = 0.0;
-    let mut max_rounds: usize = 6;
-    let mut events_per_round: usize = 300;
-    let mut seed: u64 = 0;
-    let mut log_out: Option<String> = None;
-    let mut socket: Option<String> = None;
-    let mut spool: Option<String> = None;
-    let mut state_dir: Option<String> = None;
-    let mut stream: Option<String> = None;
-    let mut drain: Option<usize> = None;
-    let mut chunk_bytes: Option<usize> = None;
-    let mut abort_after_bytes: Option<u64> = None;
-    let mut stall_before_frame: Option<(u64, u64)> = None;
+    let command = match command.as_str() {
+        "--help" | "-h" => "help",
+        other => other,
+    };
+    if !COMMANDS.contains(&command) {
+        return Err(CliError(format!("unknown command `{command}`")));
+    }
+    let mut a = Args {
+        values: BTreeMap::new(),
+        operands: Vec::new(),
+    };
+    let mut iter = rest.iter();
     while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--format" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--format needs a value".into()))?;
-                format = TraceFormat::parse(value)?;
-            }
-            other if other.starts_with("--format=") => {
-                format = TraceFormat::parse(&other["--format=".len()..])?;
-            }
-            "--to" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--to needs a value".into()))?;
-                let target = TraceFormat::parse(value)?;
-                if target == TraceFormat::Auto {
+        let (name, inline) = match arg.strip_prefix("--format=") {
+            Some(value) => ("--format", Some(value)),
+            None => (arg.as_str(), None),
+        };
+        if !name.starts_with("--") {
+            a.operands.push(arg.clone());
+            continue;
+        }
+        let flag = FLAGS
+            .iter()
+            .find(|f| f.name == name)
+            .ok_or_else(|| CliError(format!("unknown flag `{name}`")))?;
+        if !flag.commands.contains(&command) {
+            return Err(CliError(format!("`{command}` does not take {name}")));
+        }
+        let value = match flag.value {
+            None => String::new(),
+            Some(what) => inline
+                .or_else(|| iter.next().map(String::as_str))
+                .ok_or_else(|| CliError(format!("{name} needs {what}")))?
+                .to_owned(),
+        };
+        a.values.insert(flag.name, value);
+    }
+    match command {
+        "analyze" => parse_analyze(&a),
+        "convert" => {
+            let format = a.format()?;
+            let to = match a.string("--to").as_deref() {
+                None => None,
+                Some("auto") => {
                     return Err(CliError("--to must be jsonl or iotb, not auto".into()));
                 }
-                to = Some(target);
-            }
-            "--mount" => {
-                mount = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError("--mount needs a path".into()))?
-                        .clone(),
-                );
-            }
-            "--json" => json = true,
-            "--target" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--target needs a number".into()))?;
-                target = Some(
-                    value
-                        .parse()
-                        .map_err(|_| CliError(format!("bad --target value `{value}`")))?,
-                );
-            }
-            "--jobs" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--jobs needs a worker count".into()))?;
-                jobs = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError(format!("bad --jobs value `{value}`")))?;
-                jobs_set = true;
-            }
-            "--distribute" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--distribute needs a worker count".into()))?;
-                robust.distribute = Some(
-                    value
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| CliError(format!("bad --distribute value `{value}`")))?,
-                );
-            }
-            "--inject-worker-kill" => {
-                let value = iter.next().ok_or_else(|| {
-                    CliError("--inject-worker-kill needs WORKER:TICK[:SIGNAL]".into())
-                })?;
-                robust.inject_worker_kill = Some(WorkerKillFlag::parse(value)?);
-            }
-            "--inject-worker-stall" => {
-                let value = iter.next().ok_or_else(|| {
-                    CliError("--inject-worker-stall needs WORKER:TICK[:MILLIS]".into())
-                })?;
-                robust.inject_worker_stall = Some(WorkerStallFlag::parse(value)?);
-            }
-            "--inject-corrupt-frame" => {
-                let value = iter.next().ok_or_else(|| {
-                    CliError("--inject-corrupt-frame needs WORKER:FRAME[:TIMES]".into())
-                })?;
-                robust.inject_corrupt_frame = Some(CorruptFrameFlag::parse(value)?);
-            }
-            "--lossy" => lossy = true,
-            "--index" => index = true,
-            "--metrics" => metrics = true,
-            "--checkpoint-every" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--checkpoint-every needs an event count".into()))?;
-                robust.checkpoint_every =
-                    Some(value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CliError(format!("bad --checkpoint-every value `{value}`"))
-                    })?);
-            }
-            "--checkpoint-file" => {
-                robust.checkpoint_file = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError("--checkpoint-file needs a path".into()))?
-                        .clone(),
-                );
-            }
-            "--resume" => {
-                robust.resume = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError("--resume needs a checkpoint path".into()))?
-                        .clone(),
-                );
-            }
-            "--stop-after-events" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--stop-after-events needs a count".into()))?;
-                robust.stop_after =
-                    Some(value.parse().map_err(|_| {
-                        CliError(format!("bad --stop-after-events value `{value}`"))
-                    })?);
-            }
-            "--shard-timeout" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--shard-timeout needs seconds".into()))?;
-                robust.shard_timeout =
-                    Some(
-                        value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            CliError(format!("bad --shard-timeout value `{value}`"))
-                        })?,
-                    );
-            }
-            "--max-shard-restarts" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--max-shard-restarts needs a count".into()))?;
-                robust.max_shard_restarts =
-                    Some(value.parse().map_err(|_| {
-                        CliError(format!("bad --max-shard-restarts value `{value}`"))
-                    })?);
-            }
-            "--inject-panic" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--inject-panic needs SHARD:TICK[:TIMES]".into()))?;
-                robust.inject_panic = Some(PanicSpec::parse(value)?);
-            }
-            "--inject-io" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--inject-io needs SEED[:HARD_AFTER]".into()))?;
-                robust.inject_io = Some(IoFaultSpec::parse(value)?);
-            }
-            "--feedback" => {
-                feedback = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError("--feedback needs a report path".into()))?
-                        .clone(),
-                );
-            }
-            "--profile" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--profile needs a value".into()))?;
-                if value != "xfstests" && value != "crashmonkey" {
-                    return Err(CliError(format!(
-                        "bad --profile value `{value}` (expected xfstests or crashmonkey)"
-                    )));
-                }
-                profile = value.clone();
-            }
-            "--target-tcd" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--target-tcd needs a number".into()))?;
-                target_tcd = value
-                    .parse()
-                    .ok()
-                    .filter(|t: &f64| t.is_finite() && *t >= 0.0)
-                    .ok_or_else(|| CliError(format!("bad --target-tcd value `{value}`")))?;
-            }
-            "--max-rounds" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--max-rounds needs a count".into()))?;
-                max_rounds = value
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| CliError(format!("bad --max-rounds value `{value}`")))?;
-            }
-            "--events-per-round" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--events-per-round needs a count".into()))?;
-                events_per_round =
-                    value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                        CliError(format!("bad --events-per-round value `{value}`"))
-                    })?;
-            }
-            "--seed" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--seed needs a number".into()))?;
-                seed = value
-                    .parse()
-                    .map_err(|_| CliError(format!("bad --seed value `{value}`")))?;
-            }
-            "--log-out" => {
-                log_out = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError("--log-out needs a path".into()))?
-                        .clone(),
-                );
-            }
-            "--socket" => {
-                socket = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError("--socket needs a path".into()))?
-                        .clone(),
-                );
-            }
-            "--spool" => {
-                spool = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError("--spool needs a directory".into()))?
-                        .clone(),
-                );
-            }
-            "--state-dir" => {
-                state_dir = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError("--state-dir needs a directory".into()))?
-                        .clone(),
-                );
-            }
-            "--stream" => {
-                stream = Some(
-                    iter.next()
-                        .ok_or_else(|| CliError("--stream needs a name".into()))?
-                        .clone(),
-                );
-            }
-            "--drain" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--drain needs a stream count".into()))?;
-                drain = Some(
-                    value
-                        .parse()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| CliError(format!("bad --drain value `{value}`")))?,
-                );
-            }
-            "--chunk-bytes" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--chunk-bytes needs a byte count".into()))?;
-                chunk_bytes =
-                    Some(
-                        value.parse().ok().filter(|&n| n >= 1).ok_or_else(|| {
-                            CliError(format!("bad --chunk-bytes value `{value}`"))
-                        })?,
-                    );
-            }
-            "--abort-after-bytes" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--abort-after-bytes needs a byte count".into()))?;
-                abort_after_bytes =
-                    Some(value.parse().map_err(|_| {
-                        CliError(format!("bad --abort-after-bytes value `{value}`"))
-                    })?);
-            }
-            "--stall-before-frame" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--stall-before-frame needs FRAME:MILLIS".into()))?;
-                let parsed = value
-                    .split_once(':')
-                    .and_then(|(frame, millis)| Some((frame.parse().ok()?, millis.parse().ok()?)));
-                stall_before_frame = Some(parsed.ok_or_else(|| {
-                    CliError(format!("bad --stall-before-frame value `{value}`"))
-                })?);
-            }
-            "--max-errors" => {
-                let value = iter
-                    .next()
-                    .ok_or_else(|| CliError("--max-errors needs a count".into()))?;
-                max_errors = Some(
-                    value
-                        .parse()
-                        .map_err(|_| CliError(format!("bad --max-errors value `{value}`")))?,
-                );
-            }
-            other if other.starts_with("--") => {
-                return Err(CliError(format!("unknown flag `{other}`")));
-            }
-            other => positional.push(other.to_owned()),
-        }
-    }
-    let need_trace = |positional: &[String]| -> Result<String, CliError> {
-        positional
-            .first()
-            .cloned()
-            .ok_or_else(|| CliError("missing trace-file operand".into()))
-    };
-    match command.as_str() {
-        "analyze" => {
-            if max_errors.is_some() && !lossy {
-                return Err(CliError("--max-errors requires --lossy".into()));
-            }
-            if robust.checkpoint_file.is_some() && robust.checkpoint_every.is_none() {
-                return Err(CliError(
-                    "--checkpoint-file requires --checkpoint-every".into(),
-                ));
-            }
-            if let Some(n) = robust.distribute {
-                // Process scale-out replaces the in-process pool and
-                // owns its checkpoint/restart lifecycle: the flags that
-                // configure the single-process variants are conflicts,
-                // not silently-ignored knobs.
-                let conflicts: [(&str, bool); 6] = [
-                    ("--jobs", jobs_set),
-                    ("--resume", robust.resume.is_some()),
-                    ("--checkpoint-file", robust.checkpoint_file.is_some()),
-                    ("--stop-after-events", robust.stop_after.is_some()),
-                    ("--inject-panic", robust.inject_panic.is_some()),
-                    ("--inject-io", robust.inject_io.is_some()),
-                ];
-                for (flag, set) in conflicts {
-                    if set {
-                        return Err(CliError(format!(
-                            "{flag} cannot be combined with --distribute"
-                        )));
-                    }
-                }
-                let targets = [
-                    (
-                        "--inject-worker-kill",
-                        robust.inject_worker_kill.as_ref().map(|f| f.worker),
-                    ),
-                    (
-                        "--inject-worker-stall",
-                        robust.inject_worker_stall.as_ref().map(|f| f.worker),
-                    ),
-                    (
-                        "--inject-corrupt-frame",
-                        robust.inject_corrupt_frame.as_ref().map(|f| f.worker),
-                    ),
-                ];
-                for (flag, worker) in targets {
-                    if let Some(worker) = worker {
-                        if worker >= n {
-                            return Err(CliError(format!(
-                                "{flag} targets worker {worker}, but --distribute {n} \
-                                 only spawns workers 0..{n}"
-                            )));
-                        }
-                    }
-                }
-            } else if robust.inject_worker_kill.is_some()
-                || robust.inject_worker_stall.is_some()
-                || robust.inject_corrupt_frame.is_some()
-            {
-                return Err(CliError(
-                    "--inject-worker-kill/--inject-worker-stall/--inject-corrupt-frame \
-                     require --distribute"
-                        .into(),
-                ));
-            }
-            Ok(Command::Analyze {
-                trace: need_trace(&positional)?,
-                format,
-                mount,
-                json,
-                jobs,
-                lossy,
-                metrics,
-                max_errors,
-                robust: Box::new(robust),
-            })
-        }
-        "convert" => {
-            if max_errors.is_some() && !lossy {
-                return Err(CliError("--max-errors requires --lossy".into()));
-            }
-            let input = need_trace(&positional)?;
-            let output = positional
-                .get(1)
-                .cloned()
-                .ok_or_else(|| CliError("convert needs input and output paths".into()))?;
+                Some(value) => Some(TraceFormat::parse(value).ok_or_else(|| {
+                    CliError(format!("bad --to value `{value}` (expected jsonl or iotb)"))
+                })?),
+            };
+            let (lossy, max_errors) = a.lossy()?;
             Ok(Command::Convert {
-                input,
-                output,
+                input: a.trace()?,
+                output: a.operand(1, "convert needs input and output paths")?,
                 format,
                 to,
-                index,
+                index: a.has("--index"),
                 lossy,
                 max_errors,
             })
         }
         "untested" => Ok(Command::Untested {
-            trace: need_trace(&positional)?,
-            mount,
+            trace: a.trace()?,
+            mount: a.string("--mount"),
         }),
         "combos" => Ok(Command::Combos {
-            trace: need_trace(&positional)?,
-            mount,
+            trace: a.trace()?,
+            mount: a.string("--mount"),
         }),
-        "tcd" => Ok(Command::Tcd {
-            trace: need_trace(&positional)?,
-            mount,
-            target: target.ok_or_else(|| CliError("tcd requires --target N".into()))?,
-        }),
-        "convert-syz" => Ok(Command::ConvertSyz {
-            log: need_trace(&positional)?,
-        }),
+        "tcd" => {
+            let target = a.parse("--target")?;
+            Ok(Command::Tcd {
+                trace: a.trace()?,
+                mount: a.string("--mount"),
+                target: target.ok_or_else(|| CliError("tcd requires --target N".into()))?,
+            })
+        }
+        "convert-syz" => Ok(Command::ConvertSyz { log: a.trace()? }),
         "worker" => Ok(Command::Worker),
-        "generate" => Ok(Command::Generate {
-            feedback: feedback
-                .ok_or_else(|| CliError("generate requires --feedback <report.json>".into()))?,
-            profile,
-            target: target.unwrap_or(10),
-            target_tcd,
-            max_rounds,
-            events_per_round,
-            seed,
-            log_out,
-            json,
-        }),
+        "generate" => parse_generate(&a),
         "serve" => {
-            if max_errors.is_some() && !lossy {
-                return Err(CliError("--max-errors requires --lossy".into()));
-            }
-            if socket.is_none() && spool.is_none() {
+            let checkpoint_every = a.positive("--checkpoint-every")?;
+            let max_stream_restarts = a.parse("--max-shard-restarts")?;
+            let drain = a.positive("--drain")?;
+            let (lossy, max_errors) = a.lossy()?;
+            if !a.has("--socket") && !a.has("--spool") {
                 return Err(CliError(
                     "serve needs --socket PATH and/or --spool DIR".into(),
                 ));
             }
             Ok(Command::Serve {
-                socket,
-                spool,
-                state_dir: state_dir
+                socket: a.string("--socket"),
+                spool: a.string("--spool"),
+                state_dir: a
+                    .string("--state-dir")
                     .ok_or_else(|| CliError("serve requires --state-dir DIR".into()))?,
-                mount,
+                mount: a.string("--mount"),
                 lossy,
                 max_errors,
-                checkpoint_every: robust.checkpoint_every,
-                max_stream_restarts: robust.max_shard_restarts,
+                checkpoint_every,
+                max_stream_restarts,
                 drain,
             })
         }
-        "feed" => Ok(Command::Feed {
-            socket: socket.ok_or_else(|| CliError("feed requires --socket PATH".into()))?,
-            stream: stream.ok_or_else(|| CliError("feed requires --stream NAME".into()))?,
-            trace: need_trace(&positional)?,
-            format,
-            chunk_bytes: chunk_bytes.unwrap_or(64 * 1024),
-            abort_after_bytes,
-            stall_before_frame,
-        }),
-        "diff" => {
-            let trace_a = need_trace(&positional)?;
-            let trace_b = positional
-                .get(1)
-                .cloned()
-                .ok_or_else(|| CliError("diff needs two trace files".into()))?;
-            Ok(Command::Diff {
-                trace_a,
-                trace_b,
-                mount,
+        "feed" => {
+            let format = a.format()?;
+            // A chunk is one DATA frame, which the server refuses past
+            // MAX_FRAME_LEN.
+            let chunk_bytes = a.parse_with("--chunk-bytes", |v| {
+                let n: u64 = v.parse().ok().filter(|n| (1..=MAX_FRAME_LEN).contains(n))?;
+                usize::try_from(n).ok()
+            })?;
+            let abort_after_bytes = a.parse("--abort-after-bytes")?;
+            let stall_before_frame = a.parse_with("--stall-before-frame", |v| {
+                let (frame, millis) = v.split_once(':')?;
+                Some((frame.parse().ok()?, millis.parse().ok()?))
+            })?;
+            Ok(Command::Feed {
+                socket: a
+                    .string("--socket")
+                    .ok_or_else(|| CliError("feed requires --socket PATH".into()))?,
+                stream: a
+                    .string("--stream")
+                    .ok_or_else(|| CliError("feed requires --stream NAME".into()))?,
+                trace: a.trace()?,
+                format,
+                chunk_bytes: chunk_bytes.unwrap_or(64 * 1024),
+                abort_after_bytes,
+                stall_before_frame,
             })
         }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(CliError(format!("unknown command `{other}`"))),
+        "diff" => Ok(Command::Diff {
+            trace_a: a.trace()?,
+            trace_b: a.operand(1, "diff needs two trace files")?,
+            mount: a.string("--mount"),
+        }),
+        _ => Ok(Command::Help),
     }
+}
+
+/// Builds `analyze`: every value first, then the cross-flag checks,
+/// then the operand.
+fn parse_analyze(a: &Args) -> Result<Command, CliError> {
+    let robust = RobustnessOpts {
+        checkpoint_every: a.positive("--checkpoint-every")?,
+        checkpoint_file: a.string("--checkpoint-file"),
+        resume: a.string("--resume"),
+        stop_after: a.parse("--stop-after-events")?,
+        shard_timeout: a.positive("--shard-timeout")?,
+        max_shard_restarts: a.parse("--max-shard-restarts")?,
+        inject_panic: a.spec("--inject-panic", |f| {
+            let (shard, tick, times) = f.with_times()?;
+            Ok(PanicSpec { shard, tick, times })
+        })?,
+        inject_io: a.spec("--inject-io", |f| {
+            Ok(IoFaultSpec {
+                seed: f.required()?,
+                hard_after: f.next()?,
+            })
+        })?,
+        distribute: a.positive("--distribute")?,
+        inject_worker_kill: a.spec("--inject-worker-kill", |f| {
+            let (worker, tick) = (f.required()?, f.required()?);
+            let signal = f.parts.next().map(|s| {
+                WorkerSignal::parse(s)
+                    .map(|signal| signal.name().to_owned())
+                    .ok_or_else(|| {
+                        CliError(format!(
+                            "bad --inject-worker-kill signal `{s}` (want KILL, TERM, or ABRT)"
+                        ))
+                    })
+            });
+            let signal = signal.transpose()?;
+            Ok((
+                worker,
+                KillSpec {
+                    tick,
+                    signal,
+                    times: 1,
+                },
+            ))
+        })?,
+        inject_worker_stall: a.spec("--inject-worker-stall", |f| {
+            let (worker, tick) = (f.required()?, f.required()?);
+            let millis = match f.next()? {
+                Some(0) => return Err(f.bad()),
+                millis => millis.unwrap_or(DEFAULT_STALL_MILLIS),
+            };
+            Ok((
+                worker,
+                StallSpec {
+                    tick,
+                    millis,
+                    times: 1,
+                },
+            ))
+        })?,
+        inject_corrupt_frame: a.spec("--inject-corrupt-frame", |f| {
+            let (worker, frame, times) = f.with_times()?;
+            Ok((worker, CorruptSpec { frame, times }))
+        })?,
+    };
+    let format = a.format()?;
+    let jobs = a.positive("--jobs")?;
+    let (lossy, max_errors) = a.lossy()?;
+    if robust.checkpoint_file.is_some() && robust.checkpoint_every.is_none() {
+        return Err(CliError(
+            "--checkpoint-file requires --checkpoint-every".into(),
+        ));
+    }
+    if let Some(n) = robust.distribute {
+        // Process scale-out replaces the in-process pool and owns its
+        // checkpoint/restart lifecycle: the flags that configure the
+        // single-process variants are conflicts, not silently-ignored
+        // knobs.
+        for flag in [
+            "--jobs",
+            "--resume",
+            "--checkpoint-file",
+            "--stop-after-events",
+            "--inject-panic",
+            "--inject-io",
+        ] {
+            if a.has(flag) {
+                return Err(CliError(format!(
+                    "{flag} cannot be combined with --distribute"
+                )));
+            }
+        }
+        let targets = [
+            (
+                "--inject-worker-kill",
+                robust.inject_worker_kill.as_ref().map(|f| f.0),
+            ),
+            (
+                "--inject-worker-stall",
+                robust.inject_worker_stall.as_ref().map(|f| f.0),
+            ),
+            (
+                "--inject-corrupt-frame",
+                robust.inject_corrupt_frame.as_ref().map(|f| f.0),
+            ),
+        ];
+        for (flag, worker) in targets {
+            if let Some(worker) = worker.filter(|&w| w >= n) {
+                return Err(CliError(format!(
+                    "{flag} targets worker {worker}, but --distribute {n} \
+                     only spawns workers 0..{n}"
+                )));
+            }
+        }
+    } else if robust.inject_worker_kill.is_some()
+        || robust.inject_worker_stall.is_some()
+        || robust.inject_corrupt_frame.is_some()
+    {
+        return Err(CliError(
+            "--inject-worker-kill/--inject-worker-stall/--inject-corrupt-frame \
+             require --distribute"
+                .into(),
+        ));
+    }
+    Ok(Command::Analyze {
+        trace: a.trace()?,
+        format,
+        mount: a.string("--mount"),
+        json: a.has("--json"),
+        jobs: jobs.unwrap_or(1),
+        lossy,
+        metrics: a.has("--metrics"),
+        max_errors,
+        robust: Box::new(robust),
+    })
+}
+
+fn parse_generate(a: &Args) -> Result<Command, CliError> {
+    let profile = match a.string("--profile") {
+        None => "xfstests".to_owned(),
+        Some(p) if p == "xfstests" || p == "crashmonkey" => p,
+        Some(other) => {
+            return Err(CliError(format!(
+                "bad --profile value `{other}` (expected xfstests or crashmonkey)"
+            )));
+        }
+    };
+    let target = a.parse("--target")?;
+    let target_tcd = a.parse_with("--target-tcd", |v| {
+        v.parse().ok().filter(|t: &f64| t.is_finite() && *t >= 0.0)
+    })?;
+    let max_rounds = a.positive("--max-rounds")?;
+    let events_per_round = a.positive("--events-per-round")?;
+    let seed = a.parse("--seed")?;
+    Ok(Command::Generate {
+        feedback: a
+            .string("--feedback")
+            .ok_or_else(|| CliError("generate requires --feedback <report.json>".into()))?,
+        profile,
+        target: target.unwrap_or(10),
+        target_tcd: target_tcd.unwrap_or(0.0),
+        max_rounds: max_rounds.unwrap_or(6),
+        events_per_round: events_per_round.unwrap_or(300),
+        seed: seed.unwrap_or(0),
+        log_out: a.string("--log-out"),
+        json: a.has("--json"),
+    })
 }
 
 /// Usage text.
@@ -1192,29 +1060,16 @@ fn load_trace(
         ..SourceOptions::default()
     };
     let mut source = open_source(path, options).map_err(|e| source_error(path, e))?;
-    let mut events = Vec::new();
-    loop {
-        let batch = source
-            .next_batch(iocov::DEFAULT_CHUNK)
-            .map_err(|e| source_error(path, SourceError::Trace(e)))?;
-        if batch.is_empty() {
-            break;
-        }
-        events.extend(batch.to_events());
-    }
-    Ok((Trace::from_events(events), source.skip_ledger().to_vec()))
+    let trace = source
+        .read_all()
+        .map_err(|e| source_error(path, SourceError::Trace(e)))?;
+    Ok((trace, source.skip_ledger().to_vec()))
 }
 
 /// Reads a whole trace in strict mode, sniffing the container format.
 fn load_strict(path: &str) -> Result<Trace, CliError> {
-    Ok(load_trace(path, TraceFormat::Auto, STRICT)?.0)
+    Ok(load_trace(path, TraceFormat::Auto, ReadOptions::STRICT)?.0)
 }
-
-/// Strict reads: the first malformed line or record aborts.
-const STRICT: ReadOptions = ReadOptions {
-    max_errors: None,
-    on_error: ErrorPolicy::Abort,
-};
 
 fn make_filter(mount: Option<&str>) -> Result<iocov::TraceFilter, CliError> {
     match mount {
@@ -1537,25 +1392,14 @@ fn run_distribute<W: Write>(
     let program = std::env::current_exe()
         .map_err(|e| CliError(format!("cannot locate the iocov binary for workers: {e}")))?;
     let mut faults: BTreeMap<usize, WorkerFaults> = BTreeMap::new();
-    if let Some(f) = &robust.inject_worker_kill {
-        faults.entry(f.worker).or_default().kill = Some(KillSpec {
-            tick: f.tick,
-            signal: f.signal.clone(),
-            times: 1,
-        });
+    if let Some((worker, kill)) = &robust.inject_worker_kill {
+        faults.entry(*worker).or_default().kill = Some(kill.clone());
     }
-    if let Some(f) = &robust.inject_worker_stall {
-        faults.entry(f.worker).or_default().stall = Some(StallSpec {
-            tick: f.tick,
-            millis: f.millis,
-            times: 1,
-        });
+    if let Some((worker, stall)) = &robust.inject_worker_stall {
+        faults.entry(*worker).or_default().stall = Some(stall.clone());
     }
-    if let Some(f) = &robust.inject_corrupt_frame {
-        faults.entry(f.worker).or_default().corrupt = Some(CorruptSpec {
-            frame: f.frame,
-            times: f.times,
-        });
+    if let Some((worker, corrupt)) = &robust.inject_corrupt_frame {
+        faults.entry(*worker).or_default().corrupt = Some(corrupt.clone());
     }
     let specs = worker_specs(
         ctx.trace,
@@ -1791,7 +1635,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
                     on_error: ErrorPolicy::Skip,
                 }
             } else {
-                STRICT
+                ReadOptions::STRICT
             };
             let (trace, skipped) = load_trace(input, *format, read)?;
             let file = File::create(output)
@@ -2197,6 +2041,71 @@ mod tests {
         );
     }
 
+    /// Every (subcommand, flag) pair outside the table is a usage error
+    /// naming both; every pair inside it gets past the table.
+    #[test]
+    fn flags_outside_their_row_are_rejected() {
+        let mut accepted = 0;
+        for command in COMMANDS {
+            for flag in FLAGS {
+                let mut all = vec![*command, "t.jsonl", "u.jsonl", flag.name];
+                if flag.value.is_some() {
+                    all.push("1");
+                }
+                let result = parse_args(&args(&all));
+                if flag.commands.contains(command) {
+                    accepted += 1;
+                    if let Err(e) = result {
+                        assert!(!e.0.contains("does not take"), "{all:?}: {e}");
+                    }
+                } else {
+                    let err = result.expect_err(&format!("{all:?} must be rejected"));
+                    assert_eq!(err.0, format!("`{command}` does not take {}", flag.name));
+                }
+            }
+        }
+        assert_eq!(accepted, 53);
+        let err = parse_args(&args(&["untested", "t", "--format=iotb"])).unwrap_err();
+        assert_eq!(err.0, "`untested` does not take --format");
+    }
+
+    /// Each subcommand's synopsis in `USAGE` lists exactly the flags its
+    /// table row gives it.
+    #[test]
+    fn usage_synopsis_matches_the_flag_table() {
+        let synopsis = USAGE
+            .split_once("USAGE:\n")
+            .and_then(|(_, rest)| rest.split_once("\n\n"))
+            .map(|(synopsis, _)| synopsis)
+            .unwrap();
+        let mut listed: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+        let mut current = "";
+        for line in synopsis.lines() {
+            if let Some(rest) = line.strip_prefix("  iocov ") {
+                current = rest.split_whitespace().next().unwrap();
+                listed.insert(current, Vec::new());
+            }
+            let words = line.split(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+            let flags = words.filter(|w| w.starts_with("--"));
+            listed.get_mut(current).unwrap().extend(flags);
+        }
+        for command in COMMANDS.iter().filter(|c| !["worker", "help"].contains(c)) {
+            let mut want: Vec<&str> = FLAGS
+                .iter()
+                .filter(|f| f.commands.contains(command))
+                .map(|f| f.name)
+                .collect();
+            let mut got = listed.remove(command).unwrap_or_default();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "{command}");
+        }
+        assert!(
+            listed.is_empty(),
+            "USAGE lists unknown subcommands: {listed:?}"
+        );
+    }
+
     #[test]
     fn analyze_text_output() {
         let file = sample_trace_file();
@@ -2398,6 +2307,8 @@ mod tests {
         }
         assert!(parse_args(&args(&["convert", "only-input"])).is_err());
         assert!(parse_args(&args(&["convert", "a", "b", "--to", "auto"])).is_err());
+        let err = parse_args(&args(&["convert", "a", "b", "--to", "xml"])).unwrap_err();
+        assert_eq!(err.0, "bad --to value `xml` (expected jsonl or iotb)");
         assert!(parse_args(&args(&["analyze", "t", "--format", "nope"])).is_err());
         // --format=value spelling parses too.
         match parse_args(&args(&["analyze", "t", "--format=iotb"])).unwrap() {
@@ -2857,6 +2768,30 @@ mod tests {
                 stall_before_frame: Some((3, 40)),
             }
         );
+    }
+
+    #[test]
+    fn feed_chunk_bytes_is_capped_at_the_frame_limit() {
+        let feed = |chunk: &str| {
+            parse_args(&args(&[
+                "feed",
+                "t.jsonl",
+                "--socket",
+                "s",
+                "--stream",
+                "a",
+                "--chunk-bytes",
+                chunk,
+            ]))
+        };
+        for too_big in [u64::MAX, MAX_FRAME_LEN + 1] {
+            let err = feed(&too_big.to_string()).unwrap_err();
+            assert_eq!(err.0, format!("bad --chunk-bytes value `{too_big}`"));
+        }
+        match feed(&MAX_FRAME_LEN.to_string()).unwrap() {
+            Command::Feed { chunk_bytes, .. } => assert_eq!(chunk_bytes as u64, MAX_FRAME_LEN),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]

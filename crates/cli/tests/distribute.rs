@@ -277,13 +277,13 @@ mod parsing {
         {
             Command::Analyze { robust, .. } => {
                 assert_eq!(robust.distribute, Some(4));
-                let kill = robust.inject_worker_kill.unwrap();
-                assert_eq!((kill.worker, kill.tick), (2, 5));
+                let (worker, kill) = robust.inject_worker_kill.unwrap();
+                assert_eq!((worker, kill.tick), (2, 5));
                 assert_eq!(kill.signal.as_deref(), Some("KILL"));
-                let stall = robust.inject_worker_stall.unwrap();
-                assert_eq!((stall.worker, stall.tick, stall.millis), (1, 3, 2000));
-                let corrupt = robust.inject_corrupt_frame.unwrap();
-                assert_eq!((corrupt.worker, corrupt.frame, corrupt.times), (0, 1, 2));
+                let (worker, stall) = robust.inject_worker_stall.unwrap();
+                assert_eq!((worker, stall.tick, stall.millis), (1, 3, 2000));
+                let (worker, corrupt) = robust.inject_corrupt_frame.unwrap();
+                assert_eq!((worker, corrupt.frame, corrupt.times), (0, 1, 2));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -301,7 +301,7 @@ mod parsing {
         {
             Command::Analyze { robust, .. } => {
                 assert_eq!(
-                    robust.inject_worker_kill.unwrap().signal.as_deref(),
+                    robust.inject_worker_kill.unwrap().1.signal.as_deref(),
                     Some("TERM")
                 );
             }

@@ -2,7 +2,7 @@
 //! `convert`) read every container format: one clean trace written as
 //! JSONL, `.iotb` v1 and block-indexed `.iotb` v2 must print identical
 //! stdout, and converting either binary copy back yields the JSONL
-//! bytes.
+//! bytes. A flag the subcommand does not take is a usage error.
 
 use std::process::Command;
 
@@ -105,6 +105,11 @@ fn whole_trace_subcommands_agree_across_container_formats() {
     assert!(diffs[0].contains("only by A"), "{}", diffs[0]);
     assert_eq!(diffs[0], diffs[1], "diff: jsonl vs iotb v1");
     assert_eq!(diffs[0], diffs[2], "diff: jsonl vs iotb v2");
+    // One trace in two containers has identical coverage.
+    for (x, y) in [(&a, &a1), (&a, &a2), (&a1, &a2)] {
+        let out = run_ok(&["diff", x.as_str(), y.as_str(), "--mount", "/mnt/test"]);
+        assert_eq!(out, "identical partition coverage\n", "diff {x} {y}");
+    }
     for path in [a, a1, a2, b, b1, b2] {
         let _ = std::fs::remove_file(path);
     }
@@ -150,4 +155,52 @@ fn strict_convert_of_a_corrupt_trace_names_the_first_bad_line() {
              expected `,` or `}}` in object at byte 50\n"
         )
     );
+}
+
+#[test]
+fn inapplicable_flags_exit_2_with_usage() {
+    let trace = kernel_trace("inapplicable", 0);
+    let fixture = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../fixtures/corrupt_trace.jsonl"
+    );
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &[
+                "tcd",
+                &trace,
+                "--target",
+                "10",
+                "--jobs",
+                "8",
+                "--socket",
+                "/nope",
+                "--checkpoint-every",
+                "5",
+            ],
+            "`tcd` does not take --jobs",
+        ),
+        (
+            &["untested", &trace, "--format", "iotb"],
+            "`untested` does not take --format",
+        ),
+        (
+            &["combos", fixture, "--lossy"],
+            "`combos` does not take --lossy",
+        ),
+    ];
+    for (all, message) in cases {
+        let output = Command::new(bin())
+            .args(all)
+            .output()
+            .expect("spawn iocov binary");
+        assert_eq!(output.status.code(), Some(2), "{all:?}");
+        assert!(output.stdout.is_empty(), "{all:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stderr),
+            format!("iocov: {message}\n{}\n", iocov_cli::USAGE),
+            "{all:?}"
+        );
+    }
+    let _ = std::fs::remove_file(trace);
 }

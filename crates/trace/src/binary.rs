@@ -59,8 +59,8 @@
 //!
 //! The header and string table are load-bearing for every record, so
 //! corruption there is fatal even in lossy mode ([`TraceIoError::Binary`]).
-//! Past the table, [`read_iotb_lossy`] degrades per record exactly like
-//! [`read_jsonl_lossy`](crate::read_jsonl_lossy): a record whose payload
+//! Past the table, a lossy [`IotbCursor`] degrades per record exactly
+//! like a lossy [`JsonlCursor`](crate::JsonlCursor): a record whose payload
 //! decodes wrong is skipped with [`ErrorClass::MalformedRecord`] and the
 //! scan continues at the next length prefix; a record cut off by EOF is
 //! skipped with [`ErrorClass::TruncatedTail`] and ends the scan. A length
@@ -77,8 +77,9 @@ use crate::batch::{ArgView, EventBatch};
 use crate::cursor::CursorState;
 use crate::event::{ArgValue, TraceEvent};
 use crate::intern::StrInterner;
-use crate::lossy::{ErrorClass, ErrorPolicy, LossyRead, ReadOptions, SkippedLine};
+use crate::lossy::{ErrorClass, ErrorPolicy, ReadOptions, SkippedLine};
 use crate::serial::TraceIoError;
+use crate::source::EventSource;
 use crate::Trace;
 
 /// The `.iotb` magic bytes.
@@ -664,36 +665,12 @@ pub(crate) fn decode_record(payload: &[u8], table: &[Arc<str>]) -> Result<TraceE
     Ok(batch.get(0).expect("committed row").to_event())
 }
 
-/// Reads an `.iotb` trace, recovering from corrupt records instead of
-/// aborting. See the [module docs](self) for the failure model;
-/// [`LossyRead::lines`] counts record slots scanned and
-/// [`SkippedLine::line`] is the 1-based record ordinal.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] on genuine read failure,
-/// [`TraceIoError::Binary`] on header/string-table corruption,
-/// [`TraceIoError::TooManyErrors`] once more than
-/// [`ReadOptions::max_errors`] records have been skipped, and — only
-/// under [`ErrorPolicy::Abort`] — [`TraceIoError::Record`] for the first
-/// bad record.
-pub fn read_iotb_lossy<R: Read>(
-    reader: R,
-    options: &ReadOptions,
-) -> Result<LossyRead, TraceIoError> {
-    let mut cursor = IotbCursor::new(reader, *options)?;
-    // Decode through the columnar batch path (one arena, zero per-record
-    // allocations), materializing owned events only once at the end.
-    let mut batch = EventBatch::new();
-    while cursor.next_into(&mut batch)? {}
-    let trace = Trace::from_events(batch.to_events());
-    Ok(LossyRead::from_cursor(trace, cursor.into_state()))
-}
-
 /// A resumable `.iotb` record cursor — the binary counterpart of
-/// [`JsonlCursor`](crate::JsonlCursor). The batch reader
-/// [`read_iotb_lossy`] is a thin drain over this type, so the two share
-/// one skip-accounting implementation by construction.
+/// [`JsonlCursor`](crate::JsonlCursor), and an
+/// [`EventSource`](crate::EventSource) itself. The whole-trace reader
+/// [`read_iotb`] is [`read_all`](crate::EventSource::read_all) over this
+/// type, so the two share one skip-accounting implementation by
+/// construction.
 ///
 /// [`CursorState`] fields map onto records: `lines` is the 1-based
 /// record ordinal, `byte_offset` the absolute container offset of the
@@ -1010,16 +987,22 @@ fn resync_tail(tail: &[u8], table: &[Arc<str>]) -> Option<(usize, Vec<(TraceEven
 /// corruption, or [`TraceIoError::Record`] (with the 1-based record
 /// number) for the first undecodable record.
 pub fn read_iotb<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
-    let options = ReadOptions {
-        on_error: ErrorPolicy::Abort,
-        ..ReadOptions::default()
-    };
-    Ok(read_iotb_lossy(reader, &options)?.trace)
+    IotbCursor::new(reader, ReadOptions::STRICT)?.read_all()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A lossy read: the drained trace plus the cursor's final state.
+    fn read_lossy(
+        bytes: &[u8],
+        options: ReadOptions,
+    ) -> Result<(Trace, CursorState), TraceIoError> {
+        let mut source = IotbCursor::new(bytes, options)?;
+        let trace = source.read_all()?;
+        Ok((trace, source.position().state))
+    }
 
     fn sample_trace() -> Trace {
         Trace::from_events(vec![
@@ -1119,7 +1102,7 @@ mod tests {
         // Flip a byte inside the first string table entry ("open").
         let entry_start = 12 + 4;
         bytes[entry_start] ^= 0x20;
-        let err = read_iotb_lossy(&bytes[..], &ReadOptions::default()).unwrap_err();
+        let err = read_lossy(&bytes[..], ReadOptions::default()).unwrap_err();
         assert!(err.to_string().contains("checksum"), "{err}");
     }
 
@@ -1136,8 +1119,8 @@ mod tests {
         // unknown tag is easier: overwrite the first arg tag (offset 40
         // into the payload).
         bytes[rec2_start + 4 + 40] = 0xEE;
-        let read = read_iotb_lossy(&bytes[..], &ReadOptions::default()).unwrap();
-        assert_eq!(read.trace.len(), 2, "records 1 and 3 recovered");
+        let (read_trace, read) = read_lossy(&bytes[..], ReadOptions::default()).unwrap();
+        assert_eq!(read_trace.len(), 2, "records 1 and 3 recovered");
         assert_eq!(read.skipped.len(), 1);
         assert_eq!(read.skipped[0].line, 2);
         assert_eq!(read.skipped[0].class, ErrorClass::MalformedRecord);
@@ -1149,8 +1132,8 @@ mod tests {
         let trace = sample_trace();
         let bytes = encoded(&trace);
         let cut = bytes.len() - 5;
-        let read = read_iotb_lossy(&bytes[..cut], &ReadOptions::default()).unwrap();
-        assert_eq!(read.trace.len(), 2);
+        let (read_trace, read) = read_lossy(&bytes[..cut], ReadOptions::default()).unwrap();
+        assert_eq!(read_trace.len(), 2);
         assert_eq!(read.skipped.len(), 1);
         assert_eq!(read.skipped[0].class, ErrorClass::TruncatedTail);
         assert_eq!(read.skipped[0].line, 3);
@@ -1162,8 +1145,8 @@ mod tests {
         let mut bytes = encoded(&trace);
         let table_end = table_end_offset(&bytes);
         bytes[table_end..table_end + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        let read = read_iotb_lossy(&bytes[..], &ReadOptions::default()).unwrap();
-        assert!(read.trace.is_empty());
+        let (read_trace, read) = read_lossy(&bytes[..], ReadOptions::default()).unwrap();
+        assert!(read_trace.is_empty());
         assert_eq!(read.skipped.len(), 1);
         assert_eq!(read.skipped[0].class, ErrorClass::MalformedRecord);
         assert!(read.skipped[0].message.contains("framing lost"));
@@ -1225,8 +1208,8 @@ mod tests {
         // silently shortened file.
         bytes[table_end..table_end + 4]
             .copy_from_slice(&u32::try_from(MAX_RECORD_LEN).unwrap().to_le_bytes());
-        let read = read_iotb_lossy(&bytes[..], &ReadOptions::default()).unwrap();
-        assert_eq!(read.trace.events(), &trace.events()[1..]);
+        let (read_trace, read) = read_lossy(&bytes[..], ReadOptions::default()).unwrap();
+        assert_eq!(read_trace.events(), &trace.events()[1..]);
         assert_eq!(read.skipped.len(), 1);
         assert_eq!(read.skipped[0].class, ErrorClass::MalformedRecord);
         assert!(
@@ -1285,7 +1268,7 @@ mod tests {
                 break;
             }
             let cut = bytes.len() - cut_back;
-            let read = read_iotb_lossy(&bytes[..cut], &ReadOptions::default()).unwrap();
+            let (_, read) = read_lossy(&bytes[..cut], ReadOptions::default()).unwrap();
             for skip in &read.skipped {
                 assert_eq!(skip.class, ErrorClass::TruncatedTail, "cut_back={cut_back}");
             }
@@ -1301,9 +1284,9 @@ mod tests {
         // The serial readers stream v2 exactly like v1.
         let back = read_iotb(&bytes[..]).unwrap();
         assert_eq!(back, trace);
-        let read = read_iotb_lossy(&bytes[..], &ReadOptions::default()).unwrap();
+        let (read_trace, read) = read_lossy(&bytes[..], ReadOptions::default()).unwrap();
         assert!(read.skipped.is_empty());
-        assert_eq!(read.trace, trace);
+        assert_eq!(read_trace, trace);
     }
 
     #[test]
@@ -1422,7 +1405,7 @@ mod tests {
             max_errors: Some(1),
             ..ReadOptions::default()
         };
-        let err = read_iotb_lossy(&bytes[..], &strict_cap).unwrap_err();
+        let err = read_lossy(&bytes[..], strict_cap).unwrap_err();
         assert!(matches!(
             err,
             TraceIoError::TooManyErrors { errors: 2, max: 1 }
@@ -1431,8 +1414,8 @@ mod tests {
             max_errors: Some(2),
             ..ReadOptions::default()
         };
-        let read = read_iotb_lossy(&bytes[..], &roomy).unwrap();
-        assert_eq!(read.trace.len(), 1);
+        let (read_trace, read) = read_lossy(&bytes[..], roomy).unwrap();
+        assert_eq!(read_trace.len(), 1);
         assert_eq!(read.skipped.len(), 2);
     }
 
@@ -1443,8 +1426,8 @@ mod tests {
         let table_end = table_end_offset(&bytes);
         // Name symbol lives at payload offset 20 (seq 8 + ts 8 + pid 4).
         bytes[table_end + 4 + 20..table_end + 4 + 24].copy_from_slice(&77u32.to_le_bytes());
-        let read = read_iotb_lossy(&bytes[..], &ReadOptions::default()).unwrap();
-        assert!(read.trace.is_empty());
+        let (read_trace, read) = read_lossy(&bytes[..], ReadOptions::default()).unwrap();
+        assert!(read_trace.is_empty());
         assert!(read.skipped[0].message.contains("out of range"));
     }
 
@@ -1458,14 +1441,14 @@ mod tests {
         let rec1_len = u32::from_le_bytes(bytes[table_end..table_end + 4].try_into().unwrap());
         bytes[table_end + 4 + rec1_len as usize + 4 + 40] = 0xEE;
         bytes.truncate(bytes.len() - 3);
-        let batch = read_iotb_lossy(&bytes[..], &ReadOptions::default()).unwrap();
+        let (batch_trace, batch) = read_lossy(&bytes[..], ReadOptions::default()).unwrap();
         let mut cursor = IotbCursor::new(&bytes[..], ReadOptions::default()).unwrap();
         let mut events = Vec::new();
         while let Some(e) = cursor.next_event().unwrap() {
             events.push(e);
         }
         let state = cursor.into_state();
-        assert_eq!(events, batch.trace.events());
+        assert_eq!(events, batch_trace.events());
         assert_eq!(state.skipped, batch.skipped);
         assert_eq!(state.lines, batch.lines);
         assert_eq!(state.events, events.len() as u64);

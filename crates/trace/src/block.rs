@@ -58,7 +58,7 @@ use crate::cursor::CursorState;
 use crate::event::TraceEvent;
 use crate::lossy::{ErrorClass, ErrorPolicy, ReadOptions, SkippedLine};
 use crate::serial::TraceIoError;
-use crate::source::{EventSource, SourceFormat, SourcePos};
+use crate::source::{fill_batch, EventSource, SourceFormat, SourcePos};
 
 /// How many blocks past the consumer's position workers may decode,
 /// per worker: bounds reorder-buffer memory while keeping every worker
@@ -462,18 +462,9 @@ impl EventSource for IotbBlockSource {
         if self.failed {
             return Ok(EventBatch::new());
         }
-        let mut batch = EventBatch::with_capacity(max.min(1024));
-        while batch.len() < max {
-            match self.next_into(&mut batch) {
-                Ok(true) => {}
-                Ok(false) => break,
-                Err(e) => {
-                    self.failed = true;
-                    return Err(e);
-                }
-            }
-        }
-        Ok(batch)
+        let batch = fill_batch(max, |batch| self.next_into(batch));
+        self.failed = batch.is_err();
+        batch
     }
 
     fn position(&self) -> SourcePos {
@@ -628,7 +619,7 @@ fn frame_corrupt(
 mod tests {
     use super::*;
     use crate::event::ArgValue;
-    use crate::{read_iotb_lossy, write_iotb_indexed, Trace};
+    use crate::{read_iotb, write_iotb_indexed, Trace};
 
     fn sample_trace(events: u32) -> Trace {
         Trace::from_events(
@@ -670,8 +661,7 @@ mod tests {
     fn parallel_decode_matches_serial_order_at_every_job_count() {
         let trace = sample_trace(101);
         let bytes = indexed(&trace, 8);
-        let serial = read_iotb_lossy(&bytes[..], &ReadOptions::default()).unwrap();
-        assert_eq!(serial.trace, trace);
+        assert_eq!(read_iotb(&bytes[..]).unwrap(), trace);
         for jobs in [1, 2, 4, 7] {
             let mut source =
                 IotbBlockSource::new(Arc::clone(&bytes), ReadOptions::default(), jobs).unwrap();

@@ -1,9 +1,10 @@
 //! A resumable, offset-tracking JSONL event cursor.
 //!
-//! The batch readers ([`read_jsonl`](crate::read_jsonl),
-//! [`read_jsonl_lossy`](crate::read_jsonl_lossy)) are drains over this
-//! cursor that return a [`Trace`](crate::Trace); a [`JsonlCursor`]
-//! itself yields one event at a time while maintaining a
+//! A [`JsonlCursor`] is an [`EventSource`](crate::EventSource), so
+//! whole-trace reads ([`read_jsonl`](crate::read_jsonl), or
+//! [`read_all`](crate::EventSource::read_all) under lossy options) are
+//! drains over it that return a [`Trace`](crate::Trace). The cursor
+//! itself yields events one at a time while maintaining a
 //! [`CursorState`] — exact byte offset, line count, event count, and
 //! the full lossy-skip record — that can be serialized into a
 //! checkpoint and later handed back to [`JsonlCursor::resume`] with a
@@ -347,7 +348,7 @@ impl<'a> Canonical<'a> {
 mod tests {
     use super::*;
     use crate::event::ArgValue;
-    use crate::lossy::read_jsonl_lossy;
+    use crate::source::EventSource;
     use crate::{write_jsonl, Trace};
 
     fn sample_bytes() -> Vec<u8> {
@@ -394,11 +395,13 @@ mod tests {
     #[test]
     fn cursor_matches_batch_lossy_reader() {
         let bytes = corrupt_bytes();
-        let batch = read_jsonl_lossy(&bytes[..], &ReadOptions::default()).unwrap();
+        let mut source = JsonlCursor::new(&bytes[..], ReadOptions::default());
+        let batch_trace = source.read_all().unwrap();
+        let batch = source.into_state();
         let mut cursor = JsonlCursor::new(&bytes[..], ReadOptions::default());
         let events = drain(&mut cursor);
         let state = cursor.into_state();
-        assert_eq!(events, batch.trace.events());
+        assert_eq!(events, batch_trace.events());
         assert_eq!(state.skipped, batch.skipped);
         assert_eq!(state.lines, batch.lines);
         assert_eq!(state.bom_stripped, batch.bom_stripped);

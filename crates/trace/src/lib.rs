@@ -51,15 +51,14 @@ pub mod source;
 
 pub use batch::{ArgView, EventBatch, EventRef, EventView};
 pub use binary::{
-    is_iotb, read_block_index, read_iotb, read_iotb_lossy, write_iotb, write_iotb_indexed,
-    IotbBlock, IotbCursor, DEFAULT_BLOCK_EVENTS, IOTB_INDEX_FOOTER_MAGIC, IOTB_MAGIC, IOTB_VERSION,
-    IOTB_VERSION_INDEXED,
+    is_iotb, read_block_index, read_iotb, write_iotb, write_iotb_indexed, IotbBlock, IotbCursor,
+    DEFAULT_BLOCK_EVENTS, IOTB_INDEX_FOOTER_MAGIC, IOTB_MAGIC, IOTB_VERSION, IOTB_VERSION_INDEXED,
 };
 pub use block::{IotbBlockSource, RecordView};
 pub use cursor::{CursorState, JsonlCursor};
 pub use event::{ArgValue, TraceEvent};
 pub use intern::{StrInterner, Sym};
-pub use lossy::{read_jsonl_lossy, ErrorClass, ErrorPolicy, LossyRead, ReadOptions, SkippedLine};
+pub use lossy::{ErrorClass, ErrorPolicy, ReadOptions, SkippedLine};
 pub use recorder::{Recorder, RecorderStats};
 pub use retry::{is_transient, RetryPolicy, RetryRead};
 pub use serial::{read_jsonl, write_jsonl, TraceIoError};

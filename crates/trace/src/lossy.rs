@@ -1,37 +1,37 @@
-//! Fault-tolerant JSONL trace ingestion.
+//! Fault-tolerant trace ingestion: the per-line error policy.
 //!
 //! Real tracers emit garbage under load: a crashed tracer truncates its
 //! final line mid-record, log shippers re-terminate lines with CRLF,
 //! editors prepend a UTF-8 BOM, and buffer tearing interleaves raw bytes
 //! into otherwise valid JSON. The strict [`read_jsonl`](crate::read_jsonl)
-//! aborts an entire multi-gigabyte ingest on the first such line;
-//! [`read_jsonl_lossy`] instead recovers every parseable event and
-//! records one [`SkippedLine`] — physical line number, [`ErrorClass`],
-//! and parser message — per line it had to drop, so the pipeline's
-//! metrics layer can report exactly how lossy the ingest was.
+//! aborts an entire multi-gigabyte ingest on the first such line; a
+//! source opened with [`ErrorPolicy::Skip`] instead recovers every
+//! parseable event and records one [`SkippedLine`] — physical line
+//! number, [`ErrorClass`], and parser message — per line it had to drop,
+//! so the pipeline's metrics layer can report exactly how lossy the
+//! ingest was. The ledger, line count and BOM/CRLF normalizations live
+//! in the cursor's [`CursorState`](crate::CursorState).
 //!
 //! ```
-//! use iocov_trace::{read_jsonl_lossy, ReadOptions};
+//! use iocov_trace::{EventSource, JsonlCursor, ReadOptions};
 //!
 //! let bytes = b"{\"seq\":0,\"timestamp_ns\":0,\"pid\":1,\"name\":\"close\",\
 //!               \"sysno\":3,\"args\":[{\"Fd\":3}],\"retval\":0}\n\
 //!               this line is garbage\n";
-//! let read = read_jsonl_lossy(&bytes[..], &ReadOptions::default()).unwrap();
-//! assert_eq!(read.trace.len(), 1);
-//! assert_eq!(read.skipped.len(), 1);
-//! assert_eq!(read.skipped[0].line, 2);
+//! let mut source = JsonlCursor::new(&bytes[..], ReadOptions::default());
+//! let trace = source.read_all().unwrap();
+//! assert_eq!(trace.len(), 1);
+//! let state = source.position().state;
+//! assert_eq!(state.skipped.len(), 1);
+//! assert_eq!(state.skipped[0].line, 2);
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt;
-use std::io::Read;
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::EventBatch;
-use crate::cursor::{CursorState, JsonlCursor};
+#[cfg(doc)]
 use crate::serial::TraceIoError;
-use crate::Trace;
 
 /// What to do when a line fails to parse.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,7 +43,7 @@ pub enum ErrorPolicy {
     Abort,
 }
 
-/// Options controlling [`read_jsonl_lossy`].
+/// Per-line/record error handling for the trace cursors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReadOptions {
     /// Maximum number of skipped lines tolerated before the read aborts
@@ -52,6 +52,14 @@ pub struct ReadOptions {
     pub max_errors: Option<usize>,
     /// Per-line error policy.
     pub on_error: ErrorPolicy,
+}
+
+impl ReadOptions {
+    /// Strict reads: the first malformed line or record aborts.
+    pub const STRICT: ReadOptions = ReadOptions {
+        max_errors: None,
+        on_error: ErrorPolicy::Abort,
+    };
 }
 
 /// Why a line was skipped.
@@ -65,8 +73,8 @@ pub enum ErrorClass {
     /// The line is not valid UTF-8.
     InvalidUtf8,
     /// An `.iotb` binary record failed to decode (bad tag, out-of-range
-    /// symbol, wrong payload size). Only produced by
-    /// [`read_iotb_lossy`](crate::read_iotb_lossy).
+    /// symbol, wrong payload size). Only produced by the `.iotb`
+    /// readers.
     MalformedRecord,
 }
 
@@ -106,84 +114,24 @@ impl fmt::Display for SkippedLine {
     }
 }
 
-/// The result of a lossy read: the recovered trace plus a full account
-/// of everything that was dropped or normalized.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct LossyRead {
-    /// Every event that parsed, in input order.
-    pub trace: Trace,
-    /// Every line that was dropped, in input order.
-    pub skipped: Vec<SkippedLine>,
-    /// Physical lines scanned (blank lines included).
-    pub lines: usize,
-    /// Whether a UTF-8 BOM was stripped from the first line.
-    pub bom_stripped: bool,
-    /// Lines whose CRLF terminator was normalized.
-    pub crlf_lines: usize,
-}
-
-impl LossyRead {
-    /// Assembles a lossy-read result from a drained cursor's final
-    /// state. This is the single source of truth for line/skip
-    /// accounting: the batch readers ([`read_jsonl_lossy`],
-    /// [`read_iotb_lossy`](crate::read_iotb_lossy)) are thin drains over
-    /// the cursors ([`JsonlCursor`],
-    /// [`IotbCursor`](crate::IotbCursor)), so batch and cursor ledgers
-    /// cannot drift apart.
-    #[must_use]
-    pub fn from_cursor(trace: Trace, state: CursorState) -> Self {
-        LossyRead {
-            trace,
-            skipped: state.skipped,
-            lines: state.lines,
-            bom_stripped: state.bom_stripped,
-            crlf_lines: state.crlf_lines,
-        }
-    }
-
-    /// Skip counts grouped by error class, in class order.
-    #[must_use]
-    pub fn skips_by_class(&self) -> BTreeMap<ErrorClass, usize> {
-        let mut map = BTreeMap::new();
-        for skip in &self.skipped {
-            *map.entry(skip.class).or_insert(0) += 1;
-        }
-        map
-    }
-}
-
-/// Reads a JSONL trace, recovering from malformed lines instead of
-/// aborting. See the [module docs](self) for the failure model.
-///
-/// Blank lines are skipped silently (they are not errors); a UTF-8 BOM
-/// and CRLF line endings are normalized and reported via
-/// [`LossyRead::bom_stripped`] / [`LossyRead::crlf_lines`] rather than
-/// counted as skips.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Io`] on genuine read failure,
-/// [`TraceIoError::TooManyErrors`] once more than
-/// [`ReadOptions::max_errors`] lines have been skipped, and — only under
-/// [`ErrorPolicy::Abort`] — the strict reader's per-line errors.
-pub fn read_jsonl_lossy<R: Read>(
-    reader: R,
-    options: &ReadOptions,
-) -> Result<LossyRead, TraceIoError> {
-    let mut cursor = JsonlCursor::new(reader, *options);
-    // Decode through the columnar batch path, materializing owned
-    // events only once at the end (as `read_iotb_lossy` does).
-    let mut batch = EventBatch::new();
-    while cursor.next_into(&mut batch)? {}
-    let trace = Trace::from_events(batch.to_events());
-    Ok(LossyRead::from_cursor(trace, cursor.into_state()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cursor::{CursorState, JsonlCursor};
     use crate::event::{ArgValue, TraceEvent};
-    use crate::write_jsonl;
+    use crate::serial::TraceIoError;
+    use crate::source::EventSource;
+    use crate::{write_jsonl, Trace};
+
+    /// A lossy read: the drained trace plus the cursor's final state.
+    fn read_lossy(
+        bytes: &[u8],
+        options: ReadOptions,
+    ) -> Result<(Trace, CursorState), TraceIoError> {
+        let mut source = JsonlCursor::new(bytes, options);
+        let trace = source.read_all()?;
+        Ok((trace, source.position().state))
+    }
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -213,12 +161,12 @@ mod tests {
         let events = sample_events();
         let mut buf = Vec::new();
         write_jsonl(&mut buf, &Trace::from_events(events.clone())).unwrap();
-        let read = read_jsonl_lossy(&buf[..], &ReadOptions::default()).unwrap();
-        assert_eq!(read.trace.events(), &events[..]);
-        assert!(read.skipped.is_empty());
-        assert_eq!(read.lines, 3);
-        assert!(!read.bom_stripped);
-        assert_eq!(read.crlf_lines, 0);
+        let (trace, state) = read_lossy(&buf[..], ReadOptions::default()).unwrap();
+        assert_eq!(trace.events(), &events[..]);
+        assert!(state.skipped.is_empty());
+        assert_eq!(state.lines, 3);
+        assert!(!state.bom_stripped);
+        assert_eq!(state.crlf_lines, 0);
     }
 
     #[test]
@@ -228,13 +176,13 @@ mod tests {
             "{}\nnot json at all\n{}\n{{\"seq\": 1,\n{}\n",
             lines[0], lines[1], lines[2]
         );
-        let read = read_jsonl_lossy(text.as_bytes(), &ReadOptions::default()).unwrap();
-        assert_eq!(read.trace.len(), 3, "all valid events recovered");
-        assert_eq!(read.skipped.len(), 2);
-        assert_eq!(read.skipped[0].line, 2);
-        assert_eq!(read.skipped[0].class, ErrorClass::MalformedJson);
-        assert_eq!(read.skipped[1].line, 4);
-        assert_eq!(read.skipped[1].class, ErrorClass::MalformedJson);
+        let (trace, state) = read_lossy(text.as_bytes(), ReadOptions::default()).unwrap();
+        assert_eq!(trace.len(), 3, "all valid events recovered");
+        assert_eq!(state.skipped.len(), 2);
+        assert_eq!(state.skipped[0].line, 2);
+        assert_eq!(state.skipped[0].class, ErrorClass::MalformedJson);
+        assert_eq!(state.skipped[1].line, 4);
+        assert_eq!(state.skipped[1].class, ErrorClass::MalformedJson);
     }
 
     #[test]
@@ -242,22 +190,22 @@ mod tests {
         let lines = jsonl(&sample_events());
         let truncated = &lines[2][..lines[2].len() / 2];
         let text = format!("{}\n{}\n{truncated}", lines[0], lines[1]);
-        let read = read_jsonl_lossy(text.as_bytes(), &ReadOptions::default()).unwrap();
-        assert_eq!(read.trace.len(), 2);
-        assert_eq!(read.skipped.len(), 1);
-        assert_eq!(read.skipped[0].class, ErrorClass::TruncatedTail);
-        assert_eq!(read.skipped[0].line, 3);
+        let (trace, state) = read_lossy(text.as_bytes(), ReadOptions::default()).unwrap();
+        assert_eq!(trace.len(), 2);
+        assert_eq!(state.skipped.len(), 1);
+        assert_eq!(state.skipped[0].class, ErrorClass::TruncatedTail);
+        assert_eq!(state.skipped[0].line, 3);
     }
 
     #[test]
     fn bom_and_crlf_are_normalized_not_skipped() {
         let lines = jsonl(&sample_events());
         let text = format!("\u{feff}{}\r\n{}\r\n{}\n", lines[0], lines[1], lines[2]);
-        let read = read_jsonl_lossy(text.as_bytes(), &ReadOptions::default()).unwrap();
-        assert_eq!(read.trace.len(), 3);
-        assert!(read.skipped.is_empty());
-        assert!(read.bom_stripped);
-        assert_eq!(read.crlf_lines, 2);
+        let (trace, state) = read_lossy(text.as_bytes(), ReadOptions::default()).unwrap();
+        assert_eq!(trace.len(), 3);
+        assert!(state.skipped.is_empty());
+        assert!(state.bom_stripped);
+        assert_eq!(state.crlf_lines, 2);
     }
 
     #[test]
@@ -268,10 +216,10 @@ mod tests {
         bytes.extend_from_slice(b"\n\xff\xfe torn buffer\n");
         bytes.extend_from_slice(lines[1].as_bytes());
         bytes.push(b'\n');
-        let read = read_jsonl_lossy(&bytes[..], &ReadOptions::default()).unwrap();
-        assert_eq!(read.trace.len(), 2);
-        assert_eq!(read.skipped.len(), 1);
-        assert_eq!(read.skipped[0].class, ErrorClass::InvalidUtf8);
+        let (trace, state) = read_lossy(&bytes[..], ReadOptions::default()).unwrap();
+        assert_eq!(trace.len(), 2);
+        assert_eq!(state.skipped.len(), 1);
+        assert_eq!(state.skipped[0].class, ErrorClass::InvalidUtf8);
     }
 
     #[test]
@@ -284,13 +232,15 @@ mod tests {
             "\u{feff}{}\r\n\nbroken {{line\n{}\n{truncated}",
             lines[0], lines[1]
         );
-        let read = read_jsonl_lossy(text.as_bytes(), &ReadOptions::default()).unwrap();
-        assert_eq!(read.trace.len(), 2);
-        let by_class = read.skips_by_class();
-        assert_eq!(by_class[&ErrorClass::MalformedJson], 1);
-        assert_eq!(by_class[&ErrorClass::TruncatedTail], 1);
-        assert!(read.bom_stripped);
-        assert_eq!(read.crlf_lines, 1);
+        let (trace, state) = read_lossy(text.as_bytes(), ReadOptions::default()).unwrap();
+        assert_eq!(trace.len(), 2);
+        let classes: Vec<ErrorClass> = state.skipped.iter().map(|s| s.class).collect();
+        assert_eq!(
+            classes,
+            [ErrorClass::MalformedJson, ErrorClass::TruncatedTail]
+        );
+        assert!(state.bom_stripped);
+        assert_eq!(state.crlf_lines, 1);
     }
 
     #[test]
@@ -300,7 +250,7 @@ mod tests {
             ..ReadOptions::default()
         };
         let text = "junk one\njunk two\njunk three\n";
-        let err = read_jsonl_lossy(text.as_bytes(), &options).unwrap_err();
+        let err = read_lossy(text.as_bytes(), options).unwrap_err();
         match err {
             TraceIoError::TooManyErrors { errors, max } => {
                 assert_eq!(errors, 2);
@@ -309,7 +259,7 @@ mod tests {
             other => panic!("expected TooManyErrors, got {other}"),
         }
         // At the limit exactly: still fine.
-        let one = read_jsonl_lossy(&b"junk\n"[..], &options).unwrap();
+        let (_, one) = read_lossy(&b"junk\n"[..], options).unwrap();
         assert_eq!(one.skipped.len(), 1);
     }
 
@@ -319,7 +269,7 @@ mod tests {
             on_error: ErrorPolicy::Abort,
             ..ReadOptions::default()
         };
-        let err = read_jsonl_lossy(&b"\nbad line\n"[..], &options).unwrap_err();
+        let err = read_lossy(&b"\nbad line\n"[..], options).unwrap_err();
         match err {
             TraceIoError::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other}"),
@@ -341,8 +291,8 @@ mod tests {
 
     #[test]
     fn batch_and_cursor_ledgers_agree_with_blank_lines() {
-        // Regression for skip accounting drift: the batch reader and the
-        // cursor must report identical 1-based line numbers (blank lines
+        // Regression for skip accounting drift: the batch drain and the
+        // event-at-a-time cursor must report identical 1-based line numbers (blank lines
         // count) for every skip. Blanks interleave skips and events here
         // so an off-by-one in either path would show.
         let lines = jsonl(&sample_events());
@@ -350,14 +300,14 @@ mod tests {
             "\n{}\n\n\njunk A\n{}\n\njunk B\n\n{}\n",
             lines[0], lines[1], lines[2]
         );
-        let batch = read_jsonl_lossy(text.as_bytes(), &ReadOptions::default()).unwrap();
+        let (batch_trace, batch) = read_lossy(text.as_bytes(), ReadOptions::default()).unwrap();
         let mut cursor = JsonlCursor::new(text.as_bytes(), ReadOptions::default());
         let mut events = Vec::new();
         while let Some(e) = cursor.next_event().unwrap() {
             events.push(e);
         }
         let state = cursor.into_state();
-        assert_eq!(events, batch.trace.events());
+        assert_eq!(events, batch_trace.events());
         assert_eq!(state.skipped, batch.skipped);
         assert_eq!(state.lines, batch.lines);
         assert_eq!(
@@ -369,9 +319,9 @@ mod tests {
 
     #[test]
     fn empty_input_is_a_clean_lossy_read() {
-        let read = read_jsonl_lossy(&b""[..], &ReadOptions::default()).unwrap();
-        assert!(read.trace.is_empty());
-        assert!(read.skipped.is_empty());
-        assert_eq!(read.lines, 0);
+        let (trace, state) = read_lossy(&b""[..], ReadOptions::default()).unwrap();
+        assert!(trace.is_empty());
+        assert!(state.skipped.is_empty());
+        assert_eq!(state.lines, 0);
     }
 }

@@ -1,19 +1,20 @@
 //! Trace serialization: JSON Lines reading and writing.
 //!
-//! Both whole-trace readers are drains over one
-//! [`JsonlCursor`](crate::JsonlCursor) and its line scanner
-//! ([`LineReader`]): the strict [`read_jsonl`] runs it under
-//! [`ErrorPolicy::Abort`], so the first malformed line aborts the read,
-//! and the fault-tolerant [`read_jsonl_lossy`](crate::read_jsonl_lossy)
-//! in the [`lossy`](crate::lossy) module records skips and keeps going.
-//! Both normalize a UTF-8 BOM on the first line and CRLF line endings,
-//! and both report 1-based physical line numbers that count blank lines.
+//! Every JSONL read goes through one [`JsonlCursor`] and its line
+//! scanner ([`LineReader`]): the strict [`read_jsonl`] drains it under
+//! [`ReadOptions::STRICT`], so the first malformed line aborts the read,
+//! and a cursor under [`ErrorPolicy::Skip`](crate::ErrorPolicy::Skip)
+//! records skips and keeps going. Both normalize a UTF-8 BOM on the
+//! first line and CRLF line endings, and both report 1-based physical
+//! line numbers that count blank lines.
 
 use std::error::Error;
 use std::fmt;
 use std::io::{BufRead, Read, Write};
 
-use crate::lossy::{read_jsonl_lossy, ErrorPolicy, ReadOptions};
+use crate::cursor::JsonlCursor;
+use crate::lossy::ReadOptions;
+use crate::source::EventSource;
 use crate::Trace;
 
 /// An error reading or writing a serialized trace.
@@ -238,8 +239,10 @@ pub fn write_jsonl<W: Write>(writer: W, trace: &Trace) -> Result<(), TraceIoErro
 /// numbering), a leading UTF-8 BOM and CRLF line endings are
 /// normalized. Readers can be passed by `&mut` reference.
 ///
-/// For traces from real tracers that may contain garbage, prefer
-/// [`read_jsonl_lossy`](crate::read_jsonl_lossy).
+/// For traces from real tracers that may contain garbage, drain a
+/// [`JsonlCursor`] opened with the default (skipping) [`ReadOptions`]
+/// instead: [`EventSource::read_all`] returns the same events, and the
+/// cursor's state keeps the skip ledger.
 ///
 /// # Errors
 ///
@@ -247,11 +250,7 @@ pub fn write_jsonl<W: Write>(writer: W, trace: &Trace) -> Result<(), TraceIoErro
 /// UTF-8) or [`TraceIoError::Parse`] (with the offending 1-based
 /// physical line number) on malformed JSON.
 pub fn read_jsonl<R: Read>(reader: R) -> Result<Trace, TraceIoError> {
-    let strict = ReadOptions {
-        on_error: ErrorPolicy::Abort,
-        ..ReadOptions::default()
-    };
-    Ok(read_jsonl_lossy(reader, &strict)?.trace)
+    JsonlCursor::new(reader, ReadOptions::STRICT).read_all()
 }
 
 #[cfg(test)]

@@ -12,16 +12,18 @@
 //! ```text
 //!   open_source(path)                EventSource        consumer
 //!   ┌──────────────┐   sniff   ┌──────────────────┐   next_batch()
-//!   │ magic bytes? ├──────────▶│ JsonlSource      ├──▶ Driver /
-//!   │ --format?    │           │ IotbSource       │    session
+//!   │ magic bytes? ├──────────▶│ JsonlCursor      ├──▶ Driver /
+//!   │ --format?    │           │ IotbCursor       │    session
 //!   │ resume pos?  │           │ (strict | lossy) │
 //!   └──────────────┘           └──────────────────┘
 //! ```
 //!
 //! Strictness is not a separate implementation: [`ErrorPolicy::Abort`]
-//! in [`ReadOptions`] makes either cursor fail with exactly the strict
-//! batch reader's errors (`read_jsonl` / `read_iotb`), which keeps the
-//! matrix of sources at two cursors instead of four readers.
+//! in [`ReadOptions`] makes either cursor fail on the first malformed
+//! line or record. Whole-trace reads are not separate either: the
+//! provided [`EventSource::read_all`] drains any source into a
+//! [`Trace`], and `read_jsonl` / `read_iotb` are that drain over a
+//! strict cursor.
 
 use std::fmt;
 use std::fs::File;
@@ -36,6 +38,7 @@ use crate::block::IotbBlockSource;
 use crate::cursor::{CursorState, JsonlCursor};
 use crate::lossy::{ReadOptions, SkippedLine};
 use crate::serial::TraceIoError;
+use crate::Trace;
 
 #[cfg(doc)]
 use crate::lossy::ErrorPolicy;
@@ -101,115 +104,85 @@ pub trait EventSource {
 
     /// Every line/record dropped so far (lossy mode).
     fn skip_ledger(&self) -> &[SkippedLine];
-}
 
-/// [`EventSource`] over a JSONL stream, wrapping [`JsonlCursor`].
-pub struct JsonlSource<R> {
-    cursor: JsonlCursor<R>,
-}
-
-impl<R: Read> JsonlSource<R> {
-    /// A source over a fresh stream.
-    pub fn new(reader: R, options: ReadOptions) -> Self {
-        JsonlSource {
-            cursor: JsonlCursor::new(reader, options),
+    /// Drains the rest of the stream into a [`Trace`] — the one
+    /// whole-trace read. Under strict options the first malformed
+    /// line/record aborts it; under lossy ones the skips stay in
+    /// [`skip_ledger`](Self::skip_ledger) and the cursor's
+    /// [`position`](Self::position) afterwards.
+    ///
+    /// # Errors
+    ///
+    /// The first error [`next_batch`](Self::next_batch) returns.
+    fn read_all(&mut self) -> Result<Trace, TraceIoError> {
+        let mut events = Vec::new();
+        loop {
+            let batch = self.next_batch(DRAIN_BATCH)?;
+            if batch.is_empty() {
+                return Ok(Trace::from_events(events));
+            }
+            events.extend(batch.to_events());
         }
     }
-
-    /// Resumes from a checkpointed state. The caller must have seeked
-    /// `reader` to [`CursorState::byte_offset`].
-    pub fn resume(reader: R, options: ReadOptions, state: CursorState) -> Self {
-        JsonlSource {
-            cursor: JsonlCursor::resume(reader, options, state),
-        }
-    }
 }
 
-impl<R: Read> EventSource for JsonlSource<R> {
+/// Batch size [`EventSource::read_all`] pulls with.
+const DRAIN_BATCH: usize = 4096;
+
+/// The JSONL [`EventSource`]: the cursor itself.
+pub type JsonlSource<R> = JsonlCursor<R>;
+
+/// The `.iotb` [`EventSource`]: the cursor itself.
+pub type IotbSource<R> = IotbCursor<R>;
+
+impl<R: Read> EventSource for JsonlCursor<R> {
     fn next_batch(&mut self, max: usize) -> Result<EventBatch, TraceIoError> {
         // `next_into` decodes canonical lines straight into the batch
         // columns; only lines it declines go through serde into an
         // owned event, which is packed into the batch and dropped.
-        let mut batch = EventBatch::with_capacity(max.min(1024));
-        while batch.len() < max {
-            if !self.cursor.next_into(&mut batch)? {
-                break;
-            }
-        }
-        Ok(batch)
+        fill_batch(max, |batch| self.next_into(batch))
     }
 
     fn position(&self) -> SourcePos {
         SourcePos {
             format: SourceFormat::Jsonl,
-            state: self.cursor.state().clone(),
+            state: self.state().clone(),
         }
     }
 
     fn skip_ledger(&self) -> &[SkippedLine] {
-        &self.cursor.state().skipped
+        &self.state().skipped
     }
 }
 
-/// [`EventSource`] over an `.iotb` container, wrapping [`IotbCursor`].
-pub struct IotbSource<R> {
-    cursor: IotbCursor<R>,
-}
-
-impl<R: Read> IotbSource<R> {
-    /// A source over a fresh container.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::Binary`] on header/string-table
-    /// corruption.
-    pub fn new(reader: R, options: ReadOptions) -> Result<Self, TraceIoError> {
-        Ok(IotbSource {
-            cursor: IotbCursor::new(reader, options)?,
-        })
-    }
-
-    /// Resumes from a checkpointed state; `reader` must be positioned
-    /// at the start of the container (see [`IotbCursor::resume`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceIoError::Binary`] on container corruption or a
-    /// bad resume offset.
-    pub fn resume(
-        reader: R,
-        options: ReadOptions,
-        state: CursorState,
-    ) -> Result<Self, TraceIoError> {
-        Ok(IotbSource {
-            cursor: IotbCursor::resume(reader, options, state)?,
-        })
-    }
-}
-
-impl<R: Read> EventSource for IotbSource<R> {
+impl<R: Read> EventSource for IotbCursor<R> {
     fn next_batch(&mut self, max: usize) -> Result<EventBatch, TraceIoError> {
         // `next_into` decodes records straight into the batch columns —
         // no owned `TraceEvent` is materialized on this path.
-        let mut batch = EventBatch::with_capacity(max.min(1024));
-        while batch.len() < max {
-            if !self.cursor.next_into(&mut batch)? {
-                break;
-            }
-        }
-        Ok(batch)
+        fill_batch(max, |batch| self.next_into(batch))
     }
 
     fn position(&self) -> SourcePos {
         SourcePos {
             format: SourceFormat::Iotb,
-            state: self.cursor.state().clone(),
+            state: self.state().clone(),
         }
     }
 
     fn skip_ledger(&self) -> &[SkippedLine] {
-        &self.cursor.state().skipped
+        &self.state().skipped
     }
+}
+
+/// Pulls rows through `next_into` until the batch holds `max` events or
+/// the stream ends.
+pub(crate) fn fill_batch(
+    max: usize,
+    mut next_into: impl FnMut(&mut EventBatch) -> Result<bool, TraceIoError>,
+) -> Result<EventBatch, TraceIoError> {
+    let mut batch = EventBatch::with_capacity(max.min(1024));
+    while batch.len() < max && next_into(&mut batch)? {}
+    Ok(batch)
 }
 
 /// Reader decoration applied by [`open_source`] to the data file —
@@ -370,13 +343,13 @@ pub fn open_source(
                 // (retry, fault injection) need not be seekable.
                 file.seek(SeekFrom::Start(pos.state.byte_offset))
                     .map_err(SourceError::Seek)?;
-                Ok(Box::new(JsonlSource::resume(
+                Ok(Box::new(JsonlCursor::resume(
                     wrap(file),
                     options.read,
                     pos.state,
                 )))
             }
-            None => Ok(Box::new(JsonlSource::new(wrap(file), options.read))),
+            None => Ok(Box::new(JsonlCursor::new(wrap(file), options.read))),
         },
         SourceFormat::Iotb => {
             if options.decode_jobs > 1 && footer_says_indexed(path) {
@@ -402,8 +375,8 @@ pub fn open_source(
             let source = match options.resume {
                 // The iotb cursor re-reads the table itself, so the
                 // reader stays at the container start.
-                Some(pos) => IotbSource::resume(wrap(file), options.read, pos.state),
-                None => IotbSource::new(wrap(file), options.read),
+                Some(pos) => IotbCursor::resume(wrap(file), options.read, pos.state),
+                None => IotbCursor::new(wrap(file), options.read),
             }
             .map_err(SourceError::Trace)?;
             Ok(Box::new(source))

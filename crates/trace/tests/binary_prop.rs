@@ -6,11 +6,18 @@
 use std::sync::Arc;
 
 use iocov_trace::{
-    read_iotb, read_iotb_lossy, read_jsonl, write_iotb, write_iotb_indexed, write_jsonl, ArgValue,
-    ErrorClass, EventSource, IotbBlockSource, ReadOptions, Trace, TraceEvent,
+    read_iotb, read_jsonl, write_iotb, write_iotb_indexed, write_jsonl, ArgValue, CursorState,
+    ErrorClass, EventSource, IotbBlockSource, IotbCursor, ReadOptions, Trace, TraceEvent,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// A lossy read: the drained trace plus the cursor's final state.
+fn read_lossy(bytes: &[u8]) -> (Trace, CursorState) {
+    let mut source = IotbCursor::new(bytes, ReadOptions::default()).unwrap();
+    let trace = source.read_all().unwrap();
+    (trace, source.position().state)
+}
 
 /// Edge-leaning strings: empty, high-Unicode, embedded quotes/newline
 /// escapes, and near-invalid-UTF-8 lookalikes (the `\u{fffd}`
@@ -102,7 +109,7 @@ proptest! {
             return Ok(()); // empty record region, nothing to truncate
         }
         let cut = table_end.max(bytes.len().saturating_sub(cut_back));
-        let read = read_iotb_lossy(&bytes[..cut], &ReadOptions::default()).unwrap();
+        let (read_trace, read) = read_lossy(&bytes[..cut]);
 
         // Count the records that fit entirely before the cut, and
         // whether the cut lands exactly on a record boundary (a clean
@@ -120,7 +127,7 @@ proptest! {
         }
         let clean_boundary = pos == cut;
 
-        let got = read.trace.events();
+        let got = read_trace.events();
         prop_assert_eq!(got, &trace.events()[..whole]);
         if clean_boundary {
             prop_assert!(read.skipped.is_empty());
@@ -191,8 +198,8 @@ proptest! {
         let forged = (1u32 << 20).to_le_bytes(); // MAX_RECORD_LEN: passes the limit check, overruns EOF
         bytes[starts[idx]..starts[idx] + 4].copy_from_slice(&forged);
 
-        let read = read_iotb_lossy(&bytes[..], &ReadOptions::default()).unwrap();
-        let got = read.trace.events();
+        let (read_trace, read) = read_lossy(&bytes[..]);
+        let got = read_trace.events();
         let n = trace.len();
         // Records before the corruption are untouched; every intact
         // record after it is recovered (resync may in principle surface

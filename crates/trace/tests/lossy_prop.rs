@@ -4,10 +4,18 @@
 //! right error class.
 
 use iocov_trace::{
-    read_jsonl_lossy, write_jsonl, ArgValue, ErrorClass, ReadOptions, Trace, TraceEvent,
+    write_jsonl, ArgValue, CursorState, ErrorClass, EventSource, JsonlCursor, ReadOptions, Trace,
+    TraceEvent, TraceIoError,
 };
 use proptest::collection::vec;
 use proptest::prelude::*;
+
+/// A lossy read: the drained trace plus the cursor's final state.
+fn read_lossy(bytes: &[u8], options: ReadOptions) -> Result<(Trace, CursorState), TraceIoError> {
+    let mut source = JsonlCursor::new(bytes, options);
+    let trace = source.read_all()?;
+    Ok((trace, source.position().state))
+}
 
 /// What one line of the generated stream holds.
 #[derive(Debug, Clone)]
@@ -108,24 +116,15 @@ proptest! {
             bytes.extend_from_slice(b"{\"seq\": 9, \"na");
         }
 
-        let read = read_jsonl_lossy(&bytes[..], &ReadOptions::default()).unwrap();
-        prop_assert_eq!(read.trace.events(), &expected_events[..]);
+        let (trace, read) = read_lossy(&bytes[..], ReadOptions::default()).unwrap();
+        prop_assert_eq!(trace.events(), &expected_events[..]);
         let expected_skips = expected_malformed + expected_garbage + usize::from(truncate);
         prop_assert_eq!(read.skipped.len(), expected_skips);
 
-        let by_class = read.skips_by_class();
-        prop_assert_eq!(
-            by_class.get(&ErrorClass::MalformedJson).copied().unwrap_or(0),
-            expected_malformed
-        );
-        prop_assert_eq!(
-            by_class.get(&ErrorClass::InvalidUtf8).copied().unwrap_or(0),
-            expected_garbage
-        );
-        prop_assert_eq!(
-            by_class.get(&ErrorClass::TruncatedTail).copied().unwrap_or(0),
-            usize::from(truncate)
-        );
+        let count = |class| read.skipped.iter().filter(|s| s.class == class).count();
+        prop_assert_eq!(count(ErrorClass::MalformedJson), expected_malformed);
+        prop_assert_eq!(count(ErrorClass::InvalidUtf8), expected_garbage);
+        prop_assert_eq!(count(ErrorClass::TruncatedTail), usize::from(truncate));
 
         // Every skip carries a usable 1-based line number.
         let lines = read.lines;
@@ -156,10 +155,10 @@ proptest! {
             }
         }
         let options = ReadOptions { max_errors: Some(2), ..ReadOptions::default() };
-        let result = read_jsonl_lossy(&bytes[..], &options);
+        let result = read_lossy(&bytes[..], options);
         if corrupt <= 2 {
             prop_assert!(result.is_ok());
-            prop_assert_eq!(result.unwrap().skipped.len(), corrupt);
+            prop_assert_eq!(result.unwrap().1.skipped.len(), corrupt);
         } else {
             prop_assert!(result.is_err());
         }

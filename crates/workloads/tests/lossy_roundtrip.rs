@@ -1,7 +1,7 @@
 //! Round trip: simulate a suite, serialize its trace, damage the bytes,
 //! and recover the original through the lossy reader.
 
-use iocov_trace::{read_jsonl_lossy, ReadOptions};
+use iocov_trace::{EventSource, JsonlCursor, ReadOptions};
 use iocov_workloads::{corrupt_jsonl, CrashMonkeySim, TestEnv};
 
 #[test]
@@ -16,7 +16,9 @@ fn lossy_reader_recovers_simulated_trace_from_corruption() {
 
     for seed in 0..16 {
         let corrupted = corrupt_jsonl(&text, seed);
-        let read = read_jsonl_lossy(&corrupted.bytes[..], &ReadOptions::default()).unwrap();
+        let mut source = JsonlCursor::new(&corrupted.bytes[..], ReadOptions::default());
+        let trace = source.read_all().unwrap();
+        let read = source.position().state;
         // A truncated tail destroys the final record; everything else
         // must survive intact.
         let survivors = if corrupted.truncated_tail {
@@ -25,7 +27,7 @@ fn lossy_reader_recovers_simulated_trace_from_corruption() {
             clean.events()
         };
         assert_eq!(
-            read.trace.events(),
+            trace.events(),
             survivors,
             "seed {seed}: recovered trace differs from the intact records"
         );
