@@ -80,7 +80,6 @@ pub struct ModelFs {
     /// Normalized absolute path → node. The root `"/"` is implicit.
     nodes: BTreeMap<String, Node>,
     fds: BTreeMap<i32, Fd>,
-    next_fd: i32,
 }
 
 /// Normalizes an absolute path: collapses `//`, resolves `.` and `..`
@@ -115,7 +114,6 @@ impl ModelFs {
         ModelFs {
             nodes: BTreeMap::new(),
             fds: BTreeMap::new(),
-            next_fd: 3,
         }
     }
 
@@ -196,8 +194,10 @@ impl ModelFs {
                 .insert(path.clone(), Node::File(Rc::clone(&handle)));
             FdTarget::File(handle)
         };
-        let fd = self.next_fd;
-        self.next_fd += 1;
+        // POSIX: the lowest descriptor not in use, counting from 3.
+        let fd = (3..)
+            .find(|fd| !self.fds.contains_key(fd))
+            .expect("a free descriptor");
         self.fds.insert(
             fd,
             Fd {
@@ -570,6 +570,18 @@ mod tests {
         assert_eq!(fs.unlink("/f"), -2);
         fs.mkdir("/d2", 0o755);
         assert_eq!(fs.unlink("/d2"), -21);
+    }
+
+    #[test]
+    fn open_returns_the_lowest_free_descriptor() {
+        let mut fs = ModelFs::new();
+        let fds: Vec<RawRet> = (0..3).map(|_| fs.open("/f", 0o102, 0o644)).collect();
+        assert_eq!(fds, [3, 4, 5]);
+        assert_eq!(fs.close(4), 0);
+        assert_eq!(fs.close(3), 0);
+        assert_eq!(fs.open("/f", 0, 0), 3, "lowest free first");
+        assert_eq!(fs.open("/f", 0, 0), 4);
+        assert_eq!(fs.open("/f", 0, 0), 6, "past the still-open 5");
     }
 
     #[test]

@@ -30,11 +30,14 @@ struct Extent {
 }
 
 impl Extent {
-    /// Returns the byte at index `i` within this extent.
-    fn byte_at(&self, i: u64) -> u8 {
+    /// Copies this extent's payload from index `from` into all of `dst`.
+    fn copy_into(&self, from: u64, dst: &mut [u8]) {
         match &self.data {
-            ExtentData::Bytes { buf, off } => buf[*off + i as usize],
-            ExtentData::Fill(b) => *b,
+            ExtentData::Bytes { buf, off } => {
+                let start = off + from as usize;
+                dst.copy_from_slice(&buf[start..start + dst.len()]);
+            }
+            ExtentData::Fill(b) => dst.fill(*b),
         }
     }
 
@@ -101,6 +104,26 @@ impl ExtentStore {
     #[must_use]
     pub fn charged_bytes(&self) -> u64 {
         self.extents.values().map(|e| e.len).sum()
+    }
+
+    /// Bytes of payload allocated inside `[start, end)`: what a write
+    /// over that range releases before charging its own length.
+    #[must_use]
+    pub fn allocated_in(&self, start: u64, end: u64) -> u64 {
+        if start >= end {
+            return 0;
+        }
+        let lead = self
+            .extents
+            .range(..start)
+            .next_back()
+            .map_or(0, |(&s, e)| (s + e.len).min(end).saturating_sub(start));
+        let inside: u64 = self
+            .extents
+            .range(start..end)
+            .map(|(&s, e)| (s + e.len).min(end) - s)
+            .sum();
+        lead + inside
     }
 
     /// Number of extents (for introspection and tests).
@@ -194,26 +217,14 @@ impl ExtentStore {
         if let Some((&e_start, extent)) = self.extents.range(..offset).next_back() {
             let e_end = e_start + extent.len;
             if e_end > offset {
-                let copy_end = e_end.min(end);
-                for pos in offset..copy_end {
-                    out[(pos - offset) as usize] = extent.byte_at(pos - e_start);
-                }
+                let n = (e_end.min(end) - offset) as usize;
+                extent.copy_into(offset - e_start, &mut out[..n]);
             }
         }
         for (&e_start, extent) in self.extents.range(offset..end) {
-            let copy_end = (e_start + extent.len).min(end);
-            match &extent.data {
-                ExtentData::Bytes { buf, off } => {
-                    let n = (copy_end - e_start) as usize;
-                    let dst = (e_start - offset) as usize;
-                    out[dst..dst + n].copy_from_slice(&buf[*off..*off + n]);
-                }
-                ExtentData::Fill(b) => {
-                    for pos in e_start..copy_end {
-                        out[(pos - offset) as usize] = *b;
-                    }
-                }
-            }
+            let dst = (e_start - offset) as usize;
+            let n = ((e_start + extent.len).min(end) - e_start) as usize;
+            extent.copy_into(0, &mut out[dst..dst + n]);
         }
         out
     }

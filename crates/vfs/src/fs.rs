@@ -2,6 +2,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use iocov_codecov::CoverageHandle;
 
@@ -12,22 +13,57 @@ use crate::hooks::{FaultAction, OpCtx, SharedHook};
 use crate::inode::{Gid, Ino, Inode, InodeKind, Uid};
 use crate::process::{Pid, Process};
 
+/// Hasher for the integer-keyed maps (`Ino`, `Pid`, uids, device
+/// numbers): one multiply by an odd constant, which keeps distinct keys'
+/// low bits distinct and spreads them into the high bits the table's
+/// control bytes use. SipHash's flooding resistance buys nothing here —
+/// the keys come from the simulator's own counters — and no output may
+/// depend on these maps' iteration order, which `RandomState` already
+/// randomised per process.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IntHasher(u64);
+
+impl Hasher for IntHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.write_u64(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+/// A map keyed by integers, hashed with [`IntHasher`].
+pub(crate) type IntMap<K, V> = HashMap<K, V, BuildHasherDefault<IntHasher>>;
+/// A set of integers, hashed with [`IntHasher`].
+pub(crate) type IntSet<K> = HashSet<K, BuildHasherDefault<IntHasher>>;
+
 /// The mutable "on-disk" state: all inodes plus allocation bookkeeping.
 #[derive(Debug, Clone)]
 pub(crate) struct FsTree {
-    pub(crate) inodes: HashMap<Ino, Inode>,
+    pub(crate) inodes: IntMap<Ino, Inode>,
     pub(crate) root: Ino,
     next_ino: u64,
     /// Bytes charged against capacity (sum of extent payloads).
     pub(crate) used_bytes: u64,
     /// Per-uid charged bytes, for quota enforcement.
-    pub(crate) uid_usage: HashMap<u32, u64>,
+    pub(crate) uid_usage: IntMap<u32, u64>,
 }
 
 impl FsTree {
     fn new(config: &VfsConfig) -> Self {
         let root = Ino(2); // Ext4 convention: root is inode 2
-        let mut inodes = HashMap::new();
+        let mut inodes = IntMap::default();
         let mut root_inode = Inode::new(
             root,
             InodeKind::Dir(Default::default()),
@@ -44,7 +80,7 @@ impl FsTree {
             root,
             next_ino: 3,
             used_bytes: 0,
-            uid_usage: HashMap::new(),
+            uid_usage: IntMap::default(),
         }
     }
 
@@ -81,13 +117,13 @@ impl FsTree {
     /// crash.
     fn gc(&mut self) {
         // First drop dangling entries, then sweep unreachable inodes.
-        let live_inos: HashSet<Ino> = self.inodes.keys().copied().collect();
+        let live_inos: IntSet<Ino> = self.inodes.keys().copied().collect();
         for inode in self.inodes.values_mut() {
             if let InodeKind::Dir(entries) = &mut inode.kind {
                 entries.retain(|_, ino| live_inos.contains(ino));
             }
         }
-        let mut reachable = HashSet::new();
+        let mut reachable = IntSet::default();
         let mut stack = vec![self.root];
         while let Some(ino) = stack.pop() {
             if !reachable.insert(ino) {
@@ -151,7 +187,7 @@ pub struct Vfs {
     pub(crate) tree: FsTree,
     pub(crate) durable: FsTree,
     pub(crate) config: VfsConfig,
-    pub(crate) processes: HashMap<Pid, Process>,
+    pub(crate) processes: IntMap<Pid, Process>,
     pub(crate) read_only: bool,
     pub(crate) clock: u64,
     pub(crate) cov: CoverageHandle,
@@ -159,16 +195,16 @@ pub struct Vfs {
     pub(crate) global_open_files: usize,
     /// Read-side opens per fifo inode (for `ENXIO` on non-blocking
     /// write-only opens).
-    pub(crate) fifo_readers: HashMap<Ino, usize>,
+    pub(crate) fifo_readers: IntMap<Ino, usize>,
     /// Open-description refcount per inode; unlinked inodes survive until
     /// the last descriptor closes.
-    pub(crate) open_counts: HashMap<Ino, usize>,
+    pub(crate) open_counts: IntMap<Ino, usize>,
     /// Registered device numbers (unregistered devices yield
     /// `ENXIO`/`ENODEV` on open).
-    pub(crate) devices: HashSet<u64>,
+    pub(crate) devices: IntSet<u64>,
     /// Block devices currently "claimed" (e.g. mounted) — open for write
     /// yields `EBUSY`.
-    pub(crate) busy_devices: HashSet<Ino>,
+    pub(crate) busy_devices: IntSet<Ino>,
     pub(crate) stats: VfsStats,
 }
 
@@ -207,7 +243,7 @@ impl Vfs {
         let tree = FsTree::new(&config);
         let durable = tree.clone();
         let root = tree.root;
-        let mut processes = HashMap::new();
+        let mut processes = IntMap::default();
         processes.insert(Pid(1), Process::new(Pid(1), Uid(0), Gid(0), root));
         Vfs {
             tree,
@@ -219,10 +255,10 @@ impl Vfs {
             cov: CoverageHandle::disabled(),
             hook: None,
             global_open_files: 0,
-            fifo_readers: HashMap::new(),
-            open_counts: HashMap::new(),
-            devices: HashSet::new(),
-            busy_devices: HashSet::new(),
+            fifo_readers: IntMap::default(),
+            open_counts: IntMap::default(),
+            devices: IntSet::default(),
+            busy_devices: IntSet::default(),
             stats: VfsStats::default(),
         }
     }
@@ -457,7 +493,7 @@ impl Vfs {
         self.durable = tree.clone();
         self.tree = tree;
         for proc in self.processes.values_mut() {
-            proc.fds.clear();
+            proc.clear_fds();
             proc.cwd = self.tree.root;
         }
         self.global_open_files = 0;
@@ -476,8 +512,7 @@ impl Vfs {
         self.cov.fn_hit("vfs::remount");
         if read_only {
             let writable_open = self.processes.values().any(|p| {
-                p.fds
-                    .values()
+                p.open_files()
                     .any(|f| f.flags.writable() && !f.flags.contains(crate::OpenFlags::O_PATH))
             });
             if self.cov.branch("vfs::remount/ebusy", writable_open) {

@@ -145,7 +145,7 @@ impl Vfs {
             pid: Some(pid),
             ..OpCtx::default()
         })?;
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
         let inode = self.tree.inodes.get(&file.ino).ok_or(Errno::EBADF)?;
         if self.cov.branch("vfs::fchdir/enotdir", !inode.is_dir()) {
             return Err(Errno::ENOTDIR);

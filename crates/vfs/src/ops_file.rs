@@ -555,23 +555,23 @@ impl Vfs {
     ) -> VfsResult<Vec<u8>> {
         self.cov.fn_hit("vfs::read");
         self.stats.ops += 1;
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
+        let (ino, fd_offset, flags) = (file.ino, file.offset, file.flags);
         let action = self.fault_errno(&OpCtx {
             op,
             pid: Some(pid),
             path: Some(&file.path),
-            ino: Some(file.ino),
+            ino: Some(ino),
             size: Some(count),
             offset: offset.map(|o| o as i64),
             ..OpCtx::default()
         })?;
         if self.cov.branch(
             "vfs::read/ebadf_mode",
-            !file.flags.readable() || file.flags.contains(OpenFlags::O_PATH),
+            !flags.readable() || flags.contains(OpenFlags::O_PATH),
         ) {
             return Err(Errno::EBADF);
         }
-        let ino = file.ino;
         let kind_is = {
             let inode = self.tree.inodes.get(&ino).ok_or(Errno::EBADF)?;
             match &inode.kind {
@@ -586,7 +586,7 @@ impl Vfs {
         }
         let mut data = match kind_is {
             1 => {
-                let pos = offset.unwrap_or(file.offset);
+                let pos = offset.unwrap_or(fd_offset);
                 let inode = self.tree.get(ino);
                 inode.content().read(pos, count)
             }
@@ -598,7 +598,7 @@ impl Vfs {
                 }
                 if self.cov.branch(
                     "vfs::read/eagain_fifo",
-                    file.flags.contains(OpenFlags::O_NONBLOCK),
+                    flags.contains(OpenFlags::O_NONBLOCK),
                 ) {
                     return Err(Errno::EAGAIN);
                 }
@@ -614,7 +614,7 @@ impl Vfs {
                 f.offset = f.offset.saturating_add(data.len() as u64);
             }
         }
-        if !file.flags.contains(OpenFlags::O_NOATIME) {
+        if !flags.contains(OpenFlags::O_NOATIME) {
             let now = self.now();
             self.tree.get_mut(ino).times.atime = now;
         }
@@ -695,26 +695,26 @@ impl Vfs {
         self.cov.fn_hit("vfs::write");
         self.stats.ops += 1;
         let len = src.len();
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
+        let (ino, fd_offset, flags) = (file.ino, file.offset, file.flags);
         let action = self.fault_errno(&OpCtx {
             op,
             pid: Some(pid),
             path: Some(&file.path),
-            ino: Some(file.ino),
+            ino: Some(ino),
             size: Some(len),
             offset: offset.map(|o| o as i64),
             ..OpCtx::default()
         })?;
         if self.cov.branch(
             "vfs::write/ebadf_mode",
-            !file.flags.writable() || file.flags.contains(OpenFlags::O_PATH),
+            !flags.writable() || flags.contains(OpenFlags::O_PATH),
         ) {
             return Err(Errno::EBADF);
         }
         if self.cov.branch("vfs::write/erofs", self.read_only) {
             return Err(Errno::EROFS);
         }
-        let ino = file.ino;
         let inode = self.tree.inodes.get(&ino).ok_or(Errno::EBADF)?;
         match &inode.kind {
             InodeKind::Fifo => {
@@ -736,10 +736,10 @@ impl Vfs {
 
         let size = inode.size();
         let uid = inode.uid;
-        let pos = offset.unwrap_or(if file.flags.contains(OpenFlags::O_APPEND) {
+        let pos = offset.unwrap_or(if flags.contains(OpenFlags::O_APPEND) {
             size
         } else {
-            file.offset
+            fd_offset
         });
         if self.cov.branch("vfs::write/zero", len == 0) {
             return Ok(0);
@@ -752,17 +752,16 @@ impl Vfs {
             return Err(Errno::EFBIG);
         }
 
-        // Apply to a clone first so capacity checks see the exact charge
-        // delta and failures leave the file untouched.
-        let mut staged = self.tree.get(ino).content().clone();
-        let before = staged.charged_bytes() as i64;
-        match src {
-            WriteSource::Bytes(bytes) => staged.write(pos, bytes),
-            WriteSource::Fill { byte, len } => staged.write_fill(pos, byte, len),
-        }
-        let delta = staged.charged_bytes() as i64 - before;
+        // The write replaces whatever is allocated in [pos, end) with
+        // `len` bytes. Charge that delta before touching the file, so
+        // ENOSPC/EDQUOT leave it untouched.
+        let delta = len as i64 - self.tree.get(ino).content().allocated_in(pos, end) as i64;
         self.charge(uid, delta)?;
-        *self.tree.get_mut(ino).content_mut() = staged;
+        let content = self.tree.get_mut(ino).content_mut();
+        match src {
+            WriteSource::Bytes(bytes) => content.write(pos, bytes),
+            WriteSource::Fill { byte, len } => content.write_fill(pos, byte, len),
+        }
 
         let now = self.now();
         {
@@ -778,7 +777,7 @@ impl Vfs {
         self.stats.bytes_written += len;
 
         let skip_durability = action == Some(FaultAction::SkipDurability);
-        if (file.flags.contains(OpenFlags::O_SYNC) || file.flags.contains(OpenFlags::O_DSYNC))
+        if (flags.contains(OpenFlags::O_SYNC) || flags.contains(OpenFlags::O_DSYNC))
             && !skip_durability
         {
             self.persist_inode(ino);
@@ -806,7 +805,7 @@ impl Vfs {
             flags: Some(whence.number()),
             ..OpCtx::default()
         })?;
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
         if self.cov.branch(
             "vfs::lseek/ebadf_path",
             file.flags.contains(OpenFlags::O_PATH),
@@ -944,7 +943,7 @@ impl Vfs {
         if self.cov.branch("vfs::ftruncate/einval_neg", length < 0) {
             return Err(Errno::EINVAL);
         }
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
         if self.cov.branch(
             "vfs::ftruncate/einval_mode",
             !file.flags.writable() || file.flags.contains(OpenFlags::O_PATH),
@@ -1039,7 +1038,7 @@ impl Vfs {
         ) {
             return Err(Errno::EINVAL);
         }
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
         if self.cov.branch(
             "vfs::fallocate/ebadf_mode",
             !file.flags.writable() || file.flags.contains(OpenFlags::O_PATH),
@@ -1128,7 +1127,7 @@ impl Vfs {
     fn fsync_impl(&mut self, pid: Pid, fd: i32, op: &'static str) -> VfsResult<()> {
         self.cov.fn_hit("vfs::fsync");
         self.stats.ops += 1;
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
         let action = self.fault_errno(&OpCtx {
             op,
             pid: Some(pid),

@@ -80,7 +80,7 @@ impl Vfs {
             mode: Some(mode.bits()),
             ..OpCtx::default()
         })?;
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
         if self.cov.branch(
             "vfs::fchmod/ebadf_path",
             file.flags.contains(OpenFlags::O_PATH),
@@ -221,7 +221,7 @@ impl Vfs {
             flags: Some(flags.bits()),
             ..OpCtx::default()
         })?;
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
         self.setxattr_inode(pid, file.ino, name, value, flags, true)
     }
 
@@ -416,7 +416,7 @@ impl Vfs {
             size: Some(size),
             ..OpCtx::default()
         })?;
-        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?.clone();
+        let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
         self.getxattr_inode(file.ino, name, size)
     }
 

@@ -1,5 +1,6 @@
 //! Pathname resolution: component walking, symlinks, permissions, limits.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 
 use crate::errno::{Errno, VfsResult};
@@ -129,10 +130,12 @@ impl Vfs {
             base
         };
 
-        let mut queue: VecDeque<String> = path
+        // Components still to walk: borrowed from `path`, owned only when
+        // spliced in from a symlink target.
+        let mut queue: VecDeque<Cow<'_, str>> = path
             .split('/')
             .filter(|c| !c.is_empty())
-            .map(str::to_owned)
+            .map(Cow::Borrowed)
             .collect();
         let require_dir = path.ends_with('/') && !queue.is_empty();
 
@@ -198,15 +201,14 @@ impl Vfs {
                 depth += 1;
             }
 
-            let cur_inode = self.tree.get(cur);
-            let next = cur_inode.entries().get(comp.as_str()).copied();
+            let next = cur_inode.entries().get(comp.as_ref()).copied();
 
             match next {
                 None => {
                     if is_last {
                         return Ok(Resolved {
                             parent: Some(cur),
-                            name: comp,
+                            name: comp.into_owned(),
                             ino: None,
                             require_dir,
                         });
@@ -225,7 +227,6 @@ impl Vfs {
                             if cov.branch("vfs::resolve/eloop", symlinks > SYMLOOP_MAX) {
                                 return Err(Errno::ELOOP);
                             }
-                            let target = target.clone();
                             if target.is_empty() {
                                 return Err(Errno::ENOENT);
                             }
@@ -238,7 +239,7 @@ impl Vfs {
                             }
                             // Splice the target's components before the rest.
                             for piece in target.split('/').filter(|c| !c.is_empty()).rev() {
-                                queue.push_front(piece.to_owned());
+                                queue.push_front(Cow::Owned(piece.to_owned()));
                             }
                             if queue.is_empty() {
                                 // Target was "/" (or all-slashes): resolved.
@@ -254,7 +255,7 @@ impl Vfs {
                         // Unfollowed final symlink.
                         return Ok(Resolved {
                             parent: Some(cur),
-                            name: comp,
+                            name: comp.into_owned(),
                             ino: Some(next_ino),
                             require_dir,
                         });
@@ -268,7 +269,7 @@ impl Vfs {
                         }
                         return Ok(Resolved {
                             parent: Some(cur),
-                            name: comp,
+                            name: comp.into_owned(),
                             ino: Some(next_ino),
                             require_dir,
                         });

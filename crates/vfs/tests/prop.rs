@@ -104,12 +104,22 @@ proptest! {
     }
 
     /// The extent store itself agrees with a byte-vector model,
-    /// including `charged_bytes` never exceeding the logical size.
+    /// including `charged_bytes` never exceeding the logical size, and a
+    /// write charging exactly its length less `allocated_in` its range
+    /// (the delta the VFS charges before writing in place).
     #[test]
     fn extent_store_matches_model(ops in proptest::collection::vec(file_op(), 1..60)) {
         let mut store = ExtentStore::new();
         let mut model: Vec<u8> = Vec::new();
         for op in &ops {
+            let written = match op {
+                FileOp::Write { offset, data } => Some((*offset, data.len() as u64)),
+                FileOp::Fill { offset, len, .. } => Some((*offset, *len)),
+                _ => None,
+            };
+            let expected_charge = written.map(|(offset, len)| {
+                store.charged_bytes() - store.allocated_in(offset, offset + len) + len
+            });
             match op {
                 FileOp::Write { offset, data } => store.write(*offset, data),
                 FileOp::Fill { offset, byte, len } => store.write_fill(*offset, *byte, *len),
@@ -124,6 +134,9 @@ proptest! {
             apply_model(&mut model, op);
             prop_assert_eq!(store.len(), model.len() as u64);
             prop_assert!(store.charged_bytes() <= store.len());
+            if let Some(expected) = expected_charge {
+                prop_assert_eq!(store.charged_bytes(), expected);
+            }
         }
     }
 
