@@ -2,7 +2,7 @@
 //! pipeline (filter → variant merge → partition → count).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use iocov::{Iocov, TraceFilter};
+use iocov::Iocov;
 use iocov_bench::sample_trace;
 
 fn bench_analyzer(c: &mut Criterion) {
@@ -24,16 +24,5 @@ fn bench_analyzer(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_filter_only(c: &mut Criterion) {
-    let trace = sample_trace(20_000);
-    let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-    let mut group = c.benchmark_group("filter");
-    group.throughput(Throughput::Elements(trace.len() as u64));
-    group.bench_function("apply", |b| {
-        b.iter(|| filter.apply(std::hint::black_box(&trace)))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, bench_analyzer, bench_filter_only);
+criterion_group!(benches, bench_analyzer);
 criterion_main!(benches);

@@ -17,7 +17,7 @@
 //! so the comparison is overhead-only there).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use iocov::{AnalysisReport, Analyzer, PipelineBuilder, StreamingAnalyzer, TraceFilter};
+use iocov::{AnalysisReport, Iocov, PipelineBuilder, StreamingAnalyzer, TraceFilter};
 use iocov_bench::multi_pid_trace;
 use iocov_trace::{EventBatch, TraceEvent};
 use iocov_workloads::MOUNT;
@@ -77,8 +77,8 @@ fn bench_parallel(c: &mut Criterion) {
     group.throughput(Throughput::Elements(trace.len() as u64));
     group.sample_size(10);
     group.bench_function("serial", |b| {
-        let analyzer = Analyzer::new(filter.clone());
-        b.iter(|| analyzer.analyze(&trace));
+        let iocov = Iocov::with_filter(filter.clone());
+        b.iter(|| iocov.analyze(&trace));
     });
     // Packed once: every session gets the same columnar copy.
     let batch = EventBatch::from_events(trace.events());

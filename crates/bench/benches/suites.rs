@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iocov::syzlang::parse_to_trace;
-use iocov::{Iocov, StreamingAnalyzer, TraceFilter};
+use iocov::Iocov;
 use iocov_workloads::{CrashMonkeySim, SyzFuzzerSim, TestEnv, XfstestsSim, MOUNT};
 
 fn bench_xfstests_chunk(c: &mut Criterion) {
@@ -45,17 +45,6 @@ fn bench_pipeline_end_to_end(c: &mut Criterion) {
             Iocov::with_mount_point(MOUNT)
                 .unwrap()
                 .analyze(&env.take_trace())
-        });
-    });
-    group.bench_function("generate_stream_analyze", |b| {
-        b.iter(|| {
-            let env = TestEnv::new();
-            let sim = XfstestsSim::new(2, 0.01);
-            let mut kernel = env.fresh_kernel();
-            let mut streaming = StreamingAnalyzer::new(TraceFilter::mount_point(MOUNT).unwrap());
-            let _ = sim.run_range(&mut kernel, 0..13);
-            streaming.push_all(env.take_trace().events());
-            streaming.finish()
         });
     });
     group.finish();

@@ -41,8 +41,9 @@ use iocov::tcd::{deviation_ranking, tcd_uniform};
 use iocov::{
     read_checkpoint_with_fallback, run_coordinator, run_worker, worker_specs, AnalysisReport,
     ArgName, BaseSyscall, CheckpointPolicy, ComboCoverage, CorruptSpec, DistributeConfig,
-    IdentifierCoverage, Iocov, KillSpec, PipelineBuilder, PipelineError, PipelineMetrics,
-    ShardFailureRecord, StallSpec, SupervisorPolicy, WorkerFaults, WorkerHooks, WorkerSpec,
+    IdentifierCoverage, KillSpec, PipelineBuilder, PipelineError, PipelineMetrics,
+    ShardFailureRecord, StallSpec, StreamingAnalyzer, SupervisorPolicy, WorkerFaults, WorkerHooks,
+    WorkerSpec,
 };
 use iocov_faults::{
     FaultPlan, FaultyRead, FeedAbortSchedule, FeedStallSchedule, FrameCorruptSchedule,
@@ -50,7 +51,7 @@ use iocov_faults::{
 };
 use iocov_trace::{
     open_source, unseekable_kind, ErrorPolicy, ReadOptions, RetryRead, SkippedLine, SourceError,
-    SourceFormat, SourceOptions, SourcePos, Trace,
+    SourceFormat, SourceOptions, SourcePos, Trace, TraceEvent,
 };
 
 /// A CLI-level error with a user-facing message.
@@ -1133,26 +1134,15 @@ fn load_report(path: &str) -> Result<AnalysisReport, CliError> {
         .map_err(|e| CliError(format!("cannot parse report {path}: {e}")))
 }
 
-fn make_iocov(mount: Option<&str>) -> Result<Iocov, CliError> {
-    match mount {
-        Some(mount) => {
-            Iocov::with_mount_point(mount).map_err(|e| CliError(format!("bad mount pattern: {e}")))
-        }
-        None => Ok(Iocov::new()),
-    }
-}
-
-/// Applies the mount filter (if any) to a raw trace, for the analyses
-/// that scan the trace directly.
-fn filtered_trace(trace: &Trace, mount: Option<&str>) -> Result<Trace, CliError> {
-    match mount {
-        Some(mount) => {
-            let filter = iocov::TraceFilter::mount_point(mount)
-                .map_err(|e| CliError(format!("bad mount pattern: {e}")))?;
-            Ok(filter.apply(trace).0)
-        }
-        None => Ok(trace.clone()),
-    }
+/// Analyzes a whole trace in one pass, returning the report and the
+/// events the mount filter kept (every event, without a mount).
+fn analyze_trace<'t>(
+    trace: &'t Trace,
+    mount: Option<&str>,
+) -> Result<(AnalysisReport, Vec<&'t TraceEvent>), CliError> {
+    let mut analyzer = StreamingAnalyzer::new(make_filter(mount)?);
+    let kept = trace.iter().filter(|e| analyzer.push(*e)).collect();
+    Ok((analyzer.finish(), kept))
 }
 
 /// The `analyze` invocation, minus the worker count — shared by the
@@ -1528,10 +1518,10 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
         Command::Worker => run_worker_main(out)?,
         Command::Untested { trace, mount } => {
             let trace = load_strict(trace)?;
-            let report = make_iocov(mount.as_deref())?.analyze(&trace);
+            let (report, kept) = analyze_trace(&trace, mount.as_deref())?;
             write!(out, "{}", iocov::report::untested_summary(&report))?;
             // Identifier coverage (future-work metric) rides along.
-            let ids = IdentifierCoverage::from_trace(&filtered_trace(&trace, mount.as_deref())?);
+            let ids = IdentifierCoverage::from_trace(kept);
             let fd_gaps: Vec<String> = ids.untested_fd().iter().map(ToString::to_string).collect();
             let path_gaps: Vec<String> = ids
                 .untested_path()
@@ -1543,8 +1533,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
         }
         Command::Combos { trace, mount } => {
             let trace = load_strict(trace)?;
-            let filtered = filtered_trace(&trace, mount.as_deref())?;
-            let combos = ComboCoverage::from_trace(&filtered);
+            let combos = ComboCoverage::from_trace(analyze_trace(&trace, mount.as_deref())?.1);
             writeln!(
                 out,
                 "{} open calls, {} distinct flag combinations, pairwise coverage {:.1}%",
@@ -1567,7 +1556,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             target,
         } => {
             let trace = load_strict(trace)?;
-            let report = make_iocov(mount.as_deref())?.analyze(&trace);
+            let (report, _) = analyze_trace(&trace, mount.as_deref())?;
             let freqs = report
                 .input_coverage(ArgName::OpenFlags)
                 .frequency_vector(ArgName::OpenFlags);
@@ -1595,9 +1584,8 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             trace_b,
             mount,
         } => {
-            let iocov = make_iocov(mount.as_deref())?;
-            let a = iocov.analyze(&load_strict(trace_a)?);
-            let b = iocov.analyze(&load_strict(trace_b)?);
+            let a = analyze_trace(&load_strict(trace_a)?, mount.as_deref())?.0;
+            let b = analyze_trace(&load_strict(trace_b)?, mount.as_deref())?.0;
             let d = iocov::report::diff(&a, &b);
             if d.is_empty() {
                 writeln!(out, "identical partition coverage")?;

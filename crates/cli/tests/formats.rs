@@ -2,7 +2,8 @@
 //! `convert`) read every container format: one clean trace written as
 //! JSONL, `.iotb` v1 and block-indexed `.iotb` v2 must print identical
 //! stdout, and converting either binary copy back yields the JSONL
-//! bytes. A flag the subcommand does not take is a usage error.
+//! bytes. Their output over a committed trace matches committed
+//! goldens. A flag the subcommand does not take is a usage error.
 
 use std::process::Command;
 
@@ -112,6 +113,38 @@ fn whole_trace_subcommands_agree_across_container_formats() {
     }
     for path in [a, a1, a2, b, b1, b2] {
         let _ = std::fs::remove_file(path);
+    }
+}
+
+/// `untested`, `combos`, `tcd` and `diff`, with and without a mount,
+/// print the bytes committed under `fixtures/whole_trace/`. The trace
+/// has mount noise, a second pid, `dup2`, renames across the mount
+/// boundary, `chdir` plus a relative `openat`, and failing calls. The
+/// goldens were run from the repository root, so `diff` names its
+/// inputs `fixtures/…`; the absolute paths used here are masked back.
+#[test]
+fn whole_trace_subcommands_match_their_goldens() {
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../../fixtures");
+    let trace = format!("{fixtures}/whole_trace.jsonl");
+    let other = format!("{fixtures}/noncanonical_trace.jsonl");
+    for (mount, suffix) in [(None, ""), (Some("/mnt/test"), "-mount")] {
+        for cmd in ["untested", "combos", "tcd", "diff"] {
+            let mut all = vec![cmd, trace.as_str()];
+            match cmd {
+                "tcd" => all.extend(["--target", "10"]),
+                "diff" => all.push(other.as_str()),
+                _ => {}
+            }
+            if let Some(mount) = mount {
+                all.extend(["--mount", mount]);
+            }
+            let out = run_ok(&all)
+                .replace(trace.as_str(), "fixtures/whole_trace.jsonl")
+                .replace(other.as_str(), "fixtures/noncanonical_trace.jsonl");
+            let golden = format!("{fixtures}/whole_trace/{cmd}{suffix}.txt");
+            let expected = std::fs::read_to_string(&golden).expect("read golden");
+            assert_eq!(out, expected, "iocov {all:?} vs {golden}");
+        }
     }
 }
 

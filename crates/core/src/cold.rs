@@ -256,7 +256,7 @@ pub fn extract_cold(report: &AnalysisReport, target: u64) -> ColdReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::Analyzer;
+    use crate::Iocov;
     use iocov_trace::{ArgValue, Trace, TraceEvent};
 
     fn open_ev(path: &str, flags: u32, retval: i64) -> TraceEvent {
@@ -273,7 +273,7 @@ mod tests {
     }
 
     fn sample_report() -> AnalysisReport {
-        Analyzer::unfiltered().analyze(&Trace::from_events(vec![
+        Iocov::new().analyze(&Trace::from_events(vec![
             open_ev("/a", 0, 3),
             open_ev("/a", 0, 4),
             open_ev("/missing", 0, -2),
@@ -397,7 +397,7 @@ mod tests {
                 5,
             ));
         }
-        let report = Analyzer::unfiltered().analyze(&Trace::from_events(events));
+        let report = Iocov::new().analyze(&Trace::from_events(events));
         let cold = extract_cold(&report, 10);
         // The elicited bucket is warmer (smaller deficit) than its
         // untouched neighbors.

@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use iocov_trace::Trace;
+use iocov_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 
 use crate::arg::{ArgName, TrackedValue};
@@ -61,10 +61,10 @@ pub struct ComboCoverage {
 }
 
 impl ComboCoverage {
-    /// Scans a trace (already filtered, if desired) for `open`-family
+    /// Scans events (already filtered, if desired) for `open`-family
     /// calls and accumulates combination coverage.
     #[must_use]
-    pub fn from_trace(trace: &Trace) -> Self {
+    pub fn from_trace<'a>(trace: impl IntoIterator<Item = &'a TraceEvent>) -> Self {
         let mut cov = ComboCoverage::default();
         for event in trace {
             let Some(call) = normalize(event) else {
@@ -182,7 +182,7 @@ fn ordered(a: &str, b: &str) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iocov_trace::{ArgValue, TraceEvent};
+    use iocov_trace::{ArgValue, Trace};
 
     fn open_event(flags: u32) -> TraceEvent {
         TraceEvent::build(

@@ -3,12 +3,11 @@
 use std::collections::BTreeMap;
 
 use iocov_syscalls::{BaseSyscall, Errno, Sysno};
-use iocov_trace::Trace;
 use serde::{Deserialize, Serialize};
 
 use crate::arg::{ArgName, TrackedValue};
 use crate::domain::{arg_domain, for_each_open_flag, output_buckets_bytes, output_errnos};
-use crate::filter::{FilterStats, TraceFilter};
+use crate::filter::FilterStats;
 use crate::metrics::{DropReason, PipelineMetrics};
 use crate::partition::{errno_number, InputPartition, NumericPartition, OutputPartition};
 use crate::variants::normalize;
@@ -262,61 +261,6 @@ impl AnalysisReport {
     }
 }
 
-/// The IOCov analyzer: trace filter + variant handler + partitioner.
-#[derive(Debug, Clone, Default)]
-pub struct Analyzer {
-    filter: TraceFilter,
-    metrics: Option<std::sync::Arc<PipelineMetrics>>,
-}
-
-impl Analyzer {
-    /// An analyzer with a mount-point filter.
-    #[must_use]
-    pub fn new(filter: TraceFilter) -> Self {
-        Analyzer {
-            filter,
-            metrics: None,
-        }
-    }
-
-    /// An analyzer that analyzes every event (no filtering).
-    #[must_use]
-    pub fn unfiltered() -> Self {
-        Analyzer::new(TraceFilter::keep_all())
-    }
-
-    /// Attaches shared pipeline metrics; every analyzed trace updates
-    /// the counters.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: std::sync::Arc<PipelineMetrics>) -> Self {
-        self.metrics = Some(metrics);
-        self
-    }
-
-    /// The configured filter.
-    #[must_use]
-    pub fn filter(&self) -> &TraceFilter {
-        &self.filter
-    }
-
-    /// Runs the full pipeline — filter, variant merge, partition, count —
-    /// over one trace.
-    #[must_use]
-    pub fn analyze(&self, trace: &Trace) -> AnalysisReport {
-        let metrics = self.metrics.as_deref();
-        let (kept, filter_stats) = self.filter.apply_with_metrics(trace, metrics);
-        let mut builder = ReportBuilder {
-            filter_stats,
-            ..ReportBuilder::default()
-        };
-        let _timer = metrics.map(|m| m.time_stage("accumulate"));
-        for event in &kept {
-            builder.accumulate(event, metrics);
-        }
-        builder.into_report()
-    }
-}
-
 /// Dense hit counts for one argument: one slot per partition of its
 /// domain (see `ArgDomain::for_each_slot`), sized on first use.
 #[derive(Debug, Default)]
@@ -526,18 +470,14 @@ impl ReportBuilder {
             },
         }
     }
-
-    /// Consumes the builder, materializing the final report.
-    pub(crate) fn into_report(self) -> AnalysisReport {
-        self.materialize()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::partition::NumericPartition;
-    use iocov_trace::{ArgValue, TraceEvent};
+    use crate::{Iocov, TraceFilter};
+    use iocov_trace::{ArgValue, Trace, TraceEvent};
 
     fn ev(name: &str, args: Vec<ArgValue>, retval: i64) -> TraceEvent {
         TraceEvent::build(name, 0, args, retval)
@@ -565,7 +505,7 @@ mod tests {
 
     #[test]
     fn input_coverage_counts_flag_partitions() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let trace = Trace::from_events(vec![
             open_ev("/f", 0, 3),     // O_RDONLY
             open_ev("/f", 0o101, 4), // O_WRONLY|O_CREAT
@@ -585,7 +525,7 @@ mod tests {
 
     #[test]
     fn write_sizes_bucket_by_log2_with_zero_boundary() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let trace = Trace::from_events(vec![
             write_ev(0, 0),
             write_ev(1, 1),
@@ -612,7 +552,7 @@ mod tests {
 
     #[test]
     fn output_coverage_separates_ok_buckets_and_errnos() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let trace = Trace::from_events(vec![
             open_ev("/f", 0, 3),
             open_ev("/missing", 0, -2),
@@ -640,7 +580,7 @@ mod tests {
 
     #[test]
     fn variants_merge_into_one_base() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let trace = Trace::from_events(vec![
             open_ev("/a", 0, 3),
             ev(
@@ -672,7 +612,7 @@ mod tests {
 
     #[test]
     fn combo_histogram_matches_table1_semantics() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let trace = Trace::from_events(vec![
             open_ev("/a", 0, 3),      // [O_RDONLY] → 1 flag
             open_ev("/b", 0o100, 4),  // [O_RDONLY, O_CREAT] → 2
@@ -696,7 +636,7 @@ mod tests {
     #[test]
     fn filter_is_applied_before_analysis() {
         let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let analyzer = Analyzer::new(filter);
+        let analyzer = Iocov::with_filter(filter);
         let trace = Trace::from_events(vec![
             open_ev("/mnt/test/f", 0, 3),
             open_ev("/etc/noise", 0, 4),
@@ -708,7 +648,7 @@ mod tests {
 
     #[test]
     fn noise_syscalls_do_not_pollute_the_report() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let trace = Trace::from_events(vec![
             ev(
                 "stat",
@@ -725,7 +665,7 @@ mod tests {
 
     #[test]
     fn merge_accumulates_reports() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let a = analyzer.analyze(&Trace::from_events(vec![
             open_ev("/a", 0, 3),
             write_ev(8, 8),
@@ -747,7 +687,7 @@ mod tests {
 
     #[test]
     fn frequency_vector_has_domain_length() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let report = analyzer.analyze(&Trace::from_events(vec![open_ev("/a", 0, 3)]));
         let cov = report.input_coverage(ArgName::OpenFlags);
         let vec = cov.frequency_vector(ArgName::OpenFlags);
@@ -757,7 +697,7 @@ mod tests {
 
     #[test]
     fn report_serde_roundtrip() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let report = analyzer.analyze(&Trace::from_events(vec![
             open_ev("/a", 0o101, 3),
             write_ev(512, 512),

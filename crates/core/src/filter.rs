@@ -3,27 +3,28 @@
 //!
 //! LTTng records *every* syscall the tester makes, including bookkeeping
 //! I/O on its own state files; IOCov filters by mount-point pathname
-//! before analysis (§3). Path-carrying events are matched directly
-//! against the configured patterns. Descriptor-carrying events (`read`,
-//! `write`, `close`, `f*` variants) have no pathname, so the filter
-//! tracks descriptor provenance: an `open` under the mount point makes
-//! its returned descriptor relevant, propagating relevance to later
-//! operations on that descriptor — including duplicates made by
-//! `dup`/`dup2`/`dup3`, relative `openat` through relevant directory
-//! descriptors, and `chdir` updates to cwd relevance. Two-path syscalls
-//! (`rename`, `link`, `symlink`, and their `*at` variants) are kept when
-//! *either* pathname is relevant, so renames into or out of the mount
-//! point are never dropped. The decision logic lives in the private
-//! `relevance` module, shared verbatim with the streaming analyzer.
-
-use std::collections::HashMap;
+//! before analysis (§3). A [`TraceFilter`] is the configuration: the
+//! mount point, matched as a literal path prefix, plus optional
+//! library-only include/exclude [`Pattern`]s. It decides whether one
+//! absolute path is relevant ([`TraceFilter::path_relevant`]).
+//!
+//! Deciding whether an *event* is relevant needs per-process state,
+//! which lives in the private `relevance` module and is applied, one
+//! event at a time, only by [`StreamingAnalyzer::push`]. Descriptor-
+//! carrying events (`read`, `write`, `close`, `f*` variants) have no
+//! pathname, so the rules track descriptor provenance: an `open` under
+//! the mount point makes its returned descriptor relevant, propagating
+//! relevance to later operations on that descriptor — including
+//! duplicates made by `dup`/`dup2`/`dup3`, relative `openat` through
+//! relevant directory descriptors, and `chdir` updates to cwd
+//! relevance. Two-path syscalls (`rename`, `link`, `symlink`, and
+//! their `*at` variants) are kept when *either* pathname is relevant,
+//! so renames into or out of the mount point are never dropped.
+//!
+//! [`StreamingAnalyzer::push`]: crate::StreamingAnalyzer::push
 
 use iocov_pattern::Pattern;
-use iocov_trace::Trace;
 use serde::{Deserialize, Serialize};
-
-use crate::metrics::PipelineMetrics;
-use crate::relevance::{self, PidState};
 
 /// Statistics of one filtering pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -115,57 +116,6 @@ impl TraceFilter {
         };
         included && !self.exclude.iter().any(|p| p.is_match(path))
     }
-
-    /// Filters a trace, returning the kept events and statistics.
-    #[must_use]
-    pub fn apply(&self, trace: &Trace) -> (Trace, FilterStats) {
-        self.apply_with_metrics(trace, None)
-    }
-
-    /// Filters a trace, recording events-read and per-reason drop counts
-    /// into `metrics` when provided.
-    #[must_use]
-    pub fn apply_with_metrics(
-        &self,
-        trace: &Trace,
-        metrics: Option<&PipelineMetrics>,
-    ) -> (Trace, FilterStats) {
-        let _timer = metrics.map(|m| m.time_stage("filter"));
-        if let Some(m) = metrics {
-            m.add_events_read(trace.len() as u64);
-        }
-        if self.is_keep_all() {
-            // No patterns: everything is relevant, including descriptor
-            // operations whose open was never observed.
-            let stats = FilterStats {
-                total: trace.len(),
-                kept: trace.len(),
-                dropped: 0,
-            };
-            return (trace.clone(), stats);
-        }
-        let mut states: HashMap<u32, PidState> = HashMap::new();
-        let mut kept = Vec::new();
-        for event in trace {
-            let state = states.entry(event.pid).or_default();
-            let dropped = relevance::event_drop_reason(self, state, event);
-            relevance::update_state(state, event, dropped.is_none());
-            match dropped {
-                None => kept.push(event.clone()),
-                Some(reason) => {
-                    if let Some(m) = metrics {
-                        m.record_drop(reason);
-                    }
-                }
-            }
-        }
-        let stats = FilterStats {
-            total: trace.len(),
-            kept: kept.len(),
-            dropped: trace.len() - kept.len(),
-        };
-        (Trace::from_events(kept), stats)
-    }
 }
 
 /// Whether `path` is `mount` or lies below it.
@@ -177,7 +127,17 @@ fn under_mount(path: &str, mount: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iocov_trace::{ArgValue, TraceEvent};
+    use crate::StreamingAnalyzer;
+    use iocov_trace::{ArgValue, Trace, TraceEvent};
+
+    /// Filters a trace through [`StreamingAnalyzer::push`], returning
+    /// the kept events and the filter statistics.
+    fn apply(filter: &TraceFilter, trace: &Trace) -> (Trace, FilterStats) {
+        let mut analyzer = StreamingAnalyzer::new(filter.clone());
+        let kept = trace.iter().filter(|e| analyzer.push(*e)).cloned();
+        let kept = Trace::from_events(kept.collect());
+        (kept, analyzer.finish().filter_stats)
+    }
 
     fn ev(name: &str, args: Vec<ArgValue>, retval: i64) -> TraceEvent {
         TraceEvent::build(name, 0, args, retval)
@@ -199,7 +159,7 @@ mod tests {
     fn keep_all_keeps_everything() {
         let filter = TraceFilter::keep_all();
         let trace = Trace::from_events(vec![open_ev("/anything", 3)]);
-        let (kept, stats) = filter.apply(&trace);
+        let (kept, stats) = apply(&filter, &trace);
         assert_eq!(kept.len(), 1);
         assert_eq!(stats.kept, 1);
         assert_eq!(stats.dropped, 0);
@@ -284,7 +244,7 @@ mod tests {
                 0,
             ),
         ]);
-        let (kept, stats) = filter.apply(&trace);
+        let (kept, stats) = apply(&filter, &trace);
         assert_eq!(stats.kept, 2);
         assert!(kept
             .iter()
@@ -310,7 +270,7 @@ mod tests {
             ev("close", vec![ArgValue::Fd(3)], 0),
             ev("close", vec![ArgValue::Fd(4)], 0),
         ]);
-        let (kept, stats) = filter.apply(&trace);
+        let (kept, stats) = apply(&filter, &trace);
         let names: Vec<&str> = kept.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["open", "write", "close"]);
         assert_eq!(stats.dropped, 3);
@@ -329,7 +289,7 @@ mod tests {
                 1,
             ),
         ]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         let names: Vec<&str> = kept.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["open", "close"]);
     }
@@ -371,7 +331,7 @@ mod tests {
                 2,
             ),
         ]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         assert_eq!(
             kept.len(),
             3,
@@ -388,7 +348,7 @@ mod tests {
             ev("chdir", vec![ArgValue::Path("/home".into())], 0),
             open_ev("other_file", 4),
         ]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         let names: Vec<String> = kept
             .iter()
             .map(|e| e.primary_path().unwrap_or("").to_owned())
@@ -412,7 +372,7 @@ mod tests {
                 3,
             ),
         ]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         assert_eq!(kept.len(), 2);
     }
 
@@ -424,7 +384,7 @@ mod tests {
             ev("chdir", vec![ArgValue::Path("/gone".into())], -2),
             open_ev("still_relevant", 3),
         ]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         assert_eq!(kept.len(), 2, "failed chdir kept old cwd relevance");
     }
 
@@ -456,7 +416,7 @@ mod tests {
                 4,
             ),
         ]);
-        let (kept, stats) = filter.apply(&trace);
+        let (kept, stats) = apply(&filter, &trace);
         let names: Vec<&str> = kept.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["open", "dup", "write"]);
         assert_eq!(stats.dropped, 3);
@@ -482,7 +442,7 @@ mod tests {
                 8,
             ),
         ]);
-        let (kept, stats) = filter.apply(&trace);
+        let (kept, stats) = apply(&filter, &trace);
         assert_eq!(kept.len(), 5, "every event rides the duped provenance");
         assert_eq!(stats.dropped, 0);
     }
@@ -501,7 +461,7 @@ mod tests {
                 1,
             ),
         ]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         let names: Vec<&str> = kept.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["open"], "write through the redirected fd is noise");
     }
@@ -518,7 +478,7 @@ mod tests {
                 1,
             ),
         ]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         assert_eq!(
             kept.len(),
             2,
@@ -557,7 +517,7 @@ mod tests {
                 0,
             ),
         ]);
-        let (kept, stats) = filter.apply(&trace);
+        let (kept, stats) = apply(&filter, &trace);
         assert_eq!(
             kept.len(),
             2,
@@ -589,7 +549,7 @@ mod tests {
                 0,
             ),
         ]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         let names: Vec<&str> = kept.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["link"]);
     }
@@ -623,7 +583,7 @@ mod tests {
                 0,
             ),
         ]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         let names: Vec<&str> = kept.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, ["open", "renameat"]);
     }
@@ -648,7 +608,7 @@ mod tests {
         );
         good_write.pid = 1;
         let trace = Trace::from_events(vec![noise, good, noise_write, good_write]);
-        let (kept, _) = filter.apply(&trace);
+        let (kept, _) = apply(&filter, &trace);
         assert_eq!(kept.len(), 2);
         assert!(kept.iter().all(|e| e.pid == 1));
     }

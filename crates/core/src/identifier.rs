@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use iocov_syscalls::Sysno;
-use iocov_trace::{ArgValue, Trace};
+use iocov_trace::{ArgValue, TraceEvent};
 use serde::{Deserialize, Serialize};
 
 /// Descriptor-argument partitions.
@@ -183,10 +183,10 @@ pub struct IdentifierCoverage {
 }
 
 impl IdentifierCoverage {
-    /// Scans a trace for the 27 modelled syscalls and partitions every
+    /// Scans events for the 27 modelled syscalls and partitions every
     /// fd and pathname argument.
     #[must_use]
-    pub fn from_trace(trace: &Trace) -> Self {
+    pub fn from_trace<'a>(trace: impl IntoIterator<Item = &'a TraceEvent>) -> Self {
         let mut cov = IdentifierCoverage::default();
         for event in trace {
             if Sysno::from_name(&event.name).is_none() {
@@ -260,7 +260,7 @@ impl IdentifierCoverage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iocov_trace::TraceEvent;
+    use iocov_trace::Trace;
 
     #[test]
     fn fd_partitioning() {

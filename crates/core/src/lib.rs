@@ -17,10 +17,16 @@
 //! The pipeline mirrors the paper's §3 architecture:
 //!
 //! ```text
-//! Trace ─▶ TraceFilter ─▶ variant handler ─▶ partitioner ─▶ AnalysisReport
-//!          (mount-point    (openat2/creat     (per-argument    (coverage,
-//!           filtering)      → open, …)         domains)         untested, TCD)
+//! event ─▶ TraceFilter ─▶ variant handler ─▶ partitioner ─▶ AnalysisReport
+//!          (mount point,   (openat2/creat     (per-argument    (coverage,
+//!           fd provenance)  → open, …)         domains)         untested, TCD)
+//!          └──────── StreamingAnalyzer::push, once per event ───┘
 //! ```
+//!
+//! That per-event step is the only place the relevance rules run and
+//! coverage accumulates. Two drivers feed it: [`Iocov::analyze`] loops
+//! over an in-memory trace, and an [`AnalysisSession`] feeds decoded
+//! batches across shards, checkpoints and restarts.
 //!
 //! # Quick start
 //!
@@ -85,7 +91,7 @@ pub use cold::{
     ColdPartition, ColdReport, OUTPUT_BUCKET_MAX_LOG2,
 };
 pub use combos::ComboCoverage;
-pub use coverage::{AnalysisReport, Analyzer, ComboHistogram, InputCoverage, OutputCoverage};
+pub use coverage::{AnalysisReport, ComboHistogram, InputCoverage, OutputCoverage};
 pub use distribute::{
     run_coordinator, run_worker, worker_specs, CorruptSpec, DistributeConfig, DistributeRun,
     KillSpec, StallSpec, WorkerFaults, WorkerHooks, WorkerSpec,
@@ -116,12 +122,16 @@ pub use variants::{normalize, NormalizedCall, CREAT_IMPLIED_FLAGS};
 // Re-export the identifiers callers need to interpret reports.
 pub use iocov_syscalls::{BaseSyscall, Sysno};
 
-/// The top-level facade: a configured analyzer.
+/// The top-level facade: a configured filter, and the serial
+/// whole-trace driver of [`StreamingAnalyzer`].
 ///
-/// See the [crate-level documentation](crate) for a full example.
+/// Sessions feed the same per-event step from batches, shards and
+/// checkpoints; this one-loop driver over owned events is the oracle
+/// they are checked against. See the [crate-level
+/// documentation](crate) for a full example.
 #[derive(Debug, Clone, Default)]
 pub struct Iocov {
-    analyzer: Analyzer,
+    filter: TraceFilter,
 }
 
 impl Iocov {
@@ -129,9 +139,7 @@ impl Iocov {
     /// filtering).
     #[must_use]
     pub fn new() -> Self {
-        Iocov {
-            analyzer: Analyzer::unfiltered(),
-        }
+        Iocov::with_filter(TraceFilter::keep_all())
     }
 
     /// An IOCov instance filtering to one mount point — "the only
@@ -143,23 +151,22 @@ impl Iocov {
     /// Propagates pattern-compilation errors (practically impossible for
     /// normal mount paths).
     pub fn with_mount_point(mount: &str) -> Result<Self, iocov_pattern::PatternError> {
-        Ok(Iocov {
-            analyzer: Analyzer::new(TraceFilter::mount_point(mount)?),
-        })
+        Ok(Iocov::with_filter(TraceFilter::mount_point(mount)?))
     }
 
     /// An IOCov instance with a custom filter.
     #[must_use]
     pub fn with_filter(filter: TraceFilter) -> Self {
-        Iocov {
-            analyzer: Analyzer::new(filter),
-        }
+        Iocov { filter }
     }
 
-    /// Analyzes one trace.
+    /// Analyzes one trace: filter, variant merge, partition and count,
+    /// one event at a time.
     #[must_use]
     pub fn analyze(&self, trace: &iocov_trace::Trace) -> AnalysisReport {
-        self.analyzer.analyze(trace)
+        let mut analyzer = StreamingAnalyzer::new(self.filter.clone());
+        analyzer.push_all(trace);
+        analyzer.finish()
     }
 }
 

@@ -106,7 +106,7 @@ pub struct PipelineMetrics {
 /// resolves a snapshot's owned stage keys back to these statics; an
 /// unknown stage (impossible without a code change) is dropped rather
 /// than leaked into a `&'static str` map.
-const KNOWN_STAGES: [&str; 4] = ["filter", "accumulate", "analyze", "simulate"];
+const KNOWN_STAGES: [&str; 2] = ["analyze", "simulate"];
 
 impl PipelineMetrics {
     /// Counts events entering the pipeline.
@@ -560,15 +560,15 @@ mod tests {
     fn stage_timers_accumulate() {
         let m = PipelineMetrics::default();
         {
-            let _t = m.time_stage("filter");
+            let _t = m.time_stage("analyze");
         }
         {
-            let _t = m.time_stage("filter");
+            let _t = m.time_stage("analyze");
         }
-        m.add_stage_nanos("analyze", 500);
+        m.add_stage_nanos("simulate", 500);
         let timings = m.stage_timings();
-        assert!(timings.contains_key("filter"));
-        assert_eq!(timings["analyze"], 500);
+        assert!(timings.contains_key("analyze"));
+        assert_eq!(timings["simulate"], 500);
         // Timings never leak into the deterministic snapshot.
         let json = serde_json::to_string(&m.snapshot()).unwrap();
         assert!(!json.contains("analyze"));

@@ -768,7 +768,7 @@ impl ShardSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Analyzer, ArgName, PipelineBuilder};
+    use crate::{ArgName, Iocov, PipelineBuilder};
     use iocov_trace::{ArgValue, Trace, TraceEvent};
 
     /// A multi-pid trace exercising every provenance rule: opens, dups,
@@ -890,7 +890,16 @@ mod tests {
     }
 
     fn serial(events: &[TraceEvent]) -> AnalysisReport {
-        Analyzer::new(filter()).analyze(&Trace::from_events(events.to_vec()))
+        Iocov::with_filter(filter()).analyze(&Trace::from_events(events.to_vec()))
+    }
+
+    /// The serial report with its counters: one metered
+    /// `StreamingAnalyzer` over every event.
+    fn serial_metered(events: &[TraceEvent]) -> (AnalysisReport, MetricsSnapshot) {
+        let metrics = Arc::new(PipelineMetrics::default());
+        let mut analyzer = StreamingAnalyzer::new(filter()).with_metrics(Arc::clone(&metrics));
+        analyzer.push_all(events);
+        (analyzer.finish(), metrics.snapshot())
     }
 
     fn json(report: &AnalysisReport) -> String {
@@ -1055,12 +1064,7 @@ mod tests {
         // shared atomics.
         let events = multi_pid_trace(7, 40);
         assert!(events.len() >= PARALLEL_THRESHOLD);
-        let trace = Trace::from_events(events.clone());
-        let serial_metrics = Arc::new(PipelineMetrics::default());
-        let expected = Analyzer::new(filter())
-            .with_metrics(Arc::clone(&serial_metrics))
-            .analyze(&trace);
-        let s = serial_metrics.snapshot();
+        let (expected, s) = serial_metered(&events);
         assert!(s.events_read > 0 && s.total_dropped() > 0);
         let mut snapshots = Vec::new();
         for jobs in [1, 4] {
@@ -1135,11 +1139,7 @@ mod tests {
     #[test]
     fn metrics_not_double_counted_across_restart() {
         let events = multi_pid_trace(6, 40);
-        let clean_metrics = Arc::new(PipelineMetrics::default());
-        let clean = Analyzer::new(filter())
-            .with_metrics(Arc::clone(&clean_metrics))
-            .analyze(&Trace::from_events(events.clone()));
-        let clean_snap = clean_metrics.snapshot();
+        let (clean, clean_snap) = serial_metered(&events);
         for jobs in [1, 2] {
             let metrics = Arc::new(PipelineMetrics::default());
             let (report, _) = run_chunked(

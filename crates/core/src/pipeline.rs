@@ -287,7 +287,7 @@ impl PipelineBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Analyzer;
+    use crate::Iocov;
     use iocov_trace::{ArgValue, JsonlSource, ReadOptions, Trace, TraceEvent};
 
     fn multi_pid_trace(pids: u32, per_pid: usize) -> Vec<TraceEvent> {
@@ -342,7 +342,7 @@ mod tests {
     fn builder_matches_serial_analyzer_at_every_job_count() {
         let events = multi_pid_trace(5, 6);
         let trace = Trace::from_events(events.clone());
-        let serial = serde_json::to_string(&Analyzer::new(filter()).analyze(&trace)).unwrap();
+        let serial = serde_json::to_string(&Iocov::with_filter(filter()).analyze(&trace)).unwrap();
         for jobs in [1, 2, 4] {
             let mut session = PipelineBuilder::new(filter()).jobs(jobs).build_session();
             for chunk in events.chunks(7) {
@@ -364,7 +364,7 @@ mod tests {
         let trace = Trace::from_events(events.clone());
         let mut bytes = Vec::new();
         iocov_trace::write_jsonl(&mut bytes, &trace).unwrap();
-        let expected = Analyzer::new(filter()).analyze(&trace);
+        let expected = Iocov::with_filter(filter()).analyze(&trace);
         let mut source = JsonlSource::new(&bytes[..], ReadOptions::default());
         let run = PipelineBuilder::new(filter())
             .chunk(13)
@@ -382,7 +382,7 @@ mod tests {
         // final report, inline or threaded.
         let events = multi_pid_trace(5, 6);
         let trace = Trace::from_events(events.clone());
-        let serial = serde_json::to_string(&Analyzer::new(filter()).analyze(&trace)).unwrap();
+        let serial = serde_json::to_string(&Iocov::with_filter(filter()).analyze(&trace)).unwrap();
         for jobs in [1, 2, 4] {
             let mut session = PipelineBuilder::new(filter()).jobs(jobs).build_session();
             let mut states_at_cuts = Vec::new();
@@ -407,7 +407,7 @@ mod tests {
     fn resume_from_cut_matches_uninterrupted_inline_and_threaded() {
         let events = multi_pid_trace(4, 6);
         let trace = Trace::from_events(events.clone());
-        let serial = serde_json::to_string(&Analyzer::new(filter()).analyze(&trace)).unwrap();
+        let serial = serde_json::to_string(&Iocov::with_filter(filter()).analyze(&trace)).unwrap();
         let cut_at = events.len() / 2;
         for jobs in [1, 3] {
             let mut head = PipelineBuilder::new(filter()).jobs(jobs).build_session();
@@ -460,7 +460,7 @@ mod tests {
 
         // Resume from the checkpoint over a cursor seeked to its
         // offset: byte-identical to an uninterrupted run.
-        let full = serde_json::to_string(&Analyzer::new(filter()).analyze(&trace)).unwrap();
+        let full = serde_json::to_string(&Iocov::with_filter(filter()).analyze(&trace)).unwrap();
         let offset = usize::try_from(doc.cursor.byte_offset).unwrap();
         let mut source =
             JsonlSource::resume(&bytes[offset..], ReadOptions::default(), doc.cursor.clone());

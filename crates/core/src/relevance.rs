@@ -1,13 +1,12 @@
-//! Per-process relevance state, shared by the batch filter and the
-//! streaming analyzer.
+//! Per-process relevance state and the keep/drop rules.
 //!
-//! [`TraceFilter::apply`](crate::TraceFilter::apply) and
-//! [`StreamingAnalyzer::push`](crate::StreamingAnalyzer::push) must make
-//! the same keep/drop decision for every event, or chunked analysis
-//! diverges from batch analysis. Both therefore call into this module:
-//! [`event_drop_reason`] decides whether one event touches the mount
-//! point (and why not, for the metrics layer), and [`update_state`]
-//! propagates descriptor and cwd provenance after the decision.
+//! [`StreamingAnalyzer::push`](crate::StreamingAnalyzer::push) is the
+//! one loop that applies them, so every driver — the whole-trace
+//! [`Iocov::analyze`](crate::Iocov::analyze), sessions under any
+//! chunking, shard count or checkpoint cut — makes the same decision
+//! for every event. Per event, [`event_drop_reason`] decides whether it
+//! touches the mount point (and why not, for the metrics layer), and
+//! [`update_state`] then propagates descriptor and cwd provenance.
 //!
 //! Provenance rules:
 //!

@@ -224,11 +224,11 @@ pub fn render_diff(diff: &CoverageDiff, name_a: &str, name_b: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::coverage::Analyzer;
+    use crate::Iocov;
     use iocov_trace::{ArgValue, Trace, TraceEvent};
 
     fn sample_report() -> AnalysisReport {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let trace = Trace::from_events(vec![
             TraceEvent::build(
                 "open",
@@ -297,7 +297,7 @@ mod tests {
 
     #[test]
     fn diff_finds_one_sided_partitions() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let a = analyzer.analyze(&Trace::from_events(vec![TraceEvent::build(
             "open",
             2,
@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn diff_of_identical_reports_is_empty() {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let r = analyzer.analyze(&Trace::from_events(vec![TraceEvent::build(
             "close",
             3,

@@ -1,11 +1,17 @@
-//! Streaming analysis: bounded-memory coverage over long traces.
+//! The per-event analysis step: filter, variant merge, partition and
+//! count, one event at a time.
 //!
-//! A paper-scale suite produces millions of events; holding the whole
-//! trace before analysis costs gigabytes. [`StreamingAnalyzer`] consumes
-//! events incrementally — crucially keeping the trace filter's
-//! descriptor-provenance state *across* chunks, so a descriptor opened
-//! in one chunk is still attributed correctly when used in the next
-//! (a plain per-chunk [`Analyzer`](crate::Analyzer) run would lose it).
+//! [`StreamingAnalyzer::push`] is the only loop that applies the
+//! relevance rules and accumulates coverage. [`Iocov::analyze`] drives
+//! it over a whole in-memory trace; sessions drive it over decoded
+//! batches, one analyzer per shard. A paper-scale suite produces
+//! millions of events, and holding the whole trace before analysis
+//! costs gigabytes, so the analyzer consumes events incrementally —
+//! keeping the descriptor-provenance state *across* chunks, so a
+//! descriptor opened in one chunk is still attributed correctly when
+//! used in the next (a fresh analysis per chunk would lose it).
+//!
+//! [`Iocov::analyze`]: crate::Iocov::analyze
 
 use std::collections::HashMap;
 
@@ -113,7 +119,7 @@ impl StreamingAnalyzer {
     /// Finishes the stream and returns the report.
     #[must_use]
     pub fn finish(self) -> AnalysisReport {
-        self.builder.into_report()
+        self.builder.materialize()
     }
 
     /// Serializable snapshots of every per-pid relevance state, for
@@ -155,7 +161,7 @@ impl StreamingAnalyzer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Analyzer, ArgName};
+    use crate::{ArgName, Iocov};
     use iocov_trace::{ArgValue, Trace};
 
     fn open_ev(path: &str, fd: i64) -> TraceEvent {
@@ -191,7 +197,7 @@ mod tests {
         ];
         let trace = Trace::from_events(events.clone());
         let filter = TraceFilter::mount_point("/mnt/test").unwrap();
-        let batch = Analyzer::new(filter.clone()).analyze(&trace);
+        let batch = Iocov::with_filter(filter.clone()).analyze(&trace);
         let mut streaming = StreamingAnalyzer::new(filter);
         streaming.push_all(&events);
         let report = streaming.finish();
@@ -208,9 +214,10 @@ mod tests {
 
         // Per-chunk batch analysis loses the attribution…
         let mut per_chunk =
-            Analyzer::new(filter.clone()).analyze(&Trace::from_events(chunk1.clone()));
-        per_chunk
-            .merge(&Analyzer::new(filter.clone()).analyze(&Trace::from_events(chunk2.clone())));
+            Iocov::with_filter(filter.clone()).analyze(&Trace::from_events(chunk1.clone()));
+        per_chunk.merge(
+            &Iocov::with_filter(filter.clone()).analyze(&Trace::from_events(chunk2.clone())),
+        );
         assert_eq!(per_chunk.input_coverage(ArgName::WriteCount).calls, 0);
 
         // …the streaming analyzer keeps it.

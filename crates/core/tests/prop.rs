@@ -2,8 +2,8 @@
 
 use iocov::tcd::tcd;
 use iocov::{
-    arg_domain, normalize, open_flags_present, output_buckets_bytes, AnalysisReport, Analyzer,
-    ArgName, FilterStats, InputPartition, NumericPartition, OutputPartition, PipelineBuilder,
+    arg_domain, normalize, open_flags_present, output_buckets_bytes, AnalysisReport, ArgName,
+    FilterStats, InputPartition, Iocov, NumericPartition, OutputPartition, PipelineBuilder,
     StreamingAnalyzer, TraceFilter, TrackedValue,
 };
 use iocov_syscalls::Sysno;
@@ -189,6 +189,15 @@ fn open_event(path: String, flags: u32, retval: i64) -> TraceEvent {
     )
 }
 
+/// Filters a trace through `StreamingAnalyzer::push`, returning the
+/// kept events and the filter statistics.
+fn apply(filter: &TraceFilter, trace: &Trace) -> (Trace, FilterStats) {
+    let mut analyzer = StreamingAnalyzer::new(filter.clone());
+    let kept = trace.iter().filter(|e| analyzer.push(*e)).cloned();
+    let kept = Trace::from_events(kept.collect());
+    (kept, analyzer.finish().filter_stats)
+}
+
 proptest! {
     /// Numeric partitioning is total and monotone: every value lands in
     /// exactly one bucket, and buckets respect ordering.
@@ -297,7 +306,7 @@ proptest! {
         flags_a in proptest::collection::vec(0u32..0x4000, 0..20),
         flags_b in proptest::collection::vec(0u32..0x4000, 0..20),
     ) {
-        let analyzer = Analyzer::unfiltered();
+        let analyzer = Iocov::new();
         let trace_a: Trace = flags_a.iter().map(|&f| open_event("/a".into(), f, 3)).collect();
         let trace_b: Trace = flags_b.iter().map(|&f| open_event("/b".into(), f, -2)).collect();
         let mut combined_events = trace_a.clone().into_events();
@@ -328,8 +337,8 @@ proptest! {
             })
             .collect();
         let trace = Trace::from_events(events);
-        let (once, stats1) = filter.apply(&trace);
-        let (twice, stats2) = filter.apply(&once);
+        let (once, stats1) = apply(&filter, &trace);
+        let (twice, stats2) = apply(&filter, &once);
         prop_assert_eq!(&once, &twice);
         prop_assert_eq!(stats1.kept, stats2.kept);
         prop_assert_eq!(stats2.dropped, 0);
@@ -347,7 +356,7 @@ proptest! {
     ) {
         let filter = TraceFilter::mount_point("/mnt/test").unwrap();
         let trace = Trace::from_events(events.clone());
-        let serial = Analyzer::new(filter.clone()).analyze(&trace);
+        let serial = Iocov::with_filter(filter.clone()).analyze(&trace);
 
         let mut streaming = StreamingAnalyzer::new(filter.clone());
         for part in events.chunks(chunk) {
@@ -383,7 +392,7 @@ proptest! {
             .map(|(i, (args, retval))| TraceEvent::build(name_of(i), 7, args, retval))
             .collect();
         let expected = oracle_report(&events);
-        let actual = Analyzer::unfiltered().analyze(&Trace::from_events(events));
+        let actual = Iocov::new().analyze(&Trace::from_events(events));
         prop_assert_eq!(
             serde_json::to_string(&actual).unwrap(),
             serde_json::to_string(&expected).unwrap()

@@ -1,7 +1,7 @@
 //! Property tests for the Syzkaller-log adapter and streaming analyzer.
 
 use iocov::syzlang::{parse_program, parse_to_trace, SyzArg};
-use iocov::{Analyzer, StreamingAnalyzer, TraceFilter};
+use iocov::{Iocov, StreamingAnalyzer, TraceFilter};
 use iocov_trace::{ArgValue, Trace, TraceEvent};
 use proptest::prelude::*;
 
@@ -125,7 +125,7 @@ proptest! {
         }
         let trace = Trace::from_events(events.clone());
         for filter in [TraceFilter::keep_all(), TraceFilter::mount_point("/mnt/test").unwrap()] {
-            let batch = Analyzer::new(filter.clone()).analyze(&trace);
+            let batch = Iocov::with_filter(filter.clone()).analyze(&trace);
             let mut streaming = StreamingAnalyzer::new(filter);
             // Push in several chunks to exercise boundary handling.
             for chunk in events.chunks(7) {
