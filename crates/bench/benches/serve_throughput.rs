@@ -1,13 +1,12 @@
 //! Resident `AnalysisSession::feed` vs batch `Driver`.
 //!
-//! The acceptance bar for the PR-10 pipeline inversion: handing loop
-//! ownership to the caller (the shape `iocov serve` runs per stream)
-//! must cost nothing measurable against the batch `Driver` that owns
-//! the pull loop itself — both drive the identical session over the
-//! identical source, so their throughput must agree within 5%. Both
-//! paths must produce the identical report (asserted before any
-//! timing). The measured rows are recorded in the `serve` section of
-//! the `BENCH_repro.json` written by `repro --full`.
+//! The acceptance bar for the pipeline inversion: a caller-owned loop
+//! (as in `suite-live`) against `Driver` must cost nothing measurable —
+//! both drive the identical session over the identical source, so their
+//! throughput must agree within 5%. Both paths must produce the
+//! identical report (asserted before any timing). The measured rows are
+//! recorded in the `serve` section of the `BENCH_repro.json` written by
+//! `repro --full`.
 //!
 //! Set `BENCH_SMOKE=1` to run a single fast sample per path (the CI
 //! smoke mode) instead of the full measurement windows.

@@ -513,9 +513,9 @@ fn serve_session() -> AnalysisSession {
         .build_session()
 }
 
-/// Analyze an `.iotb` byte stream the way `iocov serve` does: an
-/// external loop pulls [`EventBatch`]es from the source and pushes them
-/// into a resident [`AnalysisSession`] via `feed`. Returns
+/// Analyze an `.iotb` byte stream with a caller-owned loop (as in
+/// `suite-live`): it pulls [`EventBatch`]es from the source and pushes
+/// them into a resident [`AnalysisSession`] via `feed`. Returns
 /// `(events, report)`.
 #[must_use]
 pub fn analyze_iotb_session_feed(iotb: &[u8]) -> (usize, AnalysisReport) {
@@ -559,7 +559,7 @@ pub fn analyze_iotb_batch_driver(iotb: &[u8]) -> (usize, AnalysisReport) {
 /// `BENCH_repro.json`.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct ServeThroughput {
-    /// `session-feed` (the `iocov serve` shape: an external loop feeds
+    /// `session-feed` (a caller-owned loop, as in `suite-live`, feeds
     /// a resident [`AnalysisSession`]) or `batch-driver` (the batch
     /// shape: [`Driver`] owns the pull loop over the same session).
     pub path: String,

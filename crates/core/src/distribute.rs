@@ -118,8 +118,15 @@ pub enum FrameError {
     Io(io::Error),
     /// The type byte is not one of the known frame types.
     BadType(u8),
-    /// The declared payload length exceeds [`MAX_FRAME_LEN`].
-    Oversized(u64),
+    /// The declared payload length exceeds the reader's limit
+    /// ([`MAX_FRAME_LEN`] unless [`read_frame_limited`] set a smaller
+    /// one).
+    Oversized {
+        /// The declared payload length.
+        len: u64,
+        /// The limit it exceeds.
+        max: u64,
+    },
     /// The payload checksum does not verify.
     ChecksumMismatch {
         /// Checksum carried by the frame.
@@ -134,8 +141,8 @@ impl fmt::Display for FrameError {
         match self {
             FrameError::Io(e) => write!(f, "frame I/O error: {e}"),
             FrameError::BadType(t) => write!(f, "unknown frame type {t:#04x}"),
-            FrameError::Oversized(len) => {
-                write!(f, "frame payload of {len} bytes exceeds {MAX_FRAME_LEN}")
+            FrameError::Oversized { len, max } => {
+                write!(f, "frame payload of {len} bytes exceeds {max}")
             }
             FrameError::ChecksumMismatch { expected, found } => write!(
                 f,
@@ -202,6 +209,17 @@ pub fn write_frame_with_checksum<W: Write + ?Sized>(
 /// [`FrameError`] describing what failed: I/O, an unknown type byte, an
 /// oversized length, or a checksum mismatch.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, FrameError> {
+    read_frame_limited(r, MAX_FRAME_LEN)
+}
+
+/// [`read_frame`] with a tighter payload ceiling than
+/// [`MAX_FRAME_LEN`]: a declared length above `max` is
+/// [`FrameError::Oversized`] before any payload byte is read.
+///
+/// # Errors
+///
+/// As [`read_frame`].
+pub fn read_frame_limited(r: &mut impl Read, max: u64) -> Result<Option<Frame>, FrameError> {
     let mut kind = [0u8; 1];
     loop {
         match r.read(&mut kind) {
@@ -221,10 +239,10 @@ pub fn read_frame(r: &mut impl Read) -> Result<Option<Frame>, FrameError> {
     let mut len = [0u8; 8];
     r.read_exact(&mut len).map_err(FrameError::Io)?;
     let len = u64::from_le_bytes(len);
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
+    if len > max {
+        return Err(FrameError::Oversized { len, max });
     }
-    let capacity = usize::try_from(len).map_err(|_| FrameError::Oversized(len))?;
+    let capacity = usize::try_from(len).map_err(|_| FrameError::Oversized { len, max })?;
     let mut payload = Vec::with_capacity(capacity.min(FRAME_PREALLOC));
     r.take(len)
         .read_to_end(&mut payload)
@@ -1005,7 +1023,7 @@ mod tests {
         oversized[1..9].copy_from_slice(&(MAX_FRAME_LEN + 1).to_le_bytes());
         assert!(matches!(
             read_frame(&mut io::Cursor::new(oversized)),
-            Err(FrameError::Oversized(_))
+            Err(FrameError::Oversized { .. })
         ));
     }
 

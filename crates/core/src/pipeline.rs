@@ -74,6 +74,10 @@ pub struct CheckpointPolicy {
     pub path: PathBuf,
 }
 
+/// Called with each checkpoint a [`Driver`] persists, once it is on
+/// disk.
+pub(crate) type CheckpointHook = Box<dyn FnMut(CheckpointDoc) + Send>;
+
 /// Why a pipeline run failed.
 #[derive(Debug)]
 pub enum PipelineError {
@@ -139,6 +143,7 @@ pub struct PipelineBuilder {
     hook: Option<ShardHook>,
     metrics: Option<Arc<PipelineMetrics>>,
     checkpoint: Option<CheckpointPolicy>,
+    on_checkpoint: Option<CheckpointHook>,
     resume: Option<CheckpointDoc>,
     stop_after: Option<u64>,
 }
@@ -158,6 +163,7 @@ impl PipelineBuilder {
             hook: None,
             metrics: None,
             checkpoint: None,
+            on_checkpoint: None,
             resume: None,
             stop_after: None,
         }
@@ -225,6 +231,14 @@ impl PipelineBuilder {
         self
     }
 
+    /// Hands each checkpoint the [`build`](Self::build) driver persists
+    /// to `hook` (`iocov serve` republishes its merged snapshot there).
+    #[must_use]
+    pub fn on_checkpoint(mut self, hook: impl FnMut(CheckpointDoc) + Send + 'static) -> Self {
+        self.on_checkpoint = Some(Box::new(hook));
+        self
+    }
+
     /// Seeds the run from a loaded checkpoint (the caller opens the
     /// source at the matching position).
     #[must_use]
@@ -275,12 +289,15 @@ impl PipelineBuilder {
     }
 
     /// Builds the batch driver: a [`build_session`](Self::build_session)
-    /// session with this builder's chunk size and stop-after boundary.
+    /// session with this builder's chunk size, stop-after boundary and
+    /// checkpoint hook.
     #[must_use]
-    pub fn build(self) -> Driver {
-        let chunk = self.chunk;
-        let stop_after = self.stop_after;
-        Driver::new(self.build_session(), chunk, stop_after)
+    pub fn build(mut self) -> Driver {
+        let (chunk, stop_after) = (self.chunk, self.stop_after);
+        let on_checkpoint = self.on_checkpoint.take();
+        let mut driver = Driver::new(self.build_session(), chunk, stop_after);
+        driver.on_checkpoint = on_checkpoint;
+        driver
     }
 }
 

@@ -25,12 +25,35 @@
 //!
 //! Frames reuse `[kind][len u64 LE][payload][fnv1a64]` encoding; DATA
 //! payloads are raw container bytes (JSONL text or `.iotb`), so the
-//! server-side decode path is *exactly* the batch decode path — a
-//! [`JsonlSource`]/[`IotbSource`] over a channel-backed reader.
-//! Backpressure is the bounded channel between the frame reader and the
-//! session ([`PIPELINE_DEPTH`] batches deep) plus the kernel socket
-//! buffer behind it: a slow analysis blocks the feeder, nothing buffers
-//! unboundedly.
+//! server-side decode path is *exactly* the batch decode path: the
+//! cursor [`open_reader`] picks, over a reader that pulls the next
+//! frame off the socket whenever the cursor's buffer runs dry, pulled
+//! in turn by the batch [`Driver`](crate::session::Driver) — the same
+//! loop, checkpoint cuts included, that `iocov analyze` runs. Spool
+//! files take the same `Driver` over [`open_source`].
+//!
+//! Each connection is one thread running that one pull loop, so
+//! backpressure is the kernel socket buffer: while the analysis works
+//! nothing reads the socket, its buffer fills, and the feeder's write
+//! blocks. Nothing buffers unboundedly.
+//!
+//! # Admission
+//!
+//! A connection must deliver its HELLO within a deadline of 3 s per
+//! read, and the HELLO may declare at most [`MAX_HELLO_LEN`] payload
+//! bytes (DATA frames keep the protocol's
+//! [`MAX_FRAME_LEN`](crate::distribute::MAX_FRAME_LEN)); otherwise the
+//! connection is dropped before it names a stream, so a silent client
+//! cannot hold a draining server. The deadline is lifted once the
+//! stream is admitted: a feeder may pause between DATA frames for as
+//! long as it likes.
+//!
+//! # Shutdown
+//!
+//! `accept` blocks. The drain condition is checked once at start-up
+//! and whenever a stream stops running (done or failed); once it holds,
+//! the server sets its shutdown flag and wakes the accept loop by
+//! connecting to its own socket. Only the spool watcher polls.
 //!
 //! # Per-stream recovery
 //!
@@ -49,33 +72,42 @@ use std::io::{self, Read, Seek, SeekFrom};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::Duration;
 
 use iocov_trace::{
-    open_source, EventSource, IotbSource, JsonlSource, ReadOptions, SourceFormat, SourceOptions,
-    SourcePos,
+    open_reader, open_source, EventSource, ReadOptions, SourceFormat, SourceOptions, SourcePos,
 };
 use serde::{Deserialize, Serialize};
 
 use crate::checkpoint::{
-    encode_checkpoint, parse_checkpoint, read_checkpoint_with_fallback, write_atomic,
-    write_checkpoint, CheckpointDoc,
+    encode_checkpoint, parse_checkpoint, read_checkpoint_with_fallback, write_atomic, CheckpointDoc,
 };
 use crate::coverage::AnalysisReport;
 use crate::distribute::{
-    read_frame, write_frame, FRAME_CHECKPOINT, FRAME_DATA, FRAME_DONE, FRAME_HELLO,
+    read_frame, read_frame_limited, write_frame, FRAME_CHECKPOINT, FRAME_DATA, FRAME_DONE,
+    FRAME_HELLO,
 };
 use crate::filter::TraceFilter;
-use crate::metrics::{PipelineMetrics, ShardFailureRecord};
-use crate::parallel::{SupervisorPolicy, PIPELINE_DEPTH};
-use crate::pipeline::{PipelineBuilder, DEFAULT_CHUNK};
+use crate::metrics::ShardFailureRecord;
+use crate::parallel::SupervisorPolicy;
+use crate::pipeline::{CheckpointPolicy, PipelineBuilder, PipelineRun};
 
-/// How often the socket accept loop, spool watcher, and drain monitor
-/// poll their respective conditions.
+/// How often the spool watcher rescans its directory, and how long a
+/// feed client waits before retrying a busy stream.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
+/// How long one read of a new connection may wait for its HELLO bytes.
+const HELLO_DEADLINE: Duration = Duration::from_secs(3);
+
+/// Ceiling on a HELLO frame's payload: a stream name of at most 128
+/// characters and a format, as JSON, with room for escapes.
+pub const MAX_HELLO_LEN: u64 = 4096;
+
+/// Pause after a failed `accept` (descriptor or buffer exhaustion)
+/// before the next one, so the accept loop does not spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(25);
 
 /// Handshake retries a feed client spends waiting out a `busy` stream
 /// (an earlier connection for the same name still tearing down).
@@ -208,7 +240,7 @@ impl ServeState {
     }
 
     fn stopping(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::SeqCst)
     }
 }
 
@@ -280,16 +312,51 @@ fn with_entry(state: &ServeState, name: &str, f: impl FnOnce(&mut StreamEntry)) 
     f(streams.entry(name.to_owned()).or_default());
 }
 
-/// Marks a stream failed and charges its restart budget.
-fn fail_stream(state: &ServeState, name: &str, error: String) {
+/// Records a stream that stopped running — done with its final report
+/// (its terminal checkpoint stays on disk for the record), or failed,
+/// charging its restart budget — republishes the outputs, and checks
+/// the drain.
+fn stop_stream(state: &ServeState, name: &str, outcome: Result<PipelineRun, String>) {
     let max = state.cfg.policy.max_restarts;
     with_entry(state, name, |entry| {
         entry.running = false;
-        entry.restarts += 1;
-        entry.gave_up = entry.restarts > max;
-        entry.last_error = Some(error);
+        match outcome {
+            Ok(run) => {
+                entry.done = true;
+                entry.events = run.events;
+                entry.report = Some(run.report);
+                entry.shard_failures = run.failures;
+                entry.doc = None;
+            }
+            Err(error) => {
+                entry.restarts += 1;
+                entry.gave_up = entry.restarts > max;
+                entry.last_error = Some(error);
+            }
+        }
     });
     let _ = write_outputs(state);
+    check_drain(state);
+}
+
+/// Shuts the server down once `drain` streams have completed (or given
+/// up) and none is running.
+fn check_drain(state: &ServeState) {
+    let Some(target) = state.cfg.drain else {
+        return;
+    };
+    let drained = {
+        let streams = state.streams.lock().unwrap_or_else(PoisonError::into_inner);
+        let completed = streams.values().filter(|e| e.done || e.gave_up).count();
+        completed >= target && !streams.values().any(|e| e.running)
+    };
+    if drained {
+        state.shutdown.store(true, Ordering::SeqCst);
+        // The accept loop re-checks the flag after every connection.
+        if let Some(path) = &state.cfg.socket {
+            let _ = UnixStream::connect(path);
+        }
+    }
 }
 
 fn status_rows(streams: &BTreeMap<String, StreamEntry>) -> Vec<StreamStatus> {
@@ -353,70 +420,42 @@ fn make_filter(mount: Option<&str>) -> Result<TraceFilter, String> {
     }
 }
 
-/// What one complete stream run produced.
-struct StreamRun {
-    report: AnalysisReport,
-    failures: Vec<ShardFailureRecord>,
-    events: u64,
-}
-
-/// Builds the stream's resident session and pumps `source` to
-/// end-of-input, checkpointing (and refreshing the merged snapshot)
-/// every `checkpoint_every` events — the [`Driver`](crate::session::Driver)
-/// loop, minus stop-after, plus snapshot publication at each cut.
-fn pump_stream(
-    state: &ServeState,
+/// Pulls an admitted stream's source to end-of-input through the batch
+/// [`Driver`](crate::session::Driver), checkpointing every
+/// `checkpoint_every` events. Each persisted checkpoint becomes the
+/// stream's progress in the merged snapshot, which is rewritten then.
+fn run_stream(
+    state: &Arc<ServeState>,
     name: &str,
     resume: Option<CheckpointDoc>,
     source: &mut dyn EventSource,
-) -> Result<StreamRun, String> {
+) -> Result<PipelineRun, String> {
     let filter = make_filter(state.cfg.mount.as_deref())?;
-    let metrics = Arc::new(PipelineMetrics::default());
+    let (hook_state, hook_name) = (Arc::clone(state), name.to_owned());
     let mut builder = PipelineBuilder::new(filter)
         .mount(state.cfg.mount.clone())
         .policy(state.cfg.policy)
-        .metrics(Arc::clone(&metrics));
-    if let Some(doc) = resume {
-        builder = builder.resume(doc);
-    }
-    let mut session = builder.build_session();
-    let ckpt_path = state.ckpt_path(name);
-    let every = state.cfg.checkpoint_every.max(1);
-    let mut skips_seen = source.skip_ledger().len();
-    loop {
-        let events = session.events();
-        let until = every - (events % every);
-        let want = DEFAULT_CHUNK.min(usize::try_from(until).unwrap_or(usize::MAX));
-        let batch = source
-            .next_batch(want)
-            .map_err(|e| format!("stream {name}: {e}"))?;
-        let skips = source.skip_ledger().len();
-        if skips > skips_seen {
-            session.add_parse_skipped((skips - skips_seen) as u64);
-            skips_seen = skips;
-        }
-        if batch.is_empty() {
-            break;
-        }
-        session.feed(batch);
-        if session.events().is_multiple_of(every) {
-            let doc = session.checkpoint_doc(&source.position());
-            write_checkpoint(&ckpt_path, &doc)
-                .map_err(|e| format!("stream {name}: checkpoint {}: {e}", ckpt_path.display()))?;
-            with_entry(state, name, |entry| {
+        .metrics(Arc::default())
+        .checkpoint(CheckpointPolicy {
+            every: state.cfg.checkpoint_every.max(1),
+            path: state.ckpt_path(name),
+        })
+        .on_checkpoint(move |doc| {
+            with_entry(&hook_state, &hook_name, |entry| {
                 entry.events = doc.cursor.events;
                 entry.doc = Some(doc);
             });
-            write_outputs(state).map_err(|e| format!("stream {name}: snapshot: {e}"))?;
-        }
+            // Best effort, like every republish: the checkpoint itself
+            // is already on disk.
+            let _ = write_outputs(&hook_state);
+        });
+    if let Some(doc) = resume {
+        builder = builder.resume(doc);
     }
-    let events = session.events();
-    let (report, failures) = session.finish();
-    Ok(StreamRun {
-        report,
-        failures,
-        events,
-    })
+    builder
+        .build()
+        .run(source)
+        .map_err(|e| format!("stream {name}: {e}"))
 }
 
 fn read_options(cfg: &ServeConfig) -> ReadOptions {
@@ -430,144 +469,74 @@ fn read_options(cfg: &ServeConfig) -> ReadOptions {
     }
 }
 
-/// Publishes a finished stream: final report, terminal checkpoint on
-/// disk stays for the record, merged snapshot refreshed.
-fn complete_stream(state: &ServeState, name: &str, run: StreamRun) {
-    with_entry(state, name, |entry| {
-        entry.running = false;
-        entry.done = true;
-        entry.events = run.events;
-        entry.report = Some(run.report);
-        entry.shard_failures = run.failures;
-        entry.doc = None;
-    });
-    let _ = write_outputs(state);
-}
-
 // ---------------------------------------------------------------------
 // Socket streams
 // ---------------------------------------------------------------------
 
-/// A frame payload hop between the connection reader thread and the
-/// analysis.
-enum StreamMsg {
-    Data(Vec<u8>),
-    Done,
-    Failed(String),
-}
-
-/// `Read` over the bounded frame channel: DATA payloads concatenate
-/// into a byte stream, DONE is end-of-file, a truncated or corrupt
-/// connection surfaces as an I/O error (which fails the stream through
-/// the normal source-error path).
-struct ChannelReader {
-    rx: Receiver<StreamMsg>,
+/// `Read` over a connection's frames: DATA payloads concatenate into a
+/// byte stream and DONE is end-of-file. Anything else — another frame
+/// kind, a close without DONE, a torn or corrupt frame — is an I/O
+/// error, which fails the stream through the source-error path.
+struct FrameReader {
+    conn: UnixStream,
     buf: Vec<u8>,
     pos: usize,
     done: bool,
 }
 
-impl ChannelReader {
-    fn new(rx: Receiver<StreamMsg>) -> Self {
-        ChannelReader {
-            rx,
-            buf: Vec::new(),
-            pos: 0,
-            done: false,
-        }
-    }
-}
-
-impl Read for ChannelReader {
+impl Read for FrameReader {
     fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
-        if out.is_empty() {
-            return Ok(0);
-        }
-        loop {
-            if self.pos < self.buf.len() {
-                let n = out.len().min(self.buf.len() - self.pos);
-                out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-                self.pos += n;
-                return Ok(n);
-            }
-            if self.done {
+        while self.pos == self.buf.len() {
+            if self.done || out.is_empty() {
                 return Ok(0);
             }
-            match self.rx.recv() {
-                Ok(StreamMsg::Data(bytes)) => {
-                    self.buf = bytes;
+            match read_frame(&mut self.conn) {
+                Ok(Some(frame)) if frame.kind == FRAME_DATA => {
+                    self.buf = frame.payload;
                     self.pos = 0;
                 }
-                Ok(StreamMsg::Done) => {
+                Ok(Some(frame)) if frame.kind == FRAME_DONE => self.done = true,
+                outcome => {
                     self.done = true;
-                    return Ok(0);
-                }
-                Ok(StreamMsg::Failed(msg)) => {
-                    self.done = true;
-                    return Err(io::Error::other(msg));
-                }
-                Err(_) => {
-                    self.done = true;
-                    return Err(io::Error::other("frame reader disconnected"));
+                    return Err(io::Error::other(match outcome {
+                        Ok(Some(frame)) => {
+                            format!("unexpected frame kind {:#04x} mid-stream", frame.kind)
+                        }
+                        // A clean close without DONE is a dead feeder, not
+                        // a finished stream: the checkpoint survives for
+                        // recovery.
+                        Ok(None) => "connection closed before its done frame".to_owned(),
+                        Err(e) => e.to_string(),
+                    }));
                 }
             }
         }
+        let n = out.len().min(self.buf.len() - self.pos);
+        out[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
+        self.pos += n;
+        Ok(n)
     }
 }
 
-/// Reader-thread half of a connection: frames to channel messages. The
-/// bounded channel is the backpressure seam — a slow analysis parks
-/// this thread, the kernel socket buffer fills, and the feeder's write
-/// blocks.
-fn pump_frames(mut conn: UnixStream, tx: SyncSender<StreamMsg>) {
-    loop {
-        match read_frame(&mut conn) {
-            Ok(Some(frame)) if frame.kind == FRAME_DATA => {
-                if tx.send(StreamMsg::Data(frame.payload)).is_err() {
-                    return;
-                }
-            }
-            Ok(Some(frame)) if frame.kind == FRAME_DONE => {
-                let _ = tx.send(StreamMsg::Done);
-                return;
-            }
-            Ok(Some(frame)) => {
-                let _ = tx.send(StreamMsg::Failed(format!(
-                    "unexpected frame kind {:#04x} mid-stream",
-                    frame.kind
-                )));
-                return;
-            }
-            // A clean close without DONE is a dead feeder, not a
-            // finished stream — the checkpoint survives for recovery.
-            Ok(None) => {
-                let _ = tx.send(StreamMsg::Failed(
-                    "connection closed before its done frame".into(),
-                ));
-                return;
-            }
-            Err(e) => {
-                let _ = tx.send(StreamMsg::Failed(e.to_string()));
-                return;
-            }
-        }
+/// Reads a connection's opening HELLO. `None` when the connection
+/// closed, timed out, or opened with anything but a well-formed HELLO
+/// frame of at most [`MAX_HELLO_LEN`] payload bytes; such a connection
+/// named no stream, so the server drops it without a record.
+pub fn read_hello(r: &mut impl Read) -> Option<StreamHello> {
+    match read_frame_limited(r, MAX_HELLO_LEN) {
+        Ok(Some(frame)) if frame.kind == FRAME_HELLO => serde_json::from_slice(&frame.payload).ok(),
+        _ => None,
     }
 }
 
-fn read_hello(conn: &mut UnixStream) -> Result<StreamHello, String> {
-    match read_frame(conn) {
-        Ok(Some(frame)) if frame.kind == FRAME_HELLO => serde_json::from_slice(&frame.payload)
-            .map_err(|e| format!("malformed hello payload: {e}")),
-        Ok(Some(frame)) => Err(format!("expected hello frame, got {:#04x}", frame.kind)),
-        Ok(None) => Err("connection closed before hello".into()),
-        Err(e) => Err(e.to_string()),
+/// Serves one socket connection end to end, on its own thread.
+fn handle_connection(state: &Arc<ServeState>, mut conn: UnixStream) {
+    // A silent client must not hold this thread, and with it a draining
+    // server, forever.
+    if conn.set_read_timeout(Some(HELLO_DEADLINE)).is_err() {
+        return;
     }
-}
-
-/// Serves one socket connection end to end.
-fn handle_connection(state: &ServeState, mut conn: UnixStream) {
-    let Ok(hello) = read_hello(&mut conn) else {
-        // No stream identified itself; nothing to record.
+    let Some(hello) = read_hello(&mut conn) else {
         return;
     };
     let resume = match register_stream(state, &hello.stream, "socket") {
@@ -578,56 +547,30 @@ fn handle_connection(state: &ServeState, mut conn: UnixStream) {
         }
     };
     // Handshake reply: the resume checkpoint (empty = start fresh).
-    let payload = match &resume {
-        Some(doc) => match encode_checkpoint(doc) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                fail_stream(state, &hello.stream, format!("encode resume document: {e}"));
-                return;
-            }
-        },
-        None => Vec::new(),
-    };
-    if let Err(e) = write_frame(&mut conn, FRAME_CHECKPOINT, &payload) {
-        fail_stream(state, &hello.stream, format!("handshake reply: {e}"));
-        return;
-    }
-    let (tx, rx) = sync_channel(PIPELINE_DEPTH);
-    let reader = thread::spawn(move || pump_frames(conn, tx));
-    let channel = ChannelReader::new(rx);
-    match run_socket_stream(state, &hello.stream, hello.format, resume, channel) {
-        Ok(run) => complete_stream(state, &hello.stream, run),
-        Err(e) => fail_stream(state, &hello.stream, e),
-    }
-    let _ = reader.join();
-}
-
-/// Decodes a socket stream's DATA bytes with the batch source machinery
-/// and pumps them through a resident session.
-fn run_socket_stream(
-    state: &ServeState,
-    name: &str,
-    format: SourceFormat,
-    resume: Option<CheckpointDoc>,
-    channel: ChannelReader,
-) -> Result<StreamRun, String> {
-    let options = read_options(&state.cfg);
-    let mut source: Box<dyn EventSource> = match (format, &resume) {
-        (SourceFormat::Jsonl, Some(doc)) => {
-            Box::new(JsonlSource::resume(channel, options, doc.cursor.clone()))
-        }
-        (SourceFormat::Jsonl, None) => Box::new(JsonlSource::new(channel, options)),
-        // The iotb cursor re-reads the container itself; the feeder
-        // replays the file from byte 0 on resume.
-        (SourceFormat::Iotb, Some(doc)) => Box::new(
-            IotbSource::resume(channel, options, doc.cursor.clone())
-                .map_err(|e| format!("stream {name}: {e}"))?,
-        ),
-        (SourceFormat::Iotb, None) => {
-            Box::new(IotbSource::new(channel, options).map_err(|e| format!("stream {name}: {e}"))?)
+    let payload = match resume.as_ref().map(encode_checkpoint).transpose() {
+        Ok(payload) => payload.unwrap_or_default(),
+        Err(e) => {
+            let error = format!("encode resume document: {e}");
+            return stop_stream(state, &hello.stream, Err(error));
         }
     };
-    pump_stream(state, name, resume, source.as_mut())
+    let reply = conn
+        .set_read_timeout(None)
+        .and_then(|()| write_frame(&mut conn, FRAME_CHECKPOINT, &payload));
+    if let Err(e) = reply {
+        return stop_stream(state, &hello.stream, Err(format!("handshake reply: {e}")));
+    }
+    let cursor = resume.as_ref().map(|doc| doc.cursor.clone());
+    let reader = FrameReader {
+        conn,
+        buf: Vec::new(),
+        pos: 0,
+        done: false,
+    };
+    let outcome = open_reader(reader, hello.format, read_options(&state.cfg), cursor)
+        .map_err(|e| format!("stream {}: {e}", hello.stream))
+        .and_then(|mut source| run_stream(state, &hello.stream, resume, source.as_mut()));
+    stop_stream(state, &hello.stream, outcome);
 }
 
 // ---------------------------------------------------------------------
@@ -637,7 +580,7 @@ fn run_socket_stream(
 /// Analyzes one spooled trace file as a stream named after its stem.
 /// The file is renamed `.done` on success, `.failed` on error, so the
 /// watcher never reprocesses it.
-fn process_spool_file(state: &ServeState, path: &Path) {
+fn process_spool_file(state: &Arc<ServeState>, path: &Path) {
     let Some(name) = path.file_stem().map(|s| s.to_string_lossy().into_owned()) else {
         return;
     };
@@ -649,25 +592,19 @@ fn process_spool_file(state: &ServeState, path: &Path) {
         Admit::Rejected(_) => return,
     };
     let trace = path.to_string_lossy().into_owned();
-    let outcome = (|| -> Result<StreamRun, String> {
-        let options = SourceOptions {
-            read: read_options(&state.cfg),
-            format: None,
-            resume: resume.as_ref().map(|doc| SourcePos {
-                format: doc.format,
-                state: doc.cursor.clone(),
-            }),
-            wrap: None,
-            decode_jobs: 1,
-        };
-        let mut source = open_source(&trace, options).map_err(|e| format!("{trace}: {e}"))?;
-        pump_stream(state, &name, resume.clone(), source.as_mut())
-    })();
+    let options = SourceOptions {
+        read: read_options(&state.cfg),
+        resume: resume.as_ref().map(|doc| SourcePos {
+            format: doc.format,
+            state: doc.cursor.clone(),
+        }),
+        ..SourceOptions::default()
+    };
+    let outcome = open_source(&trace, options)
+        .map_err(|e| format!("{trace}: {e}"))
+        .and_then(|mut source| run_stream(state, &name, resume, source.as_mut()));
     let suffix = if outcome.is_ok() { "done" } else { "failed" };
-    match outcome {
-        Ok(run) => complete_stream(state, &name, run),
-        Err(e) => fail_stream(state, &name, e),
-    }
+    stop_stream(state, &name, outcome);
     let renamed = path.with_extension(format!(
         "{}.{suffix}",
         path.extension().unwrap_or_default().to_string_lossy()
@@ -685,7 +622,7 @@ fn spool_candidate(path: &Path) -> bool {
 /// Watches the spool directory. A file is picked up once its size is
 /// stable across two consecutive scans, so half-copied traces are not
 /// analyzed mid-write.
-fn spool_loop(state: &ServeState, dir: &Path) {
+fn spool_loop(state: &Arc<ServeState>, dir: &Path) {
     let mut sizes: BTreeMap<PathBuf, u64> = BTreeMap::new();
     while !state.stopping() {
         let mut seen = Vec::new();
@@ -720,8 +657,9 @@ fn spool_loop(state: &ServeState, dir: &Path) {
 // Server entry point
 // ---------------------------------------------------------------------
 
-/// Runs the server: accept loop, spool watcher, and drain monitor.
-/// Blocks until the drain condition is met (forever without one).
+/// Runs the server: a blocking accept loop with one thread per
+/// connection, plus the spool watcher. Blocks until the drain condition
+/// is met (forever without one).
 ///
 /// # Errors
 ///
@@ -738,53 +676,36 @@ pub fn run_serve(cfg: ServeConfig) -> io::Result<ServeSummary> {
         Some(path) => {
             // A stale socket file from a previous server refuses binds.
             let _ = fs::remove_file(path);
-            let listener = UnixListener::bind(path)?;
-            listener.set_nonblocking(true)?;
-            Some(listener)
+            Some(UnixListener::bind(path)?)
         }
         None => None,
     };
-    let state = ServeState {
+    let state = Arc::new(ServeState {
         cfg,
         streams: Mutex::new(BTreeMap::new()),
         shutdown: AtomicBool::new(false),
-    };
+    });
     write_outputs(&state)?;
+    check_drain(&state);
     let state = &state;
     thread::scope(|scope| {
         if let Some(listener) = &listener {
             scope.spawn(move || {
-                while !state.stopping() {
-                    match listener.accept() {
-                        Ok((conn, _)) => {
-                            // Blocking per-connection I/O from here on.
-                            let _ = conn.set_nonblocking(false);
+                for conn in listener.incoming() {
+                    if state.stopping() {
+                        break;
+                    }
+                    match conn {
+                        Ok(conn) => {
                             scope.spawn(move || handle_connection(state, conn));
                         }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            thread::sleep(POLL_INTERVAL);
-                        }
-                        Err(_) => thread::sleep(POLL_INTERVAL),
+                        Err(_) => thread::sleep(ACCEPT_BACKOFF),
                     }
                 }
             });
         }
         if let Some(dir) = state.cfg.spool.clone() {
             scope.spawn(move || spool_loop(state, &dir));
-        }
-        // Drain monitor, on the scope's own thread.
-        while !state.stopping() {
-            if let Some(target) = state.cfg.drain {
-                let streams = state.streams.lock().unwrap_or_else(PoisonError::into_inner);
-                let completed = streams.values().filter(|e| e.done || e.gave_up).count();
-                let running = streams.values().any(|e| e.running);
-                if completed >= target && !running {
-                    drop(streams);
-                    state.shutdown.store(true, Ordering::Relaxed);
-                    break;
-                }
-            }
-            thread::sleep(POLL_INTERVAL);
         }
     });
     if let Some(path) = &state.cfg.socket {
@@ -1192,6 +1113,61 @@ mod tests {
     }
 
     #[test]
+    fn silent_connection_does_not_hold_a_draining_server() {
+        let dir = tmp_dir("silent");
+        let a_path = write_trace(&dir, "a.jsonl", &sample_trace(5, 10));
+        let mut cfg = serve_config(&dir, 1);
+        cfg.spool = None;
+        let socket = cfg.socket.clone().unwrap();
+        let status = cfg.state_dir.join("status.json");
+        let (tx, rx) = std::sync::mpsc::channel();
+        thread::spawn(move || {
+            let _ = tx.send(run_serve(cfg).unwrap());
+        });
+        while !status.exists() {
+            thread::sleep(Duration::from_millis(5));
+        }
+        // Connects first and never sends HELLO; held open past the drain.
+        let silent = UnixStream::connect(&socket).unwrap();
+        let outcome = run_feed(&FeedConfig {
+            socket,
+            stream: "a".into(),
+            trace: a_path,
+            format: SourceFormat::Jsonl,
+            chunk: 4096,
+            abort: None,
+            stall: None,
+        })
+        .unwrap();
+        assert!(outcome.rejected.is_none());
+        let summary = rx
+            .recv_timeout(HELLO_DEADLINE + Duration::from_secs(5))
+            .expect("a silent client must not keep a drained server running");
+        assert_eq!(summary.streams.len(), 1);
+        assert_eq!(summary.streams[0].state, "done");
+        drop(silent);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn oversized_hello_is_refused_before_its_payload_is_read() {
+        let mut bytes = vec![FRAME_HELLO];
+        bytes.extend_from_slice(&(MAX_HELLO_LEN + 1).to_le_bytes());
+        bytes.resize(bytes.len() + MAX_HELLO_LEN as usize + 1 + 8, b' ');
+        let mut input = io::Cursor::new(bytes);
+        match read_frame_limited(&mut input, MAX_HELLO_LEN) {
+            Err(crate::distribute::FrameError::Oversized { len, max }) => {
+                assert_eq!((len, max), (MAX_HELLO_LEN + 1, MAX_HELLO_LEN));
+            }
+            other => panic!("expected an oversized hello, got {other:?}"),
+        }
+        assert_eq!(input.position(), 9, "no payload byte may be read");
+        input.set_position(0);
+        assert!(read_hello(&mut input).is_none());
+        assert_eq!(input.position(), 9);
+    }
+
+    #[test]
     fn stream_names_that_escape_the_state_dir_are_rejected() {
         for bad in ["", "../escape", "a/b", "a\0b"] {
             assert!(!valid_stream_name(bad), "{bad:?} must be rejected");
@@ -1227,7 +1203,7 @@ mod tests {
             register_stream(&state, "s1", "socket"),
             Admit::Admitted(None)
         ));
-        fail_stream(&state, "s1", "boom".into());
+        stop_stream(&state, "s1", Err("boom".into()));
         write_outputs(&state).unwrap();
         let status = fs::read_to_string(state.cfg.state_dir.join("status.json")).unwrap();
         assert!(

@@ -29,7 +29,7 @@ use crate::checkpoint::{write_checkpoint, CheckpointDoc, PidStateSnapshot};
 use crate::coverage::AnalysisReport;
 use crate::metrics::{PipelineMetrics, ShardFailureRecord};
 use crate::parallel::ShardSupervisor;
-use crate::pipeline::{CheckpointPolicy, PipelineError, PipelineRun};
+use crate::pipeline::{CheckpointHook, CheckpointPolicy, PipelineError, PipelineRun};
 
 /// A resident analysis: accepts event batches incrementally and yields
 /// cumulative reports on demand. Holds the shard supervisor, the shared
@@ -111,17 +111,19 @@ impl AnalysisSession {
     }
 
     /// Cuts the session and persists a checkpoint at `pos` to the
-    /// configured policy path. No-op without a checkpoint policy.
+    /// configured policy path, returning the document written. No-op
+    /// (`None`) without a checkpoint policy.
     ///
     /// # Errors
     ///
     /// [`PipelineError::Checkpoint`] when the write fails.
-    pub fn checkpoint(&mut self, pos: &SourcePos) -> Result<(), PipelineError> {
+    pub fn checkpoint(&mut self, pos: &SourcePos) -> Result<Option<CheckpointDoc>, PipelineError> {
         let Some(path) = self.checkpoint.as_ref().map(|ck| ck.path.clone()) else {
-            return Ok(());
+            return Ok(None);
         };
         let doc = self.checkpoint_doc(pos);
-        write_checkpoint(&path, &doc).map_err(|error| PipelineError::Checkpoint { path, error })
+        write_checkpoint(&path, &doc).map_err(|error| PipelineError::Checkpoint { path, error })?;
+        Ok(Some(doc))
     }
 
     /// The checkpoint cadence policy, if any.
@@ -152,6 +154,7 @@ pub struct Driver {
     session: AnalysisSession,
     chunk: usize,
     stop_after: Option<u64>,
+    pub(crate) on_checkpoint: Option<CheckpointHook>,
 }
 
 impl Driver {
@@ -163,13 +166,14 @@ impl Driver {
             session,
             chunk: chunk.max(1),
             stop_after,
+            on_checkpoint: None,
         }
     }
 
     /// Pulls the source to end-of-input (or `stop_after`), feeding
     /// batches into the session, cutting checkpoints at every
-    /// `checkpoint.every` boundary, and accounting lossy parse skips to
-    /// the metrics.
+    /// `checkpoint.every` boundary (each handed to the checkpoint hook
+    /// once persisted), and accounting lossy parse skips to the metrics.
     ///
     /// # Errors
     ///
@@ -212,7 +216,10 @@ impl Driver {
             let events = self.session.events();
             if let Some(every) = self.session.checkpoint_policy().map(|ck| ck.every) {
                 if events.is_multiple_of(every) {
-                    self.session.checkpoint(&source.position())?;
+                    let doc = self.session.checkpoint(&source.position())?;
+                    if let (Some(hook), Some(doc)) = (&mut self.on_checkpoint, doc) {
+                        hook(doc);
+                    }
                 }
             }
             if self.stop_after.is_some_and(|k| events >= k) {

@@ -63,8 +63,8 @@ pub use recorder::{Recorder, RecorderStats};
 pub use retry::{is_transient, RetryPolicy, RetryRead};
 pub use serial::{read_jsonl, write_jsonl, TraceIoError};
 pub use source::{
-    open_source, sniff_format, unseekable_kind, EventSource, IotbSource, JsonlSource, ReaderWrap,
-    SourceError, SourceFormat, SourceOptions, SourcePos,
+    open_reader, open_source, sniff_format, unseekable_kind, EventSource, IotbSource, JsonlSource,
+    ReaderWrap, SourceError, SourceFormat, SourceOptions, SourcePos,
 };
 
 use serde::{Deserialize, Serialize};

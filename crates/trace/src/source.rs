@@ -298,7 +298,9 @@ pub fn sniff_format(path: &str) -> Result<SourceFormat, SourceError> {
 
 /// Opens a trace file as an [`EventSource`]: resolves the format
 /// (forced or sniffed), validates any resume position against it,
-/// positions the reader, applies the wrap hook, and picks the cursor.
+/// positions the reader, applies the wrap hook, and picks the cursor
+/// ([`open_reader`], or the parallel block decoder for an indexed
+/// `.iotb` with `decode_jobs > 1`).
 ///
 /// # Errors
 ///
@@ -336,52 +338,55 @@ pub fn open_source(
     let wrap = options
         .wrap
         .unwrap_or_else(|| Box::new(|f: File| Box::new(f) as Box<dyn Read>));
-    match format {
-        SourceFormat::Jsonl => match options.resume {
-            Some(pos) => {
-                // Seek the raw file before decorating it: wrap layers
-                // (retry, fault injection) need not be seekable.
-                file.seek(SeekFrom::Start(pos.state.byte_offset))
-                    .map_err(SourceError::Seek)?;
-                Ok(Box::new(JsonlCursor::resume(
-                    wrap(file),
-                    options.read,
-                    pos.state,
-                )))
-            }
-            None => Ok(Box::new(JsonlCursor::new(wrap(file), options.read))),
-        },
-        SourceFormat::Iotb => {
-            if options.decode_jobs > 1 && footer_says_indexed(path) {
-                // Block-indexed v2 container: read it once into a
-                // shared buffer (through the wrap hook, so fault
-                // injection still applies) and decode blocks in
-                // parallel. A v2 footer without a valid index is
-                // corruption, fatal like a bad string table.
-                let mut reader = wrap(file);
-                let mut bytes = Vec::new();
-                reader
-                    .read_to_end(&mut bytes)
-                    .map_err(|e| SourceError::Trace(TraceIoError::Io(e)))?;
-                let bytes = Arc::new(bytes);
-                let jobs = options.decode_jobs;
-                let source = match options.resume {
-                    Some(pos) => IotbBlockSource::resume(bytes, options.read, pos.state, jobs),
-                    None => IotbBlockSource::new(bytes, options.read, jobs),
-                }
-                .map_err(SourceError::Trace)?;
-                return Ok(Box::new(source));
-            }
-            let source = match options.resume {
-                // The iotb cursor re-reads the table itself, so the
-                // reader stays at the container start.
-                Some(pos) => IotbCursor::resume(wrap(file), options.read, pos.state),
-                None => IotbCursor::new(wrap(file), options.read),
-            }
-            .map_err(SourceError::Trace)?;
-            Ok(Box::new(source))
+    if format == SourceFormat::Iotb && options.decode_jobs > 1 && footer_says_indexed(path) {
+        // Block-indexed v2 container: read it once into a shared buffer
+        // (through the wrap hook, so fault injection still applies) and
+        // decode blocks in parallel. A v2 footer without a valid index
+        // is corruption, fatal like a bad string table.
+        let mut reader = wrap(file);
+        let mut bytes = Vec::new();
+        reader
+            .read_to_end(&mut bytes)
+            .map_err(|e| SourceError::Trace(TraceIoError::Io(e)))?;
+        let bytes = Arc::new(bytes);
+        let jobs = options.decode_jobs;
+        let source = match options.resume {
+            Some(pos) => IotbBlockSource::resume(bytes, options.read, pos.state, jobs),
+            None => IotbBlockSource::new(bytes, options.read, jobs),
         }
+        .map_err(SourceError::Trace)?;
+        return Ok(Box::new(source));
     }
+    if let (SourceFormat::Jsonl, Some(pos)) = (format, &options.resume) {
+        // Seek the raw file before decorating it: wrap layers (retry,
+        // fault injection) need not be seekable.
+        file.seek(SeekFrom::Start(pos.state.byte_offset))
+            .map_err(SourceError::Seek)?;
+    }
+    let resume = options.resume.map(|pos| pos.state);
+    open_reader(wrap(file), format, options.read, resume).map_err(SourceError::Trace)
+}
+
+/// Picks the serial cursor for `format` over a reader already
+/// positioned for it: at the resume byte offset for a resumed JSONL
+/// scan, at the container start for `.iotb` (its cursor re-reads the
+/// string table and skips the already-counted events itself).
+///
+/// # Errors
+///
+/// `.iotb` container errors from the cursor constructor.
+pub fn open_reader<'a, R: Read + 'a>(
+    reader: R,
+    format: SourceFormat,
+    read: ReadOptions,
+    resume: Option<CursorState>,
+) -> Result<Box<dyn EventSource + 'a>, TraceIoError> {
+    Ok(match (format, resume) {
+        (SourceFormat::Jsonl, Some(state)) => Box::new(JsonlCursor::resume(reader, read, state)),
+        (SourceFormat::Jsonl, None) => Box::new(JsonlCursor::new(reader, read)),
+        (SourceFormat::Iotb, Some(state)) => Box::new(IotbCursor::resume(reader, read, state)?),
+        (SourceFormat::Iotb, None) => Box::new(IotbCursor::new(reader, read)?),
+    })
 }
 
 /// Classifies a path that cannot support seek-based replay: returns the
