@@ -219,8 +219,7 @@ pub fn multi_pid_trace(events: usize, pids: u32) -> iocov_trace::Trace {
 /// One ingest-throughput measurement for `BENCH_repro.json`.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct IngestThroughput {
-    /// Reader under test: `jsonl-strict`, `jsonl-lossy`, `iotb`, or
-    /// `iotb-indexed-jobsN` (block-indexed v2, N decode workers).
+    /// Reader under test: `jsonl-strict`, `jsonl-lossy` or `iotb`.
     pub format: String,
     /// Events decoded per pass.
     pub events: usize,
@@ -233,9 +232,8 @@ pub struct IngestThroughput {
 }
 
 /// Measures ingest throughput of the trace readers — strict and lossy
-/// JSONL, serial `.iotb`, and block-indexed v2 decode at 1/2/4 workers
-/// — over the same `events`-call sample trace (best of three passes
-/// each), for the `repro --full` benchmark document.
+/// JSONL and `.iotb` — over the same `events`-call sample trace (best
+/// of three passes each), for the `repro --full` benchmark document.
 #[must_use]
 pub fn measure_ingest_throughput(events: usize) -> Vec<IngestThroughput> {
     use iocov_trace::EventSource;
@@ -244,26 +242,7 @@ pub fn measure_ingest_throughput(events: usize) -> Vec<IngestThroughput> {
     iocov_trace::write_jsonl(&mut jsonl, &trace).expect("serialize jsonl");
     let mut iotb = Vec::new();
     iocov_trace::write_iotb(&mut iotb, &trace).expect("serialize iotb");
-    let mut indexed = Vec::new();
-    iocov_trace::write_iotb_indexed(&mut indexed, &trace, iocov_trace::DEFAULT_BLOCK_EVENTS)
-        .expect("serialize indexed iotb");
-    let indexed = std::sync::Arc::new(indexed);
     let options = iocov_trace::ReadOptions::default();
-
-    let drain_indexed = |jobs: usize| -> usize {
-        let mut source =
-            iocov_trace::IotbBlockSource::new(std::sync::Arc::clone(&indexed), options, jobs)
-                .expect("clean container");
-        let mut decoded = 0;
-        loop {
-            let batch = source.next_batch(4096).expect("clean parses");
-            if batch.is_empty() {
-                break;
-            }
-            decoded += batch.len();
-        }
-        decoded
-    };
 
     let best_of_3 = |run: &dyn Fn() -> usize| -> (usize, f64) {
         let mut best = f64::INFINITY;
@@ -276,7 +255,7 @@ pub fn measure_ingest_throughput(events: usize) -> Vec<IngestThroughput> {
         (decoded, best)
     };
     type Pass<'a> = (&'a str, usize, Box<dyn Fn() -> usize + 'a>);
-    let passes: [Pass; 6] = [
+    let passes: [Pass; 3] = [
         (
             "jsonl-strict",
             jsonl.len(),
@@ -304,21 +283,6 @@ pub fn measure_ingest_throughput(events: usize) -> Vec<IngestThroughput> {
                     .expect("clean parses")
                     .len()
             }),
-        ),
-        (
-            "iotb-indexed-jobs1",
-            indexed.len(),
-            Box::new(|| drain_indexed(1)),
-        ),
-        (
-            "iotb-indexed-jobs2",
-            indexed.len(),
-            Box::new(|| drain_indexed(2)),
-        ),
-        (
-            "iotb-indexed-jobs4",
-            indexed.len(),
-            Box::new(|| drain_indexed(4)),
         ),
     ];
     passes

@@ -206,8 +206,8 @@ pub enum Command {
         /// Output container format (defaults to the output path's
         /// extension).
         to: Option<TraceFormat>,
-        /// Write the block-indexed iotb v2 container (enables parallel
-        /// decode at analyze time).
+        /// Write the block-indexed iotb v2 container: v1 plus a
+        /// trailing block index that analysis does not read.
         index: bool,
         /// Skip malformed input records instead of aborting.
         lossy: bool,
@@ -937,9 +937,8 @@ counters — events read, parse-skipped, drops by reason, variant
 merges, partition records, shard restarts and failures — alongside the
 coverage report. `convert` translates between the two containers; --to
 defaults to the output path's extension. `convert --index` writes the
-block-indexed iotb v2 container, which `analyze --jobs N` decodes in
-parallel (N block-decode workers) with output byte-identical to a
-serial read; plain v1 containers stay readable everywhere.
+block-indexed iotb v2 container: v1 plus a trailing block index that
+analysis does not read, so every command reads v1 and v2 alike.
 
 Analysis is supervised: a panicking or stalled worker shard is
 restarted with exponential backoff and its events replayed; a shard
@@ -1306,9 +1305,7 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Resu
             state: doc.cursor.clone(),
         }),
         wrap: Some(Box::new(move |file| fault_reader(file, io))),
-        // Block-indexed v2 containers decode with one worker per
-        // analysis job; v1 (and JSONL) fall back to the serial reader.
-        decode_jobs: jobs,
+        ..SourceOptions::default()
     };
     let mut source = open_source(ctx.trace, options).map_err(|e| source_error(ctx.trace, e))?;
     let pipeline_metrics = ctx.metrics.then(|| Arc::new(PipelineMetrics::default()));
@@ -2440,11 +2437,9 @@ mod tests {
 
     #[test]
     fn indexed_convert_writes_v2_and_analyzes_byte_identical_at_all_job_counts() {
-        // The tentpole acceptance bar for the block-indexed container:
         // `convert --index` emits a v2 file (footer magic present), and
-        // analyzing it — parallel block decode — renders byte-identical
-        // output to the JSONL original and the v1 container at every
-        // job count.
+        // analyzing it renders byte-identical output to the JSONL
+        // original and the v1 container at every job count.
         let file = sample_trace_file();
         let v1 = convert_to_iotb(&file.path, "v2-identity", false);
         let v2 = convert_to_indexed_iotb(&file.path, "v2-identity");
@@ -2485,8 +2480,8 @@ mod tests {
 
     #[test]
     fn kill_and_resume_over_indexed_iotb_is_byte_identical() {
-        // Checkpoint/resume over the v2 container with parallel block
-        // decode matches an uninterrupted run.
+        // Checkpoint/resume over the v2 container at --jobs 4 matches
+        // an uninterrupted run.
         let file = sample_trace_file();
         let v2 = convert_to_indexed_iotb(&file.path, "kill-resume");
         let ckpt = ckpt_path("v2-kill-resume");

@@ -2,8 +2,8 @@
 //! every cell of the pipeline matrix —
 //! {jsonl, jsonl-lossy, iotb, iotb-indexed-v2} × {jobs 1, jobs 2, jobs 4} ×
 //! {--metrics on/off} × {straight run, checkpoint kill/resume} —
-//! seeded from the checked-in corrupt fixture and a converted
-//! Syzkaller-style trace. This is the tentpole invariant of the
+//! seeded from the checked-in corrupt fixture, a converted
+//! Syzkaller-style trace, and a bit-flipped copy of its v2 container. This is the tentpole invariant of the
 //! EventSource/ShardSupervisor unification: one `PipelineBuilder` path serves
 //! every flag combination, and none of them may perturb the output.
 
@@ -86,6 +86,24 @@ fn to_indexed_iotb(input: &str, tag: &str, lossy: bool) -> String {
     out_path
 }
 
+/// A copy of the v2 container at `path` with one bit of the first
+/// record's `timestamp_ns` flipped. The record still decodes, so
+/// every job count reads the flipped value and renders one report.
+fn flip_first_timestamp_bit(path: &str) -> String {
+    let mut bytes = std::fs::read(path).unwrap();
+    let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
+    let mut pos = 12;
+    for _ in 0..count {
+        pos += 4 + u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+    }
+    // Past the table checksum and the record's length prefix, `seq`
+    // (8 bytes) precedes `timestamp_ns`.
+    bytes[pos + 8 + 4 + 8] ^= 0x01;
+    let out = temp_path("clean-v2-bitflip", "iotb");
+    std::fs::write(&out, bytes).unwrap();
+    out
+}
+
 /// One seed trace of the matrix: a path plus the fixed flags its
 /// container/content requires.
 struct SeedCase {
@@ -106,6 +124,7 @@ fn seed_cases() -> &'static Vec<SeedCase> {
         let syz = syz_trace();
         let syz_iotb = to_iotb(&syz, "clean", false);
         let syz_indexed = to_indexed_iotb(&syz, "clean", false);
+        let syz_flipped = flip_first_timestamp_bit(&syz_indexed);
         vec![
             SeedCase {
                 label: "jsonl-lossy",
@@ -132,9 +151,6 @@ fn seed_cases() -> &'static Vec<SeedCase> {
                 path: syz_iotb,
                 fixed: Vec::new(),
             },
-            // Block-indexed v2 containers: at --jobs > 1 these route
-            // through the parallel IotbBlockSource, whose output must
-            // match the serial decode of the same file byte for byte.
             SeedCase {
                 label: "iotb-indexed-from-lossy",
                 path: corrupt_indexed,
@@ -143,6 +159,11 @@ fn seed_cases() -> &'static Vec<SeedCase> {
             SeedCase {
                 label: "iotb-indexed-strict",
                 path: syz_indexed,
+                fixed: Vec::new(),
+            },
+            SeedCase {
+                label: "iotb-indexed-bitflip-strict",
+                path: syz_flipped,
                 fixed: Vec::new(),
             },
         ]
@@ -183,6 +204,20 @@ fn every_executor_cell_is_byte_identical() {
             }
         }
     }
+}
+
+/// The flipped timestamp never reaches the report: the bit-flipped v2
+/// file renders the clean file's bytes.
+#[test]
+fn bit_flipped_v2_reports_like_the_clean_file() {
+    let report = |label: &str| {
+        let case = seed_cases().iter().find(|case| case.label == label);
+        run_bytes(&cell_args(case.unwrap(), 1, false, &[]))
+    };
+    assert_eq!(
+        report("iotb-indexed-bitflip-strict"),
+        report("iotb-indexed-strict")
+    );
 }
 
 proptest! {

@@ -451,8 +451,7 @@ pub fn run_worker(
             },
             format: spec.format,
             resume,
-            wrap: None,
-            decode_jobs: 1,
+            ..SourceOptions::default()
         },
     )
     .map_err(|e| WorkerError::Source(e.to_string()))?;

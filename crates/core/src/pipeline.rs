@@ -10,10 +10,9 @@
 //!  │ open_source(path, options)    │   │ pid-sharded StreamingAnalyzers,  │
 //!  │   ├─ JsonlSource (strict/lossy│   │ one run-long restart ledger,     │
 //!  │   │   via ReadOptions)        │──▶│ replay log since the last cut    │
-//!  │   ├─ IotbSource  (strict/lossy│   │   inline: 1 shard, caller thread │
-//!  │   │   via ReadOptions)        │   │   threaded: iocov-shard-N pool   │
-//!  │   └─ IotbBlockSource (v2 only;│   │                                  │
-//!  │       parallel block decode)  │   │                                  │
+//!  │   └─ IotbSource  (strict/lossy│   │   inline: 1 shard, caller thread │
+//!  │       via ReadOptions; v1 and │   │   threaded: iocov-shard-N pool   │
+//!  │       v2 alike)               │   │                                  │
 //!  └───────────────────────────────┘   └──────────────────────────────────┘
 //!                   │                                 │
 //!                   └──── Driver::run / AnalysisSession::feed ────┘
@@ -31,13 +30,11 @@
 //! invariant: the serialized report is **byte-identical** across every
 //! cell of that matrix to a plain serial run over the same events.
 //!
-//! Parallelism layers at two independent stages. Upstream, a
-//! block-indexed `.iotb` v2 container opened with
-//! `SourceOptions::decode_jobs > 1` decodes blocks on worker threads
-//! inside `IotbBlockSource`, but reassembles them in file order before
-//! `next_batch` returns. Downstream, the supervisor shards the decoded
-//! events by pid. Byte-identity composes because each stage preserves
-//! event order at its boundary.
+//! Parallelism lives at one stage. Every source is one serial cursor
+//! on the caller's thread, so events leave `next_batch` in file order
+//! at any job count; the supervisor then shards them by pid. A run's
+//! job count therefore changes who analyzes an event, never which
+//! events are read or in what order.
 //!
 //! # Checkpoint cuts
 //!

@@ -26,7 +26,7 @@
 //!
 //! Version 2 ([`write_iotb_indexed`]) keeps the header, string table,
 //! and record encoding of version 1 byte-for-byte, and appends an index
-//! that lets a reader decode disjoint block ranges in parallel:
+//! of fixed-size blocks with a checksum per block:
 //!
 //! ```text
 //! records  grouped into blocks of up to N events each
@@ -40,14 +40,10 @@
 //! footer   u64 LE absolute byte offset of the index, 8 bytes b"IOTBXEND"
 //! ```
 //!
-//! The serial reader ([`IotbCursor`]) streams a v2 container exactly
-//! like v1 and treats the sentinel as a clean end of records; the index
-//! is consumed only by the parallel
-//! [`IotbBlockSource`](crate::IotbBlockSource), which verifies the
-//! per-block checksums it actually decodes. Index integrity is the
-//! indexed decoder's concern: corruption there is fatal to indexed
-//! opens ([`read_block_index`]), while the serial path ignores the
-//! index entirely.
+//! The one reader ([`IotbCursor`]) streams a v2 container exactly like
+//! v1 and treats the sentinel as a clean end of records. Nothing reads
+//! the index, at any job count: to analysis, v2 is v1 plus a trailing
+//! index it skips.
 //!
 //! Versioning rule: readers reject any other `version` outright — records
 //! are not self-describing, so there is no forward-compatible partial
@@ -68,6 +64,17 @@
 //! gone, so the scan records one skip and stops rather than chase a
 //! corrupt offset. Skips report 1-based *record* ordinals in
 //! [`SkippedLine::line`].
+//!
+//! The v2 block checksums are not verified by any reader. They guard
+//! a reader that jumps to offsets taken from the index; the cursor
+//! never jumps. It follows length prefixes from the table onward and
+//! validates every record it reads — the [`MAX_RECORD_LEN`] cap,
+//! argument tags, symbol references, exact payload consumption — behind
+//! a string table whose own checksum is verified. A flipped bit inside
+//! a field that still decodes (a timestamp, a retval) therefore reads
+//! as that value, at every job count, as it does in a v1 container.
+//! Verifying the block checksums on every read would hash every record
+//! byte on the hot path, a cost the reader does not pay.
 
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -91,9 +98,8 @@ pub const IOTB_VERSION: u32 = 1;
 /// The block-indexed container version ([`write_iotb_indexed`]).
 pub const IOTB_VERSION_INDEXED: u32 = 2;
 
-/// Default events per index block in a v2 container — small enough to
-/// spread a medium trace over many workers, large enough that the
-/// 32-byte index entry and per-block checksum are noise.
+/// Default events per index block in a v2 container — large enough
+/// that the 32-byte index entry per block is noise.
 pub const DEFAULT_BLOCK_EVENTS: usize = 4096;
 
 /// The 8 trailing bytes of a v2 container, preceded by the u64 index
@@ -104,7 +110,7 @@ pub const IOTB_INDEX_FOOTER_MAGIC: [u8; 8] = *b"IOTBXEND";
 /// container. Above [`MAX_RECORD_LEN`] by construction, so a reader
 /// that ignores versions would stop with "framing lost" instead of
 /// misreading the index as records.
-pub(crate) const INDEX_SENTINEL: u32 = u32::MAX;
+const INDEX_SENTINEL: u32 = u32::MAX;
 
 /// Upper bound on one record's payload length. A longer prefix can only
 /// come from corrupted framing: even a pathological event with thousands
@@ -125,10 +131,10 @@ const MAX_STRINGS: usize = 1 << 24;
 const TABLE_PREALLOC_ENTRIES: usize = 1 << 12;
 const STRING_PREALLOC_BYTES: usize = 1 << 13;
 
-pub(crate) const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     for &b in bytes {
         hash ^= u64::from(b);
         hash = hash.wrapping_mul(FNV_PRIME);
@@ -143,7 +149,7 @@ pub fn is_iotb(bytes: &[u8]) -> bool {
     bytes.len() >= IOTB_MAGIC.len() && bytes[..IOTB_MAGIC.len()] == IOTB_MAGIC
 }
 
-pub(crate) fn binary_error(detail: impl Into<String>) -> TraceIoError {
+fn binary_error(detail: impl Into<String>) -> TraceIoError {
     TraceIoError::Binary {
         detail: detail.into(),
     }
@@ -214,18 +220,18 @@ fn write_header_and_table<W: Write>(
     Ok(written + 8)
 }
 
-/// One entry of a v2 container's block index: a decodable,
-/// independently checksummed run of whole records.
+/// One entry of a v2 container's block index: a run of whole records
+/// and the FNV-1a of its bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IotbBlock {
+struct IotbBlock {
     /// Absolute byte offset of the block's first length prefix.
-    pub offset: u64,
+    offset: u64,
     /// Byte length of the block (prefixes + payloads).
-    pub byte_len: u64,
+    byte_len: u64,
     /// Events encoded in the block.
-    pub events: u64,
+    events: u64,
     /// FNV-1a over the block's bytes.
-    pub checksum: u64,
+    checksum: u64,
 }
 
 /// Writes a trace as a block-indexed v2 container: identical record
@@ -301,91 +307,6 @@ pub fn write_iotb_indexed<W: Write>(
     w.write_all(&IOTB_INDEX_FOOTER_MAGIC)?;
     w.flush()?;
     Ok(())
-}
-
-/// Parses the block index of a complete in-memory container. Returns
-/// `Ok(None)` for a v1 container (no index to parse).
-///
-/// The index checksum and the structural sanity of every entry are
-/// verified here; per-block data checksums are verified by the decoder
-/// that actually reads each block.
-///
-/// # Errors
-///
-/// Returns [`TraceIoError::Binary`] when a v2 container's sentinel,
-/// index, or footer is missing or corrupt — fatal for indexed opens,
-/// by the same rule that makes string-table corruption fatal.
-pub fn read_block_index(bytes: &[u8]) -> Result<Option<Vec<IotbBlock>>, TraceIoError> {
-    if bytes.len() < 12 || !is_iotb(bytes) {
-        return Err(binary_error("bad magic: not an .iotb trace"));
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version == IOTB_VERSION {
-        return Ok(None);
-    }
-    if version != IOTB_VERSION_INDEXED {
-        return Err(binary_error(format!(
-            "unsupported version {version} (expected {IOTB_VERSION} or {IOTB_VERSION_INDEXED})"
-        )));
-    }
-    if bytes.len() < 16 || bytes[bytes.len() - 8..] != IOTB_INDEX_FOOTER_MAGIC {
-        return Err(binary_error("v2 container is missing its index footer"));
-    }
-    let index_offset = u64::from_le_bytes(
-        bytes[bytes.len() - 16..bytes.len() - 8]
-            .try_into()
-            .expect("8 bytes"),
-    );
-    let index_start = usize::try_from(index_offset)
-        .ok()
-        .filter(|&start| start >= 16 && start + 12 <= bytes.len())
-        .ok_or_else(|| binary_error("v2 index offset out of range"))?;
-    if bytes[index_start - 4..index_start] != INDEX_SENTINEL.to_le_bytes() {
-        return Err(binary_error("v2 record sentinel missing before index"));
-    }
-    let count = u32::from_le_bytes(
-        bytes[index_start..index_start + 4]
-            .try_into()
-            .expect("4 bytes"),
-    ) as usize;
-    let entries_len = count
-        .checked_mul(32)
-        .filter(|&n| index_start + 4 + n + 8 + 16 == bytes.len())
-        .ok_or_else(|| binary_error("v2 index length does not match the container"))?;
-    let index_bytes = &bytes[index_start..index_start + 4 + entries_len];
-    let stored = u64::from_le_bytes(
-        bytes[index_start + 4 + entries_len..index_start + 4 + entries_len + 8]
-            .try_into()
-            .expect("8 bytes"),
-    );
-    let computed = fnv1a(index_bytes, FNV_OFFSET);
-    if stored != computed {
-        return Err(binary_error(format!(
-            "v2 index checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
-        )));
-    }
-    let sentinel_at = index_start as u64 - 4;
-    let mut blocks = Vec::with_capacity(count.min(TABLE_PREALLOC_ENTRIES));
-    let mut expected_offset: Option<u64> = None;
-    for entry in index_bytes[4..].chunks_exact(32) {
-        let block = IotbBlock {
-            offset: u64::from_le_bytes(entry[0..8].try_into().expect("8 bytes")),
-            byte_len: u64::from_le_bytes(entry[8..16].try_into().expect("8 bytes")),
-            events: u64::from_le_bytes(entry[16..24].try_into().expect("8 bytes")),
-            checksum: u64::from_le_bytes(entry[24..32].try_into().expect("8 bytes")),
-        };
-        let contiguous = expected_offset.is_none_or(|at| at == block.offset);
-        let end = block.offset.checked_add(block.byte_len);
-        if !contiguous || block.byte_len == 0 || end.is_none_or(|end| end > sentinel_at) {
-            return Err(binary_error(format!(
-                "v2 index entry at offset {} does not describe the record region",
-                block.offset
-            )));
-        }
-        expected_offset = end;
-        blocks.push(block);
-    }
-    Ok(Some(blocks))
 }
 
 fn encode_record(out: &mut Vec<u8>, event: &TraceEvent, interner: &StrInterner) {
@@ -474,7 +395,7 @@ fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<Fill
 /// checksum verifies, so buffers are preallocated only up to fixed
 /// caps and grown as bytes actually arrive — a forged header earns an
 /// allocation proportional to the file, never to its own claims.
-pub(crate) fn read_table<R: Read>(r: &mut R) -> Result<(Vec<Arc<str>>, u64, u32), TraceIoError> {
+fn read_table<R: Read>(r: &mut R) -> Result<(Vec<Arc<str>>, u64, u32), TraceIoError> {
     let mut header = [0u8; 12];
     match read_exact_or_eof(r, &mut header)? {
         Fill::Full => {}
@@ -607,7 +528,7 @@ fn resolve_ref(table: &[Arc<str>], index: u32) -> Result<&Arc<str>, String> {
 /// batch arena, so a valid record costs zero per-record allocations
 /// once the batch buffers are warm. A malformed record leaves the batch
 /// untouched (the partial row is rolled back).
-pub(crate) fn decode_record_into(
+fn decode_record_into(
     payload: &[u8],
     table: &[Arc<str>],
     batch: &mut EventBatch,
@@ -659,7 +580,7 @@ pub(crate) fn decode_record_into(
 /// Decodes one record into an owned [`TraceEvent`]. Delegates to
 /// [`decode_record_into`] so the two paths validate identically (same
 /// checks, same error strings) by construction.
-pub(crate) fn decode_record(payload: &[u8], table: &[Arc<str>]) -> Result<TraceEvent, String> {
+fn decode_record(payload: &[u8], table: &[Arc<str>]) -> Result<TraceEvent, String> {
     let mut batch = EventBatch::new();
     decode_record_into(payload, table, &mut batch)?;
     Ok(batch.get(0).expect("committed row").to_event())
@@ -1275,6 +1196,83 @@ mod tests {
         }
     }
 
+    /// Parses the block index of a complete in-memory container, so the
+    /// writer's index can be checked against the bytes it describes.
+    /// Returns `Ok(None)` for a v1 container (no index to parse). No
+    /// reader calls this: analysis never reads the index.
+    fn read_block_index(bytes: &[u8]) -> Result<Option<Vec<IotbBlock>>, TraceIoError> {
+        if bytes.len() < 12 || !is_iotb(bytes) {
+            return Err(binary_error("bad magic: not an .iotb trace"));
+        }
+        let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
+        if version == IOTB_VERSION {
+            return Ok(None);
+        }
+        if version != IOTB_VERSION_INDEXED {
+            return Err(binary_error(format!(
+                "unsupported version {version} (expected {IOTB_VERSION} or {IOTB_VERSION_INDEXED})"
+            )));
+        }
+        if bytes.len() < 16 || bytes[bytes.len() - 8..] != IOTB_INDEX_FOOTER_MAGIC {
+            return Err(binary_error("v2 container is missing its index footer"));
+        }
+        let index_offset = u64::from_le_bytes(
+            bytes[bytes.len() - 16..bytes.len() - 8]
+                .try_into()
+                .expect("8 bytes"),
+        );
+        let index_start = usize::try_from(index_offset)
+            .ok()
+            .filter(|&start| start >= 16 && start + 12 <= bytes.len())
+            .ok_or_else(|| binary_error("v2 index offset out of range"))?;
+        if bytes[index_start - 4..index_start] != INDEX_SENTINEL.to_le_bytes() {
+            return Err(binary_error("v2 record sentinel missing before index"));
+        }
+        let count = u32::from_le_bytes(
+            bytes[index_start..index_start + 4]
+                .try_into()
+                .expect("4 bytes"),
+        ) as usize;
+        let entries_len = count
+            .checked_mul(32)
+            .filter(|&n| index_start + 4 + n + 8 + 16 == bytes.len())
+            .ok_or_else(|| binary_error("v2 index length does not match the container"))?;
+        let index_bytes = &bytes[index_start..index_start + 4 + entries_len];
+        let stored = u64::from_le_bytes(
+            bytes[index_start + 4 + entries_len..index_start + 4 + entries_len + 8]
+                .try_into()
+                .expect("8 bytes"),
+        );
+        let computed = fnv1a(index_bytes, FNV_OFFSET);
+        if stored != computed {
+            return Err(binary_error(format!(
+                "v2 index checksum mismatch: stored {stored:#018x}, computed {computed:#018x}"
+            )));
+        }
+        let sentinel_at = index_start as u64 - 4;
+        let mut blocks = Vec::with_capacity(count.min(TABLE_PREALLOC_ENTRIES));
+        let mut expected_offset: Option<u64> = None;
+        for entry in index_bytes[4..].chunks_exact(32) {
+            let block = IotbBlock {
+                offset: u64::from_le_bytes(entry[0..8].try_into().expect("8 bytes")),
+                byte_len: u64::from_le_bytes(entry[8..16].try_into().expect("8 bytes")),
+                events: u64::from_le_bytes(entry[16..24].try_into().expect("8 bytes")),
+                checksum: u64::from_le_bytes(entry[24..32].try_into().expect("8 bytes")),
+            };
+            let contiguous = expected_offset.is_none_or(|at| at == block.offset);
+            let end = block.offset.checked_add(block.byte_len);
+            if !contiguous || block.byte_len == 0 || end.is_none_or(|end| end > sentinel_at) {
+                return Err(binary_error(format!(
+                    "v2 index entry at offset {} does not describe the record region",
+                    block.offset
+                )));
+            }
+            expected_offset = end;
+            blocks.push(block);
+        }
+        Ok(Some(blocks))
+    }
+
     #[test]
     fn indexed_container_roundtrips_serially() {
         let trace = sample_trace();
@@ -1341,29 +1339,19 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_index_is_fatal_for_indexed_opens() {
+    fn strict_cursor_never_reads_the_index() {
         let trace = sample_trace();
-        let mut ok = Vec::new();
-        write_iotb_indexed(&mut ok, &trace, 2).unwrap();
-
-        let mut bad_footer = ok.clone();
-        let len = bad_footer.len();
-        bad_footer[len - 1] = b'?';
-        let err = read_block_index(&bad_footer).unwrap_err();
-        assert!(err.to_string().contains("footer"), "{err}");
-
-        let mut bad_index = ok.clone();
-        // Flip a byte inside the first index entry (count field is the
-        // first 4 bytes of the index; entries follow).
+        let mut bytes = Vec::new();
+        write_iotb_indexed(&mut bytes, &trace, 2).unwrap();
+        let len = bytes.len();
+        // Corrupt the first index entry (its offset field, so the index
+        // checksum fails too) and the footer magic: the index parser
+        // rejects the container, the serial read does not notice.
         let index_start = len - 16 - 8 - 2 * 32 - 4;
-        bad_index[index_start + 6] ^= 0x01;
-        let err = read_block_index(&bad_index).unwrap_err();
-        assert!(err.to_string().contains("checksum"), "{err}");
-
-        let mut truncated = ok;
-        truncated.truncate(len - 9);
-        let err = read_block_index(&truncated).unwrap_err();
-        assert!(err.to_string().contains("footer"), "{err}");
+        bytes[index_start + 6] ^= 0x01;
+        bytes[len - 1] = b'?';
+        assert!(read_block_index(&bytes).is_err());
+        assert_eq!(read_iotb(&bytes[..]).unwrap(), trace);
     }
 
     #[test]

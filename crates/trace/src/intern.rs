@@ -86,25 +86,6 @@ impl StrInterner {
         sym
     }
 
-    /// Interns an already-shared string, sharing the `Arc` instead of
-    /// copying the bytes when the string is new. Decode workers hold
-    /// `Arc<str>` entries from `.iotb` string tables, so this avoids
-    /// re-allocating payloads the reader already owns.
-    pub fn intern_arc(&self, s: &Arc<str>) -> Sym {
-        if let Some(&sym) = self.inner.read().map.get(s.as_ref()) {
-            return sym;
-        }
-        let mut inner = self.inner.write();
-        // Re-check: another thread may have interned between the locks.
-        if let Some(&sym) = inner.map.get(s.as_ref()) {
-            return sym;
-        }
-        let sym = Sym(u32::try_from(inner.strings.len()).expect("interner overflow"));
-        inner.strings.push(Arc::clone(s));
-        inner.map.insert(Arc::clone(s), sym);
-        sym
-    }
-
     /// The string behind `sym`, or `None` if the symbol was not issued
     /// by this interner.
     #[must_use]

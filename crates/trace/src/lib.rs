@@ -39,7 +39,6 @@
 
 pub mod batch;
 pub mod binary;
-pub mod block;
 pub mod cursor;
 mod event;
 pub mod intern;
@@ -51,10 +50,9 @@ pub mod source;
 
 pub use batch::{ArgView, EventBatch, EventRef, EventView};
 pub use binary::{
-    is_iotb, read_block_index, read_iotb, write_iotb, write_iotb_indexed, IotbBlock, IotbCursor,
-    DEFAULT_BLOCK_EVENTS, IOTB_INDEX_FOOTER_MAGIC, IOTB_MAGIC, IOTB_VERSION, IOTB_VERSION_INDEXED,
+    is_iotb, read_iotb, write_iotb, write_iotb_indexed, IotbCursor, DEFAULT_BLOCK_EVENTS,
+    IOTB_INDEX_FOOTER_MAGIC, IOTB_MAGIC, IOTB_VERSION, IOTB_VERSION_INDEXED,
 };
-pub use block::{IotbBlockSource, RecordView};
 pub use cursor::{CursorState, JsonlCursor};
 pub use event::{ArgValue, TraceEvent};
 pub use intern::{StrInterner, Sym};

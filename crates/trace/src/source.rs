@@ -28,13 +28,11 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
-use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::batch::EventBatch;
-use crate::binary::{is_iotb, IotbCursor, IOTB_INDEX_FOOTER_MAGIC};
-use crate::block::IotbBlockSource;
+use crate::binary::{is_iotb, IotbCursor};
 use crate::cursor::{CursorState, JsonlCursor};
 use crate::lossy::{ReadOptions, SkippedLine};
 use crate::serial::TraceIoError;
@@ -176,7 +174,7 @@ impl<R: Read> EventSource for IotbCursor<R> {
 
 /// Pulls rows through `next_into` until the batch holds `max` events or
 /// the stream ends.
-pub(crate) fn fill_batch(
+fn fill_batch(
     max: usize,
     mut next_into: impl FnMut(&mut EventBatch) -> Result<bool, TraceIoError>,
 ) -> Result<EventBatch, TraceIoError> {
@@ -201,11 +199,11 @@ pub struct SourceOptions {
     pub resume: Option<SourcePos>,
     /// Optional reader decoration for the data file.
     pub wrap: Option<ReaderWrap>,
-    /// Decode parallelism for block-indexed `.iotb` containers: when
-    /// greater than 1 and the file carries a v2 index, records are
-    /// decoded by that many worker threads
-    /// ([`IotbBlockSource`]). `0`/`1`, JSONL, and v1 containers use
-    /// the serial cursors.
+    /// Ignored. Every format and container version is read by its one
+    /// serial cursor at any value. The field outlived the parallel v2
+    /// block decoder it configured because the committed benchmark
+    /// harness still sets it in a struct literal; it goes with the next
+    /// change to the benchmark.
     pub decode_jobs: usize,
 }
 
@@ -299,8 +297,7 @@ pub fn sniff_format(path: &str) -> Result<SourceFormat, SourceError> {
 /// Opens a trace file as an [`EventSource`]: resolves the format
 /// (forced or sniffed), validates any resume position against it,
 /// positions the reader, applies the wrap hook, and picks the cursor
-/// ([`open_reader`], or the parallel block decoder for an indexed
-/// `.iotb` with `decode_jobs > 1`).
+/// ([`open_reader`]).
 ///
 /// # Errors
 ///
@@ -335,36 +332,18 @@ pub fn open_source(
         }
     }
     let mut file = File::open(path).map_err(SourceError::Open)?;
-    let wrap = options
-        .wrap
-        .unwrap_or_else(|| Box::new(|f: File| Box::new(f) as Box<dyn Read>));
-    if format == SourceFormat::Iotb && options.decode_jobs > 1 && footer_says_indexed(path) {
-        // Block-indexed v2 container: read it once into a shared buffer
-        // (through the wrap hook, so fault injection still applies) and
-        // decode blocks in parallel. A v2 footer without a valid index
-        // is corruption, fatal like a bad string table.
-        let mut reader = wrap(file);
-        let mut bytes = Vec::new();
-        reader
-            .read_to_end(&mut bytes)
-            .map_err(|e| SourceError::Trace(TraceIoError::Io(e)))?;
-        let bytes = Arc::new(bytes);
-        let jobs = options.decode_jobs;
-        let source = match options.resume {
-            Some(pos) => IotbBlockSource::resume(bytes, options.read, pos.state, jobs),
-            None => IotbBlockSource::new(bytes, options.read, jobs),
-        }
-        .map_err(SourceError::Trace)?;
-        return Ok(Box::new(source));
-    }
     if let (SourceFormat::Jsonl, Some(pos)) = (format, &options.resume) {
         // Seek the raw file before decorating it: wrap layers (retry,
         // fault injection) need not be seekable.
         file.seek(SeekFrom::Start(pos.state.byte_offset))
             .map_err(SourceError::Seek)?;
     }
+    let reader: Box<dyn Read> = match options.wrap {
+        Some(wrap) => wrap(file),
+        None => Box::new(file),
+    };
     let resume = options.resume.map(|pos| pos.state);
-    open_reader(wrap(file), format, options.read, resume).map_err(SourceError::Trace)
+    open_reader(reader, format, options.read, resume).map_err(SourceError::Trace)
 }
 
 /// Picks the serial cursor for `format` over a reader already
@@ -430,33 +409,6 @@ fn file_type_name(file_type: &std::fs::FileType) -> &'static str {
         return "directory";
     }
     "non-regular file"
-}
-
-/// Whether the file ends with the v2 index footer magic — the cheap
-/// sniff that gates reading the whole container into memory for
-/// indexed decoding. Any I/O trouble answers "no" and lets the serial
-/// path produce the real error.
-fn footer_says_indexed(path: &str) -> bool {
-    let Ok(mut file) = File::open(path) else {
-        return false;
-    };
-    let Ok(len) = file.seek(SeekFrom::End(0)) else {
-        return false;
-    };
-    if len < 16 || file.seek(SeekFrom::Start(len - 8)).is_err() {
-        return false;
-    }
-    let mut magic = [0u8; 8];
-    let mut filled = 0;
-    while filled < magic.len() {
-        match file.read(&mut magic[filled..]) {
-            Ok(0) => return false,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return false,
-        }
-    }
-    magic == IOTB_INDEX_FOOTER_MAGIC
 }
 
 #[cfg(test)]
@@ -599,43 +551,25 @@ mod tests {
     }
 
     #[test]
-    fn indexed_container_routes_to_block_source_and_matches_serial() {
+    fn every_iotb_version_opens_through_the_cursor() {
         let trace = sample_trace();
-        let mut indexed = Vec::new();
-        crate::write_iotb_indexed(&mut indexed, &trace, 2).unwrap();
-        let file = TempFile::new("indexed.iotb", &indexed);
+        let mut v1 = Vec::new();
+        write_iotb(&mut v1, &trace).unwrap();
+        let mut v2 = Vec::new();
+        crate::write_iotb_indexed(&mut v2, &trace, 2).unwrap();
 
-        for jobs in [0, 1, 2, 4] {
-            let mut source = open_source(
-                &file.0,
-                SourceOptions {
-                    decode_jobs: jobs,
-                    ..SourceOptions::default()
-                },
-            )
-            .unwrap();
-            let events = drain(source.as_mut(), 3);
-            assert_eq!(events, trace.events(), "jobs={jobs}");
-            assert_eq!(source.position().format, SourceFormat::Iotb);
+        for (tag, bytes) in [("v1.iotb", &v1), ("v2.iotb", &v2)] {
+            let file = TempFile::new(tag, bytes);
+            let mut source = open_source(&file.0, SourceOptions::default()).unwrap();
+            assert_eq!(drain(source.as_mut(), 3), trace.events(), "{tag}");
+            let pos = source.position();
+            assert_eq!(pos.format, SourceFormat::Iotb);
             assert!(source.skip_ledger().is_empty());
+            // v2 keeps v1's header, table and record bytes, and the
+            // cursor stops on the sentinel without reading the index:
+            // both scans end at the same offset.
+            assert_eq!(pos.state.byte_offset, v1.len() as u64, "{tag}");
         }
-    }
-
-    #[test]
-    fn v1_container_stays_on_serial_path_even_with_jobs() {
-        let trace = sample_trace();
-        let mut iotb = Vec::new();
-        write_iotb(&mut iotb, &trace).unwrap();
-        let file = TempFile::new("v1-jobs.iotb", &iotb);
-        let mut source = open_source(
-            &file.0,
-            SourceOptions {
-                decode_jobs: 4,
-                ..SourceOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(drain(source.as_mut(), 2), trace.events());
     }
 
     #[test]
@@ -645,18 +579,13 @@ mod tests {
         crate::write_iotb_indexed(&mut indexed, &trace, 2).unwrap();
         let file = TempFile::new("resume-indexed.iotb", &indexed);
 
-        let options = SourceOptions {
-            decode_jobs: 4,
-            ..SourceOptions::default()
-        };
-        let mut head = open_source(&file.0, options).unwrap();
+        let mut head = open_source(&file.0, SourceOptions::default()).unwrap();
         let mut events = head.next_batch(3).unwrap().to_events();
         let pos = head.position();
         drop(head);
         let mut tail = open_source(
             &file.0,
             SourceOptions {
-                decode_jobs: 4,
                 resume: Some(pos),
                 ..SourceOptions::default()
             },
@@ -679,7 +608,6 @@ mod tests {
         let mut source = open_source(
             &file.0,
             SourceOptions {
-                decode_jobs: 2,
                 wrap: Some(Box::new(|f: File| {
                     WRAPPED.store(true, Ordering::SeqCst);
                     Box::new(f) as Box<dyn Read>

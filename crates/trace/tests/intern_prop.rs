@@ -1,14 +1,13 @@
-//! Property tests for [`StrInterner`] under concurrent interning —
-//! the access pattern of parallel `.iotb` decode workers, which race
-//! `intern` and `intern_arc` over heavily overlapping symbol sets
-//! (syscall names repeat across every block).
+//! Property tests for [`StrInterner`] under concurrent interning: N
+//! threads race `intern` over heavily overlapping symbol sets (syscall
+//! names repeat across every thread).
 //!
 //! Invariants checked, for arbitrary symbol sets and thread counts:
 //! equal strings always map to equal symbols no matter which thread
-//! (or which entry point) interned them first; distinct strings map to
-//! distinct symbols; every issued symbol resolves back to its string;
-//! and the final table is dense — exactly one entry per distinct
-//! string, indices `0..len` with no gaps.
+//! interned them first; distinct strings map to distinct symbols;
+//! every issued symbol resolves back to its string; and the final
+//! table is dense — exactly one entry per distinct string, indices
+//! `0..len` with no gaps.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -30,9 +29,8 @@ fn arb_symbol() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    /// N threads interning overlapping symbol sets — alternating
-    /// between `intern` and `intern_arc` — agree on every id, and the
-    /// table ends up dense and exact.
+    /// N threads interning overlapping symbol sets agree on every id,
+    /// and the table ends up dense and exact.
     #[test]
     fn concurrent_interning_is_consistent(
         per_thread in vec(vec(arb_symbol(), 1..24), 2..6),
@@ -42,23 +40,13 @@ proptest! {
         let handles: Vec<_> = per_thread
             .iter()
             .cloned()
-            .enumerate()
-            .map(|(t, symbols)| {
+            .map(|symbols| {
                 let interner = Arc::clone(&interner);
                 std::thread::spawn(move || {
                     symbols
                         .into_iter()
-                        .enumerate()
-                        .map(|(k, s)| {
-                            // Exercise both entry points: decode
-                            // workers use `intern_arc` for strings the
-                            // reader already owns, everything else uses
-                            // `intern`.
-                            let sym = if (t + k) % 2 == 0 {
-                                interner.intern(&s)
-                            } else {
-                                interner.intern_arc(&Arc::from(s.as_str()))
-                            };
+                        .map(|s| {
+                            let sym = interner.intern(&s);
                             (s, sym)
                         })
                         .collect::<Vec<(String, Sym)>>()
@@ -69,8 +57,8 @@ proptest! {
         let mut issued: HashMap<String, Sym> = HashMap::new();
         for handle in handles {
             for (s, sym) in handle.join().unwrap() {
-                // Same string → same symbol, across threads and entry
-                // points; first claim wins and never changes.
+                // Same string → same symbol, across threads; first
+                // claim wins and never changes.
                 if let Some(&prev) = issued.get(&s) {
                     prop_assert_eq!(prev, sym, "string {:?} got two ids", s);
                 } else {
