@@ -941,8 +941,9 @@ block-indexed iotb v2 container: v1 plus a trailing block index that
 analysis does not read, so every command reads v1 and v2 alike.
 
 Analysis is supervised: a panicking or stalled worker shard is
-restarted with exponential backoff and its events replayed; a shard
-that exhausts its restart budget (--max-shard-restarts, default 3, per
+restarted with exponential backoff and replayed from its last restore
+point, a copy of its state taken every 4 MiB of input batches, so
+memory stays bounded however long the trace; a shard that exhausts its restart budget (--max-shard-restarts, default 3, per
 shard per run: checkpoints do not refill it) degrades the run to a
 partial report plus a per-shard failure manifest instead of aborting.
 --shard-timeout SECS enables the stall watchdog.

@@ -263,14 +263,14 @@ impl AnalysisReport {
 
 /// Dense hit counts for one argument: one slot per partition of its
 /// domain (see `ArgDomain::for_each_slot`), sized on first use.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct InputAcc {
     counts: Vec<u64>,
     calls: u64,
 }
 
 /// Dense hit counts for one base syscall's outputs.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OutputAcc {
     calls: u64,
     /// Successes of a base whose returns are not byte counts.
@@ -310,7 +310,7 @@ const COMBO_SLOTS: usize = iocov_syscalls::OpenFlags::NAMED_FLAGS.len();
 /// the same `BTreeMap`s the report has always had, so the serialized
 /// output is byte-identical to accumulating into [`AnalysisReport`]
 /// directly.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct ReportBuilder {
     /// Filtering statistics, updated by the owner of the builder.
     pub(crate) filter_stats: FilterStats,

@@ -75,6 +75,8 @@ pub mod report;
 #[cfg(unix)]
 pub mod serve;
 pub mod session;
+#[cfg(test)]
+mod session_interleave_prop;
 mod streaming;
 pub mod syzlang;
 pub mod tcd;
@@ -106,7 +108,7 @@ pub use identifier::{FdPartition, IdentifierCoverage, PathPartition};
 pub use metrics::{DropReason, MetricsSnapshot, PipelineMetrics, ShardFailureRecord, StageTimer};
 pub use parallel::{
     in_supervised_scan, splitmix64, ShardError, ShardHook, SupervisorPolicy, PARALLEL_THRESHOLD,
-    PIPELINE_DEPTH,
+    PIPELINE_DEPTH, RESTORE_BUDGET,
 };
 pub use partition::{InputPartition, NumericPartition, OutputPartition};
 pub use pipeline::{CheckpointPolicy, PipelineBuilder, PipelineError, PipelineRun, DEFAULT_CHUNK};

@@ -20,22 +20,46 @@
 //! * a per-shard ledger (restarts, `gave_up`, last error) that lasts the
 //!   whole run, so [`SupervisorPolicy::max_restarts`] is a budget per
 //!   shard per run and a shard that gave up stays given up;
-//! * the replay log: every batch since the last checkpoint cut, shared
-//!   as `Arc<EventBatch>` so retention costs pointers, not copies;
-//! * the base report and pid states merged out of earlier cuts (or a
-//!   resumed checkpoint), which seed every shard incarnation;
+//! * one *restore point* per shard: a clone of the shard's analyzer and
+//!   private metrics at the last cut, seeded from the resumed
+//!   checkpoint's pid states (or empty);
+//! * the replay log: every batch since the last cut, shared as
+//!   `Arc<EventBatch>` so retention costs pointers, not copies;
 //! * metrics absorption: each incarnation counts into a private
-//!   [`PipelineMetrics`] absorbed into the shared instance only on clean
-//!   completion, so restarts never double-count;
+//!   [`PipelineMetrics`], absorbed into the shared instance only at a
+//!   checkpoint cut or at finish, from the restore point, so restarts
+//!   never double-count;
 //! * the [`ShardFailureRecord`] manifest.
 //!
 //! A panicking scan is caught with `catch_unwind`, turned into a
 //! structured [`ShardError`], and the shard restarts after exponential
-//! backoff: a fresh incarnation replays the log on top of the base
-//! states, so a recovered run's report is byte-identical to a fault-free
-//! one. A shard that exhausts its budget *degrades* the run instead of
-//! aborting it: the report omits that shard's pids from then on, and the
-//! manifest says so.
+//! backoff: a copy of its restore point replays the log, so a recovered
+//! run's report is byte-identical to a fault-free one. A shard that
+//! exhausts its budget *degrades* the run instead of aborting it: the
+//! report keeps what the shard had at its last restore point and omits
+//! its pids from then on, and the manifest says so.
+//!
+//! # Cuts
+//!
+//! A *cut* syncs every live shard to the end of the log, clones each
+//! one into its restore point, and clears the log. There is one cut and
+//! three occasions for it:
+//!
+//! * **in memory**, whenever the log's retained batch bytes
+//!   ([`EventBatch::heap_bytes`]) pass [`RESTORE_BUDGET`] — so the log,
+//!   and with it the analysis's memory, stays bounded however long the
+//!   trace;
+//! * **at a checkpoint** ([`cut`](ShardSupervisor::cut)), which also
+//!   *rebases* the shards: hook ticks count from zero again and the
+//!   restore points' counters move into the shared metrics, so a
+//!   checkpoint document's counters cover exactly its report;
+//! * **at finish**, the same rebasing cut.
+//!
+//! The cumulative report is the resumed base report merged with every
+//! restore point's report, and the cumulative pid states are the union
+//! of theirs. An in-memory cut changes nothing a run prints: it only
+//! moves the point a restart replays from. Shard threads persist across
+//! cuts.
 //!
 //! # Transport
 //!
@@ -50,15 +74,12 @@
 //!   bounded queues of depth [`PIPELINE_DEPTH`]: every thread receives
 //!   the same `Arc<EventBatch>` and keeps only its own pids, so the
 //!   caller can decode batch *k + 1* while the shards analyze batch *k*.
-//!   Batches smaller than [`PARALLEL_THRESHOLD`] are coalesced first.
-//!   With [`SupervisorPolicy::shard_timeout`] set, a shard that stops
-//!   heartbeating is declared stalled, abandoned and replayed like a
-//!   panicked one; the watchdog needs a thread to abandon, so a timeout
+//!   Batches smaller than [`PARALLEL_THRESHOLD`] are coalesced first. A
+//!   cut is a mark job on the same queue, answered with the thread's
+//!   clone. With [`SupervisorPolicy::shard_timeout`] set, a shard that
+//!   stops heartbeating is declared stalled, abandoned and replayed like
+//!   a panicked one; the watchdog needs a thread to abandon, so a timeout
 //!   selects this transport even at one shard.
-//!
-//! A checkpoint cut completes every live incarnation, merges its report
-//! and pid states into the base, and clears the log; the next batch
-//! starts fresh incarnations from the new base.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -74,12 +95,12 @@ use iocov_trace::{EventBatch, EventView};
 use crate::checkpoint::PidStateSnapshot;
 use crate::coverage::AnalysisReport;
 use crate::filter::TraceFilter;
-use crate::metrics::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
+use crate::metrics::{PipelineMetrics, ShardFailureRecord};
 use crate::streaming::StreamingAnalyzer;
 
 /// A progress hook observed by every shard before it scans a batch:
-/// `(shard, tick)`, where `tick` is the batch's ordinal in the replay
-/// log (counted from the last checkpoint cut). Fault
+/// `(shard, tick)`, where `tick` is the batch's ordinal counted from the
+/// last checkpoint cut (in-memory cuts do not reset it). Fault
 /// injection (`iocov-faults`) plugs in here to panic or stall a specific
 /// shard at a specific point.
 pub type ShardHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
@@ -246,6 +267,13 @@ pub const PARALLEL_THRESHOLD: usize = 1024;
 /// most this many batches ahead of the slowest shard.
 pub const PIPELINE_DEPTH: usize = 2;
 
+/// Batch bytes ([`EventBatch::heap_bytes`]) the replay log may retain
+/// before the supervisor cuts it in memory. The log then peaks at this
+/// plus one batch, whatever the trace's length. A smaller budget cuts
+/// more often, and every cut clones each shard's analyzer, at a cost that
+/// grows with the shard's pids.
+pub const RESTORE_BUDGET: usize = 4 << 20;
+
 /// One shard's supervision ledger, kept for the whole run.
 #[derive(Debug, Clone, Default)]
 struct ShardLedger {
@@ -254,25 +282,47 @@ struct ShardLedger {
     last_error: Option<String>,
 }
 
-/// One live shard incarnation: a fresh analyzer seeded with the base
-/// states, its private metrics, and how many log batches it has scanned.
+/// One shard incarnation: an analyzer over the shard's pids, its private
+/// metrics, and its tick. A live incarnation scans batches; a *restore
+/// point* is a clone of one, taken at a cut, that restarts copy from.
 struct Incarnation {
     analyzer: StreamingAnalyzer,
-    /// Absorbed into the shared metrics only on clean completion, so a
-    /// panicked incarnation's half-counted events die with it.
+    /// Absorbed into the shared metrics only from a restore point at a
+    /// checkpoint cut or at finish, so a panicked incarnation's
+    /// half-counted events die with it.
     local: Option<Arc<PipelineMetrics>>,
-    /// Log batches scanned; also the tick the hook sees next.
+    /// Batches scanned since the last checkpoint cut; also the tick the
+    /// hook sees next.
     seen: usize,
 }
 
-/// What a cleanly completed incarnation hands back for the base.
-struct Completed {
-    report: AnalysisReport,
-    states: BTreeMap<u32, PidStateSnapshot>,
-    counters: Option<(MetricsSnapshot, BTreeMap<String, u64>)>,
-}
-
 impl Incarnation {
+    /// A fresh incarnation seeded with `states`, counting into a private
+    /// metrics instance when the run has metrics.
+    fn seeded(
+        filter: &TraceFilter,
+        states: &BTreeMap<u32, PidStateSnapshot>,
+        metered: bool,
+    ) -> Self {
+        let mut analyzer = StreamingAnalyzer::new(filter.clone());
+        analyzer.restore_pid_states(states);
+        let mut incarnation = Incarnation {
+            analyzer,
+            local: None,
+            seen: 0,
+        };
+        if metered {
+            incarnation.count_into(PipelineMetrics::default());
+        }
+        incarnation
+    }
+
+    fn count_into(&mut self, metrics: PipelineMetrics) {
+        let metrics = Arc::new(metrics);
+        self.analyzer.set_metrics(Arc::clone(&metrics));
+        self.local = Some(metrics);
+    }
+
     /// Scans shard `w` of `n`'s events out of one batch, walking the
     /// shared columns by reference.
     fn scan(&mut self, batch: &EventBatch, w: usize, n: usize, hook: Option<&ShardHook>) {
@@ -296,31 +346,68 @@ impl Incarnation {
         }
     }
 
-    fn complete(self) -> Completed {
-        let states = self.analyzer.pid_states();
-        Completed {
-            report: self.analyzer.finish(),
-            states,
-            counters: self.local.map(|m| (m.snapshot(), m.stage_timings())),
+    /// A deep copy that counts on apart from `self`: the analyzer, and a
+    /// private metrics instance holding the same counts.
+    fn copy(&self) -> Incarnation {
+        let mut copy = Incarnation {
+            analyzer: self.analyzer.clone(),
+            local: None,
+            seen: self.seen,
+        };
+        if let Some(local) = &self.local {
+            let counters = PipelineMetrics::default();
+            counters.absorb(&local.snapshot());
+            counters.absorb_stage_timings(&local.stage_timings());
+            copy.count_into(counters);
         }
+        copy
+    }
+
+    /// Starts a checkpoint epoch: ticks count from zero and counters
+    /// from empty. Returns the counters of the epoch that ended.
+    fn rebase(&mut self) -> Option<Arc<PipelineMetrics>> {
+        self.seen = 0;
+        let ended = self.local.take();
+        if ended.is_some() {
+            self.count_into(PipelineMetrics::default());
+        }
+        ended
+    }
+
+    /// A cut of this live incarnation: its restore point, after which
+    /// the incarnation itself rebases if the cut is a checkpoint.
+    fn mark(&mut self, rebase: bool) -> Incarnation {
+        let point = self.copy();
+        if rebase {
+            self.rebase();
+        }
+        point
     }
 }
 
-/// A shard thread's exit message, sent on its done channel.
-enum WorkerExit {
-    Finished(Box<Completed>),
+/// A job on a shard thread's queue.
+enum Job {
+    Scan(Arc<EventBatch>),
+    /// Cut: reply with a restore point ([`Incarnation::mark`]).
+    Mark {
+        rebase: bool,
+    },
+}
+
+/// A shard thread's reply, sent on its done channel.
+enum Reply {
+    Marked(Box<Incarnation>),
     Panicked(String),
 }
 
 /// One live shard thread as the supervisor sees it.
 struct Slot {
-    /// Job queue sender; `None` once the queue is closed (at a cut) or
-    /// the shard abandoned.
-    jobs: Option<SyncSender<Arc<EventBatch>>>,
-    /// Exit-message channel from the thread.
-    done: Receiver<WorkerExit>,
-    /// Bumped by the thread after every scanned batch — the liveness
-    /// signal the stall watchdog reads.
+    /// Job queue sender; `None` once the shard is abandoned.
+    jobs: Option<SyncSender<Job>>,
+    /// Reply channel from the thread.
+    done: Receiver<Reply>,
+    /// Bumped by the thread after every job — the liveness signal the
+    /// stall watchdog reads.
     heartbeat: Arc<AtomicU64>,
     /// Log batches already delivered to this incarnation.
     sent: usize,
@@ -342,26 +429,33 @@ impl Slot {
 
 /// Supervised pid-sharded analysis; see the [module docs](self).
 pub(crate) struct ShardSupervisor {
-    filter: TraceFilter,
     metrics: Option<Arc<PipelineMetrics>>,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
     supervised: bool,
     /// Shard threads instead of one inline shard.
     threaded: bool,
+    /// Log bytes that trigger an in-memory cut ([`RESTORE_BUDGET`]).
+    pub(crate) budget: usize,
     /// One entry per shard, for the whole run.
     ledger: Vec<ShardLedger>,
     /// Batches since the last cut — the replay log.
     log: Vec<Arc<EventBatch>>,
-    /// Reports merged out of earlier cuts (and a resumed checkpoint).
+    /// [`EventBatch::heap_bytes`] summed over the log.
+    log_bytes: usize,
+    /// The most `log_bytes` has ever been.
+    pub(crate) log_peak: usize,
+    /// The largest batch the log has held.
+    pub(crate) batch_peak: usize,
+    /// The resumed checkpoint's report (or empty), merged into every
+    /// cumulative report.
     base_report: AnalysisReport,
-    /// Pid states at the last cut (or resume): every incarnation's seed.
-    base_states: BTreeMap<u32, PidStateSnapshot>,
-    /// The inline shard's incarnation; `None` before its first batch
-    /// after a cut, after a panic, and always when threaded.
+    /// Each shard's restore point: its state at the last cut.
+    restore: Vec<Incarnation>,
+    /// The inline shard's live incarnation; `None` before its first
+    /// batch, after a panic, and always when threaded.
     inline: Option<Incarnation>,
-    /// Live shard threads when threaded; spawned on the first dispatch
-    /// after construction or a cut.
+    /// Live shard threads when threaded; spawned on the first dispatch.
     slots: Vec<Slot>,
     /// Threaded coalescing buffer for batches below
     /// [`PARALLEL_THRESHOLD`].
@@ -382,19 +476,32 @@ impl ShardSupervisor {
         supervised: bool,
         seed: Option<(AnalysisReport, BTreeMap<u32, PidStateSnapshot>)>,
     ) -> Self {
-        let shards = if supervised { shards.max(1) } else { 1 };
+        let n = if supervised { shards.max(1) } else { 1 };
         let (base_report, base_states) = seed.unwrap_or_default();
+        let restore = (0..n)
+            .map(|w| {
+                let states: BTreeMap<u32, PidStateSnapshot> = base_states
+                    .iter()
+                    .filter(|(&pid, _)| pid as usize % n == w)
+                    .map(|(&pid, state)| (pid, state.clone()))
+                    .collect();
+                Incarnation::seeded(&filter, &states, metrics.is_some())
+            })
+            .collect();
         ShardSupervisor {
-            filter,
             metrics,
             policy,
             hook,
             supervised,
-            threaded: supervised && (shards > 1 || policy.shard_timeout.is_some()),
-            ledger: vec![ShardLedger::default(); shards],
+            threaded: supervised && (n > 1 || policy.shard_timeout.is_some()),
+            budget: RESTORE_BUDGET,
+            ledger: vec![ShardLedger::default(); n],
             log: Vec::new(),
+            log_bytes: 0,
+            log_peak: 0,
+            batch_peak: 0,
             base_report,
-            base_states,
+            restore,
             inline: None,
             slots: Vec::new(),
             pending: EventBatch::new(),
@@ -410,36 +517,42 @@ impl ShardSupervisor {
         if self.threaded {
             if self.pending.is_empty() && batch.len() >= PARALLEL_THRESHOLD {
                 self.dispatch(Arc::new(batch));
-                return;
+            } else {
+                self.pending.append_batch(&batch);
+                if self.pending.len() >= PARALLEL_THRESHOLD {
+                    self.flush_pending();
+                }
             }
-            self.pending.append_batch(&batch);
-            if self.pending.len() >= PARALLEL_THRESHOLD {
-                self.flush_pending();
-            }
+            self.cut_over_budget();
         } else if self.supervised {
             if !self.ledger[0].gave_up {
-                self.log.push(Arc::new(batch));
+                self.retain(Arc::new(batch));
                 self.drive_inline();
+                self.cut_over_budget();
             }
         } else {
-            let mut incarnation = self.inline.take().unwrap_or_else(|| self.incarnate(0));
+            let mut incarnation = self.inline.take().unwrap_or_else(|| self.restore[0].copy());
             incarnation.scan(&batch, 0, 1, self.hook.as_ref());
             self.inline = Some(incarnation);
         }
     }
 
-    /// A checkpoint cut: completes every live incarnation into the base
-    /// and returns the cumulative report and pid states.
+    /// A checkpoint cut: the cumulative report and pid states over
+    /// everything pushed so far.
     pub(crate) fn cut(&mut self) -> (AnalysisReport, BTreeMap<u32, PidStateSnapshot>) {
-        self.rotate();
-        (self.base_report.clone(), self.base_states.clone())
+        self.mark(true);
+        let mut states = BTreeMap::new();
+        for point in &self.restore {
+            states.extend(point.analyzer.pid_states());
+        }
+        (self.report(), states)
     }
 
     /// Drains the supervisor: the final report and the shard-failure
     /// manifest (also recorded in the metrics), one record per shard
     /// that restarted or gave up.
     pub(crate) fn finish(mut self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        self.rotate();
+        self.mark(true);
         let failures: Vec<ShardFailureRecord> = self
             .ledger
             .iter()
@@ -457,50 +570,59 @@ impl ShardSupervisor {
                 metrics.record_shard_failure(failure.clone());
             }
         }
-        (self.base_report, failures)
+        (self.report(), failures)
     }
 
-    /// A fresh incarnation of shard `w`, seeded with its pids' base
-    /// states. The base is cloned, not moved: it seeds every *future*
-    /// incarnation too, since a restart replays the log on the same
-    /// base.
-    fn incarnate(&self, w: usize) -> Incarnation {
-        let n = self.shards();
-        let local = self
-            .metrics
-            .as_ref()
-            .map(|_| Arc::new(PipelineMetrics::default()));
-        let mut analyzer = StreamingAnalyzer::new(self.filter.clone());
-        if let Some(m) = &local {
-            analyzer = analyzer.with_metrics(Arc::clone(m));
+    /// The base report merged with every restore point's.
+    fn report(&self) -> AnalysisReport {
+        let mut report = self.base_report.clone();
+        for point in &self.restore {
+            report.merge(&point.analyzer.report());
         }
-        if n == 1 {
-            analyzer.restore_pid_states(&self.base_states);
+        report
+    }
+
+    /// Appends one batch to the replay log.
+    fn retain(&mut self, batch: Arc<EventBatch>) {
+        let bytes = batch.heap_bytes();
+        self.log_bytes += bytes;
+        self.log_peak = self.log_peak.max(self.log_bytes);
+        self.batch_peak = self.batch_peak.max(bytes);
+        self.log.push(batch);
+    }
+
+    /// Cuts in memory once the log has outgrown the budget.
+    fn cut_over_budget(&mut self) {
+        if self.log_bytes > self.budget {
+            self.mark(false);
+        }
+    }
+
+    /// The one cut (see the [module docs](self#cuts)): syncs every live
+    /// shard to the end of the log, makes each one's clone its restore
+    /// point, and clears the log. A rebasing cut then moves the restore
+    /// points' counters into the shared metrics.
+    fn mark(&mut self, rebase: bool) {
+        if self.threaded {
+            self.mark_threads(rebase);
         } else {
-            let subset: BTreeMap<u32, PidStateSnapshot> = self
-                .base_states
-                .iter()
-                .filter(|(&pid, _)| pid as usize % n == w)
-                .map(|(&pid, state)| (pid, state.clone()))
-                .collect();
-            analyzer.restore_pid_states(&subset);
+            self.drive_inline();
+            if let Some(live) = &mut self.inline {
+                self.restore[0] = live.mark(rebase);
+            }
         }
-        Incarnation {
-            analyzer,
-            local,
-            seen: 0,
+        if rebase {
+            for point in &mut self.restore {
+                if let (Some(shared), Some(ended)) = (&self.metrics, point.rebase()) {
+                    shared.absorb(&ended.snapshot());
+                    shared.absorb_stage_timings(&ended.stage_timings());
+                }
+            }
         }
-    }
-
-    /// Merges a completed incarnation into the base. Its states map
-    /// already contains its restored base subset, so `extend` replaces
-    /// exactly its own pids.
-    fn absorb(&mut self, done: Completed) {
-        self.base_report.merge(&done.report);
-        self.base_states.extend(done.states);
-        if let (Some(shared), Some((snapshot, timings))) = (&self.metrics, done.counters) {
-            shared.absorb(&snapshot);
-            shared.absorb_stage_timings(&timings);
+        self.log.clear();
+        self.log_bytes = 0;
+        for slot in &mut self.slots {
+            slot.sent = 0;
         }
     }
 
@@ -523,31 +645,20 @@ impl ShardSupervisor {
         true
     }
 
-    /// Completes every live incarnation into the base and clears the
-    /// log.
-    fn rotate(&mut self) {
-        if self.threaded {
-            self.drain_threads();
-        } else {
-            self.drive_inline();
-            if let Some(incarnation) = self.inline.take() {
-                self.absorb(incarnation.complete());
-            }
-        }
-        self.log.clear();
-    }
-
     /// Drives the inline shard through every unscanned log batch,
-    /// restarting (fresh incarnation, full replay) on panic within the
-    /// budget.
+    /// restarting (a copy of the restore point, replaying the log) on
+    /// panic within the budget.
     fn drive_inline(&mut self) {
-        loop {
-            let seen = self.inline.as_ref().map_or(0, |inc| inc.seen);
-            if self.ledger[0].gave_up || seen >= self.log.len() {
+        while !self.ledger[0].gave_up {
+            let mut incarnation = self.inline.take().unwrap_or_else(|| self.restore[0].copy());
+            let Some(batch) = self
+                .log
+                .get(incarnation.seen - self.restore[0].seen)
+                .cloned()
+            else {
+                self.inline = Some(incarnation);
                 return;
-            }
-            let batch = Arc::clone(&self.log[seen]);
-            let mut incarnation = self.inline.take().unwrap_or_else(|| self.incarnate(0));
+            };
             let hook = self.hook.clone();
             let result = catch_unwind(AssertUnwindSafe(move || {
                 let _supervised = SupervisedScanGuard::enter();
@@ -564,32 +675,36 @@ impl ShardSupervisor {
         }
     }
 
-    /// Spawns one thread running a fresh incarnation of shard `w`.
+    /// Spawns one thread running a copy of shard `w`'s restore point.
     fn spawn_slot(&self, w: usize) -> std::io::Result<Slot> {
         let n = self.shards();
-        let (jobs, queue) = sync_channel::<Arc<EventBatch>>(PIPELINE_DEPTH);
-        let (done_tx, done) = sync_channel::<WorkerExit>(1);
+        let (jobs, queue) = sync_channel::<Job>(PIPELINE_DEPTH);
+        let (replies, done) = sync_channel::<Reply>(1);
         let heartbeat = Arc::new(AtomicU64::new(0));
-        let mut incarnation = self.incarnate(w);
+        let mut incarnation = self.restore[w].copy();
         let beat = Arc::clone(&heartbeat);
         let hook = self.hook.clone();
         std::thread::Builder::new()
             .name(format!("iocov-shard-{w}"))
             .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(move || {
+                let result = catch_unwind(AssertUnwindSafe(|| {
                     let _supervised = SupervisedScanGuard::enter();
-                    while let Ok(batch) = queue.recv() {
-                        incarnation.scan(&batch, w, n, hook.as_ref());
+                    while let Ok(job) = queue.recv() {
+                        match job {
+                            Job::Scan(batch) => incarnation.scan(&batch, w, n, hook.as_ref()),
+                            Job::Mark { rebase } => {
+                                let point = Box::new(incarnation.mark(rebase));
+                                if replies.send(Reply::Marked(point)).is_err() {
+                                    return;
+                                }
+                            }
+                        }
                         beat.fetch_add(1, Ordering::Relaxed);
                     }
-                    beat.fetch_add(1, Ordering::Relaxed);
-                    incarnation.complete()
                 }));
-                let exit = match result {
-                    Ok(done) => WorkerExit::Finished(Box::new(done)),
-                    Err(payload) => WorkerExit::Panicked(panic_message(payload.as_ref())),
-                };
-                let _ = done_tx.send(exit);
+                if let Err(payload) = result {
+                    let _ = replies.send(Reply::Panicked(panic_message(payload.as_ref())));
+                }
             })?;
         Ok(Slot {
             jobs: Some(jobs),
@@ -600,8 +715,7 @@ impl ShardSupervisor {
     }
 
     /// A live slot for shard `w`, charging the budget on spawn failure;
-    /// a shard that has given up (now or at an earlier cut) gets a dead
-    /// slot.
+    /// a shard that has given up gets a dead slot.
     fn spawned_slot(&mut self, w: usize) -> Slot {
         while !self.ledger[w].gave_up {
             match self.spawn_slot(w) {
@@ -614,16 +728,16 @@ impl ShardSupervisor {
         Slot::dead()
     }
 
-    /// Charges a failure of shard `w`'s thread, then respawns it (the
-    /// caller replays the log into it) or abandons it. Dropping an
-    /// abandoned shard's sender lets a live-but-stalled thread drain and
-    /// exit on its own; its report is discarded.
+    /// Charges a failure of shard `w`'s thread, then respawns it from
+    /// its restore point (the caller replays the log into it) or
+    /// abandons it. Dropping the old slot's sender lets a
+    /// live-but-stalled thread drain and exit on its own.
     fn recover(&mut self, w: usize, error: &ShardError) {
-        if self.charge(w, error.to_string()) {
-            self.slots[w] = self.spawned_slot(w);
+        self.slots[w] = if self.charge(w, error.to_string()) {
+            self.spawned_slot(w)
         } else {
-            self.slots[w].jobs = None;
-        }
+            Slot::dead()
+        };
     }
 
     /// Waits for `event` from shard `w`'s thread, declaring it stalled
@@ -656,13 +770,13 @@ impl ShardSupervisor {
         }
     }
 
-    /// Offers one batch to shard `w`'s queue, spinning while it is full
+    /// Offers one job to shard `w`'s queue, spinning while it is full
     /// and detecting a dead thread.
-    fn offer(&self, w: usize, batch: Arc<EventBatch>) -> Result<(), ShardError> {
+    fn offer(&self, w: usize, job: Job) -> Result<(), ShardError> {
         let Some(jobs) = &self.slots[w].jobs else {
             return Err(ShardError::Panicked("worker unavailable".into()));
         };
-        let mut job = Some(batch);
+        let mut job = Some(job);
         self.watch(w, || {
             match jobs.try_send(job.take().expect("job present until sent")) {
                 Ok(()) => Ok(()),
@@ -681,20 +795,18 @@ impl ShardSupervisor {
         // The thread drops its queue receiver (disconnecting us) during
         // unwind, then sends its exit message; give it a moment.
         match self.slots[w].done.recv_timeout(Duration::from_secs(5)) {
-            Ok(WorkerExit::Panicked(msg)) => ShardError::Panicked(msg),
-            Ok(WorkerExit::Finished(_)) => {
-                ShardError::Panicked("worker exited before its queue closed".into())
-            }
+            Ok(Reply::Panicked(msg)) => ShardError::Panicked(msg),
+            Ok(Reply::Marked(_)) => ShardError::Panicked("worker exited after a mark".into()),
             Err(_) => ShardError::Panicked("worker terminated without reporting".into()),
         }
     }
 
-    /// Waits for shard `w`'s thread to exit after its queue was closed.
-    fn await_exit(&self, w: usize) -> Result<Box<Completed>, ShardError> {
+    /// Waits for shard `w`'s reply to a mark job.
+    fn await_mark(&self, w: usize) -> Result<Box<Incarnation>, ShardError> {
         let done = &self.slots[w].done;
         self.watch(w, || match done.recv_timeout(Duration::from_millis(20)) {
-            Ok(WorkerExit::Finished(completed)) => Ok(completed),
-            Ok(WorkerExit::Panicked(msg)) => Err(Some(ShardError::Panicked(msg))),
+            Ok(Reply::Marked(point)) => Ok(point),
+            Ok(Reply::Panicked(msg)) => Err(Some(ShardError::Panicked(msg))),
             Err(RecvTimeoutError::Disconnected) => Err(Some(ShardError::Panicked(
                 "worker terminated without reporting".into(),
             ))),
@@ -707,7 +819,7 @@ impl ShardSupervisor {
     fn deliver_up_to(&mut self, w: usize, target: usize) {
         while !self.ledger[w].gave_up && self.slots[w].sent < target {
             let idx = self.slots[w].sent;
-            match self.offer(w, Arc::clone(&self.log[idx])) {
+            match self.offer(w, Job::Scan(Arc::clone(&self.log[idx]))) {
                 Ok(()) => self.slots[w].sent = idx + 1,
                 Err(error) => self.recover(w, &error),
             }
@@ -717,12 +829,12 @@ impl ShardSupervisor {
     /// Logs one batch and hands it to every shard thread. Blocks only
     /// when a queue is [`PIPELINE_DEPTH`] batches behind — the
     /// backpressure that bounds memory to `depth × batch` per shard
-    /// (plus the `Arc`-shared log).
+    /// (plus the `Arc`-shared log, which the budget bounds).
     fn dispatch(&mut self, batch: Arc<EventBatch>) {
         if self.slots.is_empty() {
             self.slots = (0..self.shards()).map(|w| self.spawned_slot(w)).collect();
         }
-        self.log.push(batch);
+        self.retain(batch);
         let target = self.log.len();
         for w in 0..self.shards() {
             self.deliver_up_to(w, target);
@@ -736,10 +848,11 @@ impl ShardSupervisor {
         }
     }
 
-    /// Closes every shard queue and absorbs each thread's completed
-    /// incarnation, supervising throughout: a shard that panics or
-    /// stalls, even during the drain, is restarted and replayed.
-    fn drain_threads(&mut self) {
+    /// The threaded half of [`mark`](Self::mark): flushes the coalescing
+    /// buffer, then brings each live shard to the end of the log and
+    /// takes its clone, supervising throughout: a shard that panics or
+    /// stalls, even now, is restarted and replayed first.
+    fn mark_threads(&mut self, rebase: bool) {
         self.flush_pending();
         if self.slots.is_empty() {
             return;
@@ -751,24 +864,25 @@ impl ShardSupervisor {
                 if self.ledger[w].gave_up {
                     break;
                 }
-                self.slots[w].jobs = None;
-                match self.await_exit(w) {
-                    Ok(done) => {
-                        self.absorb(*done);
+                match self
+                    .offer(w, Job::Mark { rebase })
+                    .and_then(|()| self.await_mark(w))
+                {
+                    Ok(point) => {
+                        self.restore[w] = *point;
                         break;
                     }
                     Err(error) => self.recover(w, &error),
                 }
             }
         }
-        self.slots.clear();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArgName, Iocov, PipelineBuilder};
+    use crate::{ArgName, Iocov, MetricsSnapshot, PipelineBuilder};
     use iocov_trace::{ArgValue, Trace, TraceEvent};
 
     /// A multi-pid trace exercising every provenance rule: opens, dups,
@@ -905,6 +1019,10 @@ mod tests {
     fn json(report: &AnalysisReport) -> String {
         serde_json::to_string(report).unwrap()
     }
+
+    /// The supervision referees run at the real budget and at zero,
+    /// which cuts the log in memory after every batch.
+    const BUDGETS: [usize; 2] = [RESTORE_BUDGET, 0];
 
     /// A session at `jobs` shards with the fast-retry policy.
     fn builder(jobs: usize) -> PipelineBuilder {
@@ -1118,16 +1236,30 @@ mod tests {
         // just the failing batch) must reconstruct batch 0's
         // contribution. Small batches below the threshold exercise
         // coalescing on the threaded transport; large ones do not.
+        // At a zero budget the log is cut after every batch, so the
+        // restart resumes from the restore point taken after batch 0.
         let events = multi_pid_trace(7, 40);
         let expected = json(&serial(&events));
-        for (jobs, shard, chunk) in [
+        for ((jobs, shard, chunk), budget) in [
             (1, 0, events.len() / 3),
             (3, 1, PARALLEL_THRESHOLD),
             (3, 1, events.len() / 3),
-        ] {
-            let (report, failures) =
-                run_chunked(builder(jobs).hook(panic_hook(shard, 1, 1)), &events, chunk);
-            assert_eq!(expected, json(&report), "diverged at {jobs} jobs");
+        ]
+        .into_iter()
+        .flat_map(|cell| BUDGETS.map(|budget| (cell, budget)))
+        {
+            let (report, failures) = run_chunked(
+                builder(jobs)
+                    .restore_budget(budget)
+                    .hook(panic_hook(shard, 1, 1)),
+                &events,
+                chunk,
+            );
+            assert_eq!(
+                expected,
+                json(&report),
+                "diverged at {jobs} jobs, budget {budget}"
+            );
             assert_eq!(failures.len(), 1);
             assert_eq!(failures[0].shard, shard);
             assert_eq!(failures[0].restarts, 1);
@@ -1140,10 +1272,11 @@ mod tests {
     fn metrics_not_double_counted_across_restart() {
         let events = multi_pid_trace(6, 40);
         let (clean, clean_snap) = serial_metered(&events);
-        for jobs in [1, 2] {
+        for (jobs, budget) in [1, 2].into_iter().flat_map(|j| BUDGETS.map(|b| (j, b))) {
             let metrics = Arc::new(PipelineMetrics::default());
             let (report, _) = run_chunked(
                 builder(jobs)
+                    .restore_budget(budget)
                     .metrics(Arc::clone(&metrics))
                     .hook(panic_hook(0, 1, 1)),
                 &events,
@@ -1152,7 +1285,7 @@ mod tests {
             assert_eq!(clean, report);
             let snap = metrics.snapshot();
             // The restarted shard replays its events, but only the
-            // successful incarnation's counters are absorbed.
+            // counters of its restore point and replay are absorbed.
             assert_eq!(snap.events_read, clean_snap.events_read);
             assert_eq!(snap.filter_dropped, clean_snap.filter_dropped);
             assert_eq!(snap.partition_records, clean_snap.partition_records);
@@ -1203,9 +1336,10 @@ mod tests {
         // later cuts must not hand it a fresh ledger.
         let events = multi_pid_trace(2, 9);
         let every = events.len() / 6;
-        for jobs in [1, 2] {
+        for (jobs, budget) in [1, 2].into_iter().flat_map(|j| BUDGETS.map(|b| (j, b))) {
             let metrics = Arc::new(PipelineMetrics::default());
             let mut session = builder(jobs)
+                .restore_budget(budget)
                 .metrics(Arc::clone(&metrics))
                 .hook(panic_hook(0, 0, 99))
                 .build_session();
@@ -1236,12 +1370,18 @@ mod tests {
 
     #[test]
     fn stall_watchdog_replays_stalled_shard() {
-        let events = multi_pid_trace(6, 20);
+        let events = multi_pid_trace(6, 60);
         let expected = json(&serial(&events));
         // Shard 0 freezes for 5s on its first batch; the 50ms watchdog
         // must abandon and replay it rather than wait. A timeout runs
-        // the threaded transport even at one shard.
-        for jobs in [1, 2] {
+        // the threaded transport even at one shard. As one batch the
+        // stall surfaces at finish; in three, at a zero budget, it
+        // surfaces at the in-memory cut after the first.
+        for ((jobs, budget), chunk) in [1, 2]
+            .into_iter()
+            .flat_map(|j| BUDGETS.map(|b| (j, b)))
+            .flat_map(|cell| [events.len(), PARALLEL_THRESHOLD].map(|c| (cell, c)))
+        {
             let stalled = Arc::new(AtomicU64::new(0));
             let flag = Arc::clone(&stalled);
             let hook: ShardHook = Arc::new(move |w, t| {
@@ -1252,9 +1392,12 @@ mod tests {
             let policy = fast_policy().with_shard_timeout(Duration::from_millis(50));
             let started = Instant::now();
             let (report, failures) = run_chunked(
-                builder(jobs).policy(policy).hook(hook),
+                builder(jobs)
+                    .restore_budget(budget)
+                    .policy(policy)
+                    .hook(hook),
                 &events,
-                events.len(),
+                chunk,
             );
             assert!(
                 started.elapsed() < Duration::from_secs(4),
@@ -1269,6 +1412,89 @@ mod tests {
                 "{}",
                 failures[0].last_error
             );
+        }
+    }
+
+    #[test]
+    fn replay_log_stays_within_the_budget_and_cuts_are_invisible() {
+        // Twenty-one full batches against a budget of two: the log must
+        // peak at the budget plus one batch, and the report and counters
+        // must equal a run that never cuts.
+        let events = multi_pid_trace(8, 384);
+        assert!(events.len().is_multiple_of(PARALLEL_THRESHOLD));
+        let parts: Vec<&[TraceEvent]> = events.chunks(PARALLEL_THRESHOLD).collect();
+        let sizes: Vec<usize> = parts
+            .iter()
+            .map(|part| EventBatch::from_events(part).heap_bytes())
+            .collect();
+        let largest = *sizes.iter().max().unwrap();
+        let total: usize = sizes.iter().sum();
+        let budget = 2 * largest;
+        assert!(total >= 10 * budget, "{total} bytes against {budget}");
+        let expected = json(&serial(&events));
+        for jobs in [1, 2] {
+            let run = |budget: usize| {
+                let metrics = Arc::new(PipelineMetrics::default());
+                let mut session = builder(jobs)
+                    .restore_budget(budget)
+                    .metrics(Arc::clone(&metrics))
+                    .build_session();
+                for part in &parts {
+                    session.feed(EventBatch::from_events(part));
+                }
+                let peaks = (session.shards.log_peak, session.shards.batch_peak);
+                let (report, failures) = session.finish();
+                assert!(failures.is_empty());
+                let counters = serde_json::to_string(&metrics.snapshot()).unwrap();
+                (json(&report), counters, peaks)
+            };
+            let (uncut, uncut_counters, (uncut_peak, _)) = run(usize::MAX);
+            assert_eq!(uncut_peak, total, "jobs {jobs}: an uncut log holds it all");
+            let (report, counters, (peak, batch_peak)) = run(budget);
+            assert_eq!(batch_peak, largest);
+            assert!(
+                peak <= budget + largest,
+                "jobs {jobs}: log peaked at {peak} against {budget} + {largest}"
+            );
+            assert_eq!(expected, report, "jobs {jobs}");
+            assert_eq!(uncut, report, "jobs {jobs}");
+            assert_eq!(uncut_counters, counters, "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn gave_up_shard_keeps_its_restore_point() {
+        // Shard 0 panics on every attempt from tick 2 on. At a zero
+        // budget its restore point holds batches 0 and 1, so the
+        // degraded report and counters keep exactly those of its events;
+        // at the real budget no cut came first, so it keeps none.
+        let events = multi_pid_trace(4, 150);
+        let kept = 2 * PARALLEL_THRESHOLD;
+        for (jobs, budget) in [1, 2].into_iter().flat_map(|j| BUDGETS.map(|b| (j, b))) {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let (report, failures) = run_chunked(
+                builder(jobs)
+                    .restore_budget(budget)
+                    .metrics(Arc::clone(&metrics))
+                    .hook(panic_hook(0, 2, u64::MAX)),
+                &events,
+                PARALLEL_THRESHOLD,
+            );
+            assert_eq!(failures.len(), 1);
+            assert!(failures[0].gave_up);
+            let prefix = if budget == 0 { kept } else { 0 };
+            let survivors: Vec<_> = events
+                .iter()
+                .enumerate()
+                .filter(|(i, e)| *i < prefix || !(e.pid as usize).is_multiple_of(jobs))
+                .map(|(_, e)| e.clone())
+                .collect();
+            assert_eq!(
+                json(&report),
+                json(&serial(&survivors)),
+                "jobs {jobs}, budget {budget}"
+            );
+            assert_eq!(metrics.snapshot().events_read, survivors.len() as u64);
         }
     }
 

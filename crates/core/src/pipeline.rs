@@ -9,7 +9,7 @@
 //!  ┌───────────────────────────────┐   ┌──────────────────────────────────┐
 //!  │ open_source(path, options)    │   │ pid-sharded StreamingAnalyzers,  │
 //!  │   ├─ JsonlSource (strict/lossy│   │ one run-long restart ledger,     │
-//!  │   │   via ReadOptions)        │──▶│ replay log since the last cut    │
+//!  │   │   via ReadOptions)        │──▶│ restore points, log ≤ budget     │
 //!  │   └─ IotbSource  (strict/lossy│   │   inline: 1 shard, caller thread │
 //!  │       via ReadOptions; v1 and │   │   threaded: iocov-shard-N pool   │
 //!  │       v2 alike)               │   │                                  │
@@ -39,12 +39,13 @@
 //! # Checkpoint cuts
 //!
 //! A cut returns the *cumulative* `(report, pid states)` pair a
-//! [`CheckpointDoc`] needs: the supervisor completes its live shard
-//! incarnations, merges them into its base, and starts the next batch
-//! from the captured states — the exact resume invariant the checkpoint
-//! tests prove. That is also what makes resume seeding free: a resumed
-//! run is a session whose supervisor starts from the checkpoint's
-//! `(report, states)` instead of empty ones.
+//! [`CheckpointDoc`] needs: the supervisor brings every shard to the
+//! end of its log, keeps each one's clone as its restore point, and
+//! reads the pair off the restore points and its base report — the
+//! exact resume invariant the checkpoint tests prove. That is also what
+//! makes resume seeding free: a resumed run is a session whose
+//! supervisor starts from the checkpoint's `(report, states)` instead
+//! of empty ones.
 
 use std::io;
 use std::path::PathBuf;
@@ -143,6 +144,10 @@ pub struct PipelineBuilder {
     on_checkpoint: Option<CheckpointHook>,
     resume: Option<CheckpointDoc>,
     stop_after: Option<u64>,
+    /// Test seam: the supervisor's in-memory cut budget in place of
+    /// [`RESTORE_BUDGET`](crate::RESTORE_BUDGET).
+    #[cfg(test)]
+    restore_budget: Option<usize>,
 }
 
 impl PipelineBuilder {
@@ -163,6 +168,8 @@ impl PipelineBuilder {
             on_checkpoint: None,
             resume: None,
             stop_after: None,
+            #[cfg(test)]
+            restore_budget: None,
         }
     }
 
@@ -251,6 +258,16 @@ impl PipelineBuilder {
         self
     }
 
+    /// Cuts the replay log in memory past `bytes` instead of
+    /// [`RESTORE_BUDGET`](crate::RESTORE_BUDGET); 0 cuts after every
+    /// batch.
+    #[cfg(test)]
+    #[must_use]
+    pub(crate) fn restore_budget(mut self, bytes: usize) -> Self {
+        self.restore_budget = Some(bytes);
+        self
+    }
+
     /// Builds the resident session: a shard supervisor seeded (like the
     /// metrics) from any resume checkpoint. This is the entry point for
     /// callers that feed events themselves (`iocov serve`, distributed
@@ -268,16 +285,22 @@ impl PipelineBuilder {
             }
             (doc.report, doc.pid_states)
         });
+        #[allow(unused_mut)]
+        let mut shards = ShardSupervisor::new(
+            self.filter,
+            self.jobs,
+            self.policy,
+            self.hook,
+            self.metrics.clone(),
+            self.supervised,
+            seed,
+        );
+        #[cfg(test)]
+        if let Some(bytes) = self.restore_budget {
+            shards.budget = bytes;
+        }
         AnalysisSession {
-            shards: ShardSupervisor::new(
-                self.filter,
-                self.jobs,
-                self.policy,
-                self.hook,
-                self.metrics.clone(),
-                self.supervised,
-                seed,
-            ),
+            shards,
             mount: self.mount,
             metrics: self.metrics,
             checkpoint: self.checkpoint,

@@ -7,12 +7,15 @@
 //! the finished reports in *any* completion order — must serialize to
 //! exactly the bytes of the single concatenated analysis, with and
 //! without shared `--metrics`. Streams carry disjoint pid ranges, as
-//! real per-process trace streams do.
+//! real per-process trace streams do. Every case runs at the real
+//! replay-log budget and at zero, where each session cuts its log in
+//! memory after every batch.
 
 use std::sync::Arc;
 
-use iocov::{
-    splitmix64, AnalysisReport, MetricsSnapshot, PipelineBuilder, PipelineMetrics, TraceFilter,
+use crate::{
+    splitmix64, AnalysisReport, AnalysisSession, MetricsSnapshot, PipelineBuilder, PipelineMetrics,
+    TraceFilter, RESTORE_BUDGET,
 };
 use iocov_trace::{ArgValue, EventBatch, TraceEvent};
 use proptest::prelude::*;
@@ -107,9 +110,10 @@ fn batches(events: &[TraceEvent], sizes: &[usize]) -> Vec<EventBatch> {
     out
 }
 
-fn session(metrics: Option<Arc<PipelineMetrics>>) -> iocov::AnalysisSession {
+fn session(metrics: Option<Arc<PipelineMetrics>>, budget: usize) -> AnalysisSession {
     let mut builder = PipelineBuilder::new(TraceFilter::mount_point(MOUNT).unwrap())
-        .mount(Some(MOUNT.to_owned()));
+        .mount(Some(MOUNT.to_owned()))
+        .restore_budget(budget);
     if let Some(m) = metrics {
         builder = builder.metrics(m);
     }
@@ -124,10 +128,11 @@ fn check(
     sizes: &[Vec<usize>],
     seed: u64,
     with_metrics: bool,
+    budget: usize,
 ) -> Result<String, TestCaseError> {
     // Reference: one batch analysis of the concatenated streams.
     let ref_metrics = with_metrics.then(|| Arc::new(PipelineMetrics::default()));
-    let mut reference = session(ref_metrics.clone());
+    let mut reference = session(ref_metrics.clone(), budget);
     for events in streams {
         reference.feed_owned(events.clone());
     }
@@ -142,7 +147,10 @@ fn check(
         .iter()
         .map(|_| with_metrics.then(|| Arc::new(PipelineMetrics::default())))
         .collect();
-    let mut sessions: Vec<_> = stream_metrics.iter().map(|m| session(m.clone())).collect();
+    let mut sessions: Vec<_> = stream_metrics
+        .iter()
+        .map(|m| session(m.clone(), budget))
+        .collect();
     let mut queues: Vec<Vec<EventBatch>> = streams
         .iter()
         .zip(sizes)
@@ -203,7 +211,8 @@ proptest! {
     /// Any interleaving of any batching of N pid-disjoint streams,
     /// merged in any completion order, is byte-identical to the batch
     /// analysis of their concatenation — with and without metrics, and
-    /// the report bytes agree across the two metrics settings.
+    /// the report bytes agree across the two metrics settings and the
+    /// two budgets.
     #[test]
     fn interleaved_sessions_merge_byte_identical_to_batch(
         mut streams_and_sizes in proptest::collection::vec(stream_strategy(), 1..4),
@@ -220,8 +229,9 @@ proptest! {
             streams_and_sizes.iter().map(|(e, _)| e.clone()).collect();
         let sizes: Vec<Vec<usize>> =
             streams_and_sizes.iter().map(|(_, s)| s.clone()).collect();
-        let plain = check(&streams, &sizes, seed, false)?;
-        let with_metrics = check(&streams, &sizes, seed, true)?;
-        prop_assert_eq!(plain, with_metrics);
+        let plain = check(&streams, &sizes, seed, false, RESTORE_BUDGET)?;
+        for (with_metrics, budget) in [(true, RESTORE_BUDGET), (false, 0), (true, 0)] {
+            prop_assert_eq!(&plain, &check(&streams, &sizes, seed, with_metrics, budget)?);
+        }
     }
 }

@@ -39,7 +39,10 @@ use crate::relevance::{self, PidState};
 /// let report = analyzer.finish();
 /// assert_eq!(report.total_calls(), 1);
 /// ```
-#[derive(Debug)]
+///
+/// A clone carries the relevance states and counts so far and continues
+/// independently of the original; attached metrics stay shared.
+#[derive(Debug, Clone)]
 pub struct StreamingAnalyzer {
     filter: TraceFilter,
     states: HashMap<u32, PidState>,
@@ -70,8 +73,14 @@ impl StreamingAnalyzer {
     /// counters are atomic, so the totals equal a serial run's.
     #[must_use]
     pub fn with_metrics(mut self, metrics: std::sync::Arc<PipelineMetrics>) -> Self {
-        self.metrics = Some(metrics);
+        self.set_metrics(metrics);
         self
+    }
+
+    /// Replaces the attached metrics (a clone that must count apart from
+    /// its original gets its own instance here).
+    pub(crate) fn set_metrics(&mut self, metrics: std::sync::Arc<PipelineMetrics>) {
+        self.metrics = Some(metrics);
     }
 
     /// Consumes one event; returns whether it was kept.
