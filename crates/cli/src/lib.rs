@@ -40,10 +40,9 @@ use iocov::distribute::{read_frame, FRAME_SPEC, MAX_FRAME_LEN};
 use iocov::tcd::{deviation_ranking, tcd_uniform};
 use iocov::{
     read_checkpoint_with_fallback, run_coordinator, run_worker, worker_specs, AnalysisReport,
-    ArgName, BaseSyscall, CheckpointPolicy, ComboCoverage, CorruptSpec, DistributeConfig,
-    IdentifierCoverage, KillSpec, PipelineBuilder, PipelineError, PipelineMetrics,
-    ShardFailureRecord, StallSpec, StreamingAnalyzer, SupervisorPolicy, WorkerFaults, WorkerHooks,
-    WorkerSpec,
+    ArgName, BaseSyscall, CheckpointPolicy, CorruptSpec, DistributeConfig, KillSpec,
+    PipelineBuilder, PipelineError, PipelineMetrics, PipelineRun, ShardFailureRecord, StallSpec,
+    SupervisorPolicy, WorkerFaults, WorkerHooks, WorkerSpec,
 };
 use iocov_faults::{
     FaultPlan, FaultyRead, FeedAbortSchedule, FeedStallSchedule, FrameCorruptSchedule,
@@ -51,7 +50,7 @@ use iocov_faults::{
 };
 use iocov_trace::{
     open_source, unseekable_kind, ErrorPolicy, ReadOptions, RetryRead, SkippedLine, SourceError,
-    SourceFormat, SourceOptions, SourcePos, Trace, TraceEvent,
+    SourceFormat, SourceOptions, SourcePos,
 };
 
 /// A CLI-level error with a user-facing message.
@@ -943,13 +942,15 @@ analysis does not read, so every command reads v1 and v2 alike.
 Analysis is supervised: a panicking or stalled worker shard is
 restarted with exponential backoff and replayed from its last restore
 point, a copy of its state taken every 4 MiB of input batches, so
-memory stays bounded however long the trace; a shard that exhausts its restart budget (--max-shard-restarts, default 3, per
-shard per run: checkpoints do not refill it) degrades the run to a
-partial report plus a per-shard failure manifest instead of aborting.
---shard-timeout SECS enables the stall watchdog.
---checkpoint-every N writes resumable state every N events to
---checkpoint-file (default <trace>.iockpt; works with any --format and
-any --jobs count);
+memory stays bounded however long the trace. `untested`, `combos`,
+`tcd` and `diff` stream through the same analysis session, one serial
+shard, so they are bounded too. A shard that exhausts its restart
+budget (--max-shard-restarts, default 3, per shard per run:
+checkpoints do not refill it) degrades the run to a partial report
+plus a per-shard failure manifest instead of aborting.
+--shard-timeout SECS enables the stall watchdog. --checkpoint-every N
+writes resumable state every N events to --checkpoint-file (default
+<trace>.iockpt; works with any --format and any --jobs count);
 --resume FILE continues a killed run from its last checkpoint,
 producing output byte-identical to an uninterrupted run.
 --stop-after-events K stops the run after K events (simulating a kill)
@@ -1046,32 +1047,6 @@ fn fault_reader(file: File, io: Option<IoFaultSpec>) -> Box<dyn Read> {
     }
 }
 
-/// Reads a whole trace in either container format: a drain over
-/// [`open_source`], strict unless `read` skips errors. Returns the
-/// events and the lossy skip ledger.
-fn load_trace(
-    path: &str,
-    format: TraceFormat,
-    read: ReadOptions,
-) -> Result<(Trace, Vec<SkippedLine>), CliError> {
-    let options = SourceOptions {
-        read,
-        format: forced_format(format),
-        wrap: Some(Box::new(|file| fault_reader(file, None))),
-        ..SourceOptions::default()
-    };
-    let mut source = open_source(path, options).map_err(|e| source_error(path, e))?;
-    let trace = source
-        .read_all()
-        .map_err(|e| source_error(path, SourceError::Trace(e)))?;
-    Ok((trace, source.skip_ledger().to_vec()))
-}
-
-/// Reads a whole trace in strict mode, sniffing the container format.
-fn load_strict(path: &str) -> Result<Trace, CliError> {
-    Ok(load_trace(path, TraceFormat::Auto, ReadOptions::STRICT)?.0)
-}
-
 fn make_filter(mount: Option<&str>) -> Result<iocov::TraceFilter, CliError> {
     match mount {
         Some(mount) => iocov::TraceFilter::mount_point(mount)
@@ -1134,19 +1109,11 @@ fn load_report(path: &str) -> Result<AnalysisReport, CliError> {
         .map_err(|e| CliError(format!("cannot parse report {path}: {e}")))
 }
 
-/// Analyzes a whole trace in one pass, returning the report and the
-/// events the mount filter kept (every event, without a mount).
-fn analyze_trace<'t>(
-    trace: &'t Trace,
-    mount: Option<&str>,
-) -> Result<(AnalysisReport, Vec<&'t TraceEvent>), CliError> {
-    let mut analyzer = StreamingAnalyzer::new(make_filter(mount)?);
-    let kept = trace.iter().filter(|e| analyzer.push(*e)).collect();
-    Ok((analyzer.finish(), kept))
-}
-
 /// The `analyze` invocation, minus the worker count — shared by the
-/// batch and checkpointed execution paths.
+/// in-process and distributed paths. The default is how `untested`,
+/// `combos`, `tcd` and `diff` read their traces: strict, format-sniffed,
+/// with no robustness options.
+#[derive(Default)]
 struct AnalyzeCtx<'a> {
     trace: &'a str,
     format: TraceFormat,
@@ -1155,7 +1122,17 @@ struct AnalyzeCtx<'a> {
     lossy: bool,
     metrics: bool,
     max_errors: Option<usize>,
-    robust: &'a RobustnessOpts,
+    robust: RobustnessOpts,
+}
+
+impl AnalyzeCtx<'_> {
+    /// Where `--checkpoint-every` writes (default `<trace>.iockpt`).
+    fn checkpoint_path(&self) -> String {
+        self.robust
+            .checkpoint_file
+            .clone()
+            .unwrap_or_else(|| format!("{}.iockpt", self.trace))
+    }
 }
 
 /// Renders an analysis result — JSON document or text report — shared by
@@ -1239,21 +1216,23 @@ fn render_analyze<W: Write>(
 
 /// The unified analysis path: open the trace as an [`EventSource`]
 /// (strict or lossy, JSONL or `.iotb`, optional fault injection,
-/// optional resume position), pump it through a
+/// optional resume position) and pump it through a
 /// [`PipelineBuilder`]-configured session — one inline shard or
-/// pid-sharded shard threads — cutting a checkpoint every N events, and
-/// render.
-/// Every flag combination takes this one path, and every combination
-/// produces reports byte-identical to a plain serial run over the same
-/// events. A panicking shard is restarted with backoff; one that
-/// exhausts its budget degrades the run to a partial report plus
-/// warnings (text) and a manifest (metrics) — never a process abort.
-fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Result<(), CliError> {
-    let robust = ctx.robust;
-    let ckpt_path = robust
-        .checkpoint_file
-        .clone()
-        .unwrap_or_else(|| format!("{}.iockpt", ctx.trace));
+/// pid-sharded shard threads — cutting a checkpoint every N events.
+/// Returns the finished run and the metrics it counted into, if any.
+/// `analyze`, `untested`, `combos`, `tcd` and `diff` all take this one
+/// path, and every flag combination produces reports byte-identical to
+/// a plain serial run over the same events. A panicking shard is
+/// restarted with backoff; one that exhausts its budget degrades the
+/// run to a partial report plus a failure manifest — never a process
+/// abort. `extended` also counts identifier and flag-combination
+/// coverage ([`PipelineBuilder::extended_coverage`]).
+fn run_session(
+    ctx: &AnalyzeCtx<'_>,
+    jobs: usize,
+    extended: bool,
+) -> Result<(PipelineRun, Option<Arc<PipelineMetrics>>), CliError> {
+    let robust = &ctx.robust;
     let resume_doc = match &robust.resume {
         Some(resume_path) => {
             let (doc, fell_back) = read_checkpoint_with_fallback(Path::new(resume_path))
@@ -1323,7 +1302,7 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Resu
     if let Some(every) = robust.checkpoint_every {
         builder = builder.checkpoint(CheckpointPolicy {
             every,
-            path: PathBuf::from(&ckpt_path),
+            path: PathBuf::from(ctx.checkpoint_path()),
         });
     }
     if let Some(doc) = resume_doc {
@@ -1332,15 +1311,26 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Resu
     if let Some(stop) = robust.stop_after {
         builder = builder.stop_after(stop);
     }
+    if extended {
+        builder = builder.extended_coverage();
+    }
     let run = builder.build().run(source.as_mut()).map_err(|e| match e {
         PipelineError::Source(e) => source_error(ctx.trace, SourceError::Trace(e)),
         e @ PipelineError::Checkpoint { .. } => CliError(e.to_string()),
     })?;
+    Ok((run, pipeline_metrics))
+}
+
+/// `analyze`: one [`run_session`], rendered as a JSON document or a
+/// text report (or the resume hint of a stopped run).
+fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Result<(), CliError> {
+    let (run, pipeline_metrics) = run_session(ctx, jobs, false)?;
     if run.stopped {
         writeln!(
             out,
-            "stopped after {} events; resume with --resume {ckpt_path}",
-            run.events
+            "stopped after {} events; resume with --resume {}",
+            run.events,
+            ctx.checkpoint_path()
         )?;
         return Ok(());
     }
@@ -1353,6 +1343,21 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Resu
         pipeline_metrics.as_deref(),
         &run.failures,
     )
+}
+
+/// The report of a whole trace for `untested`, `combos`, `tcd` and
+/// `diff`: one serial [`run_session`] over the default context.
+fn analyze_whole_trace(
+    trace: &str,
+    mount: Option<&str>,
+    extended: bool,
+) -> Result<AnalysisReport, CliError> {
+    let ctx = AnalyzeCtx {
+        trace,
+        mount,
+        ..AnalyzeCtx::default()
+    };
+    Ok(run_session(&ctx, 1, extended)?.0.report)
 }
 
 /// Worker checkpoint cadence when `--checkpoint-every` is not given:
@@ -1373,7 +1378,7 @@ fn run_distribute<W: Write>(
     workers: usize,
     out: &mut W,
 ) -> Result<(), CliError> {
-    let robust = ctx.robust;
+    let robust = &ctx.robust;
     // Resolve the container format (and surface missing/unreadable
     // trace files) up front, before any worker is spawned.
     let format = resolve_format(ctx.trace, ctx.format)?;
@@ -1506,7 +1511,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
                 lossy: *lossy,
                 metrics: *metrics,
                 max_errors: *max_errors,
-                robust,
+                robust: RobustnessOpts::clone(robust),
             };
             match robust.distribute {
                 Some(workers) => run_distribute(&ctx, workers, out)?,
@@ -1515,11 +1520,10 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
         }
         Command::Worker => run_worker_main(out)?,
         Command::Untested { trace, mount } => {
-            let trace = load_strict(trace)?;
-            let (report, kept) = analyze_trace(&trace, mount.as_deref())?;
+            let report = analyze_whole_trace(trace, mount.as_deref(), true)?;
             write!(out, "{}", iocov::report::untested_summary(&report))?;
             // Identifier coverage (future-work metric) rides along.
-            let ids = IdentifierCoverage::from_trace(kept);
+            let ids = report.identifiers.unwrap_or_default();
             let fd_gaps: Vec<String> = ids.untested_fd().iter().map(ToString::to_string).collect();
             let path_gaps: Vec<String> = ids
                 .untested_path()
@@ -1530,8 +1534,9 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             writeln!(out, "identifier gaps: path {{{}}}", path_gaps.join(", "))?;
         }
         Command::Combos { trace, mount } => {
-            let trace = load_strict(trace)?;
-            let combos = ComboCoverage::from_trace(analyze_trace(&trace, mount.as_deref())?.1);
+            let combos = analyze_whole_trace(trace, mount.as_deref(), true)?
+                .combos
+                .unwrap_or_default();
             writeln!(
                 out,
                 "{} open calls, {} distinct flag combinations, pairwise coverage {:.1}%",
@@ -1553,8 +1558,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             mount,
             target,
         } => {
-            let trace = load_strict(trace)?;
-            let (report, _) = analyze_trace(&trace, mount.as_deref())?;
+            let report = analyze_whole_trace(trace, mount.as_deref(), false)?;
             let freqs = report
                 .input_coverage(ArgName::OpenFlags)
                 .frequency_vector(ArgName::OpenFlags);
@@ -1582,8 +1586,8 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             trace_b,
             mount,
         } => {
-            let a = analyze_trace(&load_strict(trace_a)?, mount.as_deref())?.0;
-            let b = analyze_trace(&load_strict(trace_b)?, mount.as_deref())?.0;
+            let a = analyze_whole_trace(trace_a, mount.as_deref(), false)?;
+            let b = analyze_whole_trace(trace_b, mount.as_deref(), false)?;
             let d = iocov::report::diff(&a, &b);
             if d.is_empty() {
                 writeln!(out, "identical partition coverage")?;
@@ -1623,7 +1627,17 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             } else {
                 ReadOptions::STRICT
             };
-            let (trace, skipped) = load_trace(input, *format, read)?;
+            let options = SourceOptions {
+                read,
+                format: forced_format(*format),
+                wrap: Some(Box::new(|file| fault_reader(file, None))),
+                ..SourceOptions::default()
+            };
+            let mut source = open_source(input, options).map_err(|e| source_error(input, e))?;
+            let trace = source
+                .read_all()
+                .map_err(|e| source_error(input, SourceError::Trace(e)))?;
+            let skipped = source.skip_ledger();
             let file = File::create(output)
                 .map_err(|e| CliError(format!("cannot create {output}: {e}")))?;
             match target {
@@ -1642,7 +1656,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
                     skipped.len(),
                     if skipped.len() == 1 { "" } else { "s" }
                 )?;
-                for skip in &skipped {
+                for skip in skipped {
                     writeln!(out, "  {skip}")?;
                 }
             }

@@ -168,26 +168,43 @@ fn convert_back_to_jsonl_reproduces_the_source_bytes() {
     }
 }
 
+/// A strict read of a corrupt trace fails at its first bad line, with
+/// the same message and nothing on stdout, whether it is converted or
+/// streamed through an analysis session.
 #[test]
 fn strict_convert_of_a_corrupt_trace_names_the_first_bad_line() {
-    let fixture = concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../fixtures/corrupt_trace.jsonl"
-    );
+    let fixtures = concat!(env!("CARGO_MANIFEST_DIR"), "/../../fixtures");
+    let fixture = format!("{fixtures}/corrupt_trace.jsonl");
+    let clean = format!("{fixtures}/whole_trace.jsonl");
     let out = temp_path("strict", "jsonl");
-    let output = Command::new(bin())
-        .args(["convert", fixture, &out])
-        .output()
-        .expect("spawn iocov binary");
-    let _ = std::fs::remove_file(&out);
-    assert_eq!(output.status.code(), Some(1));
-    assert_eq!(
-        String::from_utf8_lossy(&output.stderr),
-        format!(
-            "iocov: cannot parse {fixture}: trace parse error on line 4: \
-             expected `,` or `}}` in object at byte 50\n"
-        )
-    );
+    let invocations: [&[&str]; 5] = [
+        &["convert", &fixture, &out],
+        &["untested", &fixture],
+        &["combos", &fixture, "--mount", "/mnt/test"],
+        &["tcd", &fixture, "--target", "10"],
+        &["diff", &clean, &fixture],
+    ];
+    for all in invocations {
+        let output = Command::new(bin())
+            .args(all)
+            .output()
+            .expect("spawn iocov binary");
+        let _ = std::fs::remove_file(&out);
+        assert_eq!(output.status.code(), Some(1), "iocov {all:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&output.stdout),
+            "",
+            "iocov {all:?} printed before failing"
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&output.stderr),
+            format!(
+                "iocov: cannot parse {fixture}: trace parse error on line 4: \
+                 expected `,` or `}}` in object at byte 50\n"
+            ),
+            "iocov {all:?}"
+        );
+    }
 }
 
 #[test]

@@ -9,91 +9,44 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use iocov_trace::TraceEvent;
 use serde::{Deserialize, Serialize};
 
-use crate::arg::{ArgName, TrackedValue};
+use crate::coverage::add_counts;
 use crate::domain::{open_flag_names, open_flags_present};
-use crate::variants::normalize;
 
 /// The three access modes are mutually exclusive: pairs among them are
 /// not achievable and are excluded from the pairwise domain.
 const ACCESS_MODES: [&str; 3] = ["O_RDONLY", "O_WRONLY", "O_RDWR"];
 
-/// Serializes structurally-keyed maps as entry lists (JSON object keys
-/// must be strings).
-mod entries {
-    use serde::de::Deserializer;
-    use serde::ser::Serializer;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap;
-
-    pub(super) fn serialize<K, S>(map: &BTreeMap<K, u64>, serializer: S) -> Result<S::Ok, S::Error>
-    where
-        K: Serialize + Ord,
-        S: Serializer,
-    {
-        map.iter().collect::<Vec<_>>().serialize(serializer)
-    }
-
-    pub(super) fn deserialize<'de, K, D>(deserializer: D) -> Result<BTreeMap<K, u64>, D::Error>
-    where
-        K: Deserialize<'de> + Ord,
-        D: Deserializer<'de>,
-    {
-        Ok(Vec::<(K, u64)>::deserialize(deserializer)?
-            .into_iter()
-            .collect())
-    }
-}
-
 /// Exact-combination and pairwise coverage of `open` flags.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ComboCoverage {
     /// Exact combinations (sorted flag-name lists) → times used.
-    #[serde(with = "entries")]
+    #[serde(with = "crate::coverage::pairs")]
     pub exact: BTreeMap<Vec<String>, u64>,
     /// Ordered flag pairs (lexicographic) observed together → count.
-    #[serde(with = "entries")]
+    #[serde(with = "crate::coverage::pairs")]
     pub pairs: BTreeMap<(String, String), u64>,
     /// Total `open`-family calls contributing.
     pub calls: u64,
 }
 
 impl ComboCoverage {
-    /// Scans events (already filtered, if desired) for `open`-family
-    /// calls and accumulates combination coverage.
-    #[must_use]
-    pub fn from_trace<'a>(trace: impl IntoIterator<Item = &'a TraceEvent>) -> Self {
-        let mut cov = ComboCoverage::default();
-        for event in trace {
-            let Some(call) = normalize(event) else {
-                continue;
-            };
-            for (arg, value) in call.tracked_args() {
-                if let (ArgName::OpenFlags, TrackedValue::Bits(bits)) = (arg, value) {
-                    cov.record(bits);
-                }
-            }
-        }
-        cov
-    }
-
-    /// Records one flags word.
-    pub fn record(&mut self, bits: u32) {
+    /// Records `calls` opens with one flags word.
+    pub fn record(&mut self, bits: u32, calls: u64) {
         let present = open_flags_present(bits);
         if present.is_empty() {
             return;
         }
-        self.calls += 1;
+        self.calls += calls;
         let combo: Vec<String> = present.iter().map(|s| (*s).to_owned()).collect();
         for i in 0..present.len() {
             for j in i + 1..present.len() {
                 let (a, b) = ordered(present[i], present[j]);
-                *self.pairs.entry((a, b)).or_insert(0) += 1;
+                *self.pairs.entry((a, b)).or_insert(0) += calls;
             }
         }
-        *self.exact.entry(combo).or_insert(0) += 1;
+        *self.exact.entry(combo).or_insert(0) += calls;
     }
 
     /// The most-used exact combinations, descending.
@@ -162,12 +115,8 @@ impl ComboCoverage {
     /// Merges another combo coverage (for chunked suite runs).
     pub fn merge(&mut self, other: &ComboCoverage) {
         self.calls += other.calls;
-        for (combo, count) in &other.exact {
-            *self.exact.entry(combo.clone()).or_insert(0) += count;
-        }
-        for (pair, count) in &other.pairs {
-            *self.pairs.entry(pair.clone()).or_insert(0) += count;
-        }
+        add_counts(&mut self.exact, &other.exact);
+        add_counts(&mut self.pairs, &other.pairs);
     }
 }
 
@@ -182,7 +131,8 @@ fn ordered(a: &str, b: &str) -> (String, String) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iocov_trace::{ArgValue, Trace};
+    use crate::{PipelineBuilder, TraceFilter};
+    use iocov_trace::{ArgValue, TraceEvent};
 
     fn open_event(flags: u32) -> TraceEvent {
         TraceEvent::build(
@@ -200,9 +150,9 @@ mod tests {
     #[test]
     fn records_exact_combinations() {
         let mut cov = ComboCoverage::default();
-        cov.record(0o101); // O_WRONLY|O_CREAT
-        cov.record(0o101);
-        cov.record(0); // O_RDONLY alone
+        cov.record(0o101, 1); // O_WRONLY|O_CREAT
+        cov.record(0o101, 1);
+        cov.record(0, 1); // O_RDONLY alone
         assert_eq!(cov.calls, 3);
         assert_eq!(cov.distinct_combinations(), 2);
         let top = cov.top_combinations(1);
@@ -213,7 +163,7 @@ mod tests {
     #[test]
     fn pairs_are_unordered_and_counted() {
         let mut cov = ComboCoverage::default();
-        cov.record(0o101 | 0o1000); // O_WRONLY, O_CREAT, O_TRUNC
+        cov.record(0o101 | 0o1000, 1); // O_WRONLY, O_CREAT, O_TRUNC
         assert_eq!(cov.pairs.len(), 3);
         assert_eq!(cov.pairs[&("O_CREAT".into(), "O_WRONLY".into())], 1);
         assert_eq!(cov.pairs[&("O_CREAT".into(), "O_TRUNC".into())], 1);
@@ -235,15 +185,15 @@ mod tests {
         let mut cov = ComboCoverage::default();
         let before = cov.untested_pairs().len();
         assert_eq!(before, 187);
-        cov.record(0o101);
+        cov.record(0o101, 1);
         let after = cov.untested_pairs().len();
         assert_eq!(after, 186);
         assert!(cov.pairwise_fraction() > 0.0);
     }
 
     #[test]
-    fn from_trace_scans_all_open_variants() {
-        let trace = Trace::from_events(vec![
+    fn extended_session_scans_all_open_variants() {
+        let events = vec![
             open_event(0o101),
             TraceEvent::build(
                 "creat",
@@ -257,8 +207,12 @@ mod tests {
                 vec![ArgValue::Fd(3), ArgValue::Ptr(1), ArgValue::UInt(8)],
                 8,
             ),
-        ]);
-        let cov = ComboCoverage::from_trace(&trace);
+        ];
+        let mut session = PipelineBuilder::new(TraceFilter::keep_all())
+            .extended_coverage()
+            .build_session();
+        session.feed_owned(events);
+        let cov = session.finish().0.combos.unwrap();
         assert_eq!(cov.calls, 2, "open + creat, not write");
         // creat implies O_WRONLY|O_CREAT|O_TRUNC.
         assert!(cov
@@ -269,10 +223,10 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let mut a = ComboCoverage::default();
-        a.record(0);
+        a.record(0, 1);
         let mut b = ComboCoverage::default();
-        b.record(0);
-        b.record(0o101);
+        b.record(0, 1);
+        b.record(0o101, 1);
         a.merge(&b);
         assert_eq!(a.calls, 3);
         assert_eq!(a.exact[&vec!["O_RDONLY".to_owned()]], 2);
@@ -281,14 +235,14 @@ mod tests {
     #[test]
     fn invalid_accmode_contributes_nothing() {
         let mut cov = ComboCoverage::default();
-        cov.record(3);
+        cov.record(3, 1);
         assert_eq!(cov.calls, 0);
     }
 
     #[test]
     fn serde_roundtrip() {
         let mut cov = ComboCoverage::default();
-        cov.record(0o102 | 0o2000000);
+        cov.record(0o102 | 0o2000000, 1);
         let json = serde_json::to_string(&cov).unwrap();
         let back: ComboCoverage = serde_json::from_str(&json).unwrap();
         assert_eq!(cov, back);

@@ -6,21 +6,23 @@ use iocov_syscalls::{BaseSyscall, Errno, Sysno};
 use serde::{Deserialize, Serialize};
 
 use crate::arg::{ArgName, TrackedValue};
+use crate::combos::ComboCoverage;
 use crate::domain::{arg_domain, for_each_open_flag, output_buckets_bytes, output_errnos};
 use crate::filter::FilterStats;
+use crate::identifier::IdentifierCoverage;
 use crate::metrics::{DropReason, PipelineMetrics};
 use crate::partition::{errno_number, InputPartition, NumericPartition, OutputPartition};
 use crate::variants::normalize;
 
-/// Serializes partition-keyed maps as pair lists (JSON object keys must
-/// be strings, and partitions are structured values).
-mod pairs {
+/// Serializes structurally keyed maps as pair lists (JSON object keys
+/// must be strings, and partitions are structured values).
+pub(crate) mod pairs {
     use serde::de::Deserializer;
     use serde::ser::Serializer;
     use serde::{Deserialize, Serialize};
     use std::collections::BTreeMap;
 
-    pub(super) fn serialize<K, S>(map: &BTreeMap<K, u64>, serializer: S) -> Result<S::Ok, S::Error>
+    pub(crate) fn serialize<K, S>(map: &BTreeMap<K, u64>, serializer: S) -> Result<S::Ok, S::Error>
     where
         K: Serialize + Ord,
         S: Serializer,
@@ -29,7 +31,7 @@ mod pairs {
         entries.serialize(serializer)
     }
 
-    pub(super) fn deserialize<'de, K, D>(deserializer: D) -> Result<BTreeMap<K, u64>, D::Error>
+    pub(crate) fn deserialize<'de, K, D>(deserializer: D) -> Result<BTreeMap<K, u64>, D::Error>
     where
         K: Deserialize<'de> + Ord,
         D: Deserializer<'de>,
@@ -198,6 +200,14 @@ pub struct AnalysisReport {
     pub calls_per_variant: BTreeMap<String, u64>,
     /// The Table 1 histogram of `open` flag combinations.
     pub open_combos: ComboHistogram,
+    /// Descriptor and pathname coverage, counted only by a session
+    /// built with [`extended_coverage`](crate::PipelineBuilder::extended_coverage).
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub identifiers: Option<IdentifierCoverage>,
+    /// Exact and pairwise `open` flag-combination coverage, counted
+    /// only under the same setting.
+    #[serde(default, skip_serializing_if = "Option::is_none")]
+    pub combos: Option<ComboCoverage>,
 }
 
 impl AnalysisReport {
@@ -226,15 +236,6 @@ impl AnalysisReport {
     /// dominated by already-present keys (every shard sees the same
     /// partitions), so the common path is a lookup plus an add.
     pub fn merge(&mut self, other: &AnalysisReport) {
-        fn add_counts<K: Ord + Clone>(mine: &mut BTreeMap<K, u64>, theirs: &BTreeMap<K, u64>) {
-            for (key, count) in theirs {
-                if let Some(slot) = mine.get_mut(key) {
-                    *slot += count;
-                } else {
-                    mine.insert(key.clone(), *count);
-                }
-            }
-        }
         self.filter_stats.total += other.filter_stats.total;
         self.filter_stats.kept += other.filter_stats.kept;
         self.filter_stats.dropped += other.filter_stats.dropped;
@@ -258,6 +259,24 @@ impl AnalysisReport {
             &mut self.open_combos.sizes_with_rdonly,
             &other.open_combos.sizes_with_rdonly,
         );
+        if let Some(theirs) = &other.identifiers {
+            self.identifiers.get_or_insert_default().merge(theirs);
+        }
+        if let Some(theirs) = &other.combos {
+            self.combos.get_or_insert_default().merge(theirs);
+        }
+    }
+}
+
+/// Adds `theirs` into `mine`, cloning a key only when it is new to
+/// `mine`.
+pub(crate) fn add_counts<K: Ord + Clone>(mine: &mut BTreeMap<K, u64>, theirs: &BTreeMap<K, u64>) {
+    for (key, count) in theirs {
+        if let Some(slot) = mine.get_mut(key) {
+            *slot += count;
+        } else {
+            mine.insert(key.clone(), *count);
+        }
     }
 }
 
@@ -319,6 +338,12 @@ pub(crate) struct ReportBuilder {
     calls_per_variant: [u64; Sysno::ALL.len()],
     combo_sizes: [u64; COMBO_SLOTS],
     combo_sizes_with_rdonly: [u64; COMBO_SLOTS],
+    /// The §6 future-work metrics, `Some` only when turned on: they
+    /// allocate per path, so `analyze` leaves them off. Combination
+    /// coverage is kept as calls per distinct `open` flags word and
+    /// expanded into [`ComboCoverage`] when materialized.
+    pub(crate) identifiers: Option<IdentifierCoverage>,
+    pub(crate) open_flags: Option<BTreeMap<u32, u64>>,
 }
 
 impl ReportBuilder {
@@ -344,6 +369,9 @@ impl ReportBuilder {
             }
         }
         self.calls_per_variant[call.sysno.index()] += 1;
+        if let Some(identifiers) = &mut self.identifiers {
+            identifiers.record(event);
+        }
 
         // Input partitions.
         for (arg, value) in call.tracked_args() {
@@ -374,6 +402,9 @@ impl ReportBuilder {
                     if rdonly {
                         self.combo_sizes_with_rdonly[n] += 1;
                     }
+                }
+                if let Some(words) = &mut self.open_flags {
+                    *words.entry(bits).or_insert(0) += 1;
                 }
             }
         }
@@ -468,6 +499,12 @@ impl ReportBuilder {
                 sizes: nonzero(&self.combo_sizes).collect(),
                 sizes_with_rdonly: nonzero(&self.combo_sizes_with_rdonly).collect(),
             },
+            identifiers: self.identifiers.clone(),
+            combos: self.open_flags.as_ref().map(|words| {
+                let mut combos = ComboCoverage::default();
+                words.iter().for_each(|(&bits, &n)| combos.record(bits, n));
+                combos
+            }),
         }
     }
 }
@@ -706,5 +743,68 @@ mod tests {
         let json = serde_json::to_string(&report).unwrap();
         let back: AnalysisReport = serde_json::from_str(&json).unwrap();
         assert_eq!(report, back);
+    }
+
+    /// The payload of a checkpoint written before reports had the
+    /// extended fields: `analyze --mount /mnt/test --checkpoint-every 3`
+    /// over the first three events of `fixtures/whole_trace.jsonl`.
+    const OLD_CHECKPOINT: &str = concat!(
+        r#"{"mount":"/mnt/test","cursor":{"byte_offset":384,"lines":3,"events":3,"#,
+        r#""skipped":[],"bom_stripped":false,"crlf_lines":0},"pid_states":{"100":"#,
+        r#"{"fds":{"3":true},"cwd_relevant":false},"200":{"fds":{"3":true},"#,
+        r#""cwd_relevant":false}},"report":{"filter_stats":{"total":3,"kept":3,"#,
+        r#""dropped":0},"input":{"OpenFlags":{"counts":[[{"Flag":"O_CREAT"},2],"#,
+        r#"[{"Flag":"O_RDWR"},1],[{"Flag":"O_WRONLY"},1]],"calls":2},"OpenMode":"#,
+        r#"{"counts":[[{"Flag":"S_IRGRP"},1],[{"Flag":"S_IROTH"},1],"#,
+        r#"[{"Flag":"S_IRUSR"},2],[{"Flag":"S_IWUSR"},2]],"calls":2},"MkdirMode":"#,
+        r#"{"counts":[[{"Flag":"S_IRGRP"},1],[{"Flag":"S_IROTH"},1],"#,
+        r#"[{"Flag":"S_IRUSR"},1],[{"Flag":"S_IWUSR"},1],[{"Flag":"S_IXGRP"},1],"#,
+        r#"[{"Flag":"S_IXOTH"},1],[{"Flag":"S_IXUSR"},1]],"calls":1}},"output":"#,
+        r#"{"mkdir":{"counts":[["Ok",1]],"calls":1},"open":{"counts":[["Ok",2]],"#,
+        r#""calls":2}},"calls_per_variant":{"mkdir":1,"open":2},"open_combos":"#,
+        r#"{"sizes":{"2":2},"sizes_with_rdonly":{}}},"metrics":{"events_read":0,"#,
+        r#""parse_skipped":0,"filter_dropped":{},"variant_merged":0,"#,
+        r#""partition_records":{},"batched_events":0,"allocs_estimated":0,"#,
+        r#""shard_restarts":0,"shard_failures":[]},"format":"Jsonl"}"#,
+    );
+
+    #[test]
+    fn extended_fields_appear_only_when_counted() {
+        let events = vec![
+            open_ev("/a", 0o101, 3),
+            ev("close", vec![ArgValue::Fd(3)], 0),
+        ];
+        // Without the setting: no new key, in a report or a checkpoint.
+        let plain = Iocov::new().analyze(&Trace::from_events(events.clone()));
+        assert_eq!((&plain.identifiers, &plain.combos), (&None, &None));
+        let json = serde_json::to_string(&plain).unwrap();
+        assert!(!json.contains(r#""identifiers":"#), "{json}");
+        assert!(!json.contains(r#""combos":"#), "{json}");
+        let old: crate::CheckpointDoc = serde_json::from_str(OLD_CHECKPOINT).unwrap();
+        assert_eq!(
+            (&old.report.identifiers, &old.report.combos),
+            (&None, &None)
+        );
+        assert_eq!(serde_json::to_string(&old).unwrap(), OLD_CHECKPOINT);
+
+        // With it: both fields, surviving a round trip.
+        let mut session = crate::PipelineBuilder::new(TraceFilter::keep_all())
+            .extended_coverage()
+            .build_session();
+        session.feed_owned(events);
+        let extended = session.finish().0;
+        assert_eq!(extended.identifiers.as_ref().unwrap().calls, 2);
+        assert_eq!(extended.combos.as_ref().unwrap().calls, 1);
+        let back: AnalysisReport =
+            serde_json::from_str(&serde_json::to_string(&extended).unwrap()).unwrap();
+        assert_eq!(extended, back);
+        assert_eq!(
+            AnalysisReport {
+                identifiers: None,
+                combos: None,
+                ..extended
+            },
+            plain
+        );
     }
 }

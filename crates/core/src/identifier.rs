@@ -14,9 +14,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use iocov_syscalls::Sysno;
-use iocov_trace::{ArgValue, TraceEvent};
+use iocov_trace::{ArgView, EventView};
 use serde::{Deserialize, Serialize};
+
+use crate::coverage::add_counts;
 
 /// Descriptor-argument partitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -122,25 +123,29 @@ impl PathPartition {
         if path.is_empty() {
             return vec![PathPartition::Empty];
         }
-        let mut parts = Vec::with_capacity(4);
+        let (mut depth, mut longest, mut dotdot) = (0, 0, false);
+        for component in path.split('/').filter(|c| !c.is_empty()) {
+            depth += 1;
+            longest = longest.max(component.len());
+            dotdot |= component == "..";
+        }
+        let mut parts = Vec::with_capacity(5);
         parts.push(if path.starts_with('/') {
             PathPartition::Absolute
         } else {
             PathPartition::Relative
         });
-        let components: Vec<&str> = path.split('/').filter(|c| !c.is_empty()).collect();
-        if components.contains(&"..") {
+        if dotdot {
             parts.push(PathPartition::DotDot);
         }
         if path.len() > 1 && path.ends_with('/') {
             parts.push(PathPartition::TrailingSlash);
         }
-        parts.push(match components.len() {
+        parts.push(match depth {
             0 | 1 => PathPartition::Depth1,
             2 | 3 => PathPartition::Depth2To3,
             _ => PathPartition::Depth4Plus,
         });
-        let longest = components.iter().map(|c| c.len()).max().unwrap_or(0);
         parts.push(match longest {
             0..=15 => PathPartition::ShortName,
             16..=254 => PathPartition::MediumName,
@@ -183,36 +188,29 @@ pub struct IdentifierCoverage {
 }
 
 impl IdentifierCoverage {
-    /// Scans events for the 27 modelled syscalls and partitions every
-    /// fd and pathname argument.
-    #[must_use]
-    pub fn from_trace<'a>(trace: impl IntoIterator<Item = &'a TraceEvent>) -> Self {
-        let mut cov = IdentifierCoverage::default();
-        for event in trace {
-            if Sysno::from_name(&event.name).is_none() {
-                continue;
-            }
-            let mut contributed = false;
-            for arg in &event.args {
-                match arg {
-                    ArgValue::Fd(fd) => {
-                        *cov.fd.entry(FdPartition::of(*fd)).or_insert(0) += 1;
-                        contributed = true;
-                    }
-                    ArgValue::Path(path) => {
-                        for p in PathPartition::of(path) {
-                            *cov.path.entry(p).or_insert(0) += 1;
-                        }
-                        contributed = true;
-                    }
-                    _ => {}
+    /// Partitions every fd and pathname argument of one modelled call
+    /// (the report builder calls this for each kept event that
+    /// [`normalize`](crate::normalize) accepts).
+    pub(crate) fn record<E: EventView + ?Sized>(&mut self, event: &E) {
+        let mut contributed = false;
+        for arg in (0..event.arg_count()).filter_map(|i| event.arg(i)) {
+            match arg {
+                ArgView::Fd(fd) => {
+                    *self.fd.entry(FdPartition::of(fd)).or_insert(0) += 1;
+                    contributed = true;
                 }
-            }
-            if contributed {
-                cov.calls += 1;
+                ArgView::Path(path) => {
+                    for p in PathPartition::of(path) {
+                        *self.path.entry(p).or_insert(0) += 1;
+                    }
+                    contributed = true;
+                }
+                _ => {}
             }
         }
-        cov
+        if contributed {
+            self.calls += 1;
+        }
     }
 
     /// Count for one descriptor partition.
@@ -248,19 +246,16 @@ impl IdentifierCoverage {
     /// Merges another identifier coverage.
     pub fn merge(&mut self, other: &IdentifierCoverage) {
         self.calls += other.calls;
-        for (p, c) in &other.fd {
-            *self.fd.entry(*p).or_insert(0) += c;
-        }
-        for (p, c) in &other.path {
-            *self.path.entry(*p).or_insert(0) += c;
-        }
+        add_counts(&mut self.fd, &other.fd);
+        add_counts(&mut self.path, &other.path);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iocov_trace::Trace;
+    use crate::{PipelineBuilder, TraceFilter};
+    use iocov_trace::{ArgValue, TraceEvent};
 
     #[test]
     fn fd_partitioning() {
@@ -300,8 +295,8 @@ mod tests {
     }
 
     #[test]
-    fn from_trace_counts_fds_and_paths() {
-        let trace = Trace::from_events(vec![
+    fn extended_session_counts_fds_and_paths() {
+        let events = vec![
             TraceEvent::build(
                 "openat",
                 257,
@@ -317,8 +312,12 @@ mod tests {
             TraceEvent::build("close", 3, vec![ArgValue::Fd(-1)], -9),
             // Noise syscalls are ignored.
             TraceEvent::build("stat", 4, vec![ArgValue::Path("/x".into())], 0),
-        ]);
-        let cov = IdentifierCoverage::from_trace(&trace);
+        ];
+        let mut session = PipelineBuilder::new(TraceFilter::keep_all())
+            .extended_coverage()
+            .build_session();
+        session.feed_owned(events);
+        let cov = session.finish().0.identifiers.unwrap();
         assert_eq!(cov.calls, 3);
         assert_eq!(cov.fd_count(FdPartition::AtFdcwd), 1);
         assert_eq!(cov.fd_count(FdPartition::Regular), 1);

@@ -94,7 +94,6 @@ use iocov_trace::{EventBatch, EventView};
 
 use crate::checkpoint::PidStateSnapshot;
 use crate::coverage::AnalysisReport;
-use crate::filter::TraceFilter;
 use crate::metrics::{PipelineMetrics, ShardFailureRecord};
 use crate::streaming::StreamingAnalyzer;
 
@@ -300,11 +299,11 @@ impl Incarnation {
     /// A fresh incarnation seeded with `states`, counting into a private
     /// metrics instance when the run has metrics.
     fn seeded(
-        filter: &TraceFilter,
+        empty: &StreamingAnalyzer,
         states: &BTreeMap<u32, PidStateSnapshot>,
         metered: bool,
     ) -> Self {
-        let mut analyzer = StreamingAnalyzer::new(filter.clone());
+        let mut analyzer = empty.clone();
         analyzer.restore_pid_states(states);
         let mut incarnation = Incarnation {
             analyzer,
@@ -463,12 +462,12 @@ pub(crate) struct ShardSupervisor {
 }
 
 impl ShardSupervisor {
-    /// A supervisor over `shards` pid shards whose base is `seed`'s
-    /// `(report, pid states)`, or empty. An unsupervised one (`supervised:
+    /// A supervisor over `shards` pid shards, each a copy of the `empty`
+    /// analyzer, whose base is `seed`'s `(report, pid states)`, or empty. An unsupervised one (`supervised:
     /// false`) runs one inline shard with no `catch_unwind` and no replay
     /// log, so a panic propagates to the caller.
     pub(crate) fn new(
-        filter: TraceFilter,
+        empty: StreamingAnalyzer,
         shards: usize,
         policy: SupervisorPolicy,
         hook: Option<ShardHook>,
@@ -485,7 +484,7 @@ impl ShardSupervisor {
                     .filter(|(&pid, _)| pid as usize % n == w)
                     .map(|(&pid, state)| (pid, state.clone()))
                     .collect();
-                Incarnation::seeded(&filter, &states, metrics.is_some())
+                Incarnation::seeded(&empty, &states, metrics.is_some())
             })
             .collect();
         ShardSupervisor {
@@ -882,7 +881,7 @@ impl ShardSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArgName, Iocov, MetricsSnapshot, PipelineBuilder};
+    use crate::{ArgName, Iocov, MetricsSnapshot, PipelineBuilder, TraceFilter};
     use iocov_trace::{ArgValue, Trace, TraceEvent};
 
     /// A multi-pid trace exercising every provenance rule: opens, dups,
@@ -1047,7 +1046,7 @@ mod tests {
     #[test]
     fn zero_shards_clamp_to_one_inline_shard() {
         let supervisor = ShardSupervisor::new(
-            TraceFilter::keep_all(),
+            StreamingAnalyzer::unfiltered(),
             0,
             SupervisorPolicy::default(),
             None,

@@ -59,6 +59,7 @@ use crate::filter::TraceFilter;
 use crate::metrics::{PipelineMetrics, ShardFailureRecord};
 use crate::parallel::{ShardHook, ShardSupervisor, SupervisorPolicy};
 use crate::session::{AnalysisSession, Driver};
+use crate::streaming::StreamingAnalyzer;
 
 /// Default batch size pulled from the source per session feed.
 pub const DEFAULT_CHUNK: usize = 4096;
@@ -132,7 +133,8 @@ pub struct PipelineRun {
 /// Configures an analysis: builds a resident [`AnalysisSession`] or a
 /// batch [`Driver`] over one.
 pub struct PipelineBuilder {
-    filter: TraceFilter,
+    /// The analyzer every shard starts as a copy of.
+    empty: StreamingAnalyzer,
     mount: Option<String>,
     jobs: usize,
     chunk: usize,
@@ -156,7 +158,7 @@ impl PipelineBuilder {
     #[must_use]
     pub fn new(filter: TraceFilter) -> Self {
         PipelineBuilder {
-            filter,
+            empty: StreamingAnalyzer::new(filter),
             mount: None,
             jobs: 1,
             chunk: DEFAULT_CHUNK,
@@ -258,6 +260,16 @@ impl PipelineBuilder {
         self
     }
 
+    /// Also counts the paper's §6 future-work metrics, identifier and
+    /// exact flag-combination coverage, into the report's `identifiers`
+    /// and `combos`. They allocate per path and per open, so only the
+    /// subcommands that print them turn this on.
+    #[must_use]
+    pub fn extended_coverage(mut self) -> Self {
+        self.empty = self.empty.extended_coverage();
+        self
+    }
+
     /// Cuts the replay log in memory past `bytes` instead of
     /// [`RESTORE_BUDGET`](crate::RESTORE_BUDGET); 0 cuts after every
     /// batch.
@@ -287,7 +299,7 @@ impl PipelineBuilder {
         });
         #[allow(unused_mut)]
         let mut shards = ShardSupervisor::new(
-            self.filter,
+            self.empty,
             self.jobs,
             self.policy,
             self.hook,

@@ -9,7 +9,8 @@
 //! without shared `--metrics`. Streams carry disjoint pid ranges, as
 //! real per-process trace streams do. Every case runs at the real
 //! replay-log budget and at zero, where each session cuts its log in
-//! memory after every batch.
+//! memory after every batch, with identifier and combination coverage
+//! off and on.
 
 use std::sync::Arc;
 
@@ -110,12 +111,19 @@ fn batches(events: &[TraceEvent], sizes: &[usize]) -> Vec<EventBatch> {
     out
 }
 
-fn session(metrics: Option<Arc<PipelineMetrics>>, budget: usize) -> AnalysisSession {
+fn session(
+    metrics: Option<Arc<PipelineMetrics>>,
+    budget: usize,
+    extended: bool,
+) -> AnalysisSession {
     let mut builder = PipelineBuilder::new(TraceFilter::mount_point(MOUNT).unwrap())
         .mount(Some(MOUNT.to_owned()))
         .restore_budget(budget);
     if let Some(m) = metrics {
         builder = builder.metrics(m);
+    }
+    if extended {
+        builder = builder.extended_coverage();
     }
     builder.build_session()
 }
@@ -129,15 +137,18 @@ fn check(
     seed: u64,
     with_metrics: bool,
     budget: usize,
+    extended: bool,
 ) -> Result<String, TestCaseError> {
     // Reference: one batch analysis of the concatenated streams.
     let ref_metrics = with_metrics.then(|| Arc::new(PipelineMetrics::default()));
-    let mut reference = session(ref_metrics.clone(), budget);
+    let mut reference = session(ref_metrics.clone(), budget, extended);
     for events in streams {
         reference.feed_owned(events.clone());
     }
     let (ref_report, ref_failures) = reference.finish();
     prop_assert!(ref_failures.is_empty());
+    prop_assert_eq!(ref_report.identifiers.is_some(), extended);
+    prop_assert_eq!(ref_report.combos.is_some(), extended);
     let ref_bytes = serde_json::to_string_pretty(&ref_report).unwrap();
 
     // Interleaved: one resident session per stream, batches scheduled
@@ -149,7 +160,7 @@ fn check(
         .collect();
     let mut sessions: Vec<_> = stream_metrics
         .iter()
-        .map(|m| session(m.clone(), budget))
+        .map(|m| session(m.clone(), budget, extended))
         .collect();
     let mut queues: Vec<Vec<EventBatch>> = streams
         .iter()
@@ -212,7 +223,9 @@ proptest! {
     /// merged in any completion order, is byte-identical to the batch
     /// analysis of their concatenation — with and without metrics, and
     /// the report bytes agree across the two metrics settings and the
-    /// two budgets.
+    /// two budgets. The same holds with identifier and combination
+    /// coverage on, and dropping those two fields gives the bytes of the
+    /// run without them.
     #[test]
     fn interleaved_sessions_merge_byte_identical_to_batch(
         mut streams_and_sizes in proptest::collection::vec(stream_strategy(), 1..4),
@@ -229,9 +242,16 @@ proptest! {
             streams_and_sizes.iter().map(|(e, _)| e.clone()).collect();
         let sizes: Vec<Vec<usize>> =
             streams_and_sizes.iter().map(|(_, s)| s.clone()).collect();
-        let plain = check(&streams, &sizes, seed, false, RESTORE_BUDGET)?;
+        let plain = check(&streams, &sizes, seed, false, RESTORE_BUDGET, false)?;
         for (with_metrics, budget) in [(true, RESTORE_BUDGET), (false, 0), (true, 0)] {
-            prop_assert_eq!(&plain, &check(&streams, &sizes, seed, with_metrics, budget)?);
+            prop_assert_eq!(&plain, &check(&streams, &sizes, seed, with_metrics, budget, false)?);
         }
+        let extended = check(&streams, &sizes, seed, false, RESTORE_BUDGET, true)?;
+        for (with_metrics, budget) in [(true, RESTORE_BUDGET), (false, 0), (true, 0)] {
+            prop_assert_eq!(&extended, &check(&streams, &sizes, seed, with_metrics, budget, true)?);
+        }
+        let report: AnalysisReport = serde_json::from_str(&extended).unwrap();
+        let report = AnalysisReport { identifiers: None, combos: None, ..report };
+        prop_assert_eq!(plain, serde_json::to_string_pretty(&report).unwrap());
     }
 }

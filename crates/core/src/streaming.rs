@@ -68,6 +68,14 @@ impl StreamingAnalyzer {
         StreamingAnalyzer::new(TraceFilter::keep_all())
     }
 
+    /// Also counts identifier and flag-combination coverage (see
+    /// [`PipelineBuilder::extended_coverage`](crate::PipelineBuilder::extended_coverage)).
+    pub(crate) fn extended_coverage(mut self) -> Self {
+        self.builder.identifiers = Some(Default::default());
+        self.builder.open_flags = Some(Default::default());
+        self
+    }
+
     /// Attaches shared pipeline metrics; every pushed event updates the
     /// counters. Shards of a parallel run share one instance — the
     /// counters are atomic, so the totals equal a serial run's.

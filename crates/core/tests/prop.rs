@@ -3,8 +3,9 @@
 use iocov::tcd::tcd;
 use iocov::{
     arg_domain, normalize, open_flags_present, output_buckets_bytes, AnalysisReport, ArgName,
-    FilterStats, InputPartition, Iocov, NumericPartition, OutputPartition, PipelineBuilder,
-    StreamingAnalyzer, TraceFilter, TrackedValue,
+    ComboCoverage, FdPartition, FilterStats, IdentifierCoverage, InputPartition, Iocov,
+    NumericPartition, OutputPartition, PathPartition, PipelineBuilder, StreamingAnalyzer,
+    TraceFilter, TrackedValue,
 };
 use iocov_syscalls::Sysno;
 use iocov_trace::{ArgValue, Trace, TraceEvent};
@@ -189,6 +190,76 @@ fn open_event(path: String, flags: u32, retval: i64) -> TraceEvent {
     )
 }
 
+/// Identifier coverage as the whole-trace scan that preceded the session
+/// path counted it: every fd and pathname argument of every event of a
+/// modelled syscall.
+fn oracle_identifiers(events: &[TraceEvent]) -> IdentifierCoverage {
+    let mut cov = IdentifierCoverage::default();
+    for event in events {
+        if Sysno::from_name(&event.name).is_none() {
+            continue;
+        }
+        let mut contributed = false;
+        for arg in &event.args {
+            match arg {
+                ArgValue::Fd(fd) => {
+                    *cov.fd.entry(FdPartition::of(*fd)).or_insert(0) += 1;
+                    contributed = true;
+                }
+                ArgValue::Path(path) => {
+                    for p in PathPartition::of(path) {
+                        *cov.path.entry(p).or_insert(0) += 1;
+                    }
+                    contributed = true;
+                }
+                _ => {}
+            }
+        }
+        if contributed {
+            cov.calls += 1;
+        }
+    }
+    cov
+}
+
+/// Combination coverage as the whole-trace scan counted it, one `open`
+/// flags word at a time.
+fn oracle_combos(events: &[TraceEvent]) -> ComboCoverage {
+    let mut cov = ComboCoverage::default();
+    for call in events.iter().filter_map(normalize) {
+        for (arg, value) in call.tracked_args() {
+            let (ArgName::OpenFlags, TrackedValue::Bits(bits)) = (arg, value) else {
+                continue;
+            };
+            let present = open_flags_present(bits);
+            if present.is_empty() {
+                continue;
+            }
+            cov.calls += 1;
+            let combo = present.iter().map(|f| (*f).to_owned()).collect();
+            *cov.exact.entry(combo).or_insert(0) += 1;
+            for (i, a) in present.iter().enumerate() {
+                for b in &present[i + 1..] {
+                    let pair = if a <= b { (a, b) } else { (b, a) };
+                    let pair = ((*pair.0).to_owned(), (*pair.1).to_owned());
+                    *cov.pairs.entry(pair).or_insert(0) += 1;
+                }
+            }
+        }
+    }
+    cov
+}
+
+/// A keep-all session with identifier and combination coverage on, fed
+/// `events` in one batch.
+fn extended_report(events: &[TraceEvent]) -> AnalysisReport {
+    let mut session = PipelineBuilder::new(TraceFilter::keep_all())
+        .extended_coverage()
+        .build_session();
+    session.feed_owned(events.to_vec());
+    session.finish().0
+}
+
 /// Filters a trace through `StreamingAnalyzer::push`, returning the
 /// kept events and the filter statistics.
 fn apply(filter: &TraceFilter, trace: &Trace) -> (Trace, FilterStats) {
@@ -317,6 +388,14 @@ proptest! {
         prop_assert_eq!(whole.input, merged.input);
         prop_assert_eq!(whole.output, merged.output);
         prop_assert_eq!(whole.open_combos, merged.open_combos);
+
+        // The same over identifier and combination coverage.
+        let whole = extended_report(&[trace_a.events(), trace_b.events()].concat());
+        let mut merged = extended_report(trace_a.events());
+        merged.merge(&extended_report(trace_b.events()));
+        prop_assert!(whole.identifiers.is_some() && whole.combos.is_some());
+        prop_assert_eq!(whole.identifiers, merged.identifiers);
+        prop_assert_eq!(whole.combos, merged.combos);
     }
 
     /// Filtering is idempotent: applying the same filter twice keeps the
@@ -371,6 +450,26 @@ proptest! {
             }
             let (report, failures) = session.finish();
             prop_assert!(failures.is_empty());
+            prop_assert_eq!(&serial, &report);
+        }
+
+        // With identifier and combination coverage on, the sessions
+        // count what the old whole-trace scans counted over the kept
+        // events, and the rest of the report is unchanged.
+        let kept = apply(&filter, &trace).0.into_events();
+        let (identifiers, combos) = (oracle_identifiers(&kept), oracle_combos(&kept));
+        for jobs in [1, workers] {
+            let mut session = PipelineBuilder::new(filter.clone())
+                .jobs(jobs)
+                .extended_coverage()
+                .build_session();
+            for part in events.chunks(chunk) {
+                session.feed_owned(part.to_vec());
+            }
+            let (mut report, failures) = session.finish();
+            prop_assert!(failures.is_empty());
+            prop_assert_eq!(report.identifiers.take(), Some(identifiers.clone()));
+            prop_assert_eq!(report.combos.take(), Some(combos.clone()));
             prop_assert_eq!(&serial, &report);
         }
     }
