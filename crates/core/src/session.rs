@@ -59,9 +59,9 @@ impl AnalysisSession {
     }
 
     /// Feeds one owned chunk of in-memory events, packing it into a
-    /// columnar batch.
+    /// columnar batch in one pass that frees each event once packed.
     pub fn feed_owned(&mut self, events: Vec<TraceEvent>) {
-        self.feed(EventBatch::from_events(&events));
+        self.feed(EventBatch::from(events));
     }
 
     /// Events fed so far (from the start of the trace for a resumed

@@ -313,10 +313,7 @@ impl Kernel {
     pub fn read(&mut self, fd: i32, buf: &mut [u8]) -> RawRet {
         let pid = self.current;
         let count = buf.len() as u64;
-        let result = self.vfs.read(pid, fd, count).map(|data| {
-            buf[..data.len()].copy_from_slice(&data);
-            data.len() as i64
-        });
+        let result = self.vfs.read_into(pid, fd, buf).map(|n| n as i64);
         let ret = self.override_ret_sized("read", None, Some(count), raw(result));
         self.trace(
             Sysno::Read,
@@ -330,7 +327,7 @@ impl Kernel {
     /// requested `count` may exceed practical buffer sizes).
     pub fn read_discard(&mut self, fd: i32, count: u64) -> RawRet {
         let pid = self.current;
-        let result = self.vfs.read(pid, fd, count).map(|data| data.len() as i64);
+        let result = self.vfs.read_count(pid, fd, count).map(|n| n as i64);
         let ret = self.override_ret_sized("read", None, Some(count), raw(result));
         self.trace(
             Sysno::Read,
@@ -360,8 +357,8 @@ impl Kernel {
         let pid = self.current;
         let result = self
             .vfs
-            .pread(pid, fd, count, offset)
-            .map(|d| d.len() as i64);
+            .pread_count(pid, fd, count, offset)
+            .map(|n| n as i64);
         let ret = self.override_ret_sized("pread64", None, Some(count), raw(result));
         self.trace(
             Sysno::Pread64,
@@ -377,11 +374,14 @@ impl Kernel {
     }
 
     /// `readv(2)`: the tracer resolves the iovec to its total byte count,
-    /// as LTTng payload extraction would.
+    /// as LTTng payload extraction would (saturating at `u64::MAX`; a
+    /// total past `isize::MAX` fails `EINVAL`).
     pub fn readv(&mut self, fd: i32, iov_lens: &[u64]) -> RawRet {
         let pid = self.current;
-        let total: u64 = iov_lens.iter().sum();
-        let result = self.vfs.readv(pid, fd, iov_lens).map(|d| d.len() as i64);
+        let total = iov_lens
+            .iter()
+            .fold(0u64, |sum, &len| sum.saturating_add(len));
+        let result = self.vfs.readv_count(pid, fd, iov_lens).map(|n| n as i64);
         let ret = self.override_ret_sized("readv", None, Some(total), raw(result));
         self.trace(
             Sysno::Readv,
@@ -1026,6 +1026,47 @@ mod tests {
         let trace = rec.take();
         let readv = trace.iter().find(|e| e.name == "readv").unwrap();
         assert_eq!(readv.args[2], ArgValue::UInt(4), "iovec resolved to bytes");
+    }
+
+    #[test]
+    fn huge_read_counts_return_what_is_left() {
+        let (mut k, rec) = kernel_with_recorder();
+        let fd = k.open("/f", 0o102, 0o644) as i32;
+        assert_eq!(k.write(fd, b"0123456789"), 10);
+        assert_eq!(k.pread64(fd, u64::MAX, 5), 5);
+        assert_eq!(k.lseek(fd, 5, 0), 5);
+        assert_eq!(k.read_discard(fd, u64::MAX), 5);
+        assert_eq!(k.lseek(fd, 5, 0), 5);
+        assert_eq!(k.readv(fd, &[u64::MAX / 4, 3]), 5);
+        let trace = rec.take();
+        let pread = trace.iter().find(|e| e.name == "pread64").unwrap();
+        assert_eq!(
+            pread.args[2],
+            ArgValue::UInt(u64::MAX),
+            "traced as requested"
+        );
+    }
+
+    #[test]
+    fn readv_total_past_ssize_max_is_einval() {
+        let (mut k, rec) = kernel_with_recorder();
+        let fd = k.open("/f", 0o102, 0o644) as i32;
+        assert_eq!(k.write(fd, b"0123456789"), 10);
+        assert_eq!(k.lseek(fd, 0, 0), 0);
+        assert_eq!(k.readv(fd, &[u64::MAX, 2]), -22, "sum overflows u64");
+        assert_eq!(k.readv(fd, &[1 << 62, 1 << 62]), -22, "sum past isize::MAX");
+        assert_eq!(k.lseek(fd, 0, 1), 0, "offset unmoved");
+        let trace = rec.take();
+        let totals: Vec<&ArgValue> = trace
+            .iter()
+            .filter(|e| e.name == "readv")
+            .map(|e| &e.args[2])
+            .collect();
+        assert_eq!(
+            totals,
+            [&ArgValue::UInt(u64::MAX), &ArgValue::UInt(1 << 63)],
+            "the traced total saturates"
+        );
     }
 
     #[test]

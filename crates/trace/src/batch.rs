@@ -266,6 +266,11 @@ impl EventBatch {
     /// Appends one owned event by copying it into the columns.
     pub fn push_event(&mut self, event: &TraceEvent) {
         let name_id = self.intern_name(&event.name);
+        self.push_event_as(event, name_id);
+    }
+
+    /// [`push_event`](Self::push_event) with the name already interned.
+    fn push_event_as(&mut self, event: &TraceEvent, name_id: u32) {
         let start = u32::try_from(self.args.len()).expect("batch args overflow");
         for arg in &event.args {
             let packed = self.pack_arg(ArgView::of(arg));
@@ -392,12 +397,16 @@ impl EventBatch {
         }
     }
 
-    /// Builds a batch by copying a slice of owned events.
+    /// Builds a batch by copying a slice of owned events. To pack events
+    /// that are dropped afterwards, convert the `Vec` with `From`, which
+    /// frees each event as it packs it.
     #[must_use]
     pub fn from_events(events: &[TraceEvent]) -> Self {
         let mut batch = EventBatch::with_capacity(events.len());
+        let mut hints = NameHints::new();
         for event in events {
-            batch.push_event(event);
+            let name_id = hints.intern(&mut batch, &event.name, event.sysno);
+            batch.push_event_as(event, name_id);
         }
         batch
     }
@@ -458,9 +467,49 @@ impl EventBatch {
     }
 }
 
+/// Consumes the events: each one is packed and freed in the same pass,
+/// while its name, arguments and paths are still in cache.
 impl From<Vec<TraceEvent>> for EventBatch {
     fn from(events: Vec<TraceEvent>) -> Self {
-        EventBatch::from_events(&events)
+        let mut batch = EventBatch::with_capacity(events.len());
+        let mut hints = NameHints::new();
+        for event in events {
+            let name_id = hints.intern(&mut batch, &event.name, event.sysno);
+            batch.push_event_as(&event, name_id);
+        }
+        batch
+    }
+}
+
+/// Syscall numbers below this get a [`NameHints`] slot; it covers the
+/// x86-64 table. Higher numbers fall back to the lookup map.
+const SYSNO_HINTS: usize = 512;
+
+/// Name-table ids by syscall number, for packing a run of owned events:
+/// a name that repeats under its number costs one byte comparison
+/// instead of a hash. A miss (a number never seen, or one seen under
+/// another name) interns through the lookup map and re-points the slot,
+/// so the name table comes out the same as without hints.
+struct NameHints([u32; SYSNO_HINTS]);
+
+impl NameHints {
+    fn new() -> Self {
+        // `u32::MAX` names no entry of any name table.
+        NameHints([u32::MAX; SYSNO_HINTS])
+    }
+
+    fn intern(&mut self, batch: &mut EventBatch, name: &str, sysno: u32) -> u32 {
+        let Some(slot) = self.0.get_mut(sysno as usize) else {
+            return batch.intern_name(name);
+        };
+        let hit = batch
+            .name_table
+            .get(*slot as usize)
+            .is_some_and(|known| **known == *name);
+        if !hit {
+            *slot = batch.intern_name(name);
+        }
+        *slot
     }
 }
 
@@ -716,6 +765,46 @@ mod tests {
         let batch = EventBatch::from_events(&events);
         assert_eq!(batch.name_table.len(), 1);
         assert_eq!(batch.len(), 100);
+    }
+
+    #[test]
+    fn consuming_pack_matches_copying_pack() {
+        // Names that share a number (as unknown calls in whole-system
+        // traces do), numbers past the hint table, and repeats.
+        let mut events = sample_events();
+        for (seq, (name, sysno)) in [
+            ("close", 3),
+            ("execve", 0),
+            ("read", 0),
+            ("close", 3),
+            ("futex", 202),
+            ("weird", 9_999),
+            ("read", 0),
+            ("weird", 9_999),
+            ("other", 9_999),
+            ("execve", 0),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut e = TraceEvent::build(name, sysno, vec![ArgValue::Path(format!("/p{seq}"))], 0);
+            e.seq = 10 + seq as u64;
+            events.push(e);
+        }
+        let copied = EventBatch::from_events(&events);
+        let consumed = EventBatch::from(events.clone());
+        assert_eq!(consumed.to_events(), events);
+        assert_eq!(
+            consumed.name_table, copied.name_table,
+            "same first-seen order"
+        );
+        assert_eq!(consumed.name_id, copied.name_id);
+        let mut pushed = EventBatch::new();
+        for event in &events {
+            pushed.push_event(event);
+        }
+        assert_eq!(copied.name_table, pushed.name_table, "hints change no id");
+        assert_eq!(copied.name_id, pushed.name_id);
     }
 
     #[test]

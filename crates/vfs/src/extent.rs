@@ -11,6 +11,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+/// Chunk size of the bounded whole-file walks (`content_eq`, `checksum`).
+const CHUNK: u64 = 1 << 16;
+
 /// Payload of one extent.
 #[derive(Debug, Clone)]
 enum ExtentData {
@@ -203,16 +206,26 @@ impl ExtentStore {
         self.size = self.size.max(offset + len);
     }
 
-    /// Reads up to `len` bytes at `offset`, clamped to the file size.
-    /// Holes read as zeros.
+    /// Bytes a read of `len` at `offset` returns: `len` clamped to the
+    /// file size, 0 at or past EOF. Computes the count without touching
+    /// the payload; a `len` near `u64::MAX` saturates instead of wrapping.
     #[must_use]
-    pub fn read(&self, offset: u64, len: u64) -> Vec<u8> {
-        if offset >= self.size {
-            return Vec::new();
+    pub fn read_len(&self, offset: u64, len: u64) -> u64 {
+        len.min(self.size.saturating_sub(offset))
+    }
+
+    /// Reads into the front of `dst`: copies the
+    /// [`read_len`](Self::read_len)`(offset, dst.len())` bytes at `offset`
+    /// and returns that count. Holes read as zeros; the rest of `dst` is
+    /// left untouched.
+    pub fn read_into(&self, offset: u64, dst: &mut [u8]) -> usize {
+        let total = self.read_len(offset, dst.len() as u64) as usize;
+        if total == 0 {
+            return 0;
         }
-        let end = (offset + len).min(self.size);
-        let total = (end - offset) as usize;
-        let mut out = vec![0u8; total];
+        let out = &mut dst[..total];
+        let end = offset + total as u64;
+        out.fill(0);
         // Extent starting before `offset` that overlaps in.
         if let Some((&e_start, extent)) = self.extents.range(..offset).next_back() {
             let e_end = e_start + extent.len;
@@ -226,6 +239,15 @@ impl ExtentStore {
             let n = ((e_start + extent.len).min(end) - e_start) as usize;
             extent.copy_into(0, &mut out[dst..dst + n]);
         }
+        total
+    }
+
+    /// Reads up to `len` bytes at `offset`, clamped to the file size.
+    /// Holes read as zeros.
+    #[must_use]
+    pub fn read(&self, offset: u64, len: u64) -> Vec<u8> {
+        let mut out = vec![0u8; self.read_len(offset, len) as usize];
+        self.read_into(offset, &mut out);
         out
     }
 
@@ -327,14 +349,16 @@ impl ExtentStore {
         if self.size != other.size {
             return false;
         }
-        const CHUNK: u64 = 1 << 16;
+        let chunk = self.size.min(CHUNK) as usize;
+        let (mut a, mut b) = (vec![0u8; chunk], vec![0u8; chunk]);
         let mut pos = 0;
         while pos < self.size {
-            let n = CHUNK.min(self.size - pos);
-            if self.read(pos, n) != other.read(pos, n) {
+            let n = self.read_into(pos, &mut a);
+            other.read_into(pos, &mut b[..n]);
+            if a[..n] != b[..n] {
                 return false;
             }
-            pos += n;
+            pos += n as u64;
         }
         true
     }
@@ -343,16 +367,16 @@ impl ExtentStore {
     /// chunked so sparse terabyte files do not materialize.
     #[must_use]
     pub fn checksum(&self) -> u64 {
-        const CHUNK: u64 = 1 << 16;
+        let mut buf = vec![0u8; self.size.min(CHUNK) as usize];
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         let mut pos = 0;
         while pos < self.size {
-            let n = CHUNK.min(self.size - pos);
-            for b in self.read(pos, n) {
+            let n = self.read_into(pos, &mut buf);
+            for &b in &buf[..n] {
                 hash ^= u64::from(b);
                 hash = hash.wrapping_mul(0x1000_0000_01b3);
             }
-            pos += n;
+            pos += n as u64;
         }
         hash
     }
@@ -379,6 +403,30 @@ mod tests {
         assert_eq!(s.read(0, 11), b"hello world");
         assert_eq!(s.read(6, 5), b"world");
         assert_eq!(s.read(6, 100), b"world", "read clamps at EOF");
+    }
+
+    #[test]
+    fn huge_read_counts_saturate_at_eof() {
+        let mut s = ExtentStore::new();
+        s.write(0, b"0123456789");
+        for len in [u64::MAX, u64::MAX - 4, u64::MAX - 5] {
+            assert_eq!(s.read(5, len), b"56789");
+            assert_eq!(s.read_len(5, len), 5);
+        }
+        assert_eq!(s.read_len(u64::MAX, u64::MAX), 0);
+        assert_eq!(s.read(u64::MAX, 1), Vec::<u8>::new());
+    }
+
+    #[test]
+    fn read_into_fills_only_the_front() {
+        let mut s = ExtentStore::new();
+        s.write(4, b"ab");
+        s.write_fill(8, b'f', 2);
+        let mut buf = [0xeeu8; 16];
+        assert_eq!(s.read_into(2, &mut buf), 8);
+        assert_eq!(buf[..8], [0, 0, b'a', b'b', 0, 0, b'f', b'f']);
+        assert!(buf[8..].iter().all(|&b| b == 0xee));
+        assert_eq!(s.read_into(10, &mut buf), 0, "at EOF");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! File operations: open family, read/write, lseek, truncate, fsync.
 
 use crate::errno::{Errno, VfsResult};
+use crate::extent::ExtentStore;
 use crate::flags::{Mode, OpenFlags, ResolveFlags, Whence};
 use crate::fs::Vfs;
 use crate::hooks::{FaultAction, OpCtx};
@@ -38,6 +39,53 @@ impl WriteSource<'_> {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// Where the read family puts the bytes it reads. Only a caller that
+/// asked for the bytes gets them copied; the rest only count them.
+enum ReadOut<'a> {
+    /// Count only: nothing is copied.
+    Count,
+    /// The front of a caller's buffer, whose length is the read count.
+    Slice(&'a mut [u8]),
+    /// A vector sized to the bytes read.
+    Vec(&'a mut Vec<u8>),
+}
+
+impl ReadOut<'_> {
+    /// Reads up to `count` bytes of `content` at `pos`; returns the count.
+    fn file(&mut self, content: &ExtentStore, pos: u64, count: u64) -> u64 {
+        match self {
+            ReadOut::Count => content.read_len(pos, count),
+            ReadOut::Slice(buf) => content.read_into(pos, buf) as u64,
+            ReadOut::Vec(data) => {
+                **data = content.read(pos, count);
+                data.len() as u64
+            }
+        }
+    }
+
+    /// Reads `n` zero bytes; returns `n`.
+    fn zeros(&mut self, n: u64) -> u64 {
+        match self {
+            ReadOut::Count => {}
+            ReadOut::Slice(buf) => buf[..n as usize].fill(0),
+            ReadOut::Vec(data) => **data = vec![0; n as usize],
+        }
+        n
+    }
+
+    /// Flips the first byte read (the `CorruptData` fault).
+    fn corrupt_first(&mut self) {
+        let first = match self {
+            ReadOut::Count => None,
+            ReadOut::Slice(buf) => buf.first_mut(),
+            ReadOut::Vec(data) => data.first_mut(),
+        };
+        if let Some(first) = first {
+            *first ^= 0xff;
+        }
     }
 }
 
@@ -510,7 +558,31 @@ impl Vfs {
     /// (directory), `EAGAIN` (non-blocking empty FIFO), plus injected
     /// faults (`EINTR`, `EIO`).
     pub fn read(&mut self, pid: Pid, fd: i32, count: u64) -> VfsResult<Vec<u8>> {
-        self.read_impl(pid, fd, count, None, "read")
+        let mut data = Vec::new();
+        self.read_impl(pid, fd, count, None, "read", ReadOut::Vec(&mut data))?;
+        Ok(data)
+    }
+
+    /// `read(2)` into `buf`: reads up to `buf.len()` bytes at the
+    /// descriptor offset into the front of `buf` and returns the count.
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Self::read).
+    pub fn read_into(&mut self, pid: Pid, fd: i32, buf: &mut [u8]) -> VfsResult<u64> {
+        let count = buf.len() as u64;
+        self.read_impl(pid, fd, count, None, "read", ReadOut::Slice(buf))
+    }
+
+    /// `read(2)` that copies nothing: the byte count [`read`](Self::read)
+    /// would return, with the same side effects (offset, atime,
+    /// statistics, fault hooks).
+    ///
+    /// # Errors
+    ///
+    /// As [`read`](Self::read).
+    pub fn read_count(&mut self, pid: Pid, fd: i32, count: u64) -> VfsResult<u64> {
+        self.read_impl(pid, fd, count, None, "read", ReadOut::Count)
     }
 
     /// `pread64(2)`: reads at an explicit offset without moving the
@@ -521,10 +593,32 @@ impl Vfs {
     /// As [`read`](Self::read), plus `EINVAL` for a negative offset and
     /// `ESPIPE` on FIFOs.
     pub fn pread(&mut self, pid: Pid, fd: i32, count: u64, offset: i64) -> VfsResult<Vec<u8>> {
+        let mut data = Vec::new();
+        self.pread_impl(pid, fd, count, offset, ReadOut::Vec(&mut data))?;
+        Ok(data)
+    }
+
+    /// [`pread`](Self::pread) that copies nothing and returns the count.
+    ///
+    /// # Errors
+    ///
+    /// As [`pread`](Self::pread).
+    pub fn pread_count(&mut self, pid: Pid, fd: i32, count: u64, offset: i64) -> VfsResult<u64> {
+        self.pread_impl(pid, fd, count, offset, ReadOut::Count)
+    }
+
+    fn pread_impl(
+        &mut self,
+        pid: Pid,
+        fd: i32,
+        count: u64,
+        offset: i64,
+        out: ReadOut<'_>,
+    ) -> VfsResult<u64> {
         if self.cov.branch("vfs::read/einval_offset", offset < 0) {
             return Err(Errno::EINVAL);
         }
-        self.read_impl(pid, fd, count, Some(offset as u64), "pread64")
+        self.read_impl(pid, fd, count, Some(offset as u64), "pread64", out)
     }
 
     /// `readv(2)`: reads into `iov_lens.len()` buffers, returning the
@@ -533,16 +627,40 @@ impl Vfs {
     /// # Errors
     ///
     /// As [`read`](Self::read), plus `EINVAL` when `iov_lens` exceeds
-    /// `IOV_MAX` (1024).
+    /// `IOV_MAX` (1024) or its sum overflows an `ssize_t`.
     pub fn readv(&mut self, pid: Pid, fd: i32, iov_lens: &[u64]) -> VfsResult<Vec<u8>> {
-        if self
-            .cov
-            .branch("vfs::read/einval_iov", iov_lens.len() > 1024)
-        {
+        let mut data = Vec::new();
+        self.readv_impl(pid, fd, iov_lens, ReadOut::Vec(&mut data))?;
+        Ok(data)
+    }
+
+    /// [`readv`](Self::readv) that copies nothing and returns the count.
+    ///
+    /// # Errors
+    ///
+    /// As [`readv`](Self::readv).
+    pub fn readv_count(&mut self, pid: Pid, fd: i32, iov_lens: &[u64]) -> VfsResult<u64> {
+        self.readv_impl(pid, fd, iov_lens, ReadOut::Count)
+    }
+
+    fn readv_impl(
+        &mut self,
+        pid: Pid,
+        fd: i32,
+        iov_lens: &[u64],
+        out: ReadOut<'_>,
+    ) -> VfsResult<u64> {
+        let total = iov_lens
+            .iter()
+            .try_fold(0u64, |sum, &len| sum.checked_add(len))
+            .filter(|&sum| sum <= isize::MAX as u64);
+        if self.cov.branch(
+            "vfs::read/einval_iov",
+            iov_lens.len() > 1024 || total.is_none(),
+        ) {
             return Err(Errno::EINVAL);
         }
-        let total: u64 = iov_lens.iter().sum();
-        self.read_impl(pid, fd, total, None, "readv")
+        self.read_impl(pid, fd, total.unwrap_or(0), None, "readv", out)
     }
 
     fn read_impl(
@@ -552,7 +670,8 @@ impl Vfs {
         count: u64,
         offset: Option<u64>,
         op: &'static str,
-    ) -> VfsResult<Vec<u8>> {
+        mut out: ReadOut<'_>,
+    ) -> VfsResult<u64> {
         self.cov.fn_hit("vfs::read");
         self.stats.ops += 1;
         let file = self.process(pid).fd(fd).ok_or(Errno::EBADF)?;
@@ -584,11 +703,10 @@ impl Vfs {
         if self.cov.branch("vfs::read/eisdir", kind_is == 0) {
             return Err(Errno::EISDIR);
         }
-        let mut data = match kind_is {
+        let n = match kind_is {
             1 => {
                 let pos = offset.unwrap_or(fd_offset);
-                let inode = self.tree.get(ino);
-                inode.content().read(pos, count)
+                out.file(self.tree.get(ino).content(), pos, count)
             }
             2 => {
                 // FIFO with no buffered data: non-blocking read fails
@@ -602,29 +720,25 @@ impl Vfs {
                 ) {
                     return Err(Errno::EAGAIN);
                 }
-                Vec::new()
+                0
             }
-            _ => {
-                // Character/block devices read as zero-fill (bounded).
-                vec![0u8; count.min(DEV_READ_CAP) as usize]
-            }
+            // Character/block devices read as zero-fill (bounded).
+            _ => out.zeros(count.min(DEV_READ_CAP)),
         };
         if offset.is_none() {
             if let Some(f) = self.process_mut(pid).fd_mut(fd) {
-                f.offset = f.offset.saturating_add(data.len() as u64);
+                f.offset = f.offset.saturating_add(n);
             }
         }
         if !flags.contains(OpenFlags::O_NOATIME) {
             let now = self.now();
             self.tree.get_mut(ino).times.atime = now;
         }
-        self.stats.bytes_read += data.len() as u64;
+        self.stats.bytes_read += n;
         if action == Some(FaultAction::CorruptData) {
-            if let Some(first) = data.first_mut() {
-                *first ^= 0xff;
-            }
+            out.corrupt_first();
         }
-        Ok(data)
+        Ok(n)
     }
 
     // ------------------------------------------------------------------
@@ -1158,5 +1272,132 @@ impl Vfs {
         }
         self.persist_inode(file.ino);
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod fill_tests {
+    use super::*;
+    use crate::config::VfsConfig;
+    use crate::inode::{Gid, Uid};
+    use crate::process::Pid;
+    use proptest::prelude::*;
+
+    /// One write of `len` copies of `byte`: at the descriptor offset, or
+    /// at `offset` through `pwrite64`.
+    #[derive(Debug, Clone)]
+    struct Step {
+        /// Index into the open files: one owned by root (capacity only),
+        /// one by an unprivileged user (capacity and quota).
+        file: usize,
+        offset: Option<i64>,
+        byte: u8,
+        len: u64,
+    }
+
+    fn step() -> impl Strategy<Value = Step> {
+        (0usize..2, 0u8..3, 0i64..900, any::<u8>(), 0u64..400).prop_map(
+            |(file, how, offset, byte, len)| Step {
+                file,
+                offset: (how > 0).then_some(offset),
+                byte,
+                len,
+            },
+        )
+    }
+
+    /// A file system with 2,000 bytes of capacity and a 1,200-byte
+    /// quota, and one open file per owner.
+    fn setup() -> (Vfs, [(Pid, i32); 2]) {
+        let config = VfsConfig::builder()
+            .capacity_bytes(2_000)
+            .quota_bytes_per_uid(1_200)
+            .build();
+        let mut fs = Vfs::with_config(config);
+        let root = fs.default_pid();
+        let user = Pid(7);
+        fs.spawn_process(user, Uid(1000), Gid(1000));
+        fs.mkdir(root, "/d", Mode::from_bits(0o777)).unwrap();
+        fs.chmod(root, "/d", Mode::from_bits(0o777)).unwrap(); // past the umask
+        let flags = OpenFlags::O_CREAT | OpenFlags::O_RDWR;
+        let mode = Mode::from_bits(0o644);
+        let a = fs.open(root, "/d/root", flags, mode).unwrap();
+        let b = fs.open(user, "/d/user", flags, mode).unwrap();
+        (fs, [(root, a), (user, b)])
+    }
+
+    fn run(fs: &mut Vfs, files: [(Pid, i32); 2], step: &Step, fill: bool) -> VfsResult<u64> {
+        let (pid, fd) = files[step.file];
+        let bytes = vec![step.byte; step.len as usize];
+        let src = if fill {
+            WriteSource::Fill {
+                byte: step.byte,
+                len: step.len,
+            }
+        } else {
+            WriteSource::Bytes(&bytes)
+        };
+        match step.offset {
+            Some(offset) => fs.pwrite(pid, fd, src, offset),
+            None => fs.write_src(pid, fd, src),
+        }
+    }
+
+    fn content(fs: &Vfs, (pid, fd): (Pid, i32)) -> &ExtentStore {
+        let ino = fs.process(pid).fd(fd).expect("open descriptor").ino;
+        fs.tree.get(ino).content()
+    }
+
+    proptest! {
+        /// The same script through byte buffers and through fills leaves
+        /// the same contents, the same charges and the same per-uid
+        /// usage, and hits `ENOSPC`/`EDQUOT` at the same steps.
+        #[test]
+        fn fill_writes_are_indistinguishable_from_byte_writes(
+            steps in proptest::collection::vec(step(), 1..40),
+        ) {
+            let (mut bytes_fs, files) = setup();
+            let (mut fill_fs, _) = setup();
+            for step in &steps {
+                let by_bytes = run(&mut bytes_fs, files, step, false);
+                let by_fill = run(&mut fill_fs, files, step, true);
+                prop_assert_eq!(by_bytes, by_fill, "{:?}", step);
+                for file in files {
+                    let (a, b) = (content(&bytes_fs, file), content(&fill_fs, file));
+                    prop_assert_eq!(a.len(), b.len());
+                    prop_assert!(a.content_eq(b));
+                    prop_assert_eq!(a.checksum(), b.checksum());
+                    prop_assert_eq!(a.charged_bytes(), b.charged_bytes());
+                }
+                prop_assert_eq!(&bytes_fs.tree.uid_usage, &fill_fs.tree.uid_usage);
+                prop_assert_eq!(bytes_fs.stats(), fill_fs.stats());
+            }
+        }
+    }
+
+    #[test]
+    fn tight_limits_fail_fills_like_byte_writes() {
+        let (mut bytes_fs, files) = setup();
+        let (mut fill_fs, _) = setup();
+        let (root, user) = (0, 1);
+        let script = [
+            (user, 1_000, Ok(1_000)),
+            (user, 300, Err(Errno::EDQUOT)),
+            (root, 900, Ok(900)),
+            (root, 200, Err(Errno::ENOSPC)),
+            (user, 100, Ok(100)),
+        ];
+        for (file, len, expected) in script {
+            let step = Step {
+                file,
+                offset: None,
+                byte: 0x5a,
+                len,
+            };
+            assert_eq!(run(&mut bytes_fs, files, &step, false), expected);
+            assert_eq!(run(&mut fill_fs, files, &step, true), expected);
+        }
+        assert_eq!(bytes_fs.tree.uid_usage, fill_fs.tree.uid_usage);
+        assert_eq!(fill_fs.tree.uid_usage.get(&1000), Some(&1_100));
     }
 }

@@ -498,8 +498,7 @@ impl CrashMonkeySim {
             }
             let fd = fd as i32;
             let len = sample_size(&mut rng, &self.profile.write_size).min(1 << 17);
-            let buf = vec![(i % 251) as u8; len as usize];
-            let wrote = kernel.write(fd, &buf) >= 0;
+            let wrote = kernel.write_fill(fd, (i % 251) as u8, len) >= 0;
             if rng.random_bool(0.5) && wrote {
                 kernel.fsync(fd);
                 // A brand-new file also needs its parent persisted to be

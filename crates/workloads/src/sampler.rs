@@ -6,18 +6,30 @@ use crate::profile::{OpenProfile, SizeProfile};
 
 /// Samples an index from relative weights (all-zero weights yield 0).
 pub fn weighted_index<R: rand::Rng>(rng: &mut R, weights: &[f64]) -> usize {
-    let total: f64 = weights.iter().sum();
+    weighted_index_of(rng, weights.iter().copied())
+}
+
+/// [`weighted_index`] over weights walked in place: summed in order,
+/// then walked once more to the drawn index.
+fn weighted_index_of<R, I>(rng: &mut R, weights: I) -> usize
+where
+    R: rand::Rng,
+    I: Iterator<Item = f64> + Clone,
+{
+    let total: f64 = weights.clone().sum();
     if total <= 0.0 {
         return 0;
     }
     let mut target = rng.random_range(0.0..total);
-    for (i, w) in weights.iter().enumerate() {
-        if target < *w {
+    let mut last = 0;
+    for (i, w) in weights.enumerate() {
+        if target < w {
             return i;
         }
         target -= w;
+        last = i;
     }
-    weights.len() - 1
+    last
 }
 
 /// Samples an `open(2)` flags word from a profile: an access mode plus
@@ -59,18 +71,20 @@ pub fn sample_open_flags<R: rand::Rng>(rng: &mut R, profile: &OpenProfile) -> u3
 /// half-open bound saturates at `u64::MAX` (the `2^64` overflow would
 /// otherwise wrap `hi` to 0 and panic in `random_range`).
 pub fn sample_size<R: rand::Rng>(rng: &mut R, profile: &SizeProfile) -> u64 {
-    let mut weights = Vec::with_capacity(profile.bucket_weights.len() + 1);
-    weights.push(profile.zero_weight);
-    weights.extend(profile.bucket_weights.iter().map(|(_, w)| *w));
-    if profile.bucket_weights.is_empty() || weights.iter().sum::<f64>() <= 0.0 {
-        // No bucket is eligible; falling through to `bucket_weights[0]`
-        // would either panic (empty) or sample a zero-weight bucket.
+    if profile.bucket_weights.is_empty() {
+        // No bucket exists; falling through to `bucket_weights[0]` would
+        // panic.
         return 0;
     }
-    let idx = weighted_index(rng, &weights);
+    // Index 0 is the zero entry, then one index per bucket. An all-zero
+    // total draws nothing and yields index 0, so a profile with no
+    // eligible bucket samples 0 instead of a zero-weight bucket.
+    let weights =
+        std::iter::once(profile.zero_weight).chain(profile.bucket_weights.iter().map(|&(_, w)| w));
+    let idx = weighted_index_of(rng, weights);
     if idx == 0 {
-        // Only reachable when `zero_weight > 0`: a zero-weight entry can
-        // never win a weighted draw against a positive total.
+        // Only reachable with a positive total when `zero_weight > 0`: a
+        // zero-weight entry can never win a weighted draw against it.
         return 0;
     }
     let (bucket, _) = profile.bucket_weights[idx - 1];

@@ -26,9 +26,11 @@ pub const GENERIC_TESTS: usize = 706;
 /// Number of simulated ext4-specific tests (the paper ran 308).
 pub const EXT4_TESTS: usize = 308;
 
-/// Threshold above which writes use the constant-fill fast path instead
-/// of materialized buffers.
-const FILL_THRESHOLD: u64 = 256 * 1024;
+/// 256 KiB: the largest write a test reads back or issues from a
+/// materialized buffer (the `writev` variants, the durability journal,
+/// the verified `pwrite64`s). Constant-byte writes themselves go through
+/// the fill path at any size.
+const MAX_BUFFERED_WRITE: u64 = 256 * 1024;
 
 /// The xfstests suite simulator.
 #[derive(Debug, Clone)]
@@ -160,21 +162,8 @@ impl XfstestsSim {
         test: &str,
         result: &mut SuiteResult,
     ) {
-        if len > FILL_THRESHOLD {
-            let ret = kernel.write_fill(fd, 0x5a, len);
-            if ret >= 0 && ret as u64 != len {
-                result
-                    .failures
-                    .push(format!("{test}: short write {ret} of {len}"));
-            }
-            return;
-        }
-        let buf = vec![0x5au8; len as usize];
-        let ret = kernel.write(fd, &buf);
-        if ret < 0 {
-            return; // errno outcomes are legitimate coverage
-        }
-        if ret as u64 != len {
+        let ret = kernel.write_fill(fd, 0x5a, len);
+        if ret >= 0 && ret as u64 != len {
             result
                 .failures
                 .push(format!("{test}: short write {ret} of {len}"));
@@ -212,19 +201,14 @@ impl XfstestsSim {
                 // Positional writes with occasional verification.
                 0..=3 => {
                     let offset = rng.random_range(0i64..1 << 20);
-                    if len <= FILL_THRESHOLD {
-                        let buf = vec![0xa5u8; len as usize];
-                        let ret = kernel.pwrite64(fd, &buf, offset);
-                        if ret >= 0 && it % 16 == 0 {
-                            let check = kernel.pread64(fd, len, offset);
-                            if check >= 0 && check != ret {
-                                result
-                                    .failures
-                                    .push(format!("{test}: pread returned {check}, pwrite {ret}"));
-                            }
+                    let ret = kernel.pwrite64_fill(fd, 0xa5, len, offset);
+                    if len <= MAX_BUFFERED_WRITE && ret >= 0 && it % 16 == 0 {
+                        let check = kernel.pread64(fd, len, offset);
+                        if check >= 0 && check != ret {
+                            result
+                                .failures
+                                .push(format!("{test}: pread returned {check}, pwrite {ret}"));
                         }
-                    } else {
-                        kernel.pwrite64_fill(fd, 0xa5, len, offset);
                     }
                 }
                 4..=6 => self.checked_write(kernel, fd, len, &test, result),
@@ -606,7 +590,8 @@ impl XfstestsSim {
                     if fd >= 0 {
                         let fd = fd as i32;
                         // pread/pwrite/readv/writev variants.
-                        let len = sample_size(rng, &self.profile.write_size).min(FILL_THRESHOLD);
+                        let len =
+                            sample_size(rng, &self.profile.write_size).min(MAX_BUFFERED_WRITE);
                         let buf = vec![1u8; len as usize];
                         kernel.pwrite64(fd, &buf, 0);
                         kernel.pread64(fd, len, 0);
@@ -646,9 +631,8 @@ impl XfstestsSim {
                 continue;
             }
             let fd = fd as i32;
-            let len = sample_size(rng, &self.profile.write_size).min(FILL_THRESHOLD);
-            let buf = vec![0x11u8; len as usize];
-            kernel.pwrite64(fd, &buf, 0);
+            let len = sample_size(rng, &self.profile.write_size).min(MAX_BUFFERED_WRITE);
+            kernel.pwrite64_fill(fd, 0x11, len, 0);
             match i % 4 {
                 0 => {
                     kernel.fsync(fd);
