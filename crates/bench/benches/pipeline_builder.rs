@@ -1,13 +1,12 @@
 //! Builder-path overhead guard: a [`PipelineBuilder`] session at one
-//! job (the inline shard) versus a bare [`StreamingAnalyzer`] loop over
-//! the same events.
+//! job versus a bare [`StreamingAnalyzer`] loop over the same events.
 //!
-//! The session adds a replay log (`Arc` per batch), a `catch_unwind`
-//! per batch, and one rotation at finish on top of the raw scan; the
-//! acceptance bar for the refactor is that this overhead stays under
-//! 2% at realistic batch sizes. Both paths are handed freshly owned
-//! batches — in the real pipeline events arrive already owned from the
-//! decoder, so the copy is shared cost, not builder overhead. Run with
+//! The session adds a replay log (`Arc` per batch), a bounded queue to
+//! its shard thread, and one rotation at finish on top of the raw scan;
+//! the acceptance bar is that this overhead stays under 2% at realistic
+//! batch sizes. Both paths are handed freshly owned batches — in the
+//! real pipeline events arrive already owned from the decoder, so the
+//! copy is shared cost, not builder overhead. Run with
 //! `cargo bench --bench pipeline_builder` and compare `direct/N` to
 //! `builder/N` per batch size.
 
@@ -33,8 +32,8 @@ fn direct(events: &[TraceEvent], chunk: usize) -> AnalysisReport {
     analyzer.finish()
 }
 
-/// The session at one job: the same owned batches through the inline
-/// shard's supervised scan.
+/// The session at one job: the same owned batches through its shard
+/// thread's supervised scan.
 fn builder_serial(events: &[TraceEvent], chunk: usize) -> AnalysisReport {
     let mut session = PipelineBuilder::new(filter()).build_session();
     for batch in events.chunks(chunk) {

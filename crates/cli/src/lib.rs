@@ -182,7 +182,8 @@ pub enum Command {
         mount: Option<String>,
         /// Emit machine-readable JSON instead of text.
         json: bool,
-        /// Analysis worker threads (pid-sharded; 1 = serial).
+        /// Analysis shard threads (pid-sharded; the report is identical
+        /// at every count).
         jobs: usize,
         /// Skip malformed trace lines instead of aborting.
         lossy: bool,
@@ -1217,8 +1218,8 @@ fn render_analyze<W: Write>(
 /// The unified analysis path: open the trace as an [`EventSource`]
 /// (strict or lossy, JSONL or `.iotb`, optional fault injection,
 /// optional resume position) and pump it through a
-/// [`PipelineBuilder`]-configured session — one inline shard or
-/// pid-sharded shard threads — cutting a checkpoint every N events.
+/// [`PipelineBuilder`]-configured session of pid-sharded shard threads,
+/// cutting a checkpoint every N events.
 /// Returns the finished run and the metrics it counted into, if any.
 /// `analyze`, `untested`, `combos`, `tcd` and `diff` all take this one
 /// path, and every flag combination produces reports byte-identical to

@@ -183,8 +183,8 @@ impl PipelineMetrics {
     /// rows, whose owned `Vec<TraceEvent>` representation would have
     /// cost an estimated `allocs` heap allocations (the batch amortizes
     /// them into O(columns) buffers). Recorded once per source batch by
-    /// the session feed — never inside a shard — so inline and threaded
-    /// snapshots stay byte-identical.
+    /// the session feed — never inside a shard — so snapshots stay
+    /// byte-identical at every shard count.
     pub fn record_batch(&self, events: u64, allocs: u64) {
         self.batch_count.fetch_add(1, Ordering::Relaxed);
         self.batched_events.fetch_add(events, Ordering::Relaxed);

@@ -63,23 +63,21 @@
 //!
 //! # Transport
 //!
-//! The shards run one of two ways, picked from the configuration:
+//! The shards are `n` persistent `iocov-shard-N` threads, spawned on the
+//! first dispatch and fed over bounded queues of depth
+//! [`PIPELINE_DEPTH`]: every thread receives the same `Arc<EventBatch>`
+//! and keeps only its own pids, so the caller decodes (or simulates)
+//! batch *k + 1* while the shards analyze batch *k*. Batches smaller
+//! than [`PARALLEL_THRESHOLD`] are coalesced first. A cut is a mark job
+//! on the same queue, answered with the thread's clone. With
+//! [`SupervisorPolicy::shard_timeout`] set, a shard that stops
+//! heartbeating is declared stalled, abandoned and replayed like a
+//! panicked one.
 //!
-//! * **Inline** — one shard and no stall watchdog: the shard runs on the
-//!   caller's thread, one `catch_unwind` per batch, with no thread,
-//!   channel or coalescing. An *unsupervised* supervisor (the
-//!   distributed worker's) is inline too, minus `catch_unwind` and the
-//!   replay log: a panic propagates to the caller.
-//! * **Threaded** — `n` persistent `iocov-shard-N` threads fed over
-//!   bounded queues of depth [`PIPELINE_DEPTH`]: every thread receives
-//!   the same `Arc<EventBatch>` and keeps only its own pids, so the
-//!   caller can decode batch *k + 1* while the shards analyze batch *k*.
-//!   Batches smaller than [`PARALLEL_THRESHOLD`] are coalesced first. A
-//!   cut is a mark job on the same queue, answered with the thread's
-//!   clone. With [`SupervisorPolicy::shard_timeout`] set, a shard that
-//!   stops heartbeating is declared stalled, abandoned and replayed like
-//!   a panicked one; the watchdog needs a thread to abandon, so a timeout
-//!   selects this transport even at one shard.
+//! An *unsupervised* supervisor (the distributed worker's) runs one
+//! shard thread with no restart budget: the shard's panic or spawn
+//! failure is re-raised on the caller as a panic carrying the shard's
+//! message, so no cut returns over a batch the shard failed.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -217,12 +215,13 @@ thread_local! {
     static IN_SUPERVISED_SCAN: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
-/// Whether the current thread is inside a supervised shard scan — a
-/// panic raised here is caught, converted into a structured
-/// [`ShardError::Panicked`], and handled by the supervisor (restart or
-/// degrade), never an abort. Binaries can install a panic hook that
-/// consults this to keep recovered panics off stderr; the panic message
-/// still reaches the failure manifest.
+/// Whether the current thread is inside a shard scan — a panic raised
+/// here is caught, converted into a structured [`ShardError::Panicked`],
+/// and handled by the supervisor: restart or degrade, or for an
+/// unsupervised session a panic re-raised on the caller. Binaries can
+/// install a panic hook that consults this to keep caught panics off
+/// stderr; the message still reaches the failure manifest or the
+/// re-raised panic.
 #[must_use]
 pub fn in_supervised_scan() -> bool {
     IN_SUPERVISED_SCAN.with(std::cell::Cell::get)
@@ -432,8 +431,6 @@ pub(crate) struct ShardSupervisor {
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
     supervised: bool,
-    /// Shard threads instead of one inline shard.
-    threaded: bool,
     /// Log bytes that trigger an in-memory cut ([`RESTORE_BUDGET`]).
     pub(crate) budget: usize,
     /// One entry per shard, for the whole run.
@@ -451,21 +448,17 @@ pub(crate) struct ShardSupervisor {
     base_report: AnalysisReport,
     /// Each shard's restore point: its state at the last cut.
     restore: Vec<Incarnation>,
-    /// The inline shard's live incarnation; `None` before its first
-    /// batch, after a panic, and always when threaded.
-    inline: Option<Incarnation>,
-    /// Live shard threads when threaded; spawned on the first dispatch.
+    /// Live shard threads; spawned on the first dispatch.
     slots: Vec<Slot>,
-    /// Threaded coalescing buffer for batches below
-    /// [`PARALLEL_THRESHOLD`].
+    /// Coalescing buffer for batches below [`PARALLEL_THRESHOLD`].
     pending: EventBatch,
 }
 
 impl ShardSupervisor {
     /// A supervisor over `shards` pid shards, each a copy of the `empty`
-    /// analyzer, whose base is `seed`'s `(report, pid states)`, or empty. An unsupervised one (`supervised:
-    /// false`) runs one inline shard with no `catch_unwind` and no replay
-    /// log, so a panic propagates to the caller.
+    /// analyzer, whose base is `seed`'s `(report, pid states)`, or empty.
+    /// An unsupervised one (`supervised: false`) runs one shard and
+    /// re-raises its failures on the caller.
     pub(crate) fn new(
         empty: StreamingAnalyzer,
         shards: usize,
@@ -492,7 +485,6 @@ impl ShardSupervisor {
             policy,
             hook,
             supervised,
-            threaded: supervised && (n > 1 || policy.shard_timeout.is_some()),
             budget: RESTORE_BUDGET,
             ledger: vec![ShardLedger::default(); n],
             log: Vec::new(),
@@ -501,7 +493,6 @@ impl ShardSupervisor {
             batch_peak: 0,
             base_report,
             restore,
-            inline: None,
             slots: Vec::new(),
             pending: EventBatch::new(),
         }
@@ -513,27 +504,15 @@ impl ShardSupervisor {
 
     /// Feeds one batch.
     pub(crate) fn push(&mut self, batch: EventBatch) {
-        if self.threaded {
-            if self.pending.is_empty() && batch.len() >= PARALLEL_THRESHOLD {
-                self.dispatch(Arc::new(batch));
-            } else {
-                self.pending.append_batch(&batch);
-                if self.pending.len() >= PARALLEL_THRESHOLD {
-                    self.flush_pending();
-                }
-            }
-            self.cut_over_budget();
-        } else if self.supervised {
-            if !self.ledger[0].gave_up {
-                self.retain(Arc::new(batch));
-                self.drive_inline();
-                self.cut_over_budget();
-            }
+        if self.pending.is_empty() && batch.len() >= PARALLEL_THRESHOLD {
+            self.dispatch(Arc::new(batch));
         } else {
-            let mut incarnation = self.inline.take().unwrap_or_else(|| self.restore[0].copy());
-            incarnation.scan(&batch, 0, 1, self.hook.as_ref());
-            self.inline = Some(incarnation);
+            self.pending.append_batch(&batch);
+            if self.pending.len() >= PARALLEL_THRESHOLD {
+                self.flush_pending();
+            }
         }
+        self.cut_over_budget();
     }
 
     /// A checkpoint cut: the cumulative report and pid states over
@@ -597,17 +576,31 @@ impl ShardSupervisor {
         }
     }
 
-    /// The one cut (see the [module docs](self#cuts)): syncs every live
-    /// shard to the end of the log, makes each one's clone its restore
-    /// point, and clears the log. A rebasing cut then moves the restore
-    /// points' counters into the shared metrics.
+    /// The one cut (see the [module docs](self#cuts)): flushes the
+    /// coalescing buffer, brings each live shard to the end of the log
+    /// and makes its clone the shard's restore point, then clears the
+    /// log. A shard that panics or stalls, even now, is restarted and
+    /// replayed first. A rebasing cut then moves the restore points'
+    /// counters into the shared metrics.
     fn mark(&mut self, rebase: bool) {
-        if self.threaded {
-            self.mark_threads(rebase);
-        } else {
-            self.drive_inline();
-            if let Some(live) = &mut self.inline {
-                self.restore[0] = live.mark(rebase);
+        self.flush_pending();
+        let target = self.log.len();
+        for w in 0..self.slots.len() {
+            loop {
+                self.deliver_up_to(w, target);
+                if self.ledger[w].gave_up {
+                    break;
+                }
+                match self
+                    .offer(w, Job::Mark { rebase })
+                    .and_then(|()| self.await_mark(w))
+                {
+                    Ok(point) => {
+                        self.restore[w] = *point;
+                        break;
+                    }
+                    Err(error) => self.recover(w, &error),
+                }
             }
         }
         if rebase {
@@ -627,8 +620,12 @@ impl ShardSupervisor {
 
     /// Charges one failure of shard `w` to its run-long budget. Returns
     /// `true` once the backoff has passed and the shard may restart,
-    /// `false` when it has given up.
+    /// `false` when it has given up. An unsupervised session has no
+    /// budget: the failure is re-raised here, on the caller.
     fn charge(&mut self, w: usize, error: String) -> bool {
+        if !self.supervised {
+            panic!("shard {w}: {error}");
+        }
         let ledger = &mut self.ledger[w];
         ledger.last_error = Some(error);
         if ledger.restarts >= self.policy.max_restarts {
@@ -642,36 +639,6 @@ impl ShardSupervisor {
         }
         std::thread::sleep(backoff);
         true
-    }
-
-    /// Drives the inline shard through every unscanned log batch,
-    /// restarting (a copy of the restore point, replaying the log) on
-    /// panic within the budget.
-    fn drive_inline(&mut self) {
-        while !self.ledger[0].gave_up {
-            let mut incarnation = self.inline.take().unwrap_or_else(|| self.restore[0].copy());
-            let Some(batch) = self
-                .log
-                .get(incarnation.seen - self.restore[0].seen)
-                .cloned()
-            else {
-                self.inline = Some(incarnation);
-                return;
-            };
-            let hook = self.hook.clone();
-            let result = catch_unwind(AssertUnwindSafe(move || {
-                let _supervised = SupervisedScanGuard::enter();
-                incarnation.scan(&batch, 0, 1, hook.as_ref());
-                incarnation
-            }));
-            match result {
-                Ok(incarnation) => self.inline = Some(incarnation),
-                Err(payload) => {
-                    let error = ShardError::Panicked(panic_message(payload.as_ref()));
-                    self.charge(0, error.to_string());
-                }
-            }
-        }
     }
 
     /// Spawns one thread running a copy of shard `w`'s restore point.
@@ -846,36 +813,6 @@ impl ShardSupervisor {
             self.dispatch(batch);
         }
     }
-
-    /// The threaded half of [`mark`](Self::mark): flushes the coalescing
-    /// buffer, then brings each live shard to the end of the log and
-    /// takes its clone, supervising throughout: a shard that panics or
-    /// stalls, even now, is restarted and replayed first.
-    fn mark_threads(&mut self, rebase: bool) {
-        self.flush_pending();
-        if self.slots.is_empty() {
-            return;
-        }
-        let target = self.log.len();
-        for w in 0..self.shards() {
-            loop {
-                self.deliver_up_to(w, target);
-                if self.ledger[w].gave_up {
-                    break;
-                }
-                match self
-                    .offer(w, Job::Mark { rebase })
-                    .and_then(|()| self.await_mark(w))
-                {
-                    Ok(point) => {
-                        self.restore[w] = *point;
-                        break;
-                    }
-                    Err(error) => self.recover(w, &error),
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1044,7 +981,7 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_clamp_to_one_inline_shard() {
+    fn zero_shards_clamp_to_one_shard() {
         let supervisor = ShardSupervisor::new(
             StreamingAnalyzer::unfiltered(),
             0,
@@ -1055,14 +992,41 @@ mod tests {
             None,
         );
         assert_eq!(supervisor.shards(), 1);
-        assert!(!supervisor.threaded);
+    }
+
+    #[test]
+    fn one_job_scans_on_a_shard_thread() {
+        // With or without a stall watchdog, supervised or not, a
+        // one-job session scans on `iocov-shard-0`, never the caller.
+        let events = multi_pid_trace(3, 4);
+        let watched = fast_policy().with_shard_timeout(Duration::from_secs(60));
+        for (cell, session) in [
+            ("watchdog", builder(1).policy(watched)),
+            ("supervised", builder(1)),
+            ("unsupervised", builder(1).unsupervised()),
+        ] {
+            let names = Arc::new(std::sync::Mutex::new(std::collections::BTreeSet::new()));
+            let seen = Arc::clone(&names);
+            let hook: ShardHook = Arc::new(move |_, _| {
+                let name = std::thread::current().name().map(str::to_owned);
+                seen.lock().unwrap().insert(name);
+            });
+            let (report, _) = run_chunked(session.hook(hook), &events, 7);
+            assert_eq!(json(&serial(&events)), json(&report), "{cell}");
+            let names = names.lock().unwrap();
+            assert_eq!(
+                names.iter().collect::<Vec<_>>(),
+                [&Some("iocov-shard-0".to_owned())],
+                "{cell}"
+            );
+        }
     }
 
     #[test]
     fn sharded_matches_serial_at_every_job_count() {
         // Byte-identical at 1–8 shards, with more shards than pids at
         // the top end, both as one whole-trace batch and chunked small
-        // enough that the threaded transport coalesces.
+        // enough to coalesce.
         let events = multi_pid_trace(5, 4);
         let expected = json(&serial(&events));
         for jobs in 1..=8 {
@@ -1234,7 +1198,7 @@ mod tests {
         // Panic on the second batch of the shard: state replay (not
         // just the failing batch) must reconstruct batch 0's
         // contribution. Small batches below the threshold exercise
-        // coalescing on the threaded transport; large ones do not.
+        // coalescing; large ones do not.
         // At a zero budget the log is cut after every batch, so the
         // restart resumes from the restore point taken after batch 0.
         let events = multi_pid_trace(7, 40);
@@ -1372,8 +1336,7 @@ mod tests {
         let events = multi_pid_trace(6, 60);
         let expected = json(&serial(&events));
         // Shard 0 freezes for 5s on its first batch; the 50ms watchdog
-        // must abandon and replay it rather than wait. A timeout runs
-        // the threaded transport even at one shard. As one batch the
+        // must abandon and replay it rather than wait. As one batch the
         // stall surfaces at finish; in three, at a zero budget, it
         // surfaces at the in-memory cut after the first.
         for ((jobs, budget), chunk) in [1, 2]
@@ -1514,18 +1477,21 @@ mod tests {
 
     #[test]
     fn unsupervised_panic_propagates_out_of_feed() {
-        // No catch_unwind and no replay: the hook's panic reaches the
-        // caller of `feed`, before any cut could record the batch.
+        // No restart: the shard's panic is re-raised on the caller by
+        // the next call that dispatches or cuts (these small batches
+        // coalesce until the cut), so no cut returns over the batch.
         let events = multi_pid_trace(2, 2);
+        assert!(2 * events.len() < PARALLEL_THRESHOLD);
         let mut session = builder(4)
-            .hook(panic_hook(0, 1, 1))
+            .hook(panic_hook(0, 0, 1))
             .unsupervised()
             .build_session();
-        session.feed_owned(events.clone());
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
             session.feed_owned(events.clone());
+            session.feed_owned(events.clone());
+            session.cut()
         }));
-        let payload = caught.expect_err("the panic must propagate");
-        assert!(panic_message(payload.as_ref()).contains("injected test panic (shard 0, tick 1)"));
+        let payload = caught.expect_err("the panic must propagate, not a cut");
+        assert!(panic_message(payload.as_ref()).contains("injected test panic (shard 0, tick 0)"));
     }
 }

@@ -10,9 +10,9 @@
 //!  │ open_source(path, options)    │   │ pid-sharded StreamingAnalyzers,  │
 //!  │   ├─ JsonlSource (strict/lossy│   │ one run-long restart ledger,     │
 //!  │   │   via ReadOptions)        │──▶│ restore points, log ≤ budget     │
-//!  │   └─ IotbSource  (strict/lossy│   │   inline: 1 shard, caller thread │
-//!  │       via ReadOptions; v1 and │   │   threaded: iocov-shard-N pool   │
-//!  │       v2 alike)               │   │                                  │
+//!  │   └─ IotbSource  (strict/lossy│   │ on iocov-shard-N threads, fed    │
+//!  │       via ReadOptions; v1 and │   │ while the caller decodes the     │
+//!  │       v2 alike)               │   │ next batch                       │
 //!  └───────────────────────────────┘   └──────────────────────────────────┘
 //!                   │                                 │
 //!                   └──── Driver::run / AnalysisSession::feed ────┘
@@ -183,7 +183,7 @@ impl PipelineBuilder {
         self
     }
 
-    /// Pid shard count (1 = one shard on the caller's thread).
+    /// Pid shard count, one `iocov-shard-N` thread each.
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
@@ -204,12 +204,13 @@ impl PipelineBuilder {
         self
     }
 
-    /// Runs one inline shard with no `catch_unwind`, no replay log and
-    /// no restart budget: a panic propagates out of
-    /// [`AnalysisSession::feed`], so no cut can be taken over a
-    /// half-scanned batch. This is the distributed worker's contract —
-    /// its process supervisor owns recovery, so the session must not
-    /// self-heal. `jobs` and the policy are ignored.
+    /// Runs one shard thread with no restart budget: its panic or spawn
+    /// failure is re-raised on the caller as a panic carrying the
+    /// shard's message, from the next feed that dispatches or the next
+    /// cut, so no cut returns over a batch the shard failed. This is
+    /// the distributed worker's contract — its process supervisor owns
+    /// recovery, so the session must not self-heal. `jobs` and the
+    /// restart budget are ignored.
     #[must_use]
     pub fn unsupervised(mut self) -> Self {
         self.supervised = false;
@@ -428,7 +429,7 @@ mod tests {
     #[test]
     fn checkpoint_cuts_preserve_byte_identity_serial_and_pool() {
         // Rotating the shards at checkpoint cuts must not disturb the
-        // final report, inline or threaded.
+        // final report, at any shard count.
         let events = multi_pid_trace(5, 6);
         let trace = Trace::from_events(events.clone());
         let serial = serde_json::to_string(&Iocov::with_filter(filter()).analyze(&trace)).unwrap();
@@ -453,7 +454,7 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_cut_matches_uninterrupted_inline_and_threaded() {
+    fn resume_from_cut_matches_uninterrupted_at_one_and_three_jobs() {
         let events = multi_pid_trace(4, 6);
         let trace = Trace::from_events(events.clone());
         let serial = serde_json::to_string(&Iocov::with_filter(filter()).analyze(&trace)).unwrap();

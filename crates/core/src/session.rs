@@ -15,10 +15,11 @@
 //!
 //! Sessions come from [`PipelineBuilder`](crate::pipeline::PipelineBuilder):
 //! `build_session` for a session, `build` for a driver over one. The
-//! supervisor behind a session is always the same type; the builder
-//! picks its shard count and transport, or makes it *unsupervised* for
-//! distributed worker processes, where a panic must tear the process
-//! down so the coordinator's process-level supervision stays honest.
+//! supervisor behind a session always analyzes on shard threads; the
+//! builder picks their count, or makes the session *unsupervised* for
+//! distributed worker processes, where a shard's panic must tear the
+//! process down so the coordinator's process-level supervision stays
+//! honest.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -48,8 +49,8 @@ pub struct AnalysisSession {
 impl AnalysisSession {
     /// Feeds one columnar batch. Batch-shape counters are recorded here
     /// — once, on the single entry point every feed path funnels
-    /// through, whatever the shard count — so serial and threaded
-    /// snapshots stay byte-identical.
+    /// through, whatever the shard count — so snapshots stay
+    /// byte-identical at every shard count.
     pub fn feed(&mut self, batch: EventBatch) {
         if let Some(m) = &self.metrics {
             m.record_batch(batch.len() as u64, batch.estimated_owned_allocs());

@@ -424,9 +424,9 @@ proptest! {
     }
 
     /// Serial batch, streaming under arbitrary chunking, and sessions at
-    /// 1–8 pid shards under the same chunking (inline at 1, threaded
-    /// above) produce the identical report on multi-pid traces full of
-    /// dup/rename/chdir interleavings.
+    /// 1–8 pid shards under the same chunking produce the identical
+    /// report on multi-pid traces full of dup/rename/chdir
+    /// interleavings.
     #[test]
     fn serial_streaming_parallel_reports_agree(
         events in proptest::collection::vec(arb_provenance_event(), 0..120),

@@ -141,11 +141,14 @@ impl Recorder {
     }
 
     /// Drains the buffer into a [`Trace`], leaving the recorder running
-    /// (sequence numbers keep increasing across takes).
+    /// (sequence numbers keep increasing across takes). The buffer is
+    /// handed over whole, not copied, and replaced by one of the same
+    /// size, so the next fill does not regrow it.
     #[must_use]
     pub fn take(&self) -> Trace {
         let mut buf = self.buffer.lock();
-        Trace::from_events(buf.drain(..).collect())
+        let refill = VecDeque::with_capacity(buf.len());
+        Trace::from_events(Vec::from(std::mem::replace(&mut *buf, refill)))
     }
 
     /// Copies the current buffer contents without draining.
@@ -201,6 +204,32 @@ mod tests {
         assert_eq!(retvals, [2, 3, 4]);
         assert_eq!(rec.stats().dropped, 2);
         assert_eq!(rec.stats().recorded, 5);
+    }
+
+    #[test]
+    fn ring_buffer_keeps_its_bound_across_takes() {
+        let rec = Recorder::with_capacity(3);
+        for i in 0..5 {
+            rec.record(ev(i));
+        }
+        let first: Vec<i64> = rec.take().iter().map(|e| e.retval).collect();
+        assert_eq!(first, [2, 3, 4]);
+        for i in 5..12 {
+            rec.record(ev(i));
+        }
+        assert_eq!(rec.len(), 3);
+        let second = rec.take();
+        let retvals: Vec<i64> = second.iter().map(|e| e.retval).collect();
+        assert_eq!(retvals, [9, 10, 11]);
+        let seqs: Vec<u64> = second.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, [9, 10, 11]);
+        assert_eq!(
+            rec.stats(),
+            RecorderStats {
+                recorded: 12,
+                dropped: 6
+            }
+        );
     }
 
     #[test]
