@@ -13,6 +13,7 @@
 //!
 //! Measured numbers live in EXPERIMENTS.md §"Recovery overhead".
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -21,7 +22,7 @@ use iocov::{
     PipelineBuilder, ShardHook, StreamingAnalyzer, SupervisorPolicy, TraceFilter,
 };
 use iocov_bench::multi_pid_trace;
-use iocov_faults::PanicSchedule;
+use iocov_faults::DrillTrigger;
 use iocov_trace::{CursorState, EventBatch};
 use iocov_workloads::MOUNT;
 
@@ -131,10 +132,17 @@ fn bench_checkpoint(c: &mut Criterion) {
         b.iter(|| sharded(None));
     });
     group.bench_function("one_panic_replay", |b| {
-        // A schedule disarms after firing, so each iteration arms a
+        // A trigger disarms after firing, so each iteration arms a
         // fresh one: shard 0 panics on its first attempt, the
         // supervisor backs off, restarts, and replays the shard's log.
-        b.iter(|| sharded(Some(PanicSchedule::once(0, 0).hook())));
+        b.iter(|| {
+            let trigger = DrillTrigger::new(0, 1);
+            sharded(Some(Arc::new(move |shard, tick| {
+                if shard == 0 && trigger.fire(tick) {
+                    panic!("injected panic: shard {shard} at tick {tick}");
+                }
+            })))
+        });
     });
     group.finish();
 }

@@ -44,10 +44,7 @@ use iocov::{
     PipelineBuilder, PipelineError, PipelineMetrics, PipelineRun, ShardFailureRecord, StallSpec,
     SupervisorPolicy, WorkerFaults, WorkerHooks, WorkerSpec,
 };
-use iocov_faults::{
-    FaultPlan, FaultyRead, FeedAbortSchedule, FeedStallSchedule, FrameCorruptSchedule,
-    PanicSchedule, WorkerKillSchedule, WorkerSignal, WorkerStallSchedule,
-};
+use iocov_faults::{DrillTrigger, FaultPlan, FaultyRead, WorkerSignal};
 use iocov_trace::{
     open_source, unseekable_kind, ErrorPolicy, ReadOptions, RetryRead, SkippedLine, SourceError,
     SourceFormat, SourceOptions, SourcePos,
@@ -1295,7 +1292,12 @@ fn run_session(
         .jobs(jobs)
         .policy(robust.policy());
     if let Some(spec) = robust.inject_panic {
-        builder = builder.hook(PanicSchedule::times(spec.shard, spec.tick, spec.times).hook());
+        let trigger = DrillTrigger::new(spec.tick, spec.times);
+        builder = builder.hook(Arc::new(move |shard, tick| {
+            if shard == spec.shard && trigger.fire(tick) {
+                panic!("injected panic: shard {shard} at tick {tick}");
+            }
+        }));
     }
     if let Some(m) = &pipeline_metrics {
         builder = builder.metrics(Arc::clone(m));
@@ -1424,7 +1426,7 @@ fn run_distribute<W: Write>(
     )
 }
 
-/// Builds the fault-schedule hooks a worker process threads into
+/// Builds the drill hooks a worker process threads into
 /// [`run_worker`], from the spec the coordinator armed it with.
 fn worker_hooks(faults: &WorkerFaults) -> Result<WorkerHooks, CliError> {
     let mut hooks = WorkerHooks::default();
@@ -1435,28 +1437,38 @@ fn worker_hooks(faults: &WorkerFaults) -> Result<WorkerHooks, CliError> {
                     .ok_or_else(|| CliError(format!("worker: bad kill signal `{name}`")))?,
                 None => WorkerSignal::default(),
             };
-            Some(WorkerKillSchedule::new(k.tick, signal, k.times))
+            Some((DrillTrigger::new(k.tick, k.times), signal))
         }
         None => None,
     };
-    let stall = faults
-        .stall
-        .as_ref()
-        .map(|s| WorkerStallSchedule::new(s.tick, Duration::from_millis(s.millis), s.times));
+    let stall = faults.stall.as_ref().map(|s| {
+        (
+            DrillTrigger::new(s.tick, s.times),
+            Duration::from_millis(s.millis),
+        )
+    });
     if kill.is_some() || stall.is_some() {
         hooks.tick = Some(Arc::new(move |tick| {
-            if let Some(stall) = &stall {
-                stall.check(tick);
+            if let Some((trigger, pause)) = &stall {
+                if trigger.fire(tick) {
+                    std::thread::sleep(*pause);
+                }
             }
-            if let Some(kill) = &kill {
-                kill.check(tick);
+            if let Some((trigger, signal)) = &kill {
+                if trigger.fire(tick) {
+                    signal.raise();
+                }
             }
         }));
     }
     if let Some(c) = &faults.corrupt {
-        let sched = FrameCorruptSchedule::new(c.frame, c.times);
+        let trigger = DrillTrigger::new(c.frame, c.times);
         hooks.corrupt_frame = Some(Arc::new(move |frame, payload| {
-            sched.check(frame, payload);
+            if trigger.fire(frame) {
+                if let Some(byte) = payload.first_mut() {
+                    *byte ^= 0xff;
+                }
+            }
         }));
     }
     Ok(hooks)
@@ -1864,9 +1876,17 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
                     trace: trace.clone(),
                     format,
                     chunk: *chunk_bytes,
-                    abort: abort_after_bytes.map(|n| FeedAbortSchedule::once(n).hook()),
-                    stall: stall_before_frame.map(|(frame, millis)| {
-                        FeedStallSchedule::once(frame, Duration::from_millis(millis)).hook()
+                    abort: abort_after_bytes.map(|bytes| -> iocov::FeedAbortHook {
+                        let trigger = DrillTrigger::new(bytes, 1);
+                        Arc::new(move |sent| trigger.fire_from(sent))
+                    }),
+                    stall: stall_before_frame.map(|(frame, millis)| -> iocov::FeedStallHook {
+                        let trigger = DrillTrigger::new(frame, 1);
+                        Arc::new(move |ordinal| {
+                            if trigger.fire(ordinal) {
+                                std::thread::sleep(Duration::from_millis(millis));
+                            }
+                        })
                     }),
                 })
                 .map_err(|e| CliError(format!("feed {trace}: {e}")))?;
@@ -2628,12 +2648,11 @@ mod tests {
         tempfile::TempTrace::new(&recorder.take())
     }
 
+    /// Starts an in-process `serve` that drains after one stream, in a
+    /// fresh directory named by `tag`: `(dir, socket, state dir, server)`.
     #[cfg(unix)]
-    #[test]
-    fn serve_recovers_a_killed_stream_and_matches_batch_analyze() {
-        let file = big_trace_file(100);
-        let expected = run_bytes(&["analyze", &file.path, "--mount", "/mnt/test", "--json"]);
-        let dir = std::env::temp_dir().join(format!("iocov-cli-serve-{}", std::process::id()));
+    fn start_serve(tag: &str) -> (PathBuf, String, String, std::thread::JoinHandle<String>) {
+        let dir = std::env::temp_dir().join(format!("iocov-cli-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let socket = dir.join("sock").to_string_lossy().into_owned();
@@ -2660,47 +2679,42 @@ mod tests {
         while !Path::new(&socket).exists() {
             std::thread::sleep(Duration::from_millis(5));
         }
+        (dir, socket, state, server)
+    }
+
+    /// Feeds `trace` to `socket` as stream `s1` in 512-byte frames,
+    /// under the `drill` flags; returns what the feed printed.
+    #[cfg(unix)]
+    fn feed(trace: &str, socket: &str, drill: &[&str]) -> String {
+        let mut all = vec![
+            "feed",
+            trace,
+            "--socket",
+            socket,
+            "--stream",
+            "s1",
+            "--chunk-bytes",
+            "512",
+        ];
+        all.extend_from_slice(drill);
+        let mut out = Vec::new();
+        run(&parse_args(&args(&all)).unwrap(), &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn serve_recovers_a_killed_stream_and_matches_batch_analyze() {
+        let file = big_trace_file(100);
+        let expected = run_bytes(&["analyze", &file.path, "--mount", "/mnt/test", "--json"]);
+        let (dir, socket, state, server) = start_serve("serve");
         // Kill the feeder mid-stream: drop the connection without a
         // done frame once ~8 KiB (dozens of events) went out.
-        let mut out = Vec::new();
-        run(
-            &parse_args(&args(&[
-                "feed",
-                &file.path,
-                "--socket",
-                &socket,
-                "--stream",
-                "s1",
-                "--chunk-bytes",
-                "512",
-                "--abort-after-bytes",
-                "8000",
-            ]))
-            .unwrap(),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = feed(&file.path, &socket, &["--abort-after-bytes", "8000"]);
         assert!(text.contains("no done frame"), "{text}");
         // Reconnect: the server answers with the stream's checkpoint
         // and the feed resumes mid-file.
-        let mut out = Vec::new();
-        run(
-            &parse_args(&args(&[
-                "feed",
-                &file.path,
-                "--socket",
-                &socket,
-                "--stream",
-                "s1",
-                "--chunk-bytes",
-                "512",
-            ]))
-            .unwrap(),
-            &mut out,
-        )
-        .unwrap();
-        let text = String::from_utf8(out).unwrap();
+        let text = feed(&file.path, &socket, &[]);
         assert!(text.contains("resumed at byte"), "{text}");
         let serve_text = server.join().unwrap();
         assert!(serve_text.contains("1 restart"), "{serve_text}");
@@ -2712,6 +2726,82 @@ mod tests {
         let status = std::fs::read_to_string(Path::new(&state).join("status.json")).unwrap();
         assert!(status.contains("\"restarts\": 1"), "{status}");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn feed_stall_drill_delays_the_stream_and_it_still_finishes() {
+        // A feeder frozen before its second frame is slow, not failed:
+        // the stream ends done and merges like a batch analyze.
+        let stall = Duration::from_millis(300);
+        let file = big_trace_file(100);
+        let expected = run_bytes(&["analyze", &file.path, "--mount", "/mnt/test", "--json"]);
+        let (dir, socket, state, server) = start_serve("feed-stall");
+        let started = std::time::Instant::now();
+        let drill = format!("1:{}", stall.as_millis());
+        let text = feed(&file.path, &socket, &["--stall-before-frame", &drill]);
+        let took = started.elapsed();
+        assert!(took >= stall, "the feed took {took:?}, less than the stall");
+        assert!(!text.contains("no done frame"), "{text}");
+        server.join().unwrap();
+        let status = std::fs::read_to_string(Path::new(&state).join("status.json")).unwrap();
+        assert!(status.contains("\"state\": \"done\""), "{status}");
+        let snapshot = std::fs::read(Path::new(&state).join("snapshot.json")).unwrap();
+        assert_eq!(
+            snapshot, expected,
+            "merged snapshot must be byte-identical to analyze --json"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn worker_drills_fire_at_their_ordinals_then_disarm() {
+        // The kill drill's firing path would kill the test process, so
+        // only its other ticks run here; the distributed fault matrix
+        // covers the kill end to end.
+        let hooks = worker_hooks(&WorkerFaults {
+            kill: Some(KillSpec {
+                tick: 5,
+                signal: Some("KILL".into()),
+                times: 1,
+            }),
+            stall: Some(StallSpec {
+                tick: 3,
+                millis: 200,
+                times: 1,
+            }),
+            corrupt: Some(CorruptSpec { frame: 1, times: 1 }),
+        })
+        .unwrap();
+        let tick = hooks.tick.expect("kill and stall arm the tick hook");
+        let timed = |t| {
+            let started = std::time::Instant::now();
+            tick(t);
+            started.elapsed()
+        };
+        assert!(timed(2) < Duration::from_millis(150), "wrong tick");
+        assert!(timed(3) >= Duration::from_millis(200), "the stall fires");
+        assert!(timed(3) < Duration::from_millis(150), "disarmed");
+        tick(4);
+        tick(6);
+        let corrupt = hooks.corrupt_frame.expect("armed");
+        let mut payload = vec![0xaa, 0xbb];
+        corrupt(0, &mut payload);
+        assert_eq!(payload, [0xaa, 0xbb], "wrong frame");
+        corrupt(1, &mut payload);
+        assert_eq!(payload, [0x55, 0xbb], "first byte flipped");
+        corrupt(1, &mut payload);
+        assert_eq!(payload, [0x55, 0xbb], "disarmed");
+        let err = worker_hooks(&WorkerFaults {
+            kill: Some(KillSpec {
+                tick: 0,
+                signal: Some("HUP".into()),
+                times: 1,
+            }),
+            ..WorkerFaults::default()
+        })
+        .unwrap_err();
+        assert_eq!(err.0, "worker: bad kill signal `HUP`");
     }
 
     #[test]

@@ -665,9 +665,16 @@ mod tests {
         assert_eq!(combos.sizes_with_rdonly.get(&1), Some(&1));
         assert_eq!(combos.sizes_with_rdonly.get(&2), Some(&1));
         assert_eq!(combos.sizes_with_rdonly.get(&3), None);
-        let pct = combos.percentages(false);
-        let total: f64 = pct.iter().map(|(_, p)| p).sum();
-        assert!((total - 100.0).abs() < 1e-9);
+        assert_eq!(
+            combos.percentages(false),
+            [(1, 25.0), (2, 50.0), (3, 25.0)],
+            "Table 1's all-flags row"
+        );
+        assert_eq!(
+            combos.percentages(true),
+            [(1, 50.0), (2, 50.0)],
+            "Table 1's O_RDONLY row"
+        );
     }
 
     #[test]

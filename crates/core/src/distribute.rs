@@ -57,9 +57,11 @@
 //!
 //! Injected fault budgets ([`WorkerFaults`]) are decremented by the
 //! *coordinator* when it observes the matching failure class, so a
-//! restarted worker is re-armed with one fewer charge — reproducing
-//! `PanicSchedule`'s self-disarming semantics across process restarts
-//! and guaranteeing termination within the restart budget.
+//! restarted worker is re-armed with one fewer charge — reproducing a
+//! drill trigger's self-disarming semantics (`iocov_faults::DrillTrigger`)
+//! across process restarts and guaranteeing termination within the
+//! restart budget, which each worker charges to the same restart
+//! ledger as a pool shard.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -80,7 +82,7 @@ use crate::checkpoint::{encode_checkpoint, fnv1a64, parse_checkpoint, Checkpoint
 use crate::coverage::AnalysisReport;
 use crate::filter::TraceFilter;
 use crate::metrics::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
-use crate::parallel::{splitmix64, ShardError, SupervisorPolicy};
+use crate::parallel::{splitmix64, RestartLedger, ShardError, SupervisorPolicy};
 use crate::pipeline::{PipelineBuilder, DEFAULT_CHUNK};
 use crate::session::AnalysisSession;
 
@@ -315,16 +317,6 @@ pub struct WorkerFaults {
     pub corrupt: Option<CorruptSpec>,
 }
 
-impl WorkerFaults {
-    /// Whether any schedule still has charges.
-    #[must_use]
-    pub fn armed(&self) -> bool {
-        self.kill.as_ref().is_some_and(|k| k.times > 0)
-            || self.stall.as_ref().is_some_and(|s| s.times > 0)
-            || self.corrupt.as_ref().is_some_and(|c| c.times > 0)
-    }
-}
-
 /// Everything a worker process needs, sent as the one spec frame.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorkerSpec {
@@ -365,8 +357,8 @@ pub type CorruptFrameHook = Arc<dyn Fn(u64, &mut [u8]) + Send + Sync>;
 
 /// Fault-injection hooks a worker runtime threads into
 /// [`run_worker`]. Built by the binary from [`WorkerSpec::faults`]
-/// (via `iocov_faults::proc`), kept as closures here so the analysis
-/// core stays independent of the fault crate.
+/// (each a drill on an `iocov_faults::DrillTrigger`), kept as closures
+/// here so the analysis core stays independent of the fault crate.
 #[derive(Clone, Default)]
 pub struct WorkerHooks {
     /// Called at every source-event ordinal of the current incarnation,
@@ -677,8 +669,8 @@ fn supervise_worker(
 ) -> WorkerOutcome {
     let shard = spec.shard;
     let primary = spec.primary;
-    let mut restarts = 0u32;
-    let mut last_error = String::new();
+    let jitter = splitmix64(cfg.backoff_seed, shard as u64);
+    let mut ledger = RestartLedger::default();
     let mut last_doc: Option<CheckpointDoc> = None;
     loop {
         match run_attempt(cfg, &spec) {
@@ -686,12 +678,7 @@ fn supervise_worker(
                 return WorkerOutcome {
                     primary,
                     doc: Some(doc),
-                    failure: (restarts > 0).then(|| ShardFailureRecord {
-                        shard,
-                        restarts,
-                        gave_up: false,
-                        last_error: last_error.clone(),
-                    }),
+                    failure: ledger.record(shard),
                 };
             }
             Err(error) => {
@@ -700,27 +687,14 @@ fn supervise_worker(
                     last_doc = Some(doc);
                 }
                 consume_fault_budget(&mut spec.faults, &failure);
-                last_error = failure.to_shard_error().to_string();
-                if restarts >= cfg.policy.max_restarts {
+                let message = failure.to_shard_error().to_string();
+                if !ledger.charge(message, &cfg.policy, metrics.map(Arc::as_ref), Some(jitter)) {
                     return WorkerOutcome {
                         primary,
                         doc: last_doc,
-                        failure: Some(ShardFailureRecord {
-                            shard,
-                            restarts,
-                            gave_up: true,
-                            last_error,
-                        }),
+                        failure: ledger.record(shard),
                     };
                 }
-                restarts += 1;
-                if let Some(metrics) = metrics {
-                    metrics.record_shard_restart();
-                }
-                std::thread::sleep(
-                    cfg.policy
-                        .jittered_backoff(restarts, splitmix64(cfg.backoff_seed, shard as u64)),
-                );
                 spec.resume = last_doc.clone();
             }
         }
@@ -729,7 +703,7 @@ fn supervise_worker(
 
 /// Decrements the injected-fault charge matching an observed failure
 /// class, so the next incarnation's spec carries one fewer — the
-/// cross-process equivalent of `PanicSchedule` disarming itself.
+/// cross-process equivalent of a drill trigger disarming itself.
 fn consume_fault_budget(faults: &mut WorkerFaults, failure: &AttemptFailure) {
     match failure {
         AttemptFailure::Died(_) => {
@@ -1080,9 +1054,13 @@ mod tests {
         assert_eq!(faults.corrupt.as_ref().unwrap().times, 0);
         consume_fault_budget(&mut faults, &AttemptFailure::Corrupt("bad frame".into()));
         assert_eq!(faults.corrupt.as_ref().unwrap().times, 0, "saturates at 0");
-        assert!(faults.armed(), "one kill charge left");
+        assert_eq!(
+            faults.kill.as_ref().unwrap().times,
+            1,
+            "one kill charge left"
+        );
         consume_fault_budget(&mut faults, &AttemptFailure::Died("killed again".into()));
-        assert!(!faults.armed());
+        assert_eq!(faults.kill.as_ref().unwrap().times, 0);
     }
 
     #[test]
@@ -1110,7 +1088,8 @@ mod tests {
         );
         assert_eq!(specs.len(), 3);
         assert!(specs[0].primary && !specs[1].primary);
-        assert!(specs[1].faults.armed() && !specs[0].faults.armed());
+        assert_eq!(specs[1].faults.kill.as_ref().map(|k| k.times), Some(1));
+        assert_eq!(specs[0].faults, WorkerFaults::default());
         for spec in &specs {
             let json = serde_json::to_string(spec).unwrap();
             let back: WorkerSpec = serde_json::from_str(&json).unwrap();

@@ -37,7 +37,6 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::domain::DomainKind;
-use crate::partition::{InputPartition, OutputPartition};
 
 /// Why the pipeline dropped an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -135,29 +134,8 @@ impl PipelineMetrics {
         self.variant_merged.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one input-partition record.
-    pub fn record_input_partition(&self, partition: &InputPartition) {
-        let counter = match partition {
-            InputPartition::Flag(_) => &self.records_input_flag,
-            InputPartition::Numeric(_) => &self.records_input_numeric,
-            InputPartition::Categorical(_) => &self.records_input_categorical,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one output-partition record.
-    pub fn record_output_partition(&self, partition: &OutputPartition) {
-        let counter = match partition {
-            OutputPartition::Ok | OutputPartition::OkBytes(_) => &self.records_output_ok,
-            OutputPartition::Err(_) => &self.records_output_err,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` input-partition records of one argument domain — the
-    /// same family buckets as
-    /// [`record_input_partition`](Self::record_input_partition), without
-    /// materializing a partition.
+    /// Counts `n` input-partition records of one argument domain, by
+    /// partition family: flag words, numbers, categorical values.
     pub(crate) fn record_input_records(&self, kind: &DomainKind, n: u64) {
         let counter = match kind {
             DomainKind::OpenFlags | DomainKind::Bitmap { .. } => &self.records_input_flag,
@@ -484,7 +462,6 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::NumericPartition;
 
     #[test]
     fn counters_accumulate_and_snapshot() {
@@ -496,12 +473,19 @@ mod tests {
         m.record_drop(DropReason::IrrelevantFd);
         m.record_drop(DropReason::UnknownSyscall);
         m.record_variant_merged();
-        m.record_input_partition(&InputPartition::Flag("O_CREAT".into()));
-        m.record_input_partition(&InputPartition::Numeric(NumericPartition::Zero));
-        m.record_input_partition(&InputPartition::Categorical("SEEK_SET".into()));
-        m.record_output_partition(&OutputPartition::Ok);
-        m.record_output_partition(&OutputPartition::OkBytes(NumericPartition::Log2(3)));
-        m.record_output_partition(&OutputPartition::Err("ENOENT".into()));
+        m.record_input_records(&DomainKind::OpenFlags, 1);
+        m.record_input_records(&DomainKind::Bitmap { flags: &[] }, 0);
+        m.record_input_records(
+            &DomainKind::Numeric {
+                signed: false,
+                display_max_log2: 20,
+            },
+            1,
+        );
+        m.record_input_records(&DomainKind::Categorical { values: &[] }, 1);
+        m.record_output_record(true);
+        m.record_output_record(true);
+        m.record_output_record(false);
         let snap = m.snapshot();
         assert_eq!(snap.events_read, 10);
         assert_eq!(snap.parse_skipped, 2);
@@ -582,15 +566,15 @@ mod tests {
         direct.add_events_read(5);
         direct.record_drop(DropReason::WrongMount);
         direct.record_variant_merged();
-        direct.record_input_partition(&InputPartition::Flag("O_APPEND".into()));
-        direct.record_output_partition(&OutputPartition::Err("ENOSPC".into()));
+        direct.record_input_records(&DomainKind::OpenFlags, 1);
+        direct.record_output_record(false);
 
         let local = PipelineMetrics::default();
         local.add_events_read(5);
         local.record_drop(DropReason::WrongMount);
         local.record_variant_merged();
-        local.record_input_partition(&InputPartition::Flag("O_APPEND".into()));
-        local.record_output_partition(&OutputPartition::Err("ENOSPC".into()));
+        local.record_input_records(&DomainKind::OpenFlags, 1);
+        local.record_output_record(false);
         local.add_stage_nanos("analyze", 1234);
         let absorbed = PipelineMetrics::default();
         absorbed.absorb(&local.snapshot());

@@ -17,9 +17,10 @@
 //!
 //! [`ShardSupervisor`] owns, once, everything supervision needs:
 //!
-//! * a per-shard ledger (restarts, `gave_up`, last error) that lasts the
-//!   whole run, so [`SupervisorPolicy::max_restarts`] is a budget per
-//!   shard per run and a shard that gave up stays given up;
+//! * a per-shard [`RestartLedger`] (restarts, `gave_up`, last error)
+//!   that lasts the whole run, so [`SupervisorPolicy::max_restarts`] is
+//!   a budget per shard per run and a shard that gave up stays given
+//!   up; the `--distribute` coordinator charges one per worker;
 //! * one *restore point* per shard: a clone of the shard's analyzer and
 //!   private metrics at the last cut, seeded from the resumed
 //!   checkpoint's pid states (or empty);
@@ -72,12 +73,16 @@
 //! on the same queue, answered with the thread's clone. With
 //! [`SupervisorPolicy::shard_timeout`] set, a shard that stops
 //! heartbeating is declared stalled, abandoned and replayed like a
-//! panicked one.
+//! panicked one. Finish joins the live threads, so none outlives its
+//! session: the next session's threads then reuse their stacks and
+//! malloc arenas instead of racing their exit for fresh ones.
 //!
 //! An *unsupervised* supervisor (the distributed worker's) runs one
 //! shard thread with no restart budget: the shard's panic or spawn
 //! failure is re-raised on the caller as a panic carrying the shard's
-//! message, so no cut returns over a batch the shard failed.
+//! message, so no cut returns over a batch the shard failed. Nothing
+//! replays such a shard, so it keeps no replay log and is cut only at
+//! checkpoints and at finish.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -86,6 +91,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use iocov_trace::{EventBatch, EventView};
@@ -272,12 +278,59 @@ pub const PIPELINE_DEPTH: usize = 2;
 /// grows with the shard's pids.
 pub const RESTORE_BUDGET: usize = 4 << 20;
 
-/// One shard's supervision ledger, kept for the whole run.
+/// One shard's restart ledger, kept for the whole run: the one budget
+/// rule behind both the shard supervisor and the `--distribute`
+/// coordinator's per-worker supervision.
 #[derive(Debug, Clone, Default)]
-struct ShardLedger {
+pub(crate) struct RestartLedger {
     restarts: u32,
     gave_up: bool,
-    last_error: Option<String>,
+    last_error: String,
+}
+
+impl RestartLedger {
+    /// Charges one failure against `policy.max_restarts`. A failure at
+    /// the budget gives up, leaving the count at the budget, and returns
+    /// `false`; any other failure counts a restart, records it in
+    /// `metrics`, sleeps the backoff (jittered when `jitter` seeds it)
+    /// and returns `true`.
+    pub(crate) fn charge(
+        &mut self,
+        error: String,
+        policy: &SupervisorPolicy,
+        metrics: Option<&PipelineMetrics>,
+        jitter: Option<u64>,
+    ) -> bool {
+        self.last_error = error;
+        if self.restarts >= policy.max_restarts {
+            self.gave_up = true;
+            return false;
+        }
+        self.restarts += 1;
+        if let Some(metrics) = metrics {
+            metrics.record_shard_restart();
+        }
+        std::thread::sleep(match jitter {
+            Some(seed) => policy.jittered_backoff(self.restarts, seed),
+            None => policy.backoff(self.restarts),
+        });
+        true
+    }
+
+    /// Whether the shard has given up.
+    pub(crate) fn gave_up(&self) -> bool {
+        self.gave_up
+    }
+
+    /// Shard `shard`'s failure-manifest record, if it ever failed.
+    pub(crate) fn record(&self, shard: usize) -> Option<ShardFailureRecord> {
+        (self.restarts > 0 || self.gave_up).then(|| ShardFailureRecord {
+            shard,
+            restarts: self.restarts,
+            gave_up: self.gave_up,
+            last_error: self.last_error.clone(),
+        })
+    }
 }
 
 /// One shard incarnation: an analyzer over the shard's pids, its private
@@ -409,6 +462,9 @@ struct Slot {
     heartbeat: Arc<AtomicU64>,
     /// Log batches already delivered to this incarnation.
     sent: usize,
+    /// The thread, joined at finish; an abandoned slot drops it and
+    /// lets a stalled thread exit on its own.
+    thread: Option<JoinHandle<()>>,
 }
 
 impl Slot {
@@ -421,6 +477,7 @@ impl Slot {
             done,
             heartbeat: Arc::new(AtomicU64::new(0)),
             sent: 0,
+            thread: None,
         }
     }
 }
@@ -434,7 +491,7 @@ pub(crate) struct ShardSupervisor {
     /// Log bytes that trigger an in-memory cut ([`RESTORE_BUDGET`]).
     pub(crate) budget: usize,
     /// One entry per shard, for the whole run.
-    ledger: Vec<ShardLedger>,
+    ledger: Vec<RestartLedger>,
     /// Batches since the last cut — the replay log.
     log: Vec<Arc<EventBatch>>,
     /// [`EventBatch::heap_bytes`] summed over the log.
@@ -486,7 +543,7 @@ impl ShardSupervisor {
             hook,
             supervised,
             budget: RESTORE_BUDGET,
-            ledger: vec![ShardLedger::default(); n],
+            ledger: vec![RestartLedger::default(); n],
             log: Vec::new(),
             log_bytes: 0,
             log_peak: 0,
@@ -531,17 +588,19 @@ impl ShardSupervisor {
     /// that restarted or gave up.
     pub(crate) fn finish(mut self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
         self.mark(true);
+        // Every live thread has just answered the mark, so it exits as
+        // soon as its queue closes.
+        for slot in &mut self.slots {
+            slot.jobs = None;
+            if let Some(thread) = slot.thread.take() {
+                let _ = thread.join();
+            }
+        }
         let failures: Vec<ShardFailureRecord> = self
             .ledger
             .iter()
             .enumerate()
-            .filter(|(_, s)| s.restarts > 0 || s.gave_up)
-            .map(|(w, s)| ShardFailureRecord {
-                shard: w,
-                restarts: s.restarts,
-                gave_up: s.gave_up,
-                last_error: s.last_error.clone().unwrap_or_default(),
-            })
+            .filter_map(|(w, ledger)| ledger.record(w))
             .collect();
         if let Some(metrics) = &self.metrics {
             for failure in &failures {
@@ -588,7 +647,7 @@ impl ShardSupervisor {
         for w in 0..self.slots.len() {
             loop {
                 self.deliver_up_to(w, target);
-                if self.ledger[w].gave_up {
+                if self.ledger[w].gave_up() {
                     break;
                 }
                 match self
@@ -611,6 +670,10 @@ impl ShardSupervisor {
                 }
             }
         }
+        self.clear_log();
+    }
+
+    fn clear_log(&mut self) {
         self.log.clear();
         self.log_bytes = 0;
         for slot in &mut self.slots {
@@ -626,19 +689,7 @@ impl ShardSupervisor {
         if !self.supervised {
             panic!("shard {w}: {error}");
         }
-        let ledger = &mut self.ledger[w];
-        ledger.last_error = Some(error);
-        if ledger.restarts >= self.policy.max_restarts {
-            ledger.gave_up = true;
-            return false;
-        }
-        ledger.restarts += 1;
-        let backoff = self.policy.backoff(ledger.restarts);
-        if let Some(metrics) = &self.metrics {
-            metrics.record_shard_restart();
-        }
-        std::thread::sleep(backoff);
-        true
+        self.ledger[w].charge(error, &self.policy, self.metrics.as_deref(), None)
     }
 
     /// Spawns one thread running a copy of shard `w`'s restore point.
@@ -650,7 +701,7 @@ impl ShardSupervisor {
         let mut incarnation = self.restore[w].copy();
         let beat = Arc::clone(&heartbeat);
         let hook = self.hook.clone();
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name(format!("iocov-shard-{w}"))
             .spawn(move || {
                 let result = catch_unwind(AssertUnwindSafe(|| {
@@ -677,13 +728,14 @@ impl ShardSupervisor {
             done,
             heartbeat,
             sent: 0,
+            thread: Some(thread),
         })
     }
 
     /// A live slot for shard `w`, charging the budget on spawn failure;
     /// a shard that has given up gets a dead slot.
     fn spawned_slot(&mut self, w: usize) -> Slot {
-        while !self.ledger[w].gave_up {
+        while !self.ledger[w].gave_up() {
             match self.spawn_slot(w) {
                 Ok(slot) => return slot,
                 Err(e) => {
@@ -783,7 +835,7 @@ impl ShardSupervisor {
     /// Delivers log batches to shard `w` until its incarnation has seen
     /// the first `target` (restarting and replaying as needed).
     fn deliver_up_to(&mut self, w: usize, target: usize) {
-        while !self.ledger[w].gave_up && self.slots[w].sent < target {
+        while !self.ledger[w].gave_up() && self.slots[w].sent < target {
             let idx = self.slots[w].sent;
             match self.offer(w, Job::Scan(Arc::clone(&self.log[idx]))) {
                 Ok(()) => self.slots[w].sent = idx + 1,
@@ -795,7 +847,9 @@ impl ShardSupervisor {
     /// Logs one batch and hands it to every shard thread. Blocks only
     /// when a queue is [`PIPELINE_DEPTH`] batches behind — the
     /// backpressure that bounds memory to `depth × batch` per shard
-    /// (plus the `Arc`-shared log, which the budget bounds).
+    /// (plus the `Arc`-shared log, which the budget bounds). Nothing
+    /// replays an unsupervised shard, so its batch leaves the log as
+    /// soon as it is delivered, and no in-memory cut ever comes due.
     fn dispatch(&mut self, batch: Arc<EventBatch>) {
         if self.slots.is_empty() {
             self.slots = (0..self.shards()).map(|w| self.spawned_slot(w)).collect();
@@ -804,6 +858,9 @@ impl ShardSupervisor {
         let target = self.log.len();
         for w in 0..self.shards() {
             self.deliver_up_to(w, target);
+        }
+        if !self.supervised {
+            self.clear_log();
         }
     }
 
@@ -889,8 +946,9 @@ mod tests {
     }
 
     /// A hook that panics the first `times` times shard `shard` reaches
-    /// tick `tick`, then disarms (mirrors `iocov_faults::PanicSchedule`,
-    /// which this crate cannot depend on).
+    /// tick `tick`, then disarms (mirrors the CLI's `--inject-panic`
+    /// drill on `iocov_faults::DrillTrigger`, which this crate cannot
+    /// depend on).
     fn panic_hook(shard: usize, tick: u64, times: u64) -> ShardHook {
         let fired = Arc::new(AtomicU64::new(0));
         Arc::new(move |w, t| {
@@ -1422,6 +1480,36 @@ mod tests {
             assert_eq!(uncut, report, "jobs {jobs}");
             assert_eq!(uncut_counters, counters, "jobs {jobs}");
         }
+    }
+
+    #[test]
+    fn unsupervised_session_keeps_no_replay_log() {
+        // Nothing replays an unsupervised shard, so its session holds a
+        // batch only until the shard has it: under a budget of two
+        // batches the log must never outgrow one, and the report must
+        // still equal a serial run.
+        let events = multi_pid_trace(8, 384);
+        let parts: Vec<&[TraceEvent]> = events.chunks(PARALLEL_THRESHOLD).collect();
+        let largest = parts
+            .iter()
+            .map(|part| EventBatch::from_events(part).heap_bytes())
+            .max()
+            .unwrap();
+        assert!(parts.len() >= 20);
+        let mut session = builder(1)
+            .restore_budget(2 * largest)
+            .unsupervised()
+            .build_session();
+        for part in &parts {
+            session.feed(EventBatch::from_events(part));
+        }
+        let (log_peak, batch_peak) = (session.shards.log_peak, session.shards.batch_peak);
+        assert_eq!(batch_peak, largest);
+        assert!(
+            log_peak <= batch_peak,
+            "log peaked at {log_peak} against one batch of {batch_peak}"
+        );
+        assert_eq!(json(&session.finish().0), json(&serial(&events)));
     }
 
     #[test]

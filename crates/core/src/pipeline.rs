@@ -190,9 +190,11 @@ impl PipelineBuilder {
         self
     }
 
-    /// Events pulled from the source per session feed.
+    /// Test seam: events pulled from the source per session feed in
+    /// place of [`DEFAULT_CHUNK`].
+    #[cfg(test)]
     #[must_use]
-    pub fn chunk(mut self, chunk: usize) -> Self {
+    pub(crate) fn chunk(mut self, chunk: usize) -> Self {
         self.chunk = chunk.max(1);
         self
     }
@@ -209,8 +211,8 @@ impl PipelineBuilder {
     /// shard's message, from the next feed that dispatches or the next
     /// cut, so no cut returns over a batch the shard failed. This is
     /// the distributed worker's contract — its process supervisor owns
-    /// recovery, so the session must not self-heal. `jobs` and the
-    /// restart budget are ignored.
+    /// recovery, so the session must not self-heal, and keeps no replay
+    /// log. `jobs` and the restart budget are ignored.
     #[must_use]
     pub fn unsupervised(mut self) -> Self {
         self.supervised = false;

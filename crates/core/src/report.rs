@@ -91,36 +91,6 @@ pub fn untested_summary(report: &AnalysisReport) -> String {
     out
 }
 
-/// Renders the Table 1 combination analysis for one suite.
-#[must_use]
-pub fn render_combos(report: &AnalysisReport, suite: &str) -> String {
-    let mut out = String::new();
-    let max = report.open_combos.max_size().max(1);
-    let _ = write!(out, "{suite}: all flags   ");
-    for size in 1..=max {
-        let pct = report
-            .open_combos
-            .percentages(false)
-            .iter()
-            .find(|(s, _)| *s == size)
-            .map_or(0.0, |(_, p)| *p);
-        let _ = write!(out, " {size}:{pct:>5.1}%");
-    }
-    let _ = writeln!(out);
-    let _ = write!(out, "{suite}: O_RDONLY    ");
-    for size in 1..=max {
-        let pct = report
-            .open_combos
-            .percentages(true)
-            .iter()
-            .find(|(s, _)| *s == size)
-            .map_or(0.0, |(_, p)| *p);
-        let _ = write!(out, " {size}:{pct:>5.1}%");
-    }
-    let _ = writeln!(out);
-    out
-}
-
 /// Coverage differences between two suites: partitions one exercises
 /// and the other misses — the direct answer to "what should suite B add
 /// to catch up with suite A?".
@@ -348,13 +318,5 @@ mod tests {
             0,
         )]));
         assert!(diff(&r, &r).is_empty());
-    }
-
-    #[test]
-    fn combo_table_renders_percentages() {
-        let text = render_combos(&sample_report(), "sample");
-        assert!(text.contains("sample: all flags"));
-        assert!(text.contains("O_RDONLY"));
-        assert!(text.contains('%'));
     }
 }

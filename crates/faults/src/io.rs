@@ -1,26 +1,20 @@
-//! Deterministic I/O fault injection and worker panic/stall hooks.
+//! Deterministic I/O fault injection.
 //!
 //! The VFS half of this crate injects *semantic* file-system bugs; this
-//! module injects *environmental* faults — the flaky-disk and
-//! crashing-worker conditions a multi-hour CrashMonkey or xfstests run
-//! produces — so every recovery path in the analysis pipeline is
-//! exercisable in-tree:
+//! module injects *environmental* faults — the flaky-disk conditions a
+//! multi-hour CrashMonkey or xfstests run produces — so every retry path
+//! in the trace readers is exercisable in-tree:
 //!
 //! * [`FaultPlan`] + [`FaultyRead`]/[`FaultyWrite`] wrap any
 //!   `Read`/`Write` with a *seeded* schedule of transient errors
 //!   (`ErrorKind::Interrupted`, `ErrorKind::WouldBlock`), short
 //!   transfers, and an optional hard unrecoverable error. The schedule
 //!   is a pure function of the seed, so a failing run is replayable.
-//! * [`PanicSchedule`] fires an injected panic inside a specific shard
-//!   worker at a specific progress tick, a bounded number of times —
-//!   disarming itself afterwards so a supervisor's replay succeeds.
-//! * [`StallSchedule`] freezes a shard at a tick instead, to exercise
-//!   watchdog timeouts.
+//!
+//! Shard panics, worker deaths and stalls, corrupt frames and dropped
+//! feeds are drills instead: see [`DrillTrigger`](crate::DrillTrigger).
 
 use std::io::{self, Read, Write};
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
 
 /// The kinds of fault a [`FaultPlan`] can schedule for one I/O call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,122 +203,6 @@ impl<W: Write> Write for FaultyWrite<W> {
     }
 }
 
-/// A progress hook signature for shard workers: `(shard, tick)` where
-/// `tick` counts the worker's progress heartbeats (batch ordinals for
-/// the persistent pool, attempt ordinals for one-shot analysis).
-pub type WorkerHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
-
-/// Fires an injected panic inside a specific shard at a specific tick,
-/// a bounded number of times.
-///
-/// The schedule *disarms* itself after its budget is spent, so a
-/// supervisor that restarts the shard and replays its batches sees the
-/// retry succeed — exactly the transient-crash scenario the supervisor
-/// exists to absorb.
-#[derive(Debug)]
-pub struct PanicSchedule {
-    shard: usize,
-    tick: u64,
-    remaining: AtomicU32,
-}
-
-impl PanicSchedule {
-    /// Panics the first time `shard` reaches `tick`, then disarms.
-    #[must_use]
-    pub fn once(shard: usize, tick: u64) -> Arc<Self> {
-        Self::times(shard, tick, 1)
-    }
-
-    /// Panics the first `times` times `shard` reaches `tick` (each
-    /// restart replays the tick, consuming one charge), then disarms.
-    #[must_use]
-    pub fn times(shard: usize, tick: u64, times: u32) -> Arc<Self> {
-        Arc::new(PanicSchedule {
-            shard,
-            tick,
-            remaining: AtomicU32::new(times),
-        })
-    }
-
-    /// Charges left before the schedule disarms.
-    #[must_use]
-    pub fn remaining(&self) -> u32 {
-        self.remaining.load(Ordering::SeqCst)
-    }
-
-    /// Called from worker progress hooks; panics if armed for this
-    /// `(shard, tick)`.
-    ///
-    /// # Panics
-    ///
-    /// That is the point: panics with a recognizable message while the
-    /// schedule still has charges for this shard/tick.
-    pub fn check(&self, shard: usize, tick: u64) {
-        if shard != self.shard || tick != self.tick {
-            return;
-        }
-        let fired = self
-            .remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok();
-        if fired {
-            panic!("injected panic: shard {shard} at tick {tick}");
-        }
-    }
-
-    /// This schedule as a [`WorkerHook`] closure.
-    #[must_use]
-    pub fn hook(self: &Arc<Self>) -> WorkerHook {
-        let plan = Arc::clone(self);
-        Arc::new(move |shard, tick| plan.check(shard, tick))
-    }
-}
-
-/// Freezes a shard at a tick (bounded number of times) to exercise the
-/// supervisor's stall watchdog.
-#[derive(Debug)]
-pub struct StallSchedule {
-    shard: usize,
-    tick: u64,
-    pause: Duration,
-    remaining: AtomicU32,
-}
-
-impl StallSchedule {
-    /// Sleeps for `pause` the first time `shard` reaches `tick`.
-    #[must_use]
-    pub fn once(shard: usize, tick: u64, pause: Duration) -> Arc<Self> {
-        Arc::new(StallSchedule {
-            shard,
-            tick,
-            pause,
-            remaining: AtomicU32::new(1),
-        })
-    }
-
-    /// Called from worker progress hooks; sleeps if armed for this
-    /// `(shard, tick)`.
-    pub fn check(&self, shard: usize, tick: u64) {
-        if shard != self.shard || tick != self.tick {
-            return;
-        }
-        let fired = self
-            .remaining
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-            .is_ok();
-        if fired {
-            std::thread::sleep(self.pause);
-        }
-    }
-
-    /// This schedule as a [`WorkerHook`] closure.
-    #[must_use]
-    pub fn hook(self: &Arc<Self>) -> WorkerHook {
-        let plan = Arc::clone(self);
-        Arc::new(move |shard, tick| plan.check(shard, tick))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -389,18 +267,5 @@ mod tests {
             }
         }
         assert_eq!(w.into_inner(), data);
-    }
-
-    #[test]
-    fn panic_schedule_fires_then_disarms() {
-        let sched = PanicSchedule::once(2, 5);
-        sched.check(1, 5); // wrong shard: no-op
-        sched.check(2, 4); // wrong tick: no-op
-        assert_eq!(sched.remaining(), 1);
-        let hook = sched.hook();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| hook(2, 5)));
-        assert!(caught.is_err());
-        assert_eq!(sched.remaining(), 0);
-        sched.check(2, 5); // disarmed: replay survives
     }
 }

@@ -12,6 +12,12 @@
 //!   *reproduce* the study's phenomenon: code coverage reaches the buggy
 //!   function on every call, but only a boundary input trips the bug.
 //!
+//! Beside them, the faults that exercise the analysis pipeline's own
+//! recovery: [`io`] wraps readers and writers in a seeded schedule of
+//! transient and hard I/O errors, and [`drill`]'s [`DrillTrigger`] fires
+//! the shard, worker and feed drills behind the CLI's `--inject-*`,
+//! `--abort-after-bytes` and `--stall-before-frame` flags.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,15 +29,13 @@
 //! ```
 
 mod dataset;
+pub mod drill;
 mod inject;
 pub mod io;
-pub mod proc;
-pub mod stream;
 mod study;
 
 pub use dataset::{dataset, BugKind, BugRecord, Filesystem};
+pub use drill::{DrillTrigger, WorkerSignal};
 pub use inject::{demo_bugs, BugSet, BugTrigger, InjectedBug};
-pub use io::{FaultPlan, FaultyRead, FaultyWrite, PanicSchedule, StallSchedule, WorkerHook};
-pub use proc::{FrameCorruptSchedule, WorkerKillSchedule, WorkerSignal, WorkerStallSchedule};
-pub use stream::{FeedAbortHook, FeedAbortSchedule, FeedStallHook, FeedStallSchedule};
+pub use io::{FaultPlan, FaultyRead, FaultyWrite};
 pub use study::StudyStats;
