@@ -193,7 +193,11 @@ impl CoverageHandle {
         self.registry.as_ref()
     }
 
+    // The three probes are `#[inline]` so that, across crates and
+    // without LTO, a disabled probe costs one branch rather than a call.
+
     /// Records a function-entry hit.
+    #[inline]
     pub fn fn_hit(&self, name: &str) {
         if let Some(reg) = &self.registry {
             reg.hit(ProbeKind::Function, name);
@@ -202,6 +206,7 @@ impl CoverageHandle {
 
     /// Records a branch outcome and returns the condition, mirroring
     /// [`cov_branch!`](crate::cov_branch).
+    #[inline]
     pub fn branch(&self, name: &str, taken: bool) -> bool {
         if let Some(reg) = &self.registry {
             reg.hit_branch(name, taken);
@@ -210,6 +215,7 @@ impl CoverageHandle {
     }
 
     /// Records an annotated-line hit.
+    #[inline]
     pub fn line_hit(&self, name: &str) {
         if let Some(reg) = &self.registry {
             reg.hit(ProbeKind::Line, name);

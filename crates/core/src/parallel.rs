@@ -559,10 +559,15 @@ impl ShardSupervisor {
         self.ledger.len()
     }
 
-    /// Feeds one batch.
+    /// Feeds one batch. A full batch goes out as it is, after any
+    /// coalesced remainder as a batch of its own; a small one joins the
+    /// coalescing buffer.
     pub(crate) fn push(&mut self, batch: EventBatch) {
-        if self.pending.is_empty() && batch.len() >= PARALLEL_THRESHOLD {
+        if batch.len() >= PARALLEL_THRESHOLD {
+            self.flush_pending();
             self.dispatch(Arc::new(batch));
+        } else if self.pending.is_empty() {
+            self.pending = batch;
         } else {
             self.pending.append_batch(&batch);
             if self.pending.len() >= PARALLEL_THRESHOLD {
@@ -1510,6 +1515,45 @@ mod tests {
             "log peaked at {log_peak} against one batch of {batch_peak}"
         );
         assert_eq!(json(&session.finish().0), json(&serial(&events)));
+    }
+
+    #[test]
+    fn full_batch_after_a_remainder_is_dispatched_uncopied() {
+        // A small batch waits in the coalescing buffer; the full batch
+        // that follows must not be copied into it. The remainder goes
+        // out as its own batch (tick 0) and the full one unchanged
+        // (tick 1), and the report and counters equal a serial run's.
+        let events = multi_pid_trace(6, 200);
+        let (small, full) = events.split_at(163);
+        assert!(full.len() >= PARALLEL_THRESHOLD);
+        let (expected, serial_counters) = serial_metered(&events);
+        for jobs in [1, 2] {
+            let ticks = Arc::new(std::sync::Mutex::new(Vec::new()));
+            let seen = Arc::clone(&ticks);
+            let hook: ShardHook = Arc::new(move |w, t| {
+                if w == 0 {
+                    seen.lock().unwrap().push(t);
+                }
+            });
+            let metrics = Arc::new(PipelineMetrics::default());
+            let mut session = builder(jobs)
+                .metrics(Arc::clone(&metrics))
+                .hook(hook)
+                .build_session();
+            session.feed(EventBatch::from_events(small));
+            let full = EventBatch::from_events(full);
+            let full_bytes = full.heap_bytes();
+            session.feed(full);
+            assert_eq!(session.shards.batch_peak, full_bytes, "jobs {jobs}");
+            let (report, failures) = session.finish();
+            assert!(failures.is_empty());
+            assert_eq!(*ticks.lock().unwrap(), [0, 1], "jobs {jobs}");
+            assert_eq!(expected, report, "jobs {jobs}");
+            let mut counters = metrics.snapshot();
+            assert_eq!(counters.batched_events, events.len() as u64);
+            (counters.batched_events, counters.allocs_estimated) = (0, 0);
+            assert_eq!(serial_counters, counters, "jobs {jobs}");
+        }
     }
 
     #[test]

@@ -485,15 +485,17 @@ impl From<Vec<TraceEvent>> for EventBatch {
 /// x86-64 table. Higher numbers fall back to the lookup map.
 const SYSNO_HINTS: usize = 512;
 
-/// Name-table ids by syscall number, for packing a run of owned events:
-/// a name that repeats under its number costs one byte comparison
-/// instead of a hash. A miss (a number never seen, or one seen under
-/// another name) interns through the lookup map and re-points the slot,
-/// so the name table comes out the same as without hints.
-struct NameHints([u32; SYSNO_HINTS]);
+/// Name-table ids by syscall number, for packing a run of owned events
+/// or decoding a run of lines: a name that repeats under its number
+/// costs one byte comparison instead of a hash. A miss (a number never
+/// seen, or one seen under another name) interns through the lookup map
+/// and re-points the slot, so the name table comes out the same as
+/// without hints. A hit is checked against the batch's own table, so
+/// one set of hints stays correct across batches.
+pub(crate) struct NameHints([u32; SYSNO_HINTS]);
 
 impl NameHints {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         // `u32::MAX` names no entry of any name table.
         NameHints([u32::MAX; SYSNO_HINTS])
     }
@@ -533,10 +535,10 @@ impl RowBuilder<'_> {
         self.batch.args.push(packed);
     }
 
-    /// Interns the syscall name for the pending row, copying it only
-    /// the first time the batch sees it.
-    pub(crate) fn intern_name(&mut self, name: &str) -> u32 {
-        self.batch.intern_name(name)
+    /// Interns the syscall name for the pending row through `hints`,
+    /// copying it only the first time the batch sees it.
+    pub(crate) fn intern_hinted(&mut self, hints: &mut NameHints, name: &str, sysno: u32) -> u32 {
+        hints.intern(self.batch, name, sysno)
     }
 
     /// Interns the syscall name for the pending row without copying.

@@ -86,7 +86,7 @@ use crate::event::{ArgValue, TraceEvent};
 use crate::intern::StrInterner;
 use crate::lossy::{ErrorClass, ErrorPolicy, ReadOptions, SkippedLine};
 use crate::serial::TraceIoError;
-use crate::source::EventSource;
+use crate::source::{EventSource, READ_BUFFER};
 use crate::Trace;
 
 /// The `.iotb` magic bytes.
@@ -624,7 +624,7 @@ impl<R: Read> IotbCursor<R> {
     /// Returns [`TraceIoError::Io`] on read failure or
     /// [`TraceIoError::Binary`] on header/string-table corruption.
     pub fn new(reader: R, options: ReadOptions) -> Result<Self, TraceIoError> {
-        let mut reader = BufReader::new(reader);
+        let mut reader = BufReader::with_capacity(READ_BUFFER, reader);
         let (table, table_end, version) = read_table(&mut reader)?;
         Ok(IotbCursor {
             reader,
@@ -655,7 +655,7 @@ impl<R: Read> IotbCursor<R> {
         options: ReadOptions,
         state: CursorState,
     ) -> Result<Self, TraceIoError> {
-        let mut reader = BufReader::new(reader);
+        let mut reader = BufReader::with_capacity(READ_BUFFER, reader);
         let (table, table_end, version) = read_table(&mut reader)?;
         if state.byte_offset < table_end {
             return Err(binary_error(format!(

@@ -21,15 +21,28 @@
 //! unusual number spellings, or plain garbage — goes through
 //! `serde_json`, so serde remains the only authority on which lines are
 //! rejected and with which messages.
+//!
+//! The canonical decoder reads a line where it lies. Each line is first
+//! offered to it in place, in the cursor's 64 KiB read buffer: a line
+//! it accepts costs no copy, no newline search and no whole-line UTF-8
+//! check, since it takes only ASCII outside strings and checks each
+//! string on its own. A line it declines there — one that crosses a
+//! buffer refill, a first line with a BOM, a CRLF, blank, non-canonical
+//! or invalid line — is copied out and normalized by the line scanner,
+//! and the same decoder gets the copy before serde does. Either way a
+//! line is decoded, skipped and counted the same, so the events,
+//! [`CursorState`] and [`fallback_lines`](JsonlCursor::fallback_lines)
+//! do not depend on where the buffer refills fall.
 
 use std::io::{BufReader, Read};
 
 use serde::{Deserialize, Serialize};
 
-use crate::batch::{ArgView, EventBatch};
+use crate::batch::{ArgView, EventBatch, NameHints};
 use crate::event::TraceEvent;
 use crate::lossy::{ErrorClass, ErrorPolicy, ReadOptions, SkippedLine};
 use crate::serial::{is_blank, LineReader, TraceIoError};
+use crate::source::READ_BUFFER;
 
 /// Everything a [`JsonlCursor`] needs to resume mid-stream.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,27 +67,28 @@ pub struct JsonlCursor<R> {
     options: ReadOptions,
     state: CursorState,
     fallback_lines: u64,
+    /// Name ids by syscall number, kept across batches.
+    hints: NameHints,
 }
 
 impl<R: Read> JsonlCursor<R> {
     /// A cursor over a fresh stream.
     pub fn new(reader: R, options: ReadOptions) -> Self {
-        JsonlCursor {
-            lines: LineReader::new(BufReader::new(reader)),
-            options,
-            state: CursorState::default(),
-            fallback_lines: 0,
-        }
+        JsonlCursor::resume(reader, options, CursorState::default())
     }
 
     /// Resumes from a checkpointed `state`. The caller must have seeked
     /// `reader` to `state.byte_offset`.
     pub fn resume(reader: R, options: ReadOptions, state: CursorState) -> Self {
         JsonlCursor {
-            lines: LineReader::with_start(BufReader::new(reader), state.lines),
+            lines: LineReader::with_start(
+                BufReader::with_capacity(READ_BUFFER, reader),
+                state.lines,
+            ),
             options,
             state,
             fallback_lines: 0,
+            hints: NameHints::new(),
         }
     }
 
@@ -125,26 +139,40 @@ impl<R: Read> JsonlCursor<R> {
     /// stream.
     ///
     /// A line in the canonical compact shape `write_jsonl` emits is
-    /// decoded in one pass straight into the batch columns. Any other
-    /// line goes through `serde_json::from_str::<TraceEvent>`, so serde
-    /// alone decides what is rejected and with which message.
+    /// decoded in one pass straight into the batch columns, from the
+    /// read buffer where possible. Any other line goes through
+    /// `serde_json::from_str::<TraceEvent>`, so serde alone decides
+    /// what is rejected and with which message.
     ///
     /// # Errors
     ///
     /// Same failure model as [`next_event`](Self::next_event).
     pub fn next_into(&mut self, batch: &mut EventBatch) -> Result<bool, TraceIoError> {
-        while let Some(line) = self.lines.next_line()? {
+        loop {
+            let hints = &mut self.hints;
+            let taken = self
+                .lines
+                .next_in_place(|bytes| decode_canonical(bytes, batch, hints))?;
+            if let Some(len) = taken {
+                self.state.byte_offset += len as u64;
+                self.state.lines = self.lines.number();
+                self.state.events += 1;
+                return Ok(true);
+            }
+            let Some(line) = self.lines.next_line()? else {
+                return Ok(false);
+            };
             self.state.byte_offset += line.raw_len();
             self.state.lines = line.number;
             self.state.bom_stripped |= line.bom;
             self.state.crlf_lines += usize::from(line.crlf);
-            if is_blank(line.bytes) {
+            if is_blank(line.bytes()) {
                 continue;
             }
-            let (class, message) = match std::str::from_utf8(line.bytes) {
+            let (class, message) = match std::str::from_utf8(line.bytes()) {
                 Err(e) => (ErrorClass::InvalidUtf8, e.to_string()),
                 Ok(text) => {
-                    if decode_canonical(text, batch).is_some() {
+                    if decode_canonical(line.framed, batch, &mut self.hints).is_some() {
                         self.state.events += 1;
                         return Ok(true);
                     }
@@ -193,119 +221,128 @@ impl<R: Read> JsonlCursor<R> {
                 }
             }
         }
-        Ok(false)
     }
 }
 
-/// Decodes `text` if it is exactly the canonical compact line
-/// `write_jsonl` emits:
+/// Decodes the canonical compact line `write_jsonl` emits at the start
+/// of `bytes`, through its `\n`:
 ///
 /// ```text
 /// {"seq":…,"timestamp_ns":…,"pid":…,"name":"…","sysno":…,"args":[{"Tag":v},…],"retval":…}
 /// ```
 ///
-/// Returns `None`, with `batch` untouched, on any deviation:
-/// whitespace, keys missing, repeated or in another order, an escape or
-/// control character inside a string, a number with a sign, fraction,
-/// exponent or leading zero the writer never emits, a value out of its
-/// field's range, an unknown or multi-key argument object, or trailing
-/// bytes. Every line it accepts, serde accepts as the same event.
-fn decode_canonical(text: &str, batch: &mut EventBatch) -> Option<()> {
-    let mut c = Canonical { text, pos: 0 };
-    c.eat("{\"seq\":")?;
+/// Returns the bytes consumed, `\n` included, or `None`, with `batch`
+/// untouched, on any deviation: whitespace (a `\r` before the `\n`
+/// too), keys missing, repeated or in another order, an escape, control
+/// character or invalid UTF-8 inside a string, a non-ASCII byte outside
+/// one, a number with a sign, fraction, exponent or leading zero the
+/// writer never emits, a value out of its field's range, an unknown or
+/// multi-key argument object, or anything but `\n` after the closing
+/// brace — including the end of `bytes`, so a line cut short by a
+/// buffer refill is never taken. Every line it accepts, serde accepts
+/// as the same event.
+fn decode_canonical(bytes: &[u8], batch: &mut EventBatch, hints: &mut NameHints) -> Option<usize> {
+    let mut c = Canonical { bytes, pos: 0 };
+    c.eat(b"{\"seq\":")?;
     let seq = c.unsigned()?;
-    c.eat(",\"timestamp_ns\":")?;
+    c.eat(b",\"timestamp_ns\":")?;
     let timestamp_ns = c.unsigned()?;
-    c.eat(",\"pid\":")?;
+    c.eat(b",\"pid\":")?;
     let pid = u32::try_from(c.unsigned()?).ok()?;
-    c.eat(",\"name\":")?;
+    c.eat(b",\"name\":")?;
     let name = c.string()?;
-    c.eat(",\"sysno\":")?;
+    c.eat(b",\"sysno\":")?;
     let sysno = u32::try_from(c.unsigned()?).ok()?;
-    c.eat(",\"args\":[")?;
+    c.eat(b",\"args\":[")?;
     let mut row = batch.begin_row();
-    let mut first = true;
-    while c.eat("]").is_none() {
-        if !first {
-            c.eat(",")?;
+    if c.eat(b"]").is_none() {
+        loop {
+            row.push_arg(c.arg()?);
+            if c.eat(b"]").is_some() {
+                break;
+            }
+            c.eat(b",")?;
         }
-        first = false;
-        row.push_arg(c.arg()?);
     }
-    c.eat(",\"retval\":")?;
+    c.eat(b",\"retval\":")?;
     let retval = c.signed()?;
-    c.eat("}")?;
-    if c.pos != text.len() {
-        return None;
-    }
-    let name_id = row.intern_name(name);
+    c.eat(b"}\n")?;
+    let name_id = row.intern_hinted(hints, name, sysno);
     row.commit(seq, timestamp_ns, pid, name_id, sysno, retval);
-    Some(())
+    Some(c.pos)
 }
 
-/// A read position in one line, for [`decode_canonical`]. Every
-/// method returns `None` where the line leaves the canonical shape.
+/// A read position in a line, for [`decode_canonical`]. Every method
+/// returns `None` where the line leaves the canonical shape.
 struct Canonical<'a> {
-    text: &'a str,
+    bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Canonical<'a> {
     fn rest(&self) -> &'a [u8] {
-        &self.text.as_bytes()[self.pos..]
+        &self.bytes[self.pos..]
     }
 
-    /// Consumes the literal `lit`.
-    fn eat(&mut self, lit: &str) -> Option<()> {
-        self.rest().starts_with(lit.as_bytes()).then(|| {
+    /// Consumes the literal `lit`. Inlined so that each call compares
+    /// a literal of known length in registers rather than through
+    /// `bcmp`.
+    #[inline(always)]
+    fn eat(&mut self, lit: &[u8]) -> Option<()> {
+        self.rest().starts_with(lit).then(|| {
             self.pos += lit.len();
         })
     }
 
-    /// A string with no escape or control character, borrowed from the
-    /// line.
+    /// A string with no escape or control character and valid UTF-8,
+    /// borrowed from the line.
     fn string(&mut self) -> Option<&'a str> {
-        self.eat("\"")?;
-        let start = self.pos;
-        self.pos += self
-            .rest()
+        self.eat(b"\"")?;
+        let rest = self.rest();
+        let len = rest
             .iter()
             .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
-        let end = self.pos;
-        self.eat("\"")?;
-        Some(&self.text[start..end])
+        if rest[len] != b'"' {
+            return None;
+        }
+        self.pos += len + 1;
+        std::str::from_utf8(&rest[..len]).ok()
     }
 
     /// An integer as the writer prints it: an optional `-`, then
     /// digits with no leading zero (and no `-0`). Returns the sign and
     /// the magnitude.
+    #[inline]
     fn integer(&mut self) -> Option<(bool, u64)> {
-        let negative = self.eat("-").is_some();
-        let digits = self.rest();
+        let negative = self.eat(b"-").is_some();
+        let rest = self.rest();
         let mut magnitude = 0u64;
-        let mut float = false;
-        // Take the whole JSON number token, as serde's tokenizer does.
-        for &b in digits {
-            match b {
-                b'0'..=b'9' => {
-                    magnitude = magnitude
-                        .checked_mul(10)?
-                        .checked_add(u64::from(b - b'0'))?;
-                }
-                b'.' | b'e' | b'E' | b'+' | b'-' => float = true,
-                _ => break,
+        let mut len = 0;
+        while let Some(&byte) = rest.get(len) {
+            let digit = byte.wrapping_sub(b'0');
+            if digit > 9 {
+                break;
             }
-            self.pos += 1;
+            magnitude = magnitude.wrapping_mul(10).wrapping_add(u64::from(digit));
+            len += 1;
         }
-        // A fraction or exponent makes serde read a float, which no
-        // integer field accepts.
-        if float {
+        // serde's tokenizer takes a fraction, exponent or second sign
+        // into the number and reads a float, which no integer field
+        // accepts.
+        if len == 0
+            || matches!(rest.get(len), Some(b'.' | b'e' | b'E' | b'+' | b'-'))
+            || (rest[0] == b'0' && (len > 1 || negative))
+        {
             return None;
         }
-        let len = digits.len() - self.rest().len();
-        if len == 0 || (digits[0] == b'0' && (len > 1 || negative)) {
-            return None;
+        // Nineteen digits always fit a `u64`; only a longer run can
+        // have wrapped.
+        if len > 19 {
+            magnitude = rest[..len].iter().try_fold(0u64, |n, &d| {
+                n.checked_mul(10)?.checked_add(u64::from(d - b'0'))
+            })?;
         }
+        self.pos += len;
         Some((negative, magnitude))
     }
 
@@ -322,24 +359,50 @@ impl<'a> Canonical<'a> {
         i64::try_from(if negative { -magnitude } else { magnitude }).ok()
     }
 
-    /// One externally tagged argument object, `{"Tag":value}`.
+    /// One externally tagged argument object, `{"Tag":value}`, its tag
+    /// picked by its first letter (and its second, for `F` and `P`).
     fn arg(&mut self) -> Option<ArgView<'a>> {
-        self.eat("{")?;
-        let tag = self.string()?;
-        self.eat(":")?;
-        let arg = match tag {
-            "Int" => ArgView::Int(self.signed()?),
-            "UInt" => ArgView::UInt(self.unsigned()?),
-            "Fd" => ArgView::Fd(i32::try_from(self.signed()?).ok()?),
-            "Path" => ArgView::Path(self.string()?),
-            "Str" => ArgView::Str(self.string()?),
-            "Flags" => ArgView::Flags(u32::try_from(self.unsigned()?).ok()?),
-            "Mode" => ArgView::Mode(u32::try_from(self.unsigned()?).ok()?),
-            "Whence" => ArgView::Whence(u32::try_from(self.unsigned()?).ok()?),
-            "Ptr" => ArgView::Ptr(self.unsigned()?),
+        self.eat(b"{\"")?;
+        let arg = match self.rest() {
+            [b'I', ..] => {
+                self.eat(b"Int\":")?;
+                ArgView::Int(self.signed()?)
+            }
+            [b'U', ..] => {
+                self.eat(b"UInt\":")?;
+                ArgView::UInt(self.unsigned()?)
+            }
+            [b'F', b'd', ..] => {
+                self.eat(b"Fd\":")?;
+                ArgView::Fd(i32::try_from(self.signed()?).ok()?)
+            }
+            [b'F', ..] => {
+                self.eat(b"Flags\":")?;
+                ArgView::Flags(u32::try_from(self.unsigned()?).ok()?)
+            }
+            [b'P', b'a', ..] => {
+                self.eat(b"Path\":")?;
+                ArgView::Path(self.string()?)
+            }
+            [b'P', ..] => {
+                self.eat(b"Ptr\":")?;
+                ArgView::Ptr(self.unsigned()?)
+            }
+            [b'S', ..] => {
+                self.eat(b"Str\":")?;
+                ArgView::Str(self.string()?)
+            }
+            [b'M', ..] => {
+                self.eat(b"Mode\":")?;
+                ArgView::Mode(u32::try_from(self.unsigned()?).ok()?)
+            }
+            [b'W', ..] => {
+                self.eat(b"Whence\":")?;
+                ArgView::Whence(u32::try_from(self.unsigned()?).ok()?)
+            }
             _ => return None,
         };
-        self.eat("}")?;
+        self.eat(b"}")?;
         Some(arg)
     }
 }

@@ -110,8 +110,10 @@ impl From<std::io::Error> for TraceIoError {
 pub(crate) struct RawLine<'a> {
     /// 1-based physical line number (blank lines count).
     pub number: usize,
-    /// Line bytes with the terminator (and any `\r`) stripped.
-    pub bytes: &'a [u8],
+    /// Line bytes with any BOM stripped and the terminator normalized to
+    /// one `\n`, which an unterminated final line gains too: the shape
+    /// the canonical decoder reads in place.
+    pub framed: &'a [u8],
     /// Whether the line ended with a `\n` (false only for a truncated
     /// final line).
     pub terminated: bool,
@@ -122,12 +124,17 @@ pub(crate) struct RawLine<'a> {
 }
 
 impl RawLine<'_> {
+    /// Line bytes with the terminator (and any `\r`) stripped.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.framed[..self.framed.len() - 1]
+    }
+
     /// The line's original on-disk length in bytes, counting everything
     /// normalization removed (BOM, `\r`, `\n`). Summing `raw_len` over
     /// consumed lines yields the exact stream byte offset — the anchor a
     /// checkpoint needs to resume a read mid-file.
     pub(crate) fn raw_len(&self) -> u64 {
-        (self.bytes.len()
+        (self.bytes().len()
             + usize::from(self.terminated)
             + usize::from(self.crlf)
             + if self.bom { 3 } else { 0 }) as u64
@@ -139,8 +146,10 @@ impl RawLine<'_> {
 /// `BufRead::lines` would abort on invalid UTF-8 with an opaque
 /// `io::Error`; this scanner stays at the byte level so the lossy reader
 /// can classify and skip such lines, and so both readers agree on line
-/// numbering and CRLF/BOM normalization. Every line is read into one
-/// reusable buffer, so scanning costs no allocation per line.
+/// numbering and CRLF/BOM normalization. A line is either taken in
+/// place from the reader's buffer ([`next_in_place`](Self::next_in_place))
+/// or copied into one reusable buffer ([`next_line`](Self::next_line)),
+/// so scanning costs no allocation per line.
 pub(crate) struct LineReader<R> {
     inner: R,
     number: usize,
@@ -148,10 +157,6 @@ pub(crate) struct LineReader<R> {
 }
 
 impl<R: BufRead> LineReader<R> {
-    pub(crate) fn new(inner: R) -> Self {
-        LineReader::with_start(inner, 0)
-    }
-
     /// A scanner resuming mid-stream: `inner` is already positioned at
     /// the start of line `start_line + 1`, and reported line numbers
     /// continue from there. BOM stripping stays first-line-only, so a
@@ -164,6 +169,41 @@ impl<R: BufRead> LineReader<R> {
         }
     }
 
+    /// The number of the last line read (0 before the first).
+    pub(crate) fn number(&self) -> usize {
+        self.number
+    }
+
+    /// Offers the next line to `take` without copying it: `take` sees
+    /// the reader's buffered bytes from the start of the line and
+    /// returns the length, `\n` included, of the whole line it accepts,
+    /// or `None` to leave the line to [`next_line`](Self::next_line).
+    /// The buffer may end mid-line; a line with a BOM, a `\r\n` or no
+    /// terminator must be declined, since this path normalizes nothing.
+    /// Returns the accepted length.
+    pub(crate) fn next_in_place(
+        &mut self,
+        take: impl FnOnce(&[u8]) -> Option<usize>,
+    ) -> Result<Option<usize>, std::io::Error> {
+        let buffered = loop {
+            match self.inner.fill_buf() {
+                Ok(buffered) => break buffered,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        };
+        let Some(len) = take(buffered) else {
+            return Ok(None);
+        };
+        debug_assert_eq!(
+            buffered[..len].iter().position(|&b| b == b'\n'),
+            Some(len - 1)
+        );
+        self.inner.consume(len);
+        self.number += 1;
+        Ok(Some(len))
+    }
+
     /// Reads the next physical line, or `None` at end of stream.
     pub(crate) fn next_line(&mut self) -> Result<Option<RawLine<'_>>, std::io::Error> {
         self.buf.clear();
@@ -171,22 +211,19 @@ impl<R: BufRead> LineReader<R> {
             return Ok(None);
         }
         self.number += 1;
-        let mut bytes = &self.buf[..];
-        let terminated = bytes.last() == Some(&b'\n');
-        if terminated {
-            bytes = &bytes[..bytes.len() - 1];
-        }
-        let crlf = terminated && bytes.last() == Some(&b'\r');
+        let terminated = self.buf.last() == Some(&b'\n');
+        let crlf = self.buf.ends_with(b"\r\n");
         if crlf {
-            bytes = &bytes[..bytes.len() - 1];
+            let len = self.buf.len();
+            self.buf[len - 2] = b'\n';
+            self.buf.truncate(len - 1);
+        } else if !terminated {
+            self.buf.push(b'\n');
         }
-        let bom = self.number == 1 && bytes.starts_with(&[0xEF, 0xBB, 0xBF]);
-        if bom {
-            bytes = &bytes[3..];
-        }
+        let bom = self.number == 1 && self.buf.starts_with(&[0xEF, 0xBB, 0xBF]);
         Ok(Some(RawLine {
             number: self.number,
-            bytes,
+            framed: &self.buf[if bom { 3 } else { 0 }..],
             terminated,
             crlf,
             bom,

@@ -127,6 +127,11 @@ pub trait EventSource {
 /// Batch size [`EventSource::read_all`] pulls with.
 const DRAIN_BATCH: usize = 4096;
 
+/// Read-buffer size of both serial cursors. The JSONL cursor decodes
+/// most lines in place in this buffer, so a larger one means fewer
+/// lines cut by a refill and fewer `read` calls.
+pub(crate) const READ_BUFFER: usize = 64 * 1024;
+
 /// The JSONL [`EventSource`]: the cursor itself.
 pub type JsonlSource<R> = JsonlCursor<R>;
 

@@ -8,9 +8,18 @@
 //! * over lines mutated away from the canonical shape, the cursor and
 //!   serde agree on every line — same event, or same rejection — and a
 //!   line the canonical decoder accepts is one serde accepts as the
-//!   same event.
+//!   same event, whether the line comes first in the stream or second;
+//! * over streams mixing canonical, CRLF, BOM, blank, invalid-UTF-8,
+//!   non-canonical and cut-short lines, a reader that refills the
+//!   cursor's buffer a few bytes at a time, or once at any offset,
+//!   yields the same events, cursor state and fallback count as one
+//!   that hands over everything at once.
 
-use iocov_trace::{write_jsonl, ArgValue, EventBatch, JsonlCursor, ReadOptions, Trace, TraceEvent};
+use std::io::Read;
+
+use iocov_trace::{
+    write_jsonl, ArgValue, CursorState, EventBatch, JsonlCursor, ReadOptions, Trace, TraceEvent,
+};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -228,29 +237,134 @@ fn mutate(event: &TraceEvent, kind: usize, a: usize, b: usize) -> String {
     }
 }
 
-/// Runs `text` through a lossy cursor as one line and returns the
-/// decoded event (if any), whether the canonical decoder took it, and
-/// the skip message (if any).
+/// A canonical line to put ahead of the line under test.
+const LEAD: &str =
+    r#"{"seq":0,"timestamp_ns":0,"pid":1,"name":"close","sysno":3,"args":[{"Fd":3}],"retval":0}"#;
+
+/// Runs `text` through a lossy cursor and returns the decoded event
+/// (if any), whether the canonical decoder took it, and the skip
+/// message (if any). The line is read twice, as line 1 of a stream and
+/// as line 2 behind a canonical line, and both reads must agree, so the
+/// verdict holds for a line in the middle of the read buffer as well as
+/// for the first line, the only one that may carry a BOM.
 fn cursor_verdict(text: &str) -> (Option<TraceEvent>, bool, Option<String>) {
-    let bytes = format!("{text}\n");
+    let first = verdict_at(text, "");
+    let second = verdict_at(text, &format!("{LEAD}\n"));
+    assert_eq!(first, second, "line 1 and line 2 verdicts differ: {text:?}");
+    first
+}
+
+fn verdict_at(text: &str, lead: &str) -> (Option<TraceEvent>, bool, Option<String>) {
+    let bytes = format!("{lead}{text}\n");
+    let led = usize::from(!lead.is_empty());
     let mut cursor = JsonlCursor::new(bytes.as_bytes(), ReadOptions::default());
     let mut batch = EventBatch::new();
     while cursor
         .next_into(&mut batch)
         .expect("lossy cursor never fails here")
     {}
+    let mut events = batch.to_events();
     assert!(
-        batch.len() <= 1,
+        events.len() <= led + 1,
         "one line decoded to {} events",
-        batch.len()
+        events.len() - led
     );
-    let fast = batch.len() == 1 && cursor.fallback_lines() == 0;
-    let skip = cursor
-        .state()
-        .skipped
-        .first()
-        .map(|skip| skip.message.clone());
-    (batch.to_events().pop(), fast, skip)
+    let fast = events.len() == led + 1 && cursor.fallback_lines() == 0;
+    let skip = cursor.state().skipped.first().map(|skip| {
+        assert_eq!(skip.line, led + 1);
+        skip.message.clone()
+    });
+    let event = (events.len() > led).then(|| events.pop().expect("decoded line"));
+    (event, fast, skip)
+}
+
+/// A reader that hands out its bytes `sizes[i]` at a time, cycling
+/// through `sizes`, so the cursor's read buffer refills mid-line.
+struct Chunked<'a> {
+    bytes: &'a [u8],
+    sizes: Vec<usize>,
+    turn: usize,
+}
+
+impl Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.turn % self.sizes.len()];
+        self.turn += 1;
+        let n = size.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// Drains a lossy cursor: events, final state and fallback count.
+fn drain<R: Read>(reader: R) -> (Vec<TraceEvent>, CursorState, u64) {
+    let mut cursor = JsonlCursor::new(reader, ReadOptions::default());
+    let mut batch = EventBatch::new();
+    while cursor
+        .next_into(&mut batch)
+        .expect("lossy cursor never fails here")
+    {}
+    let fallback = cursor.fallback_lines();
+    (batch.to_events(), cursor.into_state(), fallback)
+}
+
+/// One line of a mixed stream.
+#[derive(Debug, Clone)]
+enum Piece {
+    Canonical(TraceEvent),
+    Crlf(TraceEvent),
+    Mutated(TraceEvent, usize, usize, usize),
+    Blank,
+    InvalidUtf8,
+}
+
+fn arb_piece() -> impl Strategy<Value = Piece> {
+    prop_oneof![
+        arb_event().prop_map(Piece::Canonical),
+        arb_event().prop_map(Piece::Canonical),
+        arb_event().prop_map(Piece::Canonical),
+        arb_event().prop_map(Piece::Crlf),
+        (arb_event(), 0usize..9, 0usize..4096, 0usize..4096)
+            .prop_map(|(event, kind, a, b)| Piece::Mutated(event, kind, a, b)),
+        Just(Piece::Blank),
+        Just(Piece::InvalidUtf8),
+    ]
+}
+
+/// The stream bytes: an optional BOM, the pieces, and a tail that is
+/// whole, cut short, or a whole line without its newline.
+fn stream(bom: bool, pieces: &[Piece], tail: usize) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    if bom {
+        bytes.extend_from_slice("\u{feff}".as_bytes());
+    }
+    for piece in pieces {
+        match piece {
+            Piece::Canonical(event) => bytes.extend_from_slice(canonical_line(event).as_bytes()),
+            Piece::Crlf(event) => {
+                bytes.extend_from_slice(canonical_line(event).as_bytes());
+                bytes.push(b'\r');
+            }
+            Piece::Mutated(event, kind, a, b) => {
+                bytes.extend_from_slice(mutate(event, *kind, *a, *b).as_bytes());
+            }
+            Piece::Blank => bytes.extend_from_slice(b"  "),
+            Piece::InvalidUtf8 => bytes.extend_from_slice(b"{\"seq\":\xff\xfe}"),
+        }
+        bytes.push(b'\n');
+    }
+    match tail % 3 {
+        0 => {}
+        1 => {
+            let cut = bytes.len().saturating_sub(1 + tail % 40);
+            bytes.truncate(cut);
+        }
+        _ => {
+            bytes.pop();
+        }
+    }
+    bytes
 }
 
 proptest! {
@@ -279,6 +393,23 @@ proptest! {
     }
 
     #[test]
+    fn refills_anywhere_change_nothing(
+        bom in any::<bool>(),
+        pieces in vec(arb_piece(), 0..16),
+        tail in 0usize..120,
+        tiny in vec(1usize..=7, 1..6),
+        wide in vec(1usize..=400, 1..6),
+    ) {
+        let bytes = stream(bom, &pieces, tail);
+        let whole = drain(&bytes[..]);
+        for sizes in [tiny, wide] {
+            let chunked = drain(Chunked { bytes: &bytes, sizes: sizes.clone(), turn: 0 });
+            prop_assert_eq!(&chunked, &whole, "read sizes {:?}", sizes);
+        }
+        prop_assert_eq!(whole.1.byte_offset, bytes.len() as u64);
+    }
+
+    #[test]
     fn mutated_lines_decode_exactly_as_serde_decides(
         event in arb_event(),
         kind in 0usize..9,
@@ -297,6 +428,61 @@ proptest! {
                 prop_assert_eq!(decoded, None);
                 prop_assert_eq!(skip, Some(e.to_string()));
             }
+        }
+    }
+}
+
+#[test]
+fn a_refill_at_every_offset_changes_nothing() {
+    let event = |seq: u64, name: &str, args: Vec<ArgValue>, retval: i64| TraceEvent {
+        seq,
+        timestamp_ns: seq * 1_000,
+        pid: 40 + seq as u32 % 3,
+        name: name.to_owned(),
+        sysno: seq as u32 % 5,
+        args,
+        retval,
+    };
+    let open = event(
+        1,
+        "open",
+        vec![
+            ArgValue::Path("/mnt/test/é".into()),
+            ArgValue::Flags(65),
+            ArgValue::Mode(420),
+        ],
+        3,
+    );
+    let write = event(
+        2,
+        "write",
+        vec![ArgValue::Fd(3), ArgValue::Ptr(1), ArgValue::UInt(4096)],
+        4096,
+    );
+    let close = event(3, "close", vec![ArgValue::Fd(3)], -9);
+    let pieces = [
+        Piece::Canonical(open.clone()),
+        Piece::Crlf(write.clone()),
+        Piece::Blank,
+        Piece::Canonical(close.clone()),
+        Piece::InvalidUtf8,
+        Piece::Mutated(open.clone(), 1, 0, 0),
+        Piece::Canonical(write.clone()),
+        Piece::Mutated(close.clone(), 5, 2, 1),
+        Piece::Canonical(open),
+        Piece::Canonical(close),
+    ];
+    for tail in [0, 1, 2] {
+        let bytes = stream(true, &pieces, tail);
+        let whole = drain(&bytes[..]);
+        assert!(whole.2 > 0 && !whole.1.skipped.is_empty() && whole.1.crlf_lines == 1);
+        for cut in 1..bytes.len() {
+            let split = drain(Chunked {
+                bytes: &bytes,
+                sizes: vec![cut, usize::MAX],
+                turn: 0,
+            });
+            assert_eq!(split, whole, "tail {tail}, refill after byte {cut}");
         }
     }
 }
