@@ -7,12 +7,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::arg::{ArgName, TrackedValue};
 use crate::combos::ComboCoverage;
-use crate::domain::{arg_domain, for_each_open_flag, output_buckets_bytes, output_errnos};
+use crate::domain::{arg_domain, output_buckets_bytes, output_errnos};
 use crate::filter::FilterStats;
 use crate::identifier::IdentifierCoverage;
 use crate::metrics::{DropReason, PipelineMetrics};
 use crate::partition::{errno_number, InputPartition, NumericPartition, OutputPartition};
-use crate::variants::normalize;
+use crate::relevance::CallKind;
+use crate::variants::normalize_as;
 
 /// Serializes structurally keyed maps as pair lists (JSON object keys
 /// must be strings, and partitions are structured values).
@@ -351,20 +352,23 @@ impl ReportBuilder {
     /// per-event step of batch and streaming analysis — additionally
     /// recording unknown-syscall drops, variant merges, and
     /// per-partition-family record counts into `metrics` when attached.
+    /// `kind` is the event's name resolved by [`CallKind::resolve`].
     pub(crate) fn accumulate<E: iocov_trace::EventView + ?Sized>(
         &mut self,
         event: &E,
+        kind: CallKind,
         metrics: Option<&PipelineMetrics>,
     ) {
-        let Some(call) = normalize(event) else {
+        let Some(sysno) = kind.sysno else {
             // Tester noise outside the 27-call domain.
             if let Some(m) = metrics {
                 m.record_drop(DropReason::UnknownSyscall);
             }
             return;
         };
+        let call = normalize_as(event, sysno);
         if let Some(m) = metrics {
-            if call.sysno.name() != call.base.name() {
+            if kind.merged {
                 m.record_variant_merged();
             }
         }
@@ -382,21 +386,20 @@ impl ReportBuilder {
                 acc.counts = vec![0; domain.slot_count()];
             }
             let mut hits = 0u64;
+            let mut rdonly = false;
             domain.for_each_slot(value, |slot| {
                 acc.counts[slot] += 1;
                 hits += 1;
+                rdonly |= slot == 0;
             });
             if let Some(m) = metrics {
                 m.record_input_records(&domain.kind, hits);
             }
-            // Table 1: flag-combination histogram for open.
+            // Table 1: flag-combination histogram for open. The slots
+            // just counted are the word's named flags, as
+            // `for_each_open_flag` gives them; slot 0 is `O_RDONLY`.
             if let (ArgName::OpenFlags, TrackedValue::Bits(bits)) = (arg, value) {
-                let mut n = 0;
-                let mut rdonly = false;
-                for_each_open_flag(bits, |i| {
-                    n += 1;
-                    rdonly |= i == 0;
-                });
+                let n = hits as usize;
                 if n > 0 {
                     self.combo_sizes[n] += 1;
                     if rdonly {

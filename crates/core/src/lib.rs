@@ -58,6 +58,8 @@
 //! ```
 
 mod arg;
+#[cfg(test)]
+mod call_table_prop;
 pub mod checkpoint;
 pub mod cold;
 mod combos;

@@ -94,7 +94,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use iocov_trace::{EventBatch, EventView};
+use iocov_trace::EventBatch;
 
 use crate::checkpoint::PidStateSnapshot;
 use crate::coverage::AnalysisReport;
@@ -385,15 +385,9 @@ impl Incarnation {
         // summed across shards (CPU time, not wall clock).
         let _timer = self.local.as_deref().map(|m| m.time_stage("analyze"));
         if n == 1 {
-            for event in batch.iter() {
-                self.analyzer.push(&event);
-            }
+            self.analyzer.push_batch(batch, |_| true);
         } else {
-            for event in batch.iter() {
-                if event.pid() as usize % n == w {
-                    self.analyzer.push(&event);
-                }
-            }
+            self.analyzer.push_batch(batch, |pid| pid as usize % n == w);
         }
     }
 

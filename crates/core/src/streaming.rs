@@ -13,14 +13,15 @@
 //!
 //! [`Iocov::analyze`]: crate::Iocov::analyze
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use iocov_trace::{EventView, TraceEvent};
+use iocov_trace::{EventBatch, EventView, TraceEvent};
 
 use crate::coverage::{AnalysisReport, ReportBuilder};
 use crate::filter::TraceFilter;
 use crate::metrics::PipelineMetrics;
-use crate::relevance::{self, PidState};
+use crate::relevance::{self, CallKind, PidStates};
+use crate::PidStateSnapshot;
 
 /// An incremental coverage analyzer.
 ///
@@ -45,9 +46,11 @@ use crate::relevance::{self, PidState};
 #[derive(Debug, Clone)]
 pub struct StreamingAnalyzer {
     filter: TraceFilter,
-    states: HashMap<u32, PidState>,
+    states: PidStates,
     builder: ReportBuilder,
     metrics: Option<std::sync::Arc<PipelineMetrics>>,
+    /// The scanned batch's name table, resolved; reused across batches.
+    calls: Vec<CallKind>,
 }
 
 impl StreamingAnalyzer {
@@ -56,9 +59,10 @@ impl StreamingAnalyzer {
     pub fn new(filter: TraceFilter) -> Self {
         StreamingAnalyzer {
             filter,
-            states: HashMap::new(),
+            states: PidStates::default(),
             builder: ReportBuilder::default(),
             metrics: None,
+            calls: Vec::new(),
         }
     }
 
@@ -97,6 +101,25 @@ impl StreamingAnalyzer {
     /// [`EventRef`](iocov_trace::EventRef) batch rows take the exact
     /// same keep/drop and partition path.
     pub fn push<E: EventView + ?Sized>(&mut self, event: &E) -> bool {
+        self.push_as(event, CallKind::resolve(event.name()))
+    }
+
+    /// Consumes every row of `batch` whose pid `owns` accepts, in order,
+    /// resolving the batch's name table once instead of each row's name.
+    pub(crate) fn push_batch(&mut self, batch: &EventBatch, mut owns: impl FnMut(u32) -> bool) {
+        let mut calls = std::mem::take(&mut self.calls);
+        calls.clear();
+        calls.extend(batch.names().iter().map(|name| CallKind::resolve(name)));
+        for event in batch.iter() {
+            if owns(event.pid()) {
+                self.push_as(&event, calls[event.name_id() as usize]);
+            }
+        }
+        self.calls = calls;
+    }
+
+    /// [`push`](Self::push) for an event whose name resolved to `call`.
+    fn push_as<E: EventView + ?Sized>(&mut self, event: &E, call: CallKind) -> bool {
         self.builder.filter_stats.total += 1;
         let metrics = self.metrics.as_deref();
         if let Some(m) = metrics {
@@ -105,15 +128,15 @@ impl StreamingAnalyzer {
         let dropped = if self.filter.is_keep_all() {
             None
         } else {
-            let state = self.states.entry(event.pid()).or_default();
+            let state = self.states.get(event.pid());
             let dropped = relevance::event_drop_reason(&self.filter, state, event);
-            relevance::update_state(state, event, dropped.is_none());
+            relevance::update_state(state, event, call.role, dropped.is_none());
             dropped
         };
         match dropped {
             None => {
                 self.builder.filter_stats.kept += 1;
-                self.builder.accumulate(event, metrics);
+                self.builder.accumulate(event, call, metrics);
                 true
             }
             Some(reason) => {
@@ -143,24 +166,15 @@ impl StreamingAnalyzer {
     /// checkpointing. Paired with the materialized [`report`](Self::report)
     /// and the input cursor, this is everything a resumed analysis needs.
     #[must_use]
-    pub fn pid_states(&self) -> std::collections::BTreeMap<u32, crate::PidStateSnapshot> {
-        self.states
-            .iter()
-            .map(|(&pid, state)| (pid, state.snapshot()))
-            .collect()
+    pub fn pid_states(&self) -> BTreeMap<u32, PidStateSnapshot> {
+        self.states.snapshots()
     }
 
     /// Restores per-pid relevance states from a checkpoint, replacing
     /// any current states. Call on a fresh analyzer before pushing the
     /// events after the checkpoint's cursor.
-    pub fn restore_pid_states(
-        &mut self,
-        states: &std::collections::BTreeMap<u32, crate::PidStateSnapshot>,
-    ) {
-        self.states = states
-            .iter()
-            .map(|(&pid, snapshot)| (pid, PidState::restore(snapshot)))
-            .collect();
+    pub fn restore_pid_states(&mut self, states: &BTreeMap<u32, PidStateSnapshot>) {
+        self.states = PidStates::restore(states);
     }
 
     /// A snapshot of the report so far (the stream may continue).

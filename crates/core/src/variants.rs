@@ -5,6 +5,12 @@
 //! toward `open` coverage, with their arguments mapped to the base
 //! syscall's argument slots (e.g. `creat` implies
 //! `O_CREAT|O_WRONLY|O_TRUNC`).
+//!
+//! Analysis does not look names up per event. A batch's distinct names
+//! are resolved once, by [`CallKind::resolve`](crate::relevance::CallKind),
+//! into the call each name is, and [`normalize_as`] takes the resolved
+//! [`Sysno`]. [`normalize`] resolves an owned event's name through the
+//! same [`Sysno::from_name`] and then does exactly the same.
 
 use iocov_syscalls::{BaseSyscall, Sysno};
 use iocov_trace::{ArgView, EventView};
@@ -64,7 +70,12 @@ fn signed<E: EventView + ?Sized>(event: &E, idx: usize) -> Option<TrackedValue> 
 /// 27-call domain (tester noise like `stat` or `unlink`).
 #[must_use]
 pub fn normalize<E: EventView + ?Sized>(event: &E) -> Option<NormalizedCall> {
-    let sysno = Sysno::from_name(event.name())?;
+    Some(normalize_as(event, Sysno::from_name(event.name())?))
+}
+
+/// Normalizes one event already resolved to `sysno`, the in-domain call
+/// its name names.
+pub(crate) fn normalize_as<E: EventView + ?Sized>(event: &E, sysno: Sysno) -> NormalizedCall {
     let mut args = [None; 2];
     let mut len = 0;
     let mut push = |name: ArgName, value: Option<TrackedValue>| {
@@ -137,12 +148,12 @@ pub fn normalize<E: EventView + ?Sized>(event: &E) -> Option<NormalizedCall> {
         Sysno::Close | Sysno::Chdir | Sysno::Fchdir => {}
     }
 
-    Some(NormalizedCall {
+    NormalizedCall {
         sysno,
         base: sysno.base(),
         retval: event.retval(),
         args,
-    })
+    }
 }
 
 #[cfg(test)]

@@ -288,6 +288,7 @@ impl EventBatch {
         );
     }
 
+    #[inline]
     fn pack_arg(&mut self, arg: ArgView<'_>) -> PackedArg {
         match arg {
             ArgView::Int(v) => PackedArg::Int(v),
@@ -395,6 +396,13 @@ impl EventBatch {
             text_mark,
             committed: false,
         }
+    }
+
+    /// The batch's distinct syscall names in first-seen order, indexed
+    /// by [`EventRef::name_id`].
+    #[must_use]
+    pub fn names(&self) -> &[Arc<str>] {
+        &self.name_table
     }
 
     /// Builds a batch by copying a slice of owned events. To pack events
@@ -515,6 +523,36 @@ impl NameHints {
     }
 }
 
+/// Name-table ids by `.iotb` string-table symbol, for decoding a run of
+/// records: a name symbol that repeats costs one pointer comparison
+/// instead of hashing the name. A hit is checked by `Arc` identity
+/// against the batch's own table, so one set of hints stays correct
+/// across batches; a miss interns through the lookup map and re-points
+/// the slot, so the name table comes out the same as without hints.
+/// The slots grow on demand up to the highest symbol seen, which the
+/// decoder has already checked against the string table.
+#[derive(Debug, Default)]
+pub(crate) struct SymbolHints(Vec<u32>);
+
+impl SymbolHints {
+    fn intern(&mut self, batch: &mut EventBatch, symbol: u32, name: &Arc<str>) -> u32 {
+        let index = symbol as usize;
+        if index >= self.0.len() {
+            // `u32::MAX` names no entry of any name table.
+            self.0.resize(index + 1, u32::MAX);
+        }
+        let slot = &mut self.0[index];
+        let hit = batch
+            .name_table
+            .get(*slot as usize)
+            .is_some_and(|known| Arc::ptr_eq(known, name));
+        if !hit {
+            *slot = batch.intern_name_arc(name);
+        }
+        *slot
+    }
+}
+
 struct PackedText {
     start: u32,
     len: u32,
@@ -529,7 +567,9 @@ pub(crate) struct RowBuilder<'a> {
 }
 
 impl RowBuilder<'_> {
-    /// Appends one argument to the pending row.
+    /// Appends one argument to the pending row. Inlined, so that a
+    /// decoder's match on the argument tag is the only dispatch.
+    #[inline]
     pub(crate) fn push_arg(&mut self, arg: ArgView<'_>) {
         let packed = self.batch.pack_arg(arg);
         self.batch.args.push(packed);
@@ -541,9 +581,15 @@ impl RowBuilder<'_> {
         hints.intern(self.batch, name, sysno)
     }
 
-    /// Interns the syscall name for the pending row without copying.
-    pub(crate) fn intern_name_arc(&mut self, name: &Arc<str>) -> u32 {
-        self.batch.intern_name_arc(name)
+    /// Interns the syscall name `name`, string-table entry `symbol`, for
+    /// the pending row through `hints`, without copying it.
+    pub(crate) fn intern_symbol(
+        &mut self,
+        hints: &mut SymbolHints,
+        symbol: u32,
+        name: &Arc<str>,
+    ) -> u32 {
+        hints.intern(self.batch, symbol, name)
     }
 
     /// Seals the row by pushing the head columns.
@@ -584,6 +630,14 @@ pub struct EventRef<'a> {
 }
 
 impl<'a> EventRef<'a> {
+    /// The row's index into [`EventBatch::names`]. Rows with the same
+    /// name share an id within one batch, so a consumer can resolve
+    /// each distinct name once per batch and look rows up by id.
+    #[must_use]
+    pub fn name_id(self) -> u32 {
+        self.batch.name_id[self.row]
+    }
+
     /// The syscall name, borrowed from the batch name table.
     #[must_use]
     pub fn name(self) -> &'a str {

@@ -75,12 +75,25 @@
 //! as that value, at every job count, as it does in a v1 container.
 //! Verifying the block checksums on every read would hash every record
 //! byte on the hot path, a cost the reader does not pay.
+//!
+//! # Reading records
+//!
+//! [`IotbCursor::next_into`] decodes a record where it lies in the
+//! cursor's 64 KiB read buffer when its length prefix and payload are
+//! both there. A record that straddles a refill, is over
+//! [`MAX_RECORD_LEN`], fails to decode or sits behind a resync is read
+//! by the copying path instead, which hands the copy to the same
+//! decoder; so events, skip messages and [`CursorState`] do not depend
+//! on where refills fall. A record's name is interned into the batch
+//! through hints indexed by its string-table symbol and checked by
+//! `Arc` identity against the batch's own name table, so a repeated
+//! name costs a pointer comparison, not a hash of the name.
 
 use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::sync::Arc;
 
-use crate::batch::{ArgView, EventBatch};
+use crate::batch::{ArgView, EventBatch, SymbolHints};
 use crate::cursor::CursorState;
 use crate::event::{ArgValue, TraceEvent};
 use crate::intern::StrInterner;
@@ -524,14 +537,16 @@ fn resolve_ref(table: &[Arc<str>], index: u32) -> Result<&Arc<str>, String> {
 
 /// Decodes one framed record payload directly into `batch` columns —
 /// the allocation-free hot path. The syscall name is interned into the
-/// batch by `Arc` identity and path/str payloads go straight into the
-/// batch arena, so a valid record costs zero per-record allocations
-/// once the batch buffers are warm. A malformed record leaves the batch
-/// untouched (the partial row is rolled back).
+/// batch through `hints` by its string-table symbol, without copying,
+/// and path/str payloads go straight into the batch arena, so a valid
+/// record costs zero per-record allocations once the batch buffers are
+/// warm. A malformed record leaves the batch untouched (the partial row
+/// is rolled back).
 fn decode_record_into(
     payload: &[u8],
     table: &[Arc<str>],
     batch: &mut EventBatch,
+    hints: &mut SymbolHints,
 ) -> Result<(), String> {
     let mut c = Cursor {
         buf: payload,
@@ -540,7 +555,8 @@ fn decode_record_into(
     let seq = c.u64()?;
     let timestamp_ns = c.u64()?;
     let pid = c.u32()?;
-    let name = resolve_ref(table, c.u32()?)?;
+    let name_symbol = c.u32()?;
+    let name = resolve_ref(table, name_symbol)?;
     let sysno = c.u32()?;
     let retval = c.i64()?;
     let argc = c.u32()? as usize;
@@ -572,7 +588,7 @@ fn decode_record_into(
             payload.len()
         ));
     }
-    let name_id = row.intern_name_arc(name);
+    let name_id = row.intern_symbol(hints, name_symbol, name);
     row.commit(seq, timestamp_ns, pid, name_id, sysno, retval);
     Ok(())
 }
@@ -582,7 +598,7 @@ fn decode_record_into(
 /// checks, same error strings) by construction.
 fn decode_record(payload: &[u8], table: &[Arc<str>]) -> Result<TraceEvent, String> {
     let mut batch = EventBatch::new();
-    decode_record_into(payload, table, &mut batch)?;
+    decode_record_into(payload, table, &mut batch, &mut SymbolHints::default())?;
     Ok(batch.get(0).expect("committed row").to_event())
 }
 
@@ -610,8 +626,11 @@ pub struct IotbCursor<R> {
     /// prefix, paired with the absolute end offset of each — yielded
     /// before any further reads so checkpoints stay exact.
     pending: VecDeque<(TraceEvent, u64)>,
-    /// Record payload buffer, reused across records.
+    /// Record payload buffer for the copying path, reused across
+    /// records.
     payload: Vec<u8>,
+    /// Name ids by string-table symbol, kept across batches.
+    hints: SymbolHints,
     done: bool,
 }
 
@@ -637,6 +656,7 @@ impl<R: Read> IotbCursor<R> {
             version,
             pending: VecDeque::new(),
             payload: Vec::new(),
+            hints: SymbolHints::default(),
             done: false,
         })
     }
@@ -679,6 +699,7 @@ impl<R: Read> IotbCursor<R> {
             version,
             pending: VecDeque::new(),
             payload: Vec::new(),
+            hints: SymbolHints::default(),
             done: false,
         })
     }
@@ -736,6 +757,9 @@ impl<R: Read> IotbCursor<R> {
             if self.done {
                 return Ok(false);
             }
+            if self.next_in_place(batch)? {
+                return Ok(true);
+            }
             let mut len_bytes = [0u8; 4];
             let fill = read_exact_or_eof(&mut self.reader, &mut len_bytes)?;
             if matches!(fill, Fill::Eof) {
@@ -778,7 +802,7 @@ impl<R: Read> IotbCursor<R> {
                     match read_exact_or_eof(&mut self.reader, payload)? {
                         Fill::Full => {
                             self.state.byte_offset += (4 + len) as u64;
-                            match decode_record_into(payload, &self.table, batch) {
+                            match decode_record_into(payload, &self.table, batch, &mut self.hints) {
                                 Ok(()) => {
                                     self.state.events += 1;
                                     return Ok(true);
@@ -854,6 +878,41 @@ impl<R: Read> IotbCursor<R> {
                 self.done = true;
             }
         }
+    }
+
+    /// Decodes the next record where it lies in the read buffer, and
+    /// returns whether it did. It declines, consuming nothing, a record
+    /// whose length prefix and payload are not both buffered, one over
+    /// [`MAX_RECORD_LEN`] (the v2 sentinel included) and one that fails
+    /// to decode. The copying path in [`next_into`](Self::next_into)
+    /// then reads the same bytes and classifies them, so an accepted
+    /// record and a declined one leave the same events and
+    /// [`CursorState`] behind. Filling an empty buffer here is the read
+    /// the copying path would make first, so the inner reader sees the
+    /// same calls either way.
+    fn next_in_place(&mut self, batch: &mut EventBatch) -> Result<bool, TraceIoError> {
+        let buffered = loop {
+            match self.reader.fill_buf() {
+                Ok(buffered) => break buffered,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+            }
+        };
+        let Some((prefix, rest)) = buffered.split_first_chunk::<4>() else {
+            return Ok(false);
+        };
+        let len = u32::from_le_bytes(*prefix) as usize;
+        if len > MAX_RECORD_LEN || rest.len() < len {
+            return Ok(false);
+        }
+        if decode_record_into(&rest[..len], &self.table, batch, &mut self.hints).is_err() {
+            return Ok(false);
+        }
+        self.reader.consume(4 + len);
+        self.state.lines += 1;
+        self.state.byte_offset += (4 + len) as u64;
+        self.state.events += 1;
+        Ok(true)
     }
 }
 
