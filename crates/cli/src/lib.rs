@@ -9,23 +9,20 @@
 //! it, and giving it to any other subcommand is a usage error rather
 //! than a silently ignored knob.
 //!
-//! Robustness: analysis is *supervised* — worker panics restart the
-//! failed shard with backoff, stalled shards are detected with
-//! `--shard-timeout`, and a shard that exhausts its restart budget
-//! degrades the run to a partial report plus a failure manifest instead
-//! of aborting the process. `--checkpoint-every` periodically persists
-//! resumable state to a `.iockpt` file so a killed run continues with
-//! `--resume`; the resumed output is byte-identical to an uninterrupted
-//! run. The `--inject-*` flags deterministically inject worker panics
-//! and transient/hard I/O faults for testing those paths.
+//! Robustness: analysis is *supervised* — a panicking shard restarts
+//! with backoff, stalled shards are detected with `--shard-timeout`,
+//! and a shard that exhausts its restart budget degrades the run to a
+//! partial report plus a failure manifest instead of aborting the
+//! process. `--checkpoint-every` periodically persists resumable state
+//! to a `.iockpt` file so a killed run continues with `--resume`; the
+//! resumed output is byte-identical to an uninterrupted run. The
+//! `--inject-*` flags deterministically inject shard panics and
+//! transient/hard I/O faults for testing those paths.
 //!
-//! `--distribute N` scales the same supervision out to *processes*: the
-//! coordinator spawns N copies of itself as hidden `iocov worker`
-//! subprocesses, collects their checkpoint frames, re-drives a dead,
-//! stalled, or corrupt-framed worker from its last collected
-//! checkpoint, and renders output byte-identical to `--jobs N`. The
-//! `--inject-worker-*` flags deterministically kill, stall, or
-//! frame-corrupt a chosen worker to exercise that recovery.
+//! `--jobs N` shards analysis across N threads. To isolate inputs from
+//! one another, run `serve` and give each input its own `feed`: a
+//! feeder that dies fails only its own stream while the others carry
+//! on.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -36,15 +33,14 @@ use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 
-use iocov::distribute::{read_frame, FRAME_SPEC, MAX_FRAME_LEN};
+use iocov::frame::MAX_FRAME_LEN;
 use iocov::tcd::{deviation_ranking, tcd_uniform};
 use iocov::{
-    read_checkpoint_with_fallback, run_coordinator, run_worker, worker_specs, AnalysisReport,
-    ArgName, BaseSyscall, CheckpointPolicy, CorruptSpec, DistributeConfig, KillSpec,
-    PipelineBuilder, PipelineError, PipelineMetrics, PipelineRun, ShardFailureRecord, StallSpec,
-    SupervisorPolicy, WorkerFaults, WorkerHooks, WorkerSpec,
+    read_checkpoint_with_fallback, AnalysisReport, ArgName, BaseSyscall, CheckpointPolicy,
+    PipelineBuilder, PipelineError, PipelineMetrics, PipelineRun, ShardFailureRecord,
+    SupervisorPolicy,
 };
-use iocov_faults::{DrillTrigger, FaultPlan, FaultyRead, WorkerSignal};
+use iocov_faults::{DrillTrigger, FaultPlan, FaultyRead};
 use iocov_trace::{
     open_source, unseekable_kind, ErrorPolicy, ReadOptions, RetryRead, SkippedLine, SourceError,
     SourceFormat, SourceOptions, SourcePos,
@@ -92,14 +88,14 @@ impl TraceFormat {
     }
 }
 
-/// A deterministic worker-panic injection: shard `shard` panics at batch
+/// A deterministic shard-panic injection: shard `shard` panics at batch
 /// ordinal `tick`, `times` times total (`0:0:2` = the first batch of
 /// shard 0, twice — surviving a default restart budget of 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PanicSpec {
     /// Shard index to fault.
     pub shard: usize,
-    /// Batch ordinal within a worker incarnation.
+    /// Batch ordinal within a shard incarnation.
     pub tick: u64,
     /// How many times the panic fires before disarming.
     pub times: u32,
@@ -115,10 +111,6 @@ pub struct IoFaultSpec {
     /// Hard-error threshold in read calls, if any.
     pub hard_after: Option<u64>,
 }
-
-/// Default stall length: comfortably past any test watchdog, short
-/// enough that a run without `--shard-timeout` still finishes.
-const DEFAULT_STALL_MILLIS: u64 = 60_000;
 
 /// Supervision, checkpointing, and fault-injection options for
 /// `analyze`. Grouped so the common invocation stays readable and new
@@ -137,19 +129,10 @@ pub struct RobustnessOpts {
     pub shard_timeout: Option<u64>,
     /// Override the restart budget (per shard per run).
     pub max_shard_restarts: Option<u32>,
-    /// Inject a deterministic worker panic.
+    /// Inject a deterministic shard panic.
     pub inject_panic: Option<PanicSpec>,
     /// Inject deterministic I/O faults into the trace reader.
     pub inject_io: Option<IoFaultSpec>,
-    /// Scale out across this many worker processes.
-    pub distribute: Option<usize>,
-    /// Kill this worker process deterministically (`--distribute`).
-    pub inject_worker_kill: Option<(usize, KillSpec)>,
-    /// Stall this worker process deterministically (`--distribute`).
-    pub inject_worker_stall: Option<(usize, StallSpec)>,
-    /// Corrupt this worker's outgoing frame deterministically
-    /// (`--distribute`).
-    pub inject_corrupt_frame: Option<(usize, CorruptSpec)>,
 }
 
 impl RobustnessOpts {
@@ -239,11 +222,6 @@ pub enum Command {
         /// Log file path.
         log: String,
     },
-    /// Hidden: run as a distributed-analysis worker process. Reads one
-    /// spec frame from stdin, writes protocol frames to stdout. Spawned
-    /// by `analyze --distribute`, not for interactive use (and so kept
-    /// out of the usage text).
-    Worker,
     /// Feedback-driven campaign: consume a coverage report, generate
     /// workloads biased toward its cold partitions, execute against the
     /// simulated VFS, re-measure, repeat.
@@ -368,22 +346,6 @@ const FLAGS: &[Flag] = &[
     ),
     flag("--inject-panic", Some("SHARD:TICK[:TIMES]"), &["analyze"]),
     flag("--inject-io", Some("SEED[:HARD_AFTER]"), &["analyze"]),
-    flag("--distribute", Some("a worker count"), &["analyze"]),
-    flag(
-        "--inject-worker-kill",
-        Some("WORKER:TICK[:SIGNAL]"),
-        &["analyze"],
-    ),
-    flag(
-        "--inject-worker-stall",
-        Some("WORKER:TICK[:MILLIS]"),
-        &["analyze"],
-    ),
-    flag(
-        "--inject-corrupt-frame",
-        Some("WORKER:FRAME[:TIMES]"),
-        &["analyze"],
-    ),
     flag("--target", Some("a number"), &["tcd", "generate"]),
     flag("--to", Some("a value"), &["convert"]),
     flag("--index", None, &["convert"]),
@@ -416,7 +378,7 @@ const fn flag(
     }
 }
 
-/// Every subcommand, in usage order; `worker` is hidden.
+/// Every subcommand, in usage order.
 const COMMANDS: &[&str] = &[
     "analyze",
     "untested",
@@ -428,7 +390,6 @@ const COMMANDS: &[&str] = &[
     "serve",
     "feed",
     "generate",
-    "worker",
     "help",
 ];
 
@@ -655,7 +616,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             })
         }
         "convert-syz" => Ok(Command::ConvertSyz { log: a.trace()? }),
-        "worker" => Ok(Command::Worker),
         "generate" => parse_generate(&a),
         "serve" => {
             let checkpoint_every = a.positive("--checkpoint-every")?;
@@ -737,47 +697,6 @@ fn parse_analyze(a: &Args) -> Result<Command, CliError> {
                 hard_after: f.next()?,
             })
         })?,
-        distribute: a.positive("--distribute")?,
-        inject_worker_kill: a.spec("--inject-worker-kill", |f| {
-            let (worker, tick) = (f.required()?, f.required()?);
-            let signal = f.parts.next().map(|s| {
-                WorkerSignal::parse(s)
-                    .map(|signal| signal.name().to_owned())
-                    .ok_or_else(|| {
-                        CliError(format!(
-                            "bad --inject-worker-kill signal `{s}` (want KILL, TERM, or ABRT)"
-                        ))
-                    })
-            });
-            let signal = signal.transpose()?;
-            Ok((
-                worker,
-                KillSpec {
-                    tick,
-                    signal,
-                    times: 1,
-                },
-            ))
-        })?,
-        inject_worker_stall: a.spec("--inject-worker-stall", |f| {
-            let (worker, tick) = (f.required()?, f.required()?);
-            let millis = match f.next()? {
-                Some(0) => return Err(f.bad()),
-                millis => millis.unwrap_or(DEFAULT_STALL_MILLIS),
-            };
-            Ok((
-                worker,
-                StallSpec {
-                    tick,
-                    millis,
-                    times: 1,
-                },
-            ))
-        })?,
-        inject_corrupt_frame: a.spec("--inject-corrupt-frame", |f| {
-            let (worker, frame, times) = f.with_times()?;
-            Ok((worker, CorruptSpec { frame, times }))
-        })?,
     };
     let format = a.format()?;
     let jobs = a.positive("--jobs")?;
@@ -785,57 +704,6 @@ fn parse_analyze(a: &Args) -> Result<Command, CliError> {
     if robust.checkpoint_file.is_some() && robust.checkpoint_every.is_none() {
         return Err(CliError(
             "--checkpoint-file requires --checkpoint-every".into(),
-        ));
-    }
-    if let Some(n) = robust.distribute {
-        // Process scale-out replaces the in-process pool and owns its
-        // checkpoint/restart lifecycle: the flags that configure the
-        // single-process variants are conflicts, not silently-ignored
-        // knobs.
-        for flag in [
-            "--jobs",
-            "--resume",
-            "--checkpoint-file",
-            "--stop-after-events",
-            "--inject-panic",
-            "--inject-io",
-        ] {
-            if a.has(flag) {
-                return Err(CliError(format!(
-                    "{flag} cannot be combined with --distribute"
-                )));
-            }
-        }
-        let targets = [
-            (
-                "--inject-worker-kill",
-                robust.inject_worker_kill.as_ref().map(|f| f.0),
-            ),
-            (
-                "--inject-worker-stall",
-                robust.inject_worker_stall.as_ref().map(|f| f.0),
-            ),
-            (
-                "--inject-corrupt-frame",
-                robust.inject_corrupt_frame.as_ref().map(|f| f.0),
-            ),
-        ];
-        for (flag, worker) in targets {
-            if let Some(worker) = worker.filter(|&w| w >= n) {
-                return Err(CliError(format!(
-                    "{flag} targets worker {worker}, but --distribute {n} \
-                     only spawns workers 0..{n}"
-                )));
-            }
-        }
-    } else if robust.inject_worker_kill.is_some()
-        || robust.inject_worker_stall.is_some()
-        || robust.inject_corrupt_frame.is_some()
-    {
-        return Err(CliError(
-            "--inject-worker-kill/--inject-worker-stall/--inject-corrupt-frame \
-             require --distribute"
-                .into(),
         ));
     }
     Ok(Command::Analyze {
@@ -896,10 +764,6 @@ USAGE:
                  [--shard-timeout SECS] [--max-shard-restarts N]
                  [--inject-panic SHARD:TICK[:TIMES]]
                  [--inject-io SEED[:HARD_AFTER]]
-                 [--distribute N]
-                 [--inject-worker-kill WORKER:TICK[:SIGNAL]]
-                 [--inject-worker-stall WORKER:TICK[:MILLIS]]
-                 [--inject-corrupt-frame WORKER:FRAME[:TIMES]]
   iocov untested <trace> [--mount PATH]
   iocov combos   <trace> [--mount PATH]
   iocov tcd      <trace> [--mount PATH] --target N
@@ -937,7 +801,7 @@ defaults to the output path's extension. `convert --index` writes the
 block-indexed iotb v2 container: v1 plus a trailing block index that
 analysis does not read, so every command reads v1 and v2 alike.
 
-Analysis is supervised: a panicking or stalled worker shard is
+Analysis is supervised: a panicking or stalled shard is
 restarted with exponential backoff and replayed from its last restore
 point, a copy of its state taken every 4 MiB of input batches, so
 memory stays bounded however long the trace. `untested`, `combos`,
@@ -953,23 +817,8 @@ writes resumable state every N events to --checkpoint-file (default
 producing output byte-identical to an uninterrupted run.
 --stop-after-events K stops the run after K events (simulating a kill)
 for testing resume. --inject-panic and --inject-io deterministically
-inject worker panics and transient/hard I/O faults to exercise these
+inject shard panics and transient/hard I/O faults to exercise these
 recovery paths.
-
---distribute N scales analysis out to N coordinator-supervised worker
-*processes* (instead of the --jobs thread pool) and renders output
-byte-identical to --jobs N. Workers stream checkpoint frames back to
-the coordinator; a worker that dies, stalls past --shard-timeout, or
-sends a corrupt frame is restarted from its last collected checkpoint
-with backoff, and one that exhausts --max-shard-restarts degrades the
-run to a partial report plus the failure manifest — exit 0, never an
-abort. --checkpoint-every sets the worker checkpoint cadence (default
-4096 events). The --inject-worker-kill / --inject-worker-stall /
---inject-corrupt-frame flags deterministically kill (SIGNAL: KILL,
-TERM, or ABRT; default abort), freeze, or frame-corrupt one worker to
-exercise that recovery; --distribute conflicts with --jobs, --resume,
---checkpoint-file, --stop-after-events, --inject-panic, and
---inject-io.
 
 `generate` closes the measure→generate loop: it reads a coverage
 report (`analyze --json` output, bare or `{\"report\": …}`-wrapped),
@@ -994,7 +843,8 @@ manifest). A feeder that dies mid-stream is recorded as failed but
 keeps its checkpoint; reconnecting with the same --stream name resumes
 from it. A stream that fails more than --max-shard-restarts times
 (default 3) gives up. --drain N exits once N streams completed. `feed`
-ships one local trace file as one named stream; --abort-after-bytes
+ships one local trace file as one named stream, so one `feed` per
+input keeps a failing input from stopping the others; --abort-after-bytes
 and --stall-before-frame deterministically crash or freeze the feeder
 to drill that recovery.";
 
@@ -1107,10 +957,9 @@ fn load_report(path: &str) -> Result<AnalysisReport, CliError> {
         .map_err(|e| CliError(format!("cannot parse report {path}: {e}")))
 }
 
-/// The `analyze` invocation, minus the worker count — shared by the
-/// in-process and distributed paths. The default is how `untested`,
-/// `combos`, `tcd` and `diff` read their traces: strict, format-sniffed,
-/// with no robustness options.
+/// The `analyze` invocation, minus the job count. The default is how
+/// `untested`, `combos`, `tcd` and `diff` read their traces: strict,
+/// format-sniffed, with no robustness options.
 #[derive(Default)]
 struct AnalyzeCtx<'a> {
     trace: &'a str,
@@ -1363,139 +1212,8 @@ fn analyze_whole_trace(
     Ok(run_session(&ctx, 1, extended)?.0.report)
 }
 
-/// Worker checkpoint cadence when `--checkpoint-every` is not given:
-/// frequent enough that recovery rarely replays much, coarse enough
-/// that frame traffic stays negligible.
-const DEFAULT_EMIT_EVERY: u64 = 4096;
-
-/// Backoff-jitter seed for distributed restarts; fixed so two runs of
-/// the same invocation back off identically.
-const DISTRIBUTE_BACKOFF_SEED: u64 = 0x10c0_5eed;
-
-/// The `analyze --distribute N` path: spawn N copies of this binary as
-/// `iocov worker` subprocesses, one per pid-residue shard, supervise
-/// them through [`run_coordinator`], and render exactly like the
-/// in-process paths — byte-identical to `--jobs N` by construction.
-fn run_distribute<W: Write>(
-    ctx: &AnalyzeCtx<'_>,
-    workers: usize,
-    out: &mut W,
-) -> Result<(), CliError> {
-    let robust = &ctx.robust;
-    // Resolve the container format (and surface missing/unreadable
-    // trace files) up front, before any worker is spawned.
-    let format = resolve_format(ctx.trace, ctx.format)?;
-    let program = std::env::current_exe()
-        .map_err(|e| CliError(format!("cannot locate the iocov binary for workers: {e}")))?;
-    let mut faults: BTreeMap<usize, WorkerFaults> = BTreeMap::new();
-    if let Some((worker, kill)) = &robust.inject_worker_kill {
-        faults.entry(*worker).or_default().kill = Some(kill.clone());
-    }
-    if let Some((worker, stall)) = &robust.inject_worker_stall {
-        faults.entry(*worker).or_default().stall = Some(stall.clone());
-    }
-    if let Some((worker, corrupt)) = &robust.inject_corrupt_frame {
-        faults.entry(*worker).or_default().corrupt = Some(corrupt.clone());
-    }
-    let specs = worker_specs(
-        ctx.trace,
-        Some(format),
-        ctx.mount,
-        ctx.lossy,
-        ctx.max_errors,
-        workers,
-        robust.checkpoint_every.unwrap_or(DEFAULT_EMIT_EVERY),
-        &faults,
-    );
-    let cfg = DistributeConfig {
-        program,
-        args: vec!["worker".to_owned()],
-        policy: robust.policy(),
-        backoff_seed: DISTRIBUTE_BACKOFF_SEED,
-    };
-    let pipeline_metrics = ctx.metrics.then(|| Arc::new(PipelineMetrics::default()));
-    let run = run_coordinator(&cfg, specs, pipeline_metrics.as_ref());
-    let skipped = ctx.lossy.then_some(run.skipped);
-    render_analyze(
-        out,
-        ctx.json,
-        skipped.as_deref(),
-        run.report,
-        pipeline_metrics.as_deref(),
-        &run.failures,
-    )
-}
-
-/// Builds the drill hooks a worker process threads into
-/// [`run_worker`], from the spec the coordinator armed it with.
-fn worker_hooks(faults: &WorkerFaults) -> Result<WorkerHooks, CliError> {
-    let mut hooks = WorkerHooks::default();
-    let kill = match &faults.kill {
-        Some(k) => {
-            let signal = match &k.signal {
-                Some(name) => WorkerSignal::parse(name)
-                    .ok_or_else(|| CliError(format!("worker: bad kill signal `{name}`")))?,
-                None => WorkerSignal::default(),
-            };
-            Some((DrillTrigger::new(k.tick, k.times), signal))
-        }
-        None => None,
-    };
-    let stall = faults.stall.as_ref().map(|s| {
-        (
-            DrillTrigger::new(s.tick, s.times),
-            Duration::from_millis(s.millis),
-        )
-    });
-    if kill.is_some() || stall.is_some() {
-        hooks.tick = Some(Arc::new(move |tick| {
-            if let Some((trigger, pause)) = &stall {
-                if trigger.fire(tick) {
-                    std::thread::sleep(*pause);
-                }
-            }
-            if let Some((trigger, signal)) = &kill {
-                if trigger.fire(tick) {
-                    signal.raise();
-                }
-            }
-        }));
-    }
-    if let Some(c) = &faults.corrupt {
-        let trigger = DrillTrigger::new(c.frame, c.times);
-        hooks.corrupt_frame = Some(Arc::new(move |frame, payload| {
-            if trigger.fire(frame) {
-                if let Some(byte) = payload.first_mut() {
-                    *byte ^= 0xff;
-                }
-            }
-        }));
-    }
-    Ok(hooks)
-}
-
-/// The hidden `iocov worker` entry point: read the coordinator's one
-/// spec frame from stdin, run the shard, stream frames to `out`. Any
-/// error becomes a nonzero process exit via [`run`]'s caller — there is
-/// deliberately no self-recovery here; the coordinator supervises.
-fn run_worker_main<W: Write>(out: &mut W) -> Result<(), CliError> {
-    let stdin = std::io::stdin();
-    let mut reader = stdin.lock();
-    let frame = read_frame(&mut reader)
-        .map_err(|e| CliError(format!("worker: cannot read spec frame: {e}")))?
-        .ok_or_else(|| CliError("worker: stdin closed before a spec frame arrived".into()))?;
-    if frame.kind != FRAME_SPEC {
-        return Err(CliError(format!(
-            "worker: expected a spec frame, got type {:#04x}",
-            frame.kind
-        )));
-    }
-    let spec: WorkerSpec = serde_json::from_slice(&frame.payload)
-        .map_err(|e| CliError(format!("worker: malformed spec: {e}")))?;
-    let hooks = worker_hooks(&spec.faults)?;
-    run_worker(&spec, &hooks, out)
-        .map_err(|e| CliError(format!("worker shard {}: {e}", spec.shard)))
-}
+/// `serve`'s checkpoint cadence when `--checkpoint-every` is not given.
+const SERVE_CHECKPOINT_EVERY: u64 = 4096;
 
 /// Executes a command, writing human-readable or JSON output to `out`.
 ///
@@ -1526,12 +1244,8 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
                 max_errors: *max_errors,
                 robust: RobustnessOpts::clone(robust),
             };
-            match robust.distribute {
-                Some(workers) => run_distribute(&ctx, workers, out)?,
-                None => run_analyze(&ctx, *jobs, out)?,
-            }
+            run_analyze(&ctx, *jobs, out)?;
         }
-        Command::Worker => run_worker_main(out)?,
         Command::Untested { trace, mount } => {
             let report = analyze_whole_trace(trace, mount.as_deref(), true)?;
             write!(out, "{}", iocov::report::untested_summary(&report))?;
@@ -1816,7 +1530,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
                     mount: mount.clone(),
                     lossy: *lossy,
                     max_errors: *max_errors,
-                    checkpoint_every: checkpoint_every.unwrap_or(DEFAULT_EMIT_EVERY),
+                    checkpoint_every: checkpoint_every.unwrap_or(SERVE_CHECKPOINT_EVERY),
                     policy,
                     drain: *drain,
                 })
@@ -2085,7 +1799,7 @@ mod tests {
                 }
             }
         }
-        assert_eq!(accepted, 53);
+        assert_eq!(accepted, 49);
         let err = parse_args(&args(&["untested", "t", "--format=iotb"])).unwrap_err();
         assert_eq!(err.0, "`untested` does not take --format");
     }
@@ -2110,7 +1824,7 @@ mod tests {
             let flags = words.filter(|w| w.starts_with("--"));
             listed.get_mut(current).unwrap().extend(flags);
         }
-        for command in COMMANDS.iter().filter(|c| !["worker", "help"].contains(c)) {
+        for command in COMMANDS.iter().filter(|c| **c != "help") {
             let mut want: Vec<&str> = FLAGS
                 .iter()
                 .filter(|f| f.commands.contains(command))
@@ -2752,56 +2466,6 @@ mod tests {
             "merged snapshot must be byte-identical to analyze --json"
         );
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn worker_drills_fire_at_their_ordinals_then_disarm() {
-        // The kill drill's firing path would kill the test process, so
-        // only its other ticks run here; the distributed fault matrix
-        // covers the kill end to end.
-        let hooks = worker_hooks(&WorkerFaults {
-            kill: Some(KillSpec {
-                tick: 5,
-                signal: Some("KILL".into()),
-                times: 1,
-            }),
-            stall: Some(StallSpec {
-                tick: 3,
-                millis: 200,
-                times: 1,
-            }),
-            corrupt: Some(CorruptSpec { frame: 1, times: 1 }),
-        })
-        .unwrap();
-        let tick = hooks.tick.expect("kill and stall arm the tick hook");
-        let timed = |t| {
-            let started = std::time::Instant::now();
-            tick(t);
-            started.elapsed()
-        };
-        assert!(timed(2) < Duration::from_millis(150), "wrong tick");
-        assert!(timed(3) >= Duration::from_millis(200), "the stall fires");
-        assert!(timed(3) < Duration::from_millis(150), "disarmed");
-        tick(4);
-        tick(6);
-        let corrupt = hooks.corrupt_frame.expect("armed");
-        let mut payload = vec![0xaa, 0xbb];
-        corrupt(0, &mut payload);
-        assert_eq!(payload, [0xaa, 0xbb], "wrong frame");
-        corrupt(1, &mut payload);
-        assert_eq!(payload, [0x55, 0xbb], "first byte flipped");
-        corrupt(1, &mut payload);
-        assert_eq!(payload, [0x55, 0xbb], "disarmed");
-        let err = worker_hooks(&WorkerFaults {
-            kill: Some(KillSpec {
-                tick: 0,
-                signal: Some("HUP".into()),
-                times: 1,
-            }),
-            ..WorkerFaults::default()
-        })
-        .unwrap_err();
-        assert_eq!(err.0, "worker: bad kill signal `HUP`");
     }
 
     #[test]

@@ -214,7 +214,7 @@ fn inapplicable_flags_exit_2_with_usage() {
         env!("CARGO_MANIFEST_DIR"),
         "/../../fixtures/corrupt_trace.jsonl"
     );
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 8] = [
         (
             &[
                 "tcd",
@@ -238,6 +238,25 @@ fn inapplicable_flags_exit_2_with_usage() {
             &["combos", fixture, "--lossy"],
             "`combos` does not take --lossy",
         ),
+        // Multi-process analysis and its drills are gone; naming
+        // them is a usage error, never a silently ignored knob.
+        (
+            &["analyze", &trace, "--distribute", "2"],
+            "unknown flag `--distribute`",
+        ),
+        (
+            &["analyze", &trace, "--inject-worker-kill", "0:1"],
+            "unknown flag `--inject-worker-kill`",
+        ),
+        (
+            &["analyze", &trace, "--inject-worker-stall", "0:1"],
+            "unknown flag `--inject-worker-stall`",
+        ),
+        (
+            &["analyze", &trace, "--inject-corrupt-frame", "0:0"],
+            "unknown flag `--inject-corrupt-frame`",
+        ),
+        (&["worker"], "unknown command `worker`"),
     ];
     for (all, message) in cases {
         let output = Command::new(bin())

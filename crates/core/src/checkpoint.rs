@@ -213,7 +213,7 @@ fn sync_parent_dir(path: &Path) -> io::Result<()> {
 
 /// Serializes `doc` into a complete `.iockpt` image (header, JSON
 /// payload, checksum trailer) — the bytes [`write_checkpoint`] persists
-/// and the distributed worker protocol ships in checkpoint frames.
+/// and `iocov serve` answers a resuming stream's HELLO with.
 ///
 /// # Errors
 ///

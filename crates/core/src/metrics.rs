@@ -245,7 +245,7 @@ impl PipelineMetrics {
 
     /// Sums a snapshot's counters into this instance.
     ///
-    /// This is how supervised workers report: each worker *incarnation*
+    /// This is how supervised shards report: each shard *incarnation*
     /// accumulates into a private `PipelineMetrics` and the supervisor
     /// absorbs the snapshot only when the incarnation finishes cleanly —
     /// so a shard that panics mid-batch and is replayed never

@@ -20,7 +20,7 @@
 //! * a per-shard [`RestartLedger`] (restarts, `gave_up`, last error)
 //!   that lasts the whole run, so [`SupervisorPolicy::max_restarts`] is
 //!   a budget per shard per run and a shard that gave up stays given
-//!   up; the `--distribute` coordinator charges one per worker;
+//!   up;
 //! * one *restore point* per shard: a clone of the shard's analyzer and
 //!   private metrics at the last cut, seeded from the resumed
 //!   checkpoint's pid states (or empty);
@@ -76,13 +76,6 @@
 //! panicked one. Finish joins the live threads, so none outlives its
 //! session: the next session's threads then reuse their stacks and
 //! malloc arenas instead of racing their exit for fresh ones.
-//!
-//! An *unsupervised* supervisor (the distributed worker's) runs one
-//! shard thread with no restart budget: the shard's panic or spawn
-//! failure is re-raised on the caller as a panic carrying the shard's
-//! message, so no cut returns over a batch the shard failed. Nothing
-//! replays such a shard, so it keeps no replay log and is cut only at
-//! checkpoints and at finish.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -121,7 +114,7 @@ pub struct SupervisorPolicy {
     pub max_backoff: Duration,
     /// If set, a shard with no heartbeat progress for this long (while
     /// the supervisor is waiting on it) is declared stalled and
-    /// replayed. `None` waits forever, like an unsupervised join.
+    /// replayed. `None` waits on a shard for as long as it takes.
     pub shard_timeout: Option<Duration>,
 }
 
@@ -147,22 +140,6 @@ impl SupervisorPolicy {
             .min(self.max_backoff)
     }
 
-    /// The backoff before the `attempt`-th restart with bounded
-    /// deterministic jitter: the exponential [`backoff`](Self::backoff)
-    /// plus up to half of itself, where the extra fraction is drawn
-    /// from a SplitMix64 mix of `(seed, attempt)`. The result always
-    /// stays within `[base_backoff, max_backoff]`, and the same
-    /// `(seed, attempt)` pair always yields the same duration — so
-    /// simultaneous worker deaths fan out instead of restarting in
-    /// lockstep, while fault schedules stay reproducible.
-    #[must_use]
-    pub fn jittered_backoff(&self, attempt: u32, seed: u64) -> Duration {
-        let exp = self.backoff(attempt);
-        let nanos = u64::try_from(exp.as_nanos()).unwrap_or(u64::MAX);
-        let extra = splitmix64(seed, u64::from(attempt)) % (nanos / 2 + 1);
-        Duration::from_nanos(nanos.saturating_add(extra)).clamp(self.base_backoff, self.max_backoff)
-    }
-
     /// Sets the stall watchdog timeout.
     #[must_use]
     pub fn with_shard_timeout(mut self, timeout: Duration) -> Self {
@@ -180,7 +157,7 @@ impl SupervisorPolicy {
 
 /// SplitMix64 finalizer over `(seed, n)` — the same construction the
 /// workload generator uses for per-round keys. Dependency-free and
-/// byte-reproducible, which is all restart jitter needs.
+/// byte-reproducible, which is all the seeded test schedules need.
 #[must_use]
 pub fn splitmix64(seed: u64, n: u64) -> u64 {
     let mut z = seed.wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -223,11 +200,9 @@ thread_local! {
 
 /// Whether the current thread is inside a shard scan — a panic raised
 /// here is caught, converted into a structured [`ShardError::Panicked`],
-/// and handled by the supervisor: restart or degrade, or for an
-/// unsupervised session a panic re-raised on the caller. Binaries can
+/// and handled by the supervisor: restart or degrade. Binaries can
 /// install a panic hook that consults this to keep caught panics off
-/// stderr; the message still reaches the failure manifest or the
-/// re-raised panic.
+/// stderr; the message still reaches the failure manifest.
 #[must_use]
 pub fn in_supervised_scan() -> bool {
     IN_SUPERVISED_SCAN.with(std::cell::Cell::get)
@@ -252,7 +227,7 @@ impl Drop for SupervisedScanGuard {
 }
 
 /// Renders a `catch_unwind` payload to text.
-pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -278,11 +253,9 @@ pub const PIPELINE_DEPTH: usize = 2;
 /// grows with the shard's pids.
 pub const RESTORE_BUDGET: usize = 4 << 20;
 
-/// One shard's restart ledger, kept for the whole run: the one budget
-/// rule behind both the shard supervisor and the `--distribute`
-/// coordinator's per-worker supervision.
+/// One shard's restart ledger, kept for the whole run.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct RestartLedger {
+struct RestartLedger {
     restarts: u32,
     gave_up: bool,
     last_error: String,
@@ -292,14 +265,12 @@ impl RestartLedger {
     /// Charges one failure against `policy.max_restarts`. A failure at
     /// the budget gives up, leaving the count at the budget, and returns
     /// `false`; any other failure counts a restart, records it in
-    /// `metrics`, sleeps the backoff (jittered when `jitter` seeds it)
-    /// and returns `true`.
-    pub(crate) fn charge(
+    /// `metrics`, sleeps the backoff and returns `true`.
+    fn charge(
         &mut self,
         error: String,
         policy: &SupervisorPolicy,
         metrics: Option<&PipelineMetrics>,
-        jitter: Option<u64>,
     ) -> bool {
         self.last_error = error;
         if self.restarts >= policy.max_restarts {
@@ -310,20 +281,17 @@ impl RestartLedger {
         if let Some(metrics) = metrics {
             metrics.record_shard_restart();
         }
-        std::thread::sleep(match jitter {
-            Some(seed) => policy.jittered_backoff(self.restarts, seed),
-            None => policy.backoff(self.restarts),
-        });
+        std::thread::sleep(policy.backoff(self.restarts));
         true
     }
 
     /// Whether the shard has given up.
-    pub(crate) fn gave_up(&self) -> bool {
+    fn gave_up(&self) -> bool {
         self.gave_up
     }
 
     /// Shard `shard`'s failure-manifest record, if it ever failed.
-    pub(crate) fn record(&self, shard: usize) -> Option<ShardFailureRecord> {
+    fn record(&self, shard: usize) -> Option<ShardFailureRecord> {
         (self.restarts > 0 || self.gave_up).then(|| ShardFailureRecord {
             shard,
             restarts: self.restarts,
@@ -481,7 +449,6 @@ pub(crate) struct ShardSupervisor {
     metrics: Option<Arc<PipelineMetrics>>,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
-    supervised: bool,
     /// Log bytes that trigger an in-memory cut ([`RESTORE_BUDGET`]).
     pub(crate) budget: usize,
     /// One entry per shard, for the whole run.
@@ -508,18 +475,15 @@ pub(crate) struct ShardSupervisor {
 impl ShardSupervisor {
     /// A supervisor over `shards` pid shards, each a copy of the `empty`
     /// analyzer, whose base is `seed`'s `(report, pid states)`, or empty.
-    /// An unsupervised one (`supervised: false`) runs one shard and
-    /// re-raises its failures on the caller.
     pub(crate) fn new(
         empty: StreamingAnalyzer,
         shards: usize,
         policy: SupervisorPolicy,
         hook: Option<ShardHook>,
         metrics: Option<Arc<PipelineMetrics>>,
-        supervised: bool,
         seed: Option<(AnalysisReport, BTreeMap<u32, PidStateSnapshot>)>,
     ) -> Self {
-        let n = if supervised { shards.max(1) } else { 1 };
+        let n = shards.max(1);
         let (base_report, base_states) = seed.unwrap_or_default();
         let restore = (0..n)
             .map(|w| {
@@ -535,7 +499,6 @@ impl ShardSupervisor {
             metrics,
             policy,
             hook,
-            supervised,
             budget: RESTORE_BUDGET,
             ledger: vec![RestartLedger::default(); n],
             log: Vec::new(),
@@ -669,10 +632,6 @@ impl ShardSupervisor {
                 }
             }
         }
-        self.clear_log();
-    }
-
-    fn clear_log(&mut self) {
         self.log.clear();
         self.log_bytes = 0;
         for slot in &mut self.slots {
@@ -682,13 +641,9 @@ impl ShardSupervisor {
 
     /// Charges one failure of shard `w` to its run-long budget. Returns
     /// `true` once the backoff has passed and the shard may restart,
-    /// `false` when it has given up. An unsupervised session has no
-    /// budget: the failure is re-raised here, on the caller.
+    /// `false` when it has given up.
     fn charge(&mut self, w: usize, error: String) -> bool {
-        if !self.supervised {
-            panic!("shard {w}: {error}");
-        }
-        self.ledger[w].charge(error, &self.policy, self.metrics.as_deref(), None)
+        self.ledger[w].charge(error, &self.policy, self.metrics.as_deref())
     }
 
     /// Spawns one thread running a copy of shard `w`'s restore point.
@@ -846,9 +801,7 @@ impl ShardSupervisor {
     /// Logs one batch and hands it to every shard thread. Blocks only
     /// when a queue is [`PIPELINE_DEPTH`] batches behind — the
     /// backpressure that bounds memory to `depth × batch` per shard
-    /// (plus the `Arc`-shared log, which the budget bounds). Nothing
-    /// replays an unsupervised shard, so its batch leaves the log as
-    /// soon as it is delivered, and no in-memory cut ever comes due.
+    /// (plus the `Arc`-shared log, which the budget bounds).
     fn dispatch(&mut self, batch: Arc<EventBatch>) {
         if self.slots.is_empty() {
             self.slots = (0..self.shards()).map(|w| self.spawned_slot(w)).collect();
@@ -857,9 +810,6 @@ impl ShardSupervisor {
         let target = self.log.len();
         for w in 0..self.shards() {
             self.deliver_up_to(w, target);
-        }
-        if !self.supervised {
-            self.clear_log();
         }
     }
 
@@ -967,31 +917,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn jittered_backoff_is_bounded_and_reproducible() {
-        let policy = SupervisorPolicy::default();
-        for seed in [0u64, 1, 0xdead_beef, u64::MAX] {
-            for attempt in 1..=8u32 {
-                let a = policy.jittered_backoff(attempt, seed);
-                let b = policy.jittered_backoff(attempt, seed);
-                // Byte-reproducible per (seed, attempt).
-                assert_eq!(a, b, "seed={seed} attempt={attempt}");
-                assert!(
-                    a >= policy.base_backoff && a <= policy.max_backoff,
-                    "seed={seed} attempt={attempt}: {a:?} outside [base, max]"
-                );
-                // Never less than the un-jittered exponential floor
-                // (until the ceiling compresses everything onto max).
-                assert!(a >= policy.backoff(attempt).min(policy.max_backoff));
-            }
-        }
-        // Different seeds actually fan out (the point of the jitter).
-        let spread: std::collections::BTreeSet<Duration> = (0..16u64)
-            .map(|seed| policy.jittered_backoff(2, seed))
-            .collect();
-        assert!(spread.len() > 1, "jitter produced identical backoffs");
-    }
-
     fn filter() -> TraceFilter {
         TraceFilter::mount_point("/mnt/test").unwrap()
     }
@@ -1045,7 +970,6 @@ mod tests {
             SupervisorPolicy::default(),
             None,
             None,
-            true,
             None,
         );
         assert_eq!(supervisor.shards(), 1);
@@ -1053,14 +977,13 @@ mod tests {
 
     #[test]
     fn one_job_scans_on_a_shard_thread() {
-        // With or without a stall watchdog, supervised or not, a
-        // one-job session scans on `iocov-shard-0`, never the caller.
+        // With or without a stall watchdog, a one-job session scans on
+        // `iocov-shard-0`, never the caller.
         let events = multi_pid_trace(3, 4);
         let watched = fast_policy().with_shard_timeout(Duration::from_secs(60));
         for (cell, session) in [
             ("watchdog", builder(1).policy(watched)),
             ("supervised", builder(1)),
-            ("unsupervised", builder(1).unsupervised()),
         ] {
             let names = Arc::new(std::sync::Mutex::new(std::collections::BTreeSet::new()));
             let seen = Arc::clone(&names);
@@ -1482,36 +1405,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupervised_session_keeps_no_replay_log() {
-        // Nothing replays an unsupervised shard, so its session holds a
-        // batch only until the shard has it: under a budget of two
-        // batches the log must never outgrow one, and the report must
-        // still equal a serial run.
-        let events = multi_pid_trace(8, 384);
-        let parts: Vec<&[TraceEvent]> = events.chunks(PARALLEL_THRESHOLD).collect();
-        let largest = parts
-            .iter()
-            .map(|part| EventBatch::from_events(part).heap_bytes())
-            .max()
-            .unwrap();
-        assert!(parts.len() >= 20);
-        let mut session = builder(1)
-            .restore_budget(2 * largest)
-            .unsupervised()
-            .build_session();
-        for part in &parts {
-            session.feed(EventBatch::from_events(part));
-        }
-        let (log_peak, batch_peak) = (session.shards.log_peak, session.shards.batch_peak);
-        assert_eq!(batch_peak, largest);
-        assert!(
-            log_peak <= batch_peak,
-            "log peaked at {log_peak} against one batch of {batch_peak}"
-        );
-        assert_eq!(json(&session.finish().0), json(&serial(&events)));
-    }
-
-    #[test]
     fn full_batch_after_a_remainder_is_dispatched_uncopied() {
         // A small batch waits in the coalescing buffer; the full batch
         // that follows must not be copied into it. The remainder goes
@@ -1599,25 +1492,5 @@ mod tests {
             );
             assert_eq!(expected, session.finish().0);
         }
-    }
-
-    #[test]
-    fn unsupervised_panic_propagates_out_of_feed() {
-        // No restart: the shard's panic is re-raised on the caller by
-        // the next call that dispatches or cuts (these small batches
-        // coalesce until the cut), so no cut returns over the batch.
-        let events = multi_pid_trace(2, 2);
-        assert!(2 * events.len() < PARALLEL_THRESHOLD);
-        let mut session = builder(4)
-            .hook(panic_hook(0, 0, 1))
-            .unsupervised()
-            .build_session();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            session.feed_owned(events.clone());
-            session.feed_owned(events.clone());
-            session.cut()
-        }));
-        let payload = caught.expect_err("the panic must propagate, not a cut");
-        assert!(panic_message(payload.as_ref()).contains("injected test panic (shard 0, tick 0)"));
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! [`PipelineBuilder::build_session`] yields the resident
 //! [`AnalysisSession`] for callers that feed events themselves (`iocov
-//! serve`, distributed workers, in-memory workloads);
+//! serve`, in-memory workloads);
 //! [`PipelineBuilder::build`] pairs that session with the batch
 //! [`Driver`] that pulls any [`EventSource`](iocov_trace::EventSource).
 //! Every flag combination — any source × any job count × checkpointing
@@ -139,7 +139,6 @@ pub struct PipelineBuilder {
     jobs: usize,
     chunk: usize,
     policy: SupervisorPolicy,
-    supervised: bool,
     hook: Option<ShardHook>,
     metrics: Option<Arc<PipelineMetrics>>,
     checkpoint: Option<CheckpointPolicy>,
@@ -163,7 +162,6 @@ impl PipelineBuilder {
             jobs: 1,
             chunk: DEFAULT_CHUNK,
             policy: SupervisorPolicy::default(),
-            supervised: true,
             hook: None,
             metrics: None,
             checkpoint: None,
@@ -206,20 +204,7 @@ impl PipelineBuilder {
         self
     }
 
-    /// Runs one shard thread with no restart budget: its panic or spawn
-    /// failure is re-raised on the caller as a panic carrying the
-    /// shard's message, from the next feed that dispatches or the next
-    /// cut, so no cut returns over a batch the shard failed. This is
-    /// the distributed worker's contract — its process supervisor owns
-    /// recovery, so the session must not self-heal, and keeps no replay
-    /// log. `jobs` and the restart budget are ignored.
-    #[must_use]
-    pub fn unsupervised(mut self) -> Self {
-        self.supervised = false;
-        self
-    }
-
-    /// Worker progress hook (fault injection).
+    /// Shard progress hook (fault injection).
     #[must_use]
     pub fn hook(mut self, hook: ShardHook) -> Self {
         self.hook = Some(hook);
@@ -285,8 +270,8 @@ impl PipelineBuilder {
 
     /// Builds the resident session: a shard supervisor seeded (like the
     /// metrics) from any resume checkpoint. This is the entry point for
-    /// callers that feed events themselves (`iocov serve`, distributed
-    /// workers, in-memory workloads); batch callers use
+    /// callers that feed events themselves (`iocov serve`, in-memory
+    /// workloads); batch callers use
     /// [`build`](Self::build).
     #[must_use]
     pub fn build_session(self) -> AnalysisSession {
@@ -307,7 +292,6 @@ impl PipelineBuilder {
             self.policy,
             self.hook,
             self.metrics.clone(),
-            self.supervised,
             seed,
         );
         #[cfg(test)]

@@ -4,14 +4,17 @@
 //! The batch pipeline answers one question about one finished trace.
 //! `iocov serve` keeps the answer *live*: a server accepts many trace
 //! streams concurrently — unix-socket connections speaking the
-//! checksummed frame protocol from [`distribute`](crate::distribute),
-//! plus `.jsonl`/`.iotb` files dropped into a watched spool directory —
-//! and runs one supervised [`AnalysisSession`] per stream, each with its
-//! own `.iockpt` checkpoint in the state directory. After every
-//! checkpoint boundary the server rewrites a *merged* coverage snapshot
-//! (all streams' reports combined) and a per-stream status manifest,
-//! both atomically, so an observer can `cat` a consistent document at
-//! any moment.
+//! checksummed [`frame`](crate::frame) protocol, plus `.jsonl`/`.iotb`
+//! files dropped into a watched spool directory — and runs one
+//! supervised [`AnalysisSession`] per stream, each with its own
+//! `.iockpt` checkpoint in the state directory. After every checkpoint
+//! boundary the server rewrites a *merged* coverage snapshot (all
+//! streams' reports combined) and a per-stream status manifest, both
+//! atomically, so an observer can `cat` a consistent document at any
+//! moment. One `feed` per input is also the unit of isolation: a
+//! feeder that dies fails only its own stream, which resumes from its
+//! checkpoint when the feeder reconnects (see *Per-stream recovery*),
+//! while the other streams and the merged snapshot carry on.
 //!
 //! # Wire protocol (one connection = one stream)
 //!
@@ -23,7 +26,7 @@
 //!   ── DONE ──▶                          finish, publish report
 //! ```
 //!
-//! Frames reuse `[kind][len u64 LE][payload][fnv1a64]` encoding; DATA
+//! Frames use the `[kind][len u64 LE][payload][fnv1a64]` encoding; DATA
 //! payloads are raw container bytes (JSONL text or `.iotb`), so the
 //! server-side decode path is *exactly* the batch decode path: the
 //! cursor [`open_reader`] picks, over a reader that pulls the next
@@ -42,7 +45,7 @@
 //! A connection must deliver its HELLO within a deadline of 3 s per
 //! read, and the HELLO may declare at most [`MAX_HELLO_LEN`] payload
 //! bytes (DATA frames keep the protocol's
-//! [`MAX_FRAME_LEN`](crate::distribute::MAX_FRAME_LEN)); otherwise the
+//! [`MAX_FRAME_LEN`](crate::frame::MAX_FRAME_LEN)); otherwise the
 //! connection is dropped before it names a stream, so a silent client
 //! cannot hold a draining server. The deadline is lifted once the
 //! stream is admitted: a feeder may pause between DATA frames for as
@@ -85,11 +88,11 @@ use crate::checkpoint::{
     encode_checkpoint, parse_checkpoint, read_checkpoint_with_fallback, write_atomic, CheckpointDoc,
 };
 use crate::coverage::AnalysisReport;
-use crate::distribute::{
+use crate::filter::TraceFilter;
+use crate::frame::{
     read_frame, read_frame_limited, write_frame, FRAME_CHECKPOINT, FRAME_DATA, FRAME_DONE,
     FRAME_HELLO,
 };
-use crate::filter::TraceFilter;
 use crate::metrics::ShardFailureRecord;
 use crate::parallel::SupervisorPolicy;
 use crate::pipeline::{CheckpointPolicy, PipelineBuilder, PipelineRun};
@@ -1185,7 +1188,7 @@ mod tests {
         bytes.resize(bytes.len() + MAX_HELLO_LEN as usize + 1 + 8, b' ');
         let mut input = io::Cursor::new(bytes);
         match read_frame_limited(&mut input, MAX_HELLO_LEN) {
-            Err(crate::distribute::FrameError::Oversized { len, max }) => {
+            Err(crate::frame::FrameError::Oversized { len, max }) => {
                 assert_eq!((len, max), (MAX_HELLO_LEN + 1, MAX_HELLO_LEN));
             }
             other => panic!("expected an oversized hello, got {other:?}"),

@@ -15,11 +15,8 @@
 //!
 //! Sessions come from [`PipelineBuilder`](crate::pipeline::PipelineBuilder):
 //! `build_session` for a session, `build` for a driver over one. The
-//! supervisor behind a session always analyzes on shard threads; the
-//! builder picks their count, or makes the session *unsupervised* for
-//! distributed worker processes, where a shard's panic must tear the
-//! process down so the coordinator's process-level supervision stays
-//! honest.
+//! supervisor behind a session always analyzes on supervised shard
+//! threads; the builder picks their count and the restart policy.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

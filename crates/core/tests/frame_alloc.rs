@@ -8,7 +8,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{self, Cursor};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use iocov::distribute::{read_frame, FrameError, FRAME_DATA, MAX_FRAME_LEN};
+use iocov::frame::{read_frame, FrameError, FRAME_DATA, MAX_FRAME_LEN};
 
 /// Tracks live and peak heap bytes.
 struct PeakAlloc;

@@ -1,9 +1,10 @@
-//! Frames arrive from outside the process — serve clients and worker
-//! children — so `read_frame` and the serve HELLO reader must turn any
-//! byte string into a frame (a HELLO) or a structured error, never a
-//! panic, and never allocate for bytes the input does not deliver.
-//! Inputs are arbitrary bytes, forged headers over arbitrary tails, and
-//! valid frames followed by garbage. This file holds one test, since
+//! Frames arrive from outside the process — from serve clients — so
+//! `read_frame` and the serve HELLO reader must turn any byte string
+//! into a frame (a HELLO) or a structured error, never a panic, and
+//! never allocate for bytes the input does not deliver. Inputs are
+//! arbitrary bytes, forged headers over arbitrary tails, valid frames
+//! followed by garbage, and well-formed frames of the retired `S` and
+//! `H` kinds, which read as an unknown type. This file holds one test, since
 //! its counting `#[global_allocator]` sees every thread in the binary.
 
 #![cfg(unix)]
@@ -12,9 +13,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::Cursor;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use iocov::distribute::{
-    read_frame, write_frame, Frame, FRAME_CHECKPOINT, FRAME_DATA, FRAME_DONE, FRAME_HEARTBEAT,
-    FRAME_HELLO, FRAME_SPEC,
+use iocov::frame::{
+    read_frame, write_frame, Frame, FrameError, FRAME_CHECKPOINT, FRAME_DATA, FRAME_DONE,
+    FRAME_HELLO,
 };
 use iocov::serve::{read_hello, MAX_HELLO_LEN};
 use iocov::StreamHello;
@@ -49,14 +50,10 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static GLOBAL: PeakAlloc = PeakAlloc;
 
-const KINDS: [u8; 6] = [
-    FRAME_SPEC,
-    FRAME_HEARTBEAT,
-    FRAME_CHECKPOINT,
-    FRAME_DONE,
-    FRAME_HELLO,
-    FRAME_DATA,
-];
+const KINDS: [u8; 4] = [FRAME_CHECKPOINT, FRAME_DONE, FRAME_HELLO, FRAME_DATA];
+
+/// Type bytes of frames the protocol no longer has.
+const RETIRED: [u8; 2] = [b'S', b'H'];
 
 fn arb_kind() -> impl Strategy<Value = u8> {
     (0..KINDS.len()).prop_map(|i| KINDS[i])
@@ -104,6 +101,11 @@ fn arb_input() -> impl Strategy<Value = (Vec<u8>, Vec<Frame>)> {
             bytes.extend_from_slice(&garbage);
             (bytes, frames)
         }),
+        ((0..RETIRED.len()), arb_payload()).prop_map(|(i, payload)| {
+            let mut bytes = Vec::new();
+            write_frame(&mut bytes, RETIRED[i], &payload).expect("in-memory write");
+            (bytes, Vec::new())
+        }),
     ]
 }
 
@@ -114,6 +116,11 @@ proptest! {
         PEAK.store(before, Ordering::Relaxed);
 
         let mut input = Cursor::new(&bytes[..]);
+        // A first byte outside the protocol's kinds is rejected as such.
+        if let Some(&kind) = bytes.first().filter(|k| !KINDS.contains(k)) {
+            let first = read_frame(&mut Cursor::new(&bytes[..]));
+            prop_assert!(matches!(first, Err(FrameError::BadType(k)) if k == kind));
+        }
         let mut read = Vec::new();
         // Each frame consumes at least its 17 header and checksum bytes,
         // so the input runs out long before this bound.

@@ -1,12 +1,14 @@
-//! Property: the worker/coordinator metrics hand-off is lossless and
-//! order-independent. A distributed run serializes each worker's
-//! [`MetricsSnapshot`] (shard failures included) inside its checkpoint
-//! frames; the coordinator deserializes and merges them in whatever
-//! order supervisor threads finish. For the distributed report to be
-//! byte-identical to the in-process run, merging deserialized snapshots
-//! in *any* order must serialize to exactly the bytes of the in-process
-//! merge — which these properties pin down over arbitrary counter
-//! values, drop/partition tallies, and failure manifests.
+//! Property: metrics snapshots survive checkpoint JSON losslessly, and
+//! summing them is order-independent. Every `.iockpt` (and the
+//! checkpoint `iocov serve` sends a resuming stream) carries a
+//! [`MetricsSnapshot`] (shard failures included) that a resumed session
+//! parses back and absorbs, and the shard supervisor absorbs each
+//! shard's counters into the shared metrics at every checkpoint cut.
+//! For `--metrics` to render the same bytes at every job count and
+//! across kill/resume, summing parsed snapshots in *any* order must
+//! serialize to exactly the bytes of an in-order merge — which these
+//! properties pin down over arbitrary counter values, drop/partition
+//! tallies, and failure manifests.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,7 +32,7 @@ const PARTITION_FAMILIES: [&str; 5] = [
 fn failure_strategy() -> impl Strategy<Value = ShardFailureRecord> {
     (0u32..5, any::<bool>(), "[ -~]{0,40}").prop_map(|(restarts, gave_up, last_error)| {
         ShardFailureRecord {
-            shard: 0, // re-numbered below: one worker, one shard, one record
+            shard: 0, // re-numbered below: one record per shard
             restarts,
             gave_up,
             last_error,
@@ -43,7 +45,7 @@ fn keyed_map(keys: &'static [&'static str]) -> impl Strategy<Value = BTreeMap<St
         .prop_map(move |values| keys.iter().map(|k| (*k).to_owned()).zip(values).collect())
 }
 
-/// A snapshot shaped exactly like one a worker cuts from its private
+/// A snapshot shaped exactly like one a shard cuts from its private
 /// `PipelineMetrics`: every known drop/partition key present.
 fn snapshot_strategy() -> impl Strategy<Value = MetricsSnapshot> {
     (
@@ -74,8 +76,8 @@ fn snapshot_strategy() -> impl Strategy<Value = MetricsSnapshot> {
         )
 }
 
-/// Gives each worker's failure record its own shard index, as the
-/// coordinator does — at most one record per shard per run.
+/// Gives each snapshot's failure record its own shard index, as the
+/// supervisor does — at most one record per shard per run.
 fn number_shards(snapshots: &mut [MetricsSnapshot]) {
     for (shard, snapshot) in snapshots.iter_mut().enumerate() {
         for failure in &mut snapshot.shard_failures {
@@ -84,26 +86,25 @@ fn number_shards(snapshots: &mut [MetricsSnapshot]) {
     }
 }
 
-/// The wire trip a worker snapshot takes: serialized into the
-/// checkpoint JSON by the worker, parsed back by the coordinator.
+/// The trip a snapshot takes through a checkpoint: serialized into its
+/// JSON, parsed back on resume.
 fn through_the_wire(snapshot: &MetricsSnapshot) -> MetricsSnapshot {
     let json = serde_json::to_string(snapshot).expect("serialize snapshot");
     serde_json::from_str(&json).expect("deserialize snapshot")
 }
 
 proptest! {
-    /// Serialization round-trips exactly — the coordinator sees the
-    /// same snapshot the worker cut.
+    /// Serialization round-trips exactly — a resumed session sees the
+    /// same snapshot the checkpoint cut.
     #[test]
     fn snapshot_survives_the_wire(snapshot in snapshot_strategy()) {
         prop_assert_eq!(&through_the_wire(&snapshot), &snapshot);
     }
 
     /// Merging wire-tripped snapshots in an arbitrary arrival order
-    /// serializes byte-identically to the in-process, in-order merge —
-    /// both as a plain `MetricsSnapshot` fold (the coordinator's merge
-    /// loop) and through a shared `PipelineMetrics` (its `--metrics`
-    /// rendering path).
+    /// serializes byte-identically to the in-order merge — both as a
+    /// plain `MetricsSnapshot` fold and through a shared
+    /// `PipelineMetrics` (the `--metrics` rendering path).
     #[test]
     fn merge_of_wire_tripped_snapshots_is_order_independent(
         mut snapshots in proptest::collection::vec(snapshot_strategy(), 1..6),
@@ -111,15 +112,15 @@ proptest! {
     ) {
         number_shards(&mut snapshots);
 
-        // In-process reference: merge in shard order, no serialization.
+        // Reference: merge in shard order, no serialization.
         let mut reference = MetricsSnapshot::default();
         for snapshot in &snapshots {
             reference.merge(snapshot);
         }
         let reference_bytes = serde_json::to_string(&reference).unwrap();
 
-        // Distributed path: each snapshot crosses the wire, then the
-        // coordinator merges in completion order — a seeded shuffle.
+        // Each snapshot goes through checkpoint JSON, then is merged in
+        // an arbitrary order — a seeded shuffle.
         let mut arrived: Vec<MetricsSnapshot> =
             snapshots.iter().map(through_the_wire).collect();
         let n = arrived.len();
@@ -136,10 +137,10 @@ proptest! {
             reference_bytes.clone()
         );
 
-        // The shared-PipelineMetrics leg mirrors run_coordinator's
-        // `--metrics` rendering path: each arriving snapshot is absorbed
-        // (failure manifest included), and `snapshot()` re-sorts the
-        // manifest by shard so arrival order cannot leak into the bytes.
+        // The shared-PipelineMetrics leg mirrors the `--metrics`
+        // rendering path: each snapshot is absorbed (failure manifest
+        // included), and `snapshot()` re-sorts the manifest by shard so
+        // absorption order cannot leak into the bytes.
         let live = Arc::new(PipelineMetrics::default());
         for snapshot in &arrived {
             live.absorb(snapshot);

@@ -15,7 +15,7 @@
 //! Beside them, the faults that exercise the analysis pipeline's own
 //! recovery: [`io`] wraps readers and writers in a seeded schedule of
 //! transient and hard I/O errors, and [`drill`]'s [`DrillTrigger`] fires
-//! the shard, worker and feed drills behind the CLI's `--inject-*`,
+//! the shard and feed drills behind the CLI's `--inject-panic`,
 //! `--abort-after-bytes` and `--stall-before-frame` flags.
 //!
 //! # Examples
@@ -35,7 +35,7 @@ pub mod io;
 mod study;
 
 pub use dataset::{dataset, BugKind, BugRecord, Filesystem};
-pub use drill::{DrillTrigger, WorkerSignal};
+pub use drill::DrillTrigger;
 pub use inject::{demo_bugs, BugSet, BugTrigger, InjectedBug};
 pub use io::{FaultPlan, FaultyRead, FaultyWrite};
 pub use study::StudyStats;

@@ -512,6 +512,34 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_line_is_a_parse_error_not_a_stack_overflow() {
+        // One line nested far past any thread's stack, between two good
+        // events: lossy reading skips it, strict reading reports it.
+        let clean = String::from_utf8(sample_bytes()).unwrap();
+        let lines: Vec<&str> = clean.lines().collect();
+        let text = format!("{}\n{}\n{}\n", lines[0], "[".repeat(1_000_000), lines[1]);
+        let mut cursor = JsonlCursor::new(text.as_bytes(), ReadOptions::default());
+        assert_eq!(drain(&mut cursor).len(), 2);
+        let skipped = &cursor.state().skipped;
+        assert_eq!(skipped.len(), 1);
+        assert_eq!(skipped[0].line, 2);
+        assert!(
+            skipped[0].message.contains("recursion limit exceeded"),
+            "{skipped:?}"
+        );
+        let strict = ReadOptions {
+            on_error: ErrorPolicy::Abort,
+            ..ReadOptions::default()
+        };
+        let mut cursor = JsonlCursor::new(text.as_bytes(), strict);
+        assert!(cursor.next_event().unwrap().is_some());
+        match cursor.next_event().unwrap_err() {
+            TraceIoError::Parse { line, .. } => assert_eq!(line, 2),
+            other => panic!("expected parse error, got {other}"),
+        }
+    }
+
+    #[test]
     fn noncanonical_fixture_lines_fall_back_to_serde() {
         let path = concat!(
             env!("CARGO_MANIFEST_DIR"),

@@ -1,5 +1,5 @@
-//! Write a many-pid trace for timing `analyze --jobs` and
-//! `--distribute` against pid sharding.
+//! Write a many-pid trace for timing pid-sharded `analyze --jobs N`
+//! against `--jobs 1`.
 //!
 //! The paper's suite traces have two pids each, which pid sharding
 //! cannot balance. This example runs eight simulated xfstests suites
