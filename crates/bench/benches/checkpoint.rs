@@ -8,8 +8,8 @@
 //! * what does one `.iockpt` write/read cost in isolation, for a
 //!   full-size end-of-trace document (`checkpoint_io`), and
 //! * what does supervised recovery cost: a clean 4-shard session vs the
-//!   same session with one injected panic on shard 0 — restart, backoff,
-//!   and a full replay of that shard's log (`supervised_recovery`).
+//!   same session with one injected panic on shard 0 — backoff and a
+//!   restart from the shard's restore point (`supervised_recovery`).
 //!
 //! Measured numbers live in EXPERIMENTS.md §"Recovery overhead".
 
@@ -27,8 +27,8 @@ use iocov_trace::{CursorState, EventBatch};
 use iocov_workloads::MOUNT;
 
 /// The default policy's backoff (10 ms base) would dominate a
-/// microbenchmark; recovery cost here means restart + replay, so the
-/// backoff is shrunk to the scale the tests use.
+/// microbenchmark; recovery cost here means the restart, so the backoff
+/// is shrunk to the scale the tests use.
 fn fast_policy() -> SupervisorPolicy {
     SupervisorPolicy {
         max_restarts: 3,
@@ -131,14 +131,14 @@ fn bench_checkpoint(c: &mut Criterion) {
     group.bench_function("clean", |b| {
         b.iter(|| sharded(None));
     });
-    group.bench_function("one_panic_replay", |b| {
+    group.bench_function("one_panic_restart", |b| {
         // A trigger disarms after firing, so each iteration arms a
-        // fresh one: shard 0 panics on its first attempt, the
-        // supervisor backs off, restarts, and replays the shard's log.
+        // fresh one: shard 0 panics on the session's one batch, and the
+        // supervisor backs off and restarts it from its restore point.
         b.iter(|| {
             let trigger = DrillTrigger::new(0, 1);
             sharded(Some(Arc::new(move |shard, tick| {
-                if shard == 0 && trigger.fire(tick) {
+                if shard == 0 && trigger.fire_from(tick) {
                     panic!("injected panic: shard {shard} at tick {tick}");
                 }
             })))

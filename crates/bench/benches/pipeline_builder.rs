@@ -1,10 +1,9 @@
 //! Builder-path overhead guard: a [`PipelineBuilder`] session at one
 //! job versus a bare [`StreamingAnalyzer`] loop over the same events.
 //!
-//! The session adds a replay log (`Arc` per batch, cut in memory every
-//! `iocov::RESTORE_BUDGET` of batches), a bounded queue to its shard
-//! thread, and a restore-point clone of the analyzer at every cut and at
-//! finish on top of the raw scan;
+//! The session adds an `Arc` per batch, a bounded queue to its shard
+//! thread, and a restore-point clone of the analyzer at finish on top of
+//! the raw scan;
 //! the acceptance bar is that this overhead stays under 2% at realistic
 //! batch sizes. Both paths are handed freshly owned batches — in the
 //! real pipeline events arrive already owned from the decoder, so the

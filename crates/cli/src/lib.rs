@@ -10,9 +10,9 @@
 //! than a silently ignored knob.
 //!
 //! Robustness: analysis is *supervised* — a panicking shard restarts
-//! with backoff, stalled shards are detected with `--shard-timeout`,
-//! and a shard that exhausts its restart budget degrades the run to a
-//! partial report plus a failure manifest instead of aborting the
+//! with backoff from its last checkpoint state, stalled shards are
+//! detected with `--shard-timeout`, and either way the run degrades to
+//! a partial report plus a failure manifest instead of aborting the
 //! process. `--checkpoint-every` periodically persists resumable state
 //! to a `.iockpt` file so a killed run continues with `--resume`; the
 //! resumed output is byte-identical to an uninterrupted run. The
@@ -88,16 +88,17 @@ impl TraceFormat {
     }
 }
 
-/// A deterministic shard-panic injection: shard `shard` panics at batch
-/// ordinal `tick`, `times` times total (`0:0:2` = the first batch of
-/// shard 0, twice — surviving a default restart budget of 3).
+/// A deterministic shard-panic injection: shard `shard` panics on the
+/// `times` consecutive batches from ordinal `tick` (`0:0:2` = the first
+/// two batches of shard 0 — two restarts, within the default budget of
+/// 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PanicSpec {
     /// Shard index to fault.
     pub shard: usize,
-    /// Batch ordinal within a shard incarnation.
+    /// Batch ordinal since the last checkpoint cut.
     pub tick: u64,
-    /// How many times the panic fires before disarming.
+    /// How many batches panic before the drill disarms.
     pub times: u32,
 }
 
@@ -125,7 +126,7 @@ pub struct RobustnessOpts {
     pub resume: Option<String>,
     /// Stop (simulating a kill) after this many events, exit 0.
     pub stop_after: Option<u64>,
-    /// Stall watchdog: replay a shard silent for this many seconds.
+    /// Stall watchdog: restart a shard silent for this many seconds.
     pub shard_timeout: Option<u64>,
     /// Override the restart budget (per shard per run).
     pub max_shard_restarts: Option<u32>,
@@ -801,24 +802,30 @@ defaults to the output path's extension. `convert --index` writes the
 block-indexed iotb v2 container: v1 plus a trailing block index that
 analysis does not read, so every command reads v1 and v2 alike.
 
-Analysis is supervised: a panicking or stalled shard is
-restarted with exponential backoff and replayed from its last restore
-point, a copy of its state taken every 4 MiB of input batches, so
-memory stays bounded however long the trace. `untested`, `combos`,
-`tcd` and `diff` stream through the same analysis session, one serial
-shard, so they are bounded too. A shard that exhausts its restart
-budget (--max-shard-restarts, default 3, per shard per run:
-checkpoints do not refill it) degrades the run to a partial report
-plus a per-shard failure manifest instead of aborting.
---shard-timeout SECS enables the stall watchdog. --checkpoint-every N
+Analysis is supervised and its memory stays bounded however long the
+trace; `untested`, `combos`, `tcd` and `diff` stream through the same
+analysis session, one serial shard. A panicking or stalled shard is
+restarted with exponential backoff from its restore point, a copy of
+its state taken at the last checkpoint (or the start of the run). It
+is not replayed: its events since that point are lost and it goes on
+with the next batch, so any restart leaves a partial report, and the
+per-shard failure manifest counts the lost events. --checkpoint-every
+bounds that loss. A shard that exhausts its restart budget
+(--max-shard-restarts, default 3, per shard per run: checkpoints do
+not refill it) gives up and loses everything after its restore point;
+the run still completes. --shard-timeout SECS enables the stall
+watchdog; a shard declared stalled costs its events since the restore
+point like a panic does. --checkpoint-every N
 writes resumable state every N events to --checkpoint-file (default
 <trace>.iockpt; works with any --format and any --jobs count);
 --resume FILE continues a killed run from its last checkpoint,
 producing output byte-identical to an uninterrupted run.
 --stop-after-events K stops the run after K events (simulating a kill)
-for testing resume. --inject-panic and --inject-io deterministically
-inject shard panics and transient/hard I/O faults to exercise these
-recovery paths.
+for testing resume. --inject-panic SHARD:TICK[:TIMES] panics shard
+SHARD on TIMES (default 1) consecutive batches from batch TICK,
+counted from the last checkpoint; --inject-io deterministically
+injects transient/hard I/O faults. Both exercise these recovery
+paths.
 
 `generate` closes the measure→generate loop: it reads a coverage
 report (`analyze --json` output, bare or `{\"report\": …}`-wrapped),
@@ -1008,20 +1015,18 @@ fn render_analyze<W: Write>(
         return Ok(());
     }
     for f in failures {
-        let plural = if f.restarts == 1 { "" } else { "s" };
-        if f.gave_up {
-            writeln!(
-                out,
-                "warning: shard {} gave up after {} restart{plural} (partial report): {}",
-                f.shard, f.restarts, f.last_error
-            )?;
+        let (n, plural) = (f.restarts, if f.restarts == 1 { "" } else { "s" });
+        let outcome = if f.gave_up {
+            format!("gave up after {n} restart{plural}")
         } else {
-            writeln!(
-                out,
-                "warning: shard {} recovered after {} restart{plural}: {}",
-                f.shard, f.restarts, f.last_error
-            )?;
-        }
+            format!("restarted {n} time{plural}")
+        };
+        writeln!(
+            out,
+            "warning: shard {} {outcome}; its pids are missing from {} events \
+             since its restore point (partial report): {}",
+            f.shard, f.lost_events, f.last_error
+        )?;
     }
     if let Some(skipped) = skipped {
         writeln!(
@@ -1070,10 +1075,10 @@ fn render_analyze<W: Write>(
 /// `analyze`, `untested`, `combos`, `tcd` and `diff` all take this one
 /// path, and every flag combination produces reports byte-identical to
 /// a plain serial run over the same events. A panicking shard is
-/// restarted with backoff; one that exhausts its budget degrades the
-/// run to a partial report plus a failure manifest — never a process
-/// abort. `extended` also counts identifier and flag-combination
-/// coverage ([`PipelineBuilder::extended_coverage`]).
+/// restarted with backoff from its restore point and loses its events
+/// since; a failure leaves a partial report plus a failure manifest —
+/// never a process abort. `extended` also counts identifier and
+/// flag-combination coverage ([`PipelineBuilder::extended_coverage`]).
 fn run_session(
     ctx: &AnalyzeCtx<'_>,
     jobs: usize,
@@ -1141,9 +1146,11 @@ fn run_session(
         .jobs(jobs)
         .policy(robust.policy());
     if let Some(spec) = robust.inject_panic {
+        // A restarted shard goes on with the next batch, so each charge
+        // panics a batch of its own.
         let trigger = DrillTrigger::new(spec.tick, spec.times);
         builder = builder.hook(Arc::new(move |shard, tick| {
-            if shard == spec.shard && trigger.fire(tick) {
+            if shard == spec.shard && trigger.fire_from(tick) {
                 panic!("injected panic: shard {shard} at tick {tick}");
             }
         }));
@@ -2888,42 +2895,116 @@ mod tests {
         let _ = std::fs::remove_file(&iotb);
     }
 
+    /// A JSONL trace of `batches` full `DEFAULT_CHUNK` batches plus a
+    /// short one, over three pids, and its events.
+    fn multi_batch_trace_file(
+        batches: usize,
+    ) -> (tempfile::TempTrace, Vec<iocov_trace::TraceEvent>) {
+        use iocov_trace::{ArgValue, TraceEvent};
+        let events: Vec<TraceEvent> = (0..batches * iocov::DEFAULT_CHUNK + 100)
+            .map(|i| {
+                let fd = 3 + (i % 5) as i32;
+                let mut event = match i % 3 {
+                    0 => TraceEvent::build(
+                        "open",
+                        2,
+                        vec![
+                            ArgValue::Path(format!("/mnt/test/f{}", i % 7)),
+                            ArgValue::Flags(0o102),
+                            ArgValue::Mode(0o644),
+                        ],
+                        i64::from(fd),
+                    ),
+                    1 => TraceEvent::build(
+                        "write",
+                        1,
+                        vec![
+                            ArgValue::Fd(fd),
+                            ArgValue::Ptr(1),
+                            ArgValue::UInt(1 << (i % 13)),
+                        ],
+                        1 << (i % 13),
+                    ),
+                    _ => TraceEvent::build("close", 3, vec![ArgValue::Fd(fd)], 0),
+                };
+                event.seq = i as u64;
+                event.pid = 1 + (i / 3 % 3) as u32;
+                event
+            })
+            .collect();
+        let file = tempfile::TempTrace::new(&iocov_trace::Trace::from_events(events.clone()));
+        (file, events)
+    }
+
+    /// `analyze --json` of `events`.
+    fn analyze_events(events: Vec<iocov_trace::TraceEvent>) -> Vec<u8> {
+        let file = tempfile::TempTrace::new(&iocov_trace::Trace::from_events(events));
+        run_bytes(&["analyze", &file.path, "--mount", "/mnt/test", "--json"])
+    }
+
     #[test]
-    fn injected_panic_recovers_byte_identical() {
-        let file = sample_trace_file();
-        let clean = run_bytes(&["analyze", &file.path, "--mount", "/mnt/test", "--json"]);
-        for jobs in ["1", "4"] {
-            let faulty = run_bytes(&[
-                "analyze",
-                &file.path,
-                "--mount",
-                "/mnt/test",
-                "--json",
-                "--jobs",
-                jobs,
-                "--inject-panic",
-                "0:0",
-            ]);
-            assert_eq!(clean, faulty, "--jobs {jobs}");
+    fn injected_panic_loses_the_shards_events_since_its_restore_point() {
+        // Shard 0 panics on batch 1. With no checkpoint its restore
+        // point is the start of the run, so it loses batches 0 and 1 of
+        // its pids, goes on with batch 2, and the report is exactly the
+        // analysis of the events that survived.
+        let (file, events) = multi_batch_trace_file(3);
+        let lost = 2 * iocov::DEFAULT_CHUNK;
+        for jobs in [1, 2] {
+            let survivors = events
+                .iter()
+                .enumerate()
+                .filter(|&(i, e)| i >= lost || !(e.pid as usize).is_multiple_of(jobs))
+                .map(|(_, e)| e.clone())
+                .collect();
+            let jobs = jobs.to_string();
+            let faulty = |extra: &[&str]| {
+                let mut all = vec!["analyze", &file.path, "--mount", "/mnt/test"];
+                all.extend(["--jobs", &jobs, "--inject-panic", "0:1"]);
+                all.extend(extra);
+                run_bytes(&all)
+            };
+            assert_eq!(
+                analyze_events(survivors),
+                faulty(&["--json"]),
+                "--jobs {jobs}"
+            );
+            let text = String::from_utf8(faulty(&["--metrics"])).unwrap();
+            assert!(
+                text.contains(&format!(
+                    "warning: shard 0 restarted 1 time; its pids are missing from {lost} events"
+                )),
+                "{text}"
+            );
+            assert!(text.contains(&format!("\"lost_events\": {lost}")), "{text}");
+            assert!(text.contains("\"gave_up\": false"), "{text}");
         }
     }
 
     #[test]
     fn exhausted_restarts_degrade_to_partial_report_not_abort() {
-        let file = sample_trace_file();
-        let text = String::from_utf8(run_bytes(&[
-            "analyze",
-            &file.path,
-            "--mount",
-            "/mnt/test",
-            "--metrics",
-            "--inject-panic",
-            "0:0:99",
-        ]))
-        .unwrap();
-        assert!(text.contains("gave up"), "{text}");
+        // `0:0:99` panics shard 0 on every batch: batches 0–2 spend the
+        // budget of 3 restarts and batch 3 gives it up. At one job every
+        // event is lost, so the report is that of an empty trace.
+        let (file, events) = multi_batch_trace_file(4);
+        let faulty = |extra: &str| {
+            run_bytes(&[
+                "analyze",
+                &file.path,
+                "--mount",
+                "/mnt/test",
+                extra,
+                "--inject-panic",
+                "0:0:99",
+            ])
+        };
+        assert_eq!(analyze_events(Vec::new()), faulty("--json"));
+        let text = String::from_utf8(faulty("--metrics")).unwrap();
+        assert!(text.contains("gave up after 3 restarts"), "{text}");
         assert!(text.contains("\"gave_up\": true"), "{text}");
         assert!(text.contains("\"shard_restarts\": 3"), "{text}");
+        let lost = format!("\"lost_events\": {}", events.len());
+        assert!(text.contains(&lost), "{text}");
     }
 
     #[test]

@@ -111,7 +111,7 @@ pub use identifier::{FdPartition, IdentifierCoverage, PathPartition};
 pub use metrics::{DropReason, MetricsSnapshot, PipelineMetrics, ShardFailureRecord, StageTimer};
 pub use parallel::{
     in_supervised_scan, splitmix64, ShardError, ShardHook, SupervisorPolicy, PARALLEL_THRESHOLD,
-    PIPELINE_DEPTH, RESTORE_BUDGET,
+    PIPELINE_DEPTH,
 };
 pub use partition::{InputPartition, NumericPartition, OutputPartition};
 pub use pipeline::{CheckpointPolicy, PipelineBuilder, PipelineError, PipelineRun, DEFAULT_CHUNK};

@@ -247,9 +247,10 @@ impl PipelineMetrics {
     ///
     /// This is how supervised shards report: each shard *incarnation*
     /// accumulates into a private `PipelineMetrics` and the supervisor
-    /// absorbs the snapshot only when the incarnation finishes cleanly —
-    /// so a shard that panics mid-batch and is replayed never
-    /// double-counts the events it saw before crashing.
+    /// absorbs the snapshot only from a restore point at a cut — so the
+    /// events a failed incarnation counted before crashing, which its
+    /// restart does not hold, are never counted. Absorbing is a plain
+    /// sum, so snapshots absorbed in any order give the same totals.
     pub fn absorb(&self, snapshot: &MetricsSnapshot) {
         self.events_read
             .fetch_add(snapshot.events_read, Ordering::Relaxed);
@@ -366,27 +367,35 @@ impl Drop for StageTimer<'_> {
 
 /// One entry in the supervised pipeline's shard-failure manifest.
 ///
-/// A record is written for every shard that failed at least once —
-/// `gave_up: false` means the supervisor's restarts recovered it and the
-/// report is complete; `gave_up: true` means the shard exhausted its
-/// restart budget and the report is partial (missing that shard's pids).
+/// A record is written for every shard that failed at least once, and
+/// the report is then partial: a failed shard restarts from its restore
+/// point (its state at the last cut) and its pids' events since that
+/// point are missing. `gave_up: false` means a restart went on with the
+/// next batch; `gave_up: true` means the shard exhausted its restart
+/// budget and its pids are missing from its restore point on.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardFailureRecord {
     /// Shard index (`pid % workers`).
     pub shard: usize,
     /// Restarts performed for this shard.
     pub restarts: u32,
-    /// Whether the restart budget ran out before a clean pass.
+    /// Whether the restart budget ran out.
     pub gave_up: bool,
+    /// Trace events handed to the shard after a restore point that its
+    /// state does not hold. Every shard is handed every event, so only
+    /// the shard's own pids among them are missing from the report; at
+    /// one job that is all of them.
+    #[serde(default)]
+    pub lost_events: u64,
     /// The last failure observed (panic message or stall description).
     pub last_error: String,
 }
 
 /// A deterministic, serializable view of [`PipelineMetrics`].
 ///
-/// Snapshots merge commutatively ([`merge`](Self::merge) is a plain
-/// sum), so aggregating per-suite or per-shard snapshots in any order
-/// yields the same totals.
+/// Snapshots sum commutatively ([`PipelineMetrics::absorb`]), so
+/// aggregating per-suite or per-shard snapshots in any order yields the
+/// same totals.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Events that entered the pipeline (pre-filter).
@@ -426,25 +435,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Sums another snapshot into this one.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.events_read += other.events_read;
-        self.parse_skipped += other.parse_skipped;
-        self.variant_merged += other.variant_merged;
-        self.batched_events += other.batched_events;
-        self.allocs_estimated += other.allocs_estimated;
-        self.shard_restarts += other.shard_restarts;
-        for (reason, count) in &other.filter_dropped {
-            *self.filter_dropped.entry(reason.clone()).or_insert(0) += count;
-        }
-        for (family, count) in &other.partition_records {
-            *self.partition_records.entry(family.clone()).or_insert(0) += count;
-        }
-        self.shard_failures
-            .extend(other.shard_failures.iter().cloned());
-        self.shard_failures.sort_by_key(|r| r.shard);
-    }
-
     /// Total dropped events across all reasons.
     #[must_use]
     pub fn total_dropped(&self) -> u64 {
@@ -502,7 +492,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_merge_is_commutative() {
+    fn snapshot_absorb_is_commutative() {
         let a = {
             let m = PipelineMetrics::default();
             m.add_events_read(3);
@@ -516,11 +506,14 @@ mod tests {
             m.record_variant_merged();
             m.snapshot()
         };
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
+        let sum = |first: &MetricsSnapshot, second: &MetricsSnapshot| {
+            let m = PipelineMetrics::default();
+            m.absorb(first);
+            m.absorb(second);
+            m.snapshot()
+        };
+        let ab = sum(&a, &b);
+        assert_eq!(ab, sum(&b, &a));
         assert_eq!(ab.events_read, 7);
         assert_eq!(ab.total_dropped(), 2);
     }
@@ -593,12 +586,14 @@ mod tests {
             shard: 3,
             restarts: 1,
             gave_up: false,
+            lost_events: 4096,
             last_error: "injected panic".into(),
         });
         m.record_shard_failure(ShardFailureRecord {
             shard: 1,
             restarts: 1,
             gave_up: true,
+            lost_events: 10,
             last_error: "stalled".into(),
         });
         let snap = m.snapshot();
@@ -618,10 +613,17 @@ mod tests {
         .unwrap();
         assert_eq!(legacy.shard_restarts, 0);
         assert!(legacy.shard_failures.is_empty());
+        // A failure record written before `lost_events` existed parses
+        // with none lost.
+        let legacy: ShardFailureRecord = serde_json::from_str(
+            "{\"shard\":0,\"restarts\":1,\"gave_up\":false,\"last_error\":\"x\"}",
+        )
+        .unwrap();
+        assert_eq!(legacy.lost_events, 0);
     }
 
     #[test]
-    fn batch_counters_accumulate_merge_and_absorb() {
+    fn batch_counters_accumulate_and_absorb() {
         let m = PipelineMetrics::default();
         m.record_batch(4096, 9000);
         m.record_batch(100, 250);
@@ -632,15 +634,16 @@ mod tests {
         let snap = m.snapshot();
         assert_eq!(snap.batched_events, 4196);
         assert_eq!(snap.allocs_estimated, 9250);
-        // The means are derived from raw sums, so merging stays
+        // The means are derived from raw sums, so absorbing stays
         // commutative and ratios of a doubled snapshot are unchanged.
-        let mut twice = snap.clone();
-        twice.merge(&snap);
-        assert_eq!(twice.batched_events, 8392);
-        assert_eq!(twice.allocs_estimated, 18500);
         let absorbed = PipelineMetrics::default();
         absorbed.absorb(&snap);
         assert_eq!(absorbed.snapshot(), snap);
+        absorbed.absorb(&snap);
+        let twice = absorbed.snapshot();
+        assert_eq!(twice.batched_events, 8392);
+        assert_eq!(twice.allocs_estimated, 18500);
+        assert_eq!(twice.allocs_per_event(), snap.allocs_per_event());
         // An absorbed snapshot carries no batch shape — the live count
         // stays zero, exactly like timings.
         assert_eq!(absorbed.batch_count(), 0);

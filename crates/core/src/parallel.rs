@@ -17,50 +17,43 @@
 //!
 //! [`ShardSupervisor`] owns, once, everything supervision needs:
 //!
-//! * a per-shard [`RestartLedger`] (restarts, `gave_up`, last error)
-//!   that lasts the whole run, so [`SupervisorPolicy::max_restarts`] is
-//!   a budget per shard per run and a shard that gave up stays given
-//!   up;
+//! * a per-shard [`RestartLedger`] (restarts, `gave_up`, events lost,
+//!   last error) that lasts the whole run, so
+//!   [`SupervisorPolicy::max_restarts`] is a budget per shard per run and
+//!   a shard that gave up stays given up;
 //! * one *restore point* per shard: a clone of the shard's analyzer and
 //!   private metrics at the last cut, seeded from the resumed
 //!   checkpoint's pid states (or empty);
-//! * the replay log: every batch since the last cut, shared as
-//!   `Arc<EventBatch>` so retention costs pointers, not copies;
+//! * the hook ticks: each batch's ordinal since the last cut, sent with
+//!   its scan job, so a restart does not reset them;
 //! * metrics absorption: each incarnation counts into a private
 //!   [`PipelineMetrics`], absorbed into the shared instance only at a
-//!   checkpoint cut or at finish, from the restore point, so restarts
-//!   never double-count;
+//!   cut, from the restore point, so a failed incarnation's counts die
+//!   with it;
 //! * the [`ShardFailureRecord`] manifest.
 //!
-//! A panicking scan is caught with `catch_unwind`, turned into a
-//! structured [`ShardError`], and the shard restarts after exponential
-//! backoff: a copy of its restore point replays the log, so a recovered
-//! run's report is byte-identical to a fault-free one. A shard that
-//! exhausts its budget *degrades* the run instead of aborting it: the
-//! report keeps what the shard had at its last restore point and omits
-//! its pids from then on, and the manifest says so.
+//! Analysis is a deterministic fold, so a batch that panicked a shard
+//! would panic it again: nothing is replayed. A failed shard (panic
+//! caught with `catch_unwind`, stall declared by the watchdog, spawn
+//! failure) is charged to its ledger and, after exponential backoff,
+//! restarts from a copy of its restore point. It loses its events since
+//! that point and goes on with the next batch: a panicked thread hands
+//! its job queue to the new incarnation, so only the batches it had
+//! begun are lost. The ledger counts the lost batches' events. A shard
+//! that exhausts its budget keeps its restore point and loses everything
+//! after it. Either way the report is partial, and the manifest says by
+//! how much.
 //!
 //! # Cuts
 //!
-//! A *cut* syncs every live shard to the end of the log, clones each
-//! one into its restore point, and clears the log. There is one cut and
-//! three occasions for it:
-//!
-//! * **in memory**, whenever the log's retained batch bytes
-//!   ([`EventBatch::heap_bytes`]) pass [`RESTORE_BUDGET`] — so the log,
-//!   and with it the analysis's memory, stays bounded however long the
-//!   trace;
-//! * **at a checkpoint** ([`cut`](ShardSupervisor::cut)), which also
-//!   *rebases* the shards: hook ticks count from zero again and the
-//!   restore points' counters move into the shared metrics, so a
-//!   checkpoint document's counters cover exactly its report;
-//! * **at finish**, the same rebasing cut.
-//!
-//! The cumulative report is the resumed base report merged with every
-//! restore point's report, and the cumulative pid states are the union
-//! of theirs. An in-memory cut changes nothing a run prints: it only
-//! moves the point a restart replays from. Shard threads persist across
-//! cuts.
+//! A *cut* ([`cut`](ShardSupervisor::cut) at a checkpoint or snapshot,
+//! and finish) syncs every live shard, clones each one into its restore
+//! point, and rebases: hook ticks count from zero again, and the restore
+//! points' counters move into the shared metrics, so a checkpoint
+//! document's counters cover exactly its report. The cumulative report
+//! is the resumed base report merged with every restore point's report,
+//! and the cumulative pid states are the union of theirs. Shard threads
+//! persist across cuts.
 //!
 //! # Transport
 //!
@@ -72,10 +65,10 @@
 //! than [`PARALLEL_THRESHOLD`] are coalesced first. A cut is a mark job
 //! on the same queue, answered with the thread's clone. With
 //! [`SupervisorPolicy::shard_timeout`] set, a shard that stops
-//! heartbeating is declared stalled, abandoned and replayed like a
-//! panicked one. Finish joins the live threads, so none outlives its
-//! session: the next session's threads then reuse their stacks and
-//! malloc arenas instead of racing their exit for fresh ones.
+//! heartbeating is declared stalled and abandoned with its queue. Finish
+//! joins the live threads, so none outlives its session: the next
+//! session's threads then reuse their stacks and malloc arenas instead
+//! of racing their exit for fresh ones.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -96,9 +89,8 @@ use crate::streaming::StreamingAnalyzer;
 
 /// A progress hook observed by every shard before it scans a batch:
 /// `(shard, tick)`, where `tick` is the batch's ordinal counted from the
-/// last checkpoint cut (in-memory cuts do not reset it). Fault
-/// injection (`iocov-faults`) plugs in here to panic or stall a specific
-/// shard at a specific point.
+/// last cut. Fault injection (`iocov-faults`) plugs in here to panic or
+/// stall a specific shard at a specific point.
 pub type ShardHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
 
 /// Restart budget, backoff curve, and stall watchdog for supervised
@@ -114,7 +106,8 @@ pub struct SupervisorPolicy {
     pub max_backoff: Duration,
     /// If set, a shard with no heartbeat progress for this long (while
     /// the supervisor is waiting on it) is declared stalled and
-    /// replayed. `None` waits on a shard for as long as it takes.
+    /// restarted from its restore point. `None` waits on a shard for as
+    /// long as it takes.
     pub shard_timeout: Option<Duration>,
 }
 
@@ -246,18 +239,13 @@ pub const PARALLEL_THRESHOLD: usize = 1024;
 /// most this many batches ahead of the slowest shard.
 pub const PIPELINE_DEPTH: usize = 2;
 
-/// Batch bytes ([`EventBatch::heap_bytes`]) the replay log may retain
-/// before the supervisor cuts it in memory. The log then peaks at this
-/// plus one batch, whatever the trace's length. A smaller budget cuts
-/// more often, and every cut clones each shard's analyzer, at a cost that
-/// grows with the shard's pids.
-pub const RESTORE_BUDGET: usize = 4 << 20;
-
 /// One shard's restart ledger, kept for the whole run.
 #[derive(Debug, Clone, Default)]
 struct RestartLedger {
     restarts: u32,
     gave_up: bool,
+    /// Events handed to the shard that its restore points do not hold.
+    lost_events: u64,
     last_error: String,
 }
 
@@ -285,34 +273,28 @@ impl RestartLedger {
         true
     }
 
-    /// Whether the shard has given up.
-    fn gave_up(&self) -> bool {
-        self.gave_up
-    }
-
     /// Shard `shard`'s failure-manifest record, if it ever failed.
     fn record(&self, shard: usize) -> Option<ShardFailureRecord> {
         (self.restarts > 0 || self.gave_up).then(|| ShardFailureRecord {
             shard,
             restarts: self.restarts,
             gave_up: self.gave_up,
+            lost_events: self.lost_events,
             last_error: self.last_error.clone(),
         })
     }
 }
 
-/// One shard incarnation: an analyzer over the shard's pids, its private
-/// metrics, and its tick. A live incarnation scans batches; a *restore
-/// point* is a clone of one, taken at a cut, that restarts copy from.
+/// One shard incarnation: an analyzer over the shard's pids and its
+/// private metrics. A live incarnation scans batches; a *restore point*
+/// is a clone of one, taken at a cut, that restarts copy from.
 struct Incarnation {
     analyzer: StreamingAnalyzer,
     /// Absorbed into the shared metrics only from a restore point at a
-    /// checkpoint cut or at finish, so a panicked incarnation's
-    /// half-counted events die with it.
+    /// cut, so a failed incarnation's half-counted events die with it.
     local: Option<Arc<PipelineMetrics>>,
-    /// Batches scanned since the last checkpoint cut; also the tick the
-    /// hook sees next.
-    seen: usize,
+    /// Events of the batches scanned since the last cut.
+    scanned: u64,
 }
 
 impl Incarnation {
@@ -328,7 +310,7 @@ impl Incarnation {
         let mut incarnation = Incarnation {
             analyzer,
             local: None,
-            seen: 0,
+            scanned: 0,
         };
         if metered {
             incarnation.count_into(PipelineMetrics::default());
@@ -342,13 +324,20 @@ impl Incarnation {
         self.local = Some(metrics);
     }
 
-    /// Scans shard `w` of `n`'s events out of one batch, walking the
+    /// Scans shard `w` of `n`'s events out of batch `tick`, walking the
     /// shared columns by reference.
-    fn scan(&mut self, batch: &EventBatch, w: usize, n: usize, hook: Option<&ShardHook>) {
+    fn scan(
+        &mut self,
+        batch: &EventBatch,
+        tick: u64,
+        w: usize,
+        n: usize,
+        hook: Option<&ShardHook>,
+    ) {
         if let Some(hook) = hook {
-            hook(w, self.seen as u64);
+            hook(w, tick);
         }
-        self.seen += 1;
+        self.scanned += batch.len() as u64;
         // Each shard times its own scan, so the "analyze" stage total is
         // summed across shards (CPU time, not wall clock).
         let _timer = self.local.as_deref().map(|m| m.time_stage("analyze"));
@@ -365,7 +354,7 @@ impl Incarnation {
         let mut copy = Incarnation {
             analyzer: self.analyzer.clone(),
             local: None,
-            seen: self.seen,
+            scanned: self.scanned,
         };
         if let Some(local) = &self.local {
             let counters = PipelineMetrics::default();
@@ -376,10 +365,10 @@ impl Incarnation {
         copy
     }
 
-    /// Starts a checkpoint epoch: ticks count from zero and counters
-    /// from empty. Returns the counters of the epoch that ended.
+    /// Starts an epoch: events and counters count from empty. Returns
+    /// the counters of the epoch that ended.
     fn rebase(&mut self) -> Option<Arc<PipelineMetrics>> {
-        self.seen = 0;
+        self.scanned = 0;
         let ended = self.local.take();
         if ended.is_some() {
             self.count_into(PipelineMetrics::default());
@@ -388,29 +377,51 @@ impl Incarnation {
     }
 
     /// A cut of this live incarnation: its restore point, after which
-    /// the incarnation itself rebases if the cut is a checkpoint.
-    fn mark(&mut self, rebase: bool) -> Incarnation {
+    /// the incarnation itself rebases.
+    fn mark(&mut self) -> Incarnation {
         let point = self.copy();
-        if rebase {
-            self.rebase();
-        }
+        self.rebase();
         point
     }
 }
 
 /// A job on a shard thread's queue.
 enum Job {
-    Scan(Arc<EventBatch>),
+    /// Scan a batch at its tick.
+    Scan(Arc<EventBatch>, u64),
     /// Cut: reply with a restore point ([`Incarnation::mark`]).
-    Mark {
-        rebase: bool,
-    },
+    Mark,
 }
 
 /// A shard thread's reply, sent on its done channel.
 enum Reply {
     Marked(Box<Incarnation>),
-    Panicked(String),
+    /// The scan panicked; the thread hands back its queue, holding the
+    /// jobs it never began.
+    Panicked(String, Receiver<Job>),
+}
+
+/// A shard thread's job queue, both ends.
+type Queue = (SyncSender<Job>, Receiver<Job>);
+
+/// A failed incarnation: the error, and the job queue a panicked thread
+/// handed back.
+struct Failure {
+    error: ShardError,
+    queue: Option<Receiver<Job>>,
+}
+
+/// What a shard thread's reply says: a restore point, a failure, or
+/// (`Err(None)`) nothing yet.
+fn answer(reply: Result<Reply, RecvTimeoutError>) -> Result<Box<Incarnation>, Option<Failure>> {
+    let (msg, queue) = match reply {
+        Ok(Reply::Marked(point)) => return Ok(point),
+        Err(RecvTimeoutError::Timeout) => return Err(None),
+        Ok(Reply::Panicked(msg, queue)) => (msg, Some(queue)),
+        Err(RecvTimeoutError::Disconnected) => ("worker terminated without reporting".into(), None),
+    };
+    let error = ShardError::Panicked(msg);
+    Err(Some(Failure { error, queue }))
 }
 
 /// One live shard thread as the supervisor sees it.
@@ -422,8 +433,6 @@ struct Slot {
     /// Bumped by the thread after every job — the liveness signal the
     /// stall watchdog reads.
     heartbeat: Arc<AtomicU64>,
-    /// Log batches already delivered to this incarnation.
-    sent: usize,
     /// The thread, joined at finish; an abandoned slot drops it and
     /// lets a stalled thread exit on its own.
     thread: Option<JoinHandle<()>>,
@@ -438,7 +447,6 @@ impl Slot {
             jobs: None,
             done,
             heartbeat: Arc::new(AtomicU64::new(0)),
-            sent: 0,
             thread: None,
         }
     }
@@ -449,18 +457,12 @@ pub(crate) struct ShardSupervisor {
     metrics: Option<Arc<PipelineMetrics>>,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
-    /// Log bytes that trigger an in-memory cut ([`RESTORE_BUDGET`]).
-    pub(crate) budget: usize,
     /// One entry per shard, for the whole run.
     ledger: Vec<RestartLedger>,
-    /// Batches since the last cut — the replay log.
-    log: Vec<Arc<EventBatch>>,
-    /// [`EventBatch::heap_bytes`] summed over the log.
-    log_bytes: usize,
-    /// The most `log_bytes` has ever been.
-    pub(crate) log_peak: usize,
-    /// The largest batch the log has held.
-    pub(crate) batch_peak: usize,
+    /// Batches dispatched since the last cut: the next batch's tick.
+    ticks: u64,
+    /// Events dispatched since the last cut.
+    events: u64,
     /// The resumed checkpoint's report (or empty), merged into every
     /// cumulative report.
     base_report: AnalysisReport,
@@ -499,12 +501,9 @@ impl ShardSupervisor {
             metrics,
             policy,
             hook,
-            budget: RESTORE_BUDGET,
             ledger: vec![RestartLedger::default(); n],
-            log: Vec::new(),
-            log_bytes: 0,
-            log_peak: 0,
-            batch_peak: 0,
+            ticks: 0,
+            events: 0,
             base_report,
             restore,
             slots: Vec::new(),
@@ -531,13 +530,12 @@ impl ShardSupervisor {
                 self.flush_pending();
             }
         }
-        self.cut_over_budget();
     }
 
     /// A checkpoint cut: the cumulative report and pid states over
     /// everything pushed so far.
     pub(crate) fn cut(&mut self) -> (AnalysisReport, BTreeMap<u32, PidStateSnapshot>) {
-        self.mark(true);
+        self.mark();
         let mut states = BTreeMap::new();
         for point in &self.restore {
             states.extend(point.analyzer.pid_states());
@@ -549,7 +547,7 @@ impl ShardSupervisor {
     /// manifest (also recorded in the metrics), one record per shard
     /// that restarted or gave up.
     pub(crate) fn finish(mut self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        self.mark(true);
+        self.mark();
         // Every live thread has just answered the mark, so it exits as
         // soon as its queue closes.
         for slot in &mut self.slots {
@@ -581,62 +579,45 @@ impl ShardSupervisor {
         report
     }
 
-    /// Appends one batch to the replay log.
-    fn retain(&mut self, batch: Arc<EventBatch>) {
-        let bytes = batch.heap_bytes();
-        self.log_bytes += bytes;
-        self.log_peak = self.log_peak.max(self.log_bytes);
-        self.batch_peak = self.batch_peak.max(bytes);
-        self.log.push(batch);
-    }
-
-    /// Cuts in memory once the log has outgrown the budget.
-    fn cut_over_budget(&mut self) {
-        if self.log_bytes > self.budget {
-            self.mark(false);
-        }
-    }
-
     /// The one cut (see the [module docs](self#cuts)): flushes the
-    /// coalescing buffer, brings each live shard to the end of the log
-    /// and makes its clone the shard's restore point, then clears the
-    /// log. A shard that panics or stalls, even now, is restarted and
-    /// replayed first. A rebasing cut then moves the restore points'
-    /// counters into the shared metrics.
-    fn mark(&mut self, rebase: bool) {
+    /// coalescing buffer, makes each live shard's clone its restore
+    /// point, and charges each shard the events since the last cut that
+    /// its new restore point does not hold. A shard that fails even now
+    /// is restarted first. The restore points' counters then move into
+    /// the shared metrics.
+    fn mark(&mut self) {
         self.flush_pending();
-        let target = self.log.len();
         for w in 0..self.slots.len() {
-            loop {
-                self.deliver_up_to(w, target);
-                if self.ledger[w].gave_up() {
-                    break;
+            // Whether a restart took over a queue that holds the mark
+            // job already.
+            let mut queued = false;
+            while !self.ledger[w].gave_up {
+                if !queued {
+                    if let Err(failure) = self.offer(w, Job::Mark) {
+                        self.recover(w, failure);
+                        continue;
+                    }
                 }
-                match self
-                    .offer(w, Job::Mark { rebase })
-                    .and_then(|()| self.await_mark(w))
-                {
+                match self.await_mark(w) {
                     Ok(point) => {
+                        self.ledger[w].lost_events += self.events - point.scanned;
                         self.restore[w] = *point;
                         break;
                     }
-                    Err(error) => self.recover(w, &error),
+                    Err(failure) => queued = self.recover(w, failure),
                 }
             }
-        }
-        if rebase {
-            for point in &mut self.restore {
-                if let (Some(shared), Some(ended)) = (&self.metrics, point.rebase()) {
-                    shared.absorb(&ended.snapshot());
-                    shared.absorb_stage_timings(&ended.stage_timings());
-                }
+            if self.ledger[w].gave_up {
+                self.ledger[w].lost_events += self.events;
             }
         }
-        self.log.clear();
-        self.log_bytes = 0;
-        for slot in &mut self.slots {
-            slot.sent = 0;
+        for point in &mut self.restore {
+            if let (Some(shared), Some(ended)) = (&self.metrics, point.rebase()) {
+                shared.absorb(&ended.snapshot());
+                shared.absorb_stage_timings(&ended.stage_timings());
+            }
         }
+        (self.ticks, self.events) = (0, 0);
     }
 
     /// Charges one failure of shard `w` to its run-long budget. Returns
@@ -646,10 +627,11 @@ impl ShardSupervisor {
         self.ledger[w].charge(error, &self.policy, self.metrics.as_deref())
     }
 
-    /// Spawns one thread running a copy of shard `w`'s restore point.
-    fn spawn_slot(&self, w: usize) -> std::io::Result<Slot> {
+    /// Spawns one thread running a copy of shard `w`'s restore point on
+    /// `queue`, or on a fresh one.
+    fn spawn_slot(&self, w: usize, queue: Option<Queue>) -> std::io::Result<Slot> {
         let n = self.shards();
-        let (jobs, queue) = sync_channel::<Job>(PIPELINE_DEPTH);
+        let (jobs, queue) = queue.unwrap_or_else(|| sync_channel(PIPELINE_DEPTH));
         let (replies, done) = sync_channel::<Reply>(1);
         let heartbeat = Arc::new(AtomicU64::new(0));
         let mut incarnation = self.restore[w].copy();
@@ -658,58 +640,69 @@ impl ShardSupervisor {
         let thread = std::thread::Builder::new()
             .name(format!("iocov-shard-{w}"))
             .spawn(move || {
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    let _supervised = SupervisedScanGuard::enter();
-                    while let Ok(job) = queue.recv() {
-                        match job {
-                            Job::Scan(batch) => incarnation.scan(&batch, w, n, hook.as_ref()),
-                            Job::Mark { rebase } => {
-                                let point = Box::new(incarnation.mark(rebase));
-                                if replies.send(Reply::Marked(point)).is_err() {
-                                    return;
-                                }
+                while let Ok(job) = queue.recv() {
+                    match job {
+                        Job::Scan(batch, tick) => {
+                            let scan = catch_unwind(AssertUnwindSafe(|| {
+                                let _supervised = SupervisedScanGuard::enter();
+                                incarnation.scan(&batch, tick, w, n, hook.as_ref());
+                            }));
+                            if let Err(payload) = scan {
+                                let msg = panic_message(payload.as_ref());
+                                let _ = replies.send(Reply::Panicked(msg, queue));
+                                return;
                             }
                         }
-                        beat.fetch_add(1, Ordering::Relaxed);
+                        Job::Mark => {
+                            let point = Box::new(incarnation.mark());
+                            if replies.send(Reply::Marked(point)).is_err() {
+                                return;
+                            }
+                        }
                     }
-                }));
-                if let Err(payload) = result {
-                    let _ = replies.send(Reply::Panicked(panic_message(payload.as_ref())));
+                    beat.fetch_add(1, Ordering::Relaxed);
                 }
             })?;
         Ok(Slot {
             jobs: Some(jobs),
             done,
             heartbeat,
-            sent: 0,
             thread: Some(thread),
         })
     }
 
-    /// A live slot for shard `w`, charging the budget on spawn failure;
-    /// a shard that has given up gets a dead slot.
-    fn spawned_slot(&mut self, w: usize) -> Slot {
-        while !self.ledger[w].gave_up() {
-            match self.spawn_slot(w) {
-                Ok(slot) => return slot,
+    /// A live slot for shard `w` on `queue` (or a fresh one), charging
+    /// the budget on spawn failure; a shard that has given up gets a
+    /// dead slot. Also returns whether the slot runs on `queue`.
+    fn spawned_slot(&mut self, w: usize, mut queue: Option<Queue>) -> (Slot, bool) {
+        let mut kept = queue.is_some();
+        while !self.ledger[w].gave_up {
+            match self.spawn_slot(w, queue.take()) {
+                Ok(slot) => return (slot, kept),
                 Err(e) => {
+                    kept = false;
                     self.charge(w, format!("spawn shard worker: {e}"));
                 }
             }
         }
-        Slot::dead()
+        (Slot::dead(), false)
     }
 
     /// Charges a failure of shard `w`'s thread, then respawns it from
-    /// its restore point (the caller replays the log into it) or
-    /// abandons it. Dropping the old slot's sender lets a
-    /// live-but-stalled thread drain and exit on its own.
-    fn recover(&mut self, w: usize, error: &ShardError) {
-        self.slots[w] = if self.charge(w, error.to_string()) {
-            self.spawned_slot(w)
-        } else {
-            Slot::dead()
-        };
+    /// its restore point or abandons it. A panicked thread's queue goes
+    /// to the new thread, which takes the jobs the failed one never
+    /// began; a stalled thread keeps its own and, once its sender is
+    /// dropped, drains it and exits alone. Returns whether the new
+    /// thread took over the queue.
+    fn recover(&mut self, w: usize, failure: Failure) -> bool {
+        let jobs = self.slots[w].jobs.take();
+        if !self.charge(w, failure.error.to_string()) {
+            self.slots[w] = Slot::dead();
+            return false;
+        }
+        let (slot, kept) = self.spawned_slot(w, jobs.zip(failure.queue));
+        self.slots[w] = slot;
+        kept
     }
 
     /// Waits for `event` from shard `w`'s thread, declaring it stalled
@@ -717,15 +710,15 @@ impl ShardSupervisor {
     fn watch<T>(
         &self,
         w: usize,
-        mut event: impl FnMut() -> Result<T, Option<ShardError>>,
-    ) -> Result<T, ShardError> {
+        mut event: impl FnMut() -> Result<T, Option<Failure>>,
+    ) -> Result<T, Failure> {
         let heartbeat = &self.slots[w].heartbeat;
         let mut last_beat = heartbeat.load(Ordering::Relaxed);
         let mut progress_at = Instant::now();
         loop {
             match event() {
                 Ok(value) => return Ok(value),
-                Err(Some(error)) => return Err(error),
+                Err(Some(failure)) => return Err(failure),
                 Err(None) => {}
             }
             if let Some(limit) = self.policy.shard_timeout {
@@ -734,82 +727,60 @@ impl ShardSupervisor {
                     last_beat = beat;
                     progress_at = Instant::now();
                 } else if progress_at.elapsed() >= limit {
-                    return Err(ShardError::Stalled {
+                    let error = ShardError::Stalled {
                         waited: progress_at.elapsed(),
-                    });
+                    };
+                    return Err(Failure { error, queue: None });
                 }
             }
         }
     }
 
-    /// Offers one job to shard `w`'s queue, spinning while it is full
-    /// and detecting a dead thread.
-    fn offer(&self, w: usize, job: Job) -> Result<(), ShardError> {
-        let Some(jobs) = &self.slots[w].jobs else {
-            return Err(ShardError::Panicked("worker unavailable".into()));
-        };
+    /// Offers one job to shard `w`'s queue, spinning while it is full.
+    /// A full queue may be a panicked thread's, so the spin waits on its
+    /// reply channel.
+    fn offer(&self, w: usize, job: Job) -> Result<(), Failure> {
+        let slot = &self.slots[w];
+        let jobs = slot.jobs.as_ref().expect("a shard that has not given up");
         let mut job = Some(job);
         self.watch(w, || {
             match jobs.try_send(job.take().expect("job present until sent")) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Disconnected(_)) => Err(Some(self.reap_exit(w))),
-                Err(TrySendError::Full(back)) => {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Full(back) | TrySendError::Disconnected(back)) => {
                     job = Some(back);
-                    std::thread::sleep(Duration::from_micros(200));
-                    Err(None)
                 }
             }
+            // No mark is outstanding here, so any reply is a failure.
+            answer(slot.done.recv_timeout(Duration::from_micros(200))).and(Err(None))
         })
-    }
-
-    /// Fetches the exit message of a thread whose queue disconnected.
-    fn reap_exit(&self, w: usize) -> ShardError {
-        // The thread drops its queue receiver (disconnecting us) during
-        // unwind, then sends its exit message; give it a moment.
-        match self.slots[w].done.recv_timeout(Duration::from_secs(5)) {
-            Ok(Reply::Panicked(msg)) => ShardError::Panicked(msg),
-            Ok(Reply::Marked(_)) => ShardError::Panicked("worker exited after a mark".into()),
-            Err(_) => ShardError::Panicked("worker terminated without reporting".into()),
-        }
     }
 
     /// Waits for shard `w`'s reply to a mark job.
-    fn await_mark(&self, w: usize) -> Result<Box<Incarnation>, ShardError> {
+    fn await_mark(&self, w: usize) -> Result<Box<Incarnation>, Failure> {
         let done = &self.slots[w].done;
-        self.watch(w, || match done.recv_timeout(Duration::from_millis(20)) {
-            Ok(Reply::Marked(point)) => Ok(point),
-            Ok(Reply::Panicked(msg)) => Err(Some(ShardError::Panicked(msg))),
-            Err(RecvTimeoutError::Disconnected) => Err(Some(ShardError::Panicked(
-                "worker terminated without reporting".into(),
-            ))),
-            Err(RecvTimeoutError::Timeout) => Err(None),
-        })
+        self.watch(w, || answer(done.recv_timeout(Duration::from_millis(20))))
     }
 
-    /// Delivers log batches to shard `w` until its incarnation has seen
-    /// the first `target` (restarting and replaying as needed).
-    fn deliver_up_to(&mut self, w: usize, target: usize) {
-        while !self.ledger[w].gave_up() && self.slots[w].sent < target {
-            let idx = self.slots[w].sent;
-            match self.offer(w, Job::Scan(Arc::clone(&self.log[idx]))) {
-                Ok(()) => self.slots[w].sent = idx + 1,
-                Err(error) => self.recover(w, &error),
-            }
-        }
-    }
-
-    /// Logs one batch and hands it to every shard thread. Blocks only
-    /// when a queue is [`PIPELINE_DEPTH`] batches behind — the
-    /// backpressure that bounds memory to `depth × batch` per shard
-    /// (plus the `Arc`-shared log, which the budget bounds).
+    /// Hands one batch, with its tick, to every shard thread that has
+    /// not given up, restarting a failed one first. Blocks only when a
+    /// queue is [`PIPELINE_DEPTH`] batches behind — the backpressure that
+    /// bounds memory to `depth × batch` per shard.
     fn dispatch(&mut self, batch: Arc<EventBatch>) {
         if self.slots.is_empty() {
-            self.slots = (0..self.shards()).map(|w| self.spawned_slot(w)).collect();
+            self.slots = (0..self.shards())
+                .map(|w| self.spawned_slot(w, None).0)
+                .collect();
         }
-        self.retain(batch);
-        let target = self.log.len();
+        let tick = self.ticks;
+        self.ticks += 1;
+        self.events += batch.len() as u64;
         for w in 0..self.shards() {
-            self.deliver_up_to(w, target);
+            while !self.ledger[w].gave_up {
+                let Err(failure) = self.offer(w, Job::Scan(Arc::clone(&batch), tick)) else {
+                    break;
+                };
+                self.recover(w, failure);
+            }
         }
     }
 
@@ -894,14 +865,14 @@ mod tests {
         events
     }
 
-    /// A hook that panics the first `times` times shard `shard` reaches
-    /// tick `tick`, then disarms (mirrors the CLI's `--inject-panic`
-    /// drill on `iocov_faults::DrillTrigger`, which this crate cannot
-    /// depend on).
+    /// A hook that panics shard `shard` on the first `times` batches it
+    /// scans at or past tick `tick`, then disarms (mirrors the CLI's
+    /// `--inject-panic` drill on `iocov_faults::DrillTrigger::fire_from`,
+    /// which this crate cannot depend on).
     fn panic_hook(shard: usize, tick: u64, times: u64) -> ShardHook {
         let fired = Arc::new(AtomicU64::new(0));
         Arc::new(move |w, t| {
-            if w == shard && t == tick && fired.fetch_add(1, Ordering::SeqCst) < times {
+            if w == shard && t >= tick && fired.fetch_add(1, Ordering::SeqCst) < times {
                 panic!("injected test panic (shard {w}, tick {t})");
             }
         })
@@ -937,10 +908,6 @@ mod tests {
     fn json(report: &AnalysisReport) -> String {
         serde_json::to_string(report).unwrap()
     }
-
-    /// The supervision referees run at the real budget and at zero,
-    /// which cuts the log in memory after every batch.
-    const BUDGETS: [usize; 2] = [RESTORE_BUDGET, 0];
 
     /// A session at `jobs` shards with the fast-retry policy.
     fn builder(jobs: usize) -> PipelineBuilder {
@@ -1169,241 +1136,6 @@ mod tests {
         }
     }
 
-    // ------------------------------------------------------------------
-    // Supervision
-    // ------------------------------------------------------------------
-
-    #[test]
-    fn injected_panic_replays_byte_identical() {
-        // Panic on the second batch of the shard: state replay (not
-        // just the failing batch) must reconstruct batch 0's
-        // contribution. Small batches below the threshold exercise
-        // coalescing; large ones do not.
-        // At a zero budget the log is cut after every batch, so the
-        // restart resumes from the restore point taken after batch 0.
-        let events = multi_pid_trace(7, 40);
-        let expected = json(&serial(&events));
-        for ((jobs, shard, chunk), budget) in [
-            (1, 0, events.len() / 3),
-            (3, 1, PARALLEL_THRESHOLD),
-            (3, 1, events.len() / 3),
-        ]
-        .into_iter()
-        .flat_map(|cell| BUDGETS.map(|budget| (cell, budget)))
-        {
-            let (report, failures) = run_chunked(
-                builder(jobs)
-                    .restore_budget(budget)
-                    .hook(panic_hook(shard, 1, 1)),
-                &events,
-                chunk,
-            );
-            assert_eq!(
-                expected,
-                json(&report),
-                "diverged at {jobs} jobs, budget {budget}"
-            );
-            assert_eq!(failures.len(), 1);
-            assert_eq!(failures[0].shard, shard);
-            assert_eq!(failures[0].restarts, 1);
-            assert!(!failures[0].gave_up);
-            assert!(failures[0].last_error.contains("injected test panic"));
-        }
-    }
-
-    #[test]
-    fn metrics_not_double_counted_across_restart() {
-        let events = multi_pid_trace(6, 40);
-        let (clean, clean_snap) = serial_metered(&events);
-        for (jobs, budget) in [1, 2].into_iter().flat_map(|j| BUDGETS.map(|b| (j, b))) {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let (report, _) = run_chunked(
-                builder(jobs)
-                    .restore_budget(budget)
-                    .metrics(Arc::clone(&metrics))
-                    .hook(panic_hook(0, 1, 1)),
-                &events,
-                PARALLEL_THRESHOLD,
-            );
-            assert_eq!(clean, report);
-            let snap = metrics.snapshot();
-            // The restarted shard replays its events, but only the
-            // counters of its restore point and replay are absorbed.
-            assert_eq!(snap.events_read, clean_snap.events_read);
-            assert_eq!(snap.filter_dropped, clean_snap.filter_dropped);
-            assert_eq!(snap.partition_records, clean_snap.partition_records);
-            // And the recovery itself is accounted.
-            assert_eq!(snap.shard_restarts, 1);
-            assert_eq!(snap.shard_failures.len(), 1);
-            assert!(!snap.shard_failures[0].gave_up);
-        }
-    }
-
-    #[test]
-    fn exhausted_budget_degrades_to_partial_report() {
-        // The shard panics forever (far more charges than the budget):
-        // its pids go missing, every other shard's are fully analyzed,
-        // and no half-counted incarnation leaks into the counters.
-        let events = multi_pid_trace(4, 8);
-        for (jobs, shard) in [(1, 0), (2, 0), (2, 1)] {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let (report, failures) = run_chunked(
-                builder(jobs)
-                    .metrics(Arc::clone(&metrics))
-                    .hook(panic_hook(shard, 0, u64::MAX)),
-                &events,
-                events.len(),
-            );
-            assert_eq!(failures.len(), 1);
-            assert_eq!(failures[0].shard, shard);
-            assert!(failures[0].gave_up);
-            assert_eq!(failures[0].restarts, fast_policy().max_restarts);
-            let survivors: Vec<_> = events
-                .iter()
-                .filter(|e| e.pid as usize % jobs != shard)
-                .cloned()
-                .collect();
-            assert_eq!(report, serial(&survivors), "jobs {jobs}, shard {shard}");
-            let snap = metrics.snapshot();
-            assert_eq!(snap.shard_restarts, u64::from(fast_policy().max_restarts));
-            assert_eq!(snap.shard_failures.len(), 1);
-            assert_eq!(snap.events_read, survivors.len() as u64);
-        }
-    }
-
-    #[test]
-    fn restart_budget_is_per_shard_per_run_across_cuts() {
-        // Checkpoint cuts between batches and a panic on every batch's
-        // first tick: the shard must spend exactly its budget once, give
-        // up once, and count nothing afterwards, at every job count —
-        // later cuts must not hand it a fresh ledger.
-        let events = multi_pid_trace(2, 9);
-        let every = events.len() / 6;
-        for (jobs, budget) in [1, 2].into_iter().flat_map(|j| BUDGETS.map(|b| (j, b))) {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let mut session = builder(jobs)
-                .restore_budget(budget)
-                .metrics(Arc::clone(&metrics))
-                .hook(panic_hook(0, 0, 99))
-                .build_session();
-            for part in events.chunks(every) {
-                session.feed_owned(part.to_vec());
-                let _ = session.cut();
-            }
-            let (report, failures) = session.finish();
-            let max = fast_policy().max_restarts;
-            assert_eq!(failures.len(), 1, "jobs {jobs}: {failures:?}");
-            assert_eq!(failures[0].shard, 0);
-            assert_eq!(failures[0].restarts, max, "jobs {jobs}");
-            assert!(failures[0].gave_up);
-            let snap = metrics.snapshot();
-            assert_eq!(snap.shard_restarts, u64::from(max), "jobs {jobs}");
-            assert_eq!(snap.shard_failures.len(), 1, "jobs {jobs}");
-            // Shard 0 gave up on its first batch, so none of its pids
-            // were ever counted; shard 1's (jobs 2) all were.
-            let survivors: Vec<_> = events
-                .iter()
-                .filter(|e| !(e.pid as usize).is_multiple_of(jobs))
-                .cloned()
-                .collect();
-            assert_eq!(report, serial(&survivors), "jobs {jobs}");
-            assert_eq!(report.filter_stats.total, survivors.len());
-        }
-    }
-
-    #[test]
-    fn stall_watchdog_replays_stalled_shard() {
-        let events = multi_pid_trace(6, 60);
-        let expected = json(&serial(&events));
-        // Shard 0 freezes for 5s on its first batch; the 50ms watchdog
-        // must abandon and replay it rather than wait. As one batch the
-        // stall surfaces at finish; in three, at a zero budget, it
-        // surfaces at the in-memory cut after the first.
-        for ((jobs, budget), chunk) in [1, 2]
-            .into_iter()
-            .flat_map(|j| BUDGETS.map(|b| (j, b)))
-            .flat_map(|cell| [events.len(), PARALLEL_THRESHOLD].map(|c| (cell, c)))
-        {
-            let stalled = Arc::new(AtomicU64::new(0));
-            let flag = Arc::clone(&stalled);
-            let hook: ShardHook = Arc::new(move |w, t| {
-                if w == 0 && t == 0 && flag.fetch_add(1, Ordering::SeqCst) == 0 {
-                    std::thread::sleep(Duration::from_secs(5));
-                }
-            });
-            let policy = fast_policy().with_shard_timeout(Duration::from_millis(50));
-            let started = Instant::now();
-            let (report, failures) = run_chunked(
-                builder(jobs)
-                    .restore_budget(budget)
-                    .policy(policy)
-                    .hook(hook),
-                &events,
-                chunk,
-            );
-            assert!(
-                started.elapsed() < Duration::from_secs(4),
-                "watchdog must not wait out the stall"
-            );
-            assert_eq!(expected, json(&report));
-            assert_eq!(failures.len(), 1);
-            assert_eq!(failures[0].shard, 0);
-            assert!(!failures[0].gave_up);
-            assert!(
-                failures[0].last_error.contains("stalled"),
-                "{}",
-                failures[0].last_error
-            );
-        }
-    }
-
-    #[test]
-    fn replay_log_stays_within_the_budget_and_cuts_are_invisible() {
-        // Twenty-one full batches against a budget of two: the log must
-        // peak at the budget plus one batch, and the report and counters
-        // must equal a run that never cuts.
-        let events = multi_pid_trace(8, 384);
-        assert!(events.len().is_multiple_of(PARALLEL_THRESHOLD));
-        let parts: Vec<&[TraceEvent]> = events.chunks(PARALLEL_THRESHOLD).collect();
-        let sizes: Vec<usize> = parts
-            .iter()
-            .map(|part| EventBatch::from_events(part).heap_bytes())
-            .collect();
-        let largest = *sizes.iter().max().unwrap();
-        let total: usize = sizes.iter().sum();
-        let budget = 2 * largest;
-        assert!(total >= 10 * budget, "{total} bytes against {budget}");
-        let expected = json(&serial(&events));
-        for jobs in [1, 2] {
-            let run = |budget: usize| {
-                let metrics = Arc::new(PipelineMetrics::default());
-                let mut session = builder(jobs)
-                    .restore_budget(budget)
-                    .metrics(Arc::clone(&metrics))
-                    .build_session();
-                for part in &parts {
-                    session.feed(EventBatch::from_events(part));
-                }
-                let peaks = (session.shards.log_peak, session.shards.batch_peak);
-                let (report, failures) = session.finish();
-                assert!(failures.is_empty());
-                let counters = serde_json::to_string(&metrics.snapshot()).unwrap();
-                (json(&report), counters, peaks)
-            };
-            let (uncut, uncut_counters, (uncut_peak, _)) = run(usize::MAX);
-            assert_eq!(uncut_peak, total, "jobs {jobs}: an uncut log holds it all");
-            let (report, counters, (peak, batch_peak)) = run(budget);
-            assert_eq!(batch_peak, largest);
-            assert!(
-                peak <= budget + largest,
-                "jobs {jobs}: log peaked at {peak} against {budget} + {largest}"
-            );
-            assert_eq!(expected, report, "jobs {jobs}");
-            assert_eq!(uncut, report, "jobs {jobs}");
-            assert_eq!(uncut_counters, counters, "jobs {jobs}");
-        }
-    }
-
     #[test]
     fn full_batch_after_a_remainder_is_dispatched_uncopied() {
         // A small batch waits in the coalescing buffer; the full batch
@@ -1428,10 +1160,7 @@ mod tests {
                 .hook(hook)
                 .build_session();
             session.feed(EventBatch::from_events(small));
-            let full = EventBatch::from_events(full);
-            let full_bytes = full.heap_bytes();
-            session.feed(full);
-            assert_eq!(session.shards.batch_peak, full_bytes, "jobs {jobs}");
+            session.feed(EventBatch::from_events(full));
             let (report, failures) = session.finish();
             assert!(failures.is_empty());
             assert_eq!(*ticks.lock().unwrap(), [0, 1], "jobs {jobs}");
@@ -1443,54 +1172,447 @@ mod tests {
         }
     }
 
+    // ------------------------------------------------------------------
+    // Supervision
+    // ------------------------------------------------------------------
+
+    /// `events` without shard `shard`'s (of `jobs`) among the events at
+    /// the indices `lost` names: what a degraded run analyzes.
+    fn surviving(
+        events: &[TraceEvent],
+        jobs: usize,
+        shard: usize,
+        lost: impl Fn(usize) -> bool,
+    ) -> Vec<TraceEvent> {
+        events
+            .iter()
+            .enumerate()
+            .filter(|&(i, e)| !(lost(i) && e.pid as usize % jobs == shard))
+            .map(|(_, e)| e.clone())
+            .collect()
+    }
+
+    /// A run's counters with the feed's batch-shape sums (which the
+    /// serial analyzer does not record) checked against `events` and
+    /// zeroed, and the supervision fields split off.
+    fn analysis_counters(
+        metrics: &PipelineMetrics,
+        events: usize,
+    ) -> (MetricsSnapshot, u64, Vec<ShardFailureRecord>) {
+        let mut counters = metrics.snapshot();
+        assert_eq!(counters.batched_events, events as u64);
+        (counters.batched_events, counters.allocs_estimated) = (0, 0);
+        let restarts = std::mem::take(&mut counters.shard_restarts);
+        let failures = std::mem::take(&mut counters.shard_failures);
+        (counters, restarts, failures)
+    }
+
+    /// The one failure record a run with one failed shard must emit.
+    fn record(shard: usize, restarts: u32, gave_up: bool, lost: usize) -> ShardFailureRecord {
+        ShardFailureRecord {
+            shard,
+            restarts,
+            gave_up,
+            lost_events: lost as u64,
+            last_error: String::new(),
+        }
+    }
+
+    /// `failures` without their error text, which the caller checks.
+    fn without_errors(mut failures: Vec<ShardFailureRecord>) -> Vec<ShardFailureRecord> {
+        for failure in &mut failures {
+            assert!(!failure.last_error.is_empty());
+            failure.last_error.clear();
+        }
+        failures
+    }
+
     #[test]
-    fn gave_up_shard_keeps_its_restore_point() {
-        // Shard 0 panics on every attempt from tick 2 on. At a zero
-        // budget its restore point holds batches 0 and 1, so the
-        // degraded report and counters keep exactly those of its events;
-        // at the real budget no cut came first, so it keeps none.
-        let events = multi_pid_trace(4, 150);
-        let kept = 2 * PARALLEL_THRESHOLD;
-        for (jobs, budget) in [1, 2].into_iter().flat_map(|j| BUDGETS.map(|b| (j, b))) {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let (report, failures) = run_chunked(
-                builder(jobs)
-                    .restore_budget(budget)
-                    .metrics(Arc::clone(&metrics))
-                    .hook(panic_hook(0, 2, u64::MAX)),
-                &events,
-                PARALLEL_THRESHOLD,
-            );
-            assert_eq!(failures.len(), 1);
-            assert!(failures[0].gave_up);
-            let prefix = if budget == 0 { kept } else { 0 };
-            let survivors: Vec<_> = events
-                .iter()
-                .enumerate()
-                .filter(|(i, e)| *i < prefix || !(e.pid as usize).is_multiple_of(jobs))
-                .map(|(_, e)| e.clone())
-                .collect();
+    fn injected_panic_loses_the_shards_events_since_its_restore_point() {
+        // Panic on the second batch: the restore point is the start of
+        // the run, so the restarted shard loses both batches 0 and 1 of
+        // its pids and analyzes everything after. Small feeds coalesce
+        // into batches of PARALLEL_THRESHOLD events; large ones do not.
+        let events = multi_pid_trace(7, 80);
+        for (jobs, shard, chunk, batch) in [
+            (1, 0, events.len() / 3, events.len() / 3),
+            (3, 1, PARALLEL_THRESHOLD, PARALLEL_THRESHOLD),
+            (3, 1, PARALLEL_THRESHOLD / 2, PARALLEL_THRESHOLD),
+            (3, 1, events.len() / 3, events.len() / 3),
+        ] {
+            let (report, failures) =
+                run_chunked(builder(jobs).hook(panic_hook(shard, 1, 1)), &events, chunk);
+            assert!(events.len() > 2 * batch);
+            let survivors = surviving(&events, jobs, shard, |i| i < 2 * batch);
             assert_eq!(
-                json(&report),
                 json(&serial(&survivors)),
-                "jobs {jobs}, budget {budget}"
+                json(&report),
+                "jobs {jobs}, chunk {chunk}"
             );
-            assert_eq!(metrics.snapshot().events_read, survivors.len() as u64);
+            assert!(failures[0].last_error.contains("injected test panic"));
+            assert_eq!(
+                without_errors(failures),
+                [record(shard, 1, false, 2 * batch)]
+            );
         }
     }
 
     #[test]
-    fn snapshot_after_injected_panic_recovers() {
-        let events = multi_pid_trace(5, 30);
-        let expected = serial(&events);
+    fn a_panic_that_recurs_on_every_attempt_costs_one_restart() {
+        // A genuine fault: the scan of batch 1 panics every time it is
+        // tried, not a drill that disarms. Nothing is replayed, so the
+        // shard restarts once, loses batches 0 and 1 of its pids, and
+        // keeps its budget for the rest of the run.
+        let events = multi_pid_trace(4, 150);
+        for jobs in [1, 2] {
+            let hook: ShardHook = Arc::new(|w, t| {
+                if w == 0 && t == 1 {
+                    panic!("deterministic fault in batch {t}");
+                }
+            });
+            let metrics = Arc::new(PipelineMetrics::default());
+            let (report, failures) = run_chunked(
+                builder(jobs).metrics(Arc::clone(&metrics)).hook(hook),
+                &events,
+                PARALLEL_THRESHOLD,
+            );
+            let lost = 2 * PARALLEL_THRESHOLD;
+            let survivors = surviving(&events, jobs, 0, |i| i < lost);
+            let (expected, serial_counters) = serial_metered(&survivors);
+            assert_eq!(json(&expected), json(&report), "jobs {jobs}");
+            let (counters, restarts, manifest) = analysis_counters(&metrics, events.len());
+            assert_eq!(serial_counters, counters, "jobs {jobs}");
+            assert_eq!(restarts, 1);
+            assert_eq!(manifest, failures);
+            assert!(failures[0].last_error.contains("deterministic fault"));
+            assert_eq!(without_errors(failures), [record(0, 1, false, lost)]);
+        }
+    }
+
+    #[test]
+    fn metrics_count_only_the_surviving_events() {
+        // The restarted shard starts from its restore point's counters,
+        // so the run's counters are exactly a serial run's over the
+        // events that survived, and the recovery itself is accounted.
+        let events = multi_pid_trace(6, 80);
+        for jobs in [1, 2] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let (report, failures) = run_chunked(
+                builder(jobs)
+                    .metrics(Arc::clone(&metrics))
+                    .hook(panic_hook(0, 1, 1)),
+                &events,
+                PARALLEL_THRESHOLD,
+            );
+            let survivors = surviving(&events, jobs, 0, |i| i < 2 * PARALLEL_THRESHOLD);
+            let (expected, serial_counters) = serial_metered(&survivors);
+            assert_eq!(expected, report, "jobs {jobs}");
+            let (counters, restarts, manifest) = analysis_counters(&metrics, events.len());
+            assert_eq!(serial_counters, counters, "jobs {jobs}");
+            assert_eq!(restarts, 1);
+            assert_eq!(manifest, failures);
+            assert!(!failures[0].gave_up);
+        }
+    }
+
+    #[test]
+    fn exhausted_budget_degrades_to_partial_report() {
+        // The shard panics on every batch it is handed: batches 0–2
+        // spend the budget and batch 3 gives it up. With no cut its
+        // restore point is empty, so its pids go missing altogether,
+        // every other shard's are fully analyzed, and no half-counted
+        // incarnation leaks into the counters.
+        let events = multi_pid_trace(4, 150);
+        let max = fast_policy().max_restarts;
+        for (jobs, shard) in [(1, 0), (2, 0), (2, 1)] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let (report, failures) = run_chunked(
+                builder(jobs)
+                    .metrics(Arc::clone(&metrics))
+                    .hook(panic_hook(shard, 0, u64::MAX)),
+                &events,
+                PARALLEL_THRESHOLD,
+            );
+            let survivors = surviving(&events, jobs, shard, |_| true);
+            let (expected, serial_counters) = serial_metered(&survivors);
+            assert_eq!(report, expected, "jobs {jobs}, shard {shard}");
+            let (counters, restarts, _) = analysis_counters(&metrics, events.len());
+            assert_eq!(serial_counters, counters, "jobs {jobs}, shard {shard}");
+            assert_eq!(restarts, u64::from(max));
+            assert_eq!(
+                without_errors(failures),
+                [record(shard, max, true, events.len())]
+            );
+        }
+    }
+
+    #[test]
+    fn restart_budget_is_per_shard_per_run_across_cuts() {
+        // Checkpoint cuts between batches and a panic on every batch's
+        // first tick: the shard must spend exactly its budget once, give
+        // up once, and count nothing afterwards, at every job count —
+        // later cuts must not hand it a fresh ledger.
+        let events = multi_pid_trace(2, 9);
+        let every = events.len() / 6;
+        let max = fast_policy().max_restarts;
+        for jobs in [1, 2] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let mut session = builder(jobs)
+                .metrics(Arc::clone(&metrics))
+                .hook(panic_hook(0, 0, 99))
+                .build_session();
+            for part in events.chunks(every) {
+                session.feed_owned(part.to_vec());
+                let _ = session.cut();
+            }
+            let (report, failures) = session.finish();
+            let (_, restarts, _) = analysis_counters(&metrics, events.len());
+            assert_eq!(restarts, u64::from(max), "jobs {jobs}");
+            // Shard 0 lost every batch it was handed, so none of its
+            // pids were ever counted; shard 1's (jobs 2) all were.
+            assert_eq!(
+                without_errors(failures),
+                [record(0, max, true, events.len())],
+                "jobs {jobs}"
+            );
+            let survivors = surviving(&events, jobs, 0, |_| true);
+            assert_eq!(report, serial(&survivors), "jobs {jobs}");
+        }
+    }
+
+    #[test]
+    fn gave_up_shard_keeps_its_restore_point() {
+        // A cut after two batches moves shard 0's restore point past
+        // them. From tick 2 of the next epoch on it panics on every
+        // batch, restarts three times and gives up: the degraded report
+        // and counters keep exactly its events before the cut.
+        let events = multi_pid_trace(4, 300);
+        let kept = 2 * PARALLEL_THRESHOLD;
+        for jobs in [1, 2] {
+            let metrics = Arc::new(PipelineMetrics::default());
+            let mut session = builder(jobs)
+                .metrics(Arc::clone(&metrics))
+                .hook(panic_hook(0, 2, u64::MAX))
+                .build_session();
+            for (k, part) in events.chunks(PARALLEL_THRESHOLD).enumerate() {
+                session.feed_owned(part.to_vec());
+                if k == 1 {
+                    let _ = session.cut();
+                }
+            }
+            let (report, failures) = session.finish();
+            let survivors = surviving(&events, jobs, 0, |i| i >= kept);
+            let (expected, serial_counters) = serial_metered(&survivors);
+            assert_eq!(json(&report), json(&expected), "jobs {jobs}");
+            let (counters, _, _) = analysis_counters(&metrics, events.len());
+            assert_eq!(serial_counters, counters, "jobs {jobs}");
+            let max = fast_policy().max_restarts;
+            assert_eq!(
+                without_errors(failures),
+                [record(0, max, true, events.len() - kept)]
+            );
+        }
+    }
+
+    #[test]
+    fn stall_watchdog_restarts_stalled_shard() {
+        let events = multi_pid_trace(6, 120);
+        // Shard 0 freezes for 5s on its first batch; the 50ms watchdog
+        // must abandon it rather than wait. As one batch the stall
+        // surfaces at finish and the batch is lost. In batches of
+        // PARALLEL_THRESHOLD it surfaces once the stalled queue is full,
+        // so the stalled batch and the ones queued behind it are lost
+        // and the new incarnation goes on from the next.
+        for (jobs, chunk) in [1, 2]
+            .into_iter()
+            .flat_map(|j| [events.len(), PARALLEL_THRESHOLD].map(|c| (j, c)))
+        {
+            let stalled = Arc::new(AtomicU64::new(0));
+            let flag = Arc::clone(&stalled);
+            let hook: ShardHook = Arc::new(move |w, t| {
+                if w == 0 && t == 0 && flag.fetch_add(1, Ordering::SeqCst) == 0 {
+                    std::thread::sleep(Duration::from_secs(5));
+                }
+            });
+            let policy = fast_policy().with_shard_timeout(Duration::from_millis(50));
+            let started = Instant::now();
+            let (report, failures) =
+                run_chunked(builder(jobs).policy(policy).hook(hook), &events, chunk);
+            assert!(
+                started.elapsed() < Duration::from_secs(4),
+                "watchdog must not wait out the stall"
+            );
+            assert!(
+                failures[0].last_error.contains("stalled"),
+                "{}",
+                failures[0].last_error
+            );
+            // Which batches were queued behind the stalled one depends
+            // on when the thread took its first; the loss is always a
+            // whole number of batches, the first included.
+            let lost = usize::try_from(failures[0].lost_events).unwrap();
+            let most = (PIPELINE_DEPTH + 1) * chunk;
+            assert!(lost.is_multiple_of(chunk) && lost > 0 && lost <= most.min(events.len()));
+            let survivors = surviving(&events, jobs, 0, |i| i < lost);
+            assert_eq!(json(&serial(&survivors)), json(&report));
+            assert_eq!(without_errors(failures), [record(0, 1, false, lost)]);
+        }
+    }
+
+    #[test]
+    fn snapshot_after_injected_panic_moves_the_restore_point() {
+        // The panic loses the first feed's events of shard 0; the
+        // snapshot's cut is the new restore point, so the second feed
+        // is analyzed whole.
+        let events = multi_pid_trace(5, 60);
+        let (first, second) = events.split_at(events.len() / 2);
         for jobs in [1, 2] {
             let mut session = builder(jobs).hook(panic_hook(0, 0, 1)).build_session();
-            session.feed_owned(events.clone());
-            assert_eq!(
-                session.snapshot().filter_stats.total,
-                expected.filter_stats.total
+            session.feed_owned(first.to_vec());
+            let survivors = surviving(&events, jobs, 0, |i| i < first.len());
+            let (head, _) = survivors.split_at(survivors.len() - second.len());
+            assert_eq!(session.snapshot(), serial(head), "jobs {jobs}");
+            session.feed_owned(second.to_vec());
+            let (report, failures) = session.finish();
+            assert_eq!(report, serial(&survivors), "jobs {jobs}");
+            assert_eq!(without_errors(failures), [record(0, 1, false, first.len())]);
+        }
+    }
+
+    /// The batches a session dispatches for a feed schedule: feed `k`
+    /// carries `sizes[k]` events and is followed by a cut when
+    /// `cut_after[k]`. Each batch is `(events, tick, epoch)`, mirroring
+    /// [`ShardSupervisor::push`]'s coalescing and the ticks' reset at
+    /// every cut.
+    fn model_batches(
+        sizes: &[usize],
+        cut_after: &[bool],
+    ) -> Vec<(std::ops::Range<usize>, u64, usize)> {
+        let mut batches = Vec::new();
+        let (mut tick, mut epoch, mut at) = (0u64, 0usize, 0usize);
+        let mut pending: Option<std::ops::Range<usize>> = None;
+        let mut flush = |pending: &mut Option<std::ops::Range<usize>>, tick: &mut u64, epoch| {
+            if let Some(range) = pending.take().filter(|r| !r.is_empty()) {
+                batches.push((range, *tick, epoch));
+                *tick += 1;
+            }
+        };
+        for (&size, &cut) in sizes.iter().zip(cut_after) {
+            let feed = at..at + size;
+            at += size;
+            if size >= PARALLEL_THRESHOLD {
+                flush(&mut pending, &mut tick, epoch);
+                pending = Some(feed);
+                flush(&mut pending, &mut tick, epoch);
+            } else {
+                let range = pending.take().map_or(feed.clone(), |p| p.start..feed.end);
+                let full = range.len() >= PARALLEL_THRESHOLD;
+                pending = Some(range);
+                if full {
+                    flush(&mut pending, &mut tick, epoch);
+                }
+            }
+            if cut {
+                flush(&mut pending, &mut tick, epoch);
+                (tick, epoch) = (0, epoch + 1);
+            }
+        }
+        flush(&mut pending, &mut tick, epoch);
+        batches
+    }
+
+    proptest::proptest! {
+        /// A failed shard loses exactly its own events since its restore
+        /// point: for any multi-pid trace, job count, batching, cut
+        /// positions and panic schedule, the report and counters equal a
+        /// serial run over the surviving events, and the manifest's
+        /// restarts, `gave_up` and `lost_events` follow the schedule.
+        #[test]
+        fn degraded_runs_equal_the_serial_analysis_of_the_surviving_events(
+            pids in 1u32..7,
+            rounds in 10usize..80,
+            jobs in 1usize..=4,
+            sizes in proptest::collection::vec(1usize..1600, 1..8),
+            cuts in proptest::collection::vec(0u8..10, 8),
+            shard in 0usize..4,
+            at in 0u64..4,
+            charges in 1u32..=4,
+        ) {
+            let shard = shard % jobs;
+            let max = fast_policy().max_restarts;
+            let events = multi_pid_trace(pids, rounds);
+            let mut feeds = Vec::new();
+            let mut rest = &events[..];
+            while !rest.is_empty() {
+                let (feed, tail) = rest.split_at(sizes[feeds.len() % sizes.len()].min(rest.len()));
+                feeds.push(feed);
+                rest = tail;
+            }
+            let cut_after: Vec<bool> = (0..feeds.len()).map(|k| cuts[k % cuts.len()] < 3).collect();
+
+            // The model: shard `shard` scans every batch once, panicking
+            // on the first `charges` at or past tick `at`. A panic loses
+            // its epoch's batches so far; giving up loses the rest.
+            let batches = model_batches(
+                &feeds.iter().map(|f| f.len()).collect::<Vec<_>>(),
+                &cut_after,
             );
-            assert_eq!(expected, session.finish().0);
+            let mut lost = vec![false; batches.len()];
+            let (mut restarts, mut gave_up, mut left) = (0u32, false, charges);
+            let mut epoch_first = 0;
+            for (b, (_, tick, epoch)) in batches.iter().enumerate() {
+                if b > 0 && *epoch != batches[b - 1].2 {
+                    epoch_first = b;
+                }
+                if !gave_up && *tick >= at && left > 0 {
+                    left -= 1;
+                    gave_up = restarts == max;
+                    restarts += u32::from(!gave_up);
+                    lost[epoch_first..=b].fill(true);
+                }
+                lost[b] |= gave_up;
+            }
+            let lost_at = |i: usize| {
+                batches
+                    .iter()
+                    .zip(&lost)
+                    .any(|((range, _, _), &l)| l && range.contains(&i))
+            };
+            let lost_events: usize = batches
+                .iter()
+                .zip(&lost)
+                .filter(|(_, &l)| l)
+                .map(|((range, _, _), _)| range.len())
+                .sum();
+
+            let metrics = Arc::new(PipelineMetrics::default());
+            let mut session = builder(jobs)
+                .metrics(Arc::clone(&metrics))
+                .hook(panic_hook(shard, at, u64::from(charges)))
+                .build_session();
+            for (feed, &cut) in feeds.iter().zip(&cut_after) {
+                session.feed_owned(feed.to_vec());
+                if cut {
+                    let _ = session.cut();
+                }
+            }
+            let (report, failures) = session.finish();
+
+            let survivors = surviving(&events, jobs, shard, lost_at);
+            let (expected, serial_counters) = serial_metered(&survivors);
+            proptest::prop_assert_eq!(json(&expected), json(&report));
+            let (counters, shard_restarts, manifest) = analysis_counters(&metrics, events.len());
+            proptest::prop_assert_eq!(serial_counters, counters);
+            proptest::prop_assert_eq!(shard_restarts, u64::from(restarts));
+            proptest::prop_assert_eq!(&manifest, &failures);
+            proptest::prop_assert_eq!(
+                without_errors(failures),
+                if restarts == 0 {
+                    vec![]
+                } else {
+                    vec![record(shard, restarts, gave_up, lost_events)]
+                }
+            );
         }
     }
 }

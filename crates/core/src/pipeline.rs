@@ -9,7 +9,7 @@
 //!  ┌───────────────────────────────┐   ┌──────────────────────────────────┐
 //!  │ open_source(path, options)    │   │ pid-sharded StreamingAnalyzers,  │
 //!  │   ├─ JsonlSource (strict/lossy│   │ one run-long restart ledger,     │
-//!  │   │   via ReadOptions)        │──▶│ restore points, log ≤ budget     │
+//!  │   │   via ReadOptions)        │──▶│ restore points at every cut      │
 //!  │   └─ IotbSource  (strict/lossy│   │ on iocov-shard-N threads, fed    │
 //!  │       via ReadOptions; v1 and │   │ while the caller decodes the     │
 //!  │       v2 alike)               │   │ next batch                       │
@@ -39,8 +39,8 @@
 //! # Checkpoint cuts
 //!
 //! A cut returns the *cumulative* `(report, pid states)` pair a
-//! [`CheckpointDoc`] needs: the supervisor brings every shard to the
-//! end of its log, keeps each one's clone as its restore point, and
+//! [`CheckpointDoc`] needs: the supervisor brings every shard up to the
+//! last batch fed, keeps each one's clone as its restore point, and
 //! reads the pair off the restore points and its base report — the
 //! exact resume invariant the checkpoint tests prove. That is also what
 //! makes resume seeding free: a resumed run is a session whose
@@ -145,10 +145,6 @@ pub struct PipelineBuilder {
     on_checkpoint: Option<CheckpointHook>,
     resume: Option<CheckpointDoc>,
     stop_after: Option<u64>,
-    /// Test seam: the supervisor's in-memory cut budget in place of
-    /// [`RESTORE_BUDGET`](crate::RESTORE_BUDGET).
-    #[cfg(test)]
-    restore_budget: Option<usize>,
 }
 
 impl PipelineBuilder {
@@ -168,8 +164,6 @@ impl PipelineBuilder {
             on_checkpoint: None,
             resume: None,
             stop_after: None,
-            #[cfg(test)]
-            restore_budget: None,
         }
     }
 
@@ -258,16 +252,6 @@ impl PipelineBuilder {
         self
     }
 
-    /// Cuts the replay log in memory past `bytes` instead of
-    /// [`RESTORE_BUDGET`](crate::RESTORE_BUDGET); 0 cuts after every
-    /// batch.
-    #[cfg(test)]
-    #[must_use]
-    pub(crate) fn restore_budget(mut self, bytes: usize) -> Self {
-        self.restore_budget = Some(bytes);
-        self
-    }
-
     /// Builds the resident session: a shard supervisor seeded (like the
     /// metrics) from any resume checkpoint. This is the entry point for
     /// callers that feed events themselves (`iocov serve`, in-memory
@@ -285,8 +269,7 @@ impl PipelineBuilder {
             }
             (doc.report, doc.pid_states)
         });
-        #[allow(unused_mut)]
-        let mut shards = ShardSupervisor::new(
+        let shards = ShardSupervisor::new(
             self.empty,
             self.jobs,
             self.policy,
@@ -294,10 +277,6 @@ impl PipelineBuilder {
             self.metrics.clone(),
             seed,
         );
-        #[cfg(test)]
-        if let Some(bytes) = self.restore_budget {
-            shards.budget = bytes;
-        }
         AnalysisSession {
             shards,
             mount: self.mount,

@@ -171,8 +171,8 @@ pub struct StreamStatus {
     /// The most recent failure, if any.
     #[serde(default)]
     pub last_error: Option<String>,
-    /// Supervised shard failures absorbed *inside* the stream's
-    /// session.
+    /// Supervised shard failures *inside* the stream's session, each
+    /// with the events it lost since the stream's last checkpoint.
     #[serde(default)]
     pub shard_failures: Vec<ShardFailureRecord>,
 }
@@ -993,35 +993,6 @@ mod tests {
         assert_eq!(
             snapshot, want,
             "snapshot.json must match analyze --json bytes"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn long_stream_log_stays_within_the_restore_budget() {
-        // A spooled stream several budgets long whose checkpoints are too
-        // far apart to cut its replay log: the in-memory budget must,
-        // and the stream's report must not notice.
-        let dir = tmp_dir("budget");
-        fs::create_dir_all(dir.join("spool")).unwrap();
-        let trace = sample_trace(5, 130_000);
-        let bytes = iocov_trace::EventBatch::from_events(trace.events()).heap_bytes();
-        assert!(bytes > 3 * crate::RESTORE_BUDGET, "{bytes} bytes");
-        write_trace(&dir.join("spool"), "long.jsonl", &trace);
-        let mut cfg = serve_config(&dir, 1);
-        cfg.socket = None;
-        cfg.checkpoint_every = u64::MAX;
-        let ckpt = cfg.state_dir.join("long.iockpt");
-        let summary = run_serve(cfg).unwrap();
-        assert_eq!(summary.streams[0].state, "done");
-        assert_eq!(
-            serde_json::to_string(&summary.report).unwrap(),
-            serde_json::to_string(&batch_report(&[&trace], "/mnt/test")).unwrap()
-        );
-        let (peak, largest) = crate::session::LOG_PEAKS.lock().unwrap()[&ckpt];
-        assert!(
-            peak <= crate::RESTORE_BUDGET + largest,
-            "log peaked at {peak} against the budget + {largest}"
         );
         let _ = fs::remove_dir_all(&dir);
     }

@@ -142,26 +142,9 @@ impl AnalysisSession {
     /// manifest (empty on a fault-free run).
     #[must_use]
     pub fn finish(self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        #[cfg(test)]
-        if let Some(ck) = &self.checkpoint {
-            LOG_PEAKS
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(
-                    ck.path.clone(),
-                    (self.shards.log_peak, self.shards.batch_peak),
-                );
-        }
         self.shards.finish()
     }
 }
-
-/// Test-only: `(replay-log peak bytes, largest batch bytes)` of every
-/// finished session that checkpoints, by checkpoint path — how a test
-/// bounds the log of a session it does not hold (a `serve` stream's).
-#[cfg(test)]
-pub(crate) static LOG_PEAKS: std::sync::Mutex<BTreeMap<std::path::PathBuf, (usize, usize)>> =
-    std::sync::Mutex::new(BTreeMap::new());
 
 /// The thin batch half: pulls a source to end-of-input (or a stop
 /// boundary), feeding the session.

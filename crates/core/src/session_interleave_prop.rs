@@ -7,16 +7,13 @@
 //! the finished reports in *any* completion order — must serialize to
 //! exactly the bytes of the single concatenated analysis, with and
 //! without shared `--metrics`. Streams carry disjoint pid ranges, as
-//! real per-process trace streams do. Every case runs at the real
-//! replay-log budget and at zero, where each session cuts its log in
-//! memory after every batch, with identifier and combination coverage
-//! off and on.
+//! real per-process trace streams do. Every case runs with identifier
+//! and combination coverage off and on.
 
 use std::sync::Arc;
 
 use crate::{
-    splitmix64, AnalysisReport, AnalysisSession, MetricsSnapshot, PipelineBuilder, PipelineMetrics,
-    TraceFilter, RESTORE_BUDGET,
+    splitmix64, AnalysisReport, AnalysisSession, PipelineBuilder, PipelineMetrics, TraceFilter,
 };
 use iocov_trace::{ArgValue, EventBatch, TraceEvent};
 use proptest::prelude::*;
@@ -111,14 +108,9 @@ fn batches(events: &[TraceEvent], sizes: &[usize]) -> Vec<EventBatch> {
     out
 }
 
-fn session(
-    metrics: Option<Arc<PipelineMetrics>>,
-    budget: usize,
-    extended: bool,
-) -> AnalysisSession {
+fn session(metrics: Option<Arc<PipelineMetrics>>, extended: bool) -> AnalysisSession {
     let mut builder = PipelineBuilder::new(TraceFilter::mount_point(MOUNT).unwrap())
-        .mount(Some(MOUNT.to_owned()))
-        .restore_budget(budget);
+        .mount(Some(MOUNT.to_owned()));
     if let Some(m) = metrics {
         builder = builder.metrics(m);
     }
@@ -136,12 +128,11 @@ fn check(
     sizes: &[Vec<usize>],
     seed: u64,
     with_metrics: bool,
-    budget: usize,
     extended: bool,
 ) -> Result<String, TestCaseError> {
     // Reference: one batch analysis of the concatenated streams.
     let ref_metrics = with_metrics.then(|| Arc::new(PipelineMetrics::default()));
-    let mut reference = session(ref_metrics.clone(), budget, extended);
+    let mut reference = session(ref_metrics.clone(), extended);
     for events in streams {
         reference.feed_owned(events.clone());
     }
@@ -160,7 +151,7 @@ fn check(
         .collect();
     let mut sessions: Vec<_> = stream_metrics
         .iter()
-        .map(|m| session(m.clone(), budget, extended))
+        .map(|m| session(m.clone(), extended))
         .collect();
     let mut queues: Vec<Vec<EventBatch>> = streams
         .iter()
@@ -204,14 +195,14 @@ fn check(
     );
 
     if with_metrics {
-        // The merged per-stream metrics must also match the shared
-        // single-run counters byte-for-byte.
-        let mut merged_metrics = MetricsSnapshot::default();
+        // The per-stream metrics, absorbed into one instance, must also
+        // match the shared single-run counters byte-for-byte.
+        let merged_metrics = PipelineMetrics::default();
         for m in stream_metrics.into_iter().flatten() {
-            merged_metrics.merge(&m.snapshot());
+            merged_metrics.absorb(&m.snapshot());
         }
         prop_assert_eq!(
-            serde_json::to_string(&merged_metrics).unwrap(),
+            serde_json::to_string(&merged_metrics.snapshot()).unwrap(),
             serde_json::to_string(&ref_metrics.unwrap().snapshot()).unwrap()
         );
     }
@@ -222,8 +213,8 @@ proptest! {
     /// Any interleaving of any batching of N pid-disjoint streams,
     /// merged in any completion order, is byte-identical to the batch
     /// analysis of their concatenation — with and without metrics, and
-    /// the report bytes agree across the two metrics settings and the
-    /// two budgets. The same holds with identifier and combination
+    /// the report bytes agree across the two metrics settings. The same
+    /// holds with identifier and combination
     /// coverage on, and dropping those two fields gives the bytes of the
     /// run without them.
     #[test]
@@ -242,14 +233,10 @@ proptest! {
             streams_and_sizes.iter().map(|(e, _)| e.clone()).collect();
         let sizes: Vec<Vec<usize>> =
             streams_and_sizes.iter().map(|(_, s)| s.clone()).collect();
-        let plain = check(&streams, &sizes, seed, false, RESTORE_BUDGET, false)?;
-        for (with_metrics, budget) in [(true, RESTORE_BUDGET), (false, 0), (true, 0)] {
-            prop_assert_eq!(&plain, &check(&streams, &sizes, seed, with_metrics, budget, false)?);
-        }
-        let extended = check(&streams, &sizes, seed, false, RESTORE_BUDGET, true)?;
-        for (with_metrics, budget) in [(true, RESTORE_BUDGET), (false, 0), (true, 0)] {
-            prop_assert_eq!(&extended, &check(&streams, &sizes, seed, with_metrics, budget, true)?);
-        }
+        let plain = check(&streams, &sizes, seed, false, false)?;
+        prop_assert_eq!(&plain, &check(&streams, &sizes, seed, true, false)?);
+        let extended = check(&streams, &sizes, seed, false, true)?;
+        prop_assert_eq!(&extended, &check(&streams, &sizes, seed, true, true)?);
         let report: AnalysisReport = serde_json::from_str(&extended).unwrap();
         let report = AnalysisReport { identifiers: None, combos: None, ..report };
         prop_assert_eq!(plain, serde_json::to_string_pretty(&report).unwrap());

@@ -3,15 +3,15 @@
 //! checkpoint `iocov serve` sends a resuming stream) carries a
 //! [`MetricsSnapshot`] (shard failures included) that a resumed session
 //! parses back and absorbs, and the shard supervisor absorbs each
-//! shard's counters into the shared metrics at every checkpoint cut.
-//! For `--metrics` to render the same bytes at every job count and
-//! across kill/resume, summing parsed snapshots in *any* order must
-//! serialize to exactly the bytes of an in-order merge — which these
+//! shard's counters into the shared metrics at every cut. For
+//! `--metrics` to render the same bytes at every job count and across
+//! kill/resume, absorbing parsed snapshots into one
+//! [`PipelineMetrics`] in *any* order must serialize to exactly the
+//! bytes of an in-order absorb of the originals — which these
 //! properties pin down over arbitrary counter values, drop/partition
 //! tallies, and failure manifests.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 use iocov::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
 use proptest::prelude::*;
@@ -30,14 +30,15 @@ const PARTITION_FAMILIES: [&str; 5] = [
 ];
 
 fn failure_strategy() -> impl Strategy<Value = ShardFailureRecord> {
-    (0u32..5, any::<bool>(), "[ -~]{0,40}").prop_map(|(restarts, gave_up, last_error)| {
-        ShardFailureRecord {
+    (0u32..5, any::<bool>(), 0u64..10_000_000, "[ -~]{0,40}").prop_map(
+        |(restarts, gave_up, lost_events, last_error)| ShardFailureRecord {
             shard: 0, // re-numbered below: one record per shard
             restarts,
             gave_up,
+            lost_events,
             last_error,
-        }
-    })
+        },
+    )
 }
 
 fn keyed_map(keys: &'static [&'static str]) -> impl Strategy<Value = BTreeMap<String, u64>> {
@@ -86,6 +87,16 @@ fn number_shards(snapshots: &mut [MetricsSnapshot]) {
     }
 }
 
+/// Sums snapshots the way `--metrics` does: absorbed, in the given
+/// order, into one shared `PipelineMetrics`.
+fn absorbed<'a>(snapshots: impl Iterator<Item = &'a MetricsSnapshot>) -> MetricsSnapshot {
+    let live = PipelineMetrics::default();
+    for snapshot in snapshots {
+        live.absorb(snapshot);
+    }
+    live.snapshot()
+}
+
 /// The trip a snapshot takes through a checkpoint: serialized into its
 /// JSON, parsed back on resume.
 fn through_the_wire(snapshot: &MetricsSnapshot) -> MetricsSnapshot {
@@ -101,26 +112,35 @@ proptest! {
         prop_assert_eq!(&through_the_wire(&snapshot), &snapshot);
     }
 
-    /// Merging wire-tripped snapshots in an arbitrary arrival order
-    /// serializes byte-identically to the in-order merge — both as a
-    /// plain `MetricsSnapshot` fold and through a shared
-    /// `PipelineMetrics` (the `--metrics` rendering path).
+    /// Absorbing wire-tripped snapshots in an arbitrary arrival order
+    /// serializes byte-identically to absorbing the originals in shard
+    /// order, and both are the plain sums. `snapshot()` re-sorts the
+    /// manifest by shard, so absorption order cannot leak into the
+    /// bytes.
     #[test]
-    fn merge_of_wire_tripped_snapshots_is_order_independent(
+    fn absorb_of_wire_tripped_snapshots_is_order_independent(
         mut snapshots in proptest::collection::vec(snapshot_strategy(), 1..6),
         seed in any::<u64>(),
     ) {
         number_shards(&mut snapshots);
 
-        // Reference: merge in shard order, no serialization.
-        let mut reference = MetricsSnapshot::default();
-        for snapshot in &snapshots {
-            reference.merge(snapshot);
-        }
+        // Reference: absorbed in shard order, no serialization.
+        let reference = absorbed(snapshots.iter());
+        prop_assert_eq!(
+            reference.events_read,
+            snapshots.iter().map(|s| s.events_read).sum::<u64>()
+        );
+        prop_assert_eq!(
+            reference.filter_dropped["wrong-mount"],
+            snapshots.iter().map(|s| s.filter_dropped["wrong-mount"]).sum::<u64>()
+        );
+        let manifest: Vec<ShardFailureRecord> =
+            snapshots.iter().flat_map(|s| s.shard_failures.clone()).collect();
+        prop_assert_eq!(&reference.shard_failures, &manifest);
         let reference_bytes = serde_json::to_string(&reference).unwrap();
 
-        // Each snapshot goes through checkpoint JSON, then is merged in
-        // an arbitrary order — a seeded shuffle.
+        // Each snapshot goes through checkpoint JSON, then is absorbed
+        // in an arbitrary order — a seeded shuffle.
         let mut arrived: Vec<MetricsSnapshot> =
             snapshots.iter().map(through_the_wire).collect();
         let n = arrived.len();
@@ -128,23 +148,9 @@ proptest! {
             let j = usize::try_from(iocov::splitmix64(seed, i as u64) % (i as u64 + 1)).unwrap();
             arrived.swap(i, j);
         }
-        let mut merged = MetricsSnapshot::default();
-        for snapshot in &arrived {
-            merged.merge(snapshot);
-        }
         prop_assert_eq!(
-            serde_json::to_string(&merged).unwrap(),
-            reference_bytes.clone()
+            serde_json::to_string(&absorbed(arrived.iter())).unwrap(),
+            reference_bytes
         );
-
-        // The shared-PipelineMetrics leg mirrors the `--metrics`
-        // rendering path: each snapshot is absorbed (failure manifest
-        // included), and `snapshot()` re-sorts the manifest by shard so
-        // absorption order cannot leak into the bytes.
-        let live = Arc::new(PipelineMetrics::default());
-        for snapshot in &arrived {
-            live.absorb(snapshot);
-        }
-        prop_assert_eq!(serde_json::to_string(&live.snapshot()).unwrap(), reference_bytes);
     }
 }

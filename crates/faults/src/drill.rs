@@ -10,8 +10,10 @@
 //! runs.
 //!
 //! A trigger spends a charge only when it matches, so it fires at most
-//! as many times as armed and then disarms: a supervisor that restarts
-//! a shard and replays its batches sees the retry succeed.
+//! as many times as armed and then disarms. A restarted shard is never
+//! handed the batch it failed on again, so the shard drill matches from
+//! its tick on ([`DrillTrigger::fire_from`]): each charge fails the next
+//! batch, and `TIMES` charges fail that many consecutive batches.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 
@@ -40,7 +42,9 @@ impl DrillTrigger {
     }
 
     /// Spends a charge if `ordinal` has reached the armed one, for
-    /// thresholds a run may step past (a byte count crossed mid-frame).
+    /// thresholds a run may step past (a byte count crossed mid-frame)
+    /// and for drills that fail consecutive ordinals (a shard's batch
+    /// ticks).
     pub fn fire_from(&self, ordinal: u64) -> bool {
         ordinal >= self.at && self.spend()
     }
@@ -62,7 +66,7 @@ mod tests {
         assert!(!trigger.fire(4), "wrong ordinal");
         assert!(!trigger.fire(6), "wrong ordinal");
         assert!(trigger.fire(5));
-        assert!(trigger.fire(5), "a replay spends the second charge");
+        assert!(trigger.fire(5), "a second match spends the second charge");
         assert!(!trigger.fire(5), "disarmed");
         assert!(!DrillTrigger::new(0, 0).fire(0), "no charge, no fire");
     }
@@ -78,5 +82,14 @@ mod tests {
         let trigger = DrillTrigger::new(100, 1);
         assert!(!trigger.fire_from(64));
         assert!(trigger.fire_from(128));
+    }
+
+    #[test]
+    fn shard_drill_fails_consecutive_ticks_from_its_own() {
+        // `--inject-panic 0:2:3`: the restarted shard goes on with the
+        // next batch, so the charges fail ticks 2, 3 and 4, once each.
+        let trigger = DrillTrigger::new(2, 3);
+        let fired: Vec<u64> = (0..8).filter(|&tick| trigger.fire_from(tick)).collect();
+        assert_eq!(fired, [2, 3, 4]);
     }
 }

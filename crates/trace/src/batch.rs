@@ -452,27 +452,6 @@ impl EventBatch {
             .count() as u64;
         (self.len() as u64) * 2 + texts
     }
-
-    /// Heap bytes the batch holds: the capacity of every column, the
-    /// packed-argument column and the name table, plus the text arena.
-    /// The name table's `Arc<str>` payloads and its lookup map are left
-    /// out: names are few per batch and often shared with a decoder's
-    /// string table. This is what a retained batch costs, which is what
-    /// the analysis supervisor's replay-log budget counts.
-    #[must_use]
-    pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.seq.capacity() * size_of::<u64>()
-            + self.timestamp_ns.capacity() * size_of::<u64>()
-            + self.pid.capacity() * size_of::<u32>()
-            + self.sysno.capacity() * size_of::<u32>()
-            + self.retval.capacity() * size_of::<i64>()
-            + self.name_id.capacity() * size_of::<u32>()
-            + self.arg_range.capacity() * size_of::<(u32, u32)>()
-            + self.args.capacity() * size_of::<PackedArg>()
-            + self.text.capacity()
-            + self.name_table.capacity() * size_of::<Arc<str>>()
-    }
 }
 
 /// Consumes the events: each one is packed and freed in the same pass,
@@ -776,38 +755,6 @@ mod tests {
             }
             assert_eq!(EventView::arg(&row, event.args.len()), None);
         }
-    }
-
-    #[test]
-    fn heap_bytes_counts_columns_and_arena() {
-        // Room for five events: 44 bytes of head columns each (seq,
-        // timestamp and retval at 8; pid, sysno and name id at 4; the
-        // argument range at 8) and fifteen 16-byte packed arguments.
-        assert_eq!(std::mem::size_of::<PackedArg>(), 16);
-        let mut batch = EventBatch::with_capacity(5);
-        assert_eq!(batch.heap_bytes(), 5 * 44 + 15 * 16);
-        // Scalar-only events fill the columns without growing them.
-        for fd in 0..4 {
-            batch.push_event(&TraceEvent::build("close", 3, vec![ArgValue::Fd(fd)], 0));
-        }
-        let names = batch.name_table.capacity() * std::mem::size_of::<Arc<str>>();
-        assert!(names > 0);
-        assert_eq!(batch.text.capacity(), 0);
-        assert_eq!(batch.heap_bytes(), 5 * 44 + 15 * 16 + names);
-        // A path payload adds exactly the arena's capacity.
-        batch.push_event(&TraceEvent::build(
-            "chdir",
-            80,
-            vec![ArgValue::Path("/mnt/test/a".into())],
-            0,
-        ));
-        let names = batch.name_table.capacity() * std::mem::size_of::<Arc<str>>();
-        assert!(batch.text.capacity() >= "/mnt/test/a".len());
-        assert_eq!(
-            batch.heap_bytes(),
-            5 * 44 + 15 * 16 + names + batch.text.capacity()
-        );
-        assert_eq!(EventBatch::new().heap_bytes(), 0);
     }
 
     #[test]
