@@ -998,8 +998,9 @@ fn render_analyze<W: Write>(
     skipped: Option<&[SkippedLine]>,
     report: AnalysisReport,
     metrics: Option<&PipelineMetrics>,
-    failures: &[ShardFailureRecord],
+    run: (u64, &[ShardFailureRecord]),
 ) -> Result<(), CliError> {
+    let (events, failures) = run;
     if json {
         // The failure manifest lives in the metrics snapshot, so the
         // JSON document shape is unchanged by degraded runs.
@@ -1039,10 +1040,21 @@ fn render_analyze<W: Write>(
             writeln!(out, "  {skip}")?;
         }
     }
+    if !failures.is_empty() {
+        // The report holds only what the surviving shard states saw, so
+        // say how much was read and how much the restarts lost.
+        let lost: u64 = failures.iter().map(|f| f.lost_events).sum();
+        write!(
+            out,
+            "{events} events read, {lost} lost to shard restarts; {} scanned, ",
+            report.filter_stats.total
+        )?;
+    } else {
+        write!(out, "{} events, ", report.filter_stats.total)?;
+    }
     writeln!(
         out,
-        "{} events, {} analyzed, {} filtered out\n",
-        report.filter_stats.total,
+        "{} analyzed, {} filtered out\n",
         report.total_calls(),
         report.filter_stats.dropped
     )?;
@@ -1200,7 +1212,7 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Resu
         skipped.as_deref(),
         run.report,
         pipeline_metrics.as_deref(),
-        &run.failures,
+        (run.events, &run.failures),
     )
 }
 
@@ -2978,6 +2990,11 @@ mod tests {
             );
             assert!(text.contains(&format!("\"lost_events\": {lost}")), "{text}");
             assert!(text.contains("\"gave_up\": false"), "{text}");
+            let read = format!(
+                "\n{} events read, {lost} lost to shard restarts; ",
+                events.len()
+            );
+            assert!(text.contains(&read), "{text}");
         }
     }
 
@@ -3001,6 +3018,12 @@ mod tests {
         assert_eq!(analyze_events(Vec::new()), faulty("--json"));
         let text = String::from_utf8(faulty("--metrics")).unwrap();
         assert!(text.contains("gave up after 3 restarts"), "{text}");
+        // The summary counts what was read, not the empty report alone.
+        let n = events.len();
+        let summary = format!(
+            "\n{n} events read, {n} lost to shard restarts; 0 scanned, 0 analyzed, 0 filtered out\n"
+        );
+        assert!(text.contains(&summary), "{text}");
         assert!(text.contains("\"gave_up\": true"), "{text}");
         assert!(text.contains("\"shard_restarts\": 3"), "{text}");
         let lost = format!("\"lost_events\": {}", events.len());

@@ -90,7 +90,7 @@ impl ArgName {
     /// This argument's position in [`ArgName::ALL`] — a dense array
     /// index.
     #[must_use]
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         self as usize
     }
 

@@ -14,14 +14,22 @@
 //!   last-pid cache, since it lays the states out anew);
 //! * from sessions at one to three shards, which coalesce batches
 //!   below the parallel threshold by re-interning their names.
+//!
+//! Per-name plans change nothing either: over rows of every in-domain
+//! call whose arguments are missing, of the wrong type or out of range,
+//! [`normalize`] — the plan walk accumulation shares — keeps and drops
+//! exactly the arguments the per-call match it replaced did, and such
+//! rows scanned in batches still match owned pushes.
 
 use std::sync::Arc;
 
+use crate::variants::{normalize, NormalizedCall, CREAT_IMPLIED_FLAGS};
 use crate::{
-    AnalysisReport, MetricsSnapshot, PipelineBuilder, PipelineMetrics, StreamingAnalyzer,
-    TraceFilter,
+    AnalysisReport, ArgName, MetricsSnapshot, PipelineBuilder, PipelineMetrics, StreamingAnalyzer,
+    TraceFilter, TrackedValue,
 };
-use iocov_trace::{ArgValue, EventBatch, TraceEvent};
+use iocov_syscalls::Sysno;
+use iocov_trace::{ArgValue, ArgView, EventBatch, EventView, TraceEvent};
 use proptest::prelude::*;
 
 const MOUNT: &str = "/mnt/test";
@@ -107,6 +115,7 @@ fn event() -> impl Strategy<Value = TraceEvent> {
             };
             (name, args)
         }),
+        malformed(),
     ];
     (call, prop_oneof![Just(1u32), Just(2), Just(7)], retval()).prop_map(
         |((name, args), pid, retval)| {
@@ -115,6 +124,133 @@ fn event() -> impl Strategy<Value = TraceEvent> {
             event
         },
     )
+}
+
+/// Any argument, with values at and past the edges a tracked argument
+/// is read within: words past `u32`, unsigned past `i64`, negatives.
+fn any_arg() -> impl Strategy<Value = ArgValue> {
+    let int = prop_oneof![
+        Just(-1i64),
+        Just(0),
+        Just(i64::MIN),
+        Just(i64::MAX),
+        any::<i64>()
+    ];
+    let uint = prop_oneof![
+        Just(0u64),
+        Just(u64::from(u32::MAX)),
+        Just(u64::from(u32::MAX) + 1),
+        Just(i64::MAX as u64),
+        Just(i64::MAX as u64 + 1),
+        Just(u64::MAX),
+        any::<u64>(),
+    ];
+    prop_oneof![
+        int.prop_map(ArgValue::Int),
+        uint.prop_map(ArgValue::UInt),
+        fd().prop_map(ArgValue::Fd),
+        path().prop_map(ArgValue::Path),
+        Just(ArgValue::Str("user.k".into())),
+        any::<u32>().prop_map(ArgValue::Flags),
+        any::<u32>().prop_map(ArgValue::Mode),
+        (0u32..8).prop_map(ArgValue::Whence),
+        any::<u64>().prop_map(ArgValue::Ptr),
+    ]
+}
+
+/// An in-domain call whose arguments are any number of anything.
+fn malformed() -> impl Strategy<Value = (&'static str, Vec<ArgValue>)> {
+    (
+        (0..Sysno::ALL.len()).prop_map(|i| Sysno::ALL[i].name()),
+        proptest::collection::vec(any_arg(), 0..7),
+    )
+}
+
+/// The per-call match the plans replaced, kept as the referee: which
+/// argument each call tracks, read how.
+fn normalize_by_match(event: &TraceEvent) -> Option<NormalizedCall> {
+    fn bits(event: &TraceEvent, idx: usize) -> Option<TrackedValue> {
+        match event.arg(idx)? {
+            ArgView::Flags(v) | ArgView::Mode(v) | ArgView::Whence(v) => {
+                Some(TrackedValue::Bits(v))
+            }
+            ArgView::UInt(v) => u32::try_from(v).ok().map(TrackedValue::Bits),
+            _ => None,
+        }
+    }
+    fn unsigned(event: &TraceEvent, idx: usize) -> Option<TrackedValue> {
+        match event.arg(idx)? {
+            ArgView::UInt(v) => Some(TrackedValue::Unsigned(v)),
+            ArgView::Int(v) if v >= 0 => Some(TrackedValue::Unsigned(v as u64)),
+            _ => None,
+        }
+    }
+    fn signed(event: &TraceEvent, idx: usize) -> Option<TrackedValue> {
+        match event.arg(idx)? {
+            ArgView::Int(v) => Some(TrackedValue::Signed(v)),
+            ArgView::UInt(v) => i64::try_from(v).ok().map(TrackedValue::Signed),
+            _ => None,
+        }
+    }
+    let sysno = Sysno::from_name(&event.name)?;
+    let e = event;
+    let tracked: Vec<(ArgName, Option<TrackedValue>)> = match sysno {
+        Sysno::Open => vec![
+            (ArgName::OpenFlags, bits(e, 1)),
+            (ArgName::OpenMode, bits(e, 2)),
+        ],
+        Sysno::Openat | Sysno::Openat2 => vec![
+            (ArgName::OpenFlags, bits(e, 2)),
+            (ArgName::OpenMode, bits(e, 3)),
+        ],
+        Sysno::Creat => vec![
+            (
+                ArgName::OpenFlags,
+                Some(TrackedValue::Bits(CREAT_IMPLIED_FLAGS)),
+            ),
+            (ArgName::OpenMode, bits(e, 1)),
+        ],
+        Sysno::Read | Sysno::Readv => vec![(ArgName::ReadCount, unsigned(e, 2))],
+        Sysno::Pread64 => vec![
+            (ArgName::ReadCount, unsigned(e, 2)),
+            (ArgName::ReadOffset, signed(e, 3)),
+        ],
+        Sysno::Write | Sysno::Writev => vec![(ArgName::WriteCount, unsigned(e, 2))],
+        Sysno::Pwrite64 => vec![
+            (ArgName::WriteCount, unsigned(e, 2)),
+            (ArgName::WriteOffset, signed(e, 3)),
+        ],
+        Sysno::Lseek => vec![
+            (ArgName::LseekOffset, signed(e, 1)),
+            (ArgName::LseekWhence, bits(e, 2)),
+        ],
+        Sysno::Truncate | Sysno::Ftruncate => vec![(ArgName::TruncateLength, signed(e, 1))],
+        Sysno::Mkdir => vec![(ArgName::MkdirMode, bits(e, 1))],
+        Sysno::Mkdirat => vec![(ArgName::MkdirMode, bits(e, 2))],
+        Sysno::Chmod | Sysno::Fchmod => vec![(ArgName::ChmodMode, bits(e, 1))],
+        Sysno::Fchmodat => vec![(ArgName::ChmodMode, bits(e, 2))],
+        Sysno::Setxattr | Sysno::Lsetxattr | Sysno::Fsetxattr => vec![
+            (ArgName::SetxattrSize, unsigned(e, 3)),
+            (ArgName::SetxattrFlags, bits(e, 4)),
+        ],
+        Sysno::Getxattr | Sysno::Lgetxattr | Sysno::Fgetxattr => {
+            vec![(ArgName::GetxattrSize, unsigned(e, 3))]
+        }
+        Sysno::Close | Sysno::Chdir | Sysno::Fchdir => vec![],
+    };
+    let mut args = [None; 2];
+    let kept = tracked
+        .into_iter()
+        .filter_map(|(name, value)| Some((name, value?)));
+    for (slot, arg) in args.iter_mut().zip(kept) {
+        *slot = Some(arg);
+    }
+    Some(NormalizedCall {
+        sysno,
+        base: sysno.base(),
+        retval: event.retval,
+        args,
+    })
 }
 
 /// Splits `events` at the given sizes (cycled) into batches.
@@ -187,5 +323,18 @@ proptest! {
             snapshot.allocs_estimated = 0;
             prop_assert_eq!(&bytes(&report, &snapshot), &expected, "jobs {}", jobs);
         }
+    }
+
+    #[test]
+    fn plans_read_exactly_what_the_per_call_match_read(
+        (name, args) in malformed(),
+        retval in retval(),
+    ) {
+        let event = TraceEvent::build(name, 0, args, retval);
+        let planned = normalize(&event);
+        prop_assert_eq!(&planned, &normalize_by_match(&event));
+        // The batch row reads the same arguments as the owned event.
+        let batch = EventBatch::from_events(std::slice::from_ref(&event));
+        prop_assert_eq!(&normalize(&batch.get(0).unwrap()), &planned);
     }
 }

@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 
 use iocov_syscalls::{BaseSyscall, Errno, Sysno};
+use iocov_trace::Args;
 use serde::{Deserialize, Serialize};
 
 use crate::arg::{ArgName, TrackedValue};
@@ -13,7 +14,7 @@ use crate::identifier::IdentifierCoverage;
 use crate::metrics::{DropReason, PipelineMetrics};
 use crate::partition::{errno_number, InputPartition, NumericPartition, OutputPartition};
 use crate::relevance::CallKind;
-use crate::variants::normalize_as;
+use crate::variants::tracked_values;
 
 /// Serializes structurally keyed maps as pair lists (JSON object keys
 /// must be strings, and partitions are structured values).
@@ -352,11 +353,14 @@ impl ReportBuilder {
     /// per-event step of batch and streaming analysis — additionally
     /// recording unknown-syscall drops, variant merges, and
     /// per-partition-family record counts into `metrics` when attached.
-    /// `kind` is the event's name resolved by [`CallKind::resolve`].
+    /// `kind` is the event's name resolved by [`CallKind::resolve`], and
+    /// `args` the event's arguments: the tracked ones are read by the
+    /// name's plan, which carries each one's domain.
     pub(crate) fn accumulate<E: iocov_trace::EventView + ?Sized>(
         &mut self,
         event: &E,
-        kind: CallKind,
+        args: Args<'_>,
+        kind: &CallKind,
         metrics: Option<&PipelineMetrics>,
     ) {
         let Some(sysno) = kind.sysno else {
@@ -366,34 +370,33 @@ impl ReportBuilder {
             }
             return;
         };
-        let call = normalize_as(event, sysno);
         if let Some(m) = metrics {
             if kind.merged {
                 m.record_variant_merged();
             }
         }
-        self.calls_per_variant[call.sysno.index()] += 1;
+        self.calls_per_variant[sysno.index()] += 1;
         if let Some(identifiers) = &mut self.identifiers {
             identifiers.record(event);
         }
 
         // Input partitions.
-        for (arg, value) in call.tracked_args() {
-            let domain = arg_domain(arg);
+        for (tracked, value) in tracked_values(args, kind.plan) {
+            let (arg, slots) = (tracked.name, tracked.domain);
             let acc = &mut self.input[arg.index()];
             acc.calls += 1;
             if acc.counts.is_empty() {
-                acc.counts = vec![0; domain.slot_count()];
+                acc.counts = vec![0; slots.domain.slot_count()];
             }
             let mut hits = 0u64;
             let mut rdonly = false;
-            domain.for_each_slot(value, |slot| {
+            slots.for_each_slot(value, |slot| {
                 acc.counts[slot] += 1;
                 hits += 1;
                 rdonly |= slot == 0;
             });
             if let Some(m) = metrics {
-                m.record_input_records(&domain.kind, hits);
+                m.record_input_records(&slots.domain.kind, hits);
             }
             // Table 1: flag-combination histogram for open. The slots
             // just counted are the word's named flags, as
@@ -413,22 +416,23 @@ impl ReportBuilder {
         }
 
         // Output partition.
-        let acc = &mut self.output[call.base.index()];
+        let (base, retval) = (sysno.base(), event.retval());
+        let acc = &mut self.output[base.index()];
         acc.calls += 1;
         if let Some(m) = metrics {
-            m.record_output_record(call.retval >= 0);
+            m.record_output_record(retval >= 0);
         }
-        if call.retval >= 0 {
-            if output_buckets_bytes(call.base) {
+        if retval >= 0 {
+            if output_buckets_bytes(base) {
                 if acc.bytes.is_empty() {
                     acc.bytes = vec![0; NumericPartition::SLOTS];
                 }
-                acc.bytes[NumericPartition::of(i128::from(call.retval)).slot()] += 1;
+                acc.bytes[NumericPartition::of(i128::from(retval)).slot()] += 1;
             } else {
                 acc.ok += 1;
             }
         } else {
-            let number = errno_number(call.retval);
+            let number = errno_number(retval);
             match Errno::from_number(number) {
                 Some(errno) => acc.errnos[errno.index()] += 1,
                 None => *acc.unknown.entry(number).or_insert(0) += 1,

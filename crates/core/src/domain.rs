@@ -91,6 +91,119 @@ pub fn open_flag_names() -> Vec<&'static str> {
         .collect()
 }
 
+/// A flag table indexed by bit. Each flag's highest bit names its slot,
+/// so the flags a word holds are found by walking the word's set bits:
+/// the work follows the bits set, not the length of the table. A flag
+/// of several bits is checked against its full mask when its top bit
+/// is seen, so `O_SYNC` needs both of its bits.
+#[derive(Debug)]
+pub(crate) struct BitSlots {
+    /// The union of the flags' top bits.
+    tops: u32,
+    /// The slot of the flag whose top bit is bit `b`.
+    slot_of_top: [u8; 32],
+    /// Each slot's full flag word.
+    masks: [u32; 32],
+}
+
+impl BitSlots {
+    /// Indexes `flags`, slot `i` for `flags[i]`, leaving out zero words
+    /// and words that share a bit with `skip`. Fails to compile if two
+    /// flags share a top bit.
+    const fn new(flags: &[u32], skip: u32) -> BitSlots {
+        assert!(flags.len() <= 32, "a slot set is one u32");
+        let mut table = BitSlots {
+            tops: 0,
+            slot_of_top: [0; 32],
+            masks: [0; 32],
+        };
+        let mut slot = 0;
+        while slot < flags.len() {
+            let flag = flags[slot];
+            if flag != 0 && flag & skip == 0 {
+                let top = 31 - flag.leading_zeros();
+                assert!(table.tops & (1 << top) == 0, "two flags share a top bit");
+                table.tops |= 1 << top;
+                table.slot_of_top[top as usize] = slot as u8;
+                table.masks[slot] = flag;
+            }
+            slot += 1;
+        }
+        table
+    }
+
+    /// The slots of the flags `bits` holds, one set bit per slot.
+    #[inline]
+    fn hits(&self, bits: u32) -> u32 {
+        let mut tops = bits & self.tops;
+        let mut hits = 0;
+        while tops != 0 {
+            let slot = self.slot_of_top[tops.trailing_zeros() as usize];
+            tops &= tops - 1;
+            let mask = self.masks[slot as usize];
+            if bits & mask == mask {
+                hits |= 1 << slot;
+            }
+        }
+        hits
+    }
+}
+
+/// Visits the set bits of `slots`, lowest first.
+#[inline]
+fn for_each_set(mut slots: u32, mut f: impl FnMut(usize)) {
+    while slots != 0 {
+        f(slots.trailing_zeros() as usize);
+        slots &= slots - 1;
+    }
+}
+
+/// The words of a `(name, word)` table.
+const fn words<const N: usize>(table: &[(&str, u32); N]) -> [u32; N] {
+    let mut out = [0; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = table[i].1;
+        i += 1;
+    }
+    out
+}
+
+/// The words of [`OpenFlags::NAMED_FLAGS`].
+const NAMED_FLAG_WORDS: [u32; OpenFlags::NAMED_FLAGS.len()] = {
+    let mut out = [0; OpenFlags::NAMED_FLAGS.len()];
+    let mut i = 0;
+    while i < out.len() {
+        out[i] = OpenFlags::NAMED_FLAGS[i].1.bits();
+        i += 1;
+    }
+    out
+};
+
+/// The named open flags outside the access mode, indexed by bit.
+static OPEN_FLAG_SLOTS: BitSlots = BitSlots::new(&NAMED_FLAG_WORDS, OpenFlags::O_ACCMODE.bits());
+
+/// The slot bit of a named open flag.
+const fn named_flag_slot(flag: OpenFlags) -> u32 {
+    let mut slot = 0;
+    while NAMED_FLAG_WORDS[slot] != flag.bits() {
+        slot += 1;
+    }
+    1 << slot
+}
+
+/// Composite open flags and the part each one hides.
+const COMPOSITES: [(u32, u32); 2] = [
+    (
+        named_flag_slot(OpenFlags::O_SYNC),
+        named_flag_slot(OpenFlags::O_DSYNC),
+    ),
+    (
+        named_flag_slot(OpenFlags::O_TMPFILE),
+        named_flag_slot(OpenFlags::O_DIRECTORY),
+    ),
+];
+
 /// Visits every named flag an `open` flags word exercises, as its index
 /// into [`OpenFlags::NAMED_FLAGS`], in ascending order — the
 /// allocation-free form of [`open_flags_present`]. The access mode is a
@@ -98,30 +211,20 @@ pub fn open_flag_names() -> Vec<&'static str> {
 /// (indices 0–2) applies, and the invalid value 3 reports none.
 /// Composite flags subsume their parts: `O_SYNC` hides `O_DSYNC`,
 /// `O_TMPFILE` hides `O_DIRECTORY`. `O_ACCMODE` is a mask, never
-/// visited.
-pub fn for_each_open_flag(bits: u32, mut f: impl FnMut(usize)) {
-    let accmode = OpenFlags::O_ACCMODE.bits();
-    let mode = (bits & accmode) as usize;
+/// visited. The word's set bits are walked, not the table.
+pub fn for_each_open_flag(bits: u32, f: impl FnMut(usize)) {
+    let mut slots = OPEN_FLAG_SLOTS.hits(bits);
+    for (composite, part) in COMPOSITES {
+        if slots & composite != 0 {
+            slots &= !part;
+        }
+    }
+    // The access-mode indices are the access-mode values.
+    let mode = bits & OpenFlags::O_ACCMODE.bits();
     if mode < 3 {
-        f(mode);
+        slots |= 1 << mode;
     }
-    let has = |flag: OpenFlags| bits & flag.bits() == flag.bits();
-    let hide_dsync = has(OpenFlags::O_SYNC);
-    let hide_directory = has(OpenFlags::O_TMPFILE);
-    for (i, (_, flag)) in OpenFlags::NAMED_FLAGS.iter().enumerate() {
-        // Skips the access modes and the O_ACCMODE mask itself.
-        if flag.bits() == 0 || flag.bits() & accmode != 0 {
-            continue;
-        }
-        if (hide_dsync && *flag == OpenFlags::O_DSYNC)
-            || (hide_directory && *flag == OpenFlags::O_DIRECTORY)
-        {
-            continue;
-        }
-        if has(*flag) {
-            f(i);
-        }
-    }
+    for_each_set(slots, f);
 }
 
 /// Decomposes an `open` flags word into the individual named flags it
@@ -137,6 +240,12 @@ pub fn open_flags_present(bits: u32) -> Vec<&'static str> {
 /// Returns the domain of a tracked argument.
 #[must_use]
 pub fn arg_domain(arg: ArgName) -> ArgDomain {
+    slot_domain(arg).domain.clone()
+}
+
+/// The domain of `arg`; `const`, so the scan's tables are built at
+/// compile time.
+const fn domain_of(arg: ArgName) -> ArgDomain {
     let kind = match arg {
         ArgName::OpenFlags => DomainKind::OpenFlags,
         ArgName::OpenMode | ArgName::MkdirMode | ArgName::ChmodMode => {
@@ -169,6 +278,75 @@ pub fn arg_domain(arg: ArgName) -> ArgDomain {
         },
     };
     ArgDomain { arg, kind }
+}
+
+static MODE_SLOTS: BitSlots = BitSlots::new(&words(&MODE_BITS), 0);
+static XATTR_FLAG_SLOTS: BitSlots = BitSlots::new(&words(&XATTR_FLAG_BITS), 0);
+/// The table of a domain that is not a bitmap: no flags.
+static NO_SLOTS: BitSlots = BitSlots::new(&[], 0);
+
+/// A tracked argument's domain as the scan partitions it: the
+/// [`ArgDomain`], and for a bitmap its flags indexed by bit.
+#[derive(Debug)]
+pub(crate) struct SlotDomain {
+    pub(crate) domain: ArgDomain,
+    /// The bitmap's flags indexed by bit; no flags for other kinds.
+    flag_slots: &'static BitSlots,
+}
+
+impl SlotDomain {
+    const fn of(arg: ArgName) -> SlotDomain {
+        let flag_slots = match arg {
+            ArgName::OpenMode | ArgName::MkdirMode | ArgName::ChmodMode => &MODE_SLOTS,
+            ArgName::SetxattrFlags => &XATTR_FLAG_SLOTS,
+            _ => &NO_SLOTS,
+        };
+        SlotDomain {
+            domain: domain_of(arg),
+            flag_slots,
+        }
+    }
+
+    /// Visits the slot of each partition `value` exercises, in ascending
+    /// order — the allocation-free twin of
+    /// [`ArgDomain::partitions_of`], which the accumulation hot path
+    /// goes through. Flag words walk their set bits.
+    #[inline]
+    pub(crate) fn for_each_slot(&self, value: TrackedValue, mut f: impl FnMut(usize)) {
+        let bits = || match value {
+            TrackedValue::Bits(b) => b,
+            other => other.as_i128() as u32,
+        };
+        match &self.domain.kind {
+            DomainKind::OpenFlags => for_each_open_flag(bits(), f),
+            DomainKind::Bitmap { .. } => for_each_set(self.flag_slots.hits(bits()), f),
+            DomainKind::Numeric { .. } => f(NumericPartition::of(value.as_i128()).slot()),
+            DomainKind::Categorical { values } => {
+                let v = value.as_i128();
+                f(values
+                    .iter()
+                    .position(|(_, n)| i128::from(*n) == v)
+                    .unwrap_or(values.len()));
+            }
+        }
+    }
+}
+
+/// Every tracked argument's [`SlotDomain`], by [`ArgName::index`].
+static SLOT_DOMAINS: [SlotDomain; ArgName::ALL.len()] = {
+    const UNSET: SlotDomain = SlotDomain::of(ArgName::OpenFlags);
+    let mut out = [UNSET; ArgName::ALL.len()];
+    let mut i = 0;
+    while i < out.len() {
+        out[i] = SlotDomain::of(ArgName::ALL[i]);
+        i += 1;
+    }
+    out
+};
+
+/// The scan's form of `arg`'s domain, built once at compile time.
+pub(crate) const fn slot_domain(arg: ArgName) -> &'static SlotDomain {
+    &SLOT_DOMAINS[arg.index()]
 }
 
 impl ArgDomain {
@@ -265,37 +443,7 @@ impl ArgDomain {
         }
     }
 
-    /// Visits the slot of each partition `value` exercises — the
-    /// allocation-free twin of [`partitions_of`](Self::partitions_of),
-    /// which the accumulation hot path goes through.
-    pub(crate) fn for_each_slot(&self, value: TrackedValue, mut f: impl FnMut(usize)) {
-        let bits = || match value {
-            TrackedValue::Bits(b) => b,
-            other => other.as_i128() as u32,
-        };
-        match &self.kind {
-            DomainKind::OpenFlags => for_each_open_flag(bits(), f),
-            DomainKind::Bitmap { flags } => {
-                let bits = bits();
-                for (i, (_, flag)) in flags.iter().enumerate() {
-                    if bits & flag == *flag && *flag != 0 {
-                        f(i);
-                    }
-                }
-            }
-            DomainKind::Numeric { .. } => f(NumericPartition::of(value.as_i128()).slot()),
-            DomainKind::Categorical { values } => {
-                let v = value.as_i128();
-                f(values
-                    .iter()
-                    .position(|(_, n)| i128::from(*n) == v)
-                    .unwrap_or(values.len()));
-            }
-        }
-    }
-
-    /// The partition a slot of [`for_each_slot`](Self::for_each_slot)
-    /// stands for.
+    /// The partition a slot of [`SlotDomain::for_each_slot`] stands for.
     pub(crate) fn slot_partition(&self, slot: usize) -> InputPartition {
         match &self.kind {
             DomainKind::OpenFlags => {
@@ -582,7 +730,7 @@ mod tests {
         for (arg, value) in cases {
             let domain = arg_domain(arg);
             let mut via_slots = Vec::new();
-            domain.for_each_slot(value, |slot| {
+            slot_domain(arg).for_each_slot(value, |slot| {
                 assert!(slot < domain.slot_count(), "{arg}: slot {slot}");
                 via_slots.push(domain.slot_partition(slot));
             });
@@ -617,6 +765,142 @@ mod tests {
             assert_eq!(OpenFlags::NAMED_FLAGS[mode].0, name);
         }
         assert_eq!(OpenFlags::NAMED_FLAGS.last().unwrap().0, "O_ACCMODE");
+    }
+
+    /// The walk [`for_each_open_flag`] made before it walked set bits:
+    /// every entry of `NAMED_FLAGS`, in table order.
+    fn open_flags_by_table(bits: u32) -> Vec<usize> {
+        let mut seen = Vec::new();
+        let accmode = OpenFlags::O_ACCMODE.bits();
+        let mode = (bits & accmode) as usize;
+        if mode < 3 {
+            seen.push(mode);
+        }
+        let has = |flag: OpenFlags| bits & flag.bits() == flag.bits();
+        let hide_dsync = has(OpenFlags::O_SYNC);
+        let hide_directory = has(OpenFlags::O_TMPFILE);
+        for (i, (_, flag)) in OpenFlags::NAMED_FLAGS.iter().enumerate() {
+            if flag.bits() == 0 || flag.bits() & accmode != 0 {
+                continue;
+            }
+            if (hide_dsync && *flag == OpenFlags::O_DSYNC)
+                || (hide_directory && *flag == OpenFlags::O_DIRECTORY)
+            {
+                continue;
+            }
+            if has(*flag) {
+                seen.push(i);
+            }
+        }
+        seen
+    }
+
+    /// The walk a `Bitmap` domain made before it walked set bits: every
+    /// entry of its table, in order.
+    fn bitmap_by_table(flags: &[(&str, u32)], bits: u32) -> Vec<usize> {
+        let hit = |(_, (_, flag)): &(usize, &(&str, u32))| bits & flag == *flag && *flag != 0;
+        flags
+            .iter()
+            .enumerate()
+            .filter(hit)
+            .map(|(i, _)| i)
+            .collect()
+    }
+
+    fn open_flags_by_bits(bits: u32) -> Vec<usize> {
+        let mut seen = Vec::new();
+        for_each_open_flag(bits, |i| seen.push(i));
+        seen
+    }
+
+    fn slots_by_bits(arg: ArgName, bits: u32) -> Vec<usize> {
+        let mut seen = Vec::new();
+        slot_domain(arg).for_each_slot(TrackedValue::Bits(bits), |i| seen.push(i));
+        seen
+    }
+
+    /// Every subset of `mask`, the empty one and `mask` included.
+    fn subsets(mask: u32) -> impl Iterator<Item = u32> {
+        let mut next = Some(0u32);
+        std::iter::from_fn(move || {
+            let subset = next?;
+            next = (subset != mask).then(|| subset.wrapping_sub(mask) & mask);
+            Some(subset)
+        })
+    }
+
+    #[test]
+    fn open_flag_set_bit_walk_matches_the_table_walk() {
+        let accmode = OpenFlags::O_ACCMODE.bits();
+        let named = NAMED_FLAG_WORDS.iter().fold(0, |all, w| all | w) & !accmode;
+        // Every subset of the named bits under every access mode, the
+        // invalid mode 3 included: slots and their order.
+        for subset in subsets(named) {
+            for mode in 0..=accmode {
+                let bits = subset | mode;
+                assert_eq!(
+                    open_flags_by_bits(bits),
+                    open_flags_by_table(bits),
+                    "{bits:#o}"
+                );
+            }
+        }
+        // The composites with and without their parts, and each
+        // composite's own bit alone.
+        let (sync, dsync) = (OpenFlags::O_SYNC.bits(), OpenFlags::O_DSYNC.bits());
+        let (tmpfile, directory) = (OpenFlags::O_TMPFILE.bits(), OpenFlags::O_DIRECTORY.bits());
+        for bits in [
+            sync,
+            dsync,
+            sync & !dsync,
+            tmpfile,
+            directory,
+            tmpfile & !directory,
+            sync | tmpfile | 3,
+            (sync | tmpfile) & !(dsync | directory),
+        ] {
+            assert_eq!(
+                open_flags_by_bits(bits),
+                open_flags_by_table(bits),
+                "{bits:#o}"
+            );
+        }
+        assert!(
+            !open_flags_by_bits(sync).contains(&9),
+            "O_SYNC hides O_DSYNC"
+        );
+        // Random words, unnamed bits included.
+        for n in 0..200_000 {
+            let bits = crate::splitmix64(30, n) as u32;
+            assert_eq!(
+                open_flags_by_bits(bits),
+                open_flags_by_table(bits),
+                "{bits:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn bitmap_set_bit_walks_match_the_table_walks() {
+        let cases: [(ArgName, &[(&str, u32)]); 4] = [
+            (ArgName::OpenMode, &MODE_BITS),
+            (ArgName::MkdirMode, &MODE_BITS),
+            (ArgName::ChmodMode, &MODE_BITS),
+            (ArgName::SetxattrFlags, &XATTR_FLAG_BITS),
+        ];
+        for (arg, flags) in cases {
+            let named = flags.iter().fold(0, |all, (_, w)| all | w);
+            let words = subsets(named)
+                .chain((0..50_000).map(|n| crate::splitmix64(31, n) as u32))
+                .chain([u32::MAX, !named]);
+            for bits in words {
+                assert_eq!(
+                    slots_by_bits(arg, bits),
+                    bitmap_by_table(flags, bits),
+                    "{arg}: {bits:#o}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -34,10 +34,11 @@
 //!
 //! Names are matched once, not per event. [`CallKind::resolve`] turns a
 //! syscall name into a closed entry: the in-domain [`Sysno`] it is, if
-//! any, and its provenance [`Role`]. The batch scan resolves each
-//! batch's name table once and looks rows up by name id; an owned
-//! event resolves its own name through the same function, so the two
-//! paths cannot disagree.
+//! any, its provenance [`Role`] and the plan of arguments it tracks.
+//! The batch scan resolves each batch's name table once and looks rows
+//! up by name id; an owned event resolves its own name through the same
+//! function, so the two paths cannot disagree. Both rules read a row's
+//! arguments through one [`Args`] view taken per event.
 //!
 //! State lookups are cheap on the common path too. [`PidStates`] keeps
 //! the keyed pid map but answers a run of events from one pid from a
@@ -47,11 +48,12 @@
 use std::collections::{BTreeMap, HashMap};
 
 use iocov_syscalls::Sysno;
-use iocov_trace::{ArgView, EventView};
+use iocov_trace::{ArgView, Args};
 
 use crate::checkpoint::PidStateSnapshot;
 use crate::filter::TraceFilter;
 use crate::metrics::DropReason;
+use crate::variants::{call_plan, TrackedArg};
 
 /// `AT_FDCWD` without depending on the vfs crate directly.
 pub(crate) const AT_FDCWD: i32 = -100;
@@ -76,7 +78,7 @@ pub(crate) enum Role {
 
 /// Everything analysis needs from a syscall name, resolved once per
 /// distinct name.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct CallKind {
     /// The in-domain call the name is; `None` for tester noise.
     pub(crate) sysno: Option<Sysno>,
@@ -85,6 +87,8 @@ pub(crate) struct CallKind {
     pub(crate) merged: bool,
     /// How the call moves provenance.
     pub(crate) role: Role,
+    /// The arguments the call tracks ([`call_plan`]); none for noise.
+    pub(crate) plan: &'static [TrackedArg],
 }
 
 impl CallKind {
@@ -103,6 +107,7 @@ impl CallKind {
             sysno,
             merged: sysno.is_some_and(|s| s.name() != s.base().name()),
             role,
+            plan: sysno.map_or(&[], call_plan),
         }
     }
 }
@@ -265,6 +270,7 @@ pub(crate) struct PidStates {
 
 impl PidStates {
     /// The state of `pid`, created empty on first use.
+    #[inline]
     pub(crate) fn get(&mut self, pid: u32) -> &mut PidState {
         let slot = match self.last {
             Some((last, slot)) if last == pid => slot,
@@ -301,16 +307,20 @@ impl PidStates {
     }
 }
 
-/// Classifies one event: `None` when it is relevant to the mount point,
-/// otherwise the [`DropReason`] the metrics layer should count.
-pub(crate) fn event_drop_reason<E: EventView + ?Sized>(
+/// Classifies one event by its arguments: `None` when it is relevant to
+/// the mount point, otherwise the [`DropReason`] the metrics layer
+/// should count.
+#[inline]
+pub(crate) fn event_drop_reason(
     filter: &TraceFilter,
     state: &PidState,
-    event: &E,
+    args: Args<'_>,
 ) -> Option<DropReason> {
     let mut saw_path = false;
-    for i in 0..event.arg_count() {
-        let Some(ArgView::Path(path)) = event.arg(i) else {
+    let mut before = None;
+    for arg in args.iter() {
+        let prev = before.replace(arg);
+        let ArgView::Path(path) = arg else {
             continue;
         };
         saw_path = true;
@@ -320,7 +330,7 @@ pub(crate) fn event_drop_reason<E: EventView + ?Sized>(
             // Relative path: relevance flows from the base directory —
             // the dirfd argument directly before the path for `*at`
             // calls, the cwd for plain calls.
-            match i.checked_sub(1).and_then(|j| event.arg(j)) {
+            match prev {
                 Some(ArgView::Fd(dirfd)) => state.fd_relevant(dirfd),
                 _ => state.cwd_relevant,
             }
@@ -333,39 +343,41 @@ pub(crate) fn event_drop_reason<E: EventView + ?Sized>(
         return Some(DropReason::WrongMount);
     }
     // No path: relevance flows from the descriptor argument.
-    match event.arg(0) {
+    match args.get(0) {
         Some(ArgView::Fd(fd)) if state.fd_relevant(fd) => None,
         _ => Some(DropReason::IrrelevantFd),
     }
 }
 
-/// Propagates descriptor/cwd provenance after the event, whose name
-/// resolved to `role`.
-pub(crate) fn update_state<E: EventView + ?Sized>(
+/// Propagates descriptor/cwd provenance after an event with these
+/// arguments and return value, whose name resolved to `role`.
+#[inline]
+pub(crate) fn update_state(
     state: &mut PidState,
-    event: &E,
+    args: Args<'_>,
+    retval: i64,
     role: Role,
     relevant: bool,
 ) {
-    if event.retval() < 0 {
+    if retval < 0 {
         return; // failed calls change no kernel state
     }
     match role {
         Role::Open => {
-            state.track(event.retval() as i32, relevant);
+            state.track(retval as i32, relevant);
         }
         Role::Dup => {
             // The duplicate aliases the source's open file description,
             // so it inherits the source's provenance (dup2/dup3 also
             // implicitly close the target number; the insert overwrites
             // whatever the number previously tracked).
-            if let Some(ArgView::Fd(oldfd)) = event.arg(0) {
+            if let Some(ArgView::Fd(oldfd)) = args.get(0) {
                 let provenance = state.fd_relevant(oldfd);
-                state.track(event.retval() as i32, provenance);
+                state.track(retval as i32, provenance);
             }
         }
         Role::Close => {
-            if let Some(ArgView::Fd(fd)) = event.arg(0) {
+            if let Some(ArgView::Fd(fd)) = args.get(0) {
                 state.forget(fd);
             }
         }
@@ -373,7 +385,7 @@ pub(crate) fn update_state<E: EventView + ?Sized>(
             state.cwd_relevant = relevant;
         }
         Role::Fchdir => {
-            if let Some(ArgView::Fd(fd)) = event.arg(0) {
+            if let Some(ArgView::Fd(fd)) = args.get(0) {
                 state.cwd_relevant = state.fd_relevant(fd);
             }
         }

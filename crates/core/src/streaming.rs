@@ -101,7 +101,7 @@ impl StreamingAnalyzer {
     /// [`EventRef`](iocov_trace::EventRef) batch rows take the exact
     /// same keep/drop and partition path.
     pub fn push<E: EventView + ?Sized>(&mut self, event: &E) -> bool {
-        self.push_as(event, CallKind::resolve(event.name()))
+        self.push_as(event, &CallKind::resolve(event.name()))
     }
 
     /// Consumes every row of `batch` whose pid `owns` accepts, in order,
@@ -112,31 +112,34 @@ impl StreamingAnalyzer {
         calls.extend(batch.names().iter().map(|name| CallKind::resolve(name)));
         for event in batch.iter() {
             if owns(event.pid()) {
-                self.push_as(&event, calls[event.name_id() as usize]);
+                self.push_as(&event, &calls[event.name_id() as usize]);
             }
         }
         self.calls = calls;
     }
 
     /// [`push`](Self::push) for an event whose name resolved to `call`.
-    fn push_as<E: EventView + ?Sized>(&mut self, event: &E, call: CallKind) -> bool {
+    /// The row's arguments are located once and read from that view by
+    /// every step.
+    fn push_as<E: EventView + ?Sized>(&mut self, event: &E, call: &CallKind) -> bool {
         self.builder.filter_stats.total += 1;
         let metrics = self.metrics.as_deref();
         if let Some(m) = metrics {
             m.add_events_read(1);
         }
+        let args = event.args();
         let dropped = if self.filter.is_keep_all() {
             None
         } else {
             let state = self.states.get(event.pid());
-            let dropped = relevance::event_drop_reason(&self.filter, state, event);
-            relevance::update_state(state, event, call.role, dropped.is_none());
+            let dropped = relevance::event_drop_reason(&self.filter, state, args);
+            relevance::update_state(state, args, event.retval(), call.role, dropped.is_none());
             dropped
         };
         match dropped {
             None => {
                 self.builder.filter_stats.kept += 1;
-                self.builder.accumulate(event, call, metrics);
+                self.builder.accumulate(event, args, call, metrics);
                 true
             }
             Some(reason) => {

@@ -8,14 +8,18 @@
 //!
 //! Analysis does not look names up per event. A batch's distinct names
 //! are resolved once, by [`CallKind::resolve`](crate::relevance::CallKind),
-//! into the call each name is, and [`normalize_as`] takes the resolved
-//! [`Sysno`]. [`normalize`] resolves an owned event's name through the
-//! same [`Sysno::from_name`] and then does exactly the same.
+//! into the call each name is and that call's plan: the arguments it
+//! tracks, each with its position in the row, the [`ArgName`] it counts
+//! toward and that argument's domain ([`call_plan`]). Per event, only
+//! the plan is walked; [`tracked_values`] reads each planned argument
+//! from the row's argument slice. [`normalize`] resolves an owned
+//! event's name through the same [`Sysno::from_name`] and plan.
 
 use iocov_syscalls::{BaseSyscall, Sysno};
-use iocov_trace::{ArgView, EventView};
+use iocov_trace::{ArgView, Args, EventView};
 
 use crate::arg::{ArgName, TrackedValue};
+use crate::domain::{slot_domain, DomainKind, SlotDomain};
 
 /// A trace event normalized to its base syscall with unified argument
 /// slots.
@@ -42,118 +46,153 @@ impl NormalizedCall {
 /// The flags word `creat(2)` implies.
 pub const CREAT_IMPLIED_FLAGS: u32 = 0o1101; // O_CREAT | O_WRONLY | O_TRUNC
 
-fn bits<E: EventView + ?Sized>(event: &E, idx: usize) -> Option<TrackedValue> {
-    match event.arg(idx)? {
-        ArgView::Flags(v) | ArgView::Mode(v) | ArgView::Whence(v) => Some(TrackedValue::Bits(v)),
-        ArgView::UInt(v) => u32::try_from(v).ok().map(TrackedValue::Bits),
-        _ => None,
+/// Where a tracked argument's value comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// The row's argument at this index, read as a flags word.
+    Bits(usize),
+    /// The row's argument at this index, read as an unsigned number.
+    Unsigned(usize),
+    /// The row's argument at this index, read as a signed number.
+    Signed(usize),
+    /// A word the call implies rather than passes (`creat`'s flags).
+    Implied(u32),
+}
+
+/// One argument a call tracks: where its value comes from, the
+/// argument it counts toward and that argument's domain.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct TrackedArg {
+    pub(crate) source: Source,
+    pub(crate) name: ArgName,
+    pub(crate) domain: &'static SlotDomain,
+}
+
+impl TrackedArg {
+    /// `name`, read from the row's argument at `index` the way its
+    /// domain reads values: numbers by their signedness, every other
+    /// kind as a word.
+    const fn at(index: usize, name: ArgName) -> TrackedArg {
+        let domain = slot_domain(name);
+        let source = match domain.domain.kind {
+            DomainKind::Numeric { signed: true, .. } => Source::Signed(index),
+            DomainKind::Numeric { signed: false, .. } => Source::Unsigned(index),
+            _ => Source::Bits(index),
+        };
+        TrackedArg {
+            source,
+            name,
+            domain,
+        }
+    }
+
+    /// The value in a row with these arguments, or `None` when the
+    /// argument is missing, of another type, or out of range.
+    #[inline]
+    pub(crate) fn value(&self, args: Args<'_>) -> Option<TrackedValue> {
+        match self.source {
+            Source::Bits(i) => match args.get(i)? {
+                ArgView::Flags(v) | ArgView::Mode(v) | ArgView::Whence(v) => {
+                    Some(TrackedValue::Bits(v))
+                }
+                ArgView::UInt(v) => u32::try_from(v).ok().map(TrackedValue::Bits),
+                _ => None,
+            },
+            Source::Unsigned(i) => match args.get(i)? {
+                ArgView::UInt(v) => Some(TrackedValue::Unsigned(v)),
+                ArgView::Int(v) if v >= 0 => Some(TrackedValue::Unsigned(v as u64)),
+                _ => None,
+            },
+            Source::Signed(i) => match args.get(i)? {
+                ArgView::Int(v) => Some(TrackedValue::Signed(v)),
+                ArgView::UInt(v) => i64::try_from(v).ok().map(TrackedValue::Signed),
+                _ => None,
+            },
+            Source::Implied(word) => Some(TrackedValue::Bits(word)),
+        }
     }
 }
 
-fn unsigned<E: EventView + ?Sized>(event: &E, idx: usize) -> Option<TrackedValue> {
-    match event.arg(idx)? {
-        ArgView::UInt(v) => Some(TrackedValue::Unsigned(v)),
-        ArgView::Int(v) if v >= 0 => Some(TrackedValue::Unsigned(v as u64)),
-        _ => None,
+/// The arguments `sysno` tracks, in order: variants map their arguments
+/// to the base syscall's slots.
+pub(crate) fn call_plan(sysno: Sysno) -> &'static [TrackedArg] {
+    use ArgName as A;
+    const fn at(index: usize, name: ArgName) -> TrackedArg {
+        TrackedArg::at(index, name)
+    }
+    const OPEN: &[TrackedArg] = &[at(1, A::OpenFlags), at(2, A::OpenMode)];
+    const OPENAT: &[TrackedArg] = &[at(2, A::OpenFlags), at(3, A::OpenMode)];
+    const CREAT: &[TrackedArg] = &[
+        TrackedArg {
+            source: Source::Implied(CREAT_IMPLIED_FLAGS),
+            name: A::OpenFlags,
+            domain: slot_domain(A::OpenFlags),
+        },
+        at(1, A::OpenMode),
+    ];
+    const READ: &[TrackedArg] = &[at(2, A::ReadCount)];
+    const PREAD: &[TrackedArg] = &[at(2, A::ReadCount), at(3, A::ReadOffset)];
+    const WRITE: &[TrackedArg] = &[at(2, A::WriteCount)];
+    const PWRITE: &[TrackedArg] = &[at(2, A::WriteCount), at(3, A::WriteOffset)];
+    const LSEEK: &[TrackedArg] = &[at(1, A::LseekOffset), at(2, A::LseekWhence)];
+    const TRUNCATE: &[TrackedArg] = &[at(1, A::TruncateLength)];
+    const MKDIR: &[TrackedArg] = &[at(1, A::MkdirMode)];
+    const MKDIRAT: &[TrackedArg] = &[at(2, A::MkdirMode)];
+    const CHMOD: &[TrackedArg] = &[at(1, A::ChmodMode)];
+    const FCHMODAT: &[TrackedArg] = &[at(2, A::ChmodMode)];
+    const SETXATTR: &[TrackedArg] = &[at(3, A::SetxattrSize), at(4, A::SetxattrFlags)];
+    const GETXATTR: &[TrackedArg] = &[at(3, A::GetxattrSize)];
+    match sysno {
+        Sysno::Open => OPEN,
+        Sysno::Openat | Sysno::Openat2 => OPENAT,
+        Sysno::Creat => CREAT,
+        Sysno::Read | Sysno::Readv => READ,
+        Sysno::Pread64 => PREAD,
+        Sysno::Write | Sysno::Writev => WRITE,
+        Sysno::Pwrite64 => PWRITE,
+        Sysno::Lseek => LSEEK,
+        Sysno::Truncate | Sysno::Ftruncate => TRUNCATE,
+        Sysno::Mkdir => MKDIR,
+        Sysno::Mkdirat => MKDIRAT,
+        Sysno::Chmod | Sysno::Fchmod => CHMOD,
+        Sysno::Fchmodat => FCHMODAT,
+        Sysno::Setxattr | Sysno::Lsetxattr | Sysno::Fsetxattr => SETXATTR,
+        Sysno::Getxattr | Sysno::Lgetxattr | Sysno::Fgetxattr => GETXATTR,
+        Sysno::Close | Sysno::Chdir | Sysno::Fchdir => &[],
     }
 }
 
-fn signed<E: EventView + ?Sized>(event: &E, idx: usize) -> Option<TrackedValue> {
-    match event.arg(idx)? {
-        ArgView::Int(v) => Some(TrackedValue::Signed(v)),
-        ArgView::UInt(v) => i64::try_from(v).ok().map(TrackedValue::Signed),
-        _ => None,
-    }
+/// The values `plan` finds in a row with these arguments, in plan
+/// order, each with its plan entry; an argument that is missing, of
+/// another type or out of range is left out. The one place tracked
+/// arguments are read, for [`normalize`] and for accumulation alike.
+#[inline]
+pub(crate) fn tracked_values<'a>(
+    args: Args<'a>,
+    plan: &'static [TrackedArg],
+) -> impl Iterator<Item = (&'static TrackedArg, TrackedValue)> + 'a {
+    plan.iter()
+        .filter_map(move |tracked| Some((tracked, tracked.value(args)?)))
 }
 
 /// Normalizes one trace event; returns `None` for syscalls outside the
 /// 27-call domain (tester noise like `stat` or `unlink`).
 #[must_use]
 pub fn normalize<E: EventView + ?Sized>(event: &E) -> Option<NormalizedCall> {
-    Some(normalize_as(event, Sysno::from_name(event.name())?))
-}
-
-/// Normalizes one event already resolved to `sysno`, the in-domain call
-/// its name names.
-pub(crate) fn normalize_as<E: EventView + ?Sized>(event: &E, sysno: Sysno) -> NormalizedCall {
+    let sysno = Sysno::from_name(event.name())?;
     let mut args = [None; 2];
-    let mut len = 0;
-    let mut push = |name: ArgName, value: Option<TrackedValue>| {
-        if let Some(v) = value {
-            args[len] = Some((name, v));
-            len += 1;
-        }
-    };
-
-    match sysno {
-        Sysno::Open => {
-            push(ArgName::OpenFlags, bits(event, 1));
-            push(ArgName::OpenMode, bits(event, 2));
-        }
-        Sysno::Openat => {
-            push(ArgName::OpenFlags, bits(event, 2));
-            push(ArgName::OpenMode, bits(event, 3));
-        }
-        Sysno::Creat => {
-            push(
-                ArgName::OpenFlags,
-                Some(TrackedValue::Bits(CREAT_IMPLIED_FLAGS)),
-            );
-            push(ArgName::OpenMode, bits(event, 1));
-        }
-        Sysno::Openat2 => {
-            push(ArgName::OpenFlags, bits(event, 2));
-            push(ArgName::OpenMode, bits(event, 3));
-        }
-        Sysno::Read | Sysno::Readv => {
-            push(ArgName::ReadCount, unsigned(event, 2));
-        }
-        Sysno::Pread64 => {
-            push(ArgName::ReadCount, unsigned(event, 2));
-            push(ArgName::ReadOffset, signed(event, 3));
-        }
-        Sysno::Write | Sysno::Writev => {
-            push(ArgName::WriteCount, unsigned(event, 2));
-        }
-        Sysno::Pwrite64 => {
-            push(ArgName::WriteCount, unsigned(event, 2));
-            push(ArgName::WriteOffset, signed(event, 3));
-        }
-        Sysno::Lseek => {
-            push(ArgName::LseekOffset, signed(event, 1));
-            push(ArgName::LseekWhence, bits(event, 2));
-        }
-        Sysno::Truncate | Sysno::Ftruncate => {
-            push(ArgName::TruncateLength, signed(event, 1));
-        }
-        Sysno::Mkdir => {
-            push(ArgName::MkdirMode, bits(event, 1));
-        }
-        Sysno::Mkdirat => {
-            push(ArgName::MkdirMode, bits(event, 2));
-        }
-        Sysno::Chmod | Sysno::Fchmod => {
-            push(ArgName::ChmodMode, bits(event, 1));
-        }
-        Sysno::Fchmodat => {
-            push(ArgName::ChmodMode, bits(event, 2));
-        }
-        Sysno::Setxattr | Sysno::Lsetxattr | Sysno::Fsetxattr => {
-            push(ArgName::SetxattrSize, unsigned(event, 3));
-            push(ArgName::SetxattrFlags, bits(event, 4));
-        }
-        Sysno::Getxattr | Sysno::Lgetxattr | Sysno::Fgetxattr => {
-            push(ArgName::GetxattrSize, unsigned(event, 3));
-        }
-        Sysno::Close | Sysno::Chdir | Sysno::Fchdir => {}
+    for (slot, (tracked, value)) in args
+        .iter_mut()
+        .zip(tracked_values(event.args(), call_plan(sysno)))
+    {
+        *slot = Some((tracked.name, value));
     }
-
-    NormalizedCall {
+    Some(NormalizedCall {
         sysno,
         base: sysno.base(),
         retval: event.retval(),
         args,
-    }
+    })
 }
 
 #[cfg(test)]

@@ -116,6 +116,89 @@ impl<'a> ArgView<'a> {
     }
 }
 
+/// One event's arguments, located once: the argument vector of an owned
+/// [`TraceEvent`], or a batch row's packed argument slice with the arena
+/// its text lives in. A consumer that reads several arguments of a row
+/// takes this once and indexes it, instead of locating the row's
+/// argument range again for every [`EventView::arg`] call.
+#[derive(Debug, Clone, Copy)]
+pub struct Args<'a>(ArgsRepr<'a>);
+
+#[derive(Debug, Clone, Copy)]
+enum ArgsRepr<'a> {
+    Owned(&'a [ArgValue]),
+    Packed {
+        args: &'a [PackedArg],
+        text: &'a str,
+    },
+}
+
+impl<'a> Args<'a> {
+    /// Number of arguments.
+    #[must_use]
+    pub fn len(self) -> usize {
+        match self.0 {
+            ArgsRepr::Owned(args) => args.len(),
+            ArgsRepr::Packed { args, .. } => args.len(),
+        }
+    }
+
+    /// Whether there are no arguments.
+    #[must_use]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// The argument at `index`, or `None` past the end.
+    #[inline(always)]
+    #[must_use]
+    pub fn get(self, index: usize) -> Option<ArgView<'a>> {
+        match self.0 {
+            ArgsRepr::Owned(args) => args.get(index).map(ArgView::of),
+            ArgsRepr::Packed { args, text } => args.get(index).map(|&p| unpack(p, text)),
+        }
+    }
+
+    /// The arguments in order.
+    #[inline(always)]
+    pub fn iter(self) -> impl Iterator<Item = ArgView<'a>> {
+        // One half of the chain is empty: the arguments are either an
+        // owned vector or a packed slice.
+        let (owned, packed, text) = match self.0 {
+            ArgsRepr::Owned(args) => (args, &[][..], ""),
+            ArgsRepr::Packed { args, text } => (&[][..], args, text),
+        };
+        owned
+            .iter()
+            .map(ArgView::of)
+            .chain(packed.iter().map(move |&p| unpack(p, text)))
+    }
+}
+
+/// The `(start, len)` byte range of an arena.
+#[inline(always)]
+fn text_range(text: &str, start: u32, len: u32) -> &str {
+    &text[start as usize..(start + len) as usize]
+}
+
+/// The view of a packed argument whose text lives in `text`. Always
+/// inlined: a consumer's match on the view then folds into this one.
+#[inline(always)]
+fn unpack(packed: PackedArg, text: &str) -> ArgView<'_> {
+    let slice = |start, len| text_range(text, start, len);
+    match packed {
+        PackedArg::Int(v) => ArgView::Int(v),
+        PackedArg::UInt(v) => ArgView::UInt(v),
+        PackedArg::Fd(v) => ArgView::Fd(v),
+        PackedArg::Flags(v) => ArgView::Flags(v),
+        PackedArg::Mode(v) => ArgView::Mode(v),
+        PackedArg::Whence(v) => ArgView::Whence(v),
+        PackedArg::Ptr(v) => ArgView::Ptr(v),
+        PackedArg::Path { start, len } => ArgView::Path(slice(start, len)),
+        PackedArg::Str { start, len } => ArgView::Str(slice(start, len)),
+    }
+}
+
 /// Uniform read access to one event, whether it is an owned
 /// [`TraceEvent`] or a row of an [`EventBatch`].
 ///
@@ -136,10 +219,16 @@ pub trait EventView {
     fn sysno(&self) -> u32;
     /// Raw return value: `>= 0` on success, `-errno` on failure.
     fn retval(&self) -> i64;
+    /// The decoded arguments, located once.
+    fn args(&self) -> Args<'_>;
     /// Number of decoded arguments.
-    fn arg_count(&self) -> usize;
+    fn arg_count(&self) -> usize {
+        self.args().len()
+    }
     /// The argument at `index`, or `None` past the end.
-    fn arg(&self, index: usize) -> Option<ArgView<'_>>;
+    fn arg(&self, index: usize) -> Option<ArgView<'_>> {
+        self.args().get(index)
+    }
 }
 
 impl EventView for TraceEvent {
@@ -161,11 +250,9 @@ impl EventView for TraceEvent {
     fn retval(&self) -> i64 {
         self.retval
     }
-    fn arg_count(&self) -> usize {
-        self.args.len()
-    }
-    fn arg(&self, index: usize) -> Option<ArgView<'_>> {
-        self.args.get(index).map(ArgView::of)
+    #[inline]
+    fn args(&self) -> Args<'_> {
+        Args(ArgsRepr::Owned(&self.args))
     }
 }
 
@@ -260,7 +347,7 @@ impl EventBatch {
     }
 
     fn text_slice(&self, start: u32, len: u32) -> &str {
-        &self.text[start as usize..(start + len) as usize]
+        text_range(&self.text, start, len)
     }
 
     /// Appends one owned event by copying it into the columns.
@@ -623,34 +710,28 @@ impl<'a> EventRef<'a> {
         &self.batch.name_table[self.batch.name_id[self.row] as usize]
     }
 
+    /// The row's packed argument slice, borrowed from the batch columns.
+    #[inline]
+    #[must_use]
+    pub fn args(self) -> Args<'a> {
+        let (start, len) = self.batch.arg_range[self.row];
+        let args = &self.batch.args[start as usize..(start + len) as usize];
+        Args(ArgsRepr::Packed {
+            args,
+            text: &self.batch.text,
+        })
+    }
+
     /// The argument at `index`, borrowed from the batch columns.
     #[must_use]
     pub fn arg(self, index: usize) -> Option<ArgView<'a>> {
-        let (start, len) = self.batch.arg_range[self.row];
-        if index >= len as usize {
-            return None;
-        }
-        let packed = self.batch.args[start as usize + index];
-        Some(match packed {
-            PackedArg::Int(v) => ArgView::Int(v),
-            PackedArg::UInt(v) => ArgView::UInt(v),
-            PackedArg::Fd(v) => ArgView::Fd(v),
-            PackedArg::Flags(v) => ArgView::Flags(v),
-            PackedArg::Mode(v) => ArgView::Mode(v),
-            PackedArg::Whence(v) => ArgView::Whence(v),
-            PackedArg::Ptr(v) => ArgView::Ptr(v),
-            PackedArg::Path { start, len } => ArgView::Path(self.batch.text_slice(start, len)),
-            PackedArg::Str { start, len } => ArgView::Str(self.batch.text_slice(start, len)),
-        })
+        self.args().get(index)
     }
 
     /// Materializes this row as an owned [`TraceEvent`].
     #[must_use]
     pub fn to_event(self) -> TraceEvent {
-        let (_, len) = self.batch.arg_range[self.row];
-        let args = (0..len as usize)
-            .map(|i| self.arg(i).expect("in-range arg").to_owned_arg())
-            .collect();
+        let args = self.args().iter().map(ArgView::to_owned_arg).collect();
         TraceEvent {
             seq: self.batch.seq[self.row],
             timestamp_ns: self.batch.timestamp_ns[self.row],
@@ -682,11 +763,9 @@ impl EventView for EventRef<'_> {
     fn retval(&self) -> i64 {
         self.batch.retval[self.row]
     }
-    fn arg_count(&self) -> usize {
-        self.batch.arg_range[self.row].1 as usize
-    }
-    fn arg(&self, index: usize) -> Option<ArgView<'_>> {
-        EventRef::arg(*self, index)
+    #[inline]
+    fn args(&self) -> Args<'_> {
+        EventRef::args(*self)
     }
 }
 

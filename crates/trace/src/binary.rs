@@ -488,40 +488,54 @@ struct Cursor<'a> {
 }
 
 impl<'a> Cursor<'a> {
+    #[inline]
     fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
         if self.buf.len() - self.pos < n {
-            return Err(format!(
-                "record payload too short: needed {n} bytes at offset {}",
-                self.pos
-            ));
+            return Err(self.too_short(n));
         }
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
+    /// The error of a read past the payload, kept out of line so the
+    /// reads that succeed stay small.
+    #[cold]
+    #[inline(never)]
+    fn too_short(&self, n: usize) -> String {
+        format!(
+            "record payload too short: needed {n} bytes at offset {}",
+            self.pos
+        )
+    }
+
+    #[inline]
     fn u8(&mut self) -> Result<u8, String> {
         Ok(self.take(1)?[0])
     }
 
+    #[inline]
     fn u32(&mut self) -> Result<u32, String> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
+    #[inline]
     fn i32(&mut self) -> Result<i32, String> {
         Ok(i32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
+    #[inline]
     fn u64(&mut self) -> Result<u64, String> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
 
+    #[inline]
     fn i64(&mut self) -> Result<i64, String> {
         Ok(i64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
@@ -529,10 +543,18 @@ impl<'a> Cursor<'a> {
     }
 }
 
+#[inline]
 fn resolve_ref(table: &[Arc<str>], index: u32) -> Result<&Arc<str>, String> {
-    table
-        .get(index as usize)
-        .ok_or_else(|| format!("symbol {index} out of range (table has {})", table.len()))
+    match table.get(index as usize) {
+        Some(name) => Ok(name),
+        None => Err(out_of_range(index, table.len())),
+    }
+}
+
+#[cold]
+#[inline(never)]
+fn out_of_range(index: u32, len: usize) -> String {
+    format!("symbol {index} out of range (table has {len})")
 }
 
 /// Decodes one framed record payload directly into `batch` columns —

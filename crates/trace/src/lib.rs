@@ -48,7 +48,7 @@ pub mod retry;
 mod serial;
 pub mod source;
 
-pub use batch::{ArgView, EventBatch, EventRef, EventView};
+pub use batch::{ArgView, Args, EventBatch, EventRef, EventView};
 pub use binary::{
     is_iotb, read_iotb, write_iotb, write_iotb_indexed, IotbCursor, DEFAULT_BLOCK_EVENTS,
     IOTB_INDEX_FOOTER_MAGIC, IOTB_MAGIC, IOTB_VERSION, IOTB_VERSION_INDEXED,

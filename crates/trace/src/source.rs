@@ -178,12 +178,14 @@ impl<R: Read> EventSource for IotbCursor<R> {
 }
 
 /// Pulls rows through `next_into` until the batch holds `max` events or
-/// the stream ends.
+/// the stream ends. Columns for up to [`DRAIN_BATCH`] rows are reserved
+/// up front, so a batch of the usual size never regrows (and copies)
+/// its columns while it fills.
 fn fill_batch(
     max: usize,
     mut next_into: impl FnMut(&mut EventBatch) -> Result<bool, TraceIoError>,
 ) -> Result<EventBatch, TraceIoError> {
-    let mut batch = EventBatch::with_capacity(max.min(1024));
+    let mut batch = EventBatch::with_capacity(max.min(DRAIN_BATCH));
     while batch.len() < max && next_into(&mut batch)? {}
     Ok(batch)
 }

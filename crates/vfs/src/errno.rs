@@ -131,7 +131,7 @@ impl Errno {
 
     /// The Linux x86-64 errno number.
     #[must_use]
-    pub fn number(self) -> u32 {
+    pub const fn number(self) -> u32 {
         match self {
             Errno::EPERM => 1,
             Errno::ENOENT => 2,
@@ -176,10 +176,22 @@ impl Errno {
         self as usize
     }
 
-    /// Looks up an errno by number.
+    /// Looks up an errno by number, through a table indexed by number.
     #[must_use]
     pub fn from_number(number: u32) -> Option<Errno> {
-        Errno::ALL.iter().copied().find(|e| e.number() == number)
+        /// One past each number's position in [`Errno::ALL`]; 0 for
+        /// numbers no errno has.
+        const BY_NUMBER: [u8; 128] = {
+            let mut table = [0; 128];
+            let mut i = 0;
+            while i < Errno::ALL.len() {
+                table[Errno::ALL[i].number() as usize] = i as u8 + 1;
+                i += 1;
+            }
+            table
+        };
+        let slot = *BY_NUMBER.get(usize::try_from(number).ok()?)?;
+        Some(Errno::ALL[usize::from(slot.checked_sub(1)?)])
     }
 
     /// The symbolic name, e.g. `"ENOENT"`.
@@ -319,6 +331,10 @@ mod tests {
         }
         assert_eq!(Errno::from_number(0), None);
         assert_eq!(Errno::from_number(9999), None);
+        for number in (0..300).chain([u32::MAX]) {
+            let linear = Errno::ALL.iter().copied().find(|e| e.number() == number);
+            assert_eq!(Errno::from_number(number), linear, "{number}");
+        }
     }
 
     #[test]

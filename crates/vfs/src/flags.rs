@@ -100,7 +100,7 @@ impl OpenFlags {
 
     /// The raw flags word.
     #[must_use]
-    pub fn bits(self) -> u32 {
+    pub const fn bits(self) -> u32 {
         self.0
     }
 

@@ -794,7 +794,7 @@ impl Vfs {
         if self.cov.branch("vfs::write/einval_iov", iovs.len() > 1024) {
             return Err(Errno::EINVAL);
         }
-        let flat: Vec<u8> = iovs.iter().flat_map(|s| s.iter().copied()).collect();
+        let flat = iovs.concat();
         self.write_impl(pid, fd, WriteSource::Bytes(&flat), None, "writev")
     }
 
