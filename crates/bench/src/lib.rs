@@ -98,7 +98,7 @@ pub fn run_suites_parallel_with_metrics(
     jobs: usize,
     metrics: Option<Arc<PipelineMetrics>>,
 ) -> SuiteReports {
-    let filter = TraceFilter::mount_point(MOUNT).expect("static mount pattern compiles");
+    let Ok(filter) = TraceFilter::mount_point(MOUNT);
     let session = |filter: TraceFilter| {
         let mut builder = PipelineBuilder::new(filter).jobs(jobs);
         if let Some(m) = &metrics {
@@ -312,7 +312,7 @@ pub fn measure_ingest_throughput(events: usize) -> Vec<IngestThroughput> {
 pub fn analyze_iotb_per_event(iotb: &[u8]) -> (usize, AnalysisReport) {
     let options = iocov_trace::ReadOptions::default();
     let mut cursor = iocov_trace::IotbCursor::new(iotb, options).expect("clean container");
-    let filter = TraceFilter::mount_point(MOUNT).expect("static mount pattern compiles");
+    let Ok(filter) = TraceFilter::mount_point(MOUNT);
     let mut analyzer = StreamingAnalyzer::new(filter);
     let mut events = 0usize;
     while let Some(event) = cursor.next_event().expect("clean parses") {
@@ -330,7 +330,7 @@ pub fn analyze_iotb_per_event(iotb: &[u8]) -> (usize, AnalysisReport) {
 pub fn analyze_iotb_batched(iotb: &[u8]) -> (usize, AnalysisReport) {
     let options = iocov_trace::ReadOptions::default();
     let mut cursor = iocov_trace::IotbCursor::new(iotb, options).expect("clean container");
-    let filter = TraceFilter::mount_point(MOUNT).expect("static mount pattern compiles");
+    let Ok(filter) = TraceFilter::mount_point(MOUNT);
     let mut analyzer = StreamingAnalyzer::new(filter);
     let mut events = 0usize;
     loop {
@@ -471,7 +471,7 @@ pub fn measure_batch_throughput(events: usize) -> Vec<BatchThroughput> {
 const SERVE_CHUNK: usize = 4096;
 
 fn serve_session() -> AnalysisSession {
-    let filter = TraceFilter::mount_point(MOUNT).expect("static mount pattern compiles");
+    let Ok(filter) = TraceFilter::mount_point(MOUNT);
     PipelineBuilder::new(filter)
         .mount(Some(MOUNT.to_owned()))
         .build_session()

@@ -38,7 +38,7 @@ use iocov::tcd::{deviation_ranking, tcd_uniform};
 use iocov::{
     read_checkpoint_with_fallback, AnalysisReport, ArgName, BaseSyscall, CheckpointPolicy,
     PipelineBuilder, PipelineError, PipelineMetrics, PipelineRun, ShardFailureRecord,
-    SupervisorPolicy,
+    SupervisorPolicy, TraceFilter,
 };
 use iocov_faults::{DrillTrigger, FaultPlan, FaultyRead};
 use iocov_trace::{
@@ -902,14 +902,6 @@ fn fault_reader(file: File, io: Option<IoFaultSpec>) -> Box<dyn Read> {
     }
 }
 
-fn make_filter(mount: Option<&str>) -> Result<iocov::TraceFilter, CliError> {
-    match mount {
-        Some(mount) => iocov::TraceFilter::mount_point(mount)
-            .map_err(|e| CliError(format!("bad mount pattern: {e}"))),
-        None => Ok(iocov::TraceFilter::keep_all()),
-    }
-}
-
 /// The `analyze --json --metrics` document: report plus counters.
 #[derive(serde::Serialize)]
 struct AnalyzeDoc {
@@ -1097,6 +1089,7 @@ fn run_session(
     extended: bool,
 ) -> Result<(PipelineRun, Option<Arc<PipelineMetrics>>), CliError> {
     let robust = &ctx.robust;
+    let filter = TraceFilter::for_mount(ctx.mount);
     let resume_doc = match &robust.resume {
         Some(resume_path) => {
             let (doc, fell_back) = read_checkpoint_with_fallback(Path::new(resume_path))
@@ -1109,7 +1102,7 @@ fn run_session(
                      (torn write?); resumed from previous generation {resume_path}.prev"
                 );
             }
-            if doc.mount.as_deref() != ctx.mount {
+            if TraceFilter::for_mount(doc.mount.as_deref()) != filter {
                 return Err(CliError(format!(
                     "cannot resume: checkpoint mount filter {:?} does not match this run's {:?}",
                     doc.mount,
@@ -1153,7 +1146,7 @@ fn run_session(
     };
     let mut source = open_source(ctx.trace, options).map_err(|e| source_error(ctx.trace, e))?;
     let pipeline_metrics = ctx.metrics.then(|| Arc::new(PipelineMetrics::default()));
-    let mut builder = PipelineBuilder::new(make_filter(ctx.mount)?)
+    let mut builder = PipelineBuilder::new(filter)
         .mount(ctx.mount.map(str::to_owned))
         .jobs(jobs)
         .policy(robust.policy());
@@ -2797,6 +2790,40 @@ mod tests {
         let err = run(&cmd, &mut out).unwrap_err();
         assert!(err.to_string().contains("mount filter"), "{err}");
         let _ = std::fs::remove_file(&ckpt);
+    }
+
+    #[test]
+    fn resume_accepts_an_equivalent_mount_spelling() {
+        // `/mnt/test/` and `/mnt/test` are one filter, so a checkpoint
+        // cut under one spelling resumes under the other.
+        let trace = format!(
+            "{}/../../fixtures/whole_trace.jsonl",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        let ckpt = ckpt_path("mount-spelling");
+        let analyze = |mount: &str, extra: &[&str]| {
+            let mut all = vec!["analyze", &trace, "--mount", mount, "--json", "--metrics"];
+            all.extend_from_slice(extra);
+            let mut out = Vec::new();
+            run(&parse_args(&args(&all)).unwrap(), &mut out).map(|()| out)
+        };
+        let uninterrupted = analyze("/mnt/test", &[]).unwrap();
+        let cut = ["--checkpoint-every", "5", "--checkpoint-file", &ckpt];
+        let mut killed = cut.to_vec();
+        killed.extend_from_slice(&["--stop-after-events", "20"]);
+        let text = String::from_utf8(analyze("/mnt/test/", &killed).unwrap()).unwrap();
+        assert!(text.contains("stopped after 20 events"), "{text}");
+        let mut resume = cut.to_vec();
+        resume.extend_from_slice(&["--resume", &ckpt]);
+        let resumed = analyze("/mnt/test", &resume).unwrap();
+        assert_eq!(
+            String::from_utf8(resumed).unwrap(),
+            String::from_utf8(uninterrupted).unwrap()
+        );
+        let err = analyze("/mnt/other", &["--resume", &ckpt]).unwrap_err();
+        assert!(err.to_string().contains("mount filter"), "{err}");
+        let _ = std::fs::remove_file(&ckpt);
+        let _ = std::fs::remove_file(format!("{ckpt}.prev"));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //!
 //! LTTng records *every* syscall the tester makes, including bookkeeping
 //! I/O on its own state files; IOCov filters by mount-point pathname
-//! before analysis (§3). A [`TraceFilter`] is the configuration: the
-//! mount point, matched as a literal path prefix, plus optional
-//! library-only include/exclude [`Pattern`]s. It decides whether one
-//! absolute path is relevant ([`TraceFilter::path_relevant`]).
+//! before analysis (§3). A [`TraceFilter`] is that one setting: the
+//! mount point, matched as a literal path prefix, or none to keep
+//! everything. It decides whether one absolute path is relevant
+//! ([`TraceFilter::path_relevant`]).
 //!
 //! Deciding whether an *event* is relevant needs per-process state,
 //! which lives in the private `relevance` module and is applied, one
@@ -23,7 +23,7 @@
 //!
 //! [`StreamingAnalyzer::push`]: crate::StreamingAnalyzer::push
 
-use iocov_pattern::Pattern;
+use iocov_pattern::PatternError;
 use serde::{Deserialize, Serialize};
 
 /// Statistics of one filtering pass.
@@ -37,23 +37,23 @@ pub struct FilterStats {
     pub dropped: usize,
 }
 
-/// A mount-point trace filter.
+/// A mount-point trace filter. Two filters are equal when they keep
+/// the same paths, so `/mnt/test/` and `/mnt/test` are one filter.
 ///
 /// ```
 /// use iocov::TraceFilter;
 ///
 /// # fn main() -> Result<(), iocov_pattern::PatternError> {
 /// let filter = TraceFilter::mount_point("/mnt/test")?;
+/// assert_eq!(filter, TraceFilter::mount_point("/mnt/test/")?);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceFilter {
     /// The mount point, without trailing slashes: a path is under it
     /// when it equals it or continues it with `/`.
     mount: Option<String>,
-    include: Vec<Pattern>,
-    exclude: Vec<Pattern>,
 }
 
 impl TraceFilter {
@@ -71,50 +71,37 @@ impl TraceFilter {
     ///
     /// # Errors
     ///
-    /// Never fails today; the `Result` is kept so callers that also
-    /// compile user patterns handle one error type.
-    pub fn mount_point(mount: &str) -> Result<Self, iocov_pattern::PatternError> {
-        Ok(TraceFilter {
-            mount: Some(mount.trim_end_matches('/').to_owned()),
-            include: Vec::new(),
-            exclude: Vec::new(),
-        })
+    /// Never fails: [`PatternError`] is uninhabited. The `Result` goes
+    /// with the next change to the benchmark harness, which calls
+    /// `.expect(..)` on it.
+    pub fn mount_point(mount: &str) -> Result<Self, PatternError> {
+        Ok(TraceFilter::for_mount(Some(mount)))
     }
 
-    /// Adds an include pattern (paths must match at least one).
+    /// The filter for an optional mount point: [`mount_point`] when one
+    /// is given, [`keep_all`] otherwise — the filter a run configured
+    /// with `--mount` (or without it) analyzes through.
+    ///
+    /// [`mount_point`]: TraceFilter::mount_point
+    /// [`keep_all`]: TraceFilter::keep_all
     #[must_use]
-    pub fn include(mut self, pattern: Pattern) -> Self {
-        self.include.push(pattern);
-        self
+    pub fn for_mount(mount: Option<&str>) -> Self {
+        TraceFilter {
+            mount: mount.map(|m| m.trim_end_matches('/').to_owned()),
+        }
     }
 
-    /// Adds an exclude pattern (matching paths are dropped even when
-    /// included).
-    #[must_use]
-    pub fn exclude(mut self, pattern: Pattern) -> Self {
-        self.exclude.push(pattern);
-        self
-    }
-
-    /// Whether this filter keeps every event (no patterns configured).
+    /// Whether this filter keeps every event (no mount point).
     #[must_use]
     pub fn is_keep_all(&self) -> bool {
-        self.mount.is_none() && self.include.is_empty() && self.exclude.is_empty()
+        self.mount.is_none()
     }
 
-    /// Whether an absolute path is relevant: under the mount point or
-    /// matching an include pattern (everything, when neither is
-    /// configured), and matching no exclude pattern.
+    /// Whether an absolute path is relevant: under the mount point
+    /// (everything, when there is none).
     #[must_use]
     pub fn path_relevant(&self, path: &str) -> bool {
-        let included = match &self.mount {
-            None if self.include.is_empty() => true,
-            mount => {
-                mount.as_deref().is_some_and(|m| under_mount(path, m))
-                    || self.include.iter().any(|p| p.is_match(path))
-            }
-        };
-        included && !self.exclude.iter().any(|p| p.is_match(path))
+        self.mount.as_deref().is_none_or(|m| under_mount(path, m))
     }
 }
 
@@ -129,6 +116,7 @@ mod tests {
     use super::*;
     use crate::StreamingAnalyzer;
     use iocov_trace::{ArgValue, Trace, TraceEvent};
+    use proptest::prelude::*;
 
     /// Filters a trace through [`StreamingAnalyzer::push`], returning
     /// the kept events and the filter statistics.
@@ -174,8 +162,18 @@ mod tests {
         assert!(!filter.path_relevant("/var/log/x"));
     }
 
+    /// The test oracle for [`TraceFilter::path_relevant`] with a mount
+    /// point: compares `/`-separated components, with the mount's
+    /// trailing slashes trimmed. A path is under the mount when the
+    /// mount's components are a prefix of the path's.
+    fn component_oracle(mount: &str, path: &str) -> bool {
+        let mount: Vec<&str> = mount.trim_end_matches('/').split('/').collect();
+        let path: Vec<&str> = path.split('/').collect();
+        path.starts_with(&mount)
+    }
+
     #[test]
-    fn literal_mount_match_agrees_with_the_anchored_regex() {
+    fn literal_mount_match_agrees_with_the_component_oracle() {
         let mounts = ["/mnt/test", "/mnt/test/", "/", "", "/a.b", "/m(n)t+"];
         let paths = [
             "",
@@ -193,38 +191,85 @@ mod tests {
             "relative",
         ];
         for mount in mounts {
-            let trimmed = mount.trim_end_matches('/');
-            let mut escaped = String::new();
-            for c in trimmed.chars() {
-                if "\\^$.|?*+()[]{}".contains(c) {
-                    escaped.push('\\');
-                }
-                escaped.push(c);
-            }
-            let regex = Pattern::regex(&format!("^{escaped}(/|$)")).unwrap();
             let filter = TraceFilter::mount_point(mount).unwrap();
             for path in paths {
                 assert_eq!(
                     filter.path_relevant(path),
-                    regex.is_match(path),
+                    component_oracle(mount, path),
                     "mount {mount:?}, path {path:?}"
                 );
             }
         }
     }
 
+    /// Mounts and paths over a small alphabet, so generated paths often
+    /// share a stem with the mount: `/`, regex metacharacters, and
+    /// letters that spell `mnt`/`test`.
+    fn path_text() -> impl Strategy<Value = String> {
+        let atom = prop_oneof![
+            Just("/"),
+            Just("//"),
+            Just("mnt"),
+            Just("test"),
+            Just("other"),
+            Just("t"),
+            Just("."),
+            Just("*"),
+            Just("(n)"),
+            Just("+"),
+            Just("$"),
+            Just("^"),
+        ];
+        proptest::collection::vec(atom, 0..8).prop_map(|parts| parts.concat())
+    }
+
+    proptest! {
+        #[test]
+        fn mount_match_agrees_with_the_component_oracle(
+            mount in path_text(),
+            suffix in path_text(),
+            stem in any::<bool>(),
+            other in path_text(),
+        ) {
+            let filter = TraceFilter::mount_point(&mount).unwrap();
+            // Half the paths continue the mount, so matches and sibling
+            // stems (`/mnt/test` vs `/mnt/testother`) both show up.
+            let path = if stem { format!("{mount}{suffix}") } else { other };
+            prop_assert_eq!(
+                filter.path_relevant(&path),
+                component_oracle(&mount, &path),
+                "mount {:?}, path {:?}", mount, path
+            );
+        }
+
+        #[test]
+        fn filters_are_equal_when_they_keep_the_same_paths(
+            a in path_text(),
+            b in path_text(),
+        ) {
+            let fa = TraceFilter::mount_point(&a).unwrap();
+            let fb = TraceFilter::mount_point(&b).unwrap();
+            // Each trimmed mount is kept by its own filter and by no
+            // filter of a longer mount, so the two tell any two
+            // different mounts apart.
+            let witnesses = [a.trim_end_matches('/'), b.trim_end_matches('/')];
+            let same = witnesses
+                .iter()
+                .all(|p| fa.path_relevant(p) == fb.path_relevant(p));
+            prop_assert_eq!(fa == fb, same, "mounts {:?} and {:?}", a, b);
+        }
+    }
+
     #[test]
-    fn include_patterns_widen_the_mount_point() {
-        let filter = TraceFilter::mount_point("/mnt/test")
-            .unwrap()
-            .include(Pattern::glob("/mnt/scratch/*").unwrap());
-        assert!(filter.path_relevant("/mnt/test/f"));
-        assert!(filter.path_relevant("/mnt/scratch/f"));
-        assert!(!filter.path_relevant("/etc/f"));
-        assert!(!filter.is_keep_all());
-        let exclude_only = TraceFilter::keep_all().exclude(Pattern::glob("/tmp/*").unwrap());
-        assert!(exclude_only.path_relevant("/etc/f"));
-        assert!(!exclude_only.path_relevant("/tmp/f"));
+    fn trailing_slashes_spell_the_same_filter() {
+        let plain = TraceFilter::mount_point("/mnt/test").unwrap();
+        assert_eq!(plain, TraceFilter::mount_point("/mnt/test//").unwrap());
+        assert_eq!(plain, TraceFilter::for_mount(Some("/mnt/test/")));
+        assert_ne!(plain, TraceFilter::mount_point("/mnt/other").unwrap());
+        assert_ne!(plain, TraceFilter::keep_all());
+        assert_eq!(TraceFilter::for_mount(None), TraceFilter::keep_all());
+        assert!(TraceFilter::for_mount(None).is_keep_all());
+        assert!(!plain.is_keep_all());
     }
 
     #[test]
@@ -386,15 +431,6 @@ mod tests {
         ]);
         let (kept, _) = apply(&filter, &trace);
         assert_eq!(kept.len(), 2, "failed chdir kept old cwd relevance");
-    }
-
-    #[test]
-    fn exclude_patterns_remove_matching_paths() {
-        let filter = TraceFilter::mount_point("/mnt/test")
-            .unwrap()
-            .exclude(Pattern::glob("/mnt/test/.journal*").unwrap());
-        assert!(filter.path_relevant("/mnt/test/data"));
-        assert!(!filter.path_relevant("/mnt/test/.journal0"));
     }
 
     #[test]

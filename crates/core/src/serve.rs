@@ -298,7 +298,9 @@ fn register_stream(state: &ServeState, name: &str, origin: &'static str) -> Admi
         // filter-mismatched checkpoint falls back to a fresh run, the
         // same degradation the batch CLI applies.
         if let Ok((doc, _fell_back)) = read_checkpoint_with_fallback(&state.ckpt_path(name)) {
-            if doc.mount == state.cfg.mount {
+            if TraceFilter::for_mount(doc.mount.as_deref())
+                == TraceFilter::for_mount(state.cfg.mount.as_deref())
+            {
                 entry.events = doc.cursor.events;
                 entry.doc = Some(doc);
             }
@@ -416,13 +418,6 @@ fn write_outputs(state: &ServeState) -> io::Result<()> {
     write_atomic(&state.cfg.state_dir.join("status.json"), status.as_bytes())
 }
 
-fn make_filter(mount: Option<&str>) -> Result<TraceFilter, String> {
-    match mount {
-        Some(m) => TraceFilter::mount_point(m).map_err(|e| e.to_string()),
-        None => Ok(TraceFilter::keep_all()),
-    }
-}
-
 /// Pulls an admitted stream's source to end-of-input through the batch
 /// [`Driver`](crate::session::Driver), checkpointing every
 /// `checkpoint_every` events. Each persisted checkpoint becomes the
@@ -433,7 +428,7 @@ fn run_stream(
     resume: Option<CheckpointDoc>,
     source: &mut dyn EventSource,
 ) -> Result<PipelineRun, String> {
-    let filter = make_filter(state.cfg.mount.as_deref())?;
+    let filter = TraceFilter::for_mount(state.cfg.mount.as_deref());
     let (hook_state, hook_name) = (Arc::clone(state), name.to_owned());
     let mut builder = PipelineBuilder::new(filter)
         .mount(state.cfg.mount.clone())
@@ -666,15 +661,14 @@ fn spool_loop(state: &Arc<ServeState>, dir: &Path) {
 ///
 /// # Errors
 ///
-/// Setup failures only (state dir, socket bind, invalid mount
-/// pattern); per-stream failures degrade into the status manifest
-/// instead of tearing the server down.
+/// Setup failures only (state dir, socket bind); per-stream failures
+/// degrade into the status manifest instead of tearing the server
+/// down.
 pub fn run_serve(cfg: ServeConfig) -> io::Result<ServeSummary> {
     fs::create_dir_all(&cfg.state_dir)?;
     if let Some(spool) = &cfg.spool {
         fs::create_dir_all(spool)?;
     }
-    make_filter(cfg.mount.as_deref()).map_err(io::Error::other)?;
     let listener = match &cfg.socket {
         Some(path) => {
             // A stale socket file from a previous server refuses binds.
@@ -1057,6 +1051,58 @@ mod tests {
             serde_json::to_string(&summary.report).unwrap(),
             serde_json::to_string(&expected).unwrap()
         );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restarted_server_resumes_a_checkpoint_cut_under_an_equivalent_mount() {
+        let dir = tmp_dir("respell");
+        let a = sample_trace(8, 300);
+        let a_path = write_trace(&dir, "a.jsonl", &a);
+        let half = fs::metadata(&a_path).unwrap().len() / 2;
+        // Each server runs stream a once and exits; the first gives up
+        // on the aborted stream, leaving its checkpoint on disk.
+        let serve_once = |mount: &str, abort: Option<FeedAbortHook>| {
+            let mut cfg = serve_config(&dir, 1);
+            cfg.spool = None;
+            cfg.mount = Some(mount.to_owned());
+            cfg.policy.max_restarts = 0;
+            let socket = cfg.socket.clone().unwrap();
+            let _ = fs::remove_file(&socket);
+            let server = thread::spawn(move || run_serve(cfg).unwrap());
+            while !socket.exists() {
+                thread::sleep(Duration::from_millis(5));
+            }
+            let outcome = run_feed(&FeedConfig {
+                socket,
+                stream: "a".into(),
+                trace: a_path.clone(),
+                format: SourceFormat::Jsonl,
+                chunk: 256,
+                abort,
+                stall: None,
+            })
+            .unwrap();
+            (outcome, server.join().unwrap())
+        };
+        let (cut, _) = serve_once("/mnt/test/", Some(Arc::new(move |sent| sent >= half)));
+        assert!(cut.aborted);
+        let (resumed, summary) = serve_once("/mnt/test", None);
+        assert!(
+            resumed.resumed,
+            "`/mnt/test/` and `/mnt/test` are one filter"
+        );
+        assert!(resumed.resumed_from > 0);
+        assert_eq!(summary.streams[0].state, "done");
+        let expected = batch_report(&[&a], "/mnt/test");
+        assert_eq!(
+            serde_json::to_string(&summary.report).unwrap(),
+            serde_json::to_string(&expected).unwrap()
+        );
+        // A different mount still ignores the checkpoint.
+        let (fresh, summary) = serve_once("/mnt/other", None);
+        assert!(!fresh.resumed);
+        assert_eq!(summary.streams[0].events, 300);
         let _ = fs::remove_dir_all(&dir);
     }
 

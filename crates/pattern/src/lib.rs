@@ -1,131 +1,9 @@
-//! Self-contained pattern-matching engine for IOCov trace filtering.
+//! The error type of `TraceFilter::mount_point` and
+//! `Iocov::with_mount_point`, which cannot fail: the mount point is
+//! matched as a literal path prefix, so there is no pattern to reject.
 //!
-//! The IOCov paper filters LTTng syscall traces with regular expressions so
-//! that only events aimed at the tester's mount point (e.g. `/mnt/test`) are
-//! analyzed. This crate is the offline substitute for a full regex library:
-//! it provides
-//!
-//! * [`Glob`] — shell-style path globs (`*`, `?`, `[a-z]`, `**`), the most
-//!   convenient form for mount-point filters, and
-//! * [`Regex`] — a small regular-expression engine (literals, `.`, classes,
-//!   groups, alternation, `*`/`+`/`?`/`{m,n}` repetition, anchors) executed
-//!   by a Pike-style NFA virtual machine, so matching is linear in the input
-//!   and immune to pathological backtracking.
-//!
-//! # Examples
-//!
-//! ```
-//! use iocov_pattern::{Glob, Regex};
-//!
-//! # fn main() -> Result<(), iocov_pattern::PatternError> {
-//! let glob = Glob::new("/mnt/test/**/*.img")?;
-//! assert!(glob.is_match("/mnt/test/a/b/disk.img"));
-//!
-//! let re = Regex::new(r"^/mnt/(test|scratch)(/.*)?$")?;
-//! assert!(re.is_match("/mnt/scratch/dir/file"));
-//! assert!(!re.is_match("/mnt/other"));
-//! # Ok(())
-//! # }
-//! ```
-
-mod error;
-mod glob;
-mod regex;
-
-pub use error::PatternError;
-pub use glob::Glob;
-pub use regex::{Match, Regex};
-
-/// A compiled pattern of either flavor, so callers can accept both syntaxes.
-///
-/// ```
-/// use iocov_pattern::Pattern;
-///
-/// # fn main() -> Result<(), iocov_pattern::PatternError> {
-/// let p = Pattern::glob("/mnt/test/**")?;
-/// assert!(p.is_match("/mnt/test/x"));
-/// let r = Pattern::regex("^/mnt/test(/|$)")?;
-/// assert!(r.is_match("/mnt/test/x"));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone)]
-pub enum Pattern {
-    /// A shell-style glob.
-    Glob(Glob),
-    /// A regular expression.
-    Regex(Regex),
-}
-
-impl Pattern {
-    /// Compiles a glob pattern.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PatternError`] if the glob syntax is invalid.
-    pub fn glob(pattern: &str) -> Result<Self, PatternError> {
-        Ok(Pattern::Glob(Glob::new(pattern)?))
-    }
-
-    /// Compiles a regular expression.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PatternError`] if the regex syntax is invalid.
-    pub fn regex(pattern: &str) -> Result<Self, PatternError> {
-        Ok(Pattern::Regex(Regex::new(pattern)?))
-    }
-
-    /// Tests whether `text` matches this pattern.
-    ///
-    /// Globs must match the whole text; regexes match anywhere unless
-    /// anchored.
-    #[must_use]
-    pub fn is_match(&self, text: &str) -> bool {
-        match self {
-            Pattern::Glob(g) => g.is_match(text),
-            Pattern::Regex(r) => r.is_match(text),
-        }
-    }
-
-    /// Returns the original pattern source.
-    #[must_use]
-    pub fn source(&self) -> &str {
-        match self {
-            Pattern::Glob(g) => g.source(),
-            Pattern::Regex(r) => r.source(),
-        }
-    }
-}
-
-impl std::fmt::Display for Pattern {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.source())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn pattern_dispatches_to_glob() {
-        let p = Pattern::glob("/mnt/*").unwrap();
-        assert!(p.is_match("/mnt/test"));
-        assert!(!p.is_match("/mnt/test/sub"));
-        assert_eq!(p.source(), "/mnt/*");
-    }
-
-    #[test]
-    fn pattern_dispatches_to_regex() {
-        let p = Pattern::regex("^/mnt/.*$").unwrap();
-        assert!(p.is_match("/mnt/test/sub"));
-        assert_eq!(p.to_string(), "^/mnt/.*$");
-    }
-
-    #[test]
-    fn invalid_patterns_report_errors() {
-        assert!(Pattern::glob("[unclosed").is_err());
-        assert!(Pattern::regex("(unclosed").is_err());
-    }
-}
+//! The alias exists only because the benchmark harness under
+//! `perfbench/` lists this crate in its lockfile and calls `.expect(..)`
+//! on both constructors. The next change to that harness deletes the
+//! crate and makes both constructors return the filter directly.
+pub type PatternError = std::convert::Infallible;

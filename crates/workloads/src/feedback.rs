@@ -163,14 +163,9 @@ impl FeedbackCampaign {
 
     /// Runs the campaign against kernels minted from `env`, starting
     /// from `initial` coverage (pass a default report to start cold).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the canonical mount-point pattern fails to compile
-    /// (practically impossible).
     #[must_use]
     pub fn run(&self, env: &TestEnv, initial: &AnalysisReport) -> CampaignOutcome {
-        let analyzer = Iocov::with_mount_point(MOUNT).expect("mount pattern compiles");
+        let Ok(analyzer) = Iocov::with_mount_point(MOUNT);
         let target = self.config.target;
         let mut cumulative = initial.clone();
         let mut log = String::new();

@@ -10,7 +10,6 @@
 //! | [`vfs`] | `iocov-vfs` | in-memory POSIX file system substrate |
 //! | [`syscalls`] | `iocov-syscalls` | the 27-syscall ABI + trace emission |
 //! | [`trace`] | `iocov-trace` | LTTng-substitute recorder and serialization |
-//! | [`pattern`] | `iocov-pattern` | glob/regex engine for trace filtering |
 //! | [`codecov`] | `iocov-codecov` | Gcov-substitute coverage probes |
 //! | [`faults`] | `iocov-faults` | injectable bugs + the §2 bug-study dataset |
 //! | [`workloads`] | `iocov-workloads` | CrashMonkey/xfstests/LTP/fuzzer simulators |
@@ -25,7 +24,6 @@ pub use iocov_codecov as codecov;
 pub use iocov_difftest as difftest;
 pub use iocov_faults as faults;
 pub use iocov_model as model;
-pub use iocov_pattern as pattern;
 pub use iocov_syscalls as syscalls;
 pub use iocov_trace as trace;
 pub use iocov_vfs as vfs;
