@@ -6,6 +6,9 @@
 //!   `openat`/`creat`/`openat2` are counted separately from `open`;
 //! * log-scale vs linear TCD — the paper's rationale for logarithms;
 //! * power-of-two vs fixed-width numeric partitioning.
+//!
+//! Not in perfbench: its workloads run one configuration and never turn
+//! the filter, variant merging or log2 partitioning off.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iocov::{ArgName, Iocov, NumericPartition, Sysno};

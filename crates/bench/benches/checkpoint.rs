@@ -12,6 +12,10 @@
 //!   restart from the shard's restore point (`supervised_recovery`).
 //!
 //! Measured numbers live in EXPERIMENTS.md §"Recovery overhead".
+//!
+//! Not in perfbench: it times single checkpoint writes
+//! (`core.checkpoint.write.ms`), but no workload scans at a checkpoint
+//! interval, times a read-back, or restarts a shard.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -3,6 +3,8 @@
 //! generate-and-execute → re-analyze; the campaign benches measure the
 //! loop end to end, and the extraction bench isolates the per-round
 //! analysis overhead feedback adds over blind generation.
+//!
+//! Not in perfbench: no workload runs a feedback campaign.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use iocov::{campaign_tcd, extract_cold, AnalysisReport, Iocov};

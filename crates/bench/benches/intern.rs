@@ -6,6 +6,9 @@
 //! `resolve` are measured for completeness. A realistic key set is
 //! small — a few dozen syscall names and hot paths — so the hit bench
 //! cycles through 64 keys.
+//!
+//! Not in perfbench: it sees the interner only inside whole-trace decode
+//! (`trace.source`), never its hit, miss and resolve paths apart.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use iocov_trace::StrInterner;

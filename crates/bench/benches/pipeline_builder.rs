@@ -1,15 +1,20 @@
-//! Builder-path overhead guard: a [`PipelineBuilder`] session at one
-//! job versus a bare [`StreamingAnalyzer`] loop over the same events.
+//! Builder-path overhead: a [`PipelineBuilder`] session at one job
+//! versus a bare [`StreamingAnalyzer`] loop over the same events.
 //!
 //! The session adds an `Arc` per batch, a bounded queue to its shard
 //! thread, and a restore-point clone of the analyzer at finish on top of
-//! the raw scan;
-//! the acceptance bar is that this overhead stays under 2% at realistic
-//! batch sizes. Both paths are handed freshly owned batches — in the
+//! the raw scan. The design target is that this overhead stays under 2%
+//! at realistic batch sizes, but no code asserts it: the bench prints
+//! both timings and passes whatever they are. Nor can a shared 2-vCPU
+//! host resolve 2%: `builder/N` over `direct/N` read 0.91–1.57 across
+//! runs there. Both paths are handed freshly owned batches — in the
 //! real pipeline events arrive already owned from the decoder, so the
 //! copy is shared cost, not builder overhead. Run with
 //! `cargo bench --bench pipeline_builder` and compare `direct/N` to
 //! `builder/N` per batch size.
+//!
+//! Not in perfbench: it has no bare-analyzer baseline to hold the
+//! session against.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use iocov::{AnalysisReport, PipelineBuilder, StreamingAnalyzer, TraceFilter};

@@ -1,5 +1,7 @@
 //! Test Coverage Deviation computation cost: TCD evaluation, the
 //! Figure 5 series, and the crossover solver.
+//!
+//! Not in perfbench: no workload computes a TCD.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use iocov::tcd::{crossover, log_targets, tcd_series, tcd_uniform};

@@ -1,6 +1,10 @@
 //! Tracing overhead: the cost the LTTng-substitute recorder adds to each
 //! syscall — the paper's choice of LTTng was motivated by low overhead,
 //! so the substitute should be cheap too.
+//!
+//! Not in perfbench: it times the recorder's drain
+//! (`trace.recorder.take`), not the per-syscall cost of recording with
+//! the recorder attached against detached.
 
 use std::sync::Arc;
 

@@ -1,6 +1,9 @@
 //! In-memory file-system operation latency: the substrate must be fast
 //! enough that paper-scale workloads (millions of syscalls) run in
 //! seconds.
+//!
+//! Not in perfbench: it times the VFS only inside the simulators
+//! (`workloads.simulate`), never one operation apart.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use iocov_vfs::{Mode, OpenFlags, Vfs, WriteSource};

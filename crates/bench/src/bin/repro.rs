@@ -5,13 +5,15 @@
 //! ```
 //!
 //! With no exhibit arguments, everything is generated. `--full` runs the
-//! workload simulators at paper scale (≈5M syscalls; tens of seconds);
+//! workload simulators at paper scale (≈14M syscalls; ~10 s on a 2-vCPU VM);
 //! the default `--scale 0.05` keeps the shapes while finishing quickly.
 //! `--jobs N` shards trace analysis by pid across N worker threads; the
 //! reports (and every exhibit) are identical to a serial run. A `--full`
 //! run additionally writes `metrics.json`: the analysis pipeline's
 //! counters (events read, drops by reason, variant merges, partition
-//! records) and per-stage wall-clock timings.
+//! records) and per-stage wall-clock timings. It measures no reader or
+//! pipeline throughput: perfbench (`perfbench/`) is the one throughput
+//! harness.
 //! Each exhibit ends with `shape-check` lines asserting the qualitative
 //! claims the paper makes about it.
 
@@ -20,18 +22,8 @@ use std::sync::Arc;
 
 use iocov::tcd::{crossover, log_targets, tcd_uniform};
 use iocov::{ArgName, BaseSyscall, InputPartition, NumericPartition, PipelineMetrics};
-use iocov_bench::{
-    measure_batch_throughput, measure_ingest_throughput, measure_serve_throughput,
-    open_flag_frequencies, run_suites_parallel_with_metrics, BatchThroughput, CountingAlloc,
-    IngestThroughput, ServeThroughput, SuiteReports,
-};
+use iocov_bench::{open_flag_frequencies, run_suites_parallel_with_metrics, SuiteReports};
 use iocov_faults::{dataset, demo_bugs, StudyStats};
-
-// Count real allocator calls so the --full benchmark record's
-// allocs-per-event column is measured, not estimated. Overhead: one
-// relaxed atomic increment per alloc.
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 struct Options {
     scale: f64,
@@ -46,26 +38,6 @@ struct Options {
 #[derive(serde::Serialize)]
 struct MetricsDoc {
     counters: iocov::MetricsSnapshot,
-    stage_timings_ns: BTreeMap<String, u64>,
-}
-
-/// The `BENCH_repro.json` document a `--full` run writes: ingest
-/// throughput of every trace reader plus the pipeline's per-stage
-/// wall-clock times, so a run leaves a machine-readable performance
-/// record next to the exhibits.
-#[derive(serde::Serialize)]
-struct BenchDoc {
-    /// Events decoded per second by each reader (jsonl-strict,
-    /// jsonl-lossy, iotb) over the same sample trace.
-    ingest: Vec<IngestThroughput>,
-    /// Per-event vs columnar-batch decode→filter→analyze throughput
-    /// and real allocations per event over the same sample trace.
-    batch: Vec<BatchThroughput>,
-    /// Resident `AnalysisSession::feed` loop vs batch `Driver` over
-    /// the same session and source (the PR-10 inversion's parity bar).
-    serve: Vec<ServeThroughput>,
-    /// Wall-clock nanoseconds per pipeline stage. `analyze` is summed
-    /// across shard workers (CPU time, not elapsed time).
     stage_timings_ns: BTreeMap<String, u64>,
 }
 
@@ -174,48 +146,6 @@ fn main() {
             Err(e) => eprintln!("[could not write {path}: {e}]"),
         }
     }
-    if opts.full {
-        eprintln!("[measuring trace-reader ingest throughput …]");
-        let ingest = measure_ingest_throughput(200_000);
-        for t in &ingest {
-            eprintln!(
-                "[  {:<12} {:>9} events in {:.3} s — {:>12.0} events/s]",
-                t.format, t.events, t.seconds, t.events_per_sec
-            );
-        }
-        eprintln!("[measuring per-event vs batch analysis hot path …]");
-        let batch = measure_batch_throughput(200_000);
-        for row in &batch {
-            eprintln!(
-                "[  {:<9} {:>9} events in {:.3} s — {:>12.0} events/s, {:.3} allocs/event]",
-                row.path, row.events, row.seconds, row.events_per_sec, row.allocs_per_event
-            );
-        }
-        eprintln!("[measuring resident session feed vs batch driver …]");
-        let serve = measure_serve_throughput(200_000);
-        for row in &serve {
-            eprintln!(
-                "[  {:<12} {:>9} events in {:.3} s — {:>12.0} events/s]",
-                row.path, row.events, row.seconds, row.events_per_sec
-            );
-        }
-        let doc = BenchDoc {
-            ingest,
-            batch,
-            serve,
-            stage_timings_ns: metrics
-                .as_ref()
-                .map(|m| m.stage_timings())
-                .unwrap_or_default(),
-        };
-        let json = serde_json::to_string_pretty(&doc).expect("bench doc serialize");
-        let path = "BENCH_repro.json";
-        match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("[wrote benchmark record to {path}]"),
-            Err(e) => eprintln!("[could not write {path}: {e}]"),
-        }
-    }
-
     if let Some(reports) = &reports {
         if opts.exhibits.contains("fig2") {
             fig2(reports);

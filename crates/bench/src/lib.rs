@@ -12,19 +12,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use iocov::{
-    AnalysisReport, AnalysisSession, ArgName, Driver, InputPartition, PipelineBuilder,
-    PipelineMetrics, StreamingAnalyzer, TraceFilter,
+    AnalysisReport, ArgName, InputPartition, PipelineBuilder, PipelineMetrics, TraceFilter,
 };
 use iocov_workloads::{CrashMonkeySim, SuiteResult, TestEnv, XfstestsSim, MOUNT};
 
-/// A counting wrapper over the system allocator, for the real (not
-/// estimated) allocations-per-event numbers in the `batch_throughput`
-/// bench and `repro --full`. Register it in the binary that wants
-/// counts:
+/// A counting wrapper over the system allocator, so an allocation
+/// count is measured rather than estimated. perfbench's traced binary
+/// registers it, and its `*.allocs_per_event` metrics read
+/// [`alloc_calls`]. Register it in the binary that wants counts:
 ///
-/// ```ignore
+/// ```
 /// #[global_allocator]
 /// static ALLOC: iocov_bench::CountingAlloc = iocov_bench::CountingAlloc;
+///
+/// fn main() {
+///     let before = iocov_bench::alloc_calls();
+///     let buffer = std::hint::black_box(Vec::<u8>::with_capacity(64));
+///     assert!(iocov_bench::alloc_calls() > before);
+///     drop(buffer);
+/// }
 /// ```
 ///
 /// The only overhead is one relaxed atomic increment per
@@ -216,379 +222,6 @@ pub fn multi_pid_trace(events: usize, pids: u32) -> iocov_trace::Trace {
     iocov_trace::Trace::from_events(merged)
 }
 
-/// One ingest-throughput measurement for `BENCH_repro.json`.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct IngestThroughput {
-    /// Reader under test: `jsonl-strict`, `jsonl-lossy` or `iotb`.
-    pub format: String,
-    /// Events decoded per pass.
-    pub events: usize,
-    /// Container size in bytes.
-    pub bytes: usize,
-    /// Best-of-three wall-clock seconds for one full decode.
-    pub seconds: f64,
-    /// Events decoded per second at that best time.
-    pub events_per_sec: f64,
-}
-
-/// Measures ingest throughput of the trace readers — strict and lossy
-/// JSONL and `.iotb` — over the same `events`-call sample trace (best
-/// of three passes each), for the `repro --full` benchmark document.
-#[must_use]
-pub fn measure_ingest_throughput(events: usize) -> Vec<IngestThroughput> {
-    use iocov_trace::EventSource;
-    let trace = sample_trace(events);
-    let mut jsonl = Vec::new();
-    iocov_trace::write_jsonl(&mut jsonl, &trace).expect("serialize jsonl");
-    let mut iotb = Vec::new();
-    iocov_trace::write_iotb(&mut iotb, &trace).expect("serialize iotb");
-    let options = iocov_trace::ReadOptions::default();
-
-    let best_of_3 = |run: &dyn Fn() -> usize| -> (usize, f64) {
-        let mut best = f64::INFINITY;
-        let mut decoded = 0;
-        for _ in 0..3 {
-            let start = std::time::Instant::now();
-            decoded = run();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (decoded, best)
-    };
-    type Pass<'a> = (&'a str, usize, Box<dyn Fn() -> usize + 'a>);
-    let passes: [Pass; 3] = [
-        (
-            "jsonl-strict",
-            jsonl.len(),
-            Box::new(|| {
-                iocov_trace::read_jsonl(&jsonl[..])
-                    .expect("clean parses")
-                    .len()
-            }),
-        ),
-        (
-            "jsonl-lossy",
-            jsonl.len(),
-            Box::new(|| {
-                iocov_trace::JsonlCursor::new(&jsonl[..], options)
-                    .read_all()
-                    .expect("clean parses")
-                    .len()
-            }),
-        ),
-        (
-            "iotb",
-            iotb.len(),
-            Box::new(|| {
-                iocov_trace::read_iotb(&iotb[..])
-                    .expect("clean parses")
-                    .len()
-            }),
-        ),
-    ];
-    passes
-        .iter()
-        .map(|(format, bytes, run)| {
-            let (decoded, seconds) = best_of_3(run);
-            IngestThroughput {
-                format: (*format).to_owned(),
-                events: decoded,
-                bytes: *bytes,
-                seconds,
-                events_per_sec: decoded as f64 / seconds,
-            }
-        })
-        .collect()
-}
-
-/// Decode an `.iotb` byte stream the pre-batch way — every record
-/// materialized as an owned [`iocov_trace::TraceEvent`] (name `String`
-/// plus args `Vec` plus payload `String`s), pushed, dropped — and
-/// analyze it with the standard mount filter. Returns
-/// `(events, report)`.
-///
-/// This is the per-event baseline the columnar batch path is measured
-/// against; both must produce the identical report.
-#[must_use]
-pub fn analyze_iotb_per_event(iotb: &[u8]) -> (usize, AnalysisReport) {
-    let options = iocov_trace::ReadOptions::default();
-    let mut cursor = iocov_trace::IotbCursor::new(iotb, options).expect("clean container");
-    let Ok(filter) = TraceFilter::mount_point(MOUNT);
-    let mut analyzer = StreamingAnalyzer::new(filter);
-    let mut events = 0usize;
-    while let Some(event) = cursor.next_event().expect("clean parses") {
-        analyzer.push(&event);
-        events += 1;
-    }
-    (events, analyzer.finish())
-}
-
-/// Decode the same `.iotb` byte stream through the columnar hot path —
-/// records packed straight into [`iocov_trace::EventBatch`] rows and
-/// walked as borrowed `EventRef`s, O(columns) allocations per batch —
-/// and analyze it with the standard mount filter.
-#[must_use]
-pub fn analyze_iotb_batched(iotb: &[u8]) -> (usize, AnalysisReport) {
-    let options = iocov_trace::ReadOptions::default();
-    let mut cursor = iocov_trace::IotbCursor::new(iotb, options).expect("clean container");
-    let Ok(filter) = TraceFilter::mount_point(MOUNT);
-    let mut analyzer = StreamingAnalyzer::new(filter);
-    let mut events = 0usize;
-    loop {
-        let mut batch = iocov_trace::EventBatch::with_capacity(1024);
-        while batch.len() < 4096 {
-            if !cursor.next_into(&mut batch).expect("clean parses") {
-                break;
-            }
-        }
-        if batch.is_empty() {
-            break;
-        }
-        for event in batch.iter() {
-            analyzer.push(&event);
-        }
-        events += batch.len();
-    }
-    (events, analyzer.finish())
-}
-
-/// Decode-only per-event baseline: materialize and drop an owned
-/// [`iocov_trace::TraceEvent`] per record, no analysis. Isolates the
-/// allocation cost of event materialization itself.
-#[must_use]
-pub fn decode_iotb_per_event(iotb: &[u8]) -> usize {
-    let options = iocov_trace::ReadOptions::default();
-    let mut cursor = iocov_trace::IotbCursor::new(iotb, options).expect("clean container");
-    let mut events = 0usize;
-    while let Some(event) = cursor.next_event().expect("clean parses") {
-        std::hint::black_box(&event);
-        events += 1;
-    }
-    events
-}
-
-/// Decode-only batch path: records packed into columnar
-/// [`iocov_trace::EventBatch`]es, no analysis.
-#[must_use]
-pub fn decode_iotb_batched(iotb: &[u8]) -> usize {
-    let options = iocov_trace::ReadOptions::default();
-    let mut cursor = iocov_trace::IotbCursor::new(iotb, options).expect("clean container");
-    let mut events = 0usize;
-    loop {
-        let mut batch = iocov_trace::EventBatch::with_capacity(1024);
-        while batch.len() < 4096 {
-            if !cursor.next_into(&mut batch).expect("clean parses") {
-                break;
-            }
-        }
-        if batch.is_empty() {
-            break;
-        }
-        std::hint::black_box(&batch);
-        events += batch.len();
-    }
-    events
-}
-
-/// One decode→filter→analyze measurement for `BENCH_repro.json`.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct BatchThroughput {
-    /// `per-event` / `batch` (full decode→filter→analyze with owned
-    /// `TraceEvent`s vs columnar `EventBatch` rows), or
-    /// `per-event-decode` / `batch-decode` (decode only — isolates
-    /// the allocation cost of event materialization).
-    pub path: String,
-    /// Events analyzed per pass.
-    pub events: usize,
-    /// Best-of-three wall-clock seconds for one full pass.
-    pub seconds: f64,
-    /// Events analyzed per second at that best time.
-    pub events_per_sec: f64,
-    /// Allocator calls (alloc + realloc) in the best pass — real
-    /// counts from [`CountingAlloc`] when registered, zero otherwise.
-    pub allocs: u64,
-    /// `allocs / events`.
-    pub allocs_per_event: f64,
-}
-
-/// Measures the per-event vs columnar-batch decode→filter→analyze hot
-/// path over the same `events`-call sample trace (best of three passes
-/// each), asserting first that both paths produce the identical
-/// report. Allocation counts are real iff [`CountingAlloc`] is the
-/// caller's registered global allocator.
-#[must_use]
-pub fn measure_batch_throughput(events: usize) -> Vec<BatchThroughput> {
-    let trace = sample_trace(events);
-    let mut iotb = Vec::new();
-    iocov_trace::write_iotb(&mut iotb, &trace).expect("serialize iotb");
-
-    // Referee first: a speedup on a divergent report is meaningless.
-    assert_eq!(
-        analyze_iotb_per_event(&iotb).1,
-        analyze_iotb_batched(&iotb).1,
-        "per-event and batch analysis paths diverged"
-    );
-
-    type Pass<'a> = (&'a str, Box<dyn Fn(&[u8]) -> usize + 'a>);
-    let passes: [Pass; 4] = [
-        (
-            "per-event",
-            Box::new(|b: &[u8]| analyze_iotb_per_event(b).0),
-        ),
-        ("batch", Box::new(|b: &[u8]| analyze_iotb_batched(b).0)),
-        ("per-event-decode", Box::new(decode_iotb_per_event)),
-        ("batch-decode", Box::new(decode_iotb_batched)),
-    ];
-    passes
-        .iter()
-        .map(|(path, run)| {
-            let mut best = f64::INFINITY;
-            let mut best_allocs = u64::MAX;
-            let mut decoded = 0usize;
-            for _ in 0..3 {
-                let allocs_before = alloc_calls();
-                let start = std::time::Instant::now();
-                let n = run(&iotb);
-                let elapsed = start.elapsed().as_secs_f64();
-                best_allocs = best_allocs.min(alloc_calls() - allocs_before);
-                best = best.min(elapsed);
-                decoded = n;
-            }
-            BatchThroughput {
-                path: (*path).to_owned(),
-                events: decoded,
-                seconds: best,
-                events_per_sec: decoded as f64 / best,
-                allocs: best_allocs,
-                allocs_per_event: best_allocs as f64 / decoded.max(1) as f64,
-            }
-        })
-        .collect()
-}
-
-/// The chunk size both resident-path measurements pull at — the
-/// `PipelineBuilder` default, so the comparison isolates the loop
-/// ownership (who calls `feed`) rather than batch sizing.
-const SERVE_CHUNK: usize = 4096;
-
-fn serve_session() -> AnalysisSession {
-    let Ok(filter) = TraceFilter::mount_point(MOUNT);
-    PipelineBuilder::new(filter)
-        .mount(Some(MOUNT.to_owned()))
-        .build_session()
-}
-
-/// Analyze an `.iotb` byte stream with a caller-owned loop (as in
-/// `suite-live`): it pulls [`EventBatch`]es from the source and pushes
-/// them into a resident [`AnalysisSession`] via `feed`. Returns
-/// `(events, report)`.
-#[must_use]
-pub fn analyze_iotb_session_feed(iotb: &[u8]) -> (usize, AnalysisReport) {
-    use iocov_trace::EventSource;
-    let options = iocov_trace::ReadOptions::default();
-    let mut source =
-        iocov_trace::IotbSource::new(std::io::Cursor::new(iotb), options).expect("clean container");
-    let mut session = serve_session();
-    loop {
-        let batch = source.next_batch(SERVE_CHUNK).expect("clean parses");
-        if batch.is_empty() {
-            break;
-        }
-        session.feed(batch);
-    }
-    let events = usize::try_from(session.events()).expect("events fit usize");
-    let (report, failures) = session.finish();
-    assert!(failures.is_empty(), "fault-free feed produced failures");
-    (events, report)
-}
-
-/// Analyze the same `.iotb` byte stream through the batch half: the
-/// [`Driver`] owns the pull loop over the identical session. Returns
-/// `(events, report)`.
-#[must_use]
-pub fn analyze_iotb_batch_driver(iotb: &[u8]) -> (usize, AnalysisReport) {
-    let options = iocov_trace::ReadOptions::default();
-    let mut source =
-        iocov_trace::IotbSource::new(std::io::Cursor::new(iotb), options).expect("clean container");
-    let run = Driver::new(serve_session(), SERVE_CHUNK, None)
-        .run(&mut source)
-        .expect("fault-free run");
-    assert!(run.failures.is_empty(), "fault-free run produced failures");
-    (
-        usize::try_from(run.events).expect("events fit usize"),
-        run.report,
-    )
-}
-
-/// One resident-session vs batch-driver measurement for
-/// `BENCH_repro.json`.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct ServeThroughput {
-    /// `session-feed` (a caller-owned loop, as in `suite-live`, feeds
-    /// a resident [`AnalysisSession`]) or `batch-driver` (the batch
-    /// shape: [`Driver`] owns the pull loop over the same session).
-    pub path: String,
-    /// Events analyzed per pass.
-    pub events: usize,
-    /// Best-of-three wall-clock seconds for one full pass.
-    pub seconds: f64,
-    /// Events analyzed per second at that best time.
-    pub events_per_sec: f64,
-}
-
-/// Measures the resident `session.feed` loop against the batch
-/// [`Driver`] over the same `events`-call sample trace (best of three
-/// passes each), asserting first that both paths produce the identical
-/// report. The session *is* the driver's engine, so the two must stay
-/// within a few percent of each other — the PR-10 inversion moved loop
-/// ownership, not work; the `serve_throughput` bench pins that at 5%.
-#[must_use]
-pub fn measure_serve_throughput(events: usize) -> Vec<ServeThroughput> {
-    let trace = sample_trace(events);
-    let mut iotb = Vec::new();
-    iocov_trace::write_iotb(&mut iotb, &trace).expect("serialize iotb");
-
-    // Referee first: a speedup on a divergent report is meaningless.
-    let (fed, session_report) = analyze_iotb_session_feed(&iotb);
-    let (driven, driver_report) = analyze_iotb_batch_driver(&iotb);
-    assert_eq!(fed, driven, "session and driver consumed different counts");
-    assert_eq!(
-        session_report, driver_report,
-        "session-feed and batch-driver reports diverged"
-    );
-
-    type Pass<'a> = (&'a str, fn(&[u8]) -> (usize, AnalysisReport));
-    let passes: [Pass; 2] = [
-        ("session-feed", analyze_iotb_session_feed),
-        ("batch-driver", analyze_iotb_batch_driver),
-    ];
-    // Interleave the rounds (A B A B …) rather than timing each path
-    // in its own block: the two passes do identical work, so a noise
-    // burst that lands on one block would otherwise read as a phantom
-    // regression.
-    let mut best = [f64::INFINITY; 2];
-    let mut decoded = [0usize; 2];
-    for _ in 0..7 {
-        for (i, (_, run)) in passes.iter().enumerate() {
-            let start = std::time::Instant::now();
-            let (n, report) = run(&iotb);
-            let elapsed = start.elapsed().as_secs_f64();
-            std::hint::black_box(&report);
-            best[i] = best[i].min(elapsed);
-            decoded[i] = n;
-        }
-    }
-    passes
-        .iter()
-        .enumerate()
-        .map(|(i, (path, _))| ServeThroughput {
-            path: (*path).to_owned(),
-            events: decoded[i],
-            seconds: best[i],
-            events_per_sec: decoded[i] as f64 / best[i],
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -656,17 +289,5 @@ mod tests {
     fn sample_trace_has_requested_volume() {
         let trace = sample_trace(500);
         assert!(trace.len() >= 500);
-    }
-
-    #[test]
-    fn per_event_and_batched_analysis_agree() {
-        let trace = sample_trace(2_000);
-        let mut iotb = Vec::new();
-        iocov_trace::write_iotb(&mut iotb, &trace).unwrap();
-        let (n_owned, owned) = analyze_iotb_per_event(&iotb);
-        let (n_batch, batched) = analyze_iotb_batched(&iotb);
-        assert_eq!(n_owned, trace.len());
-        assert_eq!(n_batch, trace.len());
-        assert_eq!(owned, batched);
     }
 }

@@ -2289,7 +2289,6 @@ mod tests {
             &ckpt,
         ]);
         assert_eq!(resumed, uninterrupted);
-        let _ = std::fs::remove_file(&ckpt);
         let _ = std::fs::remove_file(&v2);
     }
 
@@ -2325,7 +2324,6 @@ mod tests {
         let mut out = Vec::new();
         let err = run(&cmd, &mut out).unwrap_err();
         let _ = std::fs::remove_file(&fifo);
-        let _ = std::fs::remove_file(&ckpt);
         let msg = err.to_string();
         assert!(msg.contains("cannot resume over"), "{msg}");
         assert!(msg.contains("pipe (FIFO)"), "{msg}");
@@ -2616,15 +2614,36 @@ mod tests {
         out
     }
 
-    /// A unique temp path for a checkpoint file.
-    fn ckpt_path(tag: &str) -> String {
-        std::env::temp_dir()
-            .join(format!(
-                "iocov-cli-test-{}-{tag}.iockpt",
-                std::process::id()
-            ))
-            .to_string_lossy()
-            .into_owned()
+    /// A unique temp path for a checkpoint file. Dropping it removes
+    /// the checkpoint and the `.prev` generation its rotation leaves,
+    /// also when the test panics.
+    struct CkptPath(String);
+
+    impl std::ops::Deref for CkptPath {
+        type Target = str;
+
+        fn deref(&self) -> &str {
+            &self.0
+        }
+    }
+
+    impl Drop for CkptPath {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+            let _ = std::fs::remove_file(format!("{}.prev", self.0));
+        }
+    }
+
+    fn ckpt_path(tag: &str) -> CkptPath {
+        CkptPath(
+            std::env::temp_dir()
+                .join(format!(
+                    "iocov-cli-test-{}-{tag}.iockpt",
+                    std::process::id()
+                ))
+                .to_string_lossy()
+                .into_owned(),
+        )
     }
 
     #[test]
@@ -2720,7 +2739,6 @@ mod tests {
             chk.extend_from_slice(&["--checkpoint-every", "2", "--checkpoint-file", &ckpt]);
             assert_eq!(run_bytes(&batch), run_bytes(&chk), "{extra:?}");
         }
-        let _ = std::fs::remove_file(&ckpt);
     }
 
     #[test]
@@ -2766,7 +2784,6 @@ mod tests {
             &ckpt,
         ]);
         assert_eq!(resumed, uninterrupted);
-        let _ = std::fs::remove_file(&ckpt);
     }
 
     #[test]
@@ -2789,7 +2806,6 @@ mod tests {
         let mut out = Vec::new();
         let err = run(&cmd, &mut out).unwrap_err();
         assert!(err.to_string().contains("mount filter"), "{err}");
-        let _ = std::fs::remove_file(&ckpt);
     }
 
     #[test]
@@ -2822,8 +2838,6 @@ mod tests {
         );
         let err = analyze("/mnt/other", &["--resume", &ckpt]).unwrap_err();
         assert!(err.to_string().contains("mount filter"), "{err}");
-        let _ = std::fs::remove_file(&ckpt);
-        let _ = std::fs::remove_file(format!("{ckpt}.prev"));
     }
 
     #[test]
@@ -2863,7 +2877,6 @@ mod tests {
             &ckpt,
         ]);
         assert_eq!(resumed, uninterrupted);
-        let _ = std::fs::remove_file(&ckpt);
         let _ = std::fs::remove_file(&iotb);
     }
 
@@ -2889,7 +2902,6 @@ mod tests {
                 &ckpt,
             ]);
             assert_eq!(baseline, pooled, "--jobs {jobs}");
-            let _ = std::fs::remove_file(&ckpt);
         }
     }
 
@@ -2930,7 +2942,6 @@ mod tests {
             text.contains("resume position is for a jsonl trace but the file is iotb"),
             "{text}"
         );
-        let _ = std::fs::remove_file(&ckpt);
         let _ = std::fs::remove_file(&iotb);
     }
 

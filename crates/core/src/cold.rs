@@ -6,7 +6,7 @@
 //! report against a uniform per-partition target into:
 //!
 //! * a canonical **campaign frequency vector** ([`tcd_vector`]) whose
-//!   [`tcd_uniform`](crate::tcd::tcd_uniform) is the single number a
+//!   [`tcd_uniform`] is the single number a
 //!   feedback campaign drives down ([`campaign_tcd`]), and
 //! * a [`ColdReport`]: every partition still below target, with its
 //!   log-scale deficit — the work list a feedback-driven generator

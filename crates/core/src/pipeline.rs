@@ -303,7 +303,9 @@ impl PipelineBuilder {
 mod tests {
     use super::*;
     use crate::Iocov;
-    use iocov_trace::{ArgValue, JsonlSource, ReadOptions, Trace, TraceEvent};
+    use iocov_trace::{
+        ArgValue, EventSource, IotbSource, JsonlSource, ReadOptions, Trace, TraceEvent,
+    };
 
     fn multi_pid_trace(pids: u32, per_pid: usize) -> Vec<TraceEvent> {
         let mut events = Vec::new();
@@ -375,20 +377,47 @@ mod tests {
 
     #[test]
     fn run_over_source_matches_in_memory_push() {
+        // The driver over either container, and a caller-owned loop
+        // feeding the same session from the same source, both render
+        // the in-memory report.
         let events = multi_pid_trace(4, 5);
         let trace = Trace::from_events(events.clone());
-        let mut bytes = Vec::new();
-        iocov_trace::write_jsonl(&mut bytes, &trace).unwrap();
+        let mut jsonl = Vec::new();
+        iocov_trace::write_jsonl(&mut jsonl, &trace).unwrap();
+        let mut iotb = Vec::new();
+        iocov_trace::write_iotb(&mut iotb, &trace).unwrap();
         let expected = Iocov::with_filter(filter()).analyze(&trace);
-        let mut source = JsonlSource::new(&bytes[..], ReadOptions::default());
-        let run = PipelineBuilder::new(filter())
-            .chunk(13)
-            .build()
-            .run(&mut source)
-            .unwrap();
-        assert_eq!(run.events, events.len() as u64);
-        assert!(!run.stopped);
-        assert_eq!(expected, run.report);
+        let open = |binary: bool| -> Box<dyn EventSource + '_> {
+            if binary {
+                Box::new(IotbSource::new(&iotb[..], ReadOptions::default()).unwrap())
+            } else {
+                Box::new(JsonlSource::new(&jsonl[..], ReadOptions::default()))
+            }
+        };
+        for binary in [false, true] {
+            let run = PipelineBuilder::new(filter())
+                .chunk(13)
+                .build()
+                .run(&mut *open(binary))
+                .unwrap();
+            assert_eq!(run.events, events.len() as u64);
+            assert!(!run.stopped);
+            assert_eq!(expected, run.report, "driver, binary {binary}");
+
+            let mut source = open(binary);
+            let mut session = PipelineBuilder::new(filter()).build_session();
+            loop {
+                let batch = source.next_batch(13).unwrap();
+                if batch.is_empty() {
+                    break;
+                }
+                session.feed(batch);
+            }
+            assert_eq!(session.events(), events.len() as u64);
+            let (report, failures) = session.finish();
+            assert!(failures.is_empty());
+            assert_eq!(expected, report, "session feed, binary {binary}");
+        }
     }
 
     #[test]

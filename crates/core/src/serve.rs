@@ -6,7 +6,7 @@
 //! streams concurrently — unix-socket connections speaking the
 //! checksummed [`frame`](crate::frame) protocol, plus `.jsonl`/`.iotb`
 //! files dropped into a watched spool directory — and runs one
-//! supervised [`AnalysisSession`] per stream, each with its own
+//! supervised [`AnalysisSession`](crate::AnalysisSession) per stream, each with its own
 //! `.iockpt` checkpoint in the state directory. After every checkpoint
 //! boundary the server rewrites a *merged* coverage snapshot (all
 //! streams' reports combined) and a per-stream status manifest, both

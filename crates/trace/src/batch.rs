@@ -9,7 +9,7 @@
 //! [`EventBatch`] is the struct-of-arrays alternative: fixed-width
 //! columns for `seq`/`timestamp_ns`/`pid`/`sysno`/`retval`, a dense
 //! batch-local name table of `Arc<str>` syscall names referenced by
-//! `u32` id, one shared [`PackedArg`] column addressed by per-event
+//! `u32` id, one shared `PackedArg` column addressed by per-event
 //! ranges, and a single `String` bump arena holding every path/str
 //! payload. Appending an event touches only column tails, so a batch of
 //! N events costs O(columns) allocations (amortized) instead of

@@ -626,7 +626,7 @@ fn decode_record(payload: &[u8], table: &[Arc<str>]) -> Result<TraceEvent, Strin
 
 /// A resumable `.iotb` record cursor — the binary counterpart of
 /// [`JsonlCursor`](crate::JsonlCursor), and an
-/// [`EventSource`](crate::EventSource) itself. The whole-trace reader
+/// [`EventSource`] itself. The whole-trace reader
 /// [`read_iotb`] is [`read_all`](crate::EventSource::read_all) over this
 /// type, so the two share one skip-accounting implementation by
 /// construction.

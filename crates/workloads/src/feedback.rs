@@ -6,7 +6,7 @@
 //!
 //! 1. **extract** — flatten the cumulative [`AnalysisReport`] against a
 //!    uniform per-partition target into a
-//!    [`ColdReport`](iocov::ColdReport) of under-tested partitions
+//!    [`ColdReport`] of under-tested partitions
 //!    ([`iocov::extract_cold`]),
 //! 2. **re-weight** — derive owned sampling profiles whose weights are
 //!    the cold partitions' log-scale deficits (warm partitions keep a
