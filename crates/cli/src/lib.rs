@@ -3268,6 +3268,13 @@ mod generate_tests {
         assert!(text.contains("round 0: tcd"), "{text}");
         assert!(text.contains("round 1: tcd"), "{text}");
         assert!(text.contains("campaign: tcd"), "{text}");
+        // Every round's `tcd A -> B` improves: B < A.
+        for line in text.lines().filter(|l| l.starts_with("round")) {
+            let words: Vec<&str> = line.split_whitespace().collect();
+            let before: f64 = words[3].parse().unwrap();
+            let after: f64 = words[5].parse().unwrap();
+            assert!(after < before, "TCD did not improve: {line}");
+        }
         // TCD strictly improves over the seed report's baseline.
         let initial = load_report(&fixture).unwrap();
         let baseline = iocov::campaign_tcd(&initial, 10);

@@ -4,21 +4,16 @@
 //! byte-identical to an uninterrupted run, for every (kill point,
 //! checkpoint interval) combination.
 
+mod common;
+
 use std::sync::Arc;
 
-use iocov_cli::{parse_args, run};
+use common::{run_bytes, TempDir};
 use proptest::prelude::*;
-
-fn run_bytes(all: &[&str]) -> Vec<u8> {
-    let args: Vec<String> = all.iter().map(|s| (*s).to_owned()).collect();
-    let mut out = Vec::new();
-    run(&parse_args(&args).unwrap(), &mut out).unwrap();
-    out
-}
 
 /// Writes a trace with enough structure to exercise cross-checkpoint
 /// state: descriptors opened before a cut and used after it.
-fn sample_trace_path() -> String {
+fn sample_trace_path(dir: &TempDir) -> String {
     use iocov_syscalls::Kernel;
     use iocov_trace::Recorder;
     let recorder = Arc::new(Recorder::new());
@@ -33,10 +28,7 @@ fn sample_trace_path() -> String {
     }
     kernel.open("/etc/noise", 0, 0);
     kernel.open("/mnt/test/missing", 0, 0);
-    let path = std::env::temp_dir()
-        .join(format!("iocov-ckpt-prop-{}.jsonl", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
+    let path = dir.path("trace.jsonl");
     let mut file = std::fs::File::create(&path).unwrap();
     iocov_trace::write_jsonl(&mut file, &recorder.take()).unwrap();
     path
@@ -45,9 +37,9 @@ fn sample_trace_path() -> String {
 proptest! {
     #[test]
     fn kill_and_resume_matches_uninterrupted(stop in 1u64..20, every in 1u64..6) {
-        let trace = sample_trace_path();
-        let ckpt = format!("{trace}.{stop}-{every}.iockpt");
-        let _ = std::fs::remove_file(&ckpt);
+        let dir = TempDir::new("ckpt-prop");
+        let trace = sample_trace_path(&dir);
+        let ckpt = dir.path("trace.iockpt");
         let uninterrupted = run_bytes(&[
             "analyze", &trace, "--mount", "/mnt/test", "--json", "--metrics",
         ]);
@@ -80,6 +72,5 @@ proptest! {
             // completed normally and must already match.
             prop_assert_eq!(killed, uninterrupted);
         }
-        let _ = std::fs::remove_file(&ckpt);
     }
 }

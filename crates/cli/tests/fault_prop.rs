@@ -5,81 +5,48 @@
 //! schedules that escalate to hard errors fail with a structured
 //! `CliError`, never an abort.
 
-use iocov_cli::{parse_args, run, CliError};
+mod common;
+
+use common::{fixture, run_bytes, try_run, TempDir};
 use proptest::prelude::*;
 
-fn try_run(all: &[String]) -> Result<Vec<u8>, CliError> {
-    let mut out = Vec::new();
-    run(&parse_args(all).unwrap(), &mut out)?;
-    Ok(out)
-}
-
-fn args(all: &[&str]) -> Vec<String> {
-    all.iter().map(|s| (*s).to_owned()).collect()
-}
-
-/// The checked-in corrupt fixture: BOM, CRLF, malformed JSON, invalid
-/// UTF-8, blank lines, truncated tail.
-fn corrupt_fixture() -> String {
-    format!(
-        "{}/../../fixtures/corrupt_trace.jsonl",
-        env!("CARGO_MANIFEST_DIR")
-    )
-}
-
-/// A clean trace produced from a Syzkaller-style log via `convert-syz`,
-/// as a second ingestion shape (absolute paths, no mount filter).
-fn syz_trace_path() -> String {
-    let log = std::env::temp_dir()
-        .join(format!("iocov-fault-prop-{}.syz.txt", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    std::fs::write(
-        &log,
+/// Two ingestion shapes, over files in `dir`, each with its fault-free
+/// output: the checked-in corrupt fixture (BOM, CRLF, malformed JSON,
+/// invalid UTF-8, blank lines, truncated tail) read lossily, and a
+/// clean trace converted from a Syzkaller-style log (absolute paths,
+/// no mount filter).
+fn cases(dir: &TempDir) -> Vec<(Vec<String>, Vec<u8>)> {
+    let corrupt = fixture("corrupt_trace.jsonl");
+    let syz = dir.syz_trace(
+        "syz.jsonl",
         "r0 = open(&(0x7f0000000000)='/f\\x00', 0x42, 0x1a4) # 3\n\
          write(r0, &(0x7f0000000040), 0x200) # 512\n\
          close(r0) # 0\n",
-    )
-    .unwrap();
-    let jsonl = try_run(&args(&["convert-syz", &log])).unwrap();
-    let path = std::env::temp_dir()
-        .join(format!("iocov-fault-prop-{}.jsonl", std::process::id()))
-        .to_string_lossy()
-        .into_owned();
-    std::fs::write(&path, jsonl).unwrap();
-    let _ = std::fs::remove_file(&log);
-    path
-}
-
-/// Both ingestion shapes with their fault-free baselines, computed once.
-fn cases() -> &'static Vec<(Vec<String>, Vec<u8>)> {
-    static CASES: std::sync::OnceLock<Vec<(Vec<String>, Vec<u8>)>> = std::sync::OnceLock::new();
-    CASES.get_or_init(|| {
-        let corrupt = corrupt_fixture();
-        let syz = syz_trace_path();
-        let corrupt_args = args(&[
-            "analyze",
-            &corrupt,
-            "--mount",
-            "/mnt/test",
-            "--lossy",
-            "--json",
-        ]);
-        let syz_args = args(&["analyze", &syz, "--json"]);
-        [corrupt_args, syz_args]
-            .into_iter()
-            .map(|a| {
-                let baseline = try_run(&a).unwrap();
-                (a, baseline)
-            })
-            .collect()
-    })
+    );
+    let corrupt_args = [
+        "analyze",
+        &corrupt,
+        "--mount",
+        "/mnt/test",
+        "--lossy",
+        "--json",
+    ];
+    let syz_args = ["analyze", &syz, "--json"];
+    [&corrupt_args[..], &syz_args[..]]
+        .into_iter()
+        .map(|a| {
+            let a: Vec<String> = a.iter().map(|s| (*s).to_owned()).collect();
+            let baseline = run_bytes(&a);
+            (a, baseline)
+        })
+        .collect()
 }
 
 proptest! {
     #[test]
     fn transient_fault_schedules_are_fully_absorbed(seed in any::<u64>()) {
-        for (base, baseline) in cases() {
+        let dir = TempDir::new("fault-prop");
+        for (base, baseline) in &cases(&dir) {
             let mut faulty = base.clone();
             faulty.push("--inject-io".into());
             faulty.push(seed.to_string());
@@ -93,7 +60,8 @@ proptest! {
         seed in any::<u64>(),
         hard_after in 0u64..40,
     ) {
-        for (base, baseline) in cases() {
+        let dir = TempDir::new("fault-prop");
+        for (base, baseline) in &cases(&dir) {
             let mut faulty = base.clone();
             faulty.push("--inject-io".into());
             faulty.push(format!("{seed}:{hard_after}"));

@@ -3,52 +3,24 @@
 //! {jsonl, jsonl-lossy, iotb, iotb-indexed-v2} × {jobs 1, jobs 2, jobs 4} ×
 //! {--metrics on/off} × {straight run, checkpoint kill/resume} —
 //! seeded from the checked-in corrupt fixture, a converted
-//! Syzkaller-style trace, and a bit-flipped copy of its v2 container. This is the tentpole invariant of the
-//! EventSource/ShardSupervisor unification: one `PipelineBuilder` path serves
-//! every flag combination, and none of them may perturb the output.
+//! Syzkaller-style trace, and a bit-flipped copy of each one's v2
+//! container. One `PipelineBuilder` path serves every flag
+//! combination, and none of them may perturb the output.
 
-use iocov_cli::{parse_args, run, CliError};
+mod common;
+
+use common::{fixture, run_bytes, TempDir};
 use proptest::prelude::*;
-
-fn try_run(all: &[String]) -> Result<Vec<u8>, CliError> {
-    let mut out = Vec::new();
-    run(&parse_args(all).unwrap(), &mut out)?;
-    Ok(out)
-}
 
 fn args(all: &[&str]) -> Vec<String> {
     all.iter().map(|s| (*s).to_owned()).collect()
 }
 
-fn run_bytes(all: &[String]) -> Vec<u8> {
-    try_run(all).unwrap()
-}
-
-/// The checked-in corrupt fixture: BOM, CRLF, malformed JSON, invalid
-/// UTF-8, blank lines, truncated tail. Lossy-only for JSONL.
-fn corrupt_fixture() -> String {
-    format!(
-        "{}/../../fixtures/corrupt_trace.jsonl",
-        env!("CARGO_MANIFEST_DIR")
-    )
-}
-
-fn temp_path(tag: &str, ext: &str) -> String {
-    std::env::temp_dir()
-        .join(format!(
-            "iocov-matrix-prop-{}-{tag}.{ext}",
-            std::process::id()
-        ))
-        .to_string_lossy()
-        .into_owned()
-}
-
 /// A clean multi-event trace from a Syzkaller-style log, so the matrix
 /// also covers the strict JSONL and no-mount-filter shapes.
-fn syz_trace() -> String {
-    let log = temp_path("syz", "txt");
-    std::fs::write(
-        &log,
+fn syz_trace(dir: &TempDir) -> String {
+    dir.syz_trace(
+        "syz.jsonl",
         "r0 = open(&(0x7f0000000000)='/f\\x00', 0x42, 0x1a4) # 3\n\
          write(r0, &(0x7f0000000040), 0x200) # 512\n\
          pread64(r0, &(0x7f0000000080), 0x100, 0x0) # 256\n\
@@ -56,40 +28,34 @@ fn syz_trace() -> String {
          close(r0) # 0\n\
          open(&(0x7f00000000c0)='/missing\\x00', 0x0, 0x0) # -2\n",
     )
-    .unwrap();
-    let jsonl = run_bytes(&args(&["convert-syz", &log]));
-    let path = temp_path("syz", "jsonl");
-    std::fs::write(&path, jsonl).unwrap();
-    let _ = std::fs::remove_file(&log);
-    path
 }
 
 /// Converts a trace to the binary container via the CLI itself.
-fn to_iotb(input: &str, tag: &str, lossy: bool) -> String {
-    let out_path = temp_path(tag, "iotb");
+fn to_iotb(dir: &TempDir, input: &str, tag: &str, lossy: bool) -> String {
+    let out_path = dir.path(&format!("{tag}.iotb"));
     let mut cmd = vec!["convert", input, &out_path];
     if lossy {
         cmd.push("--lossy");
     }
-    run_bytes(&args(&cmd));
+    run_bytes(&cmd);
     out_path
 }
 
 /// Converts a trace to the block-indexed v2 container via the CLI.
-fn to_indexed_iotb(input: &str, tag: &str, lossy: bool) -> String {
-    let out_path = temp_path(&format!("{tag}-v2"), "iotb");
+fn to_indexed_iotb(dir: &TempDir, input: &str, tag: &str, lossy: bool) -> String {
+    let out_path = dir.path(&format!("{tag}-v2.iotb"));
     let mut cmd = vec!["convert", input, &out_path, "--index"];
     if lossy {
         cmd.push("--lossy");
     }
-    run_bytes(&args(&cmd));
+    run_bytes(&cmd);
     out_path
 }
 
 /// A copy of the v2 container at `path` with one bit of the first
 /// record's `timestamp_ns` flipped. The record still decodes, so
 /// every job count reads the flipped value and renders one report.
-fn flip_first_timestamp_bit(path: &str) -> String {
+fn flip_first_timestamp_bit(dir: &TempDir, path: &str, tag: &str) -> String {
     let mut bytes = std::fs::read(path).unwrap();
     let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
     let mut pos = 12;
@@ -99,7 +65,7 @@ fn flip_first_timestamp_bit(path: &str) -> String {
     // Past the table checksum and the record's length prefix, `seq`
     // (8 bytes) precedes `timestamp_ns`.
     bytes[pos + 8 + 4 + 8] ^= 0x01;
-    let out = temp_path("clean-v2-bitflip", "iotb");
+    let out = dir.path(&format!("{tag}-v2-bitflip.iotb"));
     std::fs::write(&out, bytes).unwrap();
     out
 }
@@ -112,62 +78,65 @@ struct SeedCase {
     fixed: Vec<String>,
 }
 
-/// Every source-shape cell, with per-shape baselines computed serially
-/// once. `--metrics` stays out of the baseline flags so both metrics
-/// states diff against the same serial reference.
-fn seed_cases() -> &'static Vec<SeedCase> {
-    static CASES: std::sync::OnceLock<Vec<SeedCase>> = std::sync::OnceLock::new();
-    CASES.get_or_init(|| {
-        let corrupt = corrupt_fixture();
-        let corrupt_iotb = to_iotb(&corrupt, "corrupt", true);
-        let corrupt_indexed = to_indexed_iotb(&corrupt, "corrupt", true);
-        let syz = syz_trace();
-        let syz_iotb = to_iotb(&syz, "clean", false);
-        let syz_indexed = to_indexed_iotb(&syz, "clean", false);
-        let syz_flipped = flip_first_timestamp_bit(&syz_indexed);
-        vec![
-            SeedCase {
-                label: "jsonl-lossy",
-                path: corrupt,
-                fixed: args(&["--mount", "/mnt/test", "--lossy"]),
-            },
-            SeedCase {
-                label: "iotb-from-lossy",
-                path: corrupt_iotb,
-                fixed: args(&["--mount", "/mnt/test"]),
-            },
-            SeedCase {
-                label: "jsonl-strict",
-                path: syz.clone(),
-                fixed: Vec::new(),
-            },
-            SeedCase {
-                label: "jsonl-strict-as-lossy",
-                path: syz,
-                fixed: args(&["--lossy"]),
-            },
-            SeedCase {
-                label: "iotb-strict",
-                path: syz_iotb,
-                fixed: Vec::new(),
-            },
-            SeedCase {
-                label: "iotb-indexed-from-lossy",
-                path: corrupt_indexed,
-                fixed: args(&["--mount", "/mnt/test"]),
-            },
-            SeedCase {
-                label: "iotb-indexed-strict",
-                path: syz_indexed,
-                fixed: Vec::new(),
-            },
-            SeedCase {
-                label: "iotb-indexed-bitflip-strict",
-                path: syz_flipped,
-                fixed: Vec::new(),
-            },
-        ]
-    })
+/// Every source-shape cell, over files in `dir`. `--metrics` stays out
+/// of the fixed flags so both metrics states diff against the same
+/// serial reference.
+fn seed_cases(dir: &TempDir) -> Vec<SeedCase> {
+    let corrupt = fixture("corrupt_trace.jsonl");
+    let corrupt_iotb = to_iotb(dir, &corrupt, "corrupt", true);
+    let corrupt_indexed = to_indexed_iotb(dir, &corrupt, "corrupt", true);
+    let corrupt_flipped = flip_first_timestamp_bit(dir, &corrupt_indexed, "corrupt");
+    let syz = syz_trace(dir);
+    let syz_iotb = to_iotb(dir, &syz, "clean", false);
+    let syz_indexed = to_indexed_iotb(dir, &syz, "clean", false);
+    let syz_flipped = flip_first_timestamp_bit(dir, &syz_indexed, "clean");
+    vec![
+        SeedCase {
+            label: "jsonl-lossy",
+            path: corrupt,
+            fixed: args(&["--mount", "/mnt/test", "--lossy"]),
+        },
+        SeedCase {
+            label: "iotb-from-lossy",
+            path: corrupt_iotb,
+            fixed: args(&["--mount", "/mnt/test"]),
+        },
+        SeedCase {
+            label: "jsonl-strict",
+            path: syz.clone(),
+            fixed: Vec::new(),
+        },
+        SeedCase {
+            label: "jsonl-strict-as-lossy",
+            path: syz,
+            fixed: args(&["--lossy"]),
+        },
+        SeedCase {
+            label: "iotb-strict",
+            path: syz_iotb,
+            fixed: Vec::new(),
+        },
+        SeedCase {
+            label: "iotb-indexed-from-lossy",
+            path: corrupt_indexed,
+            fixed: args(&["--mount", "/mnt/test"]),
+        },
+        SeedCase {
+            label: "iotb-indexed-from-lossy-bitflip",
+            path: corrupt_flipped,
+            fixed: args(&["--mount", "/mnt/test"]),
+        },
+        SeedCase {
+            label: "iotb-indexed-strict",
+            path: syz_indexed,
+            fixed: Vec::new(),
+        },
+        SeedCase {
+            label: "iotb-indexed-bitflip-strict",
+            path: syz_flipped,
+            fixed: Vec::new(),
+        },
+    ]
 }
 
 /// The `analyze` invocation for one matrix cell.
@@ -191,7 +160,8 @@ fn cell_args(case: &SeedCase, jobs: usize, metrics: bool, extra: &[String]) -> V
 /// counters). Deterministic, so a plain test rather than a property.
 #[test]
 fn every_executor_cell_is_byte_identical() {
-    for case in seed_cases() {
+    let dir = TempDir::new("matrix-prop");
+    for case in &seed_cases(&dir) {
         for metrics in [false, true] {
             let baseline = run_bytes(&cell_args(case, 1, metrics, &[]));
             for jobs in [2usize, 4] {
@@ -210,8 +180,10 @@ fn every_executor_cell_is_byte_identical() {
 /// file renders the clean file's bytes.
 #[test]
 fn bit_flipped_v2_reports_like_the_clean_file() {
+    let dir = TempDir::new("matrix-prop");
+    let cases = seed_cases(&dir);
     let report = |label: &str| {
-        let case = seed_cases().iter().find(|case| case.label == label);
+        let case = cases.iter().find(|case| case.label == label);
         run_bytes(&cell_args(case.unwrap(), 1, false, &[]))
     };
     assert_eq!(
@@ -236,9 +208,10 @@ proptest! {
         // one checkpoint cut, so the resume file always exists.
         let stop = (every + extra).min(4);
         let jobs = [1usize, 2, 4][jobs_idx];
-        for case in seed_cases() {
+        let dir = TempDir::new("matrix-prop");
+        for case in &seed_cases(&dir) {
             let baseline = run_bytes(&cell_args(case, jobs, metrics, &[]));
-            let ckpt = temp_path(&format!("ck-{}-{every}-{stop}-{jobs}", case.label), "iockpt");
+            let ckpt = dir.path(&format!("ck-{}.iockpt", case.label));
             let ck_flags = args(&["--checkpoint-every", &every.to_string(), "--checkpoint-file", &ckpt]);
             let mut kill_flags = ck_flags.clone();
             kill_flags.push("--stop-after-events".into());
@@ -258,7 +231,6 @@ proptest! {
                 "{} diverged after resume (every {}, stop {}, jobs {}, metrics {})",
                 case.label, every, stop, jobs, metrics
             );
-            let _ = std::fs::remove_file(&ckpt);
         }
     }
 }

@@ -93,7 +93,6 @@ pub struct PipelineMetrics {
     records_input_categorical: AtomicU64,
     records_output_ok: AtomicU64,
     records_output_err: AtomicU64,
-    batch_count: AtomicU64,
     batched_events: AtomicU64,
     allocs_estimated: AtomicU64,
     shard_restarts: AtomicU64,
@@ -164,31 +163,8 @@ impl PipelineMetrics {
     /// the session feed — never inside a shard — so snapshots stay
     /// byte-identical at every shard count.
     pub fn record_batch(&self, events: u64, allocs: u64) {
-        self.batch_count.fetch_add(1, Ordering::Relaxed);
         self.batched_events.fetch_add(events, Ordering::Relaxed);
         self.allocs_estimated.fetch_add(allocs, Ordering::Relaxed);
-    }
-
-    /// Batches recorded so far.
-    ///
-    /// Like [`stage_timings`](Self::stage_timings), deliberately *not*
-    /// part of the serialized snapshot: batch boundaries follow the pull
-    /// schedule (checkpoint and stop caps shorten pulls), so the count
-    /// is a property of how a run was driven, not of the trace — a
-    /// checkpointed run must still serialize byte-identically to an
-    /// uninterrupted one. The event-derived sums (`batched_events`,
-    /// `allocs_estimated`) *are* in the snapshot.
-    #[must_use]
-    pub fn batch_count(&self) -> u64 {
-        self.batch_count.load(Ordering::Relaxed)
-    }
-
-    /// Mean events per recorded batch (live, schedule-dependent — see
-    /// [`batch_count`](Self::batch_count)). `None` before any batch.
-    #[must_use]
-    pub fn events_per_batch(&self) -> Option<f64> {
-        let batches = self.batch_count.load(Ordering::Relaxed);
-        (batches > 0).then(|| self.batched_events.load(Ordering::Relaxed) as f64 / batches as f64)
     }
 
     /// Starts a wall-clock timer for `stage`; the elapsed time is added
@@ -410,9 +386,8 @@ pub struct MetricsSnapshot {
     pub partition_records: BTreeMap<String, u64>,
     /// Events that entered the analysis stage packed in columnar
     /// batches. A per-event sum, so it is identical across job counts,
-    /// decode paths, and checkpoint schedules (unlike the live
-    /// [`PipelineMetrics::batch_count`], which follows the pull
-    /// schedule and stays out of the snapshot).
+    /// decode paths, and checkpoint schedules (batch boundaries follow
+    /// the pull schedule, so no batch count is kept).
     #[serde(default)]
     pub batched_events: u64,
     /// Estimated heap allocations the owned per-event representation of
@@ -627,10 +602,6 @@ mod tests {
         let m = PipelineMetrics::default();
         m.record_batch(4096, 9000);
         m.record_batch(100, 250);
-        // Live batch-shape counters: schedule-dependent, outside the
-        // snapshot (like stage timings).
-        assert_eq!(m.batch_count(), 2);
-        assert_eq!(m.events_per_batch(), Some(2098.0));
         let snap = m.snapshot();
         assert_eq!(snap.batched_events, 4196);
         assert_eq!(snap.allocs_estimated, 9250);
@@ -644,10 +615,6 @@ mod tests {
         assert_eq!(twice.batched_events, 8392);
         assert_eq!(twice.allocs_estimated, 18500);
         assert_eq!(twice.allocs_per_event(), snap.allocs_per_event());
-        // An absorbed snapshot carries no batch shape — the live count
-        // stays zero, exactly like timings.
-        assert_eq!(absorbed.batch_count(), 0);
-        assert_eq!(PipelineMetrics::default().events_per_batch(), None);
         assert_eq!(MetricsSnapshot::default().allocs_per_event(), None);
         assert_eq!(snap.allocs_per_event(), Some(9250.0 / 4196.0));
         // Batch-shape keys never leak into the serialized snapshot.

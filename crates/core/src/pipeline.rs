@@ -515,5 +515,6 @@ mod tests {
             .unwrap();
         assert_eq!(full, serde_json::to_string(&resumed.report).unwrap());
         let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(path.with_extension("iockpt.prev"));
     }
 }

@@ -265,6 +265,13 @@ fn valid_stream_name(name: &str) -> bool {
             .all(|c| c.is_ascii_alphanumeric() || matches!(c, '-' | '_' | '.'))
 }
 
+/// The rejection of a stream another connection still feeds: the one
+/// reason a feed client retries, so it is matched whole, never by a
+/// word that a stream name may contain too.
+fn busy_reason(name: &str) -> String {
+    format!("stream {name} is busy: another connection feeds it")
+}
+
 /// Admits (or refuses) a stream and marks it running. On admission,
 /// returns the resume checkpoint: the in-memory one from a previous
 /// incarnation, or — first time this server sees the name — whatever
@@ -279,9 +286,7 @@ fn register_stream(state: &ServeState, name: &str, origin: &'static str) -> Admi
     let first_sight = !streams.contains_key(name);
     let entry = streams.entry(name.to_owned()).or_default();
     if entry.running {
-        return Admit::Rejected(format!(
-            "stream {name} is busy: another connection feeds it"
-        ));
+        return Admit::Rejected(busy_reason(name));
     }
     if entry.done {
         return Admit::Rejected(format!("stream {name} is already complete"));
@@ -792,7 +797,7 @@ pub fn run_feed(cfg: &FeedConfig) -> io::Result<FeedOutcome> {
             FRAME_CHECKPOINT => break (conn, frame.payload),
             FRAME_DONE => {
                 let reason = String::from_utf8_lossy(&frame.payload).into_owned();
-                if reason.contains("busy") && attempt < FEED_BUSY_RETRIES {
+                if reason == busy_reason(&cfg.stream) && attempt < FEED_BUSY_RETRIES {
                     attempt += 1;
                     thread::sleep(POLL_INTERVAL);
                     continue;
@@ -988,6 +993,9 @@ mod tests {
             snapshot, want,
             "snapshot.json must match analyze --json bytes"
         );
+        // The spooled file is renamed once processed, so no later scan
+        // feeds it again.
+        assert!(dir.join("spool/b.jsonl.done").exists());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1106,9 +1114,11 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn second_connection_for_a_complete_stream_is_rejected() {
-        let dir = tmp_dir("reject");
+    /// Feeds stream `name` to completion, then feeds it again until the
+    /// server refuses it as complete. Returns how long one more refused
+    /// feed took.
+    fn refuse_a_complete_stream(tag: &str, name: &str) -> Duration {
+        let dir = tmp_dir(tag);
         let a = sample_trace(3, 20);
         let a_path = write_trace(&dir, "a.jsonl", &a);
         let mut cfg = serve_config(&dir, 1);
@@ -1122,7 +1132,7 @@ mod tests {
         let feed = |abort: Option<FeedAbortHook>| {
             run_feed(&FeedConfig {
                 socket: socket.clone(),
-                stream: "a".into(),
+                stream: name.into(),
                 trace: a_path.clone(),
                 format: SourceFormat::Jsonl,
                 chunk: 4096,
@@ -1140,15 +1150,15 @@ mod tests {
                 None => thread::sleep(Duration::from_millis(5)),
             }
         };
-        assert!(
-            rejected.contains("already complete"),
-            "unexpected rejection: {rejected}"
-        );
+        assert_eq!(rejected, format!("stream {name} is already complete"));
+        let started = std::time::Instant::now();
+        assert_eq!(feed(None).rejected, Some(rejected));
+        let took = started.elapsed();
         // Unblock the drain=2 server with a second stream.
         let b_path = write_trace(&dir, "b.jsonl", &sample_trace(4, 10));
         run_feed(&FeedConfig {
             socket: socket.clone(),
-            stream: "b".into(),
+            stream: format!("{name}-b"),
             trace: b_path,
             format: SourceFormat::Jsonl,
             chunk: 4096,
@@ -1159,6 +1169,23 @@ mod tests {
         let summary = server.join().unwrap();
         assert_eq!(summary.streams.len(), 2);
         let _ = fs::remove_dir_all(&dir);
+        took
+    }
+
+    #[test]
+    fn second_connection_for_a_complete_stream_is_rejected() {
+        refuse_a_complete_stream("reject", "a");
+    }
+
+    /// Only the busy rejection is retried: a stream whose name is
+    /// `busy` is refused as complete at once, not after the retries.
+    #[test]
+    fn a_complete_stream_named_busy_is_refused_without_retries() {
+        let took = refuse_a_complete_stream("reject-busy", "busy");
+        assert!(
+            took < POLL_INTERVAL * FEED_BUSY_RETRIES / 2,
+            "the refusal took {took:?}"
+        );
     }
 
     #[test]

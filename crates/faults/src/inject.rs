@@ -164,13 +164,6 @@ impl BugSet {
         self.bugs.iter().filter(|b| b.hits() > 0).collect()
     }
 
-    /// Resets all hit counters.
-    pub fn reset_hits(&self) {
-        for bug in &self.bugs {
-            bug.hits.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Convenience: wraps in an `Arc` ready for
     /// [`Vfs::set_fault_hook`](iocov_vfs::Vfs::set_fault_hook).
     #[must_use]
@@ -358,8 +351,6 @@ mod tests {
         assert_eq!(set.bugs()[0].hits(), 1);
         assert_eq!(set.bugs()[1].hits(), 1);
         assert_eq!(set.triggered().len(), 2);
-        set.reset_hits();
-        assert!(set.triggered().is_empty());
     }
 
     #[test]

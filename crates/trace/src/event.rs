@@ -57,27 +57,6 @@ impl ArgValue {
             _ => None,
         }
     }
-
-    /// The signed value, for `Int` and `Fd` arguments.
-    #[must_use]
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            ArgValue::Int(v) => Some(*v),
-            ArgValue::Fd(v) => Some(i64::from(*v)),
-            _ => None,
-        }
-    }
-
-    /// The unsigned value, for `UInt`, `Flags`, `Mode`, and `Whence`
-    /// arguments.
-    #[must_use]
-    pub fn as_uint(&self) -> Option<u64> {
-        match self {
-            ArgValue::UInt(v) => Some(*v),
-            ArgValue::Flags(v) | ArgValue::Mode(v) | ArgValue::Whence(v) => Some(u64::from(*v)),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ArgValue {
@@ -200,12 +179,6 @@ mod tests {
     fn arg_accessors_are_typed() {
         assert_eq!(ArgValue::Path("/x".into()).as_path(), Some("/x"));
         assert_eq!(ArgValue::Str("user.k".into()).as_path(), None);
-        assert_eq!(ArgValue::Int(-5).as_int(), Some(-5));
-        assert_eq!(ArgValue::Fd(3).as_int(), Some(3));
-        assert_eq!(ArgValue::UInt(9).as_int(), None);
-        assert_eq!(ArgValue::UInt(9).as_uint(), Some(9));
-        assert_eq!(ArgValue::Flags(2).as_uint(), Some(2));
-        assert_eq!(ArgValue::Int(1).as_uint(), None);
     }
 
     #[test]

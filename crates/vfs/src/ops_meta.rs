@@ -459,14 +459,6 @@ impl Vfs {
         self.process_mut(pid).compat_32bit = compat;
     }
 
-    /// Changes a process's effective credentials (for permission-path
-    /// tests).
-    pub fn set_credentials(&mut self, pid: Pid, euid: crate::inode::Uid, egid: crate::inode::Gid) {
-        let p = self.process_mut(pid);
-        p.euid = euid;
-        p.egid = egid;
-    }
-
     /// Sets a process's umask, returning the previous value.
     pub fn set_umask(&mut self, pid: Pid, umask: u32) -> u32 {
         let p = self.process_mut(pid);

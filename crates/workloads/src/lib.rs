@@ -36,6 +36,7 @@ mod env;
 pub mod feedback;
 mod fuzzer;
 mod ltp;
+mod many_pid;
 pub mod profile;
 pub mod sampler;
 mod xfstests;
@@ -48,6 +49,7 @@ pub use feedback::{
 };
 pub use fuzzer::SyzFuzzerSim;
 pub use ltp::LtpSim;
+pub use many_pid::many_pid_trace;
 pub use xfstests::{XfstestsSim, EXT4_TESTS, GENERIC_TESTS};
 
 /// The outcome of running one simulated suite.
