@@ -7,9 +7,9 @@
 //!   function of the checkpoint interval (`checkpointed_scan`),
 //! * what does one `.iockpt` write/read cost in isolation, for a
 //!   full-size end-of-trace document (`checkpoint_io`), and
-//! * what does supervised recovery cost: a clean 4-shard session vs the
-//!   same session with one injected panic on shard 0 — backoff and a
-//!   restart from the shard's restore point (`supervised_recovery`).
+//! * what does supervised recovery cost: a clean session vs the same
+//!   session with one injected panic — backoff and a restart from the
+//!   shard's restore point (`supervised_recovery`).
 //!
 //! Measured numbers live in EXPERIMENTS.md §"Recovery overhead".
 //!
@@ -121,10 +121,8 @@ fn bench_checkpoint(c: &mut Criterion) {
     // Packed once: the columnar copy handed to each session is shared
     // cost, not recovery cost.
     let batch = EventBatch::from_events(trace.events());
-    let sharded = |hook: Option<ShardHook>| -> AnalysisReport {
-        let mut builder = PipelineBuilder::new(filter.clone())
-            .jobs(4)
-            .policy(fast_policy());
+    let supervised = |hook: Option<ShardHook>| -> AnalysisReport {
+        let mut builder = PipelineBuilder::new(filter.clone()).policy(fast_policy());
         if let Some(hook) = hook {
             builder = builder.hook(hook);
         }
@@ -133,17 +131,18 @@ fn bench_checkpoint(c: &mut Criterion) {
         session.finish().0
     };
     group.bench_function("clean", |b| {
-        b.iter(|| sharded(None));
+        b.iter(|| supervised(None));
     });
     group.bench_function("one_panic_restart", |b| {
         // A trigger disarms after firing, so each iteration arms a
-        // fresh one: shard 0 panics on the session's one batch, and the
-        // supervisor backs off and restarts it from its restore point.
+        // fresh one: the shard panics on the session's one batch, and
+        // the supervisor backs off and restarts it from its restore
+        // point.
         b.iter(|| {
             let trigger = DrillTrigger::new(0, 1);
-            sharded(Some(Arc::new(move |shard, tick| {
-                if shard == 0 && trigger.fire_from(tick) {
-                    panic!("injected panic: shard {shard} at tick {tick}");
+            supervised(Some(Arc::new(move |tick| {
+                if trigger.fire_from(tick) {
+                    panic!("injected panic: shard 0 at tick {tick}");
                 }
             })))
         });

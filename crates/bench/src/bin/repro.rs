@@ -1,15 +1,14 @@
 //! Reproduces every table and figure of the IOCov paper's evaluation.
 //!
 //! ```text
-//! repro [--scale X] [--seed N] [--full] [--jobs N] [fig2 table1 fig3 fig4 fig5 untested bugstudy difftest fuzzer feedback dataset]
+//! repro [--scale X] [--seed N] [--full] [fig2 table1 fig3 fig4 fig5 untested bugstudy difftest fuzzer feedback dataset]
 //! ```
 //!
 //! With no exhibit arguments, everything is generated. `--full` runs the
 //! workload simulators at paper scale (≈14M syscalls; ~10 s on a 2-vCPU VM);
 //! the default `--scale 0.05` keeps the shapes while finishing quickly.
-//! `--jobs N` shards trace analysis by pid across N worker threads; the
-//! reports (and every exhibit) are identical to a serial run. A `--full`
-//! run additionally writes `metrics.json`: the analysis pipeline's
+//! Any other `--` option is refused. A `--full` run additionally writes
+//! `metrics.json`: the analysis pipeline's
 //! counters (events read, drops by reason, variant merges, partition
 //! records) and per-stage wall-clock timings. It measures no reader or
 //! pipeline throughput: perfbench (`perfbench/`) is the one throughput
@@ -22,13 +21,12 @@ use std::sync::Arc;
 
 use iocov::tcd::{crossover, log_targets, tcd_uniform};
 use iocov::{ArgName, BaseSyscall, InputPartition, NumericPartition, PipelineMetrics};
-use iocov_bench::{open_flag_frequencies, run_suites_parallel_with_metrics, SuiteReports};
+use iocov_bench::{open_flag_frequencies, run_suites, SuiteReports};
 use iocov_faults::{dataset, demo_bugs, StudyStats};
 
 struct Options {
     scale: f64,
     seed: u64,
-    jobs: usize,
     full: bool,
     exhibits: BTreeSet<String>,
 }
@@ -44,7 +42,6 @@ struct MetricsDoc {
 fn parse_args() -> Options {
     let mut scale = 0.05;
     let mut seed = 42;
-    let mut jobs = 1;
     let mut full = false;
     let mut exhibits = BTreeSet::new();
     let mut args = std::env::args().skip(1);
@@ -62,17 +59,11 @@ fn parse_args() -> Options {
                     .and_then(|v| v.parse().ok())
                     .expect("--seed takes an integer");
             }
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .expect("--jobs takes a positive integer");
-            }
             "--full" => {
                 scale = 1.0;
                 full = true;
             }
+            other if other.starts_with("--") => panic!("unknown option {other}"),
             other => {
                 exhibits.insert(other.to_owned());
             }
@@ -89,7 +80,6 @@ fn parse_args() -> Options {
     Options {
         scale,
         seed,
-        jobs,
         full,
         exhibits,
     }
@@ -116,21 +106,14 @@ fn main() {
     // timings land in metrics.json next to the exhibits.
     let metrics = (opts.full && needs_suites).then(|| Arc::new(PipelineMetrics::default()));
     let reports = needs_suites.then(|| {
-        eprintln!(
-            "[running CrashMonkey and xfstests simulations ({} analysis job{}) …]",
-            opts.jobs,
-            if opts.jobs == 1 { "" } else { "s" }
-        );
+        eprintln!("[running CrashMonkey and xfstests simulations …]");
         let start = std::time::Instant::now();
-        let reports =
-            run_suites_parallel_with_metrics(opts.seed, opts.scale, opts.jobs, metrics.clone());
+        let reports = run_suites(opts.seed, opts.scale, metrics.as_ref());
         let elapsed = start.elapsed().as_secs_f64();
         let events = reports.crashmonkey.filter_stats.total + reports.xfstests.filter_stats.total;
         eprintln!(
-            "[simulated + analyzed {events} events in {elapsed:.2} s — {:.0} events/s with {} job{}]",
+            "[simulated + analyzed {events} events in {elapsed:.2} s — {:.0} events/s]",
             events as f64 / elapsed,
-            opts.jobs,
-            if opts.jobs == 1 { "" } else { "s" }
         );
         reports
     });

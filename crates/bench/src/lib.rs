@@ -79,35 +79,15 @@ pub struct SuiteReports {
 }
 
 /// Runs both suites at `scale` and analyzes their traces with the
-/// standard mount-point filter.
+/// standard mount-point filter. With `metrics`, both suites' analysis
+/// sessions record into the same counters, and the simulation and
+/// analysis stages are wall-clock timed.
 #[must_use]
-pub fn run_suites(seed: u64, scale: f64) -> SuiteReports {
-    run_suites_parallel(seed, scale, 1)
-}
-
-/// Runs both suites at `scale`, analyzing their traces with `jobs`
-/// pid-sharded worker threads. The reports are identical to
-/// [`run_suites`] for any `jobs` — sharding is by pid, and all filter
-/// state is per-pid.
-#[must_use]
-pub fn run_suites_parallel(seed: u64, scale: f64, jobs: usize) -> SuiteReports {
-    run_suites_parallel_with_metrics(seed, scale, jobs, None)
-}
-
-/// [`run_suites_parallel`] with an optional shared metrics instance:
-/// both suites' analysis pipelines record into the same counters, and
-/// the simulation / analysis stages are wall-clock timed.
-#[must_use]
-pub fn run_suites_parallel_with_metrics(
-    seed: u64,
-    scale: f64,
-    jobs: usize,
-    metrics: Option<Arc<PipelineMetrics>>,
-) -> SuiteReports {
+pub fn run_suites(seed: u64, scale: f64, metrics: Option<&Arc<PipelineMetrics>>) -> SuiteReports {
     let Ok(filter) = TraceFilter::mount_point(MOUNT);
     let session = |filter: TraceFilter| {
-        let mut builder = PipelineBuilder::new(filter).jobs(jobs);
-        if let Some(m) = &metrics {
+        let mut builder = PipelineBuilder::new(filter);
+        if let Some(m) = metrics {
             builder = builder.metrics(Arc::clone(m));
         }
         builder.build_session()
@@ -117,7 +97,7 @@ pub fn run_suites_parallel_with_metrics(
     let cm_env = TestEnv::new();
     let cm_sim = CrashMonkeySim::new(seed, scale);
     let crashmonkey_result = {
-        let _timer = metrics.as_deref().map(|m| m.time_stage("simulate"));
+        let _timer = metrics.map(|m| m.time_stage("simulate"));
         cm_sim.run(&cm_env)
     };
     let mut cm_session = session(filter.clone());
@@ -125,7 +105,7 @@ pub fn run_suites_parallel_with_metrics(
     let (crashmonkey, _) = cm_session.finish();
 
     // xfstests: streamed so memory stays bounded at paper scale, with
-    // each shard's descriptor-provenance state preserved across chunks.
+    // the shard's descriptor-provenance state preserved across chunks.
     let xfs_env = TestEnv::new();
     let xfs_sim = XfstestsSim::new(seed, scale);
     let mut kernel = xfs_env.fresh_kernel();
@@ -136,7 +116,7 @@ pub fn run_suites_parallel_with_metrics(
     while start < total {
         let end = (start + CHUNK).min(total);
         let chunk_result = {
-            let _timer = metrics.as_deref().map(|m| m.time_stage("simulate"));
+            let _timer = metrics.map(|m| m.time_stage("simulate"));
             xfs_sim.run_range(&mut kernel, start..end)
         };
         xfstests_result.merge(chunk_result);
@@ -193,10 +173,10 @@ pub fn sample_trace(events: usize) -> iocov_trace::Trace {
     env.take_trace()
 }
 
-/// A deterministic multi-process trace for the parallel-analysis
-/// benchmarks: `pids` independent tester processes (as a parallel
-/// `check`-style harness would spawn), interleaved round-robin, at least
-/// `events` syscalls in total.
+/// A deterministic multi-process trace for the checkpoint benchmarks:
+/// `pids` independent tester processes (as a parallel `check`-style
+/// harness would spawn), interleaved round-robin, at least `events`
+/// syscalls in total.
 #[must_use]
 pub fn multi_pid_trace(events: usize, pids: u32) -> iocov_trace::Trace {
     let pids = pids.max(1);
@@ -228,14 +208,6 @@ mod tests {
     use iocov::Iocov;
 
     #[test]
-    fn parallel_run_matches_serial_run() {
-        let serial = run_suites(9, 0.01);
-        let parallel = run_suites_parallel(9, 0.01, 4);
-        assert_eq!(serial.crashmonkey, parallel.crashmonkey);
-        assert_eq!(serial.xfstests, parallel.xfstests);
-    }
-
-    #[test]
     fn multi_pid_trace_interleaves_processes() {
         let trace = multi_pid_trace(400, 4);
         assert!(trace.len() >= 400);
@@ -248,7 +220,7 @@ mod tests {
 
     #[test]
     fn run_suites_produces_both_reports() {
-        let reports = run_suites(5, 0.01);
+        let reports = run_suites(5, 0.01, None);
         assert!(reports.crashmonkey.total_calls() > 1000);
         assert!(reports.xfstests.total_calls() > 1000);
         assert!(reports.crashmonkey_result.crash_violations.is_empty());
@@ -279,7 +251,7 @@ mod tests {
 
     #[test]
     fn flag_frequencies_cover_axis() {
-        let reports = run_suites(6, 0.01);
+        let reports = run_suites(6, 0.01, None);
         let freqs = open_flag_frequencies(&reports.xfstests);
         assert_eq!(freqs.len(), 20);
         assert!(freqs.iter().any(|(_, c)| *c > 0));

@@ -10,7 +10,7 @@
 //! than a silently ignored knob.
 //!
 //! Robustness: analysis is *supervised* — a panicking shard restarts
-//! with backoff from its last checkpoint state, stalled shards are
+//! with backoff from its last checkpoint state, a stalled shard is
 //! detected with `--shard-timeout`, and either way the run degrades to
 //! a partial report plus a failure manifest instead of aborting the
 //! process. `--checkpoint-every` periodically persists resumable state
@@ -19,10 +19,10 @@
 //! `--inject-*` flags deterministically inject shard panics and
 //! transient/hard I/O faults for testing those paths.
 //!
-//! `--jobs N` shards analysis across N threads. To isolate inputs from
-//! one another, run `serve` and give each input its own `feed`: a
-//! feeder that dies fails only its own stream while the others carry
-//! on.
+//! Analysis runs on one shard thread beside the reading thread. To
+//! isolate inputs from one another, run `serve` and give each input its
+//! own `feed`: a feeder that dies fails only its own stream while the
+//! others carry on.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -88,14 +88,11 @@ impl TraceFormat {
     }
 }
 
-/// A deterministic shard-panic injection: shard `shard` panics on the
-/// `times` consecutive batches from ordinal `tick` (`0:0:2` = the first
-/// two batches of shard 0 — two restarts, within the default budget of
-/// 3).
+/// A deterministic shard-panic injection: the shard panics on the
+/// `times` consecutive batches from ordinal `tick` (`0:2` = the first
+/// two batches — two restarts, within the default budget of 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PanicSpec {
-    /// Shard index to fault.
-    pub shard: usize,
     /// Batch ordinal since the last checkpoint cut.
     pub tick: u64,
     /// How many batches panic before the drill disarms.
@@ -118,7 +115,7 @@ pub struct IoFaultSpec {
 /// robustness knobs don't churn [`Command::Analyze`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RobustnessOpts {
-    /// Write a checkpoint every N events (any format, any job count).
+    /// Write a checkpoint every N events (any format).
     pub checkpoint_every: Option<u64>,
     /// Checkpoint path (default `<trace>.iockpt`).
     pub checkpoint_file: Option<String>,
@@ -126,9 +123,9 @@ pub struct RobustnessOpts {
     pub resume: Option<String>,
     /// Stop (simulating a kill) after this many events, exit 0.
     pub stop_after: Option<u64>,
-    /// Stall watchdog: restart a shard silent for this many seconds.
+    /// Stall watchdog: restart the shard if silent this many seconds.
     pub shard_timeout: Option<u64>,
-    /// Override the restart budget (per shard per run).
+    /// Override the restart budget (per run).
     pub max_shard_restarts: Option<u32>,
     /// Inject a deterministic shard panic.
     pub inject_panic: Option<PanicSpec>,
@@ -163,9 +160,6 @@ pub enum Command {
         mount: Option<String>,
         /// Emit machine-readable JSON instead of text.
         json: bool,
-        /// Analysis shard threads (pid-sharded; the report is identical
-        /// at every count).
-        jobs: usize,
         /// Skip malformed trace lines instead of aborting.
         lossy: bool,
         /// Report pipeline counters alongside the coverage report.
@@ -345,7 +339,7 @@ const FLAGS: &[Flag] = &[
         Some("a count"),
         &["analyze", "serve"],
     ),
-    flag("--inject-panic", Some("SHARD:TICK[:TIMES]"), &["analyze"]),
+    flag("--inject-panic", Some("TICK[:TIMES]"), &["analyze"]),
     flag("--inject-io", Some("SEED[:HARD_AFTER]"), &["analyze"]),
     flag("--target", Some("a number"), &["tcd", "generate"]),
     flag("--to", Some("a value"), &["convert"]),
@@ -519,12 +513,11 @@ impl Fields<'_> {
         self.next()?.ok_or_else(|| self.bad())
     }
 
-    /// `A:B[:TIMES]`, with `TIMES` defaulting to 1 and never 0.
-    fn with_times<A: FromStr, B: FromStr>(&mut self) -> Result<(A, B, u32), CliError> {
-        let (a, b) = (self.required()?, self.required()?);
+    /// An optional last `:TIMES` field, defaulting to 1 and never 0.
+    fn times(&mut self) -> Result<u32, CliError> {
         match self.next()? {
             Some(0) => Err(self.bad()),
-            times => Ok((a, b, times.unwrap_or(1))),
+            times => Ok(times.unwrap_or(1)),
         }
     }
 }
@@ -689,8 +682,10 @@ fn parse_analyze(a: &Args) -> Result<Command, CliError> {
         shard_timeout: a.positive("--shard-timeout")?,
         max_shard_restarts: a.parse("--max-shard-restarts")?,
         inject_panic: a.spec("--inject-panic", |f| {
-            let (shard, tick, times) = f.with_times()?;
-            Ok(PanicSpec { shard, tick, times })
+            Ok(PanicSpec {
+                tick: f.required()?,
+                times: f.times()?,
+            })
         })?,
         inject_io: a.spec("--inject-io", |f| {
             Ok(IoFaultSpec {
@@ -700,7 +695,15 @@ fn parse_analyze(a: &Args) -> Result<Command, CliError> {
         })?,
     };
     let format = a.format()?;
-    let jobs = a.positive("--jobs")?;
+    // `--jobs 1` names the one shard thread analysis runs on. The flag
+    // stays for callers that still pass it, and goes with the benchmark
+    // change (ROADMAP.md items 1 and 2); any other count is refused
+    // rather than ignored.
+    if a.parse::<usize>("--jobs")?.is_some_and(|jobs| jobs != 1) {
+        return Err(CliError(
+            "--jobs takes only 1: analysis runs on one shard thread".into(),
+        ));
+    }
     let (lossy, max_errors) = a.lossy()?;
     if robust.checkpoint_file.is_some() && robust.checkpoint_every.is_none() {
         return Err(CliError(
@@ -712,7 +715,6 @@ fn parse_analyze(a: &Args) -> Result<Command, CliError> {
         format,
         mount: a.string("--mount"),
         json: a.has("--json"),
-        jobs: jobs.unwrap_or(1),
         lossy,
         metrics: a.has("--metrics"),
         max_errors,
@@ -758,12 +760,12 @@ iocov — input/output coverage for file system testing
 
 USAGE:
   iocov analyze  <trace> [--format auto|jsonl|iotb] [--mount PATH]
-                 [--json] [--jobs N] [--lossy [--max-errors N]]
+                 [--json] [--jobs 1] [--lossy [--max-errors N]]
                  [--metrics]
                  [--checkpoint-every N [--checkpoint-file FILE]]
                  [--resume FILE] [--stop-after-events K]
                  [--shard-timeout SECS] [--max-shard-restarts N]
-                 [--inject-panic SHARD:TICK[:TIMES]]
+                 [--inject-panic TICK[:TIMES]]
                  [--inject-io SEED[:HARD_AFTER]]
   iocov untested <trace> [--mount PATH]
   iocov combos   <trace> [--mount PATH]
@@ -791,8 +793,8 @@ iocov_trace::write_jsonl (or produced from Syzkaller logs with
 `convert-syz`), or the compact binary container written by
 `convert --to iotb`. --format selects the reader; the default `auto`
 sniffs the IOTB magic bytes. --mount filters to the tester's mount
-point, e.g. --mount /mnt/test. --jobs shards analysis by pid across N
-worker threads; the report is identical to a serial run. --lossy skips
+point, e.g. --mount /mnt/test. Analysis runs on one shard thread
+while the caller reads the trace; --jobs accepts only 1. --lossy skips
 malformed trace lines or records (reporting each skip) instead of
 aborting; --max-errors caps how many. --metrics reports pipeline
 counters — events read, parse-skipped, drops by reason, variant
@@ -804,26 +806,25 @@ analysis does not read, so every command reads v1 and v2 alike.
 
 Analysis is supervised and its memory stays bounded however long the
 trace; `untested`, `combos`, `tcd` and `diff` stream through the same
-analysis session, one serial shard. A panicking or stalled shard is
-restarted with exponential backoff from its restore point, a copy of
-its state taken at the last checkpoint (or the start of the run). It
-is not replayed: its events since that point are lost and it goes on
-with the next batch, so any restart leaves a partial report, and the
-per-shard failure manifest counts the lost events. --checkpoint-every
-bounds that loss. A shard that exhausts its restart budget
-(--max-shard-restarts, default 3, per shard per run: checkpoints do
-not refill it) gives up and loses everything after its restore point;
-the run still completes. --shard-timeout SECS enables the stall
-watchdog; a shard declared stalled costs its events since the restore
-point like a panic does. --checkpoint-every N
-writes resumable state every N events to --checkpoint-file (default
-<trace>.iockpt; works with any --format and any --jobs count);
+analysis session. A panicking or stalled shard is restarted with
+exponential backoff from its restore point, a copy of its state taken
+at the last checkpoint (or the start of the run). It is not replayed:
+its events since that point are lost and it goes on with the next
+batch, so any restart leaves a partial report, and the failure
+manifest counts the lost events. --checkpoint-every bounds that loss.
+A shard that exhausts its restart budget (--max-shard-restarts,
+default 3, per run: checkpoints do not refill it) gives up and loses
+everything after its restore point; the run still completes.
+--shard-timeout SECS enables the stall watchdog; a shard declared
+stalled costs its events since the restore point like a panic does.
+--checkpoint-every N writes resumable state every N events to
+--checkpoint-file (default <trace>.iockpt; works with any --format);
 --resume FILE continues a killed run from its last checkpoint,
 producing output byte-identical to an uninterrupted run.
 --stop-after-events K stops the run after K events (simulating a kill)
-for testing resume. --inject-panic SHARD:TICK[:TIMES] panics shard
-SHARD on TIMES (default 1) consecutive batches from batch TICK,
-counted from the last checkpoint; --inject-io deterministically
+for testing resume. --inject-panic TICK[:TIMES] panics the shard on
+TIMES (default 1) consecutive batches from batch TICK, counted from
+the last checkpoint; --inject-io deterministically
 injects transient/hard I/O faults. Both exercise these recovery
 paths.
 
@@ -956,7 +957,7 @@ fn load_report(path: &str) -> Result<AnalysisReport, CliError> {
         .map_err(|e| CliError(format!("cannot parse report {path}: {e}")))
 }
 
-/// The `analyze` invocation, minus the job count. The default is how
+/// The `analyze` invocation. The default is how
 /// `untested`, `combos`, `tcd` and `diff` read their traces: strict,
 /// format-sniffed, with no robustness options.
 #[derive(Default)]
@@ -1073,8 +1074,8 @@ fn render_analyze<W: Write>(
 /// The unified analysis path: open the trace as an [`EventSource`]
 /// (strict or lossy, JSONL or `.iotb`, optional fault injection,
 /// optional resume position) and pump it through a
-/// [`PipelineBuilder`]-configured session of pid-sharded shard threads,
-/// cutting a checkpoint every N events.
+/// [`PipelineBuilder`]-configured session and its shard thread, cutting
+/// a checkpoint every N events.
 /// Returns the finished run and the metrics it counted into, if any.
 /// `analyze`, `untested`, `combos`, `tcd` and `diff` all take this one
 /// path, and every flag combination produces reports byte-identical to
@@ -1085,7 +1086,6 @@ fn render_analyze<W: Write>(
 /// flag-combination coverage ([`PipelineBuilder::extended_coverage`]).
 fn run_session(
     ctx: &AnalyzeCtx<'_>,
-    jobs: usize,
     extended: bool,
 ) -> Result<(PipelineRun, Option<Arc<PipelineMetrics>>), CliError> {
     let robust = &ctx.robust;
@@ -1148,15 +1148,14 @@ fn run_session(
     let pipeline_metrics = ctx.metrics.then(|| Arc::new(PipelineMetrics::default()));
     let mut builder = PipelineBuilder::new(filter)
         .mount(ctx.mount.map(str::to_owned))
-        .jobs(jobs)
         .policy(robust.policy());
     if let Some(spec) = robust.inject_panic {
         // A restarted shard goes on with the next batch, so each charge
         // panics a batch of its own.
         let trigger = DrillTrigger::new(spec.tick, spec.times);
-        builder = builder.hook(Arc::new(move |shard, tick| {
-            if shard == spec.shard && trigger.fire_from(tick) {
-                panic!("injected panic: shard {shard} at tick {tick}");
+        builder = builder.hook(Arc::new(move |tick| {
+            if trigger.fire_from(tick) {
+                panic!("injected panic: shard 0 at tick {tick}");
             }
         }));
     }
@@ -1187,8 +1186,8 @@ fn run_session(
 
 /// `analyze`: one [`run_session`], rendered as a JSON document or a
 /// text report (or the resume hint of a stopped run).
-fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Result<(), CliError> {
-    let (run, pipeline_metrics) = run_session(ctx, jobs, false)?;
+fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, out: &mut W) -> Result<(), CliError> {
+    let (run, pipeline_metrics) = run_session(ctx, false)?;
     if run.stopped {
         writeln!(
             out,
@@ -1210,7 +1209,7 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, jobs: usize, out: &mut W) -> Resu
 }
 
 /// The report of a whole trace for `untested`, `combos`, `tcd` and
-/// `diff`: one serial [`run_session`] over the default context.
+/// `diff`: one [`run_session`] over the default context.
 fn analyze_whole_trace(
     trace: &str,
     mount: Option<&str>,
@@ -1221,7 +1220,7 @@ fn analyze_whole_trace(
         mount,
         ..AnalyzeCtx::default()
     };
-    Ok(run_session(&ctx, 1, extended)?.0.report)
+    Ok(run_session(&ctx, extended)?.0.report)
 }
 
 /// `serve`'s checkpoint cadence when `--checkpoint-every` is not given.
@@ -1240,7 +1239,6 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
             format,
             mount,
             json,
-            jobs,
             lossy,
             metrics,
             max_errors,
@@ -1256,7 +1254,7 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
                 max_errors: *max_errors,
                 robust: RobustnessOpts::clone(robust),
             };
-            run_analyze(&ctx, *jobs, out)?;
+            run_analyze(&ctx, out)?;
         }
         Command::Untested { trace, mount } => {
             let report = analyze_whole_trace(trace, mount.as_deref(), true)?;
@@ -1713,7 +1711,6 @@ mod tests {
                 format: TraceFormat::Auto,
                 mount: Some("/mnt/test".into()),
                 json: true,
-                jobs: 1,
                 lossy: false,
                 metrics: false,
                 max_errors: None,
@@ -1721,13 +1718,12 @@ mod tests {
             }
         );
         assert_eq!(
-            parse_args(&args(&["analyze", "t.jsonl", "--jobs", "4"])).unwrap(),
+            parse_args(&args(&["analyze", "t.jsonl", "--jobs", "1"])).unwrap(),
             Command::Analyze {
                 trace: "t.jsonl".into(),
                 format: TraceFormat::Auto,
                 mount: None,
                 json: false,
-                jobs: 4,
                 lossy: false,
                 metrics: false,
                 max_errors: None,
@@ -1749,7 +1745,6 @@ mod tests {
                 format: TraceFormat::Auto,
                 mount: None,
                 json: false,
-                jobs: 1,
                 lossy: true,
                 metrics: true,
                 max_errors: Some(5),
@@ -1778,8 +1773,12 @@ mod tests {
         assert!(parse_args(&args(&["tcd", "t", "--target", "abc"])).is_err());
         assert!(parse_args(&args(&["analyze", "t", "--nope"])).is_err());
         assert!(parse_args(&args(&["analyze", "t", "--jobs"])).is_err());
-        assert!(parse_args(&args(&["analyze", "t", "--jobs", "0"])).is_err());
-        assert!(parse_args(&args(&["analyze", "t", "--jobs", "x"])).is_err());
+        for jobs in ["0", "2", "4", "x"] {
+            assert!(
+                parse_args(&args(&["analyze", "t", "--jobs", jobs])).is_err(),
+                "--jobs {jobs}"
+            );
+        }
         assert!(parse_args(&args(&["analyze", "t", "--max-errors"])).is_err());
         assert!(parse_args(&args(&["analyze", "t", "--lossy", "--max-errors", "x"])).is_err());
         assert!(
@@ -1876,37 +1875,25 @@ mod tests {
     }
 
     #[test]
-    fn analyze_with_jobs_matches_serial_byte_for_byte() {
+    fn analyze_with_jobs_one_matches_the_default_byte_for_byte() {
+        // `--jobs 1` is accepted and changes neither the report nor the
+        // metrics document.
         let file = sample_trace_file();
-        let mut serial = Vec::new();
-        run(
-            &parse_args(&args(&[
-                "analyze",
-                &file.path,
-                "--mount",
-                "/mnt/test",
-                "--json",
-            ]))
-            .unwrap(),
-            &mut serial,
-        )
-        .unwrap();
-        let mut parallel = Vec::new();
-        run(
-            &parse_args(&args(&[
-                "analyze",
-                &file.path,
-                "--mount",
-                "/mnt/test",
-                "--json",
-                "--jobs",
-                "4",
-            ]))
-            .unwrap(),
-            &mut parallel,
-        )
-        .unwrap();
-        assert_eq!(serial, parallel);
+        let run_with = |extra: &[&str]| {
+            let base = ["analyze", &file.path, "--mount", "/mnt/test", "--json"];
+            let mut out = Vec::new();
+            run(
+                &parse_args(&args(&[&base[..], extra].concat())).unwrap(),
+                &mut out,
+            )
+            .unwrap();
+            out
+        };
+        assert_eq!(run_with(&[]), run_with(&["--jobs", "1"]));
+        assert_eq!(
+            run_with(&["--metrics"]),
+            run_with(&["--metrics", "--jobs", "1"])
+        );
     }
 
     /// Path of the checked-in corrupt-trace fixture (BOM, CRLF lines,
@@ -2005,21 +1992,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_output_is_byte_identical_serial_vs_parallel() {
-        let file = sample_trace_file();
-        let run_with = |extra: &[&str]| {
-            let mut all = vec!["analyze", file.path.as_str(), "--mount", "/mnt/test"];
-            all.extend_from_slice(extra);
-            let mut out = Vec::new();
-            run(&parse_args(&args(&all)).unwrap(), &mut out).unwrap();
-            out
-        };
-        let serial = run_with(&["--json", "--metrics"]);
-        let parallel = run_with(&["--json", "--metrics", "--jobs", "4"]);
-        assert_eq!(serial, parallel);
-    }
-
-    #[test]
     fn parse_convert_command() {
         assert_eq!(
             parse_args(&args(&["convert", "in.jsonl", "out.iotb"])).unwrap(),
@@ -2081,35 +2053,26 @@ mod tests {
     }
 
     #[test]
-    fn iotb_analyze_is_byte_identical_to_jsonl_at_one_and_four_workers() {
-        // The tentpole acceptance bar: a converted binary trace must
-        // analyze to byte-identical report JSON *and* byte-identical
-        // metrics counters, serial and parallel.
+    fn iotb_analyze_is_byte_identical_to_jsonl() {
+        // A converted binary trace must analyze to byte-identical report
+        // JSON *and* byte-identical metrics counters.
         let file = sample_trace_file();
         let iotb = convert_to_iotb(&file.path, "identity", false);
-        for jobs in ["1", "4"] {
-            let run_path = |path: &str| {
-                let cmd = parse_args(&args(&[
-                    "analyze",
-                    path,
-                    "--mount",
-                    "/mnt/test",
-                    "--json",
-                    "--metrics",
-                    "--jobs",
-                    jobs,
-                ]))
-                .unwrap();
-                let mut out = Vec::new();
-                run(&cmd, &mut out).unwrap();
-                out
-            };
-            assert_eq!(
-                run_path(&file.path),
-                run_path(&iotb),
-                "jsonl vs iotb diverged at --jobs {jobs}"
-            );
-        }
+        let run_path = |path: &str| {
+            let cmd = parse_args(&args(&[
+                "analyze",
+                path,
+                "--mount",
+                "/mnt/test",
+                "--json",
+                "--metrics",
+            ]))
+            .unwrap();
+            let mut out = Vec::new();
+            run(&cmd, &mut out).unwrap();
+            out
+        };
+        assert_eq!(run_path(&file.path), run_path(&iotb), "jsonl vs iotb");
         let _ = std::fs::remove_file(&iotb);
     }
 
@@ -2198,10 +2161,10 @@ mod tests {
     }
 
     #[test]
-    fn indexed_convert_writes_v2_and_analyzes_byte_identical_at_all_job_counts() {
+    fn indexed_convert_writes_v2_and_analyzes_byte_identical() {
         // `convert --index` emits a v2 file (footer magic present), and
         // analyzing it renders byte-identical output to the JSONL
-        // original and the v1 container at every job count.
+        // original and the v1 container.
         let file = sample_trace_file();
         let v1 = convert_to_iotb(&file.path, "v2-identity", false);
         let v2 = convert_to_indexed_iotb(&file.path, "v2-identity");
@@ -2210,23 +2173,19 @@ mod tests {
             bytes.ends_with(&iocov_trace::IOTB_INDEX_FOOTER_MAGIC),
             "indexed container must end with the index footer magic"
         );
-        for jobs in ["1", "2", "4"] {
-            let run_path = |path: &str| {
-                run_bytes(&[
-                    "analyze",
-                    path,
-                    "--mount",
-                    "/mnt/test",
-                    "--json",
-                    "--metrics",
-                    "--jobs",
-                    jobs,
-                ])
-            };
-            let baseline = run_path(&file.path);
-            assert_eq!(baseline, run_path(&v1), "v1 diverged at --jobs {jobs}");
-            assert_eq!(baseline, run_path(&v2), "v2 diverged at --jobs {jobs}");
-        }
+        let run_path = |path: &str| {
+            run_bytes(&[
+                "analyze",
+                path,
+                "--mount",
+                "/mnt/test",
+                "--json",
+                "--metrics",
+            ])
+        };
+        let baseline = run_path(&file.path);
+        assert_eq!(baseline, run_path(&v1), "v1 diverged");
+        assert_eq!(baseline, run_path(&v2), "v2 diverged");
         let _ = std::fs::remove_file(&v1);
         let _ = std::fs::remove_file(&v2);
     }
@@ -2242,28 +2201,18 @@ mod tests {
 
     #[test]
     fn kill_and_resume_over_indexed_iotb_is_byte_identical() {
-        // Checkpoint/resume over the v2 container at --jobs 4 matches
-        // an uninterrupted run.
+        // Checkpoint/resume over the v2 container matches an
+        // uninterrupted run.
         let file = sample_trace_file();
         let v2 = convert_to_indexed_iotb(&file.path, "kill-resume");
         let ckpt = ckpt_path("v2-kill-resume");
-        let uninterrupted = run_bytes(&[
-            "analyze",
-            &v2,
-            "--mount",
-            "/mnt/test",
-            "--json",
-            "--jobs",
-            "4",
-        ]);
+        let uninterrupted = run_bytes(&["analyze", &v2, "--mount", "/mnt/test", "--json"]);
         let killed = run_bytes(&[
             "analyze",
             &v2,
             "--mount",
             "/mnt/test",
             "--json",
-            "--jobs",
-            "4",
             "--checkpoint-every",
             "2",
             "--checkpoint-file",
@@ -2279,8 +2228,6 @@ mod tests {
             "--mount",
             "/mnt/test",
             "--json",
-            "--jobs",
-            "4",
             "--checkpoint-every",
             "2",
             "--checkpoint-file",
@@ -2662,7 +2609,7 @@ mod tests {
             "--max-shard-restarts",
             "2",
             "--inject-panic",
-            "1:2:3",
+            "2:3",
             "--inject-io",
             "42:7",
         ]))
@@ -2674,14 +2621,7 @@ mod tests {
                 assert_eq!(robust.stop_after, Some(5));
                 assert_eq!(robust.shard_timeout, Some(30));
                 assert_eq!(robust.max_shard_restarts, Some(2));
-                assert_eq!(
-                    robust.inject_panic,
-                    Some(PanicSpec {
-                        shard: 1,
-                        tick: 2,
-                        times: 3
-                    })
-                );
+                assert_eq!(robust.inject_panic, Some(PanicSpec { tick: 2, times: 3 }));
                 assert_eq!(
                     robust.inject_io,
                     Some(IoFaultSpec {
@@ -2697,7 +2637,7 @@ mod tests {
             "analyze",
             "t.jsonl",
             "--inject-panic",
-            "0:0",
+            "0",
             "--inject-io",
             "9",
         ]))
@@ -2716,9 +2656,10 @@ mod tests {
         let bad = [
             vec!["analyze", "t", "--checkpoint-file", "c"],
             vec!["analyze", "t", "--checkpoint-every", "0"],
-            vec!["analyze", "t", "--inject-panic", "1"],
-            vec!["analyze", "t", "--inject-panic", "1:2:0"],
-            vec!["analyze", "t", "--inject-panic", "1:2:3:4"],
+            vec!["analyze", "t", "--inject-panic", "x"],
+            vec!["analyze", "t", "--inject-panic", "1:0"],
+            // The old SHARD:TICK:TIMES spelling has one field too many.
+            vec!["analyze", "t", "--inject-panic", "0:1:1"],
             vec!["analyze", "t", "--inject-io", "x"],
             vec!["analyze", "t", "--inject-io", "1:2:3"],
             vec!["analyze", "t", "--shard-timeout", "0"],
@@ -2881,31 +2822,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_parallel_analyze_matches_serial_batch() {
-        // Checkpointing over the worker pool — the other combination
-        // the old dispatch rejected — still renders byte-identically.
-        let file = sample_trace_file();
-        let baseline = run_bytes(&["analyze", &file.path, "--mount", "/mnt/test", "--json"]);
-        for jobs in ["2", "4"] {
-            let ckpt = ckpt_path(&format!("pool-ckpt-{jobs}"));
-            let pooled = run_bytes(&[
-                "analyze",
-                &file.path,
-                "--mount",
-                "/mnt/test",
-                "--json",
-                "--jobs",
-                jobs,
-                "--checkpoint-every",
-                "2",
-                "--checkpoint-file",
-                &ckpt,
-            ]);
-            assert_eq!(baseline, pooled, "--jobs {jobs}");
-        }
-    }
-
-    #[test]
     fn resume_against_wrong_container_format_is_rejected() {
         // A checkpoint cut over a JSONL trace indexes JSONL bytes;
         // resuming it against the .iotb conversion must be a structured
@@ -2993,54 +2909,46 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_loses_the_shards_events_since_its_restore_point() {
-        // Shard 0 panics on batch 1. With no checkpoint its restore
-        // point is the start of the run, so it loses batches 0 and 1 of
-        // its pids, goes on with batch 2, and the report is exactly the
-        // analysis of the events that survived.
+    fn injected_panic_loses_the_events_since_the_restore_point() {
+        // The shard panics on batch 1. With no checkpoint its restore
+        // point is the start of the run, so it loses batches 0 and 1,
+        // goes on with batch 2, and the report is exactly the analysis
+        // of the events that survived.
         let (file, events) = multi_batch_trace_file(3);
         let lost = 2 * iocov::DEFAULT_CHUNK;
-        for jobs in [1, 2] {
-            let survivors = events
-                .iter()
-                .enumerate()
-                .filter(|&(i, e)| i >= lost || !(e.pid as usize).is_multiple_of(jobs))
-                .map(|(_, e)| e.clone())
-                .collect();
-            let jobs = jobs.to_string();
-            let faulty = |extra: &[&str]| {
-                let mut all = vec!["analyze", &file.path, "--mount", "/mnt/test"];
-                all.extend(["--jobs", &jobs, "--inject-panic", "0:1"]);
-                all.extend(extra);
-                run_bytes(&all)
-            };
-            assert_eq!(
-                analyze_events(survivors),
-                faulty(&["--json"]),
-                "--jobs {jobs}"
-            );
-            let text = String::from_utf8(faulty(&["--metrics"])).unwrap();
-            assert!(
-                text.contains(&format!(
-                    "warning: shard 0 restarted 1 time; its pids are missing from {lost} events"
-                )),
-                "{text}"
-            );
-            assert!(text.contains(&format!("\"lost_events\": {lost}")), "{text}");
-            assert!(text.contains("\"gave_up\": false"), "{text}");
-            let read = format!(
-                "\n{} events read, {lost} lost to shard restarts; ",
-                events.len()
-            );
-            assert!(text.contains(&read), "{text}");
-        }
+        let faulty = |extra: &str| {
+            run_bytes(&[
+                "analyze",
+                &file.path,
+                "--mount",
+                "/mnt/test",
+                "--inject-panic",
+                "1",
+                extra,
+            ])
+        };
+        assert_eq!(analyze_events(events[lost..].to_vec()), faulty("--json"));
+        let text = String::from_utf8(faulty("--metrics")).unwrap();
+        assert!(
+            text.contains(&format!(
+                "warning: shard 0 restarted 1 time; its pids are missing from {lost} events"
+            )),
+            "{text}"
+        );
+        assert!(text.contains(&format!("\"lost_events\": {lost}")), "{text}");
+        assert!(text.contains("\"gave_up\": false"), "{text}");
+        let read = format!(
+            "\n{} events read, {lost} lost to shard restarts; ",
+            events.len()
+        );
+        assert!(text.contains(&read), "{text}");
     }
 
     #[test]
     fn exhausted_restarts_degrade_to_partial_report_not_abort() {
-        // `0:0:99` panics shard 0 on every batch: batches 0–2 spend the
-        // budget of 3 restarts and batch 3 gives it up. At one job every
-        // event is lost, so the report is that of an empty trace.
+        // `0:99` panics the shard on every batch: batches 0–2 spend the
+        // budget of 3 restarts and batch 3 gives it up. Every event is
+        // lost, so the report is that of an empty trace.
         let (file, events) = multi_batch_trace_file(4);
         let faulty = |extra: &str| {
             run_bytes(&[
@@ -3050,7 +2958,7 @@ mod tests {
                 "/mnt/test",
                 extra,
                 "--inject-panic",
-                "0:0:99",
+                "0:99",
             ])
         };
         assert_eq!(analyze_events(Vec::new()), faulty("--json"));

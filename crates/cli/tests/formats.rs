@@ -199,7 +199,7 @@ fn inapplicable_flags_exit_2_with_usage() {
     let dir = TempDir::new("formats-inapplicable");
     let trace = kernel_trace(&dir, "inapplicable", 0);
     let corrupt = fixture("corrupt_trace.jsonl");
-    let cases: [(&[&str], &str); 8] = [
+    let cases: [(&[&str], &str); 11] = [
         (
             &[
                 "tcd",
@@ -242,6 +242,20 @@ fn inapplicable_flags_exit_2_with_usage() {
             "unknown flag `--inject-corrupt-frame`",
         ),
         (&["worker"], "unknown command `worker`"),
+        // Analysis runs on one shard thread: `--jobs` takes only 1, and
+        // `--inject-panic` names no shard.
+        (
+            &["analyze", &trace, "--jobs", "2"],
+            "--jobs takes only 1: analysis runs on one shard thread",
+        ),
+        (
+            &["analyze", &trace, "--jobs", "64"],
+            "--jobs takes only 1: analysis runs on one shard thread",
+        ),
+        (
+            &["analyze", &trace, "--inject-panic", "0:1:1"],
+            "bad --inject-panic value `0:1:1` (want TICK[:TIMES])",
+        ),
     ];
     for (all, message) in cases {
         let output = iocov(all, None);

@@ -1,11 +1,10 @@
 //! Property: the serialized analysis report is byte-identical across
 //! every cell of the pipeline matrix —
-//! {jsonl, jsonl-lossy, iotb, iotb-indexed-v2} × {jobs 1, jobs 2, jobs 4} ×
-//! {--metrics on/off} × {straight run, checkpoint kill/resume} —
-//! seeded from the checked-in corrupt fixture, a converted
-//! Syzkaller-style trace, and a bit-flipped copy of each one's v2
-//! container. One `PipelineBuilder` path serves every flag
-//! combination, and none of them may perturb the output.
+//! {jsonl, jsonl-lossy, iotb, iotb-indexed-v2} × {--metrics on/off} ×
+//! {straight run, checkpoint kill/resume} — seeded from the checked-in
+//! corrupt fixture, a converted Syzkaller-style trace, and a bit-flipped
+//! copy of each one's v2 container. One `PipelineBuilder` path serves
+//! every flag combination, and none of them may perturb the output.
 
 mod common;
 
@@ -53,8 +52,8 @@ fn to_indexed_iotb(dir: &TempDir, input: &str, tag: &str, lossy: bool) -> String
 }
 
 /// A copy of the v2 container at `path` with one bit of the first
-/// record's `timestamp_ns` flipped. The record still decodes, so
-/// every job count reads the flipped value and renders one report.
+/// record's `timestamp_ns` flipped. The record still decodes, so the
+/// run reads the flipped value and renders a report.
 fn flip_first_timestamp_bit(dir: &TempDir, path: &str, tag: &str) -> String {
     let mut bytes = std::fs::read(path).unwrap();
     let count = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
@@ -79,8 +78,7 @@ struct SeedCase {
 }
 
 /// Every source-shape cell, over files in `dir`. `--metrics` stays out
-/// of the fixed flags so both metrics states diff against the same
-/// serial reference.
+/// of the fixed flags so both metrics states run over every source.
 fn seed_cases(dir: &TempDir) -> Vec<SeedCase> {
     let corrupt = fixture("corrupt_trace.jsonl");
     let corrupt_iotb = to_iotb(dir, &corrupt, "corrupt", true);
@@ -140,40 +138,14 @@ fn seed_cases(dir: &TempDir) -> Vec<SeedCase> {
 }
 
 /// The `analyze` invocation for one matrix cell.
-fn cell_args(case: &SeedCase, jobs: usize, metrics: bool, extra: &[String]) -> Vec<String> {
+fn cell_args(case: &SeedCase, metrics: bool, extra: &[String]) -> Vec<String> {
     let mut all = args(&["analyze", &case.path, "--json"]);
     all.extend(case.fixed.iter().cloned());
-    if jobs > 1 {
-        all.push("--jobs".into());
-        all.push(jobs.to_string());
-    }
     if metrics {
         all.push("--metrics".into());
     }
     all.extend(extra.iter().cloned());
     all
-}
-
-/// Straight runs: every executor × metrics cell matches the serial
-/// cell of the same source, byte for byte (metrics cells are compared
-/// to the serial *metrics* cell, since the document embeds the
-/// counters). Deterministic, so a plain test rather than a property.
-#[test]
-fn every_executor_cell_is_byte_identical() {
-    let dir = TempDir::new("matrix-prop");
-    for case in &seed_cases(&dir) {
-        for metrics in [false, true] {
-            let baseline = run_bytes(&cell_args(case, 1, metrics, &[]));
-            for jobs in [2usize, 4] {
-                let out = run_bytes(&cell_args(case, jobs, metrics, &[]));
-                assert_eq!(
-                    out, baseline,
-                    "{} diverged at {} jobs (metrics: {})",
-                    case.label, jobs, metrics
-                );
-            }
-        }
-    }
 }
 
 /// The flipped timestamp never reaches the report: the bit-flipped v2
@@ -184,7 +156,7 @@ fn bit_flipped_v2_reports_like_the_clean_file() {
     let cases = seed_cases(&dir);
     let report = |label: &str| {
         let case = cases.iter().find(|case| case.label == label);
-        run_bytes(&cell_args(case.unwrap(), 1, false, &[]))
+        run_bytes(&cell_args(case.unwrap(), false, &[]))
     };
     assert_eq!(
         report("iotb-indexed-bitflip-strict"),
@@ -195,28 +167,26 @@ fn bit_flipped_v2_reports_like_the_clean_file() {
 proptest! {
     /// Checkpoint kill/resume: killing a run at a generated event count
     /// and resuming from its checkpoint renders byte-identically to the
-    /// uninterrupted run, for every source shape and worker count.
+    /// uninterrupted run, for every source shape.
     #[test]
     fn kill_resume_cells_are_byte_identical(
         every in 1u64..4,
         extra in 0u64..3,
-        jobs_idx in 0usize..3,
         metrics in any::<bool>(),
     ) {
         // Both seed traces hold at least 4 events; keeping
         // `every <= stop <= 4` guarantees the kill fires after at least
         // one checkpoint cut, so the resume file always exists.
         let stop = (every + extra).min(4);
-        let jobs = [1usize, 2, 4][jobs_idx];
         let dir = TempDir::new("matrix-prop");
         for case in &seed_cases(&dir) {
-            let baseline = run_bytes(&cell_args(case, jobs, metrics, &[]));
+            let baseline = run_bytes(&cell_args(case, metrics, &[]));
             let ckpt = dir.path(&format!("ck-{}.iockpt", case.label));
             let ck_flags = args(&["--checkpoint-every", &every.to_string(), "--checkpoint-file", &ckpt]);
             let mut kill_flags = ck_flags.clone();
             kill_flags.push("--stop-after-events".into());
             kill_flags.push(stop.to_string());
-            let killed = run_bytes(&cell_args(case, jobs, metrics, &kill_flags));
+            let killed = run_bytes(&cell_args(case, metrics, &kill_flags));
             let text = String::from_utf8(killed).unwrap();
             prop_assert!(
                 text.starts_with("stopped after"),
@@ -225,11 +195,11 @@ proptest! {
             let mut resume_flags = ck_flags;
             resume_flags.push("--resume".into());
             resume_flags.push(ckpt.clone());
-            let resumed = run_bytes(&cell_args(case, jobs, metrics, &resume_flags));
+            let resumed = run_bytes(&cell_args(case, metrics, &resume_flags));
             prop_assert_eq!(
                 &resumed, &baseline,
-                "{} diverged after resume (every {}, stop {}, jobs {}, metrics {})",
-                case.label, every, stop, jobs, metrics
+                "{} diverged after resume (every {}, stop {}, metrics {})",
+                case.label, every, stop, metrics
             );
         }
     }

@@ -1,7 +1,9 @@
 //! Byte-identity referees on the real `iocov` binary that no other test
 //! target holds: the committed `baseline_pr7` reports and skip ledger,
-//! traces read from a pipe, kill/resume and the restart budget across
-//! checkpoint cuts, and restarts on the ~1.39M-event many-pid trace.
+//! traces read from a pipe, kill/resume (also from a committed
+//! checkpoint cut by the pid-sharded build) and the restart budget
+//! across checkpoint cuts, and restarts on the ~1.39M-event many-pid
+//! trace.
 //!
 //! The many-pid cell is `#[ignore]`d for its size; run every cell with
 //! `cargo test --release -p iocov -p iocov-cli -p iocov-bench --
@@ -120,23 +122,43 @@ fn corrupt_containers(dir: &TempDir) -> [String; 3] {
 
 /// The columnar batch path moves no report byte relative to the
 /// per-event implementation it replaced: `fixtures/baseline_pr7/` holds
-/// the reports the pre-batch release binary rendered over the corrupt
-/// fixture in every container format, at 1 and 4 jobs.
+/// the reports the pre-batch release binary rendered at one job over
+/// the corrupt fixture in every container format.
 #[test]
 fn corrupt_fixture_renders_the_baseline_pr7_reports() {
     let dir = TempDir::new("referees-baseline");
     let [jsonl, v1, v2] = corrupt_containers(&dir);
-    for jobs in ["1", "4"] {
-        for (trace, name) in [
-            (&jsonl, "jsonl"),
-            (&v1, "iotb-v1"),
-            (&v2, "iotb-v2-indexed"),
-        ] {
-            let out = analyze(trace, &["--lossy", "--json", "--jobs", jobs]);
-            let golden = fixture(&format!("baseline_pr7/{name}-jobs{jobs}.json"));
-            assert_eq!(out, fs::read_to_string(&golden).unwrap(), "{golden}");
-        }
+    for (trace, name) in [
+        (&jsonl, "jsonl"),
+        (&v1, "iotb-v1"),
+        (&v2, "iotb-v2-indexed"),
+    ] {
+        let out = analyze(trace, &["--lossy", "--json"]);
+        let golden = fixture(&format!("baseline_pr7/{name}-jobs1.json"));
+        assert_eq!(out, fs::read_to_string(&golden).unwrap(), "{golden}");
     }
+}
+
+/// Checkpoints carry no shard count: `corrupt_trace.jobs2.iockpt`, cut
+/// by the pid-sharded release build at `--jobs 2` (`--lossy
+/// --checkpoint-every 2 --stop-after-events 3`, after 2 events), resumes
+/// on the one-shard build to the bytes of the uninterrupted report,
+/// which is also the committed one-job baseline. `--jobs 1` and a
+/// tick-only `--inject-panic 1:1`, which faults no batch of this
+/// four-event trace, run as before.
+#[test]
+fn checkpoint_cut_at_two_jobs_resumes_to_the_uninterrupted_report() {
+    let dir = TempDir::new("referees-jobs2-checkpoint");
+    let ckpt = dir.path("jobs2.iockpt");
+    fs::copy(fixture("corrupt_trace.jobs2.iockpt"), &ckpt).unwrap();
+    let corrupt = fixture("corrupt_trace.jsonl");
+    let uninterrupted = analyze(&corrupt, &["--lossy", "--json"]);
+    let golden = fs::read_to_string(fixture("baseline_pr7/jsonl-jobs1.json")).unwrap();
+    assert_eq!(uninterrupted, golden);
+    let resumed = analyze(&corrupt, &["--lossy", "--json", "--resume", &ckpt]);
+    assert_eq!(resumed, uninterrupted);
+    let flags = ["--lossy", "--json", "--jobs", "1", "--inject-panic", "1:1"];
+    assert_eq!(analyze(&corrupt, &flags), uninterrupted);
 }
 
 /// Analysis reads the indexed container with the serial cursor of v1
@@ -146,21 +168,20 @@ fn corrupt_fixture_renders_the_baseline_pr7_reports() {
 fn indexed_and_plain_copies_render_one_metrics_document() {
     let dir = TempDir::new("referees-indexed");
     let [_, v1, v2] = corrupt_containers(&dir);
-    let flags = ["--json", "--metrics", "--jobs", "4"];
+    let flags = ["--json", "--metrics"];
     assert_eq!(analyze(&v2, &flags), analyze(&v1, &flags));
 }
 
-/// Killed after 3 events at four jobs while checkpointing every 2, then
-/// resumed at four jobs: the v1 copy renders its one-job report, the
-/// indexed copy its four-job report.
+/// Killed after 3 events while checkpointing every 2, then resumed:
+/// both the v1 and the indexed copy render their uninterrupted report.
 #[test]
-fn kill_and_resume_at_four_jobs_over_both_containers() {
+fn kill_and_resume_over_both_containers() {
     let dir = TempDir::new("referees-resume");
     let [_, v1, v2] = corrupt_containers(&dir);
-    for (trace, reference_jobs) in [(&v1, "1"), (&v2, "4")] {
+    for trace in [&v1, &v2] {
         let ckpt = format!("{trace}.iockpt");
-        let reference = analyze(trace, &["--json", "--jobs", reference_jobs]);
-        let cut = ["--json", "--jobs", "4", "--checkpoint-every", "2"];
+        let reference = analyze(trace, &["--json"]);
+        let cut = ["--json", "--checkpoint-every", "2"];
         let cut = [&cut[..], &["--checkpoint-file", &ckpt]].concat();
         let killed = analyze(trace, &[&cut[..], &["--stop-after-events", "3"]].concat());
         assert!(killed.contains("stopped after"), "{trace}: {killed}");
@@ -169,10 +190,9 @@ fn kill_and_resume_at_four_jobs_over_both_containers() {
     }
 }
 
-/// The restart budget is per shard per run at every job count:
-/// checkpoint cuts do not hand a shard a fresh ledger. Six one-event
-/// batches: three panics spend the budget, the fourth gives it up, and
-/// all six events are lost.
+/// The restart budget is per run: checkpoint cuts do not hand the shard
+/// a fresh ledger. Six one-event batches: three panics spend the
+/// budget, the fourth gives it up, and all six events are lost.
 #[test]
 fn restart_budget_spans_checkpoint_cuts() {
     let dir = TempDir::new("referees-budget");
@@ -180,17 +200,10 @@ fn restart_budget_spans_checkpoint_cuts() {
     let budget = dir.path("budget.jsonl");
     fs::write(&budget, [&smoke[..], &smoke[..]].concat()).unwrap();
     let ckpt = dir.path("budget.iockpt");
-    let cut = [
-        "--jobs",
-        "2",
-        "--checkpoint-every",
-        "1",
-        "--checkpoint-file",
-        &ckpt,
-    ];
+    let cut = ["--checkpoint-every", "1", "--checkpoint-file", &ckpt];
     let out = analyze(
         &budget,
-        &[&cut[..], &["--metrics", "--inject-panic", "0:0:99"]].concat(),
+        &[&cut[..], &["--metrics", "--inject-panic", "0:99"]].concat(),
     );
     for want in [
         "gave up after 3 restarts",
@@ -203,28 +216,14 @@ fn restart_budget_spans_checkpoint_cuts() {
     assert!(out.lines().any(|l| l.starts_with(summary)), "{out}");
 }
 
-/// The pid of one JSONL trace line.
-fn pid_of(line: &str) -> u32 {
-    let at = line.find("\"pid\":").expect("a pid field") + "\"pid\":".len();
-    let digits = &line[at..];
-    let end = digits
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(digits.len());
-    digits[..end].parse().expect("a numeric pid")
-}
-
 /// Writes to `out` the lines of the JSONL trace at `jsonl` that a
-/// restart of shard 0 (of `jobs`) from the start of the run keeps when
-/// its first `lost` lines are lost: every line from `lost` on, and
-/// before it the lines of the other shards' pids (`pid % jobs != 0`).
-fn survivors(jsonl: &str, lost: usize, jobs: u32, out: &str) {
+/// restart from the start of the run keeps when its first `lost` lines
+/// are lost.
+fn survivors(jsonl: &str, lost: usize, out: &str) {
     let mut writer = BufWriter::new(File::create(out).unwrap());
     let reader = BufReader::new(File::open(jsonl).unwrap());
-    for (i, line) in reader.lines().enumerate() {
-        let line = line.unwrap();
-        if i >= lost || !pid_of(&line).is_multiple_of(jobs) {
-            writeln!(writer, "{line}").unwrap();
-        }
+    for line in reader.lines().skip(lost) {
+        writeln!(writer, "{}", line.unwrap()).unwrap();
     }
     writer.flush().unwrap();
 }
@@ -232,13 +231,13 @@ fn survivors(jsonl: &str, lost: usize, jobs: u32, out: &str) {
 /// Restarts on the many-pid trace (~1.39M events in 4096-event
 /// batches): a shard that exhausts its budget degrades to an empty
 /// report plus a failure manifest; a panic at batch 25 loses batches
-/// 0–25 of shard 0's pids and nothing after; and with a checkpoint
-/// every 100000 events, a panic at batch 10 of the first interval still
-/// restores to the start of the run. `untested` and `combos` print the
-/// same over the JSONL and indexed `.iotb` copies.
+/// 0–25 and nothing after; and with a checkpoint every 100000 events, a
+/// panic at batch 10 of the first interval still restores to the start
+/// of the run. `untested` and `combos` print the same over the JSONL and
+/// indexed `.iotb` copies.
 #[test]
 #[ignore = "writes ~270 MB and analyzes ~1.39M events several times; run in release"]
-fn many_pid_trace_restarts_lose_exactly_shard_zeros_events() {
+fn many_pid_trace_restarts_lose_exactly_the_events_since_the_restore_point() {
     let dir = TempDir::new("referees-many-pid");
     let jsonl = dir.path("restore.jsonl");
     let iotb = dir.path("restore.iotb");
@@ -255,9 +254,9 @@ fn many_pid_trace_restarts_lose_exactly_shard_zeros_events() {
         assert_eq!(of(&jsonl), of(&iotb), "{cmd}");
     }
 
-    // Batches 0–2 spend the budget and batch 3 gives it up, so at one
-    // job every event is lost; the summary counts the events read.
-    let out = analyze(&iotb, &["--metrics", "--inject-panic", "0:0:99"]);
+    // Batches 0–2 spend the budget and batch 3 gives it up, so every
+    // event is lost; the summary counts the events read.
+    let out = analyze(&iotb, &["--metrics", "--inject-panic", "0:99"]);
     assert!(out.contains("gave up"), "{out}");
     assert!(out.contains("\"gave_up\": true"), "{out}");
     let summary = "1387545 events read, 1387545 lost to shard restarts; 0 scanned";
@@ -265,30 +264,21 @@ fn many_pid_trace_restarts_lose_exactly_shard_zeros_events() {
     let empty = dir.path("empty.jsonl");
     fs::write(&empty, "").unwrap();
     assert_eq!(
-        analyze(&iotb, &["--json", "--inject-panic", "0:0:99"]),
+        analyze(&iotb, &["--json", "--inject-panic", "0:99"]),
         analyze(&empty, &["--json"])
     );
 
     let kept = dir.path("survivors.jsonl");
-    for jobs in [1, 2] {
-        survivors(&jsonl, 26 * 4096, jobs, &kept);
-        let jobs = jobs.to_string();
-        let panic = ["--json", "--jobs", &jobs, "--inject-panic", "0:25"];
-        assert_eq!(
-            analyze(&iotb, &panic),
-            analyze(&kept, &["--json"]),
-            "--jobs {jobs}"
-        );
-    }
-    survivors(&jsonl, 11 * 4096, 2, &kept);
+    survivors(&jsonl, 26 * 4096, &kept);
+    let panic = ["--json", "--inject-panic", "25"];
+    assert_eq!(analyze(&iotb, &panic), analyze(&kept, &["--json"]));
+    survivors(&jsonl, 11 * 4096, &kept);
     let panic = [
         "--json",
-        "--jobs",
-        "2",
         "--checkpoint-every",
         "100000",
         "--inject-panic",
-        "0:10",
+        "10",
     ];
     assert_eq!(analyze(&iotb, &panic), analyze(&kept, &["--json"]));
 }

@@ -12,8 +12,8 @@
 //! * from one analyzer scanning the batches, with its pid states
 //!   snapshotted and restored at a chosen batch (restore must drop the
 //!   last-pid cache, since it lays the states out anew);
-//! * from sessions at one to three shards, which coalesce batches
-//!   below the parallel threshold by re-interning their names.
+//! * from a session, which coalesces batches below the parallel
+//!   threshold by re-interning their names.
 //!
 //! Per-name plans change nothing either: over rows of every in-domain
 //! call whose arguments are missing, of the wrong type or out of range,
@@ -300,29 +300,26 @@ proptest! {
                 let states = scan.pid_states();
                 scan.restore_pid_states(&states);
             }
-            scan.push_batch(batch, |_| true);
+            scan.push_batch(batch);
         }
         prop_assert_eq!(&bytes(&scan.finish(), &scan_metrics.snapshot()), &expected);
 
-        for jobs in 1..=3 {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let mut session = PipelineBuilder::new(TraceFilter::mount_point(MOUNT).unwrap())
-                .mount(Some(MOUNT.to_owned()))
-                .jobs(jobs)
-                .metrics(Arc::clone(&metrics))
-                .build_session();
-            for batch in batches(&events, &sizes) {
-                session.feed(batch);
-            }
-            let (report, failures) = session.finish();
-            prop_assert!(failures.is_empty());
-            // Sessions also count the batches they were fed.
-            let mut snapshot = metrics.snapshot();
-            prop_assert_eq!(snapshot.batched_events, events.len() as u64);
-            snapshot.batched_events = 0;
-            snapshot.allocs_estimated = 0;
-            prop_assert_eq!(&bytes(&report, &snapshot), &expected, "jobs {}", jobs);
+        let metrics = Arc::new(PipelineMetrics::default());
+        let mut session = PipelineBuilder::new(TraceFilter::mount_point(MOUNT).unwrap())
+            .mount(Some(MOUNT.to_owned()))
+            .metrics(Arc::clone(&metrics))
+            .build_session();
+        for batch in batches(&events, &sizes) {
+            session.feed(batch);
         }
+        let (report, failures) = session.finish();
+        prop_assert!(failures.is_empty());
+        // Sessions also count the batches they were fed.
+        let mut snapshot = metrics.snapshot();
+        prop_assert_eq!(snapshot.batched_events, events.len() as u64);
+        snapshot.batched_events = 0;
+        snapshot.allocs_estimated = 0;
+        prop_assert_eq!(&bytes(&report, &snapshot), &expected);
     }
 
     #[test]

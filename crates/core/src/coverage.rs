@@ -235,8 +235,8 @@ impl AnalysisReport {
     /// traces into a suite total).
     ///
     /// Keys are cloned only when genuinely new to `self`: merges are
-    /// dominated by already-present keys (every shard sees the same
-    /// partitions), so the common path is a lookup plus an add.
+    /// dominated by already-present keys (every stream or suite sees
+    /// the same partitions), so the common path is a lookup plus an add.
     pub fn merge(&mut self, other: &AnalysisReport) {
         self.filter_stats.total += other.filter_stats.total;
         self.filter_stats.kept += other.filter_stats.kept;

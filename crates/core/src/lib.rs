@@ -26,7 +26,7 @@
 //! That per-event step is the only place the relevance rules run and
 //! coverage accumulates. Two drivers feed it: [`Iocov::analyze`] loops
 //! over an in-memory trace, and an [`AnalysisSession`] feeds decoded
-//! batches across shards, checkpoints and restarts.
+//! batches to its shard thread, across checkpoints and restarts.
 //!
 //! # Quick start
 //!
@@ -130,8 +130,8 @@ pub use iocov_syscalls::{BaseSyscall, Sysno};
 /// The top-level facade: a configured filter, and the serial
 /// whole-trace driver of [`StreamingAnalyzer`].
 ///
-/// Sessions feed the same per-event step from batches, shards and
-/// checkpoints; this one-loop driver over owned events is the oracle
+/// Sessions feed the same per-event step from batches on a shard
+/// thread, across checkpoints; this one-loop driver over owned events is the oracle
 /// they are checked against. See the [crate-level
 /// documentation](crate) for a full example.
 #[derive(Debug, Clone, Default)]

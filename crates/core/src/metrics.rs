@@ -6,14 +6,15 @@
 //! black box into an accounted funnel — events read, parse-skipped,
 //! filter-dropped (by [`DropReason`]), variant-merged, and
 //! per-partition-family record counts — using relaxed atomic counters so
-//! one instance can be shared (via `Arc`) across every shard of a
-//! parallel run. Because each counter is a commutative sum,
-//! [`PipelineMetrics::snapshot`] of a parallel run is **identical** to a
-//! serial run over the same trace, down to the serialized bytes.
+//! one instance can be shared (via `Arc`) by the caller's thread, the
+//! session's shard thread and `serve`'s streams. Because each counter
+//! is a commutative sum, [`PipelineMetrics::snapshot`] of a session is
+//! **identical** to a serial run over the same trace, down to the
+//! serialized bytes.
 //!
 //! Wall-clock stage timers ride along for performance work but live
-//! outside the snapshot: time is the one thing a parallel run is
-//! supposed to change.
+//! outside the snapshot: time is the one thing that differs from run to
+//! run.
 //!
 //! ```
 //! use iocov::{PipelineBuilder, PipelineMetrics, TraceFilter};
@@ -21,7 +22,6 @@
 //!
 //! let metrics = Arc::new(PipelineMetrics::default());
 //! let session = PipelineBuilder::new(TraceFilter::keep_all())
-//!     .jobs(4)
 //!     .metrics(Arc::clone(&metrics))
 //!     .build_session();
 //! let (_report, failures) = session.finish();
@@ -160,8 +160,8 @@ impl PipelineMetrics {
     /// rows, whose owned `Vec<TraceEvent>` representation would have
     /// cost an estimated `allocs` heap allocations (the batch amortizes
     /// them into O(columns) buffers). Recorded once per source batch by
-    /// the session feed — never inside a shard — so snapshots stay
-    /// byte-identical at every shard count.
+    /// the session feed — never inside the shard — so a restarted shard
+    /// cannot count a batch twice.
     pub fn record_batch(&self, events: u64, allocs: u64) {
         self.batched_events.fetch_add(events, Ordering::Relaxed);
         self.allocs_estimated.fetch_add(allocs, Ordering::Relaxed);
@@ -195,7 +195,7 @@ impl PipelineMetrics {
     ///
     /// Deliberately *not* part of [`snapshot`](Self::snapshot): timings
     /// are nondeterministic, and the snapshot must be byte-identical
-    /// between serial and parallel runs.
+    /// between a session and a serial run.
     #[must_use]
     pub fn stage_timings(&self) -> BTreeMap<String, u64> {
         self.stage_nanos
@@ -221,7 +221,7 @@ impl PipelineMetrics {
 
     /// Sums a snapshot's counters into this instance.
     ///
-    /// This is how supervised shards report: each shard *incarnation*
+    /// This is how the supervised shard reports: each *incarnation*
     /// accumulates into a private `PipelineMetrics` and the supervisor
     /// absorbs the snapshot only from a restore point at a cut — so the
     /// events a failed incarnation counted before crashing, which its
@@ -343,24 +343,24 @@ impl Drop for StageTimer<'_> {
 
 /// One entry in the supervised pipeline's shard-failure manifest.
 ///
-/// A record is written for every shard that failed at least once, and
-/// the report is then partial: a failed shard restarts from its restore
-/// point (its state at the last cut) and its pids' events since that
-/// point are missing. `gave_up: false` means a restart went on with the
-/// next batch; `gave_up: true` means the shard exhausted its restart
-/// budget and its pids are missing from its restore point on.
+/// A record is written when the shard failed at least once, and the
+/// report is then partial: a failed shard restarts from its restore
+/// point (its state at the last cut) and its events since that point are
+/// missing. `gave_up: false` means a restart went on with the next
+/// batch; `gave_up: true` means the shard exhausted its restart budget
+/// and every event from its restore point on is missing.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardFailureRecord {
-    /// Shard index (`pid % workers`).
+    /// Always 0: a session has one shard. Kept so the manifest lines
+    /// and `MetricsSnapshot` bytes stay what they were when analysis
+    /// was sharded by pid.
     pub shard: usize,
     /// Restarts performed for this shard.
     pub restarts: u32,
     /// Whether the restart budget ran out.
     pub gave_up: bool,
     /// Trace events handed to the shard after a restore point that its
-    /// state does not hold. Every shard is handed every event, so only
-    /// the shard's own pids among them are missing from the report; at
-    /// one job that is all of them.
+    /// state does not hold: all of them are missing from the report.
     #[serde(default)]
     pub lost_events: u64,
     /// The last failure observed (panic message or stall description).
@@ -370,7 +370,7 @@ pub struct ShardFailureRecord {
 /// A deterministic, serializable view of [`PipelineMetrics`].
 ///
 /// Snapshots sum commutatively ([`PipelineMetrics::absorb`]), so
-/// aggregating per-suite or per-shard snapshots in any order yields the
+/// aggregating per-suite or per-stream snapshots in any order yields the
 /// same totals.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
@@ -385,8 +385,8 @@ pub struct MetricsSnapshot {
     /// Partition records written, by partition family.
     pub partition_records: BTreeMap<String, u64>,
     /// Events that entered the analysis stage packed in columnar
-    /// batches. A per-event sum, so it is identical across job counts,
-    /// decode paths, and checkpoint schedules (batch boundaries follow
+    /// batches. A per-event sum, so it is identical across decode paths
+    /// and checkpoint schedules (batch boundaries follow
     /// the pull schedule, so no batch count is kept).
     #[serde(default)]
     pub batched_events: u64,
@@ -401,9 +401,9 @@ pub struct MetricsSnapshot {
     /// by the supervisor).
     #[serde(default)]
     pub shard_restarts: u64,
-    /// Per-shard failure manifest: one entry for every shard that needed
-    /// restarting, whether or not it eventually succeeded. Empty on a
-    /// fault-free run, so serial and parallel snapshots stay
+    /// Shard failure manifest: one entry for every session whose shard
+    /// needed restarting, whether or not it eventually succeeded. Empty
+    /// on a fault-free run, so session and serial snapshots stay
     /// byte-identical.
     #[serde(default)]
     pub shard_failures: Vec<ShardFailureRecord>,

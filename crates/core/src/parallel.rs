@@ -1,29 +1,26 @@
 //! The shard supervisor: the one execution engine behind every
 //! [`AnalysisSession`](crate::AnalysisSession).
 //!
-//! Every piece of state the analysis carries between events is
-//! per-process: the trace filter's descriptor-provenance map and cwd
-//! relevance live in a per-pid entry, and coverage accumulation is a sum
-//! of per-event contributions. A trace can therefore be sharded *by pid*
-//! with no cross-shard communication: shard `w` of `n` runs an ordinary
-//! [`StreamingAnalyzer`] over the events with `pid % n == w`, in trace
-//! order, and the shard reports are combined with
-//! [`AnalysisReport::merge`]. Because every aggregate in a report is an
-//! order-independent sum over `BTreeMap`s, the merged report is
-//! **identical** to a serial run — same keys, same counts, same
-//! serialized bytes — at any shard count.
+//! A session analyzes on one *shard*: an ordinary [`StreamingAnalyzer`]
+//! on a persistent `iocov-shard` thread, fed the caller's batches in
+//! trace order. The caller decodes (or simulates) batch *k + 1* while
+//! the shard analyzes batch *k*; that overlap is the only parallelism
+//! within one trace. The caller's thread costs at least as much CPU as
+//! the shard's on every input measured (EXPERIMENTS.md, "One shard
+//! thread"), so splitting the shard's work across more threads could
+//! not shorten a run.
 //!
 //! # Supervision
 //!
 //! [`ShardSupervisor`] owns, once, everything supervision needs:
 //!
-//! * a per-shard [`RestartLedger`] (restarts, `gave_up`, events lost,
-//!   last error) that lasts the whole run, so
-//!   [`SupervisorPolicy::max_restarts`] is a budget per shard per run and
-//!   a shard that gave up stays given up;
-//! * one *restore point* per shard: a clone of the shard's analyzer and
-//!   private metrics at the last cut, seeded from the resumed
-//!   checkpoint's pid states (or empty);
+//! * the [`RestartLedger`] (restarts, `gave_up`, events lost, last
+//!   error), which lasts the whole run, so
+//!   [`SupervisorPolicy::max_restarts`] is a budget per run and a shard
+//!   that gave up stays given up;
+//! * the *restore point*: a clone of the shard's analyzer and private
+//!   metrics at the last cut, seeded from the resumed checkpoint's pid
+//!   states (or empty);
 //! * the hook ticks: each batch's ordinal since the last cut, sent with
 //!   its scan job, so a restart does not reset them;
 //! * metrics absorption: each incarnation counts into a private
@@ -32,10 +29,10 @@
 //!   with it;
 //! * the [`ShardFailureRecord`] manifest.
 //!
-//! Analysis is a deterministic fold, so a batch that panicked a shard
+//! Analysis is a deterministic fold, so a batch that panicked the shard
 //! would panic it again: nothing is replayed. A failed shard (panic
 //! caught with `catch_unwind`, stall declared by the watchdog, spawn
-//! failure) is charged to its ledger and, after exponential backoff,
+//! failure) is charged to the ledger and, after exponential backoff,
 //! restarts from a copy of its restore point. It loses its events since
 //! that point and goes on with the next batch: a panicked thread hands
 //! its job queue to the new incarnation, so only the batches it had
@@ -47,28 +44,25 @@
 //! # Cuts
 //!
 //! A *cut* ([`cut`](ShardSupervisor::cut) at a checkpoint or snapshot,
-//! and finish) syncs every live shard, clones each one into its restore
-//! point, and rebases: hook ticks count from zero again, and the restore
-//! points' counters move into the shared metrics, so a checkpoint
+//! and finish) syncs the live shard, clones it into its restore point,
+//! and rebases: hook ticks count from zero again, and the restore
+//! point's counters move into the shared metrics, so a checkpoint
 //! document's counters cover exactly its report. The cumulative report
-//! is the resumed base report merged with every restore point's report,
-//! and the cumulative pid states are the union of theirs. Shard threads
-//! persist across cuts.
+//! is the resumed base report merged with the restore point's, and the
+//! cumulative pid states are the restore point's. The shard thread
+//! persists across cuts.
 //!
 //! # Transport
 //!
-//! The shards are `n` persistent `iocov-shard-N` threads, spawned on the
-//! first dispatch and fed over bounded queues of depth
-//! [`PIPELINE_DEPTH`]: every thread receives the same `Arc<EventBatch>`
-//! and keeps only its own pids, so the caller decodes (or simulates)
-//! batch *k + 1* while the shards analyze batch *k*. Batches smaller
-//! than [`PARALLEL_THRESHOLD`] are coalesced first. A cut is a mark job
-//! on the same queue, answered with the thread's clone. With
+//! The shard thread is spawned on the first dispatch and fed over a
+//! bounded queue of depth [`PIPELINE_DEPTH`]. Batches smaller than
+//! [`PARALLEL_THRESHOLD`] are coalesced first. A cut is a mark job on
+//! the same queue, answered with the thread's clone. With
 //! [`SupervisorPolicy::shard_timeout`] set, a shard that stops
 //! heartbeating is declared stalled and abandoned with its queue. Finish
-//! joins the live threads, so none outlives its session: the next
-//! session's threads then reuse their stacks and malloc arenas instead
-//! of racing their exit for fresh ones.
+//! joins the live thread, so none outlives its session: the next
+//! session's thread then reuses its stack and malloc arena instead of
+//! racing its exit for fresh ones.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -87,18 +81,18 @@ use crate::coverage::AnalysisReport;
 use crate::metrics::{PipelineMetrics, ShardFailureRecord};
 use crate::streaming::StreamingAnalyzer;
 
-/// A progress hook observed by every shard before it scans a batch:
-/// `(shard, tick)`, where `tick` is the batch's ordinal counted from the
-/// last cut. Fault injection (`iocov-faults`) plugs in here to panic or
-/// stall a specific shard at a specific point.
-pub type ShardHook = Arc<dyn Fn(usize, u64) + Send + Sync>;
+/// A progress hook the shard calls before it scans a batch, with the
+/// batch's `tick`: its ordinal counted from the last cut. Fault
+/// injection (`iocov-faults`) plugs in here to panic or stall the shard
+/// at a specific point.
+pub type ShardHook = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// Restart budget, backoff curve, and stall watchdog for supervised
 /// shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorPolicy {
-    /// Restarts allowed per shard per run before it is abandoned
-    /// (`gave_up`).
+    /// Restarts allowed per run before the shard is abandoned
+    /// (`gave_up`). `serve` applies the same budget to each stream.
     pub max_restarts: u32,
     /// Backoff before the first restart; doubles per restart.
     pub base_backoff: Duration,
@@ -235,11 +229,11 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 /// analyzing this few events.
 pub const PARALLEL_THRESHOLD: usize = 1024;
 
-/// Bounded depth of each shard thread's job queue: the caller may run at
-/// most this many batches ahead of the slowest shard.
+/// Bounded depth of the shard thread's job queue: the caller may run at
+/// most this many batches ahead of the shard.
 pub const PIPELINE_DEPTH: usize = 2;
 
-/// One shard's restart ledger, kept for the whole run.
+/// The shard's restart ledger, kept for the whole run.
 #[derive(Debug, Clone, Default)]
 struct RestartLedger {
     restarts: u32,
@@ -273,10 +267,10 @@ impl RestartLedger {
         true
     }
 
-    /// Shard `shard`'s failure-manifest record, if it ever failed.
-    fn record(&self, shard: usize) -> Option<ShardFailureRecord> {
+    /// The shard's failure-manifest record, if it ever failed.
+    fn record(&self) -> Option<ShardFailureRecord> {
         (self.restarts > 0 || self.gave_up).then(|| ShardFailureRecord {
-            shard,
+            shard: 0,
             restarts: self.restarts,
             gave_up: self.gave_up,
             lost_events: self.lost_events,
@@ -285,9 +279,9 @@ impl RestartLedger {
     }
 }
 
-/// One shard incarnation: an analyzer over the shard's pids and its
-/// private metrics. A live incarnation scans batches; a *restore point*
-/// is a clone of one, taken at a cut, that restarts copy from.
+/// One shard incarnation: an analyzer and its private metrics. A live
+/// incarnation scans batches; a *restore point* is a clone of one, taken
+/// at a cut, that restarts copy from.
 struct Incarnation {
     analyzer: StreamingAnalyzer,
     /// Absorbed into the shared metrics only from a restore point at a
@@ -298,14 +292,13 @@ struct Incarnation {
 }
 
 impl Incarnation {
-    /// A fresh incarnation seeded with `states`, counting into a private
-    /// metrics instance when the run has metrics.
+    /// `analyzer` seeded with `states`, counting into a private metrics
+    /// instance when the run has metrics.
     fn seeded(
-        empty: &StreamingAnalyzer,
+        mut analyzer: StreamingAnalyzer,
         states: &BTreeMap<u32, PidStateSnapshot>,
         metered: bool,
     ) -> Self {
-        let mut analyzer = empty.clone();
         analyzer.restore_pid_states(states);
         let mut incarnation = Incarnation {
             analyzer,
@@ -324,28 +317,14 @@ impl Incarnation {
         self.local = Some(metrics);
     }
 
-    /// Scans shard `w` of `n`'s events out of batch `tick`, walking the
-    /// shared columns by reference.
-    fn scan(
-        &mut self,
-        batch: &EventBatch,
-        tick: u64,
-        w: usize,
-        n: usize,
-        hook: Option<&ShardHook>,
-    ) {
+    /// Scans batch `tick`, walking its columns by reference.
+    fn scan(&mut self, batch: &EventBatch, tick: u64, hook: Option<&ShardHook>) {
         if let Some(hook) = hook {
-            hook(w, tick);
+            hook(tick);
         }
         self.scanned += batch.len() as u64;
-        // Each shard times its own scan, so the "analyze" stage total is
-        // summed across shards (CPU time, not wall clock).
         let _timer = self.local.as_deref().map(|m| m.time_stage("analyze"));
-        if n == 1 {
-            self.analyzer.push_batch(batch, |_| true);
-        } else {
-            self.analyzer.push_batch(batch, |pid| pid as usize % n == w);
-        }
+        self.analyzer.push_batch(batch);
     }
 
     /// A deep copy that counts on apart from `self`: the analyzer, and a
@@ -385,7 +364,7 @@ impl Incarnation {
     }
 }
 
-/// A job on a shard thread's queue.
+/// A job on the shard thread's queue.
 enum Job {
     /// Scan a batch at its tick.
     Scan(Arc<EventBatch>, u64),
@@ -393,7 +372,7 @@ enum Job {
     Mark,
 }
 
-/// A shard thread's reply, sent on its done channel.
+/// The shard thread's reply, sent on its done channel.
 enum Reply {
     Marked(Box<Incarnation>),
     /// The scan panicked; the thread hands back its queue, holding the
@@ -401,7 +380,7 @@ enum Reply {
     Panicked(String, Receiver<Job>),
 }
 
-/// A shard thread's job queue, both ends.
+/// The shard thread's job queue, both ends.
 type Queue = (SyncSender<Job>, Receiver<Job>);
 
 /// A failed incarnation: the error, and the job queue a panicked thread
@@ -411,7 +390,7 @@ struct Failure {
     queue: Option<Receiver<Job>>,
 }
 
-/// What a shard thread's reply says: a restore point, a failure, or
+/// What the shard thread's reply says: a restore point, a failure, or
 /// (`Err(None)`) nothing yet.
 fn answer(reply: Result<Reply, RecvTimeoutError>) -> Result<Box<Incarnation>, Option<Failure>> {
     let (msg, queue) = match reply {
@@ -424,41 +403,85 @@ fn answer(reply: Result<Reply, RecvTimeoutError>) -> Result<Box<Incarnation>, Op
     Err(Some(Failure { error, queue }))
 }
 
-/// One live shard thread as the supervisor sees it.
+/// The live shard thread as the supervisor sees it. Dropping a slot
+/// abandons its thread: a stalled one exits on its own once it wakes to
+/// a closed queue.
 struct Slot {
-    /// Job queue sender; `None` once the shard is abandoned.
-    jobs: Option<SyncSender<Job>>,
+    jobs: SyncSender<Job>,
     /// Reply channel from the thread.
     done: Receiver<Reply>,
     /// Bumped by the thread after every job — the liveness signal the
     /// stall watchdog reads.
     heartbeat: Arc<AtomicU64>,
-    /// The thread, joined at finish; an abandoned slot drops it and
-    /// lets a stalled thread exit on its own.
-    thread: Option<JoinHandle<()>>,
+    /// [`SupervisorPolicy::shard_timeout`].
+    timeout: Option<Duration>,
+    /// The thread, joined at finish.
+    thread: JoinHandle<()>,
 }
 
 impl Slot {
-    /// A slot with no thread behind it (the shard gave up): every
-    /// interaction sees a dead channel.
-    fn dead() -> Self {
-        let (_, done) = sync_channel(1);
-        Slot {
-            jobs: None,
-            done,
-            heartbeat: Arc::new(AtomicU64::new(0)),
-            thread: None,
+    /// Waits for `event` from the thread, declaring it stalled once its
+    /// heartbeat has not moved for the shard timeout.
+    fn watch<T>(
+        &self,
+        mut event: impl FnMut() -> Result<T, Option<Failure>>,
+    ) -> Result<T, Failure> {
+        let mut last_beat = self.heartbeat.load(Ordering::Relaxed);
+        let mut progress_at = Instant::now();
+        loop {
+            match event() {
+                Ok(value) => return Ok(value),
+                Err(Some(failure)) => return Err(failure),
+                Err(None) => {}
+            }
+            if let Some(limit) = self.timeout {
+                let beat = self.heartbeat.load(Ordering::Relaxed);
+                if beat != last_beat {
+                    last_beat = beat;
+                    progress_at = Instant::now();
+                } else if progress_at.elapsed() >= limit {
+                    let error = ShardError::Stalled {
+                        waited: progress_at.elapsed(),
+                    };
+                    return Err(Failure { error, queue: None });
+                }
+            }
         }
+    }
+
+    /// Offers one job to the queue, spinning while it is full. A full
+    /// queue may be a panicked thread's, so the spin waits on its reply
+    /// channel.
+    fn offer(&self, job: Job) -> Result<(), Failure> {
+        let mut job = Some(job);
+        self.watch(|| {
+            match self
+                .jobs
+                .try_send(job.take().expect("job present until sent"))
+            {
+                Ok(()) => return Ok(()),
+                Err(TrySendError::Full(back) | TrySendError::Disconnected(back)) => {
+                    job = Some(back);
+                }
+            }
+            // No mark is outstanding here, so any reply is a failure.
+            answer(self.done.recv_timeout(Duration::from_micros(200))).and(Err(None))
+        })
+    }
+
+    /// Waits for the thread's reply to a mark job.
+    fn await_mark(&self) -> Result<Box<Incarnation>, Failure> {
+        self.watch(|| answer(self.done.recv_timeout(Duration::from_millis(20))))
     }
 }
 
-/// Supervised pid-sharded analysis; see the [module docs](self).
+/// Supervised analysis on one shard thread; see the [module docs](self).
 pub(crate) struct ShardSupervisor {
     metrics: Option<Arc<PipelineMetrics>>,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
-    /// One entry per shard, for the whole run.
-    ledger: Vec<RestartLedger>,
+    /// The restart ledger, for the whole run.
+    ledger: RestartLedger,
     /// Batches dispatched since the last cut: the next batch's tick.
     ticks: u64,
     /// Events dispatched since the last cut.
@@ -466,53 +489,39 @@ pub(crate) struct ShardSupervisor {
     /// The resumed checkpoint's report (or empty), merged into every
     /// cumulative report.
     base_report: AnalysisReport,
-    /// Each shard's restore point: its state at the last cut.
-    restore: Vec<Incarnation>,
-    /// Live shard threads; spawned on the first dispatch.
-    slots: Vec<Slot>,
+    /// The shard's restore point: its state at the last cut.
+    restore: Incarnation,
+    /// The live shard thread: spawned on the first dispatch, `None`
+    /// before it and once the shard has given up.
+    slot: Option<Slot>,
     /// Coalescing buffer for batches below [`PARALLEL_THRESHOLD`].
     pending: EventBatch,
 }
 
 impl ShardSupervisor {
-    /// A supervisor over `shards` pid shards, each a copy of the `empty`
-    /// analyzer, whose base is `seed`'s `(report, pid states)`, or empty.
+    /// A supervisor over one shard, a copy of the `empty` analyzer,
+    /// whose base is `seed`'s `(report, pid states)`, or empty.
     pub(crate) fn new(
         empty: StreamingAnalyzer,
-        shards: usize,
         policy: SupervisorPolicy,
         hook: Option<ShardHook>,
         metrics: Option<Arc<PipelineMetrics>>,
         seed: Option<(AnalysisReport, BTreeMap<u32, PidStateSnapshot>)>,
     ) -> Self {
-        let n = shards.max(1);
         let (base_report, base_states) = seed.unwrap_or_default();
-        let restore = (0..n)
-            .map(|w| {
-                let states: BTreeMap<u32, PidStateSnapshot> = base_states
-                    .iter()
-                    .filter(|(&pid, _)| pid as usize % n == w)
-                    .map(|(&pid, state)| (pid, state.clone()))
-                    .collect();
-                Incarnation::seeded(&empty, &states, metrics.is_some())
-            })
-            .collect();
+        let restore = Incarnation::seeded(empty, &base_states, metrics.is_some());
         ShardSupervisor {
             metrics,
             policy,
             hook,
-            ledger: vec![RestartLedger::default(); n],
+            ledger: RestartLedger::default(),
             ticks: 0,
             events: 0,
             base_report,
             restore,
-            slots: Vec::new(),
+            slot: None,
             pending: EventBatch::new(),
         }
-    }
-
-    fn shards(&self) -> usize {
-        self.ledger.len()
     }
 
     /// Feeds one batch. A full batch goes out as it is, after any
@@ -536,32 +545,21 @@ impl ShardSupervisor {
     /// everything pushed so far.
     pub(crate) fn cut(&mut self) -> (AnalysisReport, BTreeMap<u32, PidStateSnapshot>) {
         self.mark();
-        let mut states = BTreeMap::new();
-        for point in &self.restore {
-            states.extend(point.analyzer.pid_states());
-        }
-        (self.report(), states)
+        (self.report(), self.restore.analyzer.pid_states())
     }
 
     /// Drains the supervisor: the final report and the shard-failure
-    /// manifest (also recorded in the metrics), one record per shard
-    /// that restarted or gave up.
+    /// manifest (also recorded in the metrics), one record if the shard
+    /// restarted or gave up.
     pub(crate) fn finish(mut self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
         self.mark();
-        // Every live thread has just answered the mark, so it exits as
+        // The live thread has just answered the mark, so it exits as
         // soon as its queue closes.
-        for slot in &mut self.slots {
-            slot.jobs = None;
-            if let Some(thread) = slot.thread.take() {
-                let _ = thread.join();
-            }
+        if let Some(Slot { jobs, thread, .. }) = self.slot.take() {
+            drop(jobs);
+            let _ = thread.join();
         }
-        let failures: Vec<ShardFailureRecord> = self
-            .ledger
-            .iter()
-            .enumerate()
-            .filter_map(|(w, ledger)| ledger.record(w))
-            .collect();
+        let failures = Vec::from_iter(self.ledger.record());
         if let Some(metrics) = &self.metrics {
             for failure in &failures {
                 metrics.record_shard_failure(failure.clone());
@@ -570,82 +568,76 @@ impl ShardSupervisor {
         (self.report(), failures)
     }
 
-    /// The base report merged with every restore point's.
+    /// The base report merged with the restore point's.
     fn report(&self) -> AnalysisReport {
         let mut report = self.base_report.clone();
-        for point in &self.restore {
-            report.merge(&point.analyzer.report());
-        }
+        report.merge(&self.restore.analyzer.report());
         report
     }
 
     /// The one cut (see the [module docs](self#cuts)): flushes the
-    /// coalescing buffer, makes each live shard's clone its restore
-    /// point, and charges each shard the events since the last cut that
-    /// its new restore point does not hold. A shard that fails even now
-    /// is restarted first. The restore points' counters then move into
+    /// coalescing buffer, makes the live shard's clone its restore
+    /// point, and charges the ledger the events since the last cut that
+    /// the new restore point does not hold. A shard that fails even now
+    /// is restarted first. The restore point's counters then move into
     /// the shared metrics.
     fn mark(&mut self) {
         self.flush_pending();
-        for w in 0..self.slots.len() {
-            // Whether a restart took over a queue that holds the mark
-            // job already.
-            let mut queued = false;
-            while !self.ledger[w].gave_up {
-                if !queued {
-                    if let Err(failure) = self.offer(w, Job::Mark) {
-                        self.recover(w, failure);
-                        continue;
-                    }
-                }
-                match self.await_mark(w) {
-                    Ok(point) => {
-                        self.ledger[w].lost_events += self.events - point.scanned;
-                        self.restore[w] = *point;
-                        break;
-                    }
-                    Err(failure) => queued = self.recover(w, failure),
+        // Whether a restart took over a queue that holds the mark job
+        // already.
+        let mut queued = false;
+        while let Some(slot) = &self.slot {
+            if !queued {
+                if let Err(failure) = slot.offer(Job::Mark) {
+                    self.recover(failure);
+                    continue;
                 }
             }
-            if self.ledger[w].gave_up {
-                self.ledger[w].lost_events += self.events;
+            match slot.await_mark() {
+                Ok(point) => {
+                    self.ledger.lost_events += self.events - point.scanned;
+                    self.restore = *point;
+                    break;
+                }
+                Err(failure) => queued = self.recover(failure),
             }
         }
-        for point in &mut self.restore {
-            if let (Some(shared), Some(ended)) = (&self.metrics, point.rebase()) {
-                shared.absorb(&ended.snapshot());
-                shared.absorb_stage_timings(&ended.stage_timings());
-            }
+        if self.ledger.gave_up {
+            self.ledger.lost_events += self.events;
+        }
+        if let (Some(shared), Some(ended)) = (&self.metrics, self.restore.rebase()) {
+            shared.absorb(&ended.snapshot());
+            shared.absorb_stage_timings(&ended.stage_timings());
         }
         (self.ticks, self.events) = (0, 0);
     }
 
-    /// Charges one failure of shard `w` to its run-long budget. Returns
-    /// `true` once the backoff has passed and the shard may restart,
-    /// `false` when it has given up.
-    fn charge(&mut self, w: usize, error: String) -> bool {
-        self.ledger[w].charge(error, &self.policy, self.metrics.as_deref())
+    /// Charges one failure to the run-long budget. Returns `true` once
+    /// the backoff has passed and the shard may restart, `false` when it
+    /// has given up.
+    fn charge(&mut self, error: String) -> bool {
+        self.ledger
+            .charge(error, &self.policy, self.metrics.as_deref())
     }
 
-    /// Spawns one thread running a copy of shard `w`'s restore point on
-    /// `queue`, or on a fresh one.
-    fn spawn_slot(&self, w: usize, queue: Option<Queue>) -> std::io::Result<Slot> {
-        let n = self.shards();
+    /// Spawns one thread running a copy of the restore point on `queue`,
+    /// or on a fresh one.
+    fn spawn_slot(&self, queue: Option<Queue>) -> std::io::Result<Slot> {
         let (jobs, queue) = queue.unwrap_or_else(|| sync_channel(PIPELINE_DEPTH));
         let (replies, done) = sync_channel::<Reply>(1);
         let heartbeat = Arc::new(AtomicU64::new(0));
-        let mut incarnation = self.restore[w].copy();
+        let mut incarnation = self.restore.copy();
         let beat = Arc::clone(&heartbeat);
         let hook = self.hook.clone();
         let thread = std::thread::Builder::new()
-            .name(format!("iocov-shard-{w}"))
+            .name("iocov-shard".to_owned())
             .spawn(move || {
                 while let Ok(job) = queue.recv() {
                     match job {
                         Job::Scan(batch, tick) => {
                             let scan = catch_unwind(AssertUnwindSafe(|| {
                                 let _supervised = SupervisedScanGuard::enter();
-                                incarnation.scan(&batch, tick, w, n, hook.as_ref());
+                                incarnation.scan(&batch, tick, hook.as_ref());
                             }));
                             if let Err(payload) = scan {
                                 let msg = panic_message(payload.as_ref());
@@ -664,123 +656,64 @@ impl ShardSupervisor {
                 }
             })?;
         Ok(Slot {
-            jobs: Some(jobs),
+            jobs,
             done,
             heartbeat,
-            thread: Some(thread),
+            timeout: self.policy.shard_timeout,
+            thread,
         })
     }
 
-    /// A live slot for shard `w` on `queue` (or a fresh one), charging
-    /// the budget on spawn failure; a shard that has given up gets a
-    /// dead slot. Also returns whether the slot runs on `queue`.
-    fn spawned_slot(&mut self, w: usize, mut queue: Option<Queue>) -> (Slot, bool) {
+    /// A live slot on `queue` (or a fresh one), charging the budget on
+    /// spawn failure; `None` once the shard has given up. Also returns
+    /// whether the slot runs on `queue`.
+    fn spawned_slot(&mut self, mut queue: Option<Queue>) -> (Option<Slot>, bool) {
         let mut kept = queue.is_some();
-        while !self.ledger[w].gave_up {
-            match self.spawn_slot(w, queue.take()) {
-                Ok(slot) => return (slot, kept),
+        while !self.ledger.gave_up {
+            match self.spawn_slot(queue.take()) {
+                Ok(slot) => return (Some(slot), kept),
                 Err(e) => {
                     kept = false;
-                    self.charge(w, format!("spawn shard worker: {e}"));
+                    self.charge(format!("spawn shard worker: {e}"));
                 }
             }
         }
-        (Slot::dead(), false)
+        (None, false)
     }
 
-    /// Charges a failure of shard `w`'s thread, then respawns it from
-    /// its restore point or abandons it. A panicked thread's queue goes
-    /// to the new thread, which takes the jobs the failed one never
-    /// began; a stalled thread keeps its own and, once its sender is
-    /// dropped, drains it and exits alone. Returns whether the new
-    /// thread took over the queue.
-    fn recover(&mut self, w: usize, failure: Failure) -> bool {
-        let jobs = self.slots[w].jobs.take();
-        if !self.charge(w, failure.error.to_string()) {
-            self.slots[w] = Slot::dead();
+    /// Charges a failure of the shard thread, then respawns it from its
+    /// restore point or abandons it. A panicked thread's queue goes to
+    /// the new thread, which takes the jobs the failed one never began;
+    /// a stalled thread keeps its own and, once its sender is dropped,
+    /// drains it and exits alone. Returns whether the new thread took
+    /// over the queue.
+    fn recover(&mut self, failure: Failure) -> bool {
+        let jobs = self.slot.take().expect("a live shard failed").jobs;
+        if !self.charge(failure.error.to_string()) {
             return false;
         }
-        let (slot, kept) = self.spawned_slot(w, jobs.zip(failure.queue));
-        self.slots[w] = slot;
+        let (slot, kept) = self.spawned_slot(failure.queue.map(|queue| (jobs, queue)));
+        self.slot = slot;
         kept
     }
 
-    /// Waits for `event` from shard `w`'s thread, declaring it stalled
-    /// once its heartbeat has not moved for the policy's shard timeout.
-    fn watch<T>(
-        &self,
-        w: usize,
-        mut event: impl FnMut() -> Result<T, Option<Failure>>,
-    ) -> Result<T, Failure> {
-        let heartbeat = &self.slots[w].heartbeat;
-        let mut last_beat = heartbeat.load(Ordering::Relaxed);
-        let mut progress_at = Instant::now();
-        loop {
-            match event() {
-                Ok(value) => return Ok(value),
-                Err(Some(failure)) => return Err(failure),
-                Err(None) => {}
-            }
-            if let Some(limit) = self.policy.shard_timeout {
-                let beat = heartbeat.load(Ordering::Relaxed);
-                if beat != last_beat {
-                    last_beat = beat;
-                    progress_at = Instant::now();
-                } else if progress_at.elapsed() >= limit {
-                    let error = ShardError::Stalled {
-                        waited: progress_at.elapsed(),
-                    };
-                    return Err(Failure { error, queue: None });
-                }
-            }
-        }
-    }
-
-    /// Offers one job to shard `w`'s queue, spinning while it is full.
-    /// A full queue may be a panicked thread's, so the spin waits on its
-    /// reply channel.
-    fn offer(&self, w: usize, job: Job) -> Result<(), Failure> {
-        let slot = &self.slots[w];
-        let jobs = slot.jobs.as_ref().expect("a shard that has not given up");
-        let mut job = Some(job);
-        self.watch(w, || {
-            match jobs.try_send(job.take().expect("job present until sent")) {
-                Ok(()) => return Ok(()),
-                Err(TrySendError::Full(back) | TrySendError::Disconnected(back)) => {
-                    job = Some(back);
-                }
-            }
-            // No mark is outstanding here, so any reply is a failure.
-            answer(slot.done.recv_timeout(Duration::from_micros(200))).and(Err(None))
-        })
-    }
-
-    /// Waits for shard `w`'s reply to a mark job.
-    fn await_mark(&self, w: usize) -> Result<Box<Incarnation>, Failure> {
-        let done = &self.slots[w].done;
-        self.watch(w, || answer(done.recv_timeout(Duration::from_millis(20))))
-    }
-
-    /// Hands one batch, with its tick, to every shard thread that has
-    /// not given up, restarting a failed one first. Blocks only when a
-    /// queue is [`PIPELINE_DEPTH`] batches behind — the backpressure that
-    /// bounds memory to `depth × batch` per shard.
+    /// Hands one batch, with its tick, to the shard thread (spawning it
+    /// on the first batch) unless the shard has given up, restarting a
+    /// failed thread first. Blocks only when the queue is
+    /// [`PIPELINE_DEPTH`] batches behind — the backpressure that bounds
+    /// memory to `depth × batch`.
     fn dispatch(&mut self, batch: Arc<EventBatch>) {
-        if self.slots.is_empty() {
-            self.slots = (0..self.shards())
-                .map(|w| self.spawned_slot(w, None).0)
-                .collect();
+        if self.slot.is_none() && !self.ledger.gave_up {
+            self.slot = self.spawned_slot(None).0;
         }
         let tick = self.ticks;
         self.ticks += 1;
         self.events += batch.len() as u64;
-        for w in 0..self.shards() {
-            while !self.ledger[w].gave_up {
-                let Err(failure) = self.offer(w, Job::Scan(Arc::clone(&batch), tick)) else {
-                    break;
-                };
-                self.recover(w, failure);
-            }
+        while let Some(slot) = &self.slot {
+            let Err(failure) = slot.offer(Job::Scan(Arc::clone(&batch), tick)) else {
+                break;
+            };
+            self.recover(failure);
         }
     }
 
@@ -865,15 +798,15 @@ mod tests {
         events
     }
 
-    /// A hook that panics shard `shard` on the first `times` batches it
-    /// scans at or past tick `tick`, then disarms (mirrors the CLI's
+    /// A hook that panics on the first `times` batches the shard scans
+    /// at or past tick `tick`, then disarms (mirrors the CLI's
     /// `--inject-panic` drill on `iocov_faults::DrillTrigger::fire_from`,
     /// which this crate cannot depend on).
-    fn panic_hook(shard: usize, tick: u64, times: u64) -> ShardHook {
+    fn panic_hook(tick: u64, times: u64) -> ShardHook {
         let fired = Arc::new(AtomicU64::new(0));
-        Arc::new(move |w, t| {
-            if w == shard && t >= tick && fired.fetch_add(1, Ordering::SeqCst) < times {
-                panic!("injected test panic (shard {w}, tick {t})");
+        Arc::new(move |t| {
+            if t >= tick && fired.fetch_add(1, Ordering::SeqCst) < times {
+                panic!("injected test panic (tick {t})");
             }
         })
     }
@@ -909,11 +842,9 @@ mod tests {
         serde_json::to_string(report).unwrap()
     }
 
-    /// A session at `jobs` shards with the fast-retry policy.
-    fn builder(jobs: usize) -> PipelineBuilder {
-        PipelineBuilder::new(filter())
-            .jobs(jobs)
-            .policy(fast_policy())
+    /// A session with the fast-retry policy.
+    fn builder() -> PipelineBuilder {
+        PipelineBuilder::new(filter()).policy(fast_policy())
     }
 
     /// Feeds `events` in `chunk`-sized owned batches and finishes.
@@ -930,31 +861,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_clamp_to_one_shard() {
-        let supervisor = ShardSupervisor::new(
-            StreamingAnalyzer::unfiltered(),
-            0,
-            SupervisorPolicy::default(),
-            None,
-            None,
-            None,
-        );
-        assert_eq!(supervisor.shards(), 1);
-    }
-
-    #[test]
-    fn one_job_scans_on_a_shard_thread() {
-        // With or without a stall watchdog, a one-job session scans on
-        // `iocov-shard-0`, never the caller.
+    fn sessions_scan_on_the_shard_thread() {
+        // With or without a stall watchdog, a session scans on
+        // `iocov-shard`, never the caller.
         let events = multi_pid_trace(3, 4);
         let watched = fast_policy().with_shard_timeout(Duration::from_secs(60));
         for (cell, session) in [
-            ("watchdog", builder(1).policy(watched)),
-            ("supervised", builder(1)),
+            ("watchdog", builder().policy(watched)),
+            ("supervised", builder()),
         ] {
             let names = Arc::new(std::sync::Mutex::new(std::collections::BTreeSet::new()));
             let seen = Arc::clone(&names);
-            let hook: ShardHook = Arc::new(move |_, _| {
+            let hook: ShardHook = Arc::new(move |_| {
                 let name = std::thread::current().name().map(str::to_owned);
                 seen.lock().unwrap().insert(name);
             });
@@ -963,33 +881,23 @@ mod tests {
             let names = names.lock().unwrap();
             assert_eq!(
                 names.iter().collect::<Vec<_>>(),
-                [&Some("iocov-shard-0".to_owned())],
+                [&Some("iocov-shard".to_owned())],
                 "{cell}"
             );
         }
     }
 
     #[test]
-    fn sharded_matches_serial_at_every_job_count() {
-        // Byte-identical at 1–8 shards, with more shards than pids at
-        // the top end, both as one whole-trace batch and chunked small
+    fn session_matches_serial() {
+        // Byte-identical both as one whole-trace batch and chunked small
         // enough to coalesce.
         let events = multi_pid_trace(5, 4);
         let expected = json(&serial(&events));
-        for jobs in 1..=8 {
-            for chunk in [events.len(), 7] {
-                let (report, failures) = run_chunked(builder(jobs), &events, chunk);
-                assert!(failures.is_empty());
-                assert_eq!(
-                    expected,
-                    json(&report),
-                    "diverged at {jobs} jobs, chunk {chunk}"
-                );
-            }
+        for chunk in [events.len(), 7] {
+            let (report, failures) = run_chunked(builder(), &events, chunk);
+            assert!(failures.is_empty());
+            assert_eq!(expected, json(&report), "diverged at chunk {chunk}");
         }
-        let few_pids = multi_pid_trace(2, 2);
-        let (report, _) = run_chunked(builder(8), &few_pids, few_pids.len());
-        assert_eq!(serial(&few_pids), report);
     }
 
     #[test]
@@ -997,27 +905,18 @@ mod tests {
         // Batches big enough to dispatch without coalescing.
         let events = multi_pid_trace(7, 60);
         assert!(events.len() >= 2 * PARALLEL_THRESHOLD);
-        let expected = json(&serial(&events));
-        for jobs in 1..=4 {
-            let (report, _) = run_chunked(builder(jobs), &events, PARALLEL_THRESHOLD);
-            assert_eq!(expected, json(&report), "diverged at {jobs} jobs");
-        }
+        let (report, _) = run_chunked(builder(), &events, PARALLEL_THRESHOLD);
+        assert_eq!(json(&serial(&events)), json(&report));
     }
 
     #[test]
     fn columnar_and_owned_feeds_mix() {
         let events = multi_pid_trace(5, 8);
         let (left, right) = events.split_at(events.len() / 2);
-        for jobs in [1, 3] {
-            let mut session = builder(jobs).build_session();
-            session.feed(EventBatch::from_events(left));
-            session.feed_owned(right.to_vec());
-            assert_eq!(
-                serial(&events),
-                session.finish().0,
-                "diverged at {jobs} jobs"
-            );
-        }
+        let mut session = builder().build_session();
+        session.feed(EventBatch::from_events(left));
+        session.feed_owned(right.to_vec());
+        assert_eq!(serial(&events), session.finish().0);
     }
 
     #[test]
@@ -1045,95 +944,74 @@ mod tests {
             128,
         );
         write.pid = 6;
-        for jobs in [1, 4] {
-            let mut session = builder(jobs).build_session();
-            for event in [&open, &dup, &write] {
-                session.feed_owned(vec![event.clone()]);
-            }
-            let (report, _) = session.finish();
-            assert_eq!(report.input_coverage(ArgName::WriteCount).calls, 1);
-            assert_eq!(report.filter_stats.kept, 3);
+        let mut session = builder().build_session();
+        for event in [&open, &dup, &write] {
+            session.feed_owned(vec![event.clone()]);
         }
+        let (report, _) = session.finish();
+        assert_eq!(report.input_coverage(ArgName::WriteCount).calls, 1);
+        assert_eq!(report.filter_stats.kept, 3);
     }
 
     #[test]
     fn snapshot_mid_stream_then_more_batches_matches_serial() {
-        // A snapshot is a cut: it must merge every shard and leave the
+        // A snapshot is a cut: it must sync the shard and leave the
         // stream able to continue to the serial report.
         let events = multi_pid_trace(7, 40);
         let (left, right) = events.split_at(events.len() / 3);
-        for jobs in [1, 3, 4] {
-            let mut session = builder(jobs).build_session();
-            session.feed_owned(left.to_vec());
-            assert_eq!(session.snapshot().filter_stats.total, left.len());
-            session.feed_owned(right.to_vec());
-            assert_eq!(
-                serial(&events),
-                session.finish().0,
-                "diverged at {jobs} jobs"
-            );
-        }
+        let mut session = builder().build_session();
+        session.feed_owned(left.to_vec());
+        assert_eq!(session.snapshot().filter_stats.total, left.len());
+        session.feed_owned(right.to_vec());
+        assert_eq!(serial(&events), session.finish().0);
     }
 
     #[test]
     fn empty_session_finishes_to_default_report() {
-        for jobs in [1, 4] {
-            let (report, failures) = builder(jobs).build_session().finish();
-            assert_eq!(report, AnalysisReport::default());
-            assert!(failures.is_empty());
-        }
+        let (report, failures) = builder().build_session().finish();
+        assert_eq!(report, AnalysisReport::default());
+        assert!(failures.is_empty());
     }
 
     #[test]
-    fn parallel_metrics_snapshot_matches_serial_byte_for_byte() {
-        // The acceptance bar: counters from a 4-shard run must be
-        // *byte-identical* to a serial run over the same trace — large
-        // enough to clear PARALLEL_THRESHOLD so real threads race on the
-        // shared atomics.
+    fn session_metrics_match_serial_byte_for_byte() {
+        // Counters from a session large enough to clear
+        // PARALLEL_THRESHOLD match a serial run's, but for the
+        // batch-shape sums, which are recorded by the session's feed
+        // that the whole-trace analyzer does not have.
         let events = multi_pid_trace(7, 40);
         assert!(events.len() >= PARALLEL_THRESHOLD);
         let (expected, s) = serial_metered(&events);
         assert!(s.events_read > 0 && s.total_dropped() > 0);
-        let mut snapshots = Vec::new();
-        for jobs in [1, 4] {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let mut session = builder(jobs).metrics(Arc::clone(&metrics)).build_session();
-            session.feed_owned(events.clone());
-            assert_eq!(expected, session.finish().0);
-            snapshots.push(metrics.snapshot());
-        }
-        assert_eq!(
-            serde_json::to_string(&snapshots[0]).unwrap(),
-            serde_json::to_string(&snapshots[1]).unwrap(),
-            "metrics snapshots must be byte-identical"
-        );
-        // The batch-shape sums are recorded by the session's feed, which
-        // the whole-trace analyzer does not have; every other counter
-        // matches it.
-        let mut p = snapshots.swap_remove(0);
+        let metrics = Arc::new(PipelineMetrics::default());
+        let mut session = builder().metrics(Arc::clone(&metrics)).build_session();
+        session.feed_owned(events.clone());
+        assert_eq!(expected, session.finish().0);
+        let mut p = metrics.snapshot();
         assert_eq!(p.batched_events, events.len() as u64);
         (p.batched_events, p.allocs_estimated) = (0, 0);
-        assert_eq!(s, p);
+        assert_eq!(
+            serde_json::to_string(&s).unwrap(),
+            serde_json::to_string(&p).unwrap()
+        );
     }
 
     #[test]
     fn shared_metrics_across_chunked_feeds_sum_to_trace_totals() {
         let events = multi_pid_trace(4, 3);
-        for jobs in [1, 3] {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let (report, _) = run_chunked(builder(jobs).metrics(Arc::clone(&metrics)), &events, 5);
-            let snap = metrics.snapshot();
-            assert_eq!(snap.events_read, events.len() as u64);
-            // Filter-stage drops account for exactly the events not kept
-            // (unknown-syscall drops happen after the filter, inside kept).
-            assert_eq!(
-                snap.events_read
-                    - snap.filter_dropped["wrong-mount"]
-                    - snap.filter_dropped["irrelevant-fd"],
-                report.filter_stats.kept as u64
-            );
-            assert!(metrics.stage_timings().contains_key("analyze"));
-        }
+        let metrics = Arc::new(PipelineMetrics::default());
+        let (report, _) = run_chunked(builder().metrics(Arc::clone(&metrics)), &events, 5);
+        let snap = metrics.snapshot();
+        assert_eq!(snap.events_read, events.len() as u64);
+        // Filter-stage drops account for exactly the events not kept
+        // (unknown-syscall drops happen after the filter, inside kept).
+        assert_eq!(
+            snap.events_read
+                - snap.filter_dropped["wrong-mount"]
+                - snap.filter_dropped["irrelevant-fd"],
+            report.filter_stats.kept as u64
+        );
+        assert!(metrics.stage_timings().contains_key("analyze"));
     }
 
     #[test]
@@ -1146,48 +1024,37 @@ mod tests {
         let (small, full) = events.split_at(163);
         assert!(full.len() >= PARALLEL_THRESHOLD);
         let (expected, serial_counters) = serial_metered(&events);
-        for jobs in [1, 2] {
-            let ticks = Arc::new(std::sync::Mutex::new(Vec::new()));
-            let seen = Arc::clone(&ticks);
-            let hook: ShardHook = Arc::new(move |w, t| {
-                if w == 0 {
-                    seen.lock().unwrap().push(t);
-                }
-            });
-            let metrics = Arc::new(PipelineMetrics::default());
-            let mut session = builder(jobs)
-                .metrics(Arc::clone(&metrics))
-                .hook(hook)
-                .build_session();
-            session.feed(EventBatch::from_events(small));
-            session.feed(EventBatch::from_events(full));
-            let (report, failures) = session.finish();
-            assert!(failures.is_empty());
-            assert_eq!(*ticks.lock().unwrap(), [0, 1], "jobs {jobs}");
-            assert_eq!(expected, report, "jobs {jobs}");
-            let mut counters = metrics.snapshot();
-            assert_eq!(counters.batched_events, events.len() as u64);
-            (counters.batched_events, counters.allocs_estimated) = (0, 0);
-            assert_eq!(serial_counters, counters, "jobs {jobs}");
-        }
+        let ticks = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&ticks);
+        let hook: ShardHook = Arc::new(move |t| seen.lock().unwrap().push(t));
+        let metrics = Arc::new(PipelineMetrics::default());
+        let mut session = builder()
+            .metrics(Arc::clone(&metrics))
+            .hook(hook)
+            .build_session();
+        session.feed(EventBatch::from_events(small));
+        session.feed(EventBatch::from_events(full));
+        let (report, failures) = session.finish();
+        assert!(failures.is_empty());
+        assert_eq!(*ticks.lock().unwrap(), [0, 1]);
+        assert_eq!(expected, report);
+        let mut counters = metrics.snapshot();
+        assert_eq!(counters.batched_events, events.len() as u64);
+        (counters.batched_events, counters.allocs_estimated) = (0, 0);
+        assert_eq!(serial_counters, counters);
     }
 
     // ------------------------------------------------------------------
     // Supervision
     // ------------------------------------------------------------------
 
-    /// `events` without shard `shard`'s (of `jobs`) among the events at
-    /// the indices `lost` names: what a degraded run analyzes.
-    fn surviving(
-        events: &[TraceEvent],
-        jobs: usize,
-        shard: usize,
-        lost: impl Fn(usize) -> bool,
-    ) -> Vec<TraceEvent> {
+    /// `events` without the events at the indices `lost` names: what a
+    /// degraded run analyzes.
+    fn surviving(events: &[TraceEvent], lost: impl Fn(usize) -> bool) -> Vec<TraceEvent> {
         events
             .iter()
             .enumerate()
-            .filter(|&(i, e)| !(lost(i) && e.pid as usize % jobs == shard))
+            .filter(|&(i, _)| !lost(i))
             .map(|(_, e)| e.clone())
             .collect()
     }
@@ -1207,10 +1074,10 @@ mod tests {
         (counters, restarts, failures)
     }
 
-    /// The one failure record a run with one failed shard must emit.
-    fn record(shard: usize, restarts: u32, gave_up: bool, lost: usize) -> ShardFailureRecord {
+    /// The one failure record a run whose shard failed must emit.
+    fn record(restarts: u32, gave_up: bool, lost: usize) -> ShardFailureRecord {
         ShardFailureRecord {
-            shard,
+            shard: 0,
             restarts,
             gave_up,
             lost_events: lost as u64,
@@ -1228,32 +1095,23 @@ mod tests {
     }
 
     #[test]
-    fn injected_panic_loses_the_shards_events_since_its_restore_point() {
+    fn injected_panic_loses_the_events_since_the_restore_point() {
         // Panic on the second batch: the restore point is the start of
-        // the run, so the restarted shard loses both batches 0 and 1 of
-        // its pids and analyzes everything after. Small feeds coalesce
-        // into batches of PARALLEL_THRESHOLD events; large ones do not.
+        // the run, so the restarted shard loses both batches 0 and 1 and
+        // analyzes everything after. Small feeds coalesce into batches
+        // of PARALLEL_THRESHOLD events; large ones do not.
         let events = multi_pid_trace(7, 80);
-        for (jobs, shard, chunk, batch) in [
-            (1, 0, events.len() / 3, events.len() / 3),
-            (3, 1, PARALLEL_THRESHOLD, PARALLEL_THRESHOLD),
-            (3, 1, PARALLEL_THRESHOLD / 2, PARALLEL_THRESHOLD),
-            (3, 1, events.len() / 3, events.len() / 3),
+        for (chunk, batch) in [
+            (events.len() / 3, events.len() / 3),
+            (PARALLEL_THRESHOLD, PARALLEL_THRESHOLD),
+            (PARALLEL_THRESHOLD / 2, PARALLEL_THRESHOLD),
         ] {
-            let (report, failures) =
-                run_chunked(builder(jobs).hook(panic_hook(shard, 1, 1)), &events, chunk);
+            let (report, failures) = run_chunked(builder().hook(panic_hook(1, 1)), &events, chunk);
             assert!(events.len() > 2 * batch);
-            let survivors = surviving(&events, jobs, shard, |i| i < 2 * batch);
-            assert_eq!(
-                json(&serial(&survivors)),
-                json(&report),
-                "jobs {jobs}, chunk {chunk}"
-            );
+            let survivors = surviving(&events, |i| i < 2 * batch);
+            assert_eq!(json(&serial(&survivors)), json(&report), "chunk {chunk}");
             assert!(failures[0].last_error.contains("injected test panic"));
-            assert_eq!(
-                without_errors(failures),
-                [record(shard, 1, false, 2 * batch)]
-            );
+            assert_eq!(without_errors(failures), [record(1, false, 2 * batch)]);
         }
     }
 
@@ -1261,32 +1119,29 @@ mod tests {
     fn a_panic_that_recurs_on_every_attempt_costs_one_restart() {
         // A genuine fault: the scan of batch 1 panics every time it is
         // tried, not a drill that disarms. Nothing is replayed, so the
-        // shard restarts once, loses batches 0 and 1 of its pids, and
-        // keeps its budget for the rest of the run.
+        // shard restarts once, loses batches 0 and 1, and keeps its
+        // budget for the rest of the run.
         let events = multi_pid_trace(4, 150);
-        for jobs in [1, 2] {
-            let hook: ShardHook = Arc::new(|w, t| {
-                if w == 0 && t == 1 {
-                    panic!("deterministic fault in batch {t}");
-                }
-            });
-            let metrics = Arc::new(PipelineMetrics::default());
-            let (report, failures) = run_chunked(
-                builder(jobs).metrics(Arc::clone(&metrics)).hook(hook),
-                &events,
-                PARALLEL_THRESHOLD,
-            );
-            let lost = 2 * PARALLEL_THRESHOLD;
-            let survivors = surviving(&events, jobs, 0, |i| i < lost);
-            let (expected, serial_counters) = serial_metered(&survivors);
-            assert_eq!(json(&expected), json(&report), "jobs {jobs}");
-            let (counters, restarts, manifest) = analysis_counters(&metrics, events.len());
-            assert_eq!(serial_counters, counters, "jobs {jobs}");
-            assert_eq!(restarts, 1);
-            assert_eq!(manifest, failures);
-            assert!(failures[0].last_error.contains("deterministic fault"));
-            assert_eq!(without_errors(failures), [record(0, 1, false, lost)]);
-        }
+        let hook: ShardHook = Arc::new(|t| {
+            if t == 1 {
+                panic!("deterministic fault in batch {t}");
+            }
+        });
+        let metrics = Arc::new(PipelineMetrics::default());
+        let (report, failures) = run_chunked(
+            builder().metrics(Arc::clone(&metrics)).hook(hook),
+            &events,
+            PARALLEL_THRESHOLD,
+        );
+        let lost = 2 * PARALLEL_THRESHOLD;
+        let (expected, serial_counters) = serial_metered(&surviving(&events, |i| i < lost));
+        assert_eq!(json(&expected), json(&report));
+        let (counters, restarts, manifest) = analysis_counters(&metrics, events.len());
+        assert_eq!(serial_counters, counters);
+        assert_eq!(restarts, 1);
+        assert_eq!(manifest, failures);
+        assert!(failures[0].last_error.contains("deterministic fault"));
+        assert_eq!(without_errors(failures), [record(1, false, lost)]);
     }
 
     #[test]
@@ -1295,149 +1150,126 @@ mod tests {
         // so the run's counters are exactly a serial run's over the
         // events that survived, and the recovery itself is accounted.
         let events = multi_pid_trace(6, 80);
-        for jobs in [1, 2] {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let (report, failures) = run_chunked(
-                builder(jobs)
-                    .metrics(Arc::clone(&metrics))
-                    .hook(panic_hook(0, 1, 1)),
-                &events,
-                PARALLEL_THRESHOLD,
-            );
-            let survivors = surviving(&events, jobs, 0, |i| i < 2 * PARALLEL_THRESHOLD);
-            let (expected, serial_counters) = serial_metered(&survivors);
-            assert_eq!(expected, report, "jobs {jobs}");
-            let (counters, restarts, manifest) = analysis_counters(&metrics, events.len());
-            assert_eq!(serial_counters, counters, "jobs {jobs}");
-            assert_eq!(restarts, 1);
-            assert_eq!(manifest, failures);
-            assert!(!failures[0].gave_up);
-        }
+        let metrics = Arc::new(PipelineMetrics::default());
+        let (report, failures) = run_chunked(
+            builder()
+                .metrics(Arc::clone(&metrics))
+                .hook(panic_hook(1, 1)),
+            &events,
+            PARALLEL_THRESHOLD,
+        );
+        let survivors = surviving(&events, |i| i < 2 * PARALLEL_THRESHOLD);
+        let (expected, serial_counters) = serial_metered(&survivors);
+        assert_eq!(expected, report);
+        let (counters, restarts, manifest) = analysis_counters(&metrics, events.len());
+        assert_eq!(serial_counters, counters);
+        assert_eq!(restarts, 1);
+        assert_eq!(manifest, failures);
+        assert!(!failures[0].gave_up);
     }
 
     #[test]
     fn exhausted_budget_degrades_to_partial_report() {
         // The shard panics on every batch it is handed: batches 0–2
         // spend the budget and batch 3 gives it up. With no cut its
-        // restore point is empty, so its pids go missing altogether,
-        // every other shard's are fully analyzed, and no half-counted
-        // incarnation leaks into the counters.
+        // restore point is empty, so every event goes missing, and no
+        // half-counted incarnation leaks into the counters.
         let events = multi_pid_trace(4, 150);
         let max = fast_policy().max_restarts;
-        for (jobs, shard) in [(1, 0), (2, 0), (2, 1)] {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let (report, failures) = run_chunked(
-                builder(jobs)
-                    .metrics(Arc::clone(&metrics))
-                    .hook(panic_hook(shard, 0, u64::MAX)),
-                &events,
-                PARALLEL_THRESHOLD,
-            );
-            let survivors = surviving(&events, jobs, shard, |_| true);
-            let (expected, serial_counters) = serial_metered(&survivors);
-            assert_eq!(report, expected, "jobs {jobs}, shard {shard}");
-            let (counters, restarts, _) = analysis_counters(&metrics, events.len());
-            assert_eq!(serial_counters, counters, "jobs {jobs}, shard {shard}");
-            assert_eq!(restarts, u64::from(max));
-            assert_eq!(
-                without_errors(failures),
-                [record(shard, max, true, events.len())]
-            );
-        }
+        let metrics = Arc::new(PipelineMetrics::default());
+        let (report, failures) = run_chunked(
+            builder()
+                .metrics(Arc::clone(&metrics))
+                .hook(panic_hook(0, u64::MAX)),
+            &events,
+            PARALLEL_THRESHOLD,
+        );
+        let (expected, serial_counters) = serial_metered(&[]);
+        assert_eq!(report, expected);
+        let (counters, restarts, _) = analysis_counters(&metrics, events.len());
+        assert_eq!(serial_counters, counters);
+        assert_eq!(restarts, u64::from(max));
+        assert_eq!(without_errors(failures), [record(max, true, events.len())]);
     }
 
     #[test]
-    fn restart_budget_is_per_shard_per_run_across_cuts() {
+    fn restart_budget_is_per_run_across_cuts() {
         // Checkpoint cuts between batches and a panic on every batch's
         // first tick: the shard must spend exactly its budget once, give
-        // up once, and count nothing afterwards, at every job count —
-        // later cuts must not hand it a fresh ledger.
+        // up once, and count nothing afterwards — later cuts must not
+        // hand it a fresh ledger.
         let events = multi_pid_trace(2, 9);
         let every = events.len() / 6;
         let max = fast_policy().max_restarts;
-        for jobs in [1, 2] {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let mut session = builder(jobs)
-                .metrics(Arc::clone(&metrics))
-                .hook(panic_hook(0, 0, 99))
-                .build_session();
-            for part in events.chunks(every) {
-                session.feed_owned(part.to_vec());
-                let _ = session.cut();
-            }
-            let (report, failures) = session.finish();
-            let (_, restarts, _) = analysis_counters(&metrics, events.len());
-            assert_eq!(restarts, u64::from(max), "jobs {jobs}");
-            // Shard 0 lost every batch it was handed, so none of its
-            // pids were ever counted; shard 1's (jobs 2) all were.
-            assert_eq!(
-                without_errors(failures),
-                [record(0, max, true, events.len())],
-                "jobs {jobs}"
-            );
-            let survivors = surviving(&events, jobs, 0, |_| true);
-            assert_eq!(report, serial(&survivors), "jobs {jobs}");
+        let metrics = Arc::new(PipelineMetrics::default());
+        let mut session = builder()
+            .metrics(Arc::clone(&metrics))
+            .hook(panic_hook(0, 99))
+            .build_session();
+        for part in events.chunks(every) {
+            session.feed_owned(part.to_vec());
+            let _ = session.cut();
         }
+        let (report, failures) = session.finish();
+        let (_, restarts, _) = analysis_counters(&metrics, events.len());
+        assert_eq!(restarts, u64::from(max));
+        // The shard lost every batch it was handed.
+        assert_eq!(without_errors(failures), [record(max, true, events.len())]);
+        assert_eq!(report, serial(&[]));
     }
 
     #[test]
     fn gave_up_shard_keeps_its_restore_point() {
-        // A cut after two batches moves shard 0's restore point past
-        // them. From tick 2 of the next epoch on it panics on every
+        // A cut after two batches moves the restore point past them.
+        // From tick 2 of the next epoch on the shard panics on every
         // batch, restarts three times and gives up: the degraded report
         // and counters keep exactly its events before the cut.
         let events = multi_pid_trace(4, 300);
         let kept = 2 * PARALLEL_THRESHOLD;
-        for jobs in [1, 2] {
-            let metrics = Arc::new(PipelineMetrics::default());
-            let mut session = builder(jobs)
-                .metrics(Arc::clone(&metrics))
-                .hook(panic_hook(0, 2, u64::MAX))
-                .build_session();
-            for (k, part) in events.chunks(PARALLEL_THRESHOLD).enumerate() {
-                session.feed_owned(part.to_vec());
-                if k == 1 {
-                    let _ = session.cut();
-                }
+        let metrics = Arc::new(PipelineMetrics::default());
+        let mut session = builder()
+            .metrics(Arc::clone(&metrics))
+            .hook(panic_hook(2, u64::MAX))
+            .build_session();
+        for (k, part) in events.chunks(PARALLEL_THRESHOLD).enumerate() {
+            session.feed_owned(part.to_vec());
+            if k == 1 {
+                let _ = session.cut();
             }
-            let (report, failures) = session.finish();
-            let survivors = surviving(&events, jobs, 0, |i| i >= kept);
-            let (expected, serial_counters) = serial_metered(&survivors);
-            assert_eq!(json(&report), json(&expected), "jobs {jobs}");
-            let (counters, _, _) = analysis_counters(&metrics, events.len());
-            assert_eq!(serial_counters, counters, "jobs {jobs}");
-            let max = fast_policy().max_restarts;
-            assert_eq!(
-                without_errors(failures),
-                [record(0, max, true, events.len() - kept)]
-            );
         }
+        let (report, failures) = session.finish();
+        let (expected, serial_counters) = serial_metered(&events[..kept]);
+        assert_eq!(json(&report), json(&expected));
+        let (counters, _, _) = analysis_counters(&metrics, events.len());
+        assert_eq!(serial_counters, counters);
+        let max = fast_policy().max_restarts;
+        assert_eq!(
+            without_errors(failures),
+            [record(max, true, events.len() - kept)]
+        );
     }
 
     #[test]
     fn stall_watchdog_restarts_stalled_shard() {
         let events = multi_pid_trace(6, 120);
-        // Shard 0 freezes for 5s on its first batch; the 50ms watchdog
+        // The shard freezes for 5s on its first batch; the 50ms watchdog
         // must abandon it rather than wait. As one batch the stall
         // surfaces at finish and the batch is lost. In batches of
         // PARALLEL_THRESHOLD it surfaces once the stalled queue is full,
         // so the stalled batch and the ones queued behind it are lost
         // and the new incarnation goes on from the next.
-        for (jobs, chunk) in [1, 2]
-            .into_iter()
-            .flat_map(|j| [events.len(), PARALLEL_THRESHOLD].map(|c| (j, c)))
-        {
+        for chunk in [events.len(), PARALLEL_THRESHOLD] {
             let stalled = Arc::new(AtomicU64::new(0));
             let flag = Arc::clone(&stalled);
-            let hook: ShardHook = Arc::new(move |w, t| {
-                if w == 0 && t == 0 && flag.fetch_add(1, Ordering::SeqCst) == 0 {
+            let hook: ShardHook = Arc::new(move |t| {
+                if t == 0 && flag.fetch_add(1, Ordering::SeqCst) == 0 {
                     std::thread::sleep(Duration::from_secs(5));
                 }
             });
             let policy = fast_policy().with_shard_timeout(Duration::from_millis(50));
             let started = Instant::now();
             let (report, failures) =
-                run_chunked(builder(jobs).policy(policy).hook(hook), &events, chunk);
+                run_chunked(builder().policy(policy).hook(hook), &events, chunk);
             assert!(
                 started.elapsed() < Duration::from_secs(4),
                 "watchdog must not wait out the stall"
@@ -1453,30 +1285,25 @@ mod tests {
             let lost = usize::try_from(failures[0].lost_events).unwrap();
             let most = (PIPELINE_DEPTH + 1) * chunk;
             assert!(lost.is_multiple_of(chunk) && lost > 0 && lost <= most.min(events.len()));
-            let survivors = surviving(&events, jobs, 0, |i| i < lost);
+            let survivors = surviving(&events, |i| i < lost);
             assert_eq!(json(&serial(&survivors)), json(&report));
-            assert_eq!(without_errors(failures), [record(0, 1, false, lost)]);
+            assert_eq!(without_errors(failures), [record(1, false, lost)]);
         }
     }
 
     #[test]
     fn snapshot_after_injected_panic_moves_the_restore_point() {
-        // The panic loses the first feed's events of shard 0; the
-        // snapshot's cut is the new restore point, so the second feed
-        // is analyzed whole.
+        // The panic loses the first feed's events; the snapshot's cut is
+        // the new restore point, so the second feed is analyzed whole.
         let events = multi_pid_trace(5, 60);
         let (first, second) = events.split_at(events.len() / 2);
-        for jobs in [1, 2] {
-            let mut session = builder(jobs).hook(panic_hook(0, 0, 1)).build_session();
-            session.feed_owned(first.to_vec());
-            let survivors = surviving(&events, jobs, 0, |i| i < first.len());
-            let (head, _) = survivors.split_at(survivors.len() - second.len());
-            assert_eq!(session.snapshot(), serial(head), "jobs {jobs}");
-            session.feed_owned(second.to_vec());
-            let (report, failures) = session.finish();
-            assert_eq!(report, serial(&survivors), "jobs {jobs}");
-            assert_eq!(without_errors(failures), [record(0, 1, false, first.len())]);
-        }
+        let mut session = builder().hook(panic_hook(0, 1)).build_session();
+        session.feed_owned(first.to_vec());
+        assert_eq!(session.snapshot(), serial(&[]));
+        session.feed_owned(second.to_vec());
+        let (report, failures) = session.finish();
+        assert_eq!(report, serial(second));
+        assert_eq!(without_errors(failures), [record(1, false, first.len())]);
     }
 
     /// The batches a session dispatches for a feed schedule: feed `k`
@@ -1522,23 +1349,20 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// A failed shard loses exactly its own events since its restore
-        /// point: for any multi-pid trace, job count, batching, cut
-        /// positions and panic schedule, the report and counters equal a
-        /// serial run over the surviving events, and the manifest's
-        /// restarts, `gave_up` and `lost_events` follow the schedule.
+        /// A failed shard loses exactly its events since its restore
+        /// point: for any multi-pid trace, batching, cut positions and
+        /// panic schedule, the report and counters equal a serial run
+        /// over the surviving events, and the manifest's restarts,
+        /// `gave_up` and `lost_events` follow the schedule.
         #[test]
         fn degraded_runs_equal_the_serial_analysis_of_the_surviving_events(
             pids in 1u32..7,
             rounds in 10usize..80,
-            jobs in 1usize..=4,
             sizes in proptest::collection::vec(1usize..1600, 1..8),
             cuts in proptest::collection::vec(0u8..10, 8),
-            shard in 0usize..4,
             at in 0u64..4,
             charges in 1u32..=4,
         ) {
-            let shard = shard % jobs;
             let max = fast_policy().max_restarts;
             let events = multi_pid_trace(pids, rounds);
             let mut feeds = Vec::new();
@@ -1550,7 +1374,7 @@ mod tests {
             }
             let cut_after: Vec<bool> = (0..feeds.len()).map(|k| cuts[k % cuts.len()] < 3).collect();
 
-            // The model: shard `shard` scans every batch once, panicking
+            // The model: the shard scans every batch once, panicking
             // on the first `charges` at or past tick `at`. A panic loses
             // its epoch's batches so far; giving up loses the rest.
             let batches = model_batches(
@@ -1586,9 +1410,9 @@ mod tests {
                 .sum();
 
             let metrics = Arc::new(PipelineMetrics::default());
-            let mut session = builder(jobs)
+            let mut session = builder()
                 .metrics(Arc::clone(&metrics))
-                .hook(panic_hook(shard, at, u64::from(charges)))
+                .hook(panic_hook(at, u64::from(charges)))
                 .build_session();
             for (feed, &cut) in feeds.iter().zip(&cut_after) {
                 session.feed_owned(feed.to_vec());
@@ -1598,7 +1422,7 @@ mod tests {
             }
             let (report, failures) = session.finish();
 
-            let survivors = surviving(&events, jobs, shard, lost_at);
+            let survivors = surviving(&events, lost_at);
             let (expected, serial_counters) = serial_metered(&survivors);
             proptest::prop_assert_eq!(json(&expected), json(&report));
             let (counters, shard_restarts, manifest) = analysis_counters(&metrics, events.len());
@@ -1610,7 +1434,7 @@ mod tests {
                 if restarts == 0 {
                     vec![]
                 } else {
-                    vec![record(shard, restarts, gave_up, lost_events)]
+                    vec![record(restarts, gave_up, lost_events)]
                 }
             );
         }

@@ -7,10 +7,10 @@
 //! ```text
 //!   EventSource (iocov_trace::source)       ShardSupervisor (crate::parallel)
 //!  ┌───────────────────────────────┐   ┌──────────────────────────────────┐
-//!  │ open_source(path, options)    │   │ pid-sharded StreamingAnalyzers,  │
-//!  │   ├─ JsonlSource (strict/lossy│   │ one run-long restart ledger,     │
-//!  │   │   via ReadOptions)        │──▶│ restore points at every cut      │
-//!  │   └─ IotbSource  (strict/lossy│   │ on iocov-shard-N threads, fed    │
+//!  │ open_source(path, options)    │   │ one StreamingAnalyzer, one       │
+//!  │   ├─ JsonlSource (strict/lossy│   │ run-long restart ledger, a       │
+//!  │   │   via ReadOptions)        │──▶│ restore point at every cut, on   │
+//!  │   └─ IotbSource  (strict/lossy│   │ the iocov-shard thread, fed      │
 //!  │       via ReadOptions; v1 and │   │ while the caller decodes the     │
 //!  │       v2 alike)               │   │ next batch                       │
 //!  └───────────────────────────────┘   └──────────────────────────────────┘
@@ -25,23 +25,22 @@
 //! serve`, in-memory workloads);
 //! [`PipelineBuilder::build`] pairs that session with the batch
 //! [`Driver`] that pulls any [`EventSource`](iocov_trace::EventSource).
-//! Every flag combination — any source × any job count × checkpointing
-//! × metrics — therefore runs the same code. The non-negotiable
+//! Every flag combination — any source × checkpointing × metrics —
+//! therefore runs the same code. The non-negotiable
 //! invariant: the serialized report is **byte-identical** across every
 //! cell of that matrix to a plain serial run over the same events.
 //!
 //! Parallelism lives at one stage. Every source is one serial cursor
-//! on the caller's thread, so events leave `next_batch` in file order
-//! at any job count; the supervisor then shards them by pid. A run's
-//! job count therefore changes who analyzes an event, never which
-//! events are read or in what order.
+//! on the caller's thread, so events leave `next_batch` in file order,
+//! and the supervisor's one shard thread analyzes them in that order
+//! while the caller decodes the next batch.
 //!
 //! # Checkpoint cuts
 //!
 //! A cut returns the *cumulative* `(report, pid states)` pair a
-//! [`CheckpointDoc`] needs: the supervisor brings every shard up to the
-//! last batch fed, keeps each one's clone as its restore point, and
-//! reads the pair off the restore points and its base report — the
+//! [`CheckpointDoc`] needs: the supervisor brings the shard up to the
+//! last batch fed, keeps its clone as the restore point, and reads the
+//! pair off the restore point and its base report — the
 //! exact resume invariant the checkpoint tests prove. That is also what
 //! makes resume seeding free: a resumed run is a session whose
 //! supervisor starts from the checkpoint's `(report, states)` instead
@@ -133,10 +132,9 @@ pub struct PipelineRun {
 /// Configures an analysis: builds a resident [`AnalysisSession`] or a
 /// batch [`Driver`] over one.
 pub struct PipelineBuilder {
-    /// The analyzer every shard starts as a copy of.
+    /// The analyzer the shard starts as a copy of.
     empty: StreamingAnalyzer,
     mount: Option<String>,
-    jobs: usize,
     chunk: usize,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
@@ -148,14 +146,13 @@ pub struct PipelineBuilder {
 }
 
 impl PipelineBuilder {
-    /// A builder over `filter` with serial execution and no
-    /// checkpointing.
+    /// A builder over `filter` with the default supervision policy and
+    /// no checkpointing.
     #[must_use]
     pub fn new(filter: TraceFilter) -> Self {
         PipelineBuilder {
             empty: StreamingAnalyzer::new(filter),
             mount: None,
-            jobs: 1,
             chunk: DEFAULT_CHUNK,
             policy: SupervisorPolicy::default(),
             hook: None,
@@ -175,10 +172,21 @@ impl PipelineBuilder {
         self
     }
 
-    /// Pid shard count, one `iocov-shard-N` thread each.
+    /// Accepts the one job count there is, for callers that still pass
+    /// it: `0` and `1` both mean the one shard thread every session runs
+    /// on, and the builder is returned unchanged. It goes with the
+    /// benchmark change (ROADMAP.md items 1 and 2), once `perfbench`
+    /// stops calling it.
+    ///
+    /// # Panics
+    ///
+    /// On any `jobs` above 1: analysis is not sharded.
     #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs.max(1);
+    pub fn jobs(self, jobs: usize) -> Self {
+        assert!(
+            jobs <= 1,
+            "analysis runs on one shard thread; got {jobs} jobs"
+        );
         self
     }
 
@@ -191,7 +199,7 @@ impl PipelineBuilder {
         self
     }
 
-    /// Supervision policy for the shards.
+    /// Supervision policy for the shard.
     #[must_use]
     pub fn policy(mut self, policy: SupervisorPolicy) -> Self {
         self.policy = policy;
@@ -269,16 +277,15 @@ impl PipelineBuilder {
             }
             (doc.report, doc.pid_states)
         });
-        let shards = ShardSupervisor::new(
+        let shard = ShardSupervisor::new(
             self.empty,
-            self.jobs,
             self.policy,
             self.hook,
             self.metrics.clone(),
             seed,
         );
         AnalysisSession {
-            shards,
+            shard,
             mount: self.mount,
             metrics: self.metrics,
             checkpoint: self.checkpoint,
@@ -356,11 +363,12 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_serial_analyzer_at_every_job_count() {
+    fn builder_matches_serial_analyzer() {
+        // `jobs(0)` and `jobs(1)` are the same one-shard session.
         let events = multi_pid_trace(5, 6);
         let trace = Trace::from_events(events.clone());
         let serial = serde_json::to_string(&Iocov::with_filter(filter()).analyze(&trace)).unwrap();
-        for jobs in [1, 2, 4] {
+        for jobs in [0, 1] {
             let mut session = PipelineBuilder::new(filter()).jobs(jobs).build_session();
             for chunk in events.chunks(7) {
                 session.feed_owned(chunk.to_vec());
@@ -370,9 +378,15 @@ mod tests {
             assert_eq!(
                 serial,
                 serde_json::to_string(&report).unwrap(),
-                "diverged at {jobs} jobs"
+                "jobs {jobs}"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "one shard thread; got 2 jobs")]
+    fn more_than_one_job_panics() {
+        let _ = PipelineBuilder::new(filter()).jobs(2);
     }
 
     #[test]
@@ -421,62 +435,47 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_cuts_preserve_byte_identity_serial_and_pool() {
-        // Rotating the shards at checkpoint cuts must not disturb the
-        // final report, at any shard count.
+    fn checkpoint_cuts_preserve_byte_identity() {
+        // Cutting the shard's restore point at checkpoints must not
+        // disturb the final report.
         let events = multi_pid_trace(5, 6);
         let trace = Trace::from_events(events.clone());
         let serial = serde_json::to_string(&Iocov::with_filter(filter()).analyze(&trace)).unwrap();
-        for jobs in [1, 2, 4] {
-            let mut session = PipelineBuilder::new(filter()).jobs(jobs).build_session();
-            let mut states_at_cuts = Vec::new();
-            for chunk in events.chunks(11) {
-                session.feed_owned(chunk.to_vec());
-                states_at_cuts.push(session.cut());
-            }
-            let (report, failures) = session.finish();
-            assert!(failures.is_empty());
-            assert_eq!(
-                serial,
-                serde_json::to_string(&report).unwrap(),
-                "diverged at {jobs} jobs"
-            );
-            // The last cut already carries the full report.
-            let (last_report, _) = states_at_cuts.last().unwrap();
-            assert_eq!(serial, serde_json::to_string(last_report).unwrap());
+        let mut session = PipelineBuilder::new(filter()).build_session();
+        let mut states_at_cuts = Vec::new();
+        for chunk in events.chunks(11) {
+            session.feed_owned(chunk.to_vec());
+            states_at_cuts.push(session.cut());
         }
+        let (report, failures) = session.finish();
+        assert!(failures.is_empty());
+        assert_eq!(serial, serde_json::to_string(&report).unwrap());
+        // The last cut already carries the full report.
+        let (last_report, _) = states_at_cuts.last().unwrap();
+        assert_eq!(serial, serde_json::to_string(last_report).unwrap());
     }
 
     #[test]
-    fn resume_from_cut_matches_uninterrupted_at_one_and_three_jobs() {
+    fn resume_from_cut_matches_uninterrupted() {
         let events = multi_pid_trace(4, 6);
         let trace = Trace::from_events(events.clone());
         let serial = serde_json::to_string(&Iocov::with_filter(filter()).analyze(&trace)).unwrap();
         let cut_at = events.len() / 2;
-        for jobs in [1, 3] {
-            let mut head = PipelineBuilder::new(filter()).jobs(jobs).build_session();
-            head.feed_owned(events[..cut_at].to_vec());
-            let (head_report, head_states) = head.cut();
-            let doc = CheckpointDoc {
-                report: head_report,
-                pid_states: head_states,
-                ..CheckpointDoc::default()
-            };
-            // Round-trip through serialization like a real resume.
-            let doc: CheckpointDoc =
-                serde_json::from_str(&serde_json::to_string(&doc).unwrap()).unwrap();
-            let mut tail = PipelineBuilder::new(filter())
-                .jobs(jobs)
-                .resume(doc)
-                .build_session();
-            tail.feed_owned(events[cut_at..].to_vec());
-            let (report, _) = tail.finish();
-            assert_eq!(
-                serial,
-                serde_json::to_string(&report).unwrap(),
-                "diverged at {jobs} jobs"
-            );
-        }
+        let mut head = PipelineBuilder::new(filter()).build_session();
+        head.feed_owned(events[..cut_at].to_vec());
+        let (head_report, head_states) = head.cut();
+        let doc = CheckpointDoc {
+            report: head_report,
+            pid_states: head_states,
+            ..CheckpointDoc::default()
+        };
+        // Round-trip through serialization like a real resume.
+        let doc: CheckpointDoc =
+            serde_json::from_str(&serde_json::to_string(&doc).unwrap()).unwrap();
+        let mut tail = PipelineBuilder::new(filter()).resume(doc).build_session();
+        tail.feed_owned(events[cut_at..].to_vec());
+        let (report, _) = tail.finish();
+        assert_eq!(serial, serde_json::to_string(&report).unwrap());
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!
 //! Sessions come from [`PipelineBuilder`](crate::pipeline::PipelineBuilder):
 //! `build_session` for a session, `build` for a driver over one. The
-//! supervisor behind a session always analyzes on supervised shard
-//! threads; the builder picks their count and the restart policy.
+//! supervisor behind a session always analyzes on its supervised shard
+//! thread; the builder picks the restart policy.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -34,7 +34,7 @@ use crate::pipeline::{CheckpointHook, CheckpointPolicy, PipelineError, PipelineR
 /// metrics, the checkpoint policy, and the session's event cursor; the
 /// caller owns pacing and event provenance.
 pub struct AnalysisSession {
-    pub(crate) shards: ShardSupervisor,
+    pub(crate) shard: ShardSupervisor,
     pub(crate) mount: Option<String>,
     pub(crate) metrics: Option<Arc<PipelineMetrics>>,
     pub(crate) checkpoint: Option<CheckpointPolicy>,
@@ -46,14 +46,14 @@ pub struct AnalysisSession {
 impl AnalysisSession {
     /// Feeds one columnar batch. Batch-shape counters are recorded here
     /// — once, on the single entry point every feed path funnels
-    /// through, whatever the shard count — so snapshots stay
-    /// byte-identical at every shard count.
+    /// through — and never on the shard, so a restarted shard cannot
+    /// count a batch twice.
     pub fn feed(&mut self, batch: EventBatch) {
         if let Some(m) = &self.metrics {
             m.record_batch(batch.len() as u64, batch.estimated_owned_allocs());
         }
         self.events += batch.len() as u64;
-        self.shards.push(batch);
+        self.shard.push(batch);
     }
 
     /// Feeds one owned chunk of in-memory events, packing it into a
@@ -86,7 +86,7 @@ impl AnalysisSession {
     /// states over everything fed so far.
     #[must_use]
     pub fn cut(&mut self) -> (AnalysisReport, BTreeMap<u32, PidStateSnapshot>) {
-        self.shards.cut()
+        self.shard.cut()
     }
 
     /// Assembles a complete checkpoint document for the session's state
@@ -142,7 +142,7 @@ impl AnalysisSession {
     /// manifest (empty on a fault-free run).
     #[must_use]
     pub fn finish(self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
-        self.shards.finish()
+        self.shard.finish()
     }
 }
 

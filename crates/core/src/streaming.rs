@@ -4,7 +4,7 @@
 //! [`StreamingAnalyzer::push`] is the only loop that applies the
 //! relevance rules and accumulates coverage. [`Iocov::analyze`] drives
 //! it over a whole in-memory trace; sessions drive it over decoded
-//! batches, one analyzer per shard. A paper-scale suite produces
+//! batches on their shard thread. A paper-scale suite produces
 //! millions of events, and holding the whole trace before analysis
 //! costs gigabytes, so the analyzer consumes events incrementally —
 //! keeping the descriptor-provenance state *across* chunks, so a
@@ -104,16 +104,14 @@ impl StreamingAnalyzer {
         self.push_as(event, &CallKind::resolve(event.name()))
     }
 
-    /// Consumes every row of `batch` whose pid `owns` accepts, in order,
-    /// resolving the batch's name table once instead of each row's name.
-    pub(crate) fn push_batch(&mut self, batch: &EventBatch, mut owns: impl FnMut(u32) -> bool) {
+    /// Consumes every row of `batch`, in order, resolving the batch's
+    /// name table once instead of each row's name.
+    pub(crate) fn push_batch(&mut self, batch: &EventBatch) {
         let mut calls = std::mem::take(&mut self.calls);
         calls.clear();
         calls.extend(batch.names().iter().map(|name| CallKind::resolve(name)));
         for event in batch.iter() {
-            if owns(event.pid()) {
-                self.push_as(&event, &calls[event.name_id() as usize]);
-            }
+            self.push_as(&event, &calls[event.name_id() as usize]);
         }
         self.calls = calls;
     }

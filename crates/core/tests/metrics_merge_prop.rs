@@ -2,10 +2,10 @@
 //! summing them is order-independent. Every `.iockpt` (and the
 //! checkpoint `iocov serve` sends a resuming stream) carries a
 //! [`MetricsSnapshot`] (shard failures included) that a resumed session
-//! parses back and absorbs, and the shard supervisor absorbs each
-//! shard's counters into the shared metrics at every cut. For
-//! `--metrics` to render the same bytes at every job count and across
-//! kill/resume, absorbing parsed snapshots into one
+//! parses back and absorbs, and the shard supervisor absorbs its restore
+//! point's counters into the shared metrics at every cut. For
+//! `--metrics` to render the same bytes across kill/resume, absorbing
+//! parsed snapshots into one
 //! [`PipelineMetrics`] in *any* order must serialize to exactly the
 //! bytes of an in-order absorb of the originals — which these
 //! properties pin down over arbitrary counter values, drop/partition
@@ -77,8 +77,8 @@ fn snapshot_strategy() -> impl Strategy<Value = MetricsSnapshot> {
         )
 }
 
-/// Gives each snapshot's failure record its own shard index, as the
-/// supervisor does — at most one record per shard per run.
+/// Gives each snapshot's failure record its own shard index, so the
+/// manifest, sorted by shard, is one list in any absorption order.
 fn number_shards(snapshots: &mut [MetricsSnapshot]) {
     for (shard, snapshot) in snapshots.iter_mut().enumerate() {
         for failure in &mut snapshot.shard_failures {

@@ -423,15 +423,13 @@ proptest! {
         prop_assert_eq!(stats2.dropped, 0);
     }
 
-    /// Serial batch, streaming under arbitrary chunking, and sessions at
-    /// 1–8 pid shards under the same chunking produce the identical
-    /// report on multi-pid traces full of dup/rename/chdir
-    /// interleavings.
+    /// Serial batch, streaming under arbitrary chunking, and a session
+    /// under the same chunking produce the identical report on
+    /// multi-pid traces full of dup/rename/chdir interleavings.
     #[test]
-    fn serial_streaming_parallel_reports_agree(
+    fn serial_streaming_session_reports_agree(
         events in proptest::collection::vec(arb_provenance_event(), 0..120),
         chunk in 1usize..17,
-        workers in 1usize..9,
     ) {
         let filter = TraceFilter::mount_point("/mnt/test").unwrap();
         let trace = Trace::from_events(events.clone());
@@ -443,35 +441,29 @@ proptest! {
         }
         prop_assert_eq!(&serial, &streaming.finish());
 
-        for jobs in [1, workers] {
-            let mut session = PipelineBuilder::new(filter.clone()).jobs(jobs).build_session();
-            for part in events.chunks(chunk) {
-                session.feed_owned(part.to_vec());
-            }
-            let (report, failures) = session.finish();
-            prop_assert!(failures.is_empty());
-            prop_assert_eq!(&serial, &report);
+        let mut session = PipelineBuilder::new(filter.clone()).build_session();
+        for part in events.chunks(chunk) {
+            session.feed_owned(part.to_vec());
         }
+        let (report, failures) = session.finish();
+        prop_assert!(failures.is_empty());
+        prop_assert_eq!(&serial, &report);
 
-        // With identifier and combination coverage on, the sessions
-        // count what the old whole-trace scans counted over the kept
+        // With identifier and combination coverage on, the session
+        // counts what the old whole-trace scans counted over the kept
         // events, and the rest of the report is unchanged.
         let kept = apply(&filter, &trace).0.into_events();
-        let (identifiers, combos) = (oracle_identifiers(&kept), oracle_combos(&kept));
-        for jobs in [1, workers] {
-            let mut session = PipelineBuilder::new(filter.clone())
-                .jobs(jobs)
-                .extended_coverage()
-                .build_session();
-            for part in events.chunks(chunk) {
-                session.feed_owned(part.to_vec());
-            }
-            let (mut report, failures) = session.finish();
-            prop_assert!(failures.is_empty());
-            prop_assert_eq!(report.identifiers.take(), Some(identifiers.clone()));
-            prop_assert_eq!(report.combos.take(), Some(combos.clone()));
-            prop_assert_eq!(&serial, &report);
+        let mut session = PipelineBuilder::new(filter.clone())
+            .extended_coverage()
+            .build_session();
+        for part in events.chunks(chunk) {
+            session.feed_owned(part.to_vec());
         }
+        let (mut report, failures) = session.finish();
+        prop_assert!(failures.is_empty());
+        prop_assert_eq!(report.identifiers.take(), Some(oracle_identifiers(&kept)));
+        prop_assert_eq!(report.combos.take(), Some(oracle_combos(&kept)));
+        prop_assert_eq!(&serial, &report);
     }
 
     /// The dense-slot accumulator agrees with the string-keyed oracle on

@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn shard_drill_fails_consecutive_ticks_from_its_own() {
-        // `--inject-panic 0:2:3`: the restarted shard goes on with the
+        // `--inject-panic 2:3`: the restarted shard goes on with the
         // next batch, so the charges fail ticks 2, 3 and 4, once each.
         let trigger = DrillTrigger::new(2, 3);
         let fired: Vec<u64> = (0..8).filter(|&tick| trigger.fire_from(tick)).collect();

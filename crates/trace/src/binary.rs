@@ -42,8 +42,7 @@
 //!
 //! The one reader ([`IotbCursor`]) streams a v2 container exactly like
 //! v1 and treats the sentinel as a clean end of records. Nothing reads
-//! the index, at any job count: to analysis, v2 is v1 plus a trailing
-//! index it skips.
+//! the index: to analysis, v2 is v1 plus a trailing index it skips.
 //!
 //! Versioning rule: readers reject any other `version` outright — records
 //! are not self-describing, so there is no forward-compatible partial
@@ -72,7 +71,7 @@
 //! argument tags, symbol references, exact payload consumption — behind
 //! a string table whose own checksum is verified. A flipped bit inside
 //! a field that still decodes (a timestamp, a retval) therefore reads
-//! as that value, at every job count, as it does in a v1 container.
+//! as that value, as it does in a v1 container.
 //! Verifying the block checksums on every read would hash every record
 //! byte on the hot path, a cost the reader does not pay.
 //!

@@ -6,8 +6,7 @@
 //! (a `u32` index) exactly once, so the hot path can hash and compare
 //! 4-byte symbols instead of cloning heap strings. The table is
 //! append-only — symbols are never invalidated — and `Arc`-shareable, so
-//! one interner can serve every shard thread of a parallel analysis and
-//! the `.iotb` string table writer at the same time.
+//! one interner can serve several threads at the same time.
 //!
 //! ```
 //! use iocov_trace::StrInterner;

@@ -1,9 +1,9 @@
-//! A many-pid trace for pid-sharded analysis.
+//! A large many-pid trace.
 //!
-//! The paper's suite traces have two pids each, which pid sharding
-//! cannot balance. [`many_pid_trace`] runs eight simulated xfstests
-//! suites at scale 0.01 (seeds 1000–1007) and concatenates their
-//! traces: ~1.39M events over 16 pids.
+//! The paper's suite traces have two pids each. [`many_pid_trace`] runs
+//! eight simulated xfstests suites at scale 0.01 (seeds 1000–1007) and
+//! concatenates their traces: ~1.39M events over 16 pids, the input of
+//! the restart referees and of per-thread CPU and peak-RSS checks.
 
 use iocov_trace::Trace;
 

@@ -16,7 +16,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.02);
     eprintln!("running both suites at scale {scale} …");
-    let reports = run_suites(42, scale);
+    let reports = run_suites(42, scale, None);
 
     println!("== per-flag open coverage (Figure 2) ==");
     println!("{:<14} {:>12} {:>12}", "flag", "CrashMonkey", "xfstests");

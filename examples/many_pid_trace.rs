@@ -1,5 +1,5 @@
-//! Write a many-pid trace for timing pid-sharded `analyze --jobs N`
-//! against `--jobs 1`.
+//! Write the many-pid trace: a large multi-process input for the
+//! restart referees, per-thread CPU measurements and peak-RSS checks.
 //!
 //! [`iocov_workloads::many_pid_trace`] builds the trace: eight
 //! simulated xfstests runs at scale 0.01 (seeds 1000–1007), ~1.39M
@@ -8,7 +8,7 @@
 //!
 //! ```text
 //! cargo run --release --example many_pid_trace [prefix]
-//! iocov analyze <prefix>.iotb --mount /mnt/test --json --jobs 2
+//! iocov analyze <prefix>.iotb --mount /mnt/test --json
 //! ```
 
 use std::fs::File;

@@ -2,10 +2,14 @@
 //! filter → variant merge → partition → report.
 
 use std::sync::Arc;
+use std::time::Duration;
 
-use iocov::{ArgName, BaseSyscall, InputPartition, Iocov, NumericPartition};
+use iocov::{
+    AnalysisReport, ArgName, BaseSyscall, InputPartition, Iocov, NumericPartition, PipelineBuilder,
+    ShardFailureRecord, ShardHook, SupervisorPolicy, TraceFilter, PARALLEL_THRESHOLD,
+};
 use iocov_syscalls::Kernel;
-use iocov_trace::{read_jsonl, write_jsonl, Recorder};
+use iocov_trace::{read_jsonl, write_jsonl, Recorder, Trace, TraceEvent};
 
 /// A small deterministic workload touching several syscall families.
 fn run_workload(kernel: &mut Kernel) {
@@ -181,4 +185,93 @@ fn report_rendering_is_complete() {
         assert!(text.contains("output coverage"), "{base}");
     }
     assert!(iocov::report::untested_summary(&report).contains("untested"));
+}
+
+/// The workload run until the trace holds more than three batches of
+/// [`PARALLEL_THRESHOLD`] events.
+fn multi_batch_trace() -> Trace {
+    let recorder = Arc::new(Recorder::new());
+    let mut kernel = Kernel::new();
+    kernel.attach_recorder(Arc::clone(&recorder));
+    while recorder.len() <= 3 * PARALLEL_THRESHOLD {
+        run_workload(&mut kernel);
+    }
+    recorder.take()
+}
+
+/// A supervised session over `events`, fed in batches of
+/// [`PARALLEL_THRESHOLD`] (so none coalesce) with `hook` before every
+/// scan and a backoff short enough for a test.
+fn degraded_run(
+    events: &[TraceEvent],
+    hook: ShardHook,
+) -> (AnalysisReport, Vec<ShardFailureRecord>) {
+    let policy = SupervisorPolicy {
+        max_restarts: 3,
+        base_backoff: Duration::from_micros(100),
+        max_backoff: Duration::from_millis(1),
+        shard_timeout: None,
+    };
+    let filter = TraceFilter::mount_point("/mnt/test").unwrap();
+    let mut session = PipelineBuilder::new(filter)
+        .policy(policy)
+        .hook(hook)
+        .build_session();
+    for batch in events.chunks(PARALLEL_THRESHOLD) {
+        session.feed_owned(batch.to_vec());
+    }
+    session.finish()
+}
+
+/// The serial report over `events`, as JSON.
+fn serial_json(events: &[TraceEvent]) -> String {
+    let report = Iocov::with_mount_point("/mnt/test")
+        .unwrap()
+        .analyze(&Trace::from_events(events.to_vec()));
+    serde_json::to_string(&report).unwrap()
+}
+
+#[test]
+fn a_panic_at_tick_one_loses_exactly_two_batches() {
+    // The restore point is the start of the run, so the restarted shard
+    // has lost batches 0 and 1, goes on with batch 2, and the report is
+    // the serial analysis of every later event.
+    let trace = multi_batch_trace();
+    let events = trace.events();
+    let (report, failures) = degraded_run(
+        events,
+        Arc::new(|tick| {
+            if tick == 1 {
+                panic!("test fault at tick {tick}");
+            }
+        }),
+    );
+    let lost = 2 * PARALLEL_THRESHOLD;
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    let failure = &failures[0];
+    assert_eq!(failure.last_error, "worker panicked: test fault at tick 1");
+    assert_eq!(
+        (failure.shard, failure.restarts, failure.gave_up),
+        (0, 1, false)
+    );
+    assert_eq!(failure.lost_events, lost as u64);
+    assert_eq!(
+        serde_json::to_string(&report).unwrap(),
+        serial_json(&events[lost..])
+    );
+}
+
+#[test]
+fn an_exhausted_budget_loses_every_event_and_gives_up() {
+    // Batches 0-2 spend the budget of three restarts and batch 3 gives
+    // it up: no event survives, and the manifest counts every one.
+    let trace = multi_batch_trace();
+    let events = trace.events();
+    let (report, failures) =
+        degraded_run(events, Arc::new(|tick| panic!("test fault at tick {tick}")));
+    assert_eq!(failures.len(), 1, "{failures:?}");
+    let failure = &failures[0];
+    assert_eq!((failure.restarts, failure.gave_up), (3, true));
+    assert_eq!(failure.lost_events, events.len() as u64);
+    assert_eq!(serde_json::to_string(&report).unwrap(), serial_json(&[]));
 }
