@@ -39,6 +39,12 @@ struct MetricsDoc {
     stage_timings_ns: BTreeMap<String, u64>,
 }
 
+/// Every exhibit `repro` knows; a run that names none runs them all.
+const EXHIBITS: [&str; 11] = [
+    "fig2", "table1", "fig3", "fig4", "fig5", "untested", "bugstudy", "difftest", "fuzzer",
+    "feedback", "dataset",
+];
+
 fn parse_args() -> Options {
     let mut scale = 0.05;
     let mut seed = 42;
@@ -64,18 +70,17 @@ fn parse_args() -> Options {
                 full = true;
             }
             other if other.starts_with("--") => panic!("unknown option {other}"),
+            other if !EXHIBITS.contains(&other) => panic!(
+                "unknown exhibit {other}; known exhibits: {}",
+                EXHIBITS.join(" ")
+            ),
             other => {
                 exhibits.insert(other.to_owned());
             }
         }
     }
     if exhibits.is_empty() {
-        for e in [
-            "fig2", "table1", "fig3", "fig4", "fig5", "untested", "bugstudy", "difftest", "fuzzer",
-            "feedback", "dataset",
-        ] {
-            exhibits.insert(e.to_owned());
-        }
+        exhibits.extend(EXHIBITS.map(str::to_owned));
     }
     Options {
         scale,

@@ -678,7 +678,7 @@ fn parse_analyze(a: &Args) -> Result<Command, CliError> {
         checkpoint_every: a.positive("--checkpoint-every")?,
         checkpoint_file: a.string("--checkpoint-file"),
         resume: a.string("--resume"),
-        stop_after: a.parse("--stop-after-events")?,
+        stop_after: a.positive("--stop-after-events")?,
         shard_timeout: a.positive("--shard-timeout")?,
         max_shard_restarts: a.parse("--max-shard-restarts")?,
         inject_panic: a.spec("--inject-panic", |f| {

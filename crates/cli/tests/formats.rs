@@ -199,7 +199,7 @@ fn inapplicable_flags_exit_2_with_usage() {
     let dir = TempDir::new("formats-inapplicable");
     let trace = kernel_trace(&dir, "inapplicable", 0);
     let corrupt = fixture("corrupt_trace.jsonl");
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 12] = [
         (
             &[
                 "tcd",
@@ -255,6 +255,11 @@ fn inapplicable_flags_exit_2_with_usage() {
         (
             &["analyze", &trace, "--inject-panic", "0:1:1"],
             "bad --inject-panic value `0:1:1` (want TICK[:TIMES])",
+        ),
+        // A run stopped before its first event is no kill drill.
+        (
+            &["analyze", &trace, "--stop-after-events", "0"],
+            "bad --stop-after-events value `0`",
         ),
     ];
     for (all, message) in cases {

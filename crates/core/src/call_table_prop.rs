@@ -6,7 +6,7 @@
 //! streams of in-domain, out-of-domain and provenance calls (dup, close,
 //! chdir, fchdir) from pids that switch back and forth, with low, high,
 //! negative and `AT_FDCWD` descriptors, split into batches whose name
-//! tables differ, the report and the metrics snapshot serialize to the
+//! tables differ, the report and the `--metrics` funnel serialize to the
 //! same bytes:
 //!
 //! * from one analyzer scanning the batches, with its pid states
@@ -25,8 +25,7 @@ use std::sync::Arc;
 
 use crate::variants::{normalize, NormalizedCall, CREAT_IMPLIED_FLAGS};
 use crate::{
-    AnalysisReport, ArgName, MetricsSnapshot, PipelineBuilder, PipelineMetrics, StreamingAnalyzer,
-    TraceFilter, TrackedValue,
+    ArgName, PipelineBuilder, PipelineMetrics, StreamingAnalyzer, TraceFilter, TrackedValue,
 };
 use iocov_syscalls::Sysno;
 use iocov_trace::{ArgValue, ArgView, EventBatch, EventView, TraceEvent};
@@ -267,15 +266,16 @@ fn batches(events: &[TraceEvent], sizes: &[usize]) -> Vec<EventBatch> {
     out
 }
 
-fn analyzer(metrics: &Arc<PipelineMetrics>) -> StreamingAnalyzer {
+fn analyzer() -> StreamingAnalyzer {
     StreamingAnalyzer::new(TraceFilter::mount_point(MOUNT).unwrap())
-        .with_metrics(Arc::clone(metrics))
 }
 
-fn bytes(report: &AnalysisReport, metrics: &MetricsSnapshot) -> (String, String) {
+/// The analyzer's report and funnel, serialized.
+fn bytes(analyzer: StreamingAnalyzer) -> (String, String) {
+    let funnel = serde_json::to_string(&analyzer.funnel()).unwrap();
     (
-        serde_json::to_string_pretty(report).unwrap(),
-        serde_json::to_string(metrics).unwrap(),
+        serde_json::to_string_pretty(&analyzer.finish()).unwrap(),
+        funnel,
     )
 }
 
@@ -286,15 +286,13 @@ proptest! {
         sizes in proptest::collection::vec(1usize..24, 1..6),
         restore_at in 0usize..12,
     ) {
-        let owned_metrics = Arc::new(PipelineMetrics::default());
-        let mut owned = analyzer(&owned_metrics);
+        let mut owned = analyzer();
         for event in &events {
             owned.push(event);
         }
-        let expected = bytes(&owned.finish(), &owned_metrics.snapshot());
+        let expected = bytes(owned);
 
-        let scan_metrics = Arc::new(PipelineMetrics::default());
-        let mut scan = analyzer(&scan_metrics);
+        let mut scan = analyzer();
         for (i, batch) in batches(&events, &sizes).iter().enumerate() {
             if i == restore_at {
                 let states = scan.pid_states();
@@ -302,7 +300,7 @@ proptest! {
             }
             scan.push_batch(batch);
         }
-        prop_assert_eq!(&bytes(&scan.finish(), &scan_metrics.snapshot()), &expected);
+        prop_assert_eq!(&bytes(scan), &expected);
 
         let metrics = Arc::new(PipelineMetrics::default());
         let mut session = PipelineBuilder::new(TraceFilter::mount_point(MOUNT).unwrap())
@@ -319,7 +317,13 @@ proptest! {
         prop_assert_eq!(snapshot.batched_events, events.len() as u64);
         snapshot.batched_events = 0;
         snapshot.allocs_estimated = 0;
-        prop_assert_eq!(&bytes(&report, &snapshot), &expected);
+        prop_assert_eq!(
+            &(
+                serde_json::to_string_pretty(&report).unwrap(),
+                serde_json::to_string(&snapshot).unwrap(),
+            ),
+            &expected
+        );
     }
 
     #[test]

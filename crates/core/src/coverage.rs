@@ -8,10 +8,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::arg::{ArgName, TrackedValue};
 use crate::combos::ComboCoverage;
-use crate::domain::{arg_domain, output_buckets_bytes, output_errnos};
+use crate::domain::{arg_domain, output_buckets_bytes, output_errnos, slot_domain, DomainKind};
 use crate::filter::FilterStats;
 use crate::identifier::IdentifierCoverage;
-use crate::metrics::{DropReason, PipelineMetrics};
+use crate::metrics::{DropReason, MetricsSnapshot, PARTITION_FAMILIES};
 use crate::partition::{errno_number, InputPartition, NumericPartition, OutputPartition};
 use crate::relevance::CallKind;
 use crate::variants::tracked_values;
@@ -335,6 +335,10 @@ const COMBO_SLOTS: usize = iocov_syscalls::OpenFlags::NAMED_FLAGS.len();
 pub(crate) struct ReportBuilder {
     /// Filtering statistics, updated by the owner of the builder.
     pub(crate) filter_stats: FilterStats,
+    /// The filter drops whose reason was [`DropReason::WrongMount`]
+    /// (the rest are [`DropReason::IrrelevantFd`]), also updated by the
+    /// owner. The one funnel count the report's slots do not hold.
+    pub(crate) wrong_mount: u64,
     input: [InputAcc; ArgName::ALL.len()],
     output: [OutputAcc; BaseSyscall::ALL.len()],
     calls_per_variant: [u64; Sysno::ALL.len()],
@@ -350,31 +354,20 @@ pub(crate) struct ReportBuilder {
 
 impl ReportBuilder {
     /// Accumulates one (already filter-accepted) event — the shared
-    /// per-event step of batch and streaming analysis — additionally
-    /// recording unknown-syscall drops, variant merges, and
-    /// per-partition-family record counts into `metrics` when attached.
-    /// `kind` is the event's name resolved by [`CallKind::resolve`], and
-    /// `args` the event's arguments: the tracked ones are read by the
-    /// name's plan, which carries each one's domain.
+    /// per-event step of batch and streaming analysis. `kind` is the
+    /// event's name resolved by [`CallKind::resolve`], and `args` the
+    /// event's arguments: the tracked ones are read by the name's plan,
+    /// which carries each one's domain.
     pub(crate) fn accumulate<E: iocov_trace::EventView + ?Sized>(
         &mut self,
         event: &E,
         args: Args<'_>,
         kind: &CallKind,
-        metrics: Option<&PipelineMetrics>,
     ) {
         let Some(sysno) = kind.sysno else {
             // Tester noise outside the 27-call domain.
-            if let Some(m) = metrics {
-                m.record_drop(DropReason::UnknownSyscall);
-            }
             return;
         };
-        if let Some(m) = metrics {
-            if kind.merged {
-                m.record_variant_merged();
-            }
-        }
         self.calls_per_variant[sysno.index()] += 1;
         if let Some(identifiers) = &mut self.identifiers {
             identifiers.record(event);
@@ -395,9 +388,6 @@ impl ReportBuilder {
                 hits += 1;
                 rdonly |= slot == 0;
             });
-            if let Some(m) = metrics {
-                m.record_input_records(&slots.domain.kind, hits);
-            }
             // Table 1: flag-combination histogram for open. The slots
             // just counted are the word's named flags, as
             // `for_each_open_flag` gives them; slot 0 is `O_RDONLY`.
@@ -419,9 +409,6 @@ impl ReportBuilder {
         let (base, retval) = (sysno.base(), event.retval());
         let acc = &mut self.output[base.index()];
         acc.calls += 1;
-        if let Some(m) = metrics {
-            m.record_output_record(retval >= 0);
-        }
         if retval >= 0 {
             if output_buckets_bytes(base) {
                 if acc.bytes.is_empty() {
@@ -437,6 +424,59 @@ impl ReportBuilder {
                 Some(errno) => acc.errnos[errno.index()] += 1,
                 None => *acc.unknown.entry(number).or_insert(0) += 1,
             }
+        }
+    }
+
+    /// The scan side of the `--metrics` funnel, derived from the counts
+    /// above: events read and kept are the filter stats, an
+    /// unknown-syscall drop is a kept event no variant counted, a merge
+    /// is a call of a variant named apart from its base, and the
+    /// partition records are the slot hits by domain kind and the
+    /// outputs by success. The other fields stay zero: the session
+    /// counts those.
+    pub(crate) fn funnel(&self) -> MetricsSnapshot {
+        let stats = self.filter_stats;
+        let analyzed: u64 = self.calls_per_variant.iter().sum();
+        let variant_merged = Sysno::ALL
+            .into_iter()
+            .zip(self.calls_per_variant)
+            .filter(|(sysno, _)| sysno.name() != sysno.base().name())
+            .map(|(_, calls)| calls)
+            .sum();
+        // In `DropReason::ALL` order.
+        let drops = [
+            self.wrong_mount,
+            stats.dropped as u64 - self.wrong_mount,
+            stats.kept as u64 - analyzed,
+        ];
+        // In `PARTITION_FAMILIES` order.
+        let mut records = [0u64; PARTITION_FAMILIES.len()];
+        for (arg, acc) in ArgName::ALL.into_iter().zip(&self.input) {
+            let family = match slot_domain(arg).domain.kind {
+                DomainKind::OpenFlags | DomainKind::Bitmap { .. } => 0,
+                DomainKind::Numeric { .. } => 1,
+                DomainKind::Categorical { .. } => 2,
+            };
+            records[family] += acc.counts.iter().sum::<u64>();
+        }
+        for acc in &self.output {
+            records[3] += acc.ok + acc.bytes.iter().sum::<u64>();
+            records[4] += acc.errnos.iter().sum::<u64>() + acc.unknown.values().sum::<u64>();
+        }
+        MetricsSnapshot {
+            events_read: stats.total as u64,
+            filter_dropped: DropReason::ALL
+                .iter()
+                .map(|reason| reason.name().to_owned())
+                .zip(drops)
+                .collect(),
+            variant_merged,
+            partition_records: PARTITION_FAMILIES
+                .iter()
+                .map(|&family| family.to_owned())
+                .zip(records)
+                .collect(),
+            ..MetricsSnapshot::default()
         }
     }
 

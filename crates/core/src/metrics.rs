@@ -1,16 +1,25 @@
-//! Pipeline observability: cheap counters and per-stage timers.
+//! Pipeline observability: the analysis funnel and per-stage timers.
 //!
 //! Coverage tooling is only trustworthy when its own gaps are measured:
 //! a run that silently drops half its events reports coverage of the
 //! half it kept. [`PipelineMetrics`] turns the analysis pipeline from a
 //! black box into an accounted funnel — events read, parse-skipped,
 //! filter-dropped (by [`DropReason`]), variant-merged, and
-//! per-partition-family record counts — using relaxed atomic counters so
-//! one instance can be shared (via `Arc`) by the caller's thread, the
-//! session's shard thread and `serve`'s streams. Because each counter
-//! is a commutative sum, [`PipelineMetrics::snapshot`] of a session is
-//! **identical** to a serial run over the same trace, down to the
-//! serialized bytes.
+//! per-partition-family record counts.
+//!
+//! The scan side of the funnel is not counted event by event: it is
+//! derived from the analyzer's own counts (its filter stats, its calls
+//! per variant and its partition slots), plus one counter the analyzer
+//! keeps for the wrong-mount/irrelevant-fd split. A session's shard
+//! absorbs that derived funnel into the shared instance once, when the
+//! session finishes, so a failed shard incarnation's counts, which its
+//! restore point does not hold, are never counted. The caller-side
+//! counters (parse skips, batch shape, restarts, the failure manifest)
+//! are relaxed atomics, so one instance can be shared (via `Arc`) by the
+//! caller's thread, the session's shard thread and `serve`'s streams.
+//! Because each counter is a commutative sum,
+//! [`PipelineMetrics::snapshot`] of a session is **identical** to a
+//! serial run over the same trace, down to the serialized bytes.
 //!
 //! Wall-clock stage timers ride along for performance work but live
 //! outside the snapshot: time is the one thing that differs from run to
@@ -35,8 +44,6 @@ use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-
-use crate::domain::DomainKind;
 
 /// Why the pipeline dropped an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -71,7 +78,7 @@ impl DropReason {
 }
 
 /// Partition families tracked by the per-record counters.
-const PARTITION_FAMILIES: [&str; 5] = [
+pub(crate) const PARTITION_FAMILIES: [&str; 5] = [
     "input-flag",
     "input-numeric",
     "input-categorical",
@@ -100,60 +107,10 @@ pub struct PipelineMetrics {
     stage_nanos: Mutex<BTreeMap<&'static str, u64>>,
 }
 
-/// Stage names the pipeline is known to time. [`PipelineMetrics::absorb`]
-/// resolves a snapshot's owned stage keys back to these statics; an
-/// unknown stage (impossible without a code change) is dropped rather
-/// than leaked into a `&'static str` map.
-const KNOWN_STAGES: [&str; 2] = ["analyze", "simulate"];
-
 impl PipelineMetrics {
-    /// Counts events entering the pipeline.
-    pub fn add_events_read(&self, n: u64) {
-        self.events_read.fetch_add(n, Ordering::Relaxed);
-    }
-
     /// Counts lines the lossy reader skipped before analysis.
     pub fn add_parse_skipped(&self, n: u64) {
         self.parse_skipped.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Counts one dropped event.
-    pub fn record_drop(&self, reason: DropReason) {
-        let counter = match reason {
-            DropReason::WrongMount => &self.dropped_wrong_mount,
-            DropReason::IrrelevantFd => &self.dropped_irrelevant_fd,
-            DropReason::UnknownSyscall => &self.dropped_unknown_syscall,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one event whose concrete variant was merged into a
-    /// different base syscall (e.g. `openat` → `open`).
-    pub fn record_variant_merged(&self) {
-        self.variant_merged.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts `n` input-partition records of one argument domain, by
-    /// partition family: flag words, numbers, categorical values.
-    pub(crate) fn record_input_records(&self, kind: &DomainKind, n: u64) {
-        let counter = match kind {
-            DomainKind::OpenFlags | DomainKind::Bitmap { .. } => &self.records_input_flag,
-            DomainKind::Numeric { .. } => &self.records_input_numeric,
-            DomainKind::Categorical { .. } => &self.records_input_categorical,
-        };
-        if n > 0 {
-            counter.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Counts one output-partition record by success or failure.
-    pub(crate) fn record_output_record(&self, success: bool) {
-        let counter = if success {
-            &self.records_output_ok
-        } else {
-            &self.records_output_err
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Counts one columnar batch entering the analysis stage: `events`
@@ -221,12 +178,10 @@ impl PipelineMetrics {
 
     /// Sums a snapshot's counters into this instance.
     ///
-    /// This is how the supervised shard reports: each *incarnation*
-    /// accumulates into a private `PipelineMetrics` and the supervisor
-    /// absorbs the snapshot only from a restore point at a cut — so the
-    /// events a failed incarnation counted before crashing, which its
-    /// restart does not hold, are never counted. Absorbing is a plain
-    /// sum, so snapshots absorbed in any order give the same totals.
+    /// This is how the funnel arrives: a session absorbs its shard's
+    /// derived funnel once, at finish, and a resumed session first
+    /// absorbs its checkpoint's snapshot. Absorbing is a plain sum, so
+    /// snapshots absorbed in any order give the same totals.
     pub fn absorb(&self, snapshot: &MetricsSnapshot) {
         self.events_read
             .fetch_add(snapshot.events_read, Ordering::Relaxed);
@@ -263,17 +218,6 @@ impl PipelineMetrics {
         }
         for record in &snapshot.shard_failures {
             self.record_shard_failure(record.clone());
-        }
-    }
-
-    /// Sums another instance's stage timings into this one (the timing
-    /// counterpart of [`absorb`](Self::absorb), separate because timings
-    /// live outside the deterministic snapshot).
-    pub fn absorb_stage_timings(&self, timings: &BTreeMap<String, u64>) {
-        for (stage, &nanos) in timings {
-            if let Some(&known) = KNOWN_STAGES.iter().find(|&&k| k == stage) {
-                self.add_stage_nanos(known, nanos);
-            }
         }
     }
 
@@ -428,58 +372,22 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    #[test]
-    fn counters_accumulate_and_snapshot() {
-        let m = PipelineMetrics::default();
-        m.add_events_read(10);
-        m.add_parse_skipped(2);
-        m.record_drop(DropReason::WrongMount);
-        m.record_drop(DropReason::WrongMount);
-        m.record_drop(DropReason::IrrelevantFd);
-        m.record_drop(DropReason::UnknownSyscall);
-        m.record_variant_merged();
-        m.record_input_records(&DomainKind::OpenFlags, 1);
-        m.record_input_records(&DomainKind::Bitmap { flags: &[] }, 0);
-        m.record_input_records(
-            &DomainKind::Numeric {
-                signed: false,
-                display_max_log2: 20,
-            },
-            1,
-        );
-        m.record_input_records(&DomainKind::Categorical { values: &[] }, 1);
-        m.record_output_record(true);
-        m.record_output_record(true);
-        m.record_output_record(false);
-        let snap = m.snapshot();
-        assert_eq!(snap.events_read, 10);
-        assert_eq!(snap.parse_skipped, 2);
-        assert_eq!(snap.filter_dropped["wrong-mount"], 2);
-        assert_eq!(snap.filter_dropped["irrelevant-fd"], 1);
-        assert_eq!(snap.filter_dropped["unknown-syscall"], 1);
-        assert_eq!(snap.total_dropped(), 4);
-        assert_eq!(snap.variant_merged, 1);
-        assert_eq!(snap.partition_records["input-flag"], 1);
-        assert_eq!(snap.partition_records["input-numeric"], 1);
-        assert_eq!(snap.partition_records["input-categorical"], 1);
-        assert_eq!(snap.partition_records["output-ok"], 2);
-        assert_eq!(snap.partition_records["output-err"], 1);
+    /// A snapshot holding `events_read` and one drop of `reason`, as a
+    /// shard's funnel would.
+    fn one_drop(events_read: u64, reason: DropReason) -> MetricsSnapshot {
+        MetricsSnapshot {
+            events_read,
+            filter_dropped: [(reason.name().to_owned(), 1)].into(),
+            ..MetricsSnapshot::default()
+        }
     }
 
     #[test]
     fn snapshot_absorb_is_commutative() {
-        let a = {
-            let m = PipelineMetrics::default();
-            m.add_events_read(3);
-            m.record_drop(DropReason::WrongMount);
-            m.snapshot()
-        };
-        let b = {
-            let m = PipelineMetrics::default();
-            m.add_events_read(4);
-            m.record_drop(DropReason::IrrelevantFd);
-            m.record_variant_merged();
-            m.snapshot()
+        let a = one_drop(3, DropReason::WrongMount);
+        let b = MetricsSnapshot {
+            variant_merged: 1,
+            ..one_drop(4, DropReason::IrrelevantFd)
         };
         let sum = |first: &MetricsSnapshot, second: &MetricsSnapshot| {
             let m = PipelineMetrics::default();
@@ -491,12 +399,14 @@ mod tests {
         assert_eq!(ab, sum(&b, &a));
         assert_eq!(ab.events_read, 7);
         assert_eq!(ab.total_dropped(), 2);
+        assert_eq!(ab.filter_dropped["wrong-mount"], 1);
+        assert_eq!(ab.variant_merged, 1);
     }
 
     #[test]
     fn snapshot_serializes_deterministically() {
         let m = PipelineMetrics::default();
-        m.add_events_read(1);
+        m.add_parse_skipped(1);
         let first = serde_json::to_string(&m.snapshot()).unwrap();
         let second = serde_json::to_string(&m.snapshot()).unwrap();
         assert_eq!(first, second);
@@ -524,32 +434,6 @@ mod tests {
         // Timings never leak into the deterministic snapshot.
         let json = serde_json::to_string(&m.snapshot()).unwrap();
         assert!(!json.contains("analyze"));
-    }
-
-    #[test]
-    fn absorb_equals_direct_counting() {
-        // Counting into a local instance and absorbing its snapshot must
-        // be indistinguishable from counting into the target directly.
-        let direct = PipelineMetrics::default();
-        direct.add_events_read(5);
-        direct.record_drop(DropReason::WrongMount);
-        direct.record_variant_merged();
-        direct.record_input_records(&DomainKind::OpenFlags, 1);
-        direct.record_output_record(false);
-
-        let local = PipelineMetrics::default();
-        local.add_events_read(5);
-        local.record_drop(DropReason::WrongMount);
-        local.record_variant_merged();
-        local.record_input_records(&DomainKind::OpenFlags, 1);
-        local.record_output_record(false);
-        local.add_stage_nanos("analyze", 1234);
-        let absorbed = PipelineMetrics::default();
-        absorbed.absorb(&local.snapshot());
-        absorbed.absorb_stage_timings(&local.stage_timings());
-
-        assert_eq!(direct.snapshot(), absorbed.snapshot());
-        assert_eq!(absorbed.stage_timings()["analyze"], 1234);
     }
 
     #[test]
@@ -633,14 +517,15 @@ mod tests {
                 let m = Arc::clone(&m);
                 scope.spawn(move || {
                     for _ in 0..1000 {
-                        m.add_events_read(1);
-                        m.record_drop(DropReason::WrongMount);
+                        m.add_parse_skipped(1);
+                        m.record_batch(2, 3);
                     }
                 });
             }
         });
         let snap = m.snapshot();
-        assert_eq!(snap.events_read, 4000);
-        assert_eq!(snap.filter_dropped["wrong-mount"], 4000);
+        assert_eq!(snap.parse_skipped, 4000);
+        assert_eq!(snap.batched_events, 8000);
+        assert_eq!(snap.allocs_estimated, 12000);
     }
 }

@@ -18,15 +18,13 @@
 //!   error), which lasts the whole run, so
 //!   [`SupervisorPolicy::max_restarts`] is a budget per run and a shard
 //!   that gave up stays given up;
-//! * the *restore point*: a clone of the shard's analyzer and private
-//!   metrics at the last cut, seeded from the resumed checkpoint's pid
-//!   states (or empty);
+//! * the *restore point*: a clone of the shard's analyzer at the last
+//!   cut, seeded from the resumed checkpoint's pid states (or empty).
+//!   The analyzer's counts are the scan side of the `--metrics` funnel
+//!   ([`PipelineMetrics`] derives it from them), so the restore point
+//!   carries its funnel, and a failed incarnation's counts die with it;
 //! * the hook ticks: each batch's ordinal since the last cut, sent with
 //!   its scan job, so a restart does not reset them;
-//! * metrics absorption: each incarnation counts into a private
-//!   [`PipelineMetrics`], absorbed into the shared instance only at a
-//!   cut, from the restore point, so a failed incarnation's counts die
-//!   with it;
 //! * the [`ShardFailureRecord`] manifest.
 //!
 //! Analysis is a deterministic fold, so a batch that panicked the shard
@@ -45,12 +43,12 @@
 //!
 //! A *cut* ([`cut`](ShardSupervisor::cut) at a checkpoint or snapshot,
 //! and finish) syncs the live shard, clones it into its restore point,
-//! and rebases: hook ticks count from zero again, and the restore
-//! point's counters move into the shared metrics, so a checkpoint
-//! document's counters cover exactly its report. The cumulative report
-//! is the resumed base report merged with the restore point's, and the
-//! cumulative pid states are the restore point's. The shard thread
-//! persists across cuts.
+//! and rebases: hook ticks count from zero again. The cumulative report
+//! is the resumed base report merged with the restore point's, the
+//! cumulative pid states are the restore point's, and so is the funnel
+//! a checkpoint document adds to the shared metrics. Finish absorbs
+//! the last restore point's funnel into the shared metrics, once. The
+//! shard thread persists across cuts.
 //!
 //! # Transport
 //!
@@ -78,7 +76,7 @@ use iocov_trace::EventBatch;
 
 use crate::checkpoint::PidStateSnapshot;
 use crate::coverage::AnalysisReport;
-use crate::metrics::{PipelineMetrics, ShardFailureRecord};
+use crate::metrics::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
 use crate::streaming::StreamingAnalyzer;
 
 /// A progress hook the shard calls before it scans a batch, with the
@@ -279,87 +277,38 @@ impl RestartLedger {
     }
 }
 
-/// One shard incarnation: an analyzer and its private metrics. A live
-/// incarnation scans batches; a *restore point* is a clone of one, taken
-/// at a cut, that restarts copy from.
+/// One shard incarnation. A live incarnation scans batches; a *restore
+/// point* is a clone of one, taken at a cut, that restarts copy from.
+#[derive(Clone)]
 struct Incarnation {
     analyzer: StreamingAnalyzer,
-    /// Absorbed into the shared metrics only from a restore point at a
-    /// cut, so a failed incarnation's half-counted events die with it.
-    local: Option<Arc<PipelineMetrics>>,
     /// Events of the batches scanned since the last cut.
     scanned: u64,
 }
 
 impl Incarnation {
-    /// `analyzer` seeded with `states`, counting into a private metrics
-    /// instance when the run has metrics.
-    fn seeded(
-        mut analyzer: StreamingAnalyzer,
-        states: &BTreeMap<u32, PidStateSnapshot>,
-        metered: bool,
-    ) -> Self {
-        analyzer.restore_pid_states(states);
-        let mut incarnation = Incarnation {
-            analyzer,
-            local: None,
-            scanned: 0,
-        };
-        if metered {
-            incarnation.count_into(PipelineMetrics::default());
-        }
-        incarnation
-    }
-
-    fn count_into(&mut self, metrics: PipelineMetrics) {
-        let metrics = Arc::new(metrics);
-        self.analyzer.set_metrics(Arc::clone(&metrics));
-        self.local = Some(metrics);
-    }
-
-    /// Scans batch `tick`, walking its columns by reference.
-    fn scan(&mut self, batch: &EventBatch, tick: u64, hook: Option<&ShardHook>) {
+    /// Scans batch `tick`, walking its columns by reference, and times
+    /// the scan into `metrics`.
+    fn scan(
+        &mut self,
+        batch: &EventBatch,
+        tick: u64,
+        hook: Option<&ShardHook>,
+        metrics: Option<&PipelineMetrics>,
+    ) {
         if let Some(hook) = hook {
             hook(tick);
         }
         self.scanned += batch.len() as u64;
-        let _timer = self.local.as_deref().map(|m| m.time_stage("analyze"));
+        let _timer = metrics.map(|m| m.time_stage("analyze"));
         self.analyzer.push_batch(batch);
     }
 
-    /// A deep copy that counts on apart from `self`: the analyzer, and a
-    /// private metrics instance holding the same counts.
-    fn copy(&self) -> Incarnation {
-        let mut copy = Incarnation {
-            analyzer: self.analyzer.clone(),
-            local: None,
-            scanned: self.scanned,
-        };
-        if let Some(local) = &self.local {
-            let counters = PipelineMetrics::default();
-            counters.absorb(&local.snapshot());
-            counters.absorb_stage_timings(&local.stage_timings());
-            copy.count_into(counters);
-        }
-        copy
-    }
-
-    /// Starts an epoch: events and counters count from empty. Returns
-    /// the counters of the epoch that ended.
-    fn rebase(&mut self) -> Option<Arc<PipelineMetrics>> {
-        self.scanned = 0;
-        let ended = self.local.take();
-        if ended.is_some() {
-            self.count_into(PipelineMetrics::default());
-        }
-        ended
-    }
-
     /// A cut of this live incarnation: its restore point, after which
-    /// the incarnation itself rebases.
+    /// the incarnation counts its events from zero again.
     fn mark(&mut self) -> Incarnation {
-        let point = self.copy();
-        self.rebase();
+        let point = self.clone();
+        self.scanned = 0;
         point
     }
 }
@@ -502,14 +451,18 @@ impl ShardSupervisor {
     /// A supervisor over one shard, a copy of the `empty` analyzer,
     /// whose base is `seed`'s `(report, pid states)`, or empty.
     pub(crate) fn new(
-        empty: StreamingAnalyzer,
+        mut empty: StreamingAnalyzer,
         policy: SupervisorPolicy,
         hook: Option<ShardHook>,
         metrics: Option<Arc<PipelineMetrics>>,
         seed: Option<(AnalysisReport, BTreeMap<u32, PidStateSnapshot>)>,
     ) -> Self {
         let (base_report, base_states) = seed.unwrap_or_default();
-        let restore = Incarnation::seeded(empty, &base_states, metrics.is_some());
+        empty.restore_pid_states(&base_states);
+        let restore = Incarnation {
+            analyzer: empty,
+            scanned: 0,
+        };
         ShardSupervisor {
             metrics,
             policy,
@@ -548,9 +501,16 @@ impl ShardSupervisor {
         (self.report(), self.restore.analyzer.pid_states())
     }
 
+    /// The scan side of the funnel since the session began (a resumed
+    /// session's checkpoint holds the funnel before it): the restore
+    /// point's, so as of the last cut.
+    pub(crate) fn funnel(&self) -> MetricsSnapshot {
+        self.restore.analyzer.funnel()
+    }
+
     /// Drains the supervisor: the final report and the shard-failure
-    /// manifest (also recorded in the metrics), one record if the shard
-    /// restarted or gave up.
+    /// manifest, one record if the shard restarted or gave up. Both the
+    /// manifest and the restore point's funnel go into the metrics.
     pub(crate) fn finish(mut self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
         self.mark();
         // The live thread has just answered the mark, so it exits as
@@ -561,6 +521,7 @@ impl ShardSupervisor {
         }
         let failures = Vec::from_iter(self.ledger.record());
         if let Some(metrics) = &self.metrics {
+            metrics.absorb(&self.funnel());
             for failure in &failures {
                 metrics.record_shard_failure(failure.clone());
             }
@@ -579,8 +540,7 @@ impl ShardSupervisor {
     /// coalescing buffer, makes the live shard's clone its restore
     /// point, and charges the ledger the events since the last cut that
     /// the new restore point does not hold. A shard that fails even now
-    /// is restarted first. The restore point's counters then move into
-    /// the shared metrics.
+    /// is restarted first.
     fn mark(&mut self) {
         self.flush_pending();
         // Whether a restart took over a queue that holds the mark job
@@ -596,7 +556,10 @@ impl ShardSupervisor {
             match slot.await_mark() {
                 Ok(point) => {
                     self.ledger.lost_events += self.events - point.scanned;
-                    self.restore = *point;
+                    self.restore = Incarnation {
+                        scanned: 0,
+                        ..*point
+                    };
                     break;
                 }
                 Err(failure) => queued = self.recover(failure),
@@ -604,10 +567,6 @@ impl ShardSupervisor {
         }
         if self.ledger.gave_up {
             self.ledger.lost_events += self.events;
-        }
-        if let (Some(shared), Some(ended)) = (&self.metrics, self.restore.rebase()) {
-            shared.absorb(&ended.snapshot());
-            shared.absorb_stage_timings(&ended.stage_timings());
         }
         (self.ticks, self.events) = (0, 0);
     }
@@ -626,9 +585,10 @@ impl ShardSupervisor {
         let (jobs, queue) = queue.unwrap_or_else(|| sync_channel(PIPELINE_DEPTH));
         let (replies, done) = sync_channel::<Reply>(1);
         let heartbeat = Arc::new(AtomicU64::new(0));
-        let mut incarnation = self.restore.copy();
+        let mut incarnation = self.restore.clone();
         let beat = Arc::clone(&heartbeat);
         let hook = self.hook.clone();
+        let metrics = self.metrics.clone();
         let thread = std::thread::Builder::new()
             .name("iocov-shard".to_owned())
             .spawn(move || {
@@ -637,7 +597,7 @@ impl ShardSupervisor {
                         Job::Scan(batch, tick) => {
                             let scan = catch_unwind(AssertUnwindSafe(|| {
                                 let _supervised = SupervisedScanGuard::enter();
-                                incarnation.scan(&batch, tick, hook.as_ref());
+                                incarnation.scan(&batch, tick, hook.as_ref(), metrics.as_deref());
                             }));
                             if let Err(payload) = scan {
                                 let msg = panic_message(payload.as_ref());
@@ -728,7 +688,7 @@ impl ShardSupervisor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ArgName, Iocov, MetricsSnapshot, PipelineBuilder, TraceFilter};
+    use crate::{ArgName, Iocov, PipelineBuilder, TraceFilter};
     use iocov_trace::{ArgValue, Trace, TraceEvent};
 
     /// A multi-pid trace exercising every provenance rule: opens, dups,
@@ -829,12 +789,13 @@ mod tests {
         Iocov::with_filter(filter()).analyze(&Trace::from_events(events.to_vec()))
     }
 
-    /// The serial report with its counters: one metered
-    /// `StreamingAnalyzer` over every event.
+    /// The serial report with its counters: one `StreamingAnalyzer`
+    /// over every event, its funnel absorbed into fresh metrics.
     fn serial_metered(events: &[TraceEvent]) -> (AnalysisReport, MetricsSnapshot) {
-        let metrics = Arc::new(PipelineMetrics::default());
-        let mut analyzer = StreamingAnalyzer::new(filter()).with_metrics(Arc::clone(&metrics));
+        let mut analyzer = StreamingAnalyzer::new(filter());
         analyzer.push_all(events);
+        let metrics = PipelineMetrics::default();
+        metrics.absorb(&analyzer.funnel());
         (analyzer.finish(), metrics.snapshot())
     }
 

@@ -82,9 +82,6 @@ pub(crate) enum Role {
 pub(crate) struct CallKind {
     /// The in-domain call the name is; `None` for tester noise.
     pub(crate) sysno: Option<Sysno>,
-    /// Whether the call is a variant merged into another base syscall
-    /// (`openat` into `open`), for the variant-merge counter.
-    pub(crate) merged: bool,
     /// How the call moves provenance.
     pub(crate) role: Role,
     /// The arguments the call tracks ([`call_plan`]); none for noise.
@@ -105,7 +102,6 @@ impl CallKind {
         };
         CallKind {
             sysno,
-            merged: sysno.is_some_and(|s| s.name() != s.base().name()),
             role,
             plan: sysno.map_or(&[], call_plan),
         }

@@ -90,20 +90,24 @@ impl AnalysisSession {
     }
 
     /// Assembles a complete checkpoint document for the session's state
-    /// at source position `pos`.
+    /// at source position `pos`. Its metrics are the shared ones plus
+    /// the cut's funnel, which the shared metrics receive only at
+    /// finish.
     #[must_use]
     pub fn checkpoint_doc(&mut self, pos: &SourcePos) -> CheckpointDoc {
         let (report, pid_states) = self.cut();
+        let metrics = self.metrics.as_ref().map(|shared| {
+            let at_cut = PipelineMetrics::default();
+            at_cut.absorb(&shared.snapshot());
+            at_cut.absorb(&self.shard.funnel());
+            at_cut.snapshot()
+        });
         CheckpointDoc {
             mount: self.mount.clone(),
             cursor: pos.state.clone(),
             pid_states,
             report,
-            metrics: self
-                .metrics
-                .as_ref()
-                .map(|m| m.snapshot())
-                .unwrap_or_default(),
+            metrics: metrics.unwrap_or_default(),
             format: pos.format,
         }
     }

@@ -19,7 +19,7 @@ use iocov_trace::{EventBatch, EventView, TraceEvent};
 
 use crate::coverage::{AnalysisReport, ReportBuilder};
 use crate::filter::TraceFilter;
-use crate::metrics::PipelineMetrics;
+use crate::metrics::{DropReason, MetricsSnapshot};
 use crate::relevance::{self, CallKind, PidStates};
 use crate::PidStateSnapshot;
 
@@ -41,14 +41,14 @@ use crate::PidStateSnapshot;
 /// assert_eq!(report.total_calls(), 1);
 /// ```
 ///
-/// A clone carries the relevance states and counts so far and continues
-/// independently of the original; attached metrics stay shared.
+/// A clone carries the relevance states and counts so far (the
+/// `--metrics` funnel is derived from those counts) and continues
+/// independently of the original.
 #[derive(Debug, Clone)]
 pub struct StreamingAnalyzer {
     filter: TraceFilter,
     states: PidStates,
     builder: ReportBuilder,
-    metrics: Option<std::sync::Arc<PipelineMetrics>>,
     /// The scanned batch's name table, resolved; reused across batches.
     calls: Vec<CallKind>,
 }
@@ -61,7 +61,6 @@ impl StreamingAnalyzer {
             filter,
             states: PidStates::default(),
             builder: ReportBuilder::default(),
-            metrics: None,
             calls: Vec::new(),
         }
     }
@@ -78,21 +77,6 @@ impl StreamingAnalyzer {
         self.builder.identifiers = Some(Default::default());
         self.builder.open_flags = Some(Default::default());
         self
-    }
-
-    /// Attaches shared pipeline metrics; every pushed event updates the
-    /// counters. Shards of a parallel run share one instance — the
-    /// counters are atomic, so the totals equal a serial run's.
-    #[must_use]
-    pub fn with_metrics(mut self, metrics: std::sync::Arc<PipelineMetrics>) -> Self {
-        self.set_metrics(metrics);
-        self
-    }
-
-    /// Replaces the attached metrics (a clone that must count apart from
-    /// its original gets its own instance here).
-    pub(crate) fn set_metrics(&mut self, metrics: std::sync::Arc<PipelineMetrics>) {
-        self.metrics = Some(metrics);
     }
 
     /// Consumes one event; returns whether it was kept.
@@ -121,10 +105,6 @@ impl StreamingAnalyzer {
     /// every step.
     fn push_as<E: EventView + ?Sized>(&mut self, event: &E, call: &CallKind) -> bool {
         self.builder.filter_stats.total += 1;
-        let metrics = self.metrics.as_deref();
-        if let Some(m) = metrics {
-            m.add_events_read(1);
-        }
         let args = event.args();
         let dropped = if self.filter.is_keep_all() {
             None
@@ -137,14 +117,12 @@ impl StreamingAnalyzer {
         match dropped {
             None => {
                 self.builder.filter_stats.kept += 1;
-                self.builder.accumulate(event, args, call, metrics);
+                self.builder.accumulate(event, args, call);
                 true
             }
             Some(reason) => {
                 self.builder.filter_stats.dropped += 1;
-                if let Some(m) = metrics {
-                    m.record_drop(reason);
-                }
+                self.builder.wrong_mount += u64::from(reason == DropReason::WrongMount);
                 false
             }
         }
@@ -176,6 +154,12 @@ impl StreamingAnalyzer {
     /// events after the checkpoint's cursor.
     pub fn restore_pid_states(&mut self, states: &BTreeMap<u32, PidStateSnapshot>) {
         self.states = PidStates::restore(states);
+    }
+
+    /// The scan side of the `--metrics` funnel over the events pushed so
+    /// far, derived from the analyzer's own counts.
+    pub(crate) fn funnel(&self) -> MetricsSnapshot {
+        self.builder.funnel()
     }
 
     /// A snapshot of the report so far (the stream may continue).
@@ -291,6 +275,58 @@ mod tests {
         assert_eq!(streaming.report().total_calls(), 1);
         streaming.push(&write_ev(3, 16));
         assert_eq!(streaming.report().total_calls(), 2);
+    }
+
+    #[test]
+    fn funnel_splits_drops_and_counts_merges_and_outcomes() {
+        let filter = TraceFilter::mount_point("/mnt/test").unwrap();
+        let mut streaming = StreamingAnalyzer::new(filter);
+        let openat = TraceEvent::build(
+            "openat",
+            257,
+            vec![
+                ArgValue::Fd(-100),
+                ArgValue::Path("/mnt/test/a".into()),
+                ArgValue::Flags(0),
+                ArgValue::Mode(0),
+            ],
+            3,
+        );
+        let stat = TraceEvent::build(
+            "stat",
+            4,
+            vec![ArgValue::Path("/mnt/test/a".into()), ArgValue::Ptr(1)],
+            0,
+        );
+        for event in [
+            openat,
+            open_ev("/var/y", 4),
+            write_ev(42, 8),
+            stat,
+            TraceEvent::build(
+                "write",
+                1,
+                vec![ArgValue::Fd(3), ArgValue::Ptr(1), ArgValue::UInt(8)],
+                -28,
+            ),
+        ] {
+            streaming.push(&event);
+        }
+        let funnel = streaming.funnel();
+        assert_eq!(funnel.events_read, 5);
+        assert_eq!(funnel.filter_dropped["wrong-mount"], 1);
+        assert_eq!(funnel.filter_dropped["irrelevant-fd"], 1);
+        assert_eq!(funnel.filter_dropped["unknown-syscall"], 1);
+        assert_eq!(funnel.variant_merged, 1);
+        assert_eq!(funnel.partition_records["output-ok"], 1);
+        assert_eq!(funnel.partition_records["output-err"], 1);
+        // The write count is the one numeric input.
+        assert_eq!(funnel.partition_records["input-numeric"], 1);
+        // A clone carries the funnel and counts on apart.
+        let mut clone = streaming.clone();
+        clone.push(&open_ev("/var/z", 5));
+        assert_eq!(clone.funnel().filter_dropped["wrong-mount"], 2);
+        assert_eq!(streaming.funnel(), funnel);
     }
 
     #[test]

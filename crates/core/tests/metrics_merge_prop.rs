@@ -2,8 +2,8 @@
 //! summing them is order-independent. Every `.iockpt` (and the
 //! checkpoint `iocov serve` sends a resuming stream) carries a
 //! [`MetricsSnapshot`] (shard failures included) that a resumed session
-//! parses back and absorbs, and the shard supervisor absorbs its restore
-//! point's counters into the shared metrics at every cut. For
+//! parses back and absorbs, and a finishing session absorbs its restore
+//! point's derived funnel into the shared metrics. For
 //! `--metrics` to render the same bytes across kill/resume, absorbing
 //! parsed snapshots into one
 //! [`PipelineMetrics`] in *any* order must serialize to exactly the
@@ -46,8 +46,8 @@ fn keyed_map(keys: &'static [&'static str]) -> impl Strategy<Value = BTreeMap<St
         .prop_map(move |values| keys.iter().map(|k| (*k).to_owned()).zip(values).collect())
 }
 
-/// A snapshot shaped exactly like one a shard cuts from its private
-/// `PipelineMetrics`: every known drop/partition key present.
+/// A snapshot shaped exactly like a checkpoint's: every known
+/// drop/partition key present.
 fn snapshot_strategy() -> impl Strategy<Value = MetricsSnapshot> {
     (
         (0u64..1_000_000, 0u64..1_000, 0u64..1_000_000, 0u64..1_000),
