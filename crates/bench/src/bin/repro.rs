@@ -17,10 +17,9 @@
 //! claims the paper makes about it.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 use iocov::tcd::{crossover, log_targets, tcd_uniform};
-use iocov::{ArgName, BaseSyscall, InputPartition, NumericPartition, PipelineMetrics};
+use iocov::{ArgName, BaseSyscall, InputPartition, NumericPartition};
 use iocov_bench::{open_flag_frequencies, run_suites, SuiteReports};
 use iocov_faults::{dataset, demo_bugs, StudyStats};
 
@@ -107,13 +106,10 @@ fn main() {
     let needs_suites = ["fig2", "table1", "fig3", "fig4", "fig5", "untested"]
         .iter()
         .any(|e| opts.exhibits.contains(*e));
-    // A --full run accounts for itself: the pipeline counters and stage
-    // timings land in metrics.json next to the exhibits.
-    let metrics = (opts.full && needs_suites).then(|| Arc::new(PipelineMetrics::default()));
     let reports = needs_suites.then(|| {
         eprintln!("[running CrashMonkey and xfstests simulations …]");
         let start = std::time::Instant::now();
-        let reports = run_suites(opts.seed, opts.scale, metrics.as_ref());
+        let reports = run_suites(opts.seed, opts.scale);
         let elapsed = start.elapsed().as_secs_f64();
         let events = reports.crashmonkey.filter_stats.total + reports.xfstests.filter_stats.total;
         eprintln!(
@@ -122,10 +118,12 @@ fn main() {
         );
         reports
     });
-    if let Some(metrics) = &metrics {
+    // A --full run accounts for itself: the pipeline counters and stage
+    // timings land in metrics.json next to the exhibits.
+    if let Some(reports) = reports.as_ref().filter(|_| opts.full) {
         let doc = MetricsDoc {
-            counters: metrics.snapshot(),
-            stage_timings_ns: metrics.stage_timings(),
+            counters: reports.counters.clone(),
+            stage_timings_ns: reports.stage_timings.clone(),
         };
         let json = serde_json::to_string_pretty(&doc).expect("metrics serialize");
         let path = "metrics.json";

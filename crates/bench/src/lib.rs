@@ -5,14 +5,17 @@
 //! test suites (CrashMonkey and xfstests) against fresh in-memory file
 //! systems, draining and analyzing the shared trace in chunks so that a
 //! full paper-scale run (millions of events) stays within bounded
-//! memory, and returns the merged [`AnalysisReport`] per suite.
+//! memory, and returns the merged [`AnalysisReport`] per suite with the
+//! analysis counters and stage timings of the run.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use iocov::{
-    AnalysisReport, ArgName, InputPartition, PipelineBuilder, PipelineMetrics, TraceFilter,
+    AnalysisReport, ArgName, InputPartition, MetricsSnapshot, PipelineBuilder, PipelineMetrics,
+    TraceFilter,
 };
 use iocov_workloads::{CrashMonkeySim, SuiteResult, TestEnv, XfstestsSim, MOUNT};
 
@@ -76,28 +79,31 @@ pub struct SuiteReports {
     pub crashmonkey_result: SuiteResult,
     /// xfstests run outcome.
     pub xfstests_result: SuiteResult,
+    /// Both suites' analysis counters, summed.
+    pub counters: MetricsSnapshot,
+    /// Wall-clock nanoseconds per stage (`simulate`, `analyze`).
+    pub stage_timings: BTreeMap<String, u64>,
 }
 
 /// Runs both suites at `scale` and analyzes their traces with the
-/// standard mount-point filter. With `metrics`, both suites' analysis
-/// sessions record into the same counters, and the simulation and
-/// analysis stages are wall-clock timed.
+/// standard mount-point filter. Both suites' analysis sessions count
+/// into the same metrics, and the simulation and analysis stages are
+/// wall-clock timed.
 #[must_use]
-pub fn run_suites(seed: u64, scale: f64, metrics: Option<&Arc<PipelineMetrics>>) -> SuiteReports {
+pub fn run_suites(seed: u64, scale: f64) -> SuiteReports {
     let Ok(filter) = TraceFilter::mount_point(MOUNT);
+    let metrics = Arc::new(PipelineMetrics::default());
     let session = |filter: TraceFilter| {
-        let mut builder = PipelineBuilder::new(filter);
-        if let Some(m) = metrics {
-            builder = builder.metrics(Arc::clone(m));
-        }
-        builder.build_session()
+        PipelineBuilder::new(filter)
+            .metrics(Arc::clone(&metrics))
+            .build_session()
     };
 
     // CrashMonkey: small; single pass.
     let cm_env = TestEnv::new();
     let cm_sim = CrashMonkeySim::new(seed, scale);
     let crashmonkey_result = {
-        let _timer = metrics.map(|m| m.time_stage("simulate"));
+        let _timer = metrics.time_stage("simulate");
         cm_sim.run(&cm_env)
     };
     let mut cm_session = session(filter.clone());
@@ -116,7 +122,7 @@ pub fn run_suites(seed: u64, scale: f64, metrics: Option<&Arc<PipelineMetrics>>)
     while start < total {
         let end = (start + CHUNK).min(total);
         let chunk_result = {
-            let _timer = metrics.map(|m| m.time_stage("simulate"));
+            let _timer = metrics.time_stage("simulate");
             xfs_sim.run_range(&mut kernel, start..end)
         };
         xfstests_result.merge(chunk_result);
@@ -130,6 +136,8 @@ pub fn run_suites(seed: u64, scale: f64, metrics: Option<&Arc<PipelineMetrics>>)
         xfstests,
         crashmonkey_result,
         xfstests_result,
+        counters: metrics.snapshot(),
+        stage_timings: metrics.stage_timings(),
     }
 }
 
@@ -220,11 +228,17 @@ mod tests {
 
     #[test]
     fn run_suites_produces_both_reports() {
-        let reports = run_suites(5, 0.01, None);
+        let reports = run_suites(5, 0.01);
         assert!(reports.crashmonkey.total_calls() > 1000);
         assert!(reports.xfstests.total_calls() > 1000);
         assert!(reports.crashmonkey_result.crash_violations.is_empty());
         assert_eq!(reports.xfstests_result.tests_run, 1014);
+        // Both sessions counted into the run's metrics.
+        let events = reports.crashmonkey.filter_stats.total + reports.xfstests.filter_stats.total;
+        assert_eq!(reports.counters.events_read, events as u64);
+        for stage in ["simulate", "analyze"] {
+            assert!(reports.stage_timings.contains_key(stage), "{stage}");
+        }
     }
 
     #[test]
@@ -251,7 +265,7 @@ mod tests {
 
     #[test]
     fn flag_frequencies_cover_axis() {
-        let reports = run_suites(6, 0.01, None);
+        let reports = run_suites(6, 0.01);
         let freqs = open_flag_frequencies(&reports.xfstests);
         assert_eq!(freqs.len(), 20);
         assert!(freqs.iter().any(|(_, c)| *c > 0));

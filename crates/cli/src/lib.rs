@@ -37,7 +37,7 @@ use iocov::frame::MAX_FRAME_LEN;
 use iocov::tcd::{deviation_ranking, tcd_uniform};
 use iocov::{
     read_checkpoint_with_fallback, AnalysisReport, ArgName, BaseSyscall, CheckpointPolicy,
-    PipelineBuilder, PipelineError, PipelineMetrics, PipelineRun, ShardFailureRecord,
+    MetricsSnapshot, PipelineBuilder, PipelineError, PipelineRun, ShardFailureRecord,
     SupervisorPolicy, TraceFilter,
 };
 use iocov_faults::{DrillTrigger, FaultPlan, FaultyRead};
@@ -796,10 +796,10 @@ sniffs the IOTB magic bytes. --mount filters to the tester's mount
 point, e.g. --mount /mnt/test. Analysis runs on one shard thread
 while the caller reads the trace; --jobs accepts only 1. --lossy skips
 malformed trace lines or records (reporting each skip) instead of
-aborting; --max-errors caps how many. --metrics reports pipeline
+aborting; --max-errors caps how many. Every run counts its pipeline
 counters — events read, parse-skipped, drops by reason, variant
-merges, partition records, shard restarts and failures — alongside the
-coverage report. `convert` translates between the two containers; --to
+merges, partition records, shard restarts and failures — and
+checkpoints them; --metrics prints them alongside the coverage report. `convert` translates between the two containers; --to
 defaults to the output path's extension. `convert --index` writes the
 block-indexed iotb v2 container: v1 plus a trailing block index that
 analysis does not read, so every command reads v1 and v2 alike.
@@ -906,8 +906,8 @@ fn fault_reader(file: File, io: Option<IoFaultSpec>) -> Box<dyn Read> {
 /// The `analyze --json --metrics` document: report plus counters.
 #[derive(serde::Serialize)]
 struct AnalyzeDoc {
-    report: iocov::AnalysisReport,
-    metrics: iocov::MetricsSnapshot,
+    report: AnalysisReport,
+    metrics: MetricsSnapshot,
 }
 
 /// The `generate --json` summary document. Its `report` field is a
@@ -990,7 +990,7 @@ fn render_analyze<W: Write>(
     json: bool,
     skipped: Option<&[SkippedLine]>,
     report: AnalysisReport,
-    metrics: Option<&PipelineMetrics>,
+    metrics: Option<&MetricsSnapshot>,
     run: (u64, &[ShardFailureRecord]),
 ) -> Result<(), CliError> {
     let (events, failures) = run;
@@ -998,9 +998,9 @@ fn render_analyze<W: Write>(
         // The failure manifest lives in the metrics snapshot, so the
         // JSON document shape is unchanged by degraded runs.
         let text = match metrics {
-            Some(m) => serde_json::to_string_pretty(&AnalyzeDoc {
-                metrics: m.snapshot(),
+            Some(metrics) => serde_json::to_string_pretty(&AnalyzeDoc {
                 report,
+                metrics: metrics.clone(),
             }),
             None => serde_json::to_string_pretty(&report),
         }
@@ -1063,8 +1063,8 @@ fn render_analyze<W: Write>(
             writeln!(out)?;
         }
     }
-    if let Some(m) = metrics {
-        let text = serde_json::to_string_pretty(&m.snapshot())
+    if let Some(metrics) = metrics {
+        let text = serde_json::to_string_pretty(metrics)
             .map_err(|e| CliError(format!("serialization failed: {e}")))?;
         writeln!(out, "=== pipeline metrics ===\n{text}")?;
     }
@@ -1076,18 +1076,16 @@ fn render_analyze<W: Write>(
 /// optional resume position) and pump it through a
 /// [`PipelineBuilder`]-configured session and its shard thread, cutting
 /// a checkpoint every N events.
-/// Returns the finished run and the metrics it counted into, if any.
-/// `analyze`, `untested`, `combos`, `tcd` and `diff` all take this one
+/// Every run counts its metrics into [`PipelineRun::metrics`], and
+/// `--metrics` only prints them. `analyze`, `untested`, `combos`, `tcd`
+/// and `diff` all take this one
 /// path, and every flag combination produces reports byte-identical to
 /// a plain serial run over the same events. A panicking shard is
 /// restarted with backoff from its restore point and loses its events
 /// since; a failure leaves a partial report plus a failure manifest —
 /// never a process abort. `extended` also counts identifier and
 /// flag-combination coverage ([`PipelineBuilder::extended_coverage`]).
-fn run_session(
-    ctx: &AnalyzeCtx<'_>,
-    extended: bool,
-) -> Result<(PipelineRun, Option<Arc<PipelineMetrics>>), CliError> {
+fn run_session(ctx: &AnalyzeCtx<'_>, extended: bool) -> Result<PipelineRun, CliError> {
     let robust = &ctx.robust;
     let filter = TraceFilter::for_mount(ctx.mount);
     let resume_doc = match &robust.resume {
@@ -1145,7 +1143,6 @@ fn run_session(
         ..SourceOptions::default()
     };
     let mut source = open_source(ctx.trace, options).map_err(|e| source_error(ctx.trace, e))?;
-    let pipeline_metrics = ctx.metrics.then(|| Arc::new(PipelineMetrics::default()));
     let mut builder = PipelineBuilder::new(filter)
         .mount(ctx.mount.map(str::to_owned))
         .policy(robust.policy());
@@ -1158,9 +1155,6 @@ fn run_session(
                 panic!("injected panic: shard 0 at tick {tick}");
             }
         }));
-    }
-    if let Some(m) = &pipeline_metrics {
-        builder = builder.metrics(Arc::clone(m));
     }
     if let Some(every) = robust.checkpoint_every {
         builder = builder.checkpoint(CheckpointPolicy {
@@ -1177,17 +1171,16 @@ fn run_session(
     if extended {
         builder = builder.extended_coverage();
     }
-    let run = builder.build().run(source.as_mut()).map_err(|e| match e {
+    builder.build().run(source.as_mut()).map_err(|e| match e {
         PipelineError::Source(e) => source_error(ctx.trace, SourceError::Trace(e)),
         e @ PipelineError::Checkpoint { .. } => CliError(e.to_string()),
-    })?;
-    Ok((run, pipeline_metrics))
+    })
 }
 
 /// `analyze`: one [`run_session`], rendered as a JSON document or a
 /// text report (or the resume hint of a stopped run).
 fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, out: &mut W) -> Result<(), CliError> {
-    let (run, pipeline_metrics) = run_session(ctx, false)?;
+    let run = run_session(ctx, false)?;
     if run.stopped {
         writeln!(
             out,
@@ -1203,7 +1196,7 @@ fn run_analyze<W: Write>(ctx: &AnalyzeCtx<'_>, out: &mut W) -> Result<(), CliErr
         ctx.json,
         skipped.as_deref(),
         run.report,
-        pipeline_metrics.as_deref(),
+        ctx.metrics.then_some(&run.metrics),
         (run.events, &run.failures),
     )
 }
@@ -1220,7 +1213,7 @@ fn analyze_whole_trace(
         mount,
         ..AnalyzeCtx::default()
     };
-    Ok(run_session(&ctx, extended)?.0.report)
+    Ok(run_session(&ctx, extended)?.report)
 }
 
 /// `serve`'s checkpoint cadence when `--checkpoint-every` is not given.

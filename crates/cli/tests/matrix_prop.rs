@@ -1,7 +1,8 @@
 //! Property: the serialized analysis report is byte-identical across
 //! every cell of the pipeline matrix —
 //! {jsonl, jsonl-lossy, iotb, iotb-indexed-v2} × {--metrics on/off} ×
-//! {straight run, checkpoint kill/resume} — seeded from the checked-in
+//! {straight run, checkpoint kill/resume, with the kill's --metrics
+//! on/off} — seeded from the checked-in
 //! corrupt fixture, a converted Syzkaller-style trace, and a bit-flipped
 //! copy of each one's v2 container. One `PipelineBuilder` path serves
 //! every flag combination, and none of them may perturb the output.
@@ -167,11 +168,14 @@ fn bit_flipped_v2_reports_like_the_clean_file() {
 proptest! {
     /// Checkpoint kill/resume: killing a run at a generated event count
     /// and resuming from its checkpoint renders byte-identically to the
-    /// uninterrupted run, for every source shape.
+    /// uninterrupted run, for every source shape, whether or not the
+    /// killed run printed `--metrics`. Every run counts its metrics, so
+    /// the killed run's flag does not change the checkpoint's bytes.
     #[test]
     fn kill_resume_cells_are_byte_identical(
         every in 1u64..4,
         extra in 0u64..3,
+        kill_metrics in any::<bool>(),
         metrics in any::<bool>(),
     ) {
         // Both seed traces hold at least 4 events; keeping
@@ -181,16 +185,25 @@ proptest! {
         let dir = TempDir::new("matrix-prop");
         for case in &seed_cases(&dir) {
             let baseline = run_bytes(&cell_args(case, metrics, &[]));
-            let ckpt = dir.path(&format!("ck-{}.iockpt", case.label));
-            let ck_flags = args(&["--checkpoint-every", &every.to_string(), "--checkpoint-file", &ckpt]);
-            let mut kill_flags = ck_flags.clone();
-            kill_flags.push("--stop-after-events".into());
-            kill_flags.push(stop.to_string());
-            let killed = run_bytes(&cell_args(case, metrics, &kill_flags));
-            let text = String::from_utf8(killed).unwrap();
+            let kill = |kill_metrics: bool| {
+                let ckpt = dir.path(&format!("ck-{}-{kill_metrics}.iockpt", case.label));
+                let ck_flags =
+                    args(&["--checkpoint-every", &every.to_string(), "--checkpoint-file", &ckpt]);
+                let mut kill_flags = ck_flags.clone();
+                kill_flags.push("--stop-after-events".into());
+                kill_flags.push(stop.to_string());
+                let killed = run_bytes(&cell_args(case, kill_metrics, &kill_flags));
+                (ck_flags, ckpt, String::from_utf8(killed).unwrap())
+            };
+            let (ck_flags, ckpt, text) = kill(kill_metrics);
             prop_assert!(
                 text.starts_with("stopped after"),
                 "{}: kill produced a report instead of stopping: {}", case.label, text
+            );
+            let (_, other_ckpt, _) = kill(!kill_metrics);
+            prop_assert!(
+                std::fs::read(&ckpt).unwrap() == std::fs::read(&other_ckpt).unwrap(),
+                "{}: the cuts made with and without --metrics differ", case.label
             );
             let mut resume_flags = ck_flags;
             resume_flags.push("--resume".into());
@@ -198,8 +211,9 @@ proptest! {
             let resumed = run_bytes(&cell_args(case, metrics, &resume_flags));
             prop_assert_eq!(
                 &resumed, &baseline,
-                "{} diverged after resume (every {}, stop {}, metrics {})",
-                case.label, every, stop, metrics
+                "{} diverged after resume (every {}, stop {}, killed with metrics {}, \
+                 resumed with metrics {})",
+                case.label, every, stop, kill_metrics, metrics
             );
         }
     }

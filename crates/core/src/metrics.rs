@@ -7,19 +7,22 @@
 //! filter-dropped (by [`DropReason`]), variant-merged, and
 //! per-partition-family record counts.
 //!
-//! The scan side of the funnel is not counted event by event: it is
-//! derived from the analyzer's own counts (its filter stats, its calls
-//! per variant and its partition slots), plus one counter the analyzer
-//! keeps for the wrong-mount/irrelevant-fd split. A session's shard
-//! absorbs that derived funnel into the shared instance once, when the
-//! session finishes, so a failed shard incarnation's counts, which its
-//! restore point does not hold, are never counted. The caller-side
-//! counters (parse skips, batch shape, restarts, the failure manifest)
-//! are relaxed atomics, so one instance can be shared (via `Arc`) by the
-//! caller's thread, the session's shard thread and `serve`'s streams.
-//! Because each counter is a commutative sum,
-//! [`PipelineMetrics::snapshot`] of a session is **identical** to a
-//! serial run over the same trace, down to the serialized bytes.
+//! Every session counts its funnel; `--metrics` only decides whether
+//! the CLI prints it. The scan side of the funnel is not counted event
+//! by event: it is derived from the analyzer's own counts (its filter
+//! stats, its calls per variant and its partition slots), plus one
+//! counter the analyzer keeps for the wrong-mount/irrelevant-fd split.
+//! A session's shard absorbs that derived funnel into the session's
+//! instance once, when the session finishes, so a failed shard
+//! incarnation's counts, which its restore point does not hold, are
+//! never counted. The counters are one [`MetricsSnapshot`] behind a
+//! mutex, so one instance can be shared (via `Arc`) by the caller's
+//! thread, the session's shard thread and several sessions; absorbing
+//! is [`MetricsSnapshot::merge`]. Because each counter is a commutative
+//! sum, [`PipelineMetrics::snapshot`] of a session is **identical** to a
+//! serial run over the same trace, down to the serialized bytes, and so
+//! is the funnel of a run killed and resumed from its checkpoint, which
+//! carries the counters up to its cut.
 //!
 //! Wall-clock stage timers ride along for performance work but live
 //! outside the snapshot: time is the one thing that differs from run to
@@ -39,11 +42,12 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
+
+use crate::coverage::add_counts;
 
 /// Why the pipeline dropped an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
@@ -87,30 +91,39 @@ pub(crate) const PARTITION_FAMILIES: [&str; 5] = [
 ];
 
 /// Shared, thread-safe pipeline counters. See the [module docs](self).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct PipelineMetrics {
-    events_read: AtomicU64,
-    parse_skipped: AtomicU64,
-    dropped_wrong_mount: AtomicU64,
-    dropped_irrelevant_fd: AtomicU64,
-    dropped_unknown_syscall: AtomicU64,
-    variant_merged: AtomicU64,
-    records_input_flag: AtomicU64,
-    records_input_numeric: AtomicU64,
-    records_input_categorical: AtomicU64,
-    records_output_ok: AtomicU64,
-    records_output_err: AtomicU64,
-    batched_events: AtomicU64,
-    allocs_estimated: AtomicU64,
-    shard_restarts: AtomicU64,
-    shard_failures: Mutex<Vec<ShardFailureRecord>>,
+    counts: Mutex<MetricsSnapshot>,
     stage_nanos: Mutex<BTreeMap<&'static str, u64>>,
 }
 
+impl Default for PipelineMetrics {
+    /// Zero counters, with every drop reason and partition family keyed
+    /// at zero, so every snapshot has the same schema.
+    fn default() -> Self {
+        let zeros = |keys: &[&str]| keys.iter().map(|&key| (key.to_owned(), 0)).collect();
+        PipelineMetrics {
+            counts: Mutex::new(MetricsSnapshot {
+                filter_dropped: zeros(&DropReason::ALL.map(DropReason::name)),
+                partition_records: zeros(&PARTITION_FAMILIES),
+                ..MetricsSnapshot::default()
+            }),
+            stage_nanos: Mutex::default(),
+        }
+    }
+}
+
 impl PipelineMetrics {
+    /// The counters, locked. Every update is a few whole-field sums, so
+    /// a thread that panicked holding the lock left nothing worth
+    /// cascading the panic into the supervisor for.
+    fn counts(&self) -> MutexGuard<'_, MetricsSnapshot> {
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Counts lines the lossy reader skipped before analysis.
     pub fn add_parse_skipped(&self, n: u64) {
-        self.parse_skipped.fetch_add(n, Ordering::Relaxed);
+        self.counts().parse_skipped += n;
     }
 
     /// Counts one columnar batch entering the analysis stage: `events`
@@ -120,8 +133,9 @@ impl PipelineMetrics {
     /// the session feed — never inside the shard — so a restarted shard
     /// cannot count a batch twice.
     pub fn record_batch(&self, events: u64, allocs: u64) {
-        self.batched_events.fetch_add(events, Ordering::Relaxed);
-        self.allocs_estimated.fetch_add(allocs, Ordering::Relaxed);
+        let mut counts = self.counts();
+        counts.batched_events += events;
+        counts.allocs_estimated += allocs;
     }
 
     /// Starts a wall-clock timer for `stage`; the elapsed time is added
@@ -165,108 +179,27 @@ impl PipelineMetrics {
 
     /// Counts one supervised shard restart.
     pub fn record_shard_restart(&self) {
-        self.shard_restarts.fetch_add(1, Ordering::Relaxed);
+        self.counts().shard_restarts += 1;
     }
 
-    /// Appends one entry to the shard-failure manifest.
-    pub fn record_shard_failure(&self, record: ShardFailureRecord) {
-        self.shard_failures
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(record);
-    }
-
-    /// Sums a snapshot's counters into this instance.
+    /// Sums a snapshot's counters into this instance
+    /// ([`MetricsSnapshot::merge`]).
     ///
     /// This is how the funnel arrives: a session absorbs its shard's
-    /// derived funnel once, at finish, and a resumed session first
-    /// absorbs its checkpoint's snapshot. Absorbing is a plain sum, so
-    /// snapshots absorbed in any order give the same totals.
+    /// derived funnel and failure manifest once, at finish, and a
+    /// resumed session first absorbs its checkpoint's snapshot.
     pub fn absorb(&self, snapshot: &MetricsSnapshot) {
-        self.events_read
-            .fetch_add(snapshot.events_read, Ordering::Relaxed);
-        self.parse_skipped
-            .fetch_add(snapshot.parse_skipped, Ordering::Relaxed);
-        self.variant_merged
-            .fetch_add(snapshot.variant_merged, Ordering::Relaxed);
-        self.batched_events
-            .fetch_add(snapshot.batched_events, Ordering::Relaxed);
-        self.allocs_estimated
-            .fetch_add(snapshot.allocs_estimated, Ordering::Relaxed);
-        self.shard_restarts
-            .fetch_add(snapshot.shard_restarts, Ordering::Relaxed);
-        for reason in DropReason::ALL {
-            if let Some(&count) = snapshot.filter_dropped.get(reason.name()) {
-                let counter = match reason {
-                    DropReason::WrongMount => &self.dropped_wrong_mount,
-                    DropReason::IrrelevantFd => &self.dropped_irrelevant_fd,
-                    DropReason::UnknownSyscall => &self.dropped_unknown_syscall,
-                };
-                counter.fetch_add(count, Ordering::Relaxed);
-            }
-        }
-        for (family, counter) in PARTITION_FAMILIES.iter().zip([
-            &self.records_input_flag,
-            &self.records_input_numeric,
-            &self.records_input_categorical,
-            &self.records_output_ok,
-            &self.records_output_err,
-        ]) {
-            if let Some(&count) = snapshot.partition_records.get(*family) {
-                counter.fetch_add(count, Ordering::Relaxed);
-            }
-        }
-        for record in &snapshot.shard_failures {
-            self.record_shard_failure(record.clone());
-        }
+        self.counts().merge(snapshot);
     }
 
     /// A deterministic snapshot of every counter.
     #[must_use]
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let read = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let mut filter_dropped = BTreeMap::new();
-        filter_dropped.insert(
-            DropReason::WrongMount.name().to_owned(),
-            read(&self.dropped_wrong_mount),
-        );
-        filter_dropped.insert(
-            DropReason::IrrelevantFd.name().to_owned(),
-            read(&self.dropped_irrelevant_fd),
-        );
-        filter_dropped.insert(
-            DropReason::UnknownSyscall.name().to_owned(),
-            read(&self.dropped_unknown_syscall),
-        );
-        let mut partition_records = BTreeMap::new();
-        for (family, counter) in PARTITION_FAMILIES.iter().zip([
-            &self.records_input_flag,
-            &self.records_input_numeric,
-            &self.records_input_categorical,
-            &self.records_output_ok,
-            &self.records_output_err,
-        ]) {
-            partition_records.insert((*family).to_owned(), read(counter));
-        }
-        let mut shard_failures = self
-            .shard_failures
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        // Manifest order must not depend on which supervisor path
-        // recorded first.
-        shard_failures.sort_by_key(|r| r.shard);
-        MetricsSnapshot {
-            events_read: read(&self.events_read),
-            parse_skipped: read(&self.parse_skipped),
-            filter_dropped,
-            variant_merged: read(&self.variant_merged),
-            partition_records,
-            batched_events: read(&self.batched_events),
-            allocs_estimated: read(&self.allocs_estimated),
-            shard_restarts: read(&self.shard_restarts),
-            shard_failures,
-        }
+        let mut snapshot = self.counts().clone();
+        // Manifest order must not depend on which session finished or
+        // was absorbed first.
+        snapshot.shard_failures.sort_by_key(|r| r.shard);
+        snapshot
     }
 }
 
@@ -313,9 +246,9 @@ pub struct ShardFailureRecord {
 
 /// A deterministic, serializable view of [`PipelineMetrics`].
 ///
-/// Snapshots sum commutatively ([`PipelineMetrics::absorb`]), so
-/// aggregating per-suite or per-stream snapshots in any order yields the
-/// same totals.
+/// Snapshots sum commutatively ([`merge`](Self::merge)), so aggregating
+/// per-suite or per-stream snapshots in any order yields the same
+/// totals.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Events that entered the pipeline (pre-filter).
@@ -354,6 +287,22 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
+    /// Adds `other`'s counters into this one, the way
+    /// [`AnalysisReport::merge`](crate::AnalysisReport::merge) adds
+    /// reports: scalars and per-key counts are summed, and `other`'s
+    /// failure records are appended.
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        self.events_read += other.events_read;
+        self.parse_skipped += other.parse_skipped;
+        add_counts(&mut self.filter_dropped, &other.filter_dropped);
+        self.variant_merged += other.variant_merged;
+        add_counts(&mut self.partition_records, &other.partition_records);
+        self.batched_events += other.batched_events;
+        self.allocs_estimated += other.allocs_estimated;
+        self.shard_restarts += other.shard_restarts;
+        self.shard_failures.extend_from_slice(&other.shard_failures);
+    }
+
     /// Total dropped events across all reasons.
     #[must_use]
     pub fn total_dropped(&self) -> u64 {
@@ -372,8 +321,7 @@ impl MetricsSnapshot {
 mod tests {
     use super::*;
 
-    /// A snapshot holding `events_read` and one drop of `reason`, as a
-    /// shard's funnel would.
+    /// A snapshot holding `events_read` and one drop of `reason`.
     fn one_drop(events_read: u64, reason: DropReason) -> MetricsSnapshot {
         MetricsSnapshot {
             events_read,
@@ -383,17 +331,17 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_absorb_is_commutative() {
+    fn snapshot_merge_is_commutative() {
         let a = one_drop(3, DropReason::WrongMount);
         let b = MetricsSnapshot {
             variant_merged: 1,
+            shard_restarts: 2,
             ..one_drop(4, DropReason::IrrelevantFd)
         };
         let sum = |first: &MetricsSnapshot, second: &MetricsSnapshot| {
-            let m = PipelineMetrics::default();
-            m.absorb(first);
-            m.absorb(second);
-            m.snapshot()
+            let mut sum = first.clone();
+            sum.merge(second);
+            sum
         };
         let ab = sum(&a, &b);
         assert_eq!(ab, sum(&b, &a));
@@ -401,6 +349,14 @@ mod tests {
         assert_eq!(ab.total_dropped(), 2);
         assert_eq!(ab.filter_dropped["wrong-mount"], 1);
         assert_eq!(ab.variant_merged, 1);
+        assert_eq!(ab.shard_restarts, 2);
+        // Absorbing is merging into the zero-keyed default.
+        let m = PipelineMetrics::default();
+        m.absorb(&b);
+        m.absorb(&a);
+        let mut zero = PipelineMetrics::default().snapshot();
+        zero.merge(&ab);
+        assert_eq!(m.snapshot(), zero);
     }
 
     #[test]
@@ -441,20 +397,20 @@ mod tests {
         let m = PipelineMetrics::default();
         m.record_shard_restart();
         m.record_shard_restart();
-        m.record_shard_failure(ShardFailureRecord {
-            shard: 3,
-            restarts: 1,
-            gave_up: false,
-            lost_events: 4096,
-            last_error: "injected panic".into(),
-        });
-        m.record_shard_failure(ShardFailureRecord {
-            shard: 1,
-            restarts: 1,
-            gave_up: true,
-            lost_events: 10,
-            last_error: "stalled".into(),
-        });
+        for (shard, gave_up, lost_events, last_error) in
+            [(3, false, 4096, "injected panic"), (1, true, 10, "stalled")]
+        {
+            m.absorb(&MetricsSnapshot {
+                shard_failures: vec![ShardFailureRecord {
+                    shard,
+                    restarts: 1,
+                    gave_up,
+                    lost_events,
+                    last_error: last_error.into(),
+                }],
+                ..MetricsSnapshot::default()
+            });
+        }
         let snap = m.snapshot();
         assert_eq!(snap.shard_restarts, 2);
         assert_eq!(snap.shard_failures.len(), 2);

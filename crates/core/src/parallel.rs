@@ -46,9 +46,9 @@
 //! and rebases: hook ticks count from zero again. The cumulative report
 //! is the resumed base report merged with the restore point's, the
 //! cumulative pid states are the restore point's, and so is the funnel
-//! a checkpoint document adds to the shared metrics. Finish absorbs
-//! the last restore point's funnel into the shared metrics, once. The
-//! shard thread persists across cuts.
+//! a checkpoint document adds to the session's metrics. Finish absorbs
+//! the last restore point's funnel and the failure manifest into the
+//! session's metrics, once. The shard thread persists across cuts.
 //!
 //! # Transport
 //!
@@ -250,7 +250,7 @@ impl RestartLedger {
         &mut self,
         error: String,
         policy: &SupervisorPolicy,
-        metrics: Option<&PipelineMetrics>,
+        metrics: &PipelineMetrics,
     ) -> bool {
         self.last_error = error;
         if self.restarts >= policy.max_restarts {
@@ -258,9 +258,7 @@ impl RestartLedger {
             return false;
         }
         self.restarts += 1;
-        if let Some(metrics) = metrics {
-            metrics.record_shard_restart();
-        }
+        metrics.record_shard_restart();
         std::thread::sleep(policy.backoff(self.restarts));
         true
     }
@@ -294,13 +292,13 @@ impl Incarnation {
         batch: &EventBatch,
         tick: u64,
         hook: Option<&ShardHook>,
-        metrics: Option<&PipelineMetrics>,
+        metrics: &PipelineMetrics,
     ) {
         if let Some(hook) = hook {
             hook(tick);
         }
         self.scanned += batch.len() as u64;
-        let _timer = metrics.map(|m| m.time_stage("analyze"));
+        let _timer = metrics.time_stage("analyze");
         self.analyzer.push_batch(batch);
     }
 
@@ -426,7 +424,7 @@ impl Slot {
 
 /// Supervised analysis on one shard thread; see the [module docs](self).
 pub(crate) struct ShardSupervisor {
-    metrics: Option<Arc<PipelineMetrics>>,
+    metrics: Arc<PipelineMetrics>,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
     /// The restart ledger, for the whole run.
@@ -454,7 +452,7 @@ impl ShardSupervisor {
         mut empty: StreamingAnalyzer,
         policy: SupervisorPolicy,
         hook: Option<ShardHook>,
-        metrics: Option<Arc<PipelineMetrics>>,
+        metrics: Arc<PipelineMetrics>,
         seed: Option<(AnalysisReport, BTreeMap<u32, PidStateSnapshot>)>,
     ) -> Self {
         let (base_report, base_states) = seed.unwrap_or_default();
@@ -509,8 +507,8 @@ impl ShardSupervisor {
     }
 
     /// Drains the supervisor: the final report and the shard-failure
-    /// manifest, one record if the shard restarted or gave up. Both the
-    /// manifest and the restore point's funnel go into the metrics.
+    /// manifest, one record if the shard restarted or gave up. The
+    /// restore point's funnel goes into the metrics with the manifest.
     pub(crate) fn finish(mut self) -> (AnalysisReport, Vec<ShardFailureRecord>) {
         self.mark();
         // The live thread has just answered the mark, so it exits as
@@ -520,12 +518,9 @@ impl ShardSupervisor {
             let _ = thread.join();
         }
         let failures = Vec::from_iter(self.ledger.record());
-        if let Some(metrics) = &self.metrics {
-            metrics.absorb(&self.funnel());
-            for failure in &failures {
-                metrics.record_shard_failure(failure.clone());
-            }
-        }
+        let mut funnel = self.funnel();
+        funnel.shard_failures.clone_from(&failures);
+        self.metrics.absorb(&funnel);
         (self.report(), failures)
     }
 
@@ -575,8 +570,7 @@ impl ShardSupervisor {
     /// the backoff has passed and the shard may restart, `false` when it
     /// has given up.
     fn charge(&mut self, error: String) -> bool {
-        self.ledger
-            .charge(error, &self.policy, self.metrics.as_deref())
+        self.ledger.charge(error, &self.policy, &self.metrics)
     }
 
     /// Spawns one thread running a copy of the restore point on `queue`,
@@ -588,7 +582,7 @@ impl ShardSupervisor {
         let mut incarnation = self.restore.clone();
         let beat = Arc::clone(&heartbeat);
         let hook = self.hook.clone();
-        let metrics = self.metrics.clone();
+        let metrics = Arc::clone(&self.metrics);
         let thread = std::thread::Builder::new()
             .name("iocov-shard".to_owned())
             .spawn(move || {
@@ -597,7 +591,7 @@ impl ShardSupervisor {
                         Job::Scan(batch, tick) => {
                             let scan = catch_unwind(AssertUnwindSafe(|| {
                                 let _supervised = SupervisedScanGuard::enter();
-                                incarnation.scan(&batch, tick, hook.as_ref(), metrics.as_deref());
+                                incarnation.scan(&batch, tick, hook.as_ref(), &metrics);
                             }));
                             if let Err(payload) = scan {
                                 let msg = panic_message(payload.as_ref());

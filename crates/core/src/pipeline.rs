@@ -55,7 +55,7 @@ use iocov_trace::{SkippedLine, TraceIoError};
 use crate::checkpoint::CheckpointDoc;
 use crate::coverage::AnalysisReport;
 use crate::filter::TraceFilter;
-use crate::metrics::{PipelineMetrics, ShardFailureRecord};
+use crate::metrics::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
 use crate::parallel::{ShardHook, ShardSupervisor, SupervisorPolicy};
 use crate::session::{AnalysisSession, Driver};
 use crate::streaming::StreamingAnalyzer;
@@ -118,6 +118,11 @@ pub struct PipelineRun {
     /// Shard-failure manifest (empty on a fault-free run or when
     /// `stopped`).
     pub failures: Vec<ShardFailureRecord>,
+    /// The session's metrics at finish: the `--metrics` funnel, counted
+    /// on every run (default/empty when `stopped`; a shared instance
+    /// given to [`PipelineBuilder::metrics`] also holds whatever else
+    /// was counted into it).
+    pub metrics: MetricsSnapshot,
     /// The source's lossy-skip ledger, including any skips restored
     /// from a resumed checkpoint.
     pub skipped: Vec<SkippedLine>,
@@ -138,7 +143,7 @@ pub struct PipelineBuilder {
     chunk: usize,
     policy: SupervisorPolicy,
     hook: Option<ShardHook>,
-    metrics: Option<Arc<PipelineMetrics>>,
+    metrics: Arc<PipelineMetrics>,
     checkpoint: Option<CheckpointPolicy>,
     on_checkpoint: Option<CheckpointHook>,
     resume: Option<CheckpointDoc>,
@@ -156,7 +161,7 @@ impl PipelineBuilder {
             chunk: DEFAULT_CHUNK,
             policy: SupervisorPolicy::default(),
             hook: None,
-            metrics: None,
+            metrics: Arc::default(),
             checkpoint: None,
             on_checkpoint: None,
             resume: None,
@@ -213,10 +218,13 @@ impl PipelineBuilder {
         self
     }
 
-    /// Shared pipeline metrics.
+    /// Counts into `metrics`, shared with the caller, in place of the
+    /// session's own instance. Every session counts; sharing only lets
+    /// the caller read the counters (and stage timings) directly, or
+    /// sum several sessions into one instance.
     #[must_use]
     pub fn metrics(mut self, metrics: Arc<PipelineMetrics>) -> Self {
-        self.metrics = Some(metrics);
+        self.metrics = metrics;
         self
     }
 
@@ -272,16 +280,14 @@ impl PipelineBuilder {
             // The checkpointed snapshot carries the counters for
             // everything before the cursor; live metrics continue from
             // there.
-            if let Some(m) = &self.metrics {
-                m.absorb(&doc.metrics);
-            }
+            self.metrics.absorb(&doc.metrics);
             (doc.report, doc.pid_states)
         });
         let shard = ShardSupervisor::new(
             self.empty,
             self.policy,
             self.hook,
-            self.metrics.clone(),
+            Arc::clone(&self.metrics),
             seed,
         );
         AnalysisSession {
@@ -500,6 +506,10 @@ mod tests {
         assert_eq!(run.events, 10);
         let doc = crate::checkpoint::read_checkpoint(&path).unwrap();
         assert_eq!(doc.cursor.events, 8, "last boundary before the stop");
+        // The session counted without shared metrics, and its cut
+        // carries the counts.
+        assert_eq!(doc.metrics.events_read, 8);
+        assert_eq!(doc.metrics.batched_events, 8);
 
         // Resume from the checkpoint over a cursor seeked to its
         // offset: byte-identical to an uninterrupted run.
@@ -513,6 +523,13 @@ mod tests {
             .run(&mut source)
             .unwrap();
         assert_eq!(full, serde_json::to_string(&resumed.report).unwrap());
+        // So the resumed run's metrics are the uninterrupted run's.
+        let straight = PipelineBuilder::new(filter())
+            .build()
+            .run(&mut JsonlSource::new(&bytes[..], ReadOptions::default()))
+            .unwrap();
+        assert_eq!(straight.metrics.events_read, events.len() as u64);
+        assert_eq!(straight.metrics, resumed.metrics);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(path.with_extension("iockpt.prev"));
     }

@@ -438,7 +438,6 @@ fn run_stream(
     let mut builder = PipelineBuilder::new(filter)
         .mount(state.cfg.mount.clone())
         .policy(state.cfg.policy)
-        .metrics(Arc::default())
         .checkpoint(CheckpointPolicy {
             every: state.cfg.checkpoint_every.max(1),
             path: state.ckpt_path(name),

@@ -25,18 +25,20 @@ use iocov_trace::{EventBatch, EventSource, SourcePos, TraceEvent};
 
 use crate::checkpoint::{write_checkpoint, CheckpointDoc, PidStateSnapshot};
 use crate::coverage::AnalysisReport;
-use crate::metrics::{PipelineMetrics, ShardFailureRecord};
+use crate::metrics::{MetricsSnapshot, PipelineMetrics, ShardFailureRecord};
 use crate::parallel::ShardSupervisor;
 use crate::pipeline::{CheckpointHook, CheckpointPolicy, PipelineError, PipelineRun};
 
 /// A resident analysis: accepts event batches incrementally and yields
-/// cumulative reports on demand. Holds the shard supervisor, the shared
-/// metrics, the checkpoint policy, and the session's event cursor; the
-/// caller owns pacing and event provenance.
+/// cumulative reports on demand. Holds the shard supervisor, the
+/// metrics it counts into (its own, or shared through
+/// [`PipelineBuilder::metrics`](crate::PipelineBuilder::metrics)), the
+/// checkpoint policy, and the session's event cursor; the caller owns
+/// pacing and event provenance.
 pub struct AnalysisSession {
     pub(crate) shard: ShardSupervisor,
     pub(crate) mount: Option<String>,
-    pub(crate) metrics: Option<Arc<PipelineMetrics>>,
+    pub(crate) metrics: Arc<PipelineMetrics>,
     pub(crate) checkpoint: Option<CheckpointPolicy>,
     /// Events fed so far, counted from the start of the trace (a
     /// resumed session starts at the checkpoint's count).
@@ -49,9 +51,8 @@ impl AnalysisSession {
     /// through — and never on the shard, so a restarted shard cannot
     /// count a batch twice.
     pub fn feed(&mut self, batch: EventBatch) {
-        if let Some(m) = &self.metrics {
-            m.record_batch(batch.len() as u64, batch.estimated_owned_allocs());
-        }
+        self.metrics
+            .record_batch(batch.len() as u64, batch.estimated_owned_allocs());
         self.events += batch.len() as u64;
         self.shard.push(batch);
     }
@@ -90,24 +91,20 @@ impl AnalysisSession {
     }
 
     /// Assembles a complete checkpoint document for the session's state
-    /// at source position `pos`. Its metrics are the shared ones plus
-    /// the cut's funnel, which the shared metrics receive only at
+    /// at source position `pos`. Its metrics are the session's plus
+    /// the cut's funnel, which the session's metrics receive only at
     /// finish.
     #[must_use]
     pub fn checkpoint_doc(&mut self, pos: &SourcePos) -> CheckpointDoc {
         let (report, pid_states) = self.cut();
-        let metrics = self.metrics.as_ref().map(|shared| {
-            let at_cut = PipelineMetrics::default();
-            at_cut.absorb(&shared.snapshot());
-            at_cut.absorb(&self.shard.funnel());
-            at_cut.snapshot()
-        });
+        let mut metrics = self.metrics.snapshot();
+        metrics.merge(&self.shard.funnel());
         CheckpointDoc {
             mount: self.mount.clone(),
             cursor: pos.state.clone(),
             pid_states,
             report,
-            metrics: metrics.unwrap_or_default(),
+            metrics,
             format: pos.format,
         }
     }
@@ -134,12 +131,10 @@ impl AnalysisSession {
         self.checkpoint.as_ref()
     }
 
-    /// Accounts lossy parse skips to the shared metrics (the source
+    /// Accounts lossy parse skips to the session's metrics (the source
     /// driver observes ledger growth; the session owns the counters).
     pub fn add_parse_skipped(&self, n: u64) {
-        if let Some(m) = &self.metrics {
-            m.add_parse_skipped(n);
-        }
+        self.metrics.add_parse_skipped(n);
     }
 
     /// Drains the session: the final report and the shard-failure
@@ -237,15 +232,18 @@ impl Driver {
             return Ok(PipelineRun {
                 report: AnalysisReport::default(),
                 failures: Vec::new(),
+                metrics: MetricsSnapshot::default(),
                 skipped,
                 events,
                 stopped,
             });
         }
+        let metrics = Arc::clone(&self.session.metrics);
         let (report, failures) = self.session.finish();
         Ok(PipelineRun {
             report,
             failures,
+            metrics: metrics.snapshot(),
             skipped,
             events,
             stopped,

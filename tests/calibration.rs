@@ -11,7 +11,7 @@ use iocov_bench::{open_flag_frequencies, run_suites, SuiteReports};
 fn reports() -> &'static SuiteReports {
     use std::sync::OnceLock;
     static REPORTS: OnceLock<SuiteReports> = OnceLock::new();
-    REPORTS.get_or_init(|| run_suites(42, 0.05, None))
+    REPORTS.get_or_init(|| run_suites(42, 0.05))
 }
 
 #[test]

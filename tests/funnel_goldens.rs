@@ -5,15 +5,19 @@
 //! build that counted the funnel event by event. The files are an oracle
 //! for the counters that does not share their code: a run whose funnel
 //! drifts from them (a drop counted under the wrong reason, a record
-//! counted twice, a failed shard's counts kept) fails here.
+//! counted twice, a failed shard's counts kept, a checkpoint that lost
+//! the counts before its cut) fails here.
 
 use std::path::Path;
 use std::sync::Arc;
 
 use iocov::{
-    PipelineBuilder, PipelineMetrics, PipelineRun, ShardHook, TraceFilter, PARALLEL_THRESHOLD,
+    read_checkpoint, CheckpointDoc, CheckpointPolicy, PipelineBuilder, PipelineMetrics,
+    PipelineRun, ShardHook, TraceFilter, PARALLEL_THRESHOLD,
 };
-use iocov_trace::{open_source, ErrorPolicy, ReadOptions, SourceOptions, TraceEvent};
+use iocov_trace::{
+    open_source, ErrorPolicy, EventSource, ReadOptions, SourceOptions, SourcePos, TraceEvent,
+};
 use iocov_workloads::{CrashMonkeySim, TestEnv, XfstestsSim, MOUNT};
 
 const SEED: u64 = 7;
@@ -38,9 +42,9 @@ fn render(metrics: &PipelineMetrics) -> String {
     serde_json::to_string_pretty(&metrics.snapshot()).unwrap() + "\n"
 }
 
-/// Analyzes a fixture file through `open_source` and the batch driver,
-/// under `mount` (or unfiltered), strict or lossy.
-fn analyze_file(name: &str, mount: Option<&str>, lossy: bool) -> (PipelineRun, String) {
+/// Opens a fixture file through `open_source`, strict or lossy, at its
+/// start or at a checkpoint's cursor.
+fn open(name: &str, lossy: bool, resume: Option<&CheckpointDoc>) -> Box<dyn EventSource> {
     let options = SourceOptions {
         read: ReadOptions {
             max_errors: None,
@@ -50,18 +54,65 @@ fn analyze_file(name: &str, mount: Option<&str>, lossy: bool) -> (PipelineRun, S
                 ErrorPolicy::Abort
             },
         },
+        resume: resume.map(|doc| SourcePos {
+            format: doc.format,
+            state: doc.cursor.clone(),
+        }),
         ..SourceOptions::default()
     };
-    let mut source = open_source(&fixture(name), options).unwrap();
+    open_source(&fixture(name), options).unwrap()
+}
+
+/// A pipeline under `mount` (or unfiltered).
+fn builder(mount: Option<&str>) -> PipelineBuilder {
+    PipelineBuilder::new(TraceFilter::for_mount(mount)).mount(mount.map(str::to_owned))
+}
+
+/// Analyzes a fixture file through the batch driver, under `mount` (or
+/// unfiltered), strict or lossy.
+fn analyze_file(name: &str, mount: Option<&str>, lossy: bool) -> (PipelineRun, String) {
     let metrics = Arc::new(PipelineMetrics::default());
-    let run = PipelineBuilder::new(TraceFilter::for_mount(mount))
-        .mount(mount.map(str::to_owned))
+    let run = builder(mount)
         .metrics(Arc::clone(&metrics))
         .build()
-        .run(source.as_mut())
+        .run(open(name, lossy, None).as_mut())
         .unwrap();
     assert!(run.failures.is_empty());
     (run, render(&metrics))
+}
+
+/// Kills a run over a fixture file after `stop` events, checkpointing
+/// every `every` events and sharing no metrics, then resumes it from its
+/// checkpoint sharing fresh metrics: the resumed run's funnel.
+fn resumed_funnel(name: &str, mount: Option<&str>, lossy: bool, every: u64, stop: u64) -> String {
+    let path = std::env::temp_dir().join(format!(
+        "iocov-funnel-goldens-{}-{name}.iockpt",
+        std::process::id()
+    ));
+    let killed = builder(mount)
+        .checkpoint(CheckpointPolicy {
+            every,
+            path: path.clone(),
+        })
+        .stop_after(stop)
+        .build()
+        .run(open(name, lossy, None).as_mut())
+        .unwrap();
+    assert!(killed.stopped);
+    let doc = read_checkpoint(&path).unwrap();
+    let _ = std::fs::remove_file(&path);
+    let _ = std::fs::remove_file(path.with_extension("iockpt.prev"));
+    assert_eq!(doc.cursor.events, stop - stop % every);
+    let mut source = open(name, lossy, Some(&doc));
+    let metrics = Arc::new(PipelineMetrics::default());
+    let resumed = builder(mount)
+        .metrics(Arc::clone(&metrics))
+        .resume(doc)
+        .build()
+        .run(source.as_mut())
+        .unwrap();
+    assert!(resumed.failures.is_empty());
+    render(&metrics)
 }
 
 /// A small seeded CrashMonkey plus xfstests trace, tester noise
@@ -113,6 +164,21 @@ fn corrupt_trace_funnel_and_skip_ledger_match_their_goldens() {
     }
     let expected = std::fs::read_to_string(fixture("corrupt_trace.skips.txt")).unwrap();
     assert_eq!(ledger, expected);
+}
+
+#[test]
+fn a_run_killed_without_shared_metrics_resumes_to_the_golden_funnel() {
+    // Every session counts, so the checkpoint a run cut without shared
+    // metrics carries the funnel up to its cut, and the resumed run
+    // ends at the uninterrupted run's counts.
+    assert_golden(
+        &resumed_funnel("whole_trace.jsonl", Some("/mnt/test"), false, 5, 12),
+        "whole_trace-mount.metrics.json",
+    );
+    assert_golden(
+        &resumed_funnel("corrupt_trace.jsonl", None, true, 2, 3),
+        "corrupt_trace.metrics.json",
+    );
 }
 
 #[test]
