@@ -110,8 +110,7 @@ pub use frame as distribute;
 pub use identifier::{FdPartition, IdentifierCoverage, PathPartition};
 pub use metrics::{DropReason, MetricsSnapshot, PipelineMetrics, ShardFailureRecord, StageTimer};
 pub use parallel::{
-    in_supervised_scan, splitmix64, ShardError, ShardHook, SupervisorPolicy, PARALLEL_THRESHOLD,
-    PIPELINE_DEPTH,
+    in_supervised_scan, ShardError, ShardHook, SupervisorPolicy, PARALLEL_THRESHOLD, PIPELINE_DEPTH,
 };
 pub use partition::{InputPartition, NumericPartition, OutputPartition};
 pub use pipeline::{CheckpointPolicy, PipelineBuilder, PipelineError, PipelineRun, DEFAULT_CHUNK};
@@ -173,6 +172,17 @@ impl Iocov {
         analyzer.push_all(trace);
         analyzer.finish()
     }
+}
+
+/// SplitMix64 finalizer over `(seed, n)`. The workload generators key
+/// their per-program and per-round RNGs with it, and the seeded test
+/// schedules draw from it: dependency-free and byte-reproducible.
+#[must_use]
+pub fn splitmix64(seed: u64, n: u64) -> u64 {
+    let mut z = seed.wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 #[cfg(test)]

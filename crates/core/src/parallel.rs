@@ -140,17 +140,6 @@ impl SupervisorPolicy {
     }
 }
 
-/// SplitMix64 finalizer over `(seed, n)` — the same construction the
-/// workload generator uses for per-round keys. Dependency-free and
-/// byte-reproducible, which is all the seeded test schedules need.
-#[must_use]
-pub fn splitmix64(seed: u64, n: u64) -> u64 {
-    let mut z = seed.wrapping_add(n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// A structured shard failure, as observed by the supervisor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ShardError {

@@ -38,7 +38,7 @@ pub mod precond;
 mod sysno;
 
 pub use kernel::{Kernel, RawRet};
-pub use precond::{errno_by_name, execute, stage_errno, unstage, FdSpec, Probe, ProbeCall};
+pub use precond::{errno_by_name, stage_errno, unstage, FdSpec, Probe, ProbeCall};
 pub use sysno::{BaseSyscall, Sysno};
 
 // Re-export the VFS vocabulary the ABI layer exposes in its signatures,

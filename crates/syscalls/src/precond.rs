@@ -12,9 +12,10 @@
 //! VFS into the precondition for one `(syscall, errno)` pair — with all
 //! setup work *untraced*, so it never pollutes the coverage trace — and
 //! returns a [`Probe`] describing the single traced call that should
-//! now fail with exactly that errno. [`execute`] performs the probe
-//! (resolving descriptor requirements with traced opens so the trace
-//! filter keeps the event), and [`unstage`] rolls the staging back.
+//! now fail with exactly that errno. The caller runs that call — the
+//! workload crate's logged executor does, meeting descriptor
+//! requirements with traced opens so the trace filter keeps the event —
+//! and [`unstage`] rolls the staging back.
 //!
 //! Pairs the module cannot reach (unsupported, or unreachable under the
 //! current [`VfsConfig`](iocov_vfs::VfsConfig) limits — e.g. `ENOSPC`
@@ -35,8 +36,8 @@ const MAX_FILL_FDS: usize = 4096;
 const MAX_FILL_INODES: u64 = 4096;
 const MAX_FILL_BYTES: u64 = 256 << 20;
 
-/// Descriptor requirement of a probe, resolved by [`execute`] with
-/// *traced* calls (the trace filter drops events on descriptors it
+/// Descriptor requirement of a probe, which the probe's executor meets
+/// with *traced* calls (the trace filter drops events on descriptors it
 /// never saw opened).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FdSpec {
@@ -116,7 +117,7 @@ pub struct Probe {
     pub cleanup_paths: Vec<String>,
     /// The file system was remounted read-only; restore on unstage.
     pub restore_rw: bool,
-    /// Scratch-path prefix (unique per nonce) for [`execute`]'s own
+    /// Scratch-path prefix (unique per nonce) for the executor's own
     /// descriptor staging.
     pub scratch: String,
 }
@@ -944,7 +945,10 @@ fn fill_inodes(kernel: &mut Kernel, pfx: &str) -> Option<Vec<String>> {
 
 /// Writes scratch files (untraced) until the capacity (`as_uid: None`,
 /// runs as root, quota-exempt) or the per-uid quota (`as_uid:
-/// Some(pid)`) fires. Returns the fill files for cleanup.
+/// Some(pid)`) fires. A write that does not fit fails whole, so a
+/// failing chunk is halved and retried until even one byte does not
+/// fit: the fill leaves no space free, whatever else the disk holds.
+/// Returns the fill files for cleanup.
 fn fill_capacity(kernel: &mut Kernel, pfx: &str, as_pid: Option<Pid>) -> Option<Vec<String>> {
     let cfg = kernel.vfs().config();
     let budget = match as_pid {
@@ -954,7 +958,7 @@ fn fill_capacity(kernel: &mut Kernel, pfx: &str, as_pid: Option<Pid>) -> Option<
     if budget > MAX_FILL_BYTES {
         return None;
     }
-    let chunk = cfg.max_file_size.clamp(1, 1 << 20);
+    let mut chunk = cfg.max_file_size.clamp(1, 1 << 20);
     let stop = if as_pid.is_some() {
         Errno::EDQUOT
     } else {
@@ -993,6 +997,10 @@ fn fill_capacity(kernel: &mut Kernel, pfx: &str, as_pid: Option<Pid>) -> Option<
             loop {
                 let r = k.write_fill(fd, 0xA5, chunk);
                 if r == err(stop) {
+                    if chunk > 1 {
+                        chunk /= 2;
+                        continue;
+                    }
                     k.close(fd);
                     hit = true;
                     break 'outer;
@@ -1016,137 +1024,6 @@ fn fill_capacity(kernel: &mut Kernel, pfx: &str, as_pid: Option<Pid>) -> Option<
             None
         }
     })
-}
-
-/// Executes a staged probe with traced calls, resolving its descriptor
-/// requirement, and returns the probe call's raw return value. The
-/// caller still owns [`unstage`].
-pub fn execute(kernel: &mut Kernel, probe: &Probe, helper: Pid) -> RawRet {
-    let prev = kernel.current();
-    if probe.as_helper {
-        kernel.set_current(helper);
-    }
-    let mut opened: Vec<i32> = Vec::new();
-    let mut temp: Vec<(String, bool)> = Vec::new();
-    let ret = match &probe.call {
-        ProbeCall::Open { path, flags, mode } => {
-            let r = kernel.open(path, *flags, *mode);
-            if r >= 0 {
-                kernel.close(r as i32);
-            }
-            r
-        }
-        ProbeCall::Read { fd, count } => {
-            let fd = resolve_fd(kernel, probe, *fd, &mut opened, &mut temp);
-            kernel.read_discard(fd, *count)
-        }
-        ProbeCall::Write { fd, count } => {
-            let fd = resolve_fd(kernel, probe, *fd, &mut opened, &mut temp);
-            kernel.write_fill(fd, 0xA5, *count)
-        }
-        ProbeCall::Lseek { fd, offset, whence } => {
-            let fd = resolve_fd(kernel, probe, *fd, &mut opened, &mut temp);
-            kernel.lseek(fd, *offset, *whence)
-        }
-        ProbeCall::Truncate { path, length } => kernel.truncate(path, *length),
-        ProbeCall::Mkdir { path, mode } => kernel.mkdir(path, *mode),
-        ProbeCall::Chmod { path, mode } => kernel.chmod(path, *mode),
-        ProbeCall::CloseDead => {
-            let fd = resolve_fd(kernel, probe, FdSpec::Closed, &mut opened, &mut temp);
-            kernel.close(fd)
-        }
-        ProbeCall::Chdir { path } => {
-            let r = kernel.chdir(path);
-            if r == 0 {
-                // Probes are built to fail; if one lands, put the cwd
-                // somewhere harmless without polluting the trace.
-                kernel.untraced(|k| k.chdir("/"));
-            }
-            r
-        }
-        ProbeCall::Setxattr {
-            path,
-            name,
-            size,
-            flags,
-        } => {
-            let value = vec![0xABu8; *size as usize];
-            kernel.setxattr(path, name, &value, *flags)
-        }
-        ProbeCall::Getxattr { path, name, size } => kernel.getxattr(path, name, *size),
-    };
-    for fd in opened.into_iter().rev() {
-        kernel.close(fd);
-    }
-    kernel.set_current(prev);
-    // Scratch files for descriptor staging are probe-local; drop them.
-    kernel.untraced(|k| {
-        let cur = k.current();
-        k.set_current(k.vfs().default_pid());
-        for (path, is_dir) in temp.into_iter().rev() {
-            if is_dir {
-                k.rmdir(&path);
-            } else {
-                k.unlink(&path);
-            }
-        }
-        k.set_current(cur);
-    });
-    ret
-}
-
-/// Resolves an [`FdSpec`] with traced calls (so the trace filter keeps
-/// descriptor provenance). Descriptors recorded in `opened` are closed
-/// (traced) after the probe; paths in `temp` are removed untraced.
-fn resolve_fd(
-    kernel: &mut Kernel,
-    probe: &Probe,
-    spec: FdSpec,
-    opened: &mut Vec<i32>,
-    temp: &mut Vec<(String, bool)>,
-) -> i32 {
-    match spec {
-        FdSpec::Fresh | FdSpec::Closed => {
-            let dir = format!("{}-sd", probe.scratch);
-            let path = format!("{dir}/scratch");
-            // Root makes a world-writable parent, then the probing
-            // process creates the file itself so ownership (and quota
-            // accounting) follows the prober.
-            untraced_root(kernel, |k| {
-                k.mkdir(&dir, 0o777);
-                k.chmod(&dir, 0o777);
-            });
-            temp.push((dir, true));
-            kernel.untraced(|k| {
-                let fd = k.open(
-                    &path,
-                    (OpenFlags::O_CREAT | OpenFlags::O_RDWR).bits(),
-                    0o666,
-                );
-                if fd >= 0 {
-                    k.close(fd as i32);
-                }
-            });
-            temp.push((path.clone(), false));
-            let fd = kernel.open(&path, OpenFlags::O_RDWR.bits(), 0) as i32;
-            if spec == FdSpec::Closed {
-                kernel.close(fd);
-            } else {
-                opened.push(fd);
-            }
-            fd
-        }
-        FdSpec::FreshDir => {
-            let path = format!("{}-scratchdir", probe.scratch);
-            untraced_root(kernel, |k| {
-                k.mkdir(&path, 0o755);
-            });
-            temp.push((path.clone(), true));
-            let fd = kernel.open(&path, 0, 0) as i32;
-            opened.push(fd);
-            fd
-        }
-    }
 }
 
 /// Rolls back everything [`stage_errno`] did: closes fill descriptors,
@@ -1175,143 +1052,10 @@ pub fn unstage(kernel: &mut Kernel, probe: &Probe) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iocov_vfs::{Gid, Uid, Vfs, VfsConfig};
-    use std::sync::Arc;
+    use iocov_vfs::{Gid, Uid};
 
     const MOUNT: &str = "/mnt/test";
     const HELPER: Pid = Pid(2);
-
-    fn constrained_config() -> VfsConfig {
-        VfsConfig::builder()
-            .capacity_bytes(8 << 20)
-            .max_inodes(512)
-            .quota_bytes_per_uid(1 << 20)
-            .max_fds_per_process(16)
-            .max_open_files(40)
-            .max_file_size(1 << 20)
-            .build()
-    }
-
-    fn kernel() -> Kernel {
-        let mut k = Kernel::with_vfs(Vfs::with_config(constrained_config()));
-        k.mkdir("/mnt", 0o755);
-        k.mkdir(MOUNT, 0o755);
-        k.vfs_mut().spawn_process(HELPER, Uid(1000), Gid(1000));
-        k
-    }
-
-    /// Every supported pair, as the feedback engine consumes them.
-    fn supported_pairs() -> Vec<(BaseSyscall, Errno)> {
-        use BaseSyscall::*;
-        use Errno::*;
-        vec![
-            (Open, ENOENT),
-            (Open, EEXIST),
-            (Open, EISDIR),
-            (Open, ENOTDIR),
-            (Open, ENAMETOOLONG),
-            (Open, ELOOP),
-            (Open, EACCES),
-            (Open, EINVAL),
-            (Open, EMFILE),
-            (Open, ENFILE),
-            (Open, EROFS),
-            (Open, ENOSPC),
-            (Read, EBADF),
-            (Read, EISDIR),
-            (Write, EBADF),
-            (Write, EFBIG),
-            (Write, ENOSPC),
-            (Write, EDQUOT),
-            (Lseek, EBADF),
-            (Lseek, EINVAL),
-            (Lseek, ENXIO),
-            (Truncate, ENOENT),
-            (Truncate, EISDIR),
-            (Truncate, ENOTDIR),
-            (Truncate, ENAMETOOLONG),
-            (Truncate, ELOOP),
-            (Truncate, EINVAL),
-            (Truncate, EACCES),
-            (Truncate, EFBIG),
-            (Truncate, EROFS),
-            (Mkdir, EEXIST),
-            (Mkdir, ENOENT),
-            (Mkdir, ENOTDIR),
-            (Mkdir, ENAMETOOLONG),
-            (Mkdir, ELOOP),
-            (Mkdir, EACCES),
-            (Mkdir, EROFS),
-            (Mkdir, ENOSPC),
-            (Chmod, ENOENT),
-            (Chmod, ENOTDIR),
-            (Chmod, ENAMETOOLONG),
-            (Chmod, ELOOP),
-            (Chmod, EPERM),
-            (Chmod, EACCES),
-            (Chmod, EROFS),
-            (Close, EBADF),
-            (Chdir, ENOENT),
-            (Chdir, ENOTDIR),
-            (Chdir, ENAMETOOLONG),
-            (Chdir, ELOOP),
-            (Chdir, EACCES),
-            (Setxattr, ENOENT),
-            (Setxattr, EEXIST),
-            (Setxattr, ENODATA),
-            (Setxattr, ERANGE),
-            (Setxattr, E2BIG),
-            (Setxattr, EROFS),
-            (Getxattr, ENOENT),
-            (Getxattr, ENODATA),
-            (Getxattr, ERANGE),
-        ]
-    }
-
-    #[test]
-    fn every_staged_probe_elicits_its_target_errno() {
-        for (i, (base, errno)) in supported_pairs().into_iter().enumerate() {
-            let mut k = kernel();
-            let probe = stage_errno(&mut k, MOUNT, HELPER, base, errno, i as u64)
-                .unwrap_or_else(|| panic!("{base:?}/{errno:?} failed to stage"));
-            let ret = execute(&mut k, &probe, HELPER);
-            assert_eq!(
-                ret,
-                err(errno),
-                "{base:?}/{errno:?}: got {ret} ({})",
-                Errno::from_number(i32::try_from(-ret).unwrap_or(0).unsigned_abs())
-                    .map_or("?", Errno::name),
-            );
-            unstage(&mut k, &probe);
-        }
-    }
-
-    #[test]
-    fn unstage_restores_a_usable_file_system() {
-        let mut k = kernel();
-        // EROFS leaves the fs read-only until unstaged.
-        let probe = stage_errno(&mut k, MOUNT, HELPER, BaseSyscall::Mkdir, Errno::EROFS, 1)
-            .expect("stage EROFS");
-        assert_eq!(execute(&mut k, &probe, HELPER), err(Errno::EROFS));
-        unstage(&mut k, &probe);
-        assert_eq!(k.mkdir(&format!("{MOUNT}/after-ro"), 0o755), 0);
-
-        // EMFILE leaves the descriptor table full until unstaged.
-        let probe = stage_errno(&mut k, MOUNT, HELPER, BaseSyscall::Open, Errno::EMFILE, 2)
-            .expect("stage EMFILE");
-        assert_eq!(execute(&mut k, &probe, HELPER), err(Errno::EMFILE));
-        unstage(&mut k, &probe);
-        let fd = k.open(&format!("{MOUNT}/after-ro"), 0, 0);
-        assert!(fd >= 0, "fd table should have room again: {fd}");
-        k.close(fd as i32);
-
-        // ENOSPC (inodes) leaves no room for new files until unstaged.
-        let probe = stage_errno(&mut k, MOUNT, HELPER, BaseSyscall::Mkdir, Errno::ENOSPC, 3)
-            .expect("stage ENOSPC");
-        assert_eq!(execute(&mut k, &probe, HELPER), err(Errno::ENOSPC));
-        unstage(&mut k, &probe);
-        assert_eq!(k.mkdir(&format!("{MOUNT}/after-nospc"), 0o755), 0);
-    }
 
     #[test]
     fn unreachable_pairs_yield_none_instead_of_spinning() {
@@ -1334,27 +1078,6 @@ mod tests {
         }
         // Wholly unsupported pairs too.
         assert!(stage_errno(&mut k, MOUNT, HELPER, BaseSyscall::Close, Errno::ENOSPC, 9).is_none());
-    }
-
-    #[test]
-    fn staging_never_pollutes_the_trace() {
-        use iocov_trace::Recorder;
-        let mut k = kernel();
-        let recorder = Arc::new(Recorder::new());
-        k.attach_recorder(Arc::clone(&recorder));
-        // A staging-heavy pair: quota fill writes megabytes untraced.
-        let probe = stage_errno(&mut k, MOUNT, HELPER, BaseSyscall::Write, Errno::EDQUOT, 4)
-            .expect("stage EDQUOT");
-        assert_eq!(recorder.len(), 0, "staging must be untraced");
-        let ret = execute(&mut k, &probe, HELPER);
-        assert_eq!(ret, err(Errno::EDQUOT));
-        let events = recorder.take();
-        // The probe itself is traced: an open, the failing write, a close.
-        assert!(events.len() >= 3 && events.len() <= 6, "{}", events.len());
-        assert!(events
-            .iter()
-            .any(|e| e.name == "write" && e.retval == err(Errno::EDQUOT)));
-        unstage(&mut k, &probe);
     }
 
     #[test]

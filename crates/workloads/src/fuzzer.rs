@@ -14,9 +14,10 @@ use std::fmt::Write as _;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use iocov_syscalls::Kernel;
+use iocov::splitmix64;
 
 use crate::env::{TestEnv, MOUNT};
+use crate::syzlog::Executor;
 
 /// The fuzzer simulator.
 #[derive(Debug, Clone)]
@@ -45,31 +46,20 @@ impl SyzFuzzerSim {
         let mut kernel = env.fresh_kernel();
         let mut log = String::new();
         for p in 0..self.programs {
-            let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, p as u64));
+            let mut rng = StdRng::seed_from_u64(splitmix64(self.seed, p as u64));
             let _ = writeln!(log, "# program {p}");
-            self.run_program(&mut kernel, &mut rng, &mut log);
+            self.run_program(&mut Executor::new(&mut kernel, &mut log), &mut rng);
         }
         log
     }
 
-    /// Generates, executes, and logs one program.
-    fn run_program(&self, kernel: &mut Kernel, rng: &mut StdRng, log: &mut String) {
-        // Live resources: (variable index, fd value).
-        let mut resources: Vec<(usize, i32)> = Vec::new();
-        let mut next_var = 0usize;
+    /// Generates and executes one program; each program restarts its
+    /// variable numbering.
+    fn run_program(&self, exec: &mut Executor<'_>, rng: &mut StdRng) {
         // Every program starts from a working descriptor, as syz corpus
         // programs typically do.
         let seed_path = format!("{MOUNT}/fuzz{}", rng.random_range(0..8u32));
-        let seed_fd = kernel.open(&seed_path, 0o102 | 0o100, 0o644);
-        if seed_fd >= 0 {
-            let var = next_var;
-            next_var += 1;
-            resources.push((var, seed_fd as i32));
-            let _ = writeln!(
-                log,
-                "r{var} = open(&(0x7f0000000000)='{seed_path}\\x00', 0x42, 0x1a4) # {seed_fd}"
-            );
-        }
+        exec.open(&seed_path, 0o102, 0o644);
         // Between 3 and `calls_per_program` calls; a configured maximum
         // below 3 becomes the exact program length (floor of 1), and the
         // maximum is never exceeded.
@@ -82,96 +72,54 @@ impl SyzFuzzerSim {
                     let path = self.fuzz_path(rng);
                     let flags = self.fuzz_flags(rng);
                     let mode = rng.random_range(0..0o7777u32);
-                    let ret = kernel.open(&path, flags, mode);
-                    if ret >= 0 {
-                        let var = next_var;
-                        next_var += 1;
-                        resources.push((var, ret as i32));
-                        let _ = writeln!(
-                            log,
-                            "r{var} = open(&(0x7f0000000000)='{}\\x00', {:#x}, {:#x}) # {ret}",
-                            path, flags, mode
-                        );
-                    } else {
-                        let _ = writeln!(
-                            log,
-                            "open(&(0x7f0000000000)='{}\\x00', {:#x}, {:#x}) # {ret}",
-                            path, flags, mode
-                        );
-                    }
+                    exec.open(&path, flags, mode);
                 }
                 3 | 4 => {
                     // write with a fuzzed (often boundary) size.
-                    if let Some(&(var, fd)) = pick(rng, &resources) {
+                    if let Some((var, fd)) = pick(rng, &exec.resources) {
                         let size = self.fuzz_size(rng);
-                        let ret = kernel.write_fill(fd, 0x61, size);
-                        let _ = writeln!(
-                            log,
-                            "write(r{var}, &(0x7f0000001000)=\"6161\", {size:#x}) # {ret}"
-                        );
+                        exec.write(var, fd, size);
                     }
                 }
                 5 => {
-                    if let Some(&(var, fd)) = pick(rng, &resources) {
+                    if let Some((var, fd)) = pick(rng, &exec.resources) {
                         let size = self.fuzz_size(rng);
-                        let ret = kernel.read_discard(fd, size);
-                        let _ = writeln!(
-                            log,
-                            "read(r{var}, &(0x7f0000002000)=\"00\", {size:#x}) # {ret}"
-                        );
+                        exec.read(var, fd, size);
                     }
                 }
                 6 => {
-                    if let Some(&(var, fd)) = pick(rng, &resources) {
+                    if let Some((var, fd)) = pick(rng, &exec.resources) {
                         let offset = rng.random_range(-16i64..1 << 20);
                         let whence = rng.random_range(0..6u32); // incl. invalid 5
-                        let ret = kernel.lseek(fd, offset, whence);
-                        let _ = writeln!(log, "lseek(r{var}, {offset:#x}, {whence:#x}) # {ret}");
+                        exec.lseek(var, fd, offset, whence);
                     }
                 }
                 7 => {
                     let path = self.fuzz_path(rng);
                     let len = rng.random_range(-4i64..1 << 22);
-                    let ret = kernel.truncate(&path, len);
-                    let _ = writeln!(
-                        log,
-                        "truncate(&(0x7f0000000000)='{path}\\x00', {len:#x}) # {ret}"
-                    );
+                    exec.truncate(&path, len);
                 }
                 8 => {
                     let path = self.fuzz_path(rng);
                     let mode = rng.random_range(0..0o7777u32);
-                    let ret = if rng.random_bool(0.5) {
-                        let r = kernel.mkdir(&path, mode);
-                        let _ = writeln!(
-                            log,
-                            "mkdir(&(0x7f0000000000)='{path}\\x00', {mode:#x}) # {r}"
-                        );
-                        r
+                    if rng.random_bool(0.5) {
+                        exec.mkdir(&path, mode);
                     } else {
-                        let r = kernel.chmod(&path, mode);
-                        let _ = writeln!(
-                            log,
-                            "chmod(&(0x7f0000000000)='{path}\\x00', {mode:#x}) # {r}"
-                        );
-                        r
-                    };
-                    let _ = ret;
+                        exec.chmod(&path, mode);
+                    }
                 }
                 _ => {
-                    if let Some(idx) = pick_index(rng, &resources) {
-                        let (var, fd) = resources.swap_remove(idx);
-                        let ret = kernel.close(fd);
-                        let _ = writeln!(log, "close(r{var}) # {ret}");
+                    if !exec.resources.is_empty() {
+                        let idx = rng.random_range(0..exec.resources.len());
+                        exec.close_at(idx);
                     }
                 }
             }
         }
-        // Programs close their leftover descriptors (as syz executors do
-        // between programs).
-        for (var, fd) in resources.drain(..) {
-            let ret = kernel.close(fd);
-            let _ = writeln!(log, "close(r{var}) # {ret}");
+        // Programs close their leftover descriptors, oldest first (as
+        // syz executors do between programs).
+        for (var, fd) in std::mem::take(&mut exec.resources) {
+            exec.close(var, fd);
         }
     }
 
@@ -220,31 +168,11 @@ impl SyzFuzzerSim {
     }
 }
 
-/// SplitMix64-style finalizer mixing the session seed with a program
-/// index. The previous `seed ^ p * 0x9e3779b9` left the top 32 bits of
-/// every per-program seed identical to the session seed's (the constant
-/// is 32-bit, so `p * c` stays small for small `p`), correlating the
-/// program streams.
-fn mix_seed(seed: u64, p: u64) -> u64 {
-    let mut z = seed.wrapping_add(p.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-fn pick<'a>(rng: &mut StdRng, resources: &'a [(usize, i32)]) -> Option<&'a (usize, i32)> {
+fn pick(rng: &mut StdRng, resources: &[(usize, i32)]) -> Option<(usize, i32)> {
     if resources.is_empty() {
         None
     } else {
-        Some(&resources[rng.random_range(0..resources.len())])
-    }
-}
-
-fn pick_index(rng: &mut StdRng, resources: &[(usize, i32)]) -> Option<usize> {
-    if resources.is_empty() {
-        None
-    } else {
-        Some(rng.random_range(0..resources.len()))
+        Some(resources[rng.random_range(0..resources.len())])
     }
 }
 
@@ -265,33 +193,29 @@ mod tests {
     #[test]
     fn parsed_log_agrees_with_the_recorded_trace() {
         // The same session seen two ways: the in-process recorder (LTTng
-        // path) and the parsed syz log (fuzzer path) must yield identical
-        // input coverage for the tracked arguments.
-        let env = TestEnv::new();
-        let log = SyzFuzzerSim::new(2, 15, 10).run(&env);
-        let recorded = env.take_trace();
-        let parsed = parse_to_trace(&log).unwrap();
-        let iocov = Iocov::new();
-        let from_recorder = iocov.analyze(&recorded);
-        let from_log = iocov.analyze(&parsed);
-        for arg in [
-            ArgName::OpenFlags,
-            ArgName::OpenMode,
-            ArgName::WriteCount,
-            ArgName::ReadCount,
-            ArgName::LseekWhence,
-            ArgName::TruncateLength,
-            ArgName::MkdirMode,
-            ArgName::ChmodMode,
-        ] {
+        // path) and the parsed syz log (fuzzer path) must hold the same
+        // calls and yield the same coverage. The second input is the
+        // `repro fuzzer` exhibit's.
+        for (seed, programs, calls) in [(2, 15, 10), (42, 600, 14)] {
+            let env = TestEnv::new();
+            let log = SyzFuzzerSim::new(seed, programs, calls).run(&env);
+            let recorded = env.take_trace();
+            let parsed = parse_to_trace(&log).unwrap();
             assert_eq!(
-                from_recorder.input_coverage(arg).counts,
-                from_log.input_coverage(arg).counts,
-                "{arg} coverage must match between tracing and log parsing"
+                parsed.len(),
+                recorded.len(),
+                "seed {seed}: one log line per call"
+            );
+            let iocov = Iocov::new();
+            let from_recorder = iocov.analyze(&recorded);
+            let from_log = iocov.analyze(&parsed);
+            assert_eq!(from_recorder.input, from_log.input, "seed {seed}");
+            assert_eq!(from_recorder.output, from_log.output, "seed {seed}");
+            assert_eq!(
+                from_recorder.calls_per_variant, from_log.calls_per_variant,
+                "seed {seed}"
             );
         }
-        // Output coverage matches too (the log carries retvals).
-        assert_eq!(from_recorder.output, from_log.output);
     }
 
     #[test]
@@ -367,7 +291,7 @@ mod tests {
         // the top 32 bits of every per-program seed equal to the session
         // seed's for small `p`. SplitMix64 finalization must spread them.
         for seed in [0u64, 1, 42, u64::MAX] {
-            let mixed: Vec<u64> = (0..64).map(|p| mix_seed(seed, p)).collect();
+            let mixed: Vec<u64> = (0..64).map(|p| splitmix64(seed, p)).collect();
             let top: std::collections::BTreeSet<u32> =
                 mixed.iter().map(|m| (m >> 32) as u32).collect();
             assert!(

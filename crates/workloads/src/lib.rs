@@ -39,6 +39,7 @@ mod ltp;
 mod many_pid;
 pub mod profile;
 pub mod sampler;
+mod syzlog;
 mod xfstests;
 
 pub use corruption::{corrupt_jsonl, CorruptedTrace};
